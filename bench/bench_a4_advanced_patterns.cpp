@@ -96,6 +96,7 @@ int run_experiment() {
     util::Xoshiro256 rng{31};
     for (std::size_t f = 0; f < 150; ++f) {
       (void)injector.inject(deployed, safety::FaultType::kBitFlip);
+      engine.repack();  // planned panels must see the upset
       // The fault lands at a random phase of the scrub period.
       const std::size_t phase = rng.below(interval);
       for (std::size_t i = phase; i < interval; ++i) {
@@ -106,6 +107,7 @@ int run_experiment() {
         if (argmax_of(out) != golden[pi]) ++sdc;
       }
       (void)guard.scrub(deployed);  // repairs if corrupted
+      engine.repack();
     }
     scrub.add_row({std::to_string(interval),
                    util::fmt_pct(trials ? static_cast<double>(sdc) /

@@ -10,10 +10,10 @@
 // counters; the hashes must be identical everywhere — the parallel
 // executor is required to be a bit-exact, schedule-independent drop-in.
 //
-// Usage: bench_e11_batch_throughput [--smoke]   (--smoke shrinks the load
-// for CI label `bench-smoke`).
+// Usage: bench_e11_batch_throughput [--smoke] [--perf-gates]   (--smoke
+// shrinks the load for CI label `bench-smoke`; its scaling verdicts are
+// wall-clock ratios, gated only in full runs and under --perf-gates).
 #include <algorithm>
-#include <cstring>
 #include <iomanip>
 #include <sstream>
 #include <thread>
@@ -36,8 +36,8 @@ std::string hex64(std::uint64_t v) {
 
 int main(int argc, char** argv) {
   using namespace sx;
-  const bool smoke =
-      argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
+  const bench::Args args = bench::parse_args(argc, argv);
+  const bool smoke = args.smoke;
 
   bench::print_header(
       "E11: deterministic parallel batch inference",
@@ -122,20 +122,22 @@ int main(int argc, char** argv) {
   all_ok = all_ok && bit_exact;
 
   if (hw >= 4) {
-    const bool scales = speedup_at_4 >= 2.0;
-    bench::print_verdict(scales,
-                         "4 workers deliver >= 2x serial throughput "
-                         "(measured " + util::fmt(speedup_at_4, 2) + "x)");
+    const bool scales = bench::timing_verdict(
+        speedup_at_4 >= 2.0,
+        "4 workers deliver >= 2x serial throughput (measured " +
+            util::fmt(speedup_at_4, 2) + "x)",
+        args);
     all_ok = all_ok && scales;
   } else {
     // On a single/dual-core host true parallel speedup is physically
     // unavailable; the load-bearing claim there is that the pool costs at
     // most a bounded coordination overhead.
-    const bool bounded = speedup_at_4 >= 0.3;
-    bench::print_verdict(bounded,
-                         "host has < 4 hardware threads: scaling check "
-                         "skipped, pool overhead bounded (measured " +
-                             util::fmt(speedup_at_4, 2) + "x)");
+    const bool bounded = bench::timing_verdict(
+        speedup_at_4 >= 0.3,
+        "host has < 4 hardware threads: scaling check skipped, pool "
+        "overhead bounded (measured " +
+            util::fmt(speedup_at_4, 2) + "x)",
+        args);
     all_ok = all_ok && bounded;
   }
   return all_ok ? 0 : 1;

@@ -15,10 +15,10 @@
 // sx_decision_cycles histogram is drained and handed to timing::analyze()
 // to produce an MbptaReport from live samples.
 //
-// Usage: bench_e13_obs_overhead [--smoke]   (--smoke shrinks the load for
-// CI label `bench-smoke`).
+// Usage: bench_e13_obs_overhead [--smoke] [--perf-gates]   (--smoke
+// shrinks the load for CI label `bench-smoke`; the 5% overhead verdict is
+// a wall-clock ratio, gated only in full runs and under --perf-gates).
 #include <algorithm>
-#include <cstring>
 #include <iostream>
 #include <vector>
 
@@ -69,7 +69,8 @@ double time_batch_once(sx::core::CertifiablePipeline& p,
 
 int main(int argc, char** argv) {
   using namespace sx;
-  const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
+  const bench::Args args = bench::parse_args(argc, argv);
+  const bool smoke = args.smoke;
 
   bench::print_header(
       "E13: telemetry overhead + live MBPTA evidence",
@@ -121,10 +122,11 @@ int main(int argc, char** argv) {
 
   // Verdict 1: telemetry costs less than ~5% on the decision path.
   const double worst_ovh = std::max(single_ovh, batch_ovh);
-  const bool cheap = worst_ovh < 0.05;
-  bench::print_verdict(
-      cheap, "telemetry overhead stays under 5% on both paths (worst " +
-                 util::fmt(worst_ovh * 100.0, 1) + "%)");
+  const bool cheap = bench::timing_verdict(
+      worst_ovh < 0.05,
+      "telemetry overhead stays under 5% on both paths (worst " +
+          util::fmt(worst_ovh * 100.0, 1) + "%)",
+      args);
   all_ok = all_ok && cheap;
 
   // Verdict 2: the live samples are MBPTA-grade evidence. The single-item

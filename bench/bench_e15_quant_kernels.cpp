@@ -19,13 +19,13 @@
 //      speedup (target >= 1.5x on the engine-dominated batch path).
 // Every rung first proves bitwise identity of the outputs it times.
 //
-// Usage: bench_e15_quant_kernels [--smoke]   (--smoke shrinks the load
-// for CI label `bench-smoke`).
+// Usage: bench_e15_quant_kernels [--smoke] [--perf-gates]   (--smoke
+// shrinks the load for CI label `bench-smoke`; the speedup floors are
+// wall-clock ratios, gated only in full runs and under --perf-gates).
 #include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <vector>
 
@@ -141,7 +141,8 @@ double time_batch_once(sx::core::CertifiablePipeline& p,
 
 int main(int argc, char** argv) {
   using namespace sx;
-  const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
+  const bench::Args args = bench::parse_args(argc, argv);
+  const bool smoke = args.smoke;
 
   bench::print_header(
       "E15: int8 quantized kernel plans",
@@ -332,12 +333,18 @@ int main(int argc, char** argv) {
     json.add("engine_us_wide", t_wid);
     json.add("engine_speedup", eng_speedup);
     json.add("engine_wide_vs_packed", t_pck / t_wid);
-    const bool fast = eng_speedup >= 1.5;
-    bench::print_verdict(fast,
-                         "planned int8 engine is >= 1.5x the reference "
-                         "engine on the CNN (measured " +
-                             util::fmt(eng_speedup, 2) + "x)");
-    all_ok = all_ok && fast;
+    all_ok = bench::timing_verdict(eng_speedup >= 1.5,
+                                   "planned int8 engine is >= 1.5x the "
+                                   "reference engine on the CNN (measured " +
+                                       util::fmt(eng_speedup, 2) + "x)",
+                                   args) &&
+             all_ok;
+    all_ok = bench::timing_verdict(t_pck / t_wid >= 1.0,
+                                   "wide int8 engine is no slower than the "
+                                   "packed one on the CNN (measured " +
+                                       util::fmt(t_pck / t_wid, 2) + "x)",
+                                   args) &&
+             all_ok;
   }
 
   // ----------------------- 3. end-to-end SIL2 int8 pipeline, escape hatch
@@ -347,7 +354,8 @@ int main(int argc, char** argv) {
     unsetenv("SX_KERNEL_REFERENCE");
     auto p_plan = make_sil2_int8_pipeline(4);
     auto p_wide = make_sil2_int8_pipeline(4, dl::KernelMode::kWide);
-    std::cout << "wide deployment records: " << p_wide.kernel_backend()
+    std::cout << "default deployment records: " << p_plan.kernel_backend()
+              << "\nwide deployment records: " << p_wide.kernel_backend()
               << "\n\n";
 
     const auto& ds = bench::road_data();
@@ -391,7 +399,7 @@ int main(int argc, char** argv) {
     }
 
     util::Table table({"SIL2 int8 pipeline", "reference (us/dec)",
-                       "planned (us/dec)", "wide (us/dec)", "wide speedup"});
+                       "default (us/dec)", "wide (us/dec)", "wide speedup"});
     table.add_row({"single-item infer()", util::fmt(single_ref, 2),
                    util::fmt(single_plan, 2), util::fmt(single_wide, 2),
                    util::fmt(single_ref / single_wide, 2) + "x"});
@@ -408,12 +416,13 @@ int main(int argc, char** argv) {
     json.add("pipeline_batch_speedup", e2e);
     json.add("pipeline_single_speedup_wide", single_ref / single_wide);
     json.add("pipeline_batch_speedup_wide", batch_ref / batch_wide);
-    const bool fast = e2e >= 1.5;
-    bench::print_verdict(
-        fast, "end-to-end SIL2 int8 pipeline speedup >= 1.5x on the batch "
-              "path (measured " + util::fmt(e2e, 2) + "x; single-item " +
-                  util::fmt(single_ref / single_plan, 2) + "x)");
-    all_ok = all_ok && fast;
+    all_ok = bench::timing_verdict(
+                 e2e >= 1.5,
+                 "end-to-end SIL2 int8 pipeline speedup >= 1.5x on the batch "
+                 "path (measured " + util::fmt(e2e, 2) + "x; single-item " +
+                     util::fmt(single_ref / single_plan, 2) + "x)",
+                 args) &&
+             all_ok;
   }
 
   const bool wrote = json.write(all_ok);

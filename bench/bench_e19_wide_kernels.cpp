@@ -8,7 +8,7 @@
 // counter.
 //
 // Method: the deploy-time CPU probe is printed first (the same
-// platform::wide_isa_audit line the pipeline records), then three rungs,
+// platform::wide_isa_audit line the pipeline records), then four rungs,
 // each timed min-of-reps with packed/wide rounds interleaved so transient
 // machine load hits both alike:
 //   1. float matvec at 128/192/256/512 (the 128/192 panels are
@@ -17,7 +17,9 @@
 //   2. float Conv2d GEMM on 16- and 32-channel geometries:
 //      conv2d_im2col_packed vs conv2d_im2col_wide_*;
 //   3. int8 matvec at the same sizes: qmatvec_packed vs qmatvec_wide_*
-//      (saturation counters compared as well as output bytes).
+//      (saturation counters compared as well as output bytes);
+//   4. int8 Conv2d GEMM on the 8-channel perception conv:
+//      qconv2d_im2col_packed vs qconv2d_im2col_wide_* (the half group).
 // Every rung first proves bitwise identity of everything it times.
 //
 // Gate: geomean speedup over kPacked across the dense micro sizes must
@@ -25,13 +27,13 @@
 // in float or int8. On hardware with no wide lanes the wide entry points
 // *are* the scalar twin, so the gate is vacuous there and says so.
 //
-// Usage: bench_e19_wide_kernels [--smoke]   (--smoke shrinks the load for
-// CI label `bench-smoke`).
+// Usage: bench_e19_wide_kernels [--smoke] [--perf-gates]   (--smoke
+// shrinks the load for CI label `bench-smoke`; the geomean gate is a
+// wall-clock ratio, gated only in full runs and under --perf-gates).
 #include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -64,22 +66,18 @@ struct IsaRow {
   k::DenseKernelFn dense;
   k::ConvKernelFn conv;
   qk::QDenseKernelFn qdense;
+  qk::QConvKernelFn qconv;
 };
 
 std::vector<IsaRow> probed_rows(const sx::platform::CpuProbe& probe) {
   std::vector<IsaRow> rows;
-  rows.push_back({k::WideIsa::kScalar, k::wide_dense_kernel(k::WideIsa::kScalar),
-                  k::wide_conv_kernel(k::WideIsa::kScalar),
-                  qk::wide_qdense_kernel(k::WideIsa::kScalar)});
-  if (probe.avx2)
-    rows.push_back({k::WideIsa::kAvx2, k::wide_dense_kernel(k::WideIsa::kAvx2),
-                    k::wide_conv_kernel(k::WideIsa::kAvx2),
-                    qk::wide_qdense_kernel(k::WideIsa::kAvx2)});
-  if (probe.avx512f)
-    rows.push_back({k::WideIsa::kAvx512,
-                    k::wide_dense_kernel(k::WideIsa::kAvx512),
-                    k::wide_conv_kernel(k::WideIsa::kAvx512),
-                    qk::wide_qdense_kernel(k::WideIsa::kAvx512)});
+  auto row = [](k::WideIsa isa) {
+    return IsaRow{isa, k::wide_dense_kernel(isa), k::wide_conv_kernel(isa),
+                  qk::wide_qdense_kernel(isa), qk::wide_qconv_kernel(isa)};
+  };
+  rows.push_back(row(k::WideIsa::kScalar));
+  if (probe.avx2) rows.push_back(row(k::WideIsa::kAvx2));
+  if (probe.avx512f) rows.push_back(row(k::WideIsa::kAvx512));
   return rows;
 }
 
@@ -94,7 +92,8 @@ double geomean(const std::vector<double>& xs) {
 
 int main(int argc, char** argv) {
   using namespace sx;
-  const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
+  const bench::Args args = bench::parse_args(argc, argv);
+  const bool smoke = args.smoke;
 
   bench::print_header(
       "E19: wide-SIMD kernel backends",
@@ -388,7 +387,101 @@ int main(int argc, char** argv) {
     all_ok = all_ok && identical;
   }
 
-  // ------------------------------------------------------- 4. the gate
+  // -------------------------------------------- 4. int8 Conv2d GEMM micro
+  {
+    // The rung-3 perception CNN's second conv (E14/E15): 8 output
+    // channels, so the wide kernel runs the 8-lane half group.
+    const k::Conv2dGeom g{.in_c = 8, .in_h = 16, .in_w = 16, .out_c = 8,
+                          .k = 3, .stride = 1, .pad = 1};
+    const std::size_t entries = k::im2col_entries(g);
+    std::vector<std::uint32_t> pix_off(g.opix() + 1), in_idx(entries),
+        w_ofs(entries);
+    k::build_im2col_tables(g, pix_off.data(), in_idx.data(), w_ofs.data());
+    const k::ConvTables t{.out_c = g.out_c, .patch = g.patch(),
+                          .opix = g.opix(), .pix_off = pix_off.data(),
+                          .in_idx = in_idx.data(), .w_ofs = w_ofs.data()};
+    util::Xoshiro256 rng{88};
+    std::vector<std::int8_t> wt(g.out_c * g.patch()), col(entries);
+    for (auto& v : wt)
+      v = static_cast<std::int8_t>(static_cast<int>(rng() % 255) - 127);
+    for (auto& v : col)
+      v = static_cast<std::int8_t>(static_cast<int>(rng() % 255) - 127);
+    std::vector<float> w_scale(g.out_c, 0.004f), bias(g.out_c, 0.05f);
+    const qk::Requant rq{.w_scales = w_scale.data(),
+                         .per_channel = true,
+                         .bias = bias.data(),
+                         .in_scale = 0.02f,
+                         .out_scale = 0.05f,
+                         .relu = true};
+
+    const std::size_t out_n = g.out_c * g.opix();
+    std::vector<std::int8_t> ref(out_n), pck(out_n), wide(out_n);
+    std::vector<std::int8_t> packed_panel(
+        qk::qconv_panel_bytes(g.out_c, g.patch()));
+    qk::pack_qconv_panel(wt.data(), g.out_c, g.patch(), packed_panel.data());
+    std::vector<std::int8_t> wide_panel(
+        qk::qwide_conv_panel_bytes(g.out_c, g.patch()));
+    qk::pack_qwide_conv_panel(wt.data(), g.out_c, g.patch(),
+                              wide_panel.data());
+
+    std::uint64_t sat_ref = 0, sat_pck = 0, sat_wide = 0;
+    qk::qconv2d_im2col(wt.data(), t, col.data(), rq, ref.data(), &sat_ref);
+    qk::qconv2d_im2col_packed(packed_panel.data(), wt.data(), t, col.data(),
+                              rq, pck.data(), &sat_pck);
+    bool identical = pck == ref && sat_pck == sat_ref;
+    for (const IsaRow& row : rows) {
+      sat_wide = 0;
+      row.qconv(wide_panel.data(), wt.data(), t, col.data(), rq, wide.data(),
+                &sat_wide);
+      identical = identical && wide == ref && sat_wide == sat_ref;
+    }
+
+    double t_pck = 1e300;
+    std::vector<double> t_wide(rows.size(), 1e300);
+    for (std::size_t r = 0; r < reps; ++r) {
+      t_pck = std::min(t_pck, bench::time_per_call_us(
+                                  [&] {
+                                    qk::qconv2d_im2col_packed(
+                                        packed_panel.data(), wt.data(), t,
+                                        col.data(), rq, pck.data(), &sat_pck);
+                                  },
+                                  calls));
+      for (std::size_t i = 0; i < rows.size(); ++i)
+        t_wide[i] = std::min(
+            t_wide[i], bench::time_per_call_us(
+                           [&] {
+                             rows[i].qconv(wide_panel.data(), wt.data(), t,
+                                           col.data(), rq, wide.data(),
+                                           &sat_wide);
+                           },
+                           calls));
+    }
+
+    std::size_t best = 0;
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      json.add("qconv8c_us_wide_" + std::string(k::wide_isa_name(rows[i].isa)),
+               t_wide[i]);
+      if (t_wide[i] < t_wide[best]) best = i;
+    }
+    json.add("qconv8c_us_packed", t_pck);
+    json.add("qconv8c_wide_vs_packed", t_pck / t_wide[best]);
+    util::Table table({"int8 conv2d 3x3", "packed us", "wide us (best)",
+                       "isa", "speedup"});
+    table.add_row({"8ch 8x16x16", util::fmt(t_pck, 2),
+                   util::fmt(t_wide[best], 2),
+                   k::wide_isa_name(rows[best].isa),
+                   util::fmt(t_pck / t_wide[best], 2) + "x"});
+    table.print(std::cout);
+    std::cout << "\n";
+    bench::print_verdict(identical,
+                         "int8 conv2d: packed and every probed wide variant "
+                         "(8-lane half group) match qconv2d_im2col byte for "
+                         "byte on the 8-channel conv, clip counters "
+                         "included");
+    all_ok = all_ok && identical;
+  }
+
+  // ------------------------------------------------------- 5. the gate
   {
     double best_geomean = 0.0;
     std::string best_tag = "none";
@@ -413,12 +506,13 @@ int main(int argc, char** argv) {
                            "the wide entry points are the scalar twin and "
                            "the >= 2x gate is vacuous here");
     } else {
-      const bool fast = best_geomean >= 2.0;
-      bench::print_verdict(
-          fast, "wide microkernels reach >= 2x geomean over kPacked on at "
-                "least one probed lane family (best " +
-                    util::fmt(best_geomean, 2) + "x on " + best_tag + ")");
-      all_ok = all_ok && fast;
+      all_ok = bench::timing_verdict(
+                   best_geomean >= 2.0,
+                   "wide microkernels reach >= 2x geomean over kPacked on "
+                   "at least one probed lane family (best " +
+                       util::fmt(best_geomean, 2) + "x on " + best_tag + ")",
+                   args) &&
+               all_ok;
     }
   }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <span>
 #include <sstream>
 #include <stdexcept>
@@ -320,29 +321,27 @@ CertifiablePipeline::CertifiablePipeline(const dl::Model& model,
   // (post SX_KERNEL_REFERENCE, post CPU probe), not just the requested one
   // — under the escape hatch the two differ, and evidence attributed to
   // the requested mode would misstate what executed. For kWide the probe /
-  // SX_KERNEL_ISA decision rides along verbatim.
+  // SX_KERNEL_ISA decision rides along verbatim, and so it does when kAuto
+  // fell back to kBlocked (no SIMD lane family, or SX_KERNEL_ISA=scalar /
+  // refused), saying why.
   {
     dl::KernelMode resolved = dl::resolve_kernel_mode(cfg_.kernel_mode);
-    std::string wide_audit;
-    const dl::KernelPlan* fp =
-        channel_ != nullptr ? channel_->float_kernel_plan() : nullptr;
-    const dl::QuantKernelPlan* qp =
-        qchannel_ != nullptr ? qchannel_->kernel_plan() : nullptr;
-    if (fp != nullptr) {
-      resolved = fp->mode();
-      if (resolved == dl::KernelMode::kWide)
-        wide_audit = platform::wide_isa_audit(fp->cpu_probe(),
-                                              fp->isa_selection());
-    } else if (qp != nullptr) {
-      resolved = qp->mode();
-      if (resolved == dl::KernelMode::kWide)
-        wide_audit = platform::wide_isa_audit(qp->cpu_probe(),
-                                              qp->isa_selection());
-    }
+    if (channel_ != nullptr && channel_->float_kernel_plan() != nullptr)
+      resolved = channel_->float_kernel_plan()->mode();
+    else if (qchannel_ != nullptr && qchannel_->kernel_plan() != nullptr)
+      resolved = qchannel_->kernel_plan()->mode();
     kernel_backend_ =
         "requested=" + std::string(dl::kernel_mode_name(cfg_.kernel_mode)) +
         " resolved=" + std::string(dl::kernel_mode_name(resolved));
-    if (!wide_audit.empty()) kernel_backend_ += "; " + wide_audit;
+    if (resolved == dl::KernelMode::kWide ||
+        (cfg_.kernel_mode == dl::KernelMode::kAuto &&
+         resolved == dl::KernelMode::kBlocked)) {
+      const platform::CpuProbe probe = platform::probe_cpu();
+      kernel_backend_ +=
+          "; " + platform::wide_isa_audit(
+                     probe, platform::select_wide_isa(
+                                probe, std::getenv("SX_KERNEL_ISA")));
+    }
     audit_.append(0, "kernel-backend", "deploy", kernel_backend_);
   }
 }

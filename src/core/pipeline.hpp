@@ -57,8 +57,10 @@ struct PipelineConfig {
   /// drives the quantized channel and batch pool unless
   /// quant_engine.kernels was set explicitly (non-kAuto). Every mode is
   /// bitwise identical by construction — the scenario sweeper crosses
-  /// this axis to *prove* it per deployment. Redundant patterns (DMR and
-  /// above) keep kAuto for their replicas.
+  /// this axis to *prove* it per deployment. kAuto resolves to kWide on
+  /// an avx2/avx512 host and to kBlocked elsewhere (see
+  /// dl::resolve_kernel_mode). The replicas of the redundant patterns (DMR and above, recovery block)
+  /// always deploy at kAuto; an explicit mode here does not reach them.
   dl::KernelMode kernel_mode = dl::KernelMode::kAuto;
   /// When unset, the spec recommended for `criticality` is used.
   std::optional<PipelineSpec> spec;

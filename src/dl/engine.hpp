@@ -29,9 +29,10 @@ struct StaticEngineConfig {
   bool check_numeric_faults = true;
   /// Extra arena headroom (floats) on top of the planned demand.
   std::size_t arena_slack = 0;
-  /// Hot-path kernel selection (see dl/plan.hpp). kAuto resolves to the
-  /// planned blocked kernels unless SX_KERNEL_REFERENCE is set in the
-  /// environment at construction time.
+  /// Hot-path kernel selection (see dl/plan.hpp). kAuto resolves at
+  /// construction time: the reference loops when SX_KERNEL_REFERENCE is
+  /// set, else the wide kernels on an avx2/avx512 host (SX_KERNEL_ISA
+  /// honored), else the planned blocked kernels.
   KernelMode kernels = KernelMode::kAuto;
   /// Keep the activation feeding this layer materialized in the plan
   /// (fusion across it is blocked) so run_tapped can capture it. Ignored
@@ -99,8 +100,9 @@ class StaticEngine {
   const KernelPlan* kernel_plan() const noexcept { return plan_; }
   /// Re-snapshots packed weight panels from the live model parameters.
   /// Required after in-place weight mutation (fault injection, scrubbing)
-  /// under kPacked, where Dense/Conv2d weights were copied into panels at
-  /// plan time — without it the mutation is invisible to the hot path.
+  /// under kPacked and kWide (the usual kAuto resolution), where
+  /// Dense/Conv2d weights were copied into panels at plan time — without
+  /// it the mutation is invisible to the hot path.
   /// No-op for reference/blocked modes; a shared plan must be repacked by
   /// its owner instead.
   void repack() noexcept {

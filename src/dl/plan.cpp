@@ -9,6 +9,14 @@ namespace sx::dl {
 
 namespace k = tensor::kernels;
 
+KernelMode resolve_kernel_mode(KernelMode requested, bool reference_forced,
+                               const platform::WideIsaSelection& isa) noexcept {
+  if (requested != KernelMode::kAuto) return requested;
+  if (reference_forced) return KernelMode::kReference;
+  return isa.isa == k::WideIsa::kScalar ? KernelMode::kBlocked
+                                        : KernelMode::kWide;
+}
+
 KernelMode resolve_kernel_mode(KernelMode requested) noexcept {
   if (requested != KernelMode::kAuto) return requested;
   // Escape hatch for differential testing and certification audits: a set,
@@ -18,7 +26,7 @@ KernelMode resolve_kernel_mode(KernelMode requested) noexcept {
   const char* env = std::getenv("SX_KERNEL_REFERENCE");
   const bool forced =
       env != nullptr && env[0] != '\0' && !(env[0] == '0' && env[1] == '\0');
-  return forced ? KernelMode::kReference : KernelMode::kBlocked;
+  return resolve_kernel_mode(requested, forced, platform::select_wide_isa());
 }
 
 const char* kernel_mode_name(KernelMode mode) noexcept {

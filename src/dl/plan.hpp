@@ -35,16 +35,17 @@
 // (tensor_kernels_test proves this differentially; tensor_golden_test's
 // pinned vectors stay valid).
 //
-// Staleness contract: kBlocked (the kAuto default) reads layer parameters
-// live on every run, so in-place weight mutation — e.g. the SEU campaigns
-// in safety/campaign.cpp injecting into a model behind a long-lived
-// engine — is observed exactly as the reference path observes it. kPacked
-// snapshots Dense weights into row-blocked panels and full
-// kConvLanes-channel groups of Conv2d weights into tap-major lane panels
-// for unit-stride access; kWide does the same at its wider geometry
-// (kWideRowBlock rows, kWideConvLanes channels). Callers that mutate
-// weights afterwards must call repack(). The packed-conv tail channels,
-// and all conv weights in kBlocked mode, are always read live.
+// Staleness contract: kBlocked reads layer parameters live on every run,
+// so in-place weight mutation is observed exactly as the reference path
+// observes it. kPacked snapshots Dense weights into row-blocked panels and
+// full kConvLanes-channel groups of Conv2d weights into tap-major lane
+// panels for unit-stride access; kWide (the kAuto default on an avx2 or
+// avx512 host) does the same at its wider geometry (kWideRowBlock rows,
+// kWideConvLanes channels). Callers that mutate weights afterwards — e.g.
+// the SEU campaigns in safety/campaign.cpp injecting into a model behind a
+// long-lived engine — must call repack(); the safety channels do so in
+// InferenceChannel::refresh_replica(). The packed-conv tail channels, and
+// all conv weights in kBlocked mode, are always read live.
 //
 // kWide additionally selects, once, at construction, which SIMD variant
 // of the wide kernels runs (platform::CpuProbe + SX_KERNEL_ISA override);
@@ -75,8 +76,9 @@ namespace sx::dl {
 
 /// Hot-path kernel selection, resolved once at engine construction.
 enum class KernelMode : std::uint8_t {
-  kAuto,       ///< kBlocked unless the SX_KERNEL_REFERENCE env var forces
-               ///< the reference loops (differential-testing escape hatch)
+  kAuto,       ///< kWide on an avx2/avx512 host, kBlocked elsewhere, and
+               ///< kReference when SX_KERNEL_REFERENCE forces the
+               ///< reference loops (see resolve_kernel_mode)
   kReference,  ///< original per-layer reference loops, no plan
   kBlocked,    ///< planned kernels over live layer parameters
   kPacked,     ///< kBlocked + Dense weights snapshotted into aligned panels
@@ -94,8 +96,21 @@ std::span<const KernelMode> all_kernel_modes() noexcept;
 /// "No pinned tap": the fusion pass may fuse every legal activation.
 inline constexpr std::size_t kNoPinnedTap = ~std::size_t{0};
 
-/// Applies the SX_KERNEL_REFERENCE escape hatch to kAuto (reads the
-/// environment; call at configuration time only, never on the hot path).
+/// Pure resolution core — a function of the requested mode, whether the
+/// SX_KERNEL_REFERENCE escape hatch is set, and the audited wide-ISA
+/// selection, so tests can cover every cell without faking CPUID. An
+/// explicit mode is returned unchanged. kAuto resolves to:
+///   - kReference when the escape hatch is set;
+///   - kWide when the selection names a SIMD lane family (avx2/avx512);
+///   - kBlocked otherwise (scalar host, or SX_KERNEL_ISA=scalar / refused),
+///     where kWide would run its scalar twin, about 2x slower than the
+///     4-lane packed panels (E19).
+KernelMode resolve_kernel_mode(KernelMode requested, bool reference_forced,
+                               const platform::WideIsaSelection& isa) noexcept;
+
+/// Deploy-time entry point: SX_KERNEL_REFERENCE (set, non-empty, not "0")
+/// plus platform::select_wide_isa() (CPU probe + SX_KERNEL_ISA). Reads the
+/// environment; call at configuration time only, never on the hot path.
 KernelMode resolve_kernel_mode(KernelMode requested) noexcept;
 
 const char* kernel_mode_name(KernelMode mode) noexcept;

@@ -31,10 +31,11 @@
 // including the per-layer saturation counters (dl_quant_kernels_test
 // proves both differentially).
 //
-// Staleness contract: kBlocked (the kAuto default) reads the quantized
-// weights live on every run. kPacked snapshots Dense rows and full
-// kQConvLanes-channel conv groups into panels; kWide does the same at the
-// widened geometry (kQWideRowBlock rows, kQWideConvLanes channels) and
+// Staleness contract: kBlocked reads the quantized weights live on every
+// run. kPacked snapshots Dense rows and full kQConvLanes-channel conv
+// groups into panels; kWide (the kAuto default on an avx2/avx512 host)
+// does the same at the widened geometry (kQWideRowBlock rows, 16-channel
+// conv lane groups plus one 8-channel half group) and
 // additionally resolves, once, which SIMD variant of the wide int8
 // kernels runs (platform::CpuProbe + SX_KERNEL_ISA — see dl/plan.hpp;
 // the selection affects timing only, never output or the overflow
@@ -186,7 +187,8 @@ class QuantKernelPlan {
 struct QuantEngineConfig {
   /// Extra byte-arena capacity beyond the planned demand.
   std::size_t arena_slack = 0;
-  /// Hot-path kernel selection (kAuto honors SX_KERNEL_REFERENCE).
+  /// Hot-path kernel selection; kAuto resolves like the float engine's
+  /// (see resolve_kernel_mode in dl/plan.hpp).
   KernelMode kernels = KernelMode::kAuto;
 };
 

@@ -192,19 +192,19 @@ QuantChannel::QuantChannel(const dl::Model& model,
   if (monitor != nullptr) monitor_ = std::make_unique<SafetyMonitor>(*monitor);
 }
 
-FaultRecord QuantChannel::inject_fault(FaultInjector& injector, std::size_t,
+FaultRecord QuantChannel::inject_fault(FaultInjector& injector, std::size_t i,
                                        FaultType type) {
   // An SEU in this channel hits the deployed int8 weight memory — the
   // float twin is never read by the engine, so injecting there would
   // leave every trial on the golden path.
   const FaultRecord rec = injector.inject(*qmodel_, type);
-  engine_->repack();  // packed panels must snapshot the faulted bits
+  refresh_replica(i);  // packed panels must snapshot the faulted bits
   return rec;
 }
 
-void QuantChannel::undo_fault(std::size_t, const FaultRecord& rec) {
+void QuantChannel::undo_fault(std::size_t i, const FaultRecord& rec) {
   FaultInjector::restore(*qmodel_, rec);
-  engine_->repack();
+  refresh_replica(i);
 }
 
 Status QuantChannel::infer(tensor::ConstTensorView in,

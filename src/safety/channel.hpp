@@ -43,7 +43,17 @@ class InferenceChannel {
 
   /// Number of model replicas (fault-injection targets).
   virtual std::size_t replica_count() const noexcept { return 1; }
+  /// Model replica `i`. Planned engines (kPacked, and kWide — what kAuto
+  /// resolves to on an avx2/avx512 host) snapshot its weights into panels
+  /// at deploy time, so they cannot see an in-place write to replica(i)
+  /// until refresh_replica(i) runs.
   virtual dl::Model& replica(std::size_t i) = 0;
+
+  /// Re-snapshots the weight panels of the engine(s) reading replica `i`
+  /// from its live parameters. Call it after writing replica(i) in place;
+  /// inject_fault/undo_fault call it themselves. No-op by default, for
+  /// channels whose inference reads the weights live.
+  virtual void refresh_replica(std::size_t i) { (void)i; }
 
   /// Injects one fault into replica `i`'s *deployed* parameter memory and
   /// returns the record for undo_fault(). The default targets the float
@@ -53,11 +63,14 @@ class InferenceChannel {
   /// faults into an unread twin would measure nothing.
   virtual FaultRecord inject_fault(FaultInjector& injector, std::size_t i,
                                    FaultType type) {
-    return injector.inject(replica(i), type);
+    FaultRecord rec = injector.inject(replica(i), type);
+    refresh_replica(i);
+    return rec;
   }
   /// Removes the fault recorded by inject_fault().
   virtual void undo_fault(std::size_t i, const FaultRecord& rec) {
     FaultInjector::restore(replica(i), rec);
+    refresh_replica(i);
   }
 
   /// True if the previous infer() produced a fallback (degraded) output.
@@ -93,17 +106,7 @@ class SingleChannel final : public InferenceChannel {
   }
   dl::Model& replica(std::size_t) override { return *model_; }
 
-  /// Injected bits must reach any packed weight panels (see QuantChannel).
-  FaultRecord inject_fault(FaultInjector& injector, std::size_t i,
-                           FaultType type) override {
-    FaultRecord rec = injector.inject(replica(i), type);
-    engine_->repack();
-    return rec;
-  }
-  void undo_fault(std::size_t i, const FaultRecord& rec) override {
-    FaultInjector::restore(replica(i), rec);
-    engine_->repack();
-  }
+  void refresh_replica(std::size_t) override { engine_->repack(); }
 
   const dl::KernelPlan* float_kernel_plan() const noexcept override {
     return engine_->kernel_plan();
@@ -131,17 +134,7 @@ class MonitoredChannel final : public InferenceChannel {
   }
   dl::Model& replica(std::size_t) override { return *model_; }
 
-  /// Injected bits must reach any packed weight panels (see QuantChannel).
-  FaultRecord inject_fault(FaultInjector& injector, std::size_t i,
-                           FaultType type) override {
-    FaultRecord rec = injector.inject(replica(i), type);
-    engine_->repack();
-    return rec;
-  }
-  void undo_fault(std::size_t i, const FaultRecord& rec) override {
-    FaultInjector::restore(replica(i), rec);
-    engine_->repack();
-  }
+  void refresh_replica(std::size_t) override { engine_->repack(); }
 
   const SafetyMonitor& monitor() const noexcept { return monitor_; }
 
@@ -174,16 +167,7 @@ class DmrChannel final : public InferenceChannel {
   std::size_t replica_count() const noexcept override { return 2; }
   dl::Model& replica(std::size_t i) override { return *models_.at(i); }
 
-  FaultRecord inject_fault(FaultInjector& injector, std::size_t i,
-                           FaultType type) override {
-    FaultRecord rec = injector.inject(replica(i), type);
-    engines_.at(i)->repack();
-    return rec;
-  }
-  void undo_fault(std::size_t i, const FaultRecord& rec) override {
-    FaultInjector::restore(replica(i), rec);
-    engines_.at(i)->repack();
-  }
+  void refresh_replica(std::size_t i) override { engines_.at(i)->repack(); }
 
   std::uint64_t divergences() const noexcept { return divergences_; }
 
@@ -216,16 +200,7 @@ class TmrChannel final : public InferenceChannel {
   std::size_t replica_count() const noexcept override { return 3; }
   dl::Model& replica(std::size_t i) override { return *models_.at(i); }
 
-  FaultRecord inject_fault(FaultInjector& injector, std::size_t i,
-                           FaultType type) override {
-    FaultRecord rec = injector.inject(replica(i), type);
-    engines_.at(i)->repack();
-    return rec;
-  }
-  void undo_fault(std::size_t i, const FaultRecord& rec) override {
-    FaultInjector::restore(replica(i), rec);
-    engines_.at(i)->repack();
-  }
+  void refresh_replica(std::size_t i) override { engines_.at(i)->repack(); }
 
   /// Votes in which at least one replica disagreed (masked faults).
   std::uint64_t masked_votes() const noexcept { return masked_; }
@@ -265,16 +240,7 @@ class DiverseTmrChannel final : public InferenceChannel {
   std::size_t replica_count() const noexcept override { return 2; }
   dl::Model& replica(std::size_t i) override { return *models_.at(i); }
 
-  FaultRecord inject_fault(FaultInjector& injector, std::size_t i,
-                           FaultType type) override {
-    FaultRecord rec = injector.inject(replica(i), type);
-    engines_.at(i)->repack();
-    return rec;
-  }
-  void undo_fault(std::size_t i, const FaultRecord& rec) override {
-    FaultInjector::restore(replica(i), rec);
-    engines_.at(i)->repack();
-  }
+  void refresh_replica(std::size_t i) override { engines_.at(i)->repack(); }
 
   void bind_telemetry(obs::Registry& registry) override {
     obs_ = &registry;
@@ -322,6 +288,9 @@ class QuantChannel final : public InferenceChannel {
   /// see inject_fault).
   dl::Model& replica(std::size_t) override { return *model_; }
 
+  /// Re-snapshots the int8 engine's panels from the deployed int8 store
+  /// (the float twin is never read).
+  void refresh_replica(std::size_t) override { engine_->repack(); }
   /// Injects into the deployed int8 weights and re-snapshots any packed
   /// panels, so the planned engine computes with the faulted bits.
   FaultRecord inject_fault(FaultInjector& injector, std::size_t i,
@@ -382,6 +351,9 @@ class SafetyBagChannel final : public InferenceChannel {
     return primary_->replica_count();
   }
   dl::Model& replica(std::size_t i) override { return primary_->replica(i); }
+  void refresh_replica(std::size_t i) override {
+    primary_->refresh_replica(i);
+  }
   /// Forwarded so a wrapped channel's own injection surface (e.g. a
   /// QuantChannel primary's int8 weights) stays effective under the bag.
   FaultRecord inject_fault(FaultInjector& injector, std::size_t i,

@@ -6,7 +6,8 @@ namespace sx::safety {
 
 RecoveryBlockChannel::RecoveryBlockChannel(const dl::Model& primary,
                                            const dl::Model& alternate,
-                                           MonitorConfig acceptance)
+                                           MonitorConfig acceptance,
+                                           dl::StaticEngineConfig engine_cfg)
     : primary_(std::make_unique<dl::Model>(primary)),
       alternate_(std::make_unique<dl::Model>(alternate)),
       acceptance_(acceptance) {
@@ -14,10 +15,9 @@ RecoveryBlockChannel::RecoveryBlockChannel(const dl::Model& primary,
       primary.input_shape() != alternate.input_shape())
     throw std::invalid_argument(
         "RecoveryBlockChannel: primary/alternate shape mismatch");
-  primary_engine_ = std::make_unique<dl::StaticEngine>(
-      *primary_, dl::StaticEngineConfig{.check_numeric_faults = true});
-  alternate_engine_ = std::make_unique<dl::StaticEngine>(
-      *alternate_, dl::StaticEngineConfig{.check_numeric_faults = true});
+  primary_engine_ = std::make_unique<dl::StaticEngine>(*primary_, engine_cfg);
+  alternate_engine_ =
+      std::make_unique<dl::StaticEngine>(*alternate_, engine_cfg);
 }
 
 Status RecoveryBlockChannel::infer(tensor::ConstTensorView in,

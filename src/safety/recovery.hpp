@@ -16,9 +16,12 @@ class RecoveryBlockChannel final : public InferenceChannel {
  public:
   /// `primary` and `alternate` are model variants (e.g. different seeds or
   /// float vs quantized surrogate retrained); `acceptance` defines the
-  /// deterministic acceptance test applied to each candidate output.
+  /// deterministic acceptance test applied to each candidate output;
+  /// `engine_cfg` configures both blocks' engines.
   RecoveryBlockChannel(const dl::Model& primary, const dl::Model& alternate,
-                       MonitorConfig acceptance);
+                       MonitorConfig acceptance,
+                       dl::StaticEngineConfig engine_cfg = {
+                           .check_numeric_faults = true});
 
   std::string_view pattern_name() const noexcept override {
     return "recovery-block";
@@ -31,6 +34,11 @@ class RecoveryBlockChannel final : public InferenceChannel {
   std::size_t replica_count() const noexcept override { return 2; }
   dl::Model& replica(std::size_t i) override {
     return i == 0 ? *primary_ : *alternate_;
+  }
+  /// Both blocks' engines snapshot weights into panels under the planned
+  /// kAuto default, so faults reach them only through this repack.
+  void refresh_replica(std::size_t i) override {
+    (i == 0 ? primary_engine_ : alternate_engine_)->repack();
   }
 
   /// Times the alternate was engaged.

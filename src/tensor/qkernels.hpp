@@ -178,10 +178,10 @@ void qconv2d_im2col_packed(const std::int8_t* panel, const std::int8_t* wt,
 // ------------------------------------------------- Wide (kWide) backends
 //
 // Widened int8 x int8 -> int32 dot-product microkernels: 32-row Dense
-// blocks and 16-channel Conv2d lane groups, each in three variants that
-// compute the *identical* fixed accumulation tree — a portable scalar
-// twin, a 16-byte-load AVX2-class sweep, and a 32-byte-load AVX-512-class
-// sweep. One output element is always one serial int32 chain in strict
+// blocks and 16-channel (plus one 8-channel half) Conv2d lane groups, each
+// in three variants that compute the *identical* fixed accumulation tree —
+// a portable scalar twin, a 16-byte-load AVX2-class sweep, and a
+// 32-byte-load AVX-512-class sweep. One output element is always one serial int32 chain in strict
 // reference order; the SIMD runs independent chains side by side
 // (broadcast multiplicand, sign-extended lane loads, no partial-sum
 // restructuring), so the overflow envelope matches the audited reference
@@ -190,10 +190,13 @@ void qconv2d_im2col_packed(const std::int8_t* panel, const std::int8_t* wt,
 // SIMD entry points are the scalar twin.
 
 /// Output rows per wide Dense sweep (32 int8 lanes = one 256-bit load or
-/// two 128-bit loads per column) and output channels per wide Conv2d lane
-/// group (16 int8 lanes = one 128-bit load per tap).
+/// two 128-bit loads per column), output channels per wide Conv2d lane
+/// group (16 int8 lanes = one 128-bit load per tap), and per wide Conv2d
+/// half group (8 lanes = one 64-bit load per tap), which runs once after
+/// the full groups whenever at least 8 channels remain.
 inline constexpr std::size_t kQWideRowBlock = 32;
 inline constexpr std::size_t kQWideConvLanes = 16;
+inline constexpr std::size_t kQWideHalfLanes = 8;
 
 /// Bytes needed for the wide row-blocked panel (blocks of kQWideRowBlock
 /// rows, each 64-byte aligned; the tail block interleaved at its own row
@@ -228,19 +231,22 @@ void qmatvec_wide_avx512(const std::int8_t* panel, std::size_t rows,
                          const Requant& rq, std::int8_t* out,
                          std::uint64_t* sat) noexcept;
 
-/// Bytes needed for the wide tap-major conv lane panel: full
-/// kQWideConvLanes-channel groups only; the out_c % kQWideConvLanes tail
-/// channels keep reading the live weights.
+/// Bytes needed for the wide tap-major conv lane panel: the full
+/// kQWideConvLanes-channel groups, plus one kQWideHalfLanes-channel half
+/// group when out_c % 16 >= 8 (each group 64-byte aligned). The last
+/// out_c % 8 channels keep reading the live weights.
 std::size_t qwide_conv_panel_bytes(std::size_t out_c,
                                    std::size_t patch) noexcept;
 
 /// Repacks the natural out_c x patch int8 layout into 16-channel
-/// tap-major groups: panel[g * align_up_bytes(patch * 16) + j * 16 + i].
+/// tap-major groups, panel[g * align_up_bytes(patch * 16) + j * 16 + i],
+/// followed by the half group at stride 8 when present.
 void pack_qwide_conv_panel(const std::int8_t* wt, std::size_t out_c,
                            std::size_t patch, std::int8_t* panel) noexcept;
 
-/// Wide conv over the 16-channel lane panel — portable scalar twin. Tail
-/// channels read the live weights via the shared scalar sweeps.
+/// Wide conv over the lane panel (16-channel groups, then the 8-channel
+/// half group) — portable scalar twin. The last out_c % 8 channels read
+/// the live weights via the shared scalar sweeps.
 void qconv2d_im2col_wide_scalar(const std::int8_t* panel,
                                 const std::int8_t* wt,
                                 const kernels::ConvTables& t,
@@ -248,14 +254,16 @@ void qconv2d_im2col_wide_scalar(const std::int8_t* panel,
                                 std::int8_t* out,
                                 std::uint64_t* sat) noexcept;
 
-/// AVX2-class variant: two 8-lane int32 accumulators per group.
+/// AVX2-class variant: two 8-lane int32 accumulators per group, one per
+/// half group.
 void qconv2d_im2col_wide_avx2(const std::int8_t* panel,
                               const std::int8_t* wt,
                               const kernels::ConvTables& t,
                               const std::int8_t* col, const Requant& rq,
                               std::int8_t* out, std::uint64_t* sat) noexcept;
 
-/// AVX-512-class variant: one 16-lane int32 accumulator per group.
+/// AVX-512-class variant: one 16-lane int32 accumulator per group; the
+/// half group runs on one 8-lane (256-bit) accumulator.
 void qconv2d_im2col_wide_avx512(const std::int8_t* panel,
                                 const std::int8_t* wt,
                                 const kernels::ConvTables& t,

@@ -61,8 +61,8 @@ inline void qconv_oc_sweep(const std::int8_t* wt,
 /// Sweeps output channels oc0..out_c over the live weights: full
 /// kOcBlock-channel sweeps first, then the 1..7-channel remainder. Used as
 /// the whole unpacked conv kernel (oc0 == 0) and as the tail of every
-/// packed lane-panel variant (8-lane and 16-lane wide alike — a wide tail
-/// can be up to 15 channels, which this covers as 8 + remainder).
+/// packed lane-panel variant (8-lane packed and wide alike — after the
+/// wide 8-lane half group, a wide tail is at most 7 channels).
 inline void qconv_tail_sweep(const std::int8_t* wt,
                              const kernels::ConvTables& t,
                              const std::int8_t* col, const Requant& rq,

@@ -1,8 +1,9 @@
 // kWide int8 microkernels: widened int8 x int8 -> int32 dot products with
 // fused requantize. 32-row Dense blocks and 16-channel Conv2d lane groups
-// in three variants — portable scalar twin, AVX2-class (8-byte
-// sign-extended lane loads into 256-bit int32 accumulators), AVX-512-class
-// (16-byte lane loads into 512-bit accumulators).
+// (plus one 8-channel half group) in three variants — portable scalar
+// twin, AVX2-class (8-byte sign-extended lane loads into 256-bit int32
+// accumulators), AVX-512-class (16-byte lane loads into 512-bit
+// accumulators; the half group keeps one 256-bit accumulator).
 //
 // Determinism contract: one output element is always one serial int32
 // chain in strict reference order (ascending columns / table-order taps).
@@ -232,58 +233,98 @@ void qmatvec_wide_avx512(const std::int8_t* panel, std::size_t rows,
 
 std::size_t qwide_conv_panel_bytes(std::size_t out_c,
                                    std::size_t patch) noexcept {
-  return (out_c / kQWideConvLanes) * align_up_bytes(patch * kQWideConvLanes);
+  std::size_t bytes =
+      (out_c / kQWideConvLanes) * align_up_bytes(patch * kQWideConvLanes);
+  if (out_c % kQWideConvLanes >= kQWideHalfLanes)
+    bytes += align_up_bytes(patch * kQWideHalfLanes);
+  return bytes;
 }
 
 void pack_qwide_conv_panel(const std::int8_t* wt, std::size_t out_c,
                            std::size_t patch, std::int8_t* panel) noexcept {
   const std::size_t total = qwide_conv_panel_bytes(out_c, patch);
   for (std::size_t i = 0; i < total; ++i) panel[i] = 0;  // padding
-  const std::size_t gstride = align_up_bytes(patch * kQWideConvLanes);
-  for (std::size_t g = 0; g < out_c / kQWideConvLanes; ++g) {
-    std::int8_t* gp = panel + g * gstride;
+  // Tap-major lane group of `lanes` channels starting at oc0.
+  auto pack_group = [&](std::int8_t* gp, std::size_t oc0,
+                        std::size_t lanes) {
     for (std::size_t j = 0; j < patch; ++j)
-      for (std::size_t i = 0; i < kQWideConvLanes; ++i)
-        gp[j * kQWideConvLanes + i] =
-            wt[(g * kQWideConvLanes + i) * patch + j];
-  }
+      for (std::size_t i = 0; i < lanes; ++i)
+        gp[j * lanes + i] = wt[(oc0 + i) * patch + j];
+  };
+  const std::size_t gstride = align_up_bytes(patch * kQWideConvLanes);
+  const std::size_t groups = out_c / kQWideConvLanes;
+  for (std::size_t g = 0; g < groups; ++g)
+    pack_group(panel + g * gstride, g * kQWideConvLanes, kQWideConvLanes);
+  if (out_c % kQWideConvLanes >= kQWideHalfLanes)
+    pack_group(panel + groups * gstride, groups * kQWideConvLanes,
+               kQWideHalfLanes);
 }
 
 namespace {
 
-/// Scalar core of one wide conv lane group — the canonical tree the SIMD
-/// group sweeps reproduce.
-inline void qwide_conv_group_scalar(const std::int8_t* gp,
-                                    const kernels::ConvTables& t,
-                                    const std::int8_t* col,
-                                    const Requant& rq, std::int8_t* out,
-                                    std::size_t oc0,
-                                    std::uint64_t* sat) noexcept {
-  std::int8_t* o[kQWideConvLanes];
-  for (std::size_t i = 0; i < kQWideConvLanes; ++i)
-    o[i] = out + (oc0 + i) * t.opix;
+/// Signature shared by the per-variant lane-group sweeps.
+using QWideGroupFn = void (*)(const std::int8_t* gp,
+                              const kernels::ConvTables& t,
+                              const std::int8_t* col, const Requant& rq,
+                              std::int8_t* out, std::size_t oc0,
+                              std::uint64_t* sat) noexcept;
+
+/// The group schedule every wide conv variant shares: the full
+/// kQWideConvLanes-channel groups, then one kQWideHalfLanes-channel half
+/// group when at least that many channels remain, then the live-weight
+/// tail sweep over the last 0..7 channels. Each channel is computed by
+/// exactly one sweep, so the schedule changes timing only.
+inline void qwide_conv_schedule(const std::int8_t* panel,
+                                const std::int8_t* wt,
+                                const kernels::ConvTables& t,
+                                const std::int8_t* col, const Requant& rq,
+                                std::int8_t* out, std::uint64_t* sat,
+                                QWideGroupFn full,
+                                QWideGroupFn half) noexcept {
+  const std::size_t gstride = align_up_bytes(t.patch * kQWideConvLanes);
+  const std::size_t groups = t.out_c / kQWideConvLanes;
+  for (std::size_t g = 0; g < groups; ++g)
+    full(panel + g * gstride, t, col, rq, out, g * kQWideConvLanes, sat);
+  std::size_t oc = groups * kQWideConvLanes;
+  if (t.out_c - oc >= kQWideHalfLanes) {
+    half(panel + groups * gstride, t, col, rq, out, oc, sat);
+    oc += kQWideHalfLanes;
+  }
+  detail::qconv_tail_sweep(wt, t, col, rq, out, oc, sat);
+}
+
+/// Scalar core of one wide conv lane group of kLanes channels — the
+/// canonical tree the SIMD group sweeps reproduce.
+template <std::size_t kLanes>
+void qwide_conv_group_scalar(const std::int8_t* gp,
+                             const kernels::ConvTables& t,
+                             const std::int8_t* col, const Requant& rq,
+                             std::int8_t* out, std::size_t oc0,
+                             std::uint64_t* sat) noexcept {
+  std::int8_t* o[kLanes];
+  for (std::size_t i = 0; i < kLanes; ++i) o[i] = out + (oc0 + i) * t.opix;
   for (std::size_t p = 0; p < t.opix; ++p) {
     const std::size_t base = t.pix_off[p];
     const std::size_t taps = t.pix_off[p + 1] - base;
-    std::int32_t acc[kQWideConvLanes] = {};
+    std::int32_t acc[kLanes] = {};
     const std::int8_t* c = col + base;
     if (taps == t.patch) {
       const std::int8_t* lane = gp;
-      for (std::size_t j = 0; j < taps; ++j, lane += kQWideConvLanes) {
+      for (std::size_t j = 0; j < taps; ++j, lane += kLanes) {
         const std::int32_t v = c[j];
-        for (std::size_t i = 0; i < kQWideConvLanes; ++i)
+        for (std::size_t i = 0; i < kLanes; ++i)
           acc[i] += static_cast<std::int32_t>(lane[i]) * v;
       }
     } else {
       const std::uint32_t* wo = t.w_ofs + base;
       for (std::size_t j = 0; j < taps; ++j) {
         const std::int32_t v = c[j];
-        const std::int8_t* lane = gp + wo[j] * kQWideConvLanes;
-        for (std::size_t i = 0; i < kQWideConvLanes; ++i)
+        const std::int8_t* lane = gp + wo[j] * kLanes;
+        for (std::size_t i = 0; i < kLanes; ++i)
           acc[i] += static_cast<std::int32_t>(lane[i]) * v;
       }
     }
-    for (std::size_t i = 0; i < kQWideConvLanes; ++i)
+    for (std::size_t i = 0; i < kLanes; ++i)
       o[i][p] = requantize(acc[i], oc0 + i, rq, sat);
   }
 }
@@ -296,30 +337,28 @@ void qconv2d_im2col_wide_scalar(const std::int8_t* panel,
                                 const std::int8_t* col, const Requant& rq,
                                 std::int8_t* out,
                                 std::uint64_t* sat) noexcept {
-  const std::size_t gstride = align_up_bytes(t.patch * kQWideConvLanes);
-  const std::size_t groups = t.out_c / kQWideConvLanes;
-  for (std::size_t g = 0; g < groups; ++g)
-    qwide_conv_group_scalar(panel + g * gstride, t, col, rq, out,
-                            g * kQWideConvLanes, sat);
-  detail::qconv_tail_sweep(wt, t, col, rq, out, groups * kQWideConvLanes,
-                           sat);
+  qwide_conv_schedule(panel, wt, t, col, rq, out, sat,
+                      &qwide_conv_group_scalar<kQWideConvLanes>,
+                      &qwide_conv_group_scalar<kQWideHalfLanes>);
 }
 
 #if SX_QWIDE_X86
 
 namespace {
 
-/// One 16-channel conv group on two 256-bit int32 accumulators: every tap
-/// broadcasts the shared column value and folds into its own lane only.
+/// One conv group of 16 (two) or 8 (one) channels on 256-bit int32
+/// accumulators: every tap broadcasts the shared column value and folds
+/// into its own lane only.
+template <std::size_t kLanes>
 __attribute__((target("avx2")))
-inline void qwide_conv_group_avx2(const std::int8_t* gp,
-                                  const kernels::ConvTables& t,
-                                  const std::int8_t* col, const Requant& rq,
-                                  std::int8_t* out, std::size_t oc0,
-                                  std::uint64_t* sat) noexcept {
-  std::int8_t* o[kQWideConvLanes];
-  for (std::size_t i = 0; i < kQWideConvLanes; ++i)
-    o[i] = out + (oc0 + i) * t.opix;
+void qwide_conv_group_avx2(const std::int8_t* gp,
+                           const kernels::ConvTables& t,
+                           const std::int8_t* col, const Requant& rq,
+                           std::int8_t* out, std::size_t oc0,
+                           std::uint64_t* sat) noexcept {
+  static_assert(kLanes == 8 || kLanes == 16);
+  std::int8_t* o[kLanes];
+  for (std::size_t i = 0; i < kLanes; ++i) o[i] = out + (oc0 + i) * t.opix;
   for (std::size_t p = 0; p < t.opix; ++p) {
     const std::size_t base = t.pix_off[p];
     const std::size_t taps = t.pix_off[p + 1] - base;
@@ -327,36 +366,35 @@ inline void qwide_conv_group_avx2(const std::int8_t* gp,
     const std::int8_t* c = col + base;
     if (taps == t.patch) {
       const std::int8_t* lane = gp;
-      for (std::size_t j = 0; j < taps; ++j, lane += kQWideConvLanes) {
+      for (std::size_t j = 0; j < taps; ++j, lane += kLanes) {
         const v8si v = v8si{} + static_cast<std::int32_t>(c[j]);
         lo += v8si_sx(lane) * v;
-        hi += v8si_sx(lane + 8) * v;
+        if constexpr (kLanes == 16) hi += v8si_sx(lane + 8) * v;
       }
     } else {
       const std::uint32_t* wo = t.w_ofs + base;
       for (std::size_t j = 0; j < taps; ++j) {
         const v8si v = v8si{} + static_cast<std::int32_t>(c[j]);
-        const std::int8_t* lane = gp + wo[j] * kQWideConvLanes;
+        const std::int8_t* lane = gp + wo[j] * kLanes;
         lo += v8si_sx(lane) * v;
-        hi += v8si_sx(lane + 8) * v;
+        if constexpr (kLanes == 16) hi += v8si_sx(lane + 8) * v;
       }
     }
-    std::int32_t acc[kQWideConvLanes];
+    std::int32_t acc[kLanes];
     __builtin_memcpy(acc, &lo, sizeof lo);
-    __builtin_memcpy(acc + 8, &hi, sizeof hi);
-    for (std::size_t i = 0; i < kQWideConvLanes; ++i)
+    if constexpr (kLanes == 16) __builtin_memcpy(acc + 8, &hi, sizeof hi);
+    for (std::size_t i = 0; i < kLanes; ++i)
       o[i][p] = requantize(acc[i], oc0 + i, rq, sat);
   }
 }
 
 /// One 16-channel conv group on a single 512-bit int32 accumulator.
 __attribute__((target("avx512f")))
-inline void qwide_conv_group_avx512(const std::int8_t* gp,
-                                    const kernels::ConvTables& t,
-                                    const std::int8_t* col,
-                                    const Requant& rq, std::int8_t* out,
-                                    std::size_t oc0,
-                                    std::uint64_t* sat) noexcept {
+void qwide_conv_group_avx512(const std::int8_t* gp,
+                             const kernels::ConvTables& t,
+                             const std::int8_t* col, const Requant& rq,
+                             std::int8_t* out, std::size_t oc0,
+                             std::uint64_t* sat) noexcept {
   std::int8_t* o[kQWideConvLanes];
   for (std::size_t i = 0; i < kQWideConvLanes; ++i)
     o[i] = out + (oc0 + i) * t.opix;
@@ -390,28 +428,21 @@ void qconv2d_im2col_wide_avx2(const std::int8_t* panel,
                               const std::int8_t* col, const Requant& rq,
                               std::int8_t* out,
                               std::uint64_t* sat) noexcept {
-  const std::size_t gstride = align_up_bytes(t.patch * kQWideConvLanes);
-  const std::size_t groups = t.out_c / kQWideConvLanes;
-  for (std::size_t g = 0; g < groups; ++g)
-    qwide_conv_group_avx2(panel + g * gstride, t, col, rq, out,
-                          g * kQWideConvLanes, sat);
-  detail::qconv_tail_sweep(wt, t, col, rq, out, groups * kQWideConvLanes,
-                           sat);
+  qwide_conv_schedule(panel, wt, t, col, rq, out, sat,
+                      &qwide_conv_group_avx2<kQWideConvLanes>,
+                      &qwide_conv_group_avx2<kQWideHalfLanes>);
 }
 
+// The half group has 8 lanes: one 256-bit accumulator, the AVX2 sweep.
 void qconv2d_im2col_wide_avx512(const std::int8_t* panel,
                                 const std::int8_t* wt,
                                 const kernels::ConvTables& t,
                                 const std::int8_t* col, const Requant& rq,
                                 std::int8_t* out,
                                 std::uint64_t* sat) noexcept {
-  const std::size_t gstride = align_up_bytes(t.patch * kQWideConvLanes);
-  const std::size_t groups = t.out_c / kQWideConvLanes;
-  for (std::size_t g = 0; g < groups; ++g)
-    qwide_conv_group_avx512(panel + g * gstride, t, col, rq, out,
-                            g * kQWideConvLanes, sat);
-  detail::qconv_tail_sweep(wt, t, col, rq, out, groups * kQWideConvLanes,
-                           sat);
+  qwide_conv_schedule(panel, wt, t, col, rq, out, sat,
+                      &qwide_conv_group_avx512,
+                      &qwide_conv_group_avx2<kQWideHalfLanes>);
 }
 
 #else  // !SX_QWIDE_X86

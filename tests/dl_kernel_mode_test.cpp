@@ -337,5 +337,42 @@ TEST(WideBackendRecord, EscapeHatchRecordsResolvedReferenceMode) {
   EXPECT_EQ(e->payload.find("probe"), std::string::npos) << e->payload;
 }
 
+TEST(WideBackendRecord, DefaultPipelineRecordsProbedDefault) {
+  // The default deployment (kAuto) runs the wide family on an avx2/avx512
+  // host and the blocked kernels elsewhere; either way the record carries
+  // the probe audit that decided it.
+  ASSERT_EQ(unsetenv("SX_KERNEL_REFERENCE"), 0);
+  ASSERT_EQ(unsetenv("SX_KERNEL_ISA"), 0);
+  const platform::CpuProbe probe = platform::probe_cpu();
+  const platform::WideIsaSelection sel =
+      platform::select_wide_isa(probe, nullptr);
+  const bool simd = probe.avx2 || probe.avx512f;
+  core::PipelineConfig cfg;
+  cfg.criticality = core::Criticality::kSil2;
+  core::CertifiablePipeline p{sx::testing::trained_mlp(),
+                              sx::testing::road_data(), cfg};
+  EXPECT_EQ(p.kernel_backend(),
+            std::string("requested=auto resolved=") +
+                (simd ? "wide" : "blocked") + "; " +
+                platform::wide_isa_audit(probe, sel));
+  if (probe.avx512f) {
+    EXPECT_EQ(p.kernel_backend(),
+              "requested=auto resolved=wide; probe avx2=1 avx512f=1 "
+              "env=(unset) selected=avx512 refused=0");
+  }
+
+  // A scalar override demotes kAuto to kBlocked, and the record says why.
+  ASSERT_EQ(setenv("SX_KERNEL_ISA", "scalar", 1), 0);
+  core::CertifiablePipeline scalar{sx::testing::trained_mlp(),
+                                   sx::testing::road_data(), cfg};
+  ASSERT_EQ(unsetenv("SX_KERNEL_ISA"), 0);
+  EXPECT_EQ(scalar.kernel_backend(),
+            "requested=auto resolved=blocked; " +
+                platform::wide_isa_audit(
+                    probe, platform::select_wide_isa(probe, "scalar")));
+  EXPECT_NE(scalar.kernel_backend().find("env=scalar selected=scalar"),
+            std::string::npos);
+}
+
 }  // namespace
 }  // namespace sx::dl

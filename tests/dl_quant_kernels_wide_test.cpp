@@ -1,7 +1,7 @@
 // Differential sweeps for the widened int8 (kWide) dot-product
 // microkernels and the planned int8 engine running on top of them.
 //
-// Contract under test: the 32-row Dense and 16-channel Conv2d wide
+// Contract under test: the 32-row Dense and 16/8-channel Conv2d wide
 // microkernels preserve the per-output int32 accumulation chain of the
 // audited reference loops in dl/quant.cpp — so the scalar twin, AVX2 and
 // AVX-512 variants must be bitwise identical to qmatvec_blocked /
@@ -108,9 +108,10 @@ TEST(WideQConv, BitwiseEqualsUnpackedAcrossGeometriesAndIsas) {
   for (std::size_t in_c : {1u, 3u}) {
     for (std::size_t kk : {1u, 3u}) {
       for (std::size_t pad : {0u, 1u}) {
-        // 16 = one full wide lane group; 32 = two; 21 = one group + 5 tail
-        // channels (8-wide sub-sweep + switch); 11 = tail-only.
-        for (std::size_t out_c : {11u, 16u, 21u, 32u}) {
+        // 16 = one full wide lane group; 32 = two; 8 = the half group
+        // alone; 24 = group + half group; 21 = group + 5 tail channels;
+        // 11 = half group + 3 tail channels.
+        for (std::size_t out_c : {8u, 11u, 16u, 21u, 24u, 32u}) {
           const std::size_t in_h = 6, in_w = 5, stride = 1;
           if (in_h + 2 * pad < kk) continue;
           const k::Conv2dGeom g{.in_c = in_c, .in_h = in_h, .in_w = in_w,
@@ -161,6 +162,31 @@ TEST(WideQConv, BitwiseEqualsUnpackedAcrossGeometriesAndIsas) {
       }
     }
   }
+}
+
+TEST(WideQConvHalfGroup, PanelHoldsHalfGroupWheneverEightChannelsRemain) {
+  const std::size_t patch = 27;  // 3 input channels, 3x3 kernel
+  const std::size_t full = qk::align_up_bytes(patch * 16);
+  const std::size_t half = qk::align_up_bytes(patch * 8);
+  EXPECT_EQ(qk::qwide_conv_panel_bytes(7, patch), 0u);
+  EXPECT_EQ(qk::qwide_conv_panel_bytes(8, patch), half);
+  EXPECT_EQ(qk::qwide_conv_panel_bytes(15, patch), half);
+  EXPECT_EQ(qk::qwide_conv_panel_bytes(16, patch), full);
+  EXPECT_EQ(qk::qwide_conv_panel_bytes(23, patch), full);
+  EXPECT_EQ(qk::qwide_conv_panel_bytes(24, patch), full + half);
+  EXPECT_EQ(qk::qwide_conv_panel_bytes(40, patch), 2 * full + half);
+
+  // The half group is tap-major at lane stride 8, right after the full
+  // groups: channel 16 + i, tap j sits at full + j * 8 + i.
+  std::vector<std::int8_t> wt(24 * patch);
+  for (std::size_t i = 0; i < wt.size(); ++i)
+    wt[i] = static_cast<std::int8_t>(i % 251 - 125);
+  std::vector<std::int8_t> panel(qk::qwide_conv_panel_bytes(24, patch), -1);
+  qk::pack_qwide_conv_panel(wt.data(), 24, patch, panel.data());
+  for (std::size_t j = 0; j < patch; ++j)
+    for (std::size_t i = 0; i < 8; ++i)
+      ASSERT_EQ(panel[full + j * 8 + i], wt[(16 + i) * patch + j])
+          << "tap " << j << " lane " << i;
 }
 
 TEST(WideQDispatch, SelectorsReturnIsaSpecificEntryPoints) {
@@ -253,6 +279,59 @@ TEST(WideQuantEngine, BitwiseIdenticalToReferenceUnderIsaOverrides) {
       EXPECT_EQ(rc[i], pc[i]) << "isa=" << isa << " layer " << i;
   }
   ASSERT_EQ(unsetenv("SX_KERNEL_ISA"), 0);
+}
+
+/// Engine-level sweep over conv widths that hit every group schedule:
+/// tail only, half group alone, half group + tail, full groups with and
+/// without a half group. The kWide engine must match the reference
+/// QuantizedModel::run bit for bit — logits and per-layer clip counters —
+/// under every ISA the probe confirms.
+TEST(WideQConvHalfGroup, EngineSweepBitwiseIdenticalToReference) {
+  const platform::CpuProbe probe = platform::probe_cpu();
+  std::vector<const char*> isas = {"scalar"};
+  if (probe.avx2) isas.push_back("avx2");
+  if (probe.avx512f) isas.push_back("avx512");
+
+  std::uint64_t conv_clips = 0;
+  for (std::size_t out_c : {1u, 7u, 8u, 9u, 15u, 16u, 17u, 24u, 31u, 32u}) {
+    ModelBuilder b{Shape::chw(3, 8, 8)};
+    b.conv2d(out_c, 3, /*stride=*/1, /*padding=*/1)
+        .relu()
+        .maxpool(2)
+        .flatten()
+        .dense(4);
+    const Model m = b.build(700 + out_c);
+    const Dataset cal = toy_dataset(Shape::chw(3, 8, 8), 10, 31 + out_c);
+    const QuantizedModel qm = QuantizedModel::quantize(m, cal);
+    const std::size_t n_out = qm.output_shape().size();
+    for (const char* isa : isas) {
+      ASSERT_EQ(setenv("SX_KERNEL_ISA", isa, 1), 0);
+      QuantizedModel ref = qm;  // counters accumulate in the copy
+      QuantEngine eng{qm, QuantEngineConfig{.kernels = KernelMode::kWide}};
+      ASSERT_NE(eng.plan(), nullptr);
+      std::vector<float> r(n_out), p(n_out);
+      util::Xoshiro256 rng{out_c};
+      for (int it = 0; it < 6; ++it) {
+        // Wider than the calibration range, so requantize clips.
+        Tensor in{Shape::chw(3, 8, 8)};
+        in.init_uniform(rng, -3.0f, 3.0f);
+        ASSERT_EQ(ref.run(in.view(), r), Status::kOk);
+        ASSERT_EQ(eng.run(in.view(), p), Status::kOk);
+        for (std::size_t i = 0; i < n_out; ++i)
+          ASSERT_TRUE(bits_equal(r[i], p[i]))
+              << "out_c=" << out_c << " isa=" << isa << " logit " << i;
+      }
+      const auto rc = ref.saturation_counts();
+      const auto pc = eng.saturation_counts();
+      ASSERT_EQ(rc.size(), pc.size());
+      for (std::size_t i = 0; i < rc.size(); ++i)
+        EXPECT_EQ(rc[i], pc[i])
+            << "out_c=" << out_c << " isa=" << isa << " layer " << i;
+      conv_clips += pc[0];
+    }
+  }
+  ASSERT_EQ(unsetenv("SX_KERNEL_ISA"), 0);
+  EXPECT_GT(conv_clips, 0u) << "clip-counter parity must be non-vacuous";
 }
 
 TEST(WideQuantPlan, RepackResyncsAfterWeightMutation) {

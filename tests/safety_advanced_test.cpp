@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "dl/model.hpp"
 #include "safety/deep_monitor.hpp"
 #include "safety/fault.hpp"
@@ -146,6 +148,7 @@ TEST(RecoveryBlock, AlternateTakesOverOnPrimaryFault) {
   // Poison the primary so its outputs go non-finite.
   ch.replica(0).layer(1).params()[0] =
       std::numeric_limits<float>::infinity();
+  ch.refresh_replica(0);  // planned engines snapshot weights
   std::vector<float> out(ch.output_size());
   for (std::size_t i = 0; i < 10; ++i)
     EXPECT_EQ(ch.infer(data().samples[i].input.view(), out), Status::kOk)
@@ -158,12 +161,63 @@ TEST(RecoveryBlock, DoubleFaultFailsStop) {
   RecoveryBlockChannel ch{model(), alternate_model(), MonitorConfig{}};
   ch.replica(0).layer(1).params()[0] =
       std::numeric_limits<float>::infinity();
+  ch.refresh_replica(0);  // planned engines snapshot weights
   ch.replica(1).layer(1).params()[0] =
       std::numeric_limits<float>::infinity();
+  ch.refresh_replica(1);  // planned engines snapshot weights
   std::vector<float> out(ch.output_size());
   EXPECT_EQ(ch.infer(data().samples[0].input.view(), out),
             Status::kRedundancyFault);
   EXPECT_EQ(ch.double_failures(), 1u);
+}
+
+TEST(RecoveryBlock, InjectedStuckLargeReachesPlannedEnginesAndUndoRestores) {
+  // Linear blocks fed all-ones input: a +/-1e6 stuck-large weight or bias
+  // anywhere drives its output past the acceptance range, so every trial
+  // must engage the alternate. Planned engines snapshot weights, so the
+  // fault is visible only if inject_fault repacks the faulted block.
+  dl::ModelBuilder pb{tensor::Shape::vec(16)};
+  pb.dense(5);
+  const dl::Model primary = pb.build(41);
+  dl::ModelBuilder ab{tensor::Shape::vec(16)};
+  ab.dense(5);
+  const dl::Model alternate = ab.build(42);
+  tensor::Tensor in{tensor::Shape::vec(16)};
+  for (float& v : in.data()) v = 1.0f;
+
+  auto golden = [&](const dl::Model& m) {
+    dl::StaticEngine e{m, {.kernels = dl::KernelMode::kReference}};
+    std::vector<float> out(m.output_shape().size());
+    EXPECT_EQ(e.run(in.view(), out), Status::kOk);
+    return out;
+  };
+  const std::vector<float> want_primary = golden(primary);
+  const std::vector<float> want_alternate = golden(alternate);
+
+  for (const dl::KernelMode mode : dl::all_kernel_modes()) {
+    RecoveryBlockChannel ch{primary, alternate, MonitorConfig{},
+                            {.check_numeric_faults = true, .kernels = mode}};
+    std::vector<float> out(ch.output_size());
+    FaultInjector injector{2024};
+    for (std::uint64_t trial = 0; trial < 8; ++trial) {
+      const FaultRecord rec =
+          ch.inject_fault(injector, 0, FaultType::kStuckLarge);
+      ASSERT_EQ(ch.infer(in.view(), out), Status::kOk);
+      EXPECT_EQ(ch.recoveries(), trial + 1)
+          << dl::kernel_mode_name(mode) << ": primary fault unobserved";
+      EXPECT_EQ(0, std::memcmp(out.data(), want_alternate.data(),
+                               out.size() * sizeof(float)))
+          << dl::kernel_mode_name(mode) << ": alternate did not take over";
+
+      ch.undo_fault(0, rec);
+      ASSERT_EQ(ch.infer(in.view(), out), Status::kOk);
+      EXPECT_EQ(ch.recoveries(), trial + 1);
+      EXPECT_EQ(0, std::memcmp(out.data(), want_primary.data(),
+                               out.size() * sizeof(float)))
+          << dl::kernel_mode_name(mode) << ": undo_fault did not restore";
+    }
+    EXPECT_EQ(ch.double_failures(), 0u);
+  }
 }
 
 TEST(RecoveryBlock, RejectsShapeMismatchedAlternate) {

@@ -108,6 +108,7 @@ TEST(SingleChannel, MatchesModelForward) {
 TEST(SingleChannel, ReplicaIsIndependentCopy) {
   SingleChannel ch{model()};
   ch.replica(0).layer(1).params()[0] += 100.0f;
+  ch.refresh_replica(0);  // planned engines snapshot weights
   // The original shared model is untouched.
   SingleChannel fresh{model()};
   std::vector<float> a(ch.output_size()), b(ch.output_size());
@@ -122,6 +123,7 @@ TEST(DmrChannel, DetectsSingleReplicaCorruption) {
   DmrChannel ch{model()};
   // Large corruption in replica 0 only.
   ch.replica(0).layer(1).params()[10] += 50.0f;
+  ch.refresh_replica(0);  // planned engines snapshot weights
   std::vector<float> out(ch.output_size());
   std::size_t detected = 0;
   for (std::size_t i = 0; i < 20; ++i) {
@@ -143,6 +145,7 @@ TEST(DmrChannel, AgreesWhenHealthy) {
 TEST(TmrChannel, MasksSingleReplicaCorruption) {
   TmrChannel ch{model()};
   ch.replica(0).layer(1).params()[10] += 50.0f;
+  ch.refresh_replica(0);  // planned engines snapshot weights
   std::vector<float> out(ch.output_size());
   SingleChannel golden{model()};
   std::vector<float> ref(golden.output_size());
@@ -167,6 +170,7 @@ TEST(TmrChannel, SurvivesNaNReplica) {
   TmrChannel ch{model()};
   ch.replica(1).layer(1).params()[0] =
       std::numeric_limits<float>::quiet_NaN();
+  ch.refresh_replica(1);  // planned engines snapshot weights
   std::vector<float> out(ch.output_size());
   EXPECT_EQ(ch.infer(data().samples[0].input.view(), out), Status::kOk);
 }
@@ -175,8 +179,10 @@ TEST(TmrChannel, FailsWithTwoBadReplicas) {
   TmrChannel ch{model()};
   ch.replica(0).layer(1).params()[0] =
       std::numeric_limits<float>::quiet_NaN();
+  ch.refresh_replica(0);  // planned engines snapshot weights
   ch.replica(1).layer(1).params()[0] =
       std::numeric_limits<float>::quiet_NaN();
+  ch.refresh_replica(1);  // planned engines snapshot weights
   std::vector<float> out(ch.output_size());
   EXPECT_EQ(ch.infer(data().samples[0].input.view(), out),
             Status::kRedundancyFault);
@@ -203,6 +209,7 @@ TEST(DiverseTmrChannel, HealthyMajorityAgreesWithFloat) {
 TEST(SafetyBag, FallsBackOnPrimaryFailure) {
   auto primary = std::make_unique<DmrChannel>(model());
   primary->replica(0).layer(1).params()[10] += 50.0f;  // force divergence
+  primary->refresh_replica(0);  // planned engines snapshot weights
   std::vector<float> fallback(dl::kRoadSceneClasses, 0.0f);
   fallback[3] = 10.0f;  // conservative: "obstacle"
   SafetyBagChannel bag{std::move(primary), nullptr, nullptr, fallback};

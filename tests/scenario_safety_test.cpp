@@ -78,6 +78,7 @@ TEST(ScenarioRecovery, DegradedEntryAndExitUnderLiveFault) {
   float& weight = first_param_layer(ch.replica(0)).params()[0];
   const float golden_weight = weight;
   weight = 1e9f;
+  ch.refresh_replica(0);  // planned engines snapshot weights
   for (std::size_t i = 0; i < n; ++i)
     EXPECT_EQ(ch.infer(noisy_probes().samples[i].input.view(), out),
               Status::kOk)
@@ -87,6 +88,7 @@ TEST(ScenarioRecovery, DegradedEntryAndExitUnderLiveFault) {
   // Degraded exit: restoring the primary weight must return the channel
   // to the primary path — the recovery counter freezes.
   weight = golden_weight;
+  ch.refresh_replica(0);
   for (std::size_t i = 0; i < n; ++i)
     ASSERT_EQ(ch.infer(noisy_probes().samples[i].input.view(), out),
               Status::kOk);

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "core/report.hpp"
@@ -21,6 +22,7 @@
 #include "dl/layers.hpp"
 #include "dl/model.hpp"
 #include "dl/plan.hpp"
+#include "platform/cpu_probe.hpp"
 #include "tensor/kernels.hpp"
 #include "tensor/ops.hpp"
 #include "test_helpers.hpp"
@@ -431,18 +433,71 @@ TEST(KernelPlanEngine, ArenaDemandMatchesIndependentDerivation) {
                 StaticEngineConfig{.kernels = KernelMode::kReference}));
 }
 
+TEST(KernelPlanEngine, AutoResolutionMatrix) {
+  // The pure core over every probe x SX_KERNEL_ISA x SX_KERNEL_REFERENCE
+  // cell. kAuto picks the reference loops when forced, the wide family
+  // when the audited selection names a SIMD lane family, and the blocked
+  // kernels otherwise (scalar host, scalar or refused override).
+  const platform::CpuProbe probes[] = {
+      {.avx2 = false, .avx512f = false},
+      {.avx2 = true, .avx512f = false},
+      {.avx2 = true, .avx512f = true}};
+  const char* envs[] = {nullptr, "", "scalar", "avx2", "avx512", "sse9"};
+  std::size_t cells = 0, wide = 0, blocked = 0;
+  for (const platform::CpuProbe& probe : probes) {
+    for (const char* env : envs) {
+      // A SIMD family runs iff the override (if any) names one the probe
+      // confirms; "scalar" and unknown tokens never do.
+      const std::string e = env != nullptr ? env : "";
+      bool simd = false;
+      if (e.empty())
+        simd = probe.avx2 || probe.avx512f;
+      else if (e == "avx2")
+        simd = probe.avx2;
+      else if (e == "avx512")
+        simd = probe.avx512f;
+      const platform::WideIsaSelection sel =
+          platform::select_wide_isa(probe, env);
+      for (const bool forced : {false, true}) {
+        const KernelMode want = forced ? KernelMode::kReference
+                                : simd ? KernelMode::kWide
+                                       : KernelMode::kBlocked;
+        EXPECT_EQ(dl::resolve_kernel_mode(KernelMode::kAuto, forced, sel),
+                  want)
+            << "avx2=" << probe.avx2 << " avx512f=" << probe.avx512f
+            << " env=" << (env != nullptr ? env : "(unset)")
+            << " forced=" << forced;
+        // Explicit modes are never overridden, in any cell.
+        for (const KernelMode m : dl::all_kernel_modes())
+          EXPECT_EQ(dl::resolve_kernel_mode(m, forced, sel), m);
+        ++cells;
+        wide += want == KernelMode::kWide;
+        blocked += want == KernelMode::kBlocked;
+      }
+    }
+  }
+  EXPECT_EQ(cells, 36u);
+  EXPECT_EQ(wide, 7u);
+  EXPECT_EQ(blocked, 11u);
+}
+
 TEST(KernelPlanEngine, ReferenceEscapeHatchEnvVar) {
   ASSERT_EQ(unsetenv("SX_KERNEL_REFERENCE"), 0);
-  EXPECT_EQ(dl::resolve_kernel_mode(KernelMode::kAuto), KernelMode::kBlocked);
+  // Unforced, the env entry point agrees with the pure core on the live
+  // probe and SX_KERNEL_ISA.
+  const KernelMode host = dl::resolve_kernel_mode(
+      KernelMode::kAuto, false, platform::select_wide_isa());
+  EXPECT_NE(host, KernelMode::kReference);
+  EXPECT_EQ(dl::resolve_kernel_mode(KernelMode::kAuto), host);
   ASSERT_EQ(setenv("SX_KERNEL_REFERENCE", "1", 1), 0);
   EXPECT_EQ(dl::resolve_kernel_mode(KernelMode::kAuto),
             KernelMode::kReference);
   // Explicit modes are never overridden; "0" and empty do not force.
   EXPECT_EQ(dl::resolve_kernel_mode(KernelMode::kPacked), KernelMode::kPacked);
   ASSERT_EQ(setenv("SX_KERNEL_REFERENCE", "0", 1), 0);
-  EXPECT_EQ(dl::resolve_kernel_mode(KernelMode::kAuto), KernelMode::kBlocked);
+  EXPECT_EQ(dl::resolve_kernel_mode(KernelMode::kAuto), host);
   ASSERT_EQ(setenv("SX_KERNEL_REFERENCE", "", 1), 0);
-  EXPECT_EQ(dl::resolve_kernel_mode(KernelMode::kAuto), KernelMode::kBlocked);
+  EXPECT_EQ(dl::resolve_kernel_mode(KernelMode::kAuto), host);
 
   ASSERT_EQ(setenv("SX_KERNEL_REFERENCE", "1", 1), 0);
   const Model& m = sx::testing::trained_mlp();
@@ -451,7 +506,13 @@ TEST(KernelPlanEngine, ReferenceEscapeHatchEnvVar) {
   EXPECT_EQ(forced.kernel_plan(), nullptr);
   ASSERT_EQ(unsetenv("SX_KERNEL_REFERENCE"), 0);
   StaticEngine normal{m};
-  EXPECT_EQ(normal.kernel_mode(), KernelMode::kBlocked);
+  EXPECT_EQ(normal.kernel_mode(), host);
+  // A scalar override demotes kAuto to the blocked kernels.
+  ASSERT_EQ(setenv("SX_KERNEL_ISA", "scalar", 1), 0);
+  EXPECT_EQ(dl::resolve_kernel_mode(KernelMode::kAuto), KernelMode::kBlocked);
+  StaticEngine scalar{m};
+  EXPECT_EQ(scalar.kernel_mode(), KernelMode::kBlocked);
+  ASSERT_EQ(unsetenv("SX_KERNEL_ISA"), 0);
 }
 
 TEST(KernelPlanBatch, WorkerCountsBitwiseIdenticalToReference) {

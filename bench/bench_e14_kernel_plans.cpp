@@ -1,6 +1,6 @@
 // E14 — deploy-time kernel plans (`bench_e14_kernel_plans`)
 //
-// Question: how much does the deploy-time kernel plan (register-blocked
+// Question: how much does the deploy-time kernel plan (wide-panel
 // matvec/GEMM, ragged-im2col Conv2d, fused bias+activation epilogues) buy
 // over the reference per-layer loops, while staying bitwise identical to
 // them? A FUSA argument only tolerates an optimization that changes
@@ -8,11 +8,10 @@
 //
 // Method: three rungs, each timed min-of-reps with reference/planned
 // rounds interleaved so transient machine load hits both alike.
-//   1. raw matvec 512x512: tensor::matvec vs kernels::matvec_blocked /
-//      matvec_packed / the probed matvec_wide_* lane kernel (the
-//      BM_Matvec/512 geometry; target >= 2x);
-//   2. StaticEngine on the trained CNN: reference vs blocked vs packed vs
-//      wide (E19 isolates wide-vs-packed on micro sizes);
+//   1. raw matvec 512x512: tensor::matvec vs the probed matvec_wide_*
+//      lane kernel (the BM_Matvec/512 geometry; target >= 2x);
+//   2. StaticEngine on the trained CNN: reference vs the wide plan (E19
+//      isolates the lane arms on micro sizes);
 //   3. end-to-end SIL2 CNN pipeline (ODD guard, supervisor, audit chain,
 //      telemetry all live) built once with SX_KERNEL_REFERENCE=1 and once
 //      normally — the deployment-shaped speedup (target >= 1.5x on the
@@ -81,13 +80,10 @@ const sx::dl::Model& perception_cnn() {
   return model;
 }
 
-sx::core::CertifiablePipeline make_sil2_pipeline(
-    std::size_t batch_workers,
-    sx::dl::KernelMode mode = sx::dl::KernelMode::kAuto) {
+sx::core::CertifiablePipeline make_sil2_pipeline(std::size_t batch_workers) {
   sx::core::PipelineConfig cfg;
   cfg.criticality = sx::core::Criticality::kSil2;
   cfg.batch_workers = batch_workers;
-  cfg.kernel_mode = mode;
   return sx::core::CertifiablePipeline{perception_cnn(),
                                        sx::bench::road_data(), cfg};
 }
@@ -125,8 +121,8 @@ int main(int argc, char** argv) {
 
   bench::print_header(
       "E14: deploy-time kernel plans",
-      "What do blocked matvec/GEMM, im2col Conv2d and fused epilogues buy "
-      "over the reference loops — at bitwise-identical outputs?");
+      "What do wide-panel matvec/GEMM, im2col Conv2d and fused epilogues "
+      "buy over the reference loops — at bitwise-identical outputs?");
 
   bool all_ok = true;
   bench::JsonResult json{"E14", smoke};
@@ -141,9 +137,7 @@ int main(int argc, char** argv) {
     w.init_uniform(rng, -1, 1);
     x.init_uniform(rng, -1, 1);
     b.init_uniform(rng, -1, 1);
-    std::vector<float> ref(n), blocked(n), packed(n), wide(n);
-    std::vector<float> panel(k::dense_panel_floats(n, n));
-    k::pack_dense_panel(w.data().data(), n, n, panel.data());
+    std::vector<float> ref(n), wide(n);
     std::vector<float> wpanel(k::wide_dense_panel_floats(n, n));
     k::pack_wide_dense_panel(w.data().data(), n, n, wpanel.data());
     const auto isa = platform::select_wide_isa().isa;
@@ -151,24 +145,17 @@ int main(int argc, char** argv) {
 
     (void)tensor::matvec(w.view(), x.view(), b.view(),
                          tensor::TensorView{ref, tensor::Shape::vec(n)});
-    (void)k::matvec_blocked(w.data().data(), b.data().data(), n, n,
-                            x.data().data(), blocked.data(),
-                            k::Epilogue::kNone, false);
-    (void)k::matvec_packed(panel.data(), b.data().data(), n, n,
-                           x.data().data(), packed.data(),
-                           k::Epilogue::kNone, false);
     (void)wide_fn(wpanel.data(), b.data().data(), n, n, x.data().data(),
                   wide.data(), k::Epilogue::kNone, false);
-    const bool identical = bits_equal(blocked, ref) &&
-                           bits_equal(packed, ref) && bits_equal(wide, ref);
+    const bool identical = bits_equal(wide, ref);
     bench::print_verdict(identical,
-                         "matvec 512x512: blocked, packed and wide kernels "
-                         "are bitwise identical to tensor::matvec");
+                         "matvec 512x512: the wide kernel is bitwise "
+                         "identical to tensor::matvec");
     all_ok = all_ok && identical;
 
     const std::size_t calls = smoke ? 20 : 50;
     const std::size_t reps = smoke ? 8 : 20;
-    double t_ref = 1e300, t_blk = 1e300, t_pck = 1e300, t_wide = 1e300;
+    double t_ref = 1e300, t_wide = 1e300;
     for (std::size_t r = 0; r < reps; ++r) {
       t_ref = std::min(t_ref, bench::time_per_call_us(
                                   [&] {
@@ -176,22 +163,6 @@ int main(int argc, char** argv) {
                                         w.view(), x.view(), b.view(),
                                         tensor::TensorView{
                                             ref, tensor::Shape::vec(n)});
-                                  },
-                                  calls));
-      t_blk = std::min(t_blk, bench::time_per_call_us(
-                                  [&] {
-                                    (void)k::matvec_blocked(
-                                        w.data().data(), b.data().data(), n,
-                                        n, x.data().data(), blocked.data(),
-                                        k::Epilogue::kNone, false);
-                                  },
-                                  calls));
-      t_pck = std::min(t_pck, bench::time_per_call_us(
-                                  [&] {
-                                    (void)k::matvec_packed(
-                                        panel.data(), b.data().data(), n, n,
-                                        x.data().data(), packed.data(),
-                                        k::Epilogue::kNone, false);
                                   },
                                   calls));
       t_wide = std::min(t_wide, bench::time_per_call_us(
@@ -206,10 +177,6 @@ int main(int argc, char** argv) {
 
     util::Table table({"matvec 512x512", "us/call", "speedup"});
     table.add_row({"reference (tensor::matvec)", util::fmt(t_ref, 2), "1.00x"});
-    table.add_row({"blocked (live weights)", util::fmt(t_blk, 2),
-                   util::fmt(t_ref / t_blk, 2) + "x"});
-    table.add_row({"packed (aligned panels)", util::fmt(t_pck, 2),
-                   util::fmt(t_ref / t_pck, 2) + "x"});
     table.add_row({std::string("wide (") + k::wide_isa_name(isa) +
                        " lane panels)",
                    util::fmt(t_wide, 2),
@@ -217,10 +184,8 @@ int main(int argc, char** argv) {
     table.print(std::cout);
     std::cout << "\n";
 
-    const double best = t_ref / std::min({t_blk, t_pck, t_wide});
+    const double best = t_ref / t_wide;
     json.add("matvec512_us_reference", t_ref);
-    json.add("matvec512_us_blocked", t_blk);
-    json.add("matvec512_us_packed", t_pck);
     json.add("matvec512_us_wide", t_wide);
     json.add("matvec512_speedup", best);
     all_ok = bench::timing_verdict(best >= 2.0,
@@ -235,12 +200,9 @@ int main(int argc, char** argv) {
   {
     const dl::Model& m = bench::trained_cnn();
     dl::StaticEngine ref{m, {.kernels = dl::KernelMode::kReference}};
-    dl::StaticEngine blk{m, {.kernels = dl::KernelMode::kBlocked}};
-    dl::StaticEngine pck{m, {.kernels = dl::KernelMode::kPacked}};
     dl::StaticEngine wid{m, {.kernels = dl::KernelMode::kWide}};
-    std::cout << core::make_kernel_plan_evidence(*blk.kernel_plan()).body
+    std::cout << core::make_kernel_plan_evidence(*wid.kernel_plan()).body
               << "\n";
-    std::cout << wid.kernel_plan()->summary() << "\n\n";
 
     const auto& ds = bench::road_data();
     const std::size_t out_size = m.output_shape().size();
@@ -249,17 +211,12 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < 64; ++i) {
       const auto in = ds.samples[i].input.view();
       (void)ref.run(in, a);
-      (void)blk.run(in, o);
-      identical = identical && bits_equal(o, a);
-      (void)pck.run(in, o);
-      identical = identical && bits_equal(o, a);
       (void)wid.run(in, o);
       identical = identical && bits_equal(o, a);
     }
     bench::print_verdict(identical,
-                         "StaticEngine: blocked, packed and wide plans are "
-                         "bitwise identical to the reference engine over "
-                         "64 CNN inferences");
+                         "StaticEngine: the wide plan is bitwise identical "
+                         "to the reference engine over 64 CNN inferences");
     all_ok = all_ok && identical;
 
     const std::size_t infs = smoke ? 100 : 300;
@@ -273,31 +230,25 @@ int main(int argc, char** argv) {
                  1) /
              static_cast<double>(infs);
     };
-    double t_ref = 1e300, t_blk = 1e300, t_pck = 1e300, t_wid = 1e300;
+    double t_ref = 1e300, t_wid = 1e300;
     for (std::size_t r = 0; r < reps; ++r) {
       t_ref = std::min(t_ref, run_many(ref));
-      t_blk = std::min(t_blk, run_many(blk));
-      t_pck = std::min(t_pck, run_many(pck));
       t_wid = std::min(t_wid, run_many(wid));
     }
     util::Table table({"StaticEngine CNN", "us/inference", "speedup"});
     table.add_row({"reference loops", util::fmt(t_ref, 2), "1.00x"});
-    table.add_row({"blocked plan", util::fmt(t_blk, 2),
-                   util::fmt(t_ref / t_blk, 2) + "x"});
-    table.add_row({"packed plan", util::fmt(t_pck, 2),
-                   util::fmt(t_ref / t_pck, 2) + "x"});
-    table.add_row({"wide plan", util::fmt(t_wid, 2),
-                   util::fmt(t_ref / t_wid, 2) + "x"});
+    table.add_row({std::string("wide plan (") +
+                       k::wide_isa_name(
+                           wid.kernel_plan()->isa_selection().isa) +
+                       ")",
+                   util::fmt(t_wid, 2), util::fmt(t_ref / t_wid, 2) + "x"});
     table.print(std::cout);
     std::cout << "\n";
 
-    const double eng_speedup = t_ref / std::min({t_blk, t_pck, t_wid});
+    const double eng_speedup = t_ref / t_wid;
     json.add("engine_us_reference", t_ref);
-    json.add("engine_us_blocked", t_blk);
-    json.add("engine_us_packed", t_pck);
     json.add("engine_us_wide", t_wid);
     json.add("engine_speedup", eng_speedup);
-    json.add("engine_wide_vs_packed", t_pck / t_wid);
     all_ok = bench::timing_verdict(eng_speedup >= 1.5,
                                    "planned engine is >= 1.5x the reference "
                                    "engine on the CNN (measured " +
@@ -315,9 +266,7 @@ int main(int argc, char** argv) {
     auto p_ref = make_sil2_pipeline(4);
     unsetenv("SX_KERNEL_REFERENCE");
     auto p_plan = make_sil2_pipeline(4);
-    auto p_wide = make_sil2_pipeline(4, dl::KernelMode::kWide);
     std::cout << "default deployment records: " << p_plan.kernel_backend()
-              << "\nwide deployment records: " << p_wide.kernel_backend()
               << "\n\n";
 
     const auto& ds = bench::road_data();
@@ -325,63 +274,50 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < 32; ++i) {
       const auto a = p_ref.infer(ds.samples[i].input, 1000 + i);
       const auto b = p_plan.infer(ds.samples[i].input, 1000 + i);
-      const auto c = p_wide.infer(ds.samples[i].input, 1000 + i);
       identical = identical && a.predicted_class == b.predicted_class &&
                   std::bit_cast<std::uint32_t>(a.confidence) ==
                       std::bit_cast<std::uint32_t>(b.confidence) &&
                   std::bit_cast<std::uint64_t>(a.supervisor_score) ==
                       std::bit_cast<std::uint64_t>(b.supervisor_score) &&
                   a.status == b.status;
-      identical = identical && a.predicted_class == c.predicted_class &&
-                  std::bit_cast<std::uint32_t>(a.confidence) ==
-                      std::bit_cast<std::uint32_t>(c.confidence) &&
-                  std::bit_cast<std::uint64_t>(a.supervisor_score) ==
-                      std::bit_cast<std::uint64_t>(c.supervisor_score) &&
-                  a.status == c.status;
     }
     bench::print_verdict(identical,
                          "SIL2 pipeline decisions (class, confidence bits, "
                          "supervisor score bits, status) are identical "
-                         "across reference, planned and wide deployments");
+                         "across reference and default deployments");
     all_ok = all_ok && identical;
 
     const std::size_t decisions = smoke ? 150 : 400;
     const std::size_t reps = smoke ? 6 : 12;
-    double single_ref = 1e300, single_plan = 1e300, single_wide = 1e300;
-    double batch_ref = 1e300, batch_plan = 1e300, batch_wide = 1e300;
+    double single_ref = 1e300, single_plan = 1e300;
+    double batch_ref = 1e300, batch_plan = 1e300;
     for (std::size_t r = 0; r < reps; ++r) {
       single_ref = std::min(single_ref, time_single_once(p_ref, decisions));
       single_plan =
           std::min(single_plan, time_single_once(p_plan, decisions));
-      single_wide =
-          std::min(single_wide, time_single_once(p_wide, decisions));
       batch_ref = std::min(batch_ref, time_batch_once(p_ref, decisions));
       batch_plan = std::min(batch_plan, time_batch_once(p_plan, decisions));
-      batch_wide = std::min(batch_wide, time_batch_once(p_wide, decisions));
     }
 
     util::Table table({"SIL2 CNN pipeline", "reference (us/dec)",
-                       "default (us/dec)", "wide (us/dec)", "wide speedup"});
+                       "default (us/dec)", "speedup"});
     table.add_row({"single-item infer()", util::fmt(single_ref, 2),
-                   util::fmt(single_plan, 2), util::fmt(single_wide, 2),
-                   util::fmt(single_ref / single_wide, 2) + "x"});
+                   util::fmt(single_plan, 2),
+                   util::fmt(single_ref / single_plan, 2) + "x"});
     table.add_row({"batch x4 infer_batch()", util::fmt(batch_ref, 2),
-                   util::fmt(batch_plan, 2), util::fmt(batch_wide, 2),
-                   util::fmt(batch_ref / batch_wide, 2) + "x"});
+                   util::fmt(batch_plan, 2),
+                   util::fmt(batch_ref / batch_plan, 2) + "x"});
     table.print(std::cout);
     std::cout << "\n";
 
     // The batch path is where the engine dominates the decision cost (the
     // per-decision safety machinery — audit hashing, supervisor, ODD scan
     // — is fixed overhead both deployments pay identically). The gated
-    // claim is on the default (kAuto) deployment: kWide on an avx2/avx512
-    // host, kBlocked elsewhere. The explicit kWide column pins the wide
-    // family whatever the probe says.
+    // claim is on the default (kAuto) deployment: the wide family on the
+    // probed arm (SX_KERNEL_ISA honoured).
     const double e2e = batch_ref / batch_plan;
     json.add("pipeline_single_speedup", single_ref / single_plan);
     json.add("pipeline_batch_speedup", e2e);
-    json.add("pipeline_single_speedup_wide", single_ref / single_wide);
-    json.add("pipeline_batch_speedup_wide", batch_ref / batch_wide);
     all_ok = bench::timing_verdict(
                  e2e >= 1.5,
                  "end-to-end SIL2 CNN pipeline speedup >= 1.5x on the batch "

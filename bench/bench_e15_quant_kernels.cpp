@@ -1,18 +1,18 @@
 // E15 — int8 quantized kernel plans (`bench_e15_quant_kernels`)
 //
-// Question: how much does the deploy-time int8 kernel plan (register-
-// blocked int8x int8 -> int32 matvec/GEMM, ragged-im2col Conv2d, fused
-// requantize(+ReLU) epilogues, packed weight panels) buy over the
+// Question: how much does the deploy-time int8 kernel plan (wide-panel
+// int8 x int8 -> int32 matvec/GEMM, ragged-im2col Conv2d, fused
+// requantize(+ReLU) epilogues) buy over the
 // reference int8 loops of dl/quant.cpp — while staying bitwise identical
 // to them, saturation counters included? Same FUSA rule as E14: an
 // optimization may change nothing observable.
 //
 // Method: three rungs, min-of-reps with reference/planned rounds
 // interleaved so transient machine load hits both alike.
-//   1. raw int8 matvec 512x512: the reference per-row scalar loop vs
-//      qkernels::qmatvec_blocked / qmatvec_packed;
-//   2. QuantEngine on the quantized perception CNN: reference vs blocked
-//      vs packed (logits AND per-layer clip counters compared);
+//   1. raw int8 matvec 512x512: the reference per-row scalar loop vs the
+//      probed qmatvec_wide_* lane kernel;
+//   2. QuantEngine on the quantized perception CNN: reference vs the wide
+//      plan (logits AND per-layer clip counters compared);
 //   3. end-to-end SIL2 int8 pipeline (ODD guard, monitor, supervisor,
 //      audit chain, telemetry all live) built once with
 //      SX_KERNEL_REFERENCE=1 and once normally — the deployment-shaped
@@ -102,13 +102,11 @@ const sx::dl::QuantizedModel& quantized_cnn() {
 }
 
 sx::core::CertifiablePipeline make_sil2_int8_pipeline(
-    std::size_t batch_workers,
-    sx::dl::KernelMode mode = sx::dl::KernelMode::kAuto) {
+    std::size_t batch_workers) {
   sx::core::PipelineConfig cfg;
   cfg.criticality = sx::core::Criticality::kSil2;
   cfg.backend = sx::core::BackendKind::kInt8;
   cfg.batch_workers = batch_workers;
-  cfg.kernel_mode = mode;
   return sx::core::CertifiablePipeline{perception_cnn(),
                                        sx::bench::road_data(), cfg};
 }
@@ -172,54 +170,31 @@ int main(int argc, char** argv) {
                          .out_scale = 0.05f,
                          .relu = false};
 
-    std::vector<std::int8_t> ref(n), blocked(n), packed(n), wide(n);
-    std::vector<std::int8_t> panel(qk::qdense_panel_bytes(n, n));
-    qk::pack_qdense_panel(w.data(), n, n, panel.data());
+    std::vector<std::int8_t> ref(n), wide(n);
     std::vector<std::int8_t> wpanel(qk::qwide_dense_panel_bytes(n, n));
     qk::pack_qwide_dense_panel(w.data(), n, n, wpanel.data());
     const auto isa = platform::select_wide_isa().isa;
     const auto wide_fn = qk::wide_qdense_kernel(isa);
-    std::uint64_t sat_ref = 0, sat_blk = 0, sat_pck = 0, sat_wide = 0;
+    std::uint64_t sat_ref = 0, sat_wide = 0;
 
     qmatvec_reference(w.data(), n, n, x.data(), rq, ref.data(), &sat_ref);
-    qk::qmatvec_blocked(w.data(), n, n, x.data(), rq, blocked.data(),
-                        &sat_blk);
-    qk::qmatvec_packed(panel.data(), n, n, x.data(), rq, packed.data(),
-                       &sat_pck);
     wide_fn(wpanel.data(), n, n, x.data(), rq, wide.data(), &sat_wide);
-    const bool identical = blocked == ref && packed == ref && wide == ref &&
-                           sat_blk == sat_ref && sat_pck == sat_ref &&
-                           sat_wide == sat_ref;
+    const bool identical = wide == ref && sat_wide == sat_ref;
     bench::print_verdict(identical,
-                         "int8 matvec 512x512: blocked, packed and wide "
-                         "kernels match the reference loop bit for bit, "
-                         "clip counters included");
+                         "int8 matvec 512x512: the wide kernel matches the "
+                         "reference loop bit for bit, clip counters "
+                         "included");
     all_ok = all_ok && identical;
 
     const std::size_t calls = smoke ? 20 : 50;
     const std::size_t reps = smoke ? 8 : 20;
-    double t_ref = 1e300, t_blk = 1e300, t_pck = 1e300, t_wide = 1e300;
+    double t_ref = 1e300, t_wide = 1e300;
     for (std::size_t r = 0; r < reps; ++r) {
       t_ref = std::min(t_ref,
                        bench::time_per_call_us(
                            [&] {
                              qmatvec_reference(w.data(), n, n, x.data(), rq,
                                                ref.data(), &sat_ref);
-                           },
-                           calls));
-      t_blk = std::min(t_blk,
-                       bench::time_per_call_us(
-                           [&] {
-                             qk::qmatvec_blocked(w.data(), n, n, x.data(),
-                                                 rq, blocked.data(),
-                                                 &sat_blk);
-                           },
-                           calls));
-      t_pck = std::min(t_pck,
-                       bench::time_per_call_us(
-                           [&] {
-                             qk::qmatvec_packed(panel.data(), n, n, x.data(),
-                                                rq, packed.data(), &sat_pck);
                            },
                            calls));
       t_wide = std::min(t_wide,
@@ -233,10 +208,6 @@ int main(int argc, char** argv) {
 
     util::Table table({"int8 matvec 512x512", "us/call", "speedup"});
     table.add_row({"reference loop", util::fmt(t_ref, 2), "1.00x"});
-    table.add_row({"blocked (live weights)", util::fmt(t_blk, 2),
-                   util::fmt(t_ref / t_blk, 2) + "x"});
-    table.add_row({"packed (aligned panels)", util::fmt(t_pck, 2),
-                   util::fmt(t_ref / t_pck, 2) + "x"});
     table.add_row({std::string("wide (") +
                        sx::tensor::kernels::wide_isa_name(isa) +
                        " lane panels)",
@@ -246,10 +217,8 @@ int main(int argc, char** argv) {
     std::cout << "\n";
 
     json.add("qmatvec512_us_reference", t_ref);
-    json.add("qmatvec512_us_blocked", t_blk);
-    json.add("qmatvec512_us_packed", t_pck);
     json.add("qmatvec512_us_wide", t_wide);
-    json.add("qmatvec512_speedup", t_ref / std::min({t_blk, t_pck, t_wide}));
+    json.add("qmatvec512_speedup", t_ref / t_wide);
 
     // Informational, not gated: this inline reference loop is itself a
     // single tight kernel the compiler vectorizes, so an isolated int8
@@ -264,10 +233,7 @@ int main(int argc, char** argv) {
   {
     const dl::QuantizedModel& qm = quantized_cnn();
     dl::QuantEngine ref{qm, {.kernels = dl::KernelMode::kReference}};
-    dl::QuantEngine blk{qm, {.kernels = dl::KernelMode::kBlocked}};
-    dl::QuantEngine pck{qm, {.kernels = dl::KernelMode::kPacked}};
     dl::QuantEngine wid{qm, {.kernels = dl::KernelMode::kWide}};
-    std::cout << blk.plan()->summary() << "\n";
     std::cout << wid.plan()->summary() << "\n\n";
 
     const auto& ds = bench::road_data();
@@ -277,24 +243,17 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < 64; ++i) {
       const auto in = ds.samples[i].input.view();
       (void)ref.run(in, a);
-      (void)blk.run(in, o);
-      identical = identical && bits_equal(o, a);
-      (void)pck.run(in, o);
-      identical = identical && bits_equal(o, a);
       (void)wid.run(in, o);
       identical = identical && bits_equal(o, a);
     }
     const auto rc = ref.saturation_counts();
-    const auto bc = blk.saturation_counts();
-    const auto pc = pck.saturation_counts();
     const auto wc = wid.saturation_counts();
     for (std::size_t i = 0; i < rc.size(); ++i)
-      identical = identical && rc[i] == bc[i] && rc[i] == pc[i] &&
-                  rc[i] == wc[i];
+      identical = identical && rc[i] == wc[i];
     bench::print_verdict(identical,
-                         "QuantEngine: blocked, packed and wide plans match "
-                         "the reference engine bit for bit over 64 CNN "
-                         "inferences, per-layer clip counters included");
+                         "QuantEngine: the wide plan matches the reference "
+                         "engine bit for bit over 64 CNN inferences, "
+                         "per-layer clip counters included");
     all_ok = all_ok && identical;
 
     const std::size_t infs = smoke ? 100 : 300;
@@ -308,41 +267,29 @@ int main(int argc, char** argv) {
                  1) /
              static_cast<double>(infs);
     };
-    double t_ref = 1e300, t_blk = 1e300, t_pck = 1e300, t_wid = 1e300;
+    double t_ref = 1e300, t_wid = 1e300;
     for (std::size_t r = 0; r < reps; ++r) {
       t_ref = std::min(t_ref, run_many(ref));
-      t_blk = std::min(t_blk, run_many(blk));
-      t_pck = std::min(t_pck, run_many(pck));
       t_wid = std::min(t_wid, run_many(wid));
     }
     util::Table table({"QuantEngine CNN", "us/inference", "speedup"});
     table.add_row({"reference loops", util::fmt(t_ref, 2), "1.00x"});
-    table.add_row({"blocked plan", util::fmt(t_blk, 2),
-                   util::fmt(t_ref / t_blk, 2) + "x"});
-    table.add_row({"packed plan", util::fmt(t_pck, 2),
-                   util::fmt(t_ref / t_pck, 2) + "x"});
-    table.add_row({"wide plan", util::fmt(t_wid, 2),
-                   util::fmt(t_ref / t_wid, 2) + "x"});
+    table.add_row({std::string("wide plan (") +
+                       sx::tensor::kernels::wide_isa_name(
+                           wid.plan()->isa_selection().isa) +
+                       ")",
+                   util::fmt(t_wid, 2), util::fmt(t_ref / t_wid, 2) + "x"});
     table.print(std::cout);
     std::cout << "\n";
 
-    const double eng_speedup = t_ref / std::min({t_blk, t_pck, t_wid});
+    const double eng_speedup = t_ref / t_wid;
     json.add("engine_us_reference", t_ref);
-    json.add("engine_us_blocked", t_blk);
-    json.add("engine_us_packed", t_pck);
     json.add("engine_us_wide", t_wid);
     json.add("engine_speedup", eng_speedup);
-    json.add("engine_wide_vs_packed", t_pck / t_wid);
     all_ok = bench::timing_verdict(eng_speedup >= 1.5,
                                    "planned int8 engine is >= 1.5x the "
                                    "reference engine on the CNN (measured " +
                                        util::fmt(eng_speedup, 2) + "x)",
-                                   args) &&
-             all_ok;
-    all_ok = bench::timing_verdict(t_pck / t_wid >= 1.0,
-                                   "wide int8 engine is no slower than the "
-                                   "packed one on the CNN (measured " +
-                                       util::fmt(t_pck / t_wid, 2) + "x)",
                                    args) &&
              all_ok;
   }
@@ -353,9 +300,7 @@ int main(int argc, char** argv) {
     auto p_ref = make_sil2_int8_pipeline(4);
     unsetenv("SX_KERNEL_REFERENCE");
     auto p_plan = make_sil2_int8_pipeline(4);
-    auto p_wide = make_sil2_int8_pipeline(4, dl::KernelMode::kWide);
     std::cout << "default deployment records: " << p_plan.kernel_backend()
-              << "\nwide deployment records: " << p_wide.kernel_backend()
               << "\n\n";
 
     const auto& ds = bench::road_data();
@@ -363,49 +308,39 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < 32; ++i) {
       const auto a = p_ref.infer(ds.samples[i].input, 1000 + i);
       const auto b = p_plan.infer(ds.samples[i].input, 1000 + i);
-      const auto c = p_wide.infer(ds.samples[i].input, 1000 + i);
       identical = identical && a.predicted_class == b.predicted_class &&
                   std::bit_cast<std::uint32_t>(a.confidence) ==
                       std::bit_cast<std::uint32_t>(b.confidence) &&
                   a.status == b.status;
-      identical = identical && a.predicted_class == c.predicted_class &&
-                  std::bit_cast<std::uint32_t>(a.confidence) ==
-                      std::bit_cast<std::uint32_t>(c.confidence) &&
-                  a.status == c.status;
     }
     identical = identical && p_ref.quant_saturation_total() ==
-                                 p_plan.quant_saturation_total() &&
-                p_ref.quant_saturation_total() ==
-                    p_wide.quant_saturation_total();
+                                 p_plan.quant_saturation_total();
     bench::print_verdict(identical,
                          "SIL2 int8 pipeline decisions (class, confidence "
                          "bits, status) and clip totals are identical "
-                         "across reference, planned and wide deployments");
+                         "across reference and default deployments");
     all_ok = all_ok && identical;
 
     const std::size_t decisions = smoke ? 150 : 400;
     const std::size_t reps = smoke ? 6 : 12;
-    double single_ref = 1e300, single_plan = 1e300, single_wide = 1e300;
-    double batch_ref = 1e300, batch_plan = 1e300, batch_wide = 1e300;
+    double single_ref = 1e300, single_plan = 1e300;
+    double batch_ref = 1e300, batch_plan = 1e300;
     for (std::size_t r = 0; r < reps; ++r) {
       single_ref = std::min(single_ref, time_single_once(p_ref, decisions));
       single_plan =
           std::min(single_plan, time_single_once(p_plan, decisions));
-      single_wide =
-          std::min(single_wide, time_single_once(p_wide, decisions));
       batch_ref = std::min(batch_ref, time_batch_once(p_ref, decisions));
       batch_plan = std::min(batch_plan, time_batch_once(p_plan, decisions));
-      batch_wide = std::min(batch_wide, time_batch_once(p_wide, decisions));
     }
 
     util::Table table({"SIL2 int8 pipeline", "reference (us/dec)",
-                       "default (us/dec)", "wide (us/dec)", "wide speedup"});
+                       "default (us/dec)", "speedup"});
     table.add_row({"single-item infer()", util::fmt(single_ref, 2),
-                   util::fmt(single_plan, 2), util::fmt(single_wide, 2),
-                   util::fmt(single_ref / single_wide, 2) + "x"});
+                   util::fmt(single_plan, 2),
+                   util::fmt(single_ref / single_plan, 2) + "x"});
     table.add_row({"batch x4 infer_batch()", util::fmt(batch_ref, 2),
-                   util::fmt(batch_plan, 2), util::fmt(batch_wide, 2),
-                   util::fmt(batch_ref / batch_wide, 2) + "x"});
+                   util::fmt(batch_plan, 2),
+                   util::fmt(batch_ref / batch_plan, 2) + "x"});
     table.print(std::cout);
     std::cout << "\n";
 
@@ -414,8 +349,6 @@ int main(int argc, char** argv) {
     const double e2e = batch_ref / batch_plan;
     json.add("pipeline_single_speedup", single_ref / single_plan);
     json.add("pipeline_batch_speedup", e2e);
-    json.add("pipeline_single_speedup_wide", single_ref / single_wide);
-    json.add("pipeline_batch_speedup_wide", batch_ref / batch_wide);
     all_ok = bench::timing_verdict(
                  e2e >= 1.5,
                  "end-to-end SIL2 int8 pipeline speedup >= 1.5x on the batch "

@@ -4,14 +4,14 @@
 // fault campaigns x OOD probes x execution configs over a *deployed*
 // pipeline — hold its three commitments at workload scale?
 //   1. determinism: two full sweeps export byte-identical JSON;
-//   2. bitwise identity: every blocked/packed/multi-worker cell hashes
-//      identically to its reference-mode twin;
+//   2. bitwise identity: every wide/multi-worker cell hashes identically
+//      to its reference-mode twin;
 //   3. contrast: injected-fault cells are measurably distinguishable from
 //      their clean twins (non-zero disturbed trials), and the verify-gate
 //      negative path refuses rather than skips.
 //
 // Method: train the digit workload (golden accuracy gates enforced at
-// construction), run the default 216-cell grid (--smoke shrinks the axes
+// construction), run the default 144-cell grid (--smoke shrinks the axes
 // to a 32-cell slice), re-run for byte identity, then sweep a poisoned
 // SIL3 deployment and assert every cell refuses. Exit non-zero on any
 // violated commitment, so the smoke run is CI evidence.
@@ -42,9 +42,9 @@ scenario::ScenarioConfig sweep_config(bool smoke) {
                       /*n_faults=*/12, /*probes_per_fault=*/4}};
     cfg.execs = {
         {core::BackendKind::kFloat32, dl::KernelMode::kReference, 1},
-        {core::BackendKind::kFloat32, dl::KernelMode::kPacked, 4},
+        {core::BackendKind::kFloat32, dl::KernelMode::kWide, 4},
         {core::BackendKind::kInt8, dl::KernelMode::kReference, 1},
-        {core::BackendKind::kInt8, dl::KernelMode::kPacked, 4},
+        {core::BackendKind::kInt8, dl::KernelMode::kWide, 4},
     };
     cfg.max_probes = 32;
     cfg.ood_probes = 8;

@@ -109,7 +109,7 @@ int main(int argc, char** argv) {
       dl::QuantizedModel::quantize(m, dl::make_digits(64, /*seed=*/31));
 
   // ------------------------------------------ 1. float plan arena demand
-  const dl::KernelPlan plan{m, dl::KernelMode::kPacked};
+  const dl::KernelPlan plan{m};
   {
     const double reduction =
         report_plan("float plan", plan.layout(), plan.pass_evidence());
@@ -126,7 +126,7 @@ int main(int argc, char** argv) {
   }
 
   // ------------------------------------------- 2. int8 plan arena demand
-  const dl::QuantKernelPlan qplan{qm, dl::KernelMode::kPacked};
+  const dl::QuantKernelPlan qplan{qm};
   {
     const double reduction =
         report_plan("int8 plan", qplan.layout(), qplan.pass_evidence());
@@ -151,7 +151,7 @@ int main(int argc, char** argv) {
     std::vector<float> a(out_size), o(out_size);
 
     dl::StaticEngine fref{m, {.kernels = dl::KernelMode::kReference}};
-    dl::StaticEngine fopt{m, {.kernels = dl::KernelMode::kPacked}};
+    dl::StaticEngine fopt{m, {.kernels = dl::KernelMode::kWide}};
     bool identical = true;
     for (std::size_t i = 0; i < inferences; ++i) {
       const auto in = ds.samples[i % ds.size()].input.view();
@@ -168,7 +168,7 @@ int main(int argc, char** argv) {
     json.add("float_bitwise_identical", identical ? 1.0 : 0.0);
 
     dl::QuantEngine qref{qm, {.kernels = dl::KernelMode::kReference}};
-    dl::QuantEngine qopt{qm, {.kernels = dl::KernelMode::kPacked}};
+    dl::QuantEngine qopt{qm, {.kernels = dl::KernelMode::kWide}};
     bool qidentical = true;
     for (std::size_t i = 0; i < inferences; ++i) {
       const auto in = ds.samples[i % ds.size()].input.view();
@@ -206,8 +206,8 @@ int main(int argc, char** argv) {
                             "overlap"};
     for (const char* mode : kModes) {
       setenv("SX_IR_PASS_FAULT", mode, 1);
-      const dl::KernelPlan bad{m, dl::KernelMode::kPacked};
-      const dl::QuantKernelPlan qbad{qm, dl::KernelMode::kPacked};
+      const dl::KernelPlan bad{m};
+      const dl::QuantKernelPlan qbad{qm};
       unsetenv("SX_IR_PASS_FAULT");
       const bool caught = !verify::check_ir(m, bad).passed() &&
                           !verify::check_ir(qm, qbad).passed();

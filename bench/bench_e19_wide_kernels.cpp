@@ -1,31 +1,33 @@
 // E19 — wide-SIMD kernel backends (`bench_e19_wide_kernels`)
 //
-// Question: how much do the kWide lane microkernels (8/16-lane float
-// panels, 16/32-byte int8 dot products) buy over the kPacked panels they
-// replace — while every variant still computes the reference accumulation
-// tree bit for bit? The FUSA rule is unchanged from E14/E15: an
-// optimization may change timing only, never a single output bit or clip
-// counter.
+// Question: how much do the SIMD lane arms of the wide kernel family
+// (8/16-lane float panels, 16/32-byte int8 dot products) buy over the
+// family's portable scalar arm — while every arm still computes the
+// reference accumulation tree bit for bit? The FUSA rule is unchanged
+// from E14/E15: an optimization may change timing only, never a single
+// output bit or clip counter.
 //
 // Method: the deploy-time CPU probe is printed first (the same
 // platform::wide_isa_audit line the pipeline records), then four rungs,
-// each timed min-of-reps with packed/wide rounds interleaved so transient
-// machine load hits both alike:
+// each timed min-of-reps with the arms' rounds interleaved so transient
+// machine load hits all alike:
 //   1. float matvec at 128/192/256/512 (the 128/192 panels are
 //      L1/L2-resident, where lane width shows up undiluted by memory):
-//      matvec_packed vs matvec_wide_{scalar,avx2,avx512};
+//      matvec_wide_{scalar,avx2,avx512};
 //   2. float Conv2d GEMM on 16- and 32-channel geometries:
-//      conv2d_im2col_packed vs conv2d_im2col_wide_*;
-//   3. int8 matvec at the same sizes: qmatvec_packed vs qmatvec_wide_*
-//      (saturation counters compared as well as output bytes);
+//      conv2d_im2col_wide_*;
+//   3. int8 matvec at the same sizes: qmatvec_wide_* (saturation counters
+//      compared as well as output bytes);
 //   4. int8 Conv2d GEMM on the 8-channel perception conv:
-//      qconv2d_im2col_packed vs qconv2d_im2col_wide_* (the half group).
-// Every rung first proves bitwise identity of everything it times.
+//      qconv2d_im2col_wide_* (the half group).
+// Every rung first proves every arm bitwise identical to a reference
+// loop (tensor::matvec, or the plain tap loop over the im2col tables).
 //
-// Gate: geomean speedup over kPacked across the dense micro sizes must
-// reach >= 2x on at least one probed SIMD lane family (avx2 or avx512),
-// in float or int8. On hardware with no wide lanes the wide entry points
-// *are* the scalar twin, so the gate is vacuous there and says so.
+// Gate: geomean speedup over the scalar arm across the dense micro sizes
+// must reach >= 2x on at least one probed SIMD lane family (avx2 or
+// avx512), in float or int8. On hardware with no wide lanes the SIMD
+// entry points *are* the scalar arm, so the gate is vacuous there and
+// says so.
 //
 // Usage: bench_e19_wide_kernels [--smoke] [--perf-gates]   (--smoke
 // shrinks the load for CI label `bench-smoke`; the geomean gate is a
@@ -59,8 +61,8 @@ bool bits_equal(const std::vector<float>& a, const std::vector<float>& b) {
   return true;
 }
 
-/// The SIMD lane families the probe confirmed on this machine (the scalar
-/// twin is always timed as the portability baseline but never gated).
+/// The lane arms the probe confirmed on this machine, scalar arm first
+/// (the timing baseline; never gated).
 struct IsaRow {
   k::WideIsa isa;
   k::DenseKernelFn dense;
@@ -88,6 +90,90 @@ double geomean(const std::vector<double>& xs) {
   return std::exp(log_sum / static_cast<double>(xs.size()));
 }
 
+/// Times every arm with `call(i)` (i indexes rows), min-of-reps with the
+/// arms' rounds interleaved.
+template <typename Call>
+std::vector<double> time_arms(std::size_t arms, std::size_t reps,
+                              std::size_t calls, Call call) {
+  std::vector<double> t(arms, 1e300);
+  for (std::size_t r = 0; r < reps; ++r)
+    for (std::size_t i = 0; i < arms; ++i)
+      t[i] = std::min(t[i],
+                      sx::bench::time_per_call_us([&] { call(i); }, calls));
+  return t;
+}
+
+/// Fastest SIMD arm (the scalar arm when none was probed).
+std::size_t best_arm(const std::vector<double>& t) {
+  std::size_t best = 0;
+  for (std::size_t i = 1; i < t.size(); ++i)
+    if (best == 0 || t[i] < t[best]) best = i;
+  return best;
+}
+
+/// Plain reference tap loop over the ragged im2col tables: each output is
+/// one chain, bias then taps in table order (== Conv2d::forward order).
+std::vector<float> conv_reference(const std::vector<float>& wt,
+                                  const std::vector<float>& bias,
+                                  const k::ConvTables& t,
+                                  const std::vector<float>& col) {
+  std::vector<float> out(t.out_c * t.opix);
+  for (std::size_t oc = 0; oc < t.out_c; ++oc)
+    for (std::size_t p = 0; p < t.opix; ++p) {
+      float acc = bias[oc];
+      for (std::uint32_t e = t.pix_off[p]; e < t.pix_off[p + 1]; ++e)
+        acc += wt[oc * t.patch + t.w_ofs[e]] * col[e];
+      out[oc * t.opix + p] = acc;
+    }
+  return out;
+}
+
+/// The int8 twin: one int32 chain per output, then the reference
+/// requantize epilogue.
+std::vector<std::int8_t> qconv_reference(const std::vector<std::int8_t>& wt,
+                                         const k::ConvTables& t,
+                                         const std::vector<std::int8_t>& col,
+                                         const qk::Requant& rq,
+                                         std::uint64_t* sat) {
+  std::vector<std::int8_t> out(t.out_c * t.opix);
+  for (std::size_t oc = 0; oc < t.out_c; ++oc)
+    for (std::size_t p = 0; p < t.opix; ++p) {
+      std::int32_t acc = 0;
+      for (std::uint32_t e = t.pix_off[p]; e < t.pix_off[p + 1]; ++e)
+        acc += static_cast<std::int32_t>(wt[oc * t.patch + t.w_ofs[e]]) *
+               static_cast<std::int32_t>(col[e]);
+      out[oc * t.opix + p] = qk::requantize(acc, oc, rq, sat);
+    }
+  return out;
+}
+
+/// One int8 matvec reference row loop (dl/quant.cpp's Dense loop).
+std::vector<std::int8_t> qmatvec_reference(const std::vector<std::int8_t>& w,
+                                           std::size_t n,
+                                           const std::vector<std::int8_t>& x,
+                                           const qk::Requant& rq,
+                                           std::uint64_t* sat) {
+  std::vector<std::int8_t> out(n);
+  for (std::size_t r = 0; r < n; ++r) {
+    std::int32_t acc = 0;
+    for (std::size_t c = 0; c < n; ++c)
+      acc += static_cast<std::int32_t>(w[r * n + c]) *
+             static_cast<std::int32_t>(x[c]);
+    out[r] = qk::requantize(acc, r, rq, sat);
+  }
+  return out;
+}
+
+/// One table row: the scalar arm's time, the best SIMD arm's, its name
+/// and speedup.
+void add_row(sx::util::Table& table, const std::string& label,
+             const std::vector<double>& t, const std::vector<IsaRow>& rows) {
+  const std::size_t best = best_arm(t);
+  table.add_row({label, sx::util::fmt(t[0], 2), sx::util::fmt(t[best], 2),
+                 k::wide_isa_name(rows[best].isa),
+                 sx::util::fmt(t[0] / t[best], 2) + "x"});
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -97,8 +183,8 @@ int main(int argc, char** argv) {
 
   bench::print_header(
       "E19: wide-SIMD kernel backends",
-      "What do the kWide lane microkernels (8/16-lane float panels, "
-      "16/32-byte int8 dot products) buy over the kPacked panels — at "
+      "What do the SIMD lane arms (8/16-lane float panels, 16/32-byte int8 "
+      "dot products) buy over the wide family's scalar arm — at "
       "bitwise-identical outputs and clip counters?");
 
   bool all_ok = true;
@@ -117,15 +203,26 @@ int main(int argc, char** argv) {
   const std::vector<std::size_t> sizes = {128, 192, 256, 512};
   const std::size_t calls = smoke ? 20 : 50;
   const std::size_t reps = smoke ? 8 : 20;
-  // Per-ISA geomean inputs: dense float / dense int8 speedups over packed.
+  // Per-arm geomean inputs: dense float / dense int8 speedups over the
+  // scalar arm.
   std::vector<std::vector<double>> f_speedups(rows.size());
   std::vector<std::vector<double>> q_speedups(rows.size());
+  auto record = [&](const std::string& tag, const std::vector<double>& t) {
+    for (std::size_t i = 0; i < rows.size(); ++i)
+      json.add(tag + "_us_wide_" + k::wide_isa_name(rows[i].isa), t[i]);
+  };
+  const std::vector<std::string> cols = {"", "scalar us", "wide us (best)",
+                                         "isa", "speedup"};
+  auto header = [&](const std::string& first) {
+    std::vector<std::string> h = cols;
+    h[0] = first;
+    return util::Table(h);
+  };
 
   // ------------------------------------------- 1. float matvec micro
   {
     bool identical = true;
-    util::Table table({"float matvec", "packed us", "wide us (best)",
-                       "isa", "speedup"});
+    util::Table table = header("float matvec");
     for (std::size_t n : sizes) {
       tensor::Tensor w{tensor::Shape::mat(n, n)};
       tensor::Tensor x{tensor::Shape::vec(n)};
@@ -135,69 +232,32 @@ int main(int argc, char** argv) {
       x.init_uniform(rng, -1, 1);
       b.init_uniform(rng, -1, 1);
 
-      std::vector<float> ref(n), pck(n), wide(n);
-      std::vector<float> packed_panel(k::dense_panel_floats(n, n));
-      k::pack_dense_panel(w.data().data(), n, n, packed_panel.data());
-      std::vector<float> wide_panel(k::wide_dense_panel_floats(n, n));
-      k::pack_wide_dense_panel(w.data().data(), n, n, wide_panel.data());
-
+      std::vector<float> ref(n), wide(n);
+      std::vector<float> panel(k::wide_dense_panel_floats(n, n));
+      k::pack_wide_dense_panel(w.data().data(), n, n, panel.data());
       (void)tensor::matvec(w.view(), x.view(), b.view(),
                            tensor::TensorView{ref, tensor::Shape::vec(n)});
-      (void)k::matvec_packed(packed_panel.data(), b.data().data(), n, n,
-                             x.data().data(), pck.data(), k::Epilogue::kNone,
-                             false);
-      identical = identical && bits_equal(pck, ref);
-      for (const IsaRow& row : rows) {
-        (void)row.dense(wide_panel.data(), b.data().data(), n, n,
-                        x.data().data(), wide.data(), k::Epilogue::kNone,
-                        false);
+      auto call = [&](std::size_t i) {
+        (void)rows[i].dense(panel.data(), b.data().data(), n, n,
+                            x.data().data(), wide.data(), k::Epilogue::kNone,
+                            false);
+      };
+      for (std::size_t i = 0; i < rows.size(); ++i) {
+        call(i);
         identical = identical && bits_equal(wide, ref);
       }
 
-      double t_pck = 1e300;
-      std::vector<double> t_wide(rows.size(), 1e300);
-      for (std::size_t r = 0; r < reps; ++r) {
-        t_pck = std::min(
-            t_pck, bench::time_per_call_us(
-                       [&] {
-                         (void)k::matvec_packed(
-                             packed_panel.data(), b.data().data(), n, n,
-                             x.data().data(), pck.data(), k::Epilogue::kNone,
-                             false);
-                       },
-                       calls));
-        for (std::size_t i = 0; i < rows.size(); ++i)
-          t_wide[i] = std::min(
-              t_wide[i], bench::time_per_call_us(
-                             [&] {
-                               (void)rows[i].dense(
-                                   wide_panel.data(), b.data().data(), n, n,
-                                   x.data().data(), wide.data(),
-                                   k::Epilogue::kNone, false);
-                             },
-                             calls));
-      }
-
-      std::size_t best = 0;
-      for (std::size_t i = 0; i < rows.size(); ++i) {
-        f_speedups[i].push_back(t_pck / t_wide[i]);
-        json.add("matvec" + std::to_string(n) + "_us_wide_" +
-                     k::wide_isa_name(rows[i].isa),
-                 t_wide[i]);
-        if (t_wide[i] < t_wide[best]) best = i;
-      }
-      json.add("matvec" + std::to_string(n) + "_us_packed", t_pck);
-      table.add_row({std::to_string(n) + "x" + std::to_string(n),
-                     util::fmt(t_pck, 2), util::fmt(t_wide[best], 2),
-                     k::wide_isa_name(rows[best].isa),
-                     util::fmt(t_pck / t_wide[best], 2) + "x"});
+      const std::vector<double> t = time_arms(rows.size(), reps, calls, call);
+      for (std::size_t i = 0; i < rows.size(); ++i)
+        f_speedups[i].push_back(t[0] / t[i]);
+      record("matvec" + std::to_string(n), t);
+      add_row(table, std::to_string(n) + "x" + std::to_string(n), t, rows);
     }
     table.print(std::cout);
     std::cout << "\n";
     bench::print_verdict(identical,
-                         "float matvec: packed and every probed wide "
-                         "variant are bitwise identical to tensor::matvec "
-                         "at all sizes");
+                         "float matvec: every probed wide arm is bitwise "
+                         "identical to tensor::matvec at all sizes");
     all_ok = all_ok && identical;
   }
 
@@ -208,8 +268,7 @@ int main(int argc, char** argv) {
     };
     const std::vector<Geom> geoms = {{16, 8, 16}, {32, 16, 12}};
     bool identical = true;
-    util::Table table({"float conv2d 3x3", "packed us", "wide us (best)",
-                       "isa", "speedup"});
+    util::Table table = header("float conv2d 3x3");
     for (const Geom& gm : geoms) {
       const k::Conv2dGeom g{.in_c = gm.in_c, .in_h = gm.hw, .in_w = gm.hw,
                             .out_c = gm.out_c, .k = 3, .stride = 1,
@@ -232,83 +291,43 @@ int main(int argc, char** argv) {
       for (auto& v : col)
         v = static_cast<float>(rng() % 2001) * 1e-3f - 1.0f;
 
-      const std::size_t out_n = gm.out_c * g.opix();
-      std::vector<float> ref(out_n), pck(out_n), wide(out_n);
-      std::vector<float> packed_panel(k::conv_panel_floats(gm.out_c,
-                                                           g.patch()));
-      k::pack_conv_panel(wt.data(), gm.out_c, g.patch(),
-                         packed_panel.data());
-      std::vector<float> wide_panel(k::wide_conv_panel_floats(gm.out_c,
-                                                              g.patch()));
-      k::pack_wide_conv_panel(wt.data(), gm.out_c, g.patch(),
-                              wide_panel.data());
-
-      (void)k::conv2d_im2col(wt.data(), bias.data(), t, col.data(),
-                             ref.data(), k::Epilogue::kNone, false);
-      (void)k::conv2d_im2col_packed(packed_panel.data(), wt.data(),
-                                    bias.data(), t, col.data(), pck.data(),
-                                    k::Epilogue::kNone, false);
-      identical = identical && bits_equal(pck, ref);
-      for (const IsaRow& row : rows) {
-        (void)row.conv(wide_panel.data(), wt.data(), bias.data(), t,
-                       col.data(), wide.data(), k::Epilogue::kNone, false);
+      std::vector<float> wide(gm.out_c * g.opix());
+      std::vector<float> panel(k::wide_conv_panel_floats(gm.out_c,
+                                                         g.patch()));
+      k::pack_wide_conv_panel(wt.data(), gm.out_c, g.patch(), panel.data());
+      const std::vector<float> ref = conv_reference(wt, bias, t, col);
+      auto call = [&](std::size_t i) {
+        (void)rows[i].conv(panel.data(), wt.data(), bias.data(), t,
+                           col.data(), wide.data(), k::Epilogue::kNone,
+                           false);
+      };
+      for (std::size_t i = 0; i < rows.size(); ++i) {
+        call(i);
         identical = identical && bits_equal(wide, ref);
       }
 
-      double t_pck = 1e300;
-      std::vector<double> t_wide(rows.size(), 1e300);
-      for (std::size_t r = 0; r < reps; ++r) {
-        t_pck = std::min(
-            t_pck, bench::time_per_call_us(
-                       [&] {
-                         (void)k::conv2d_im2col_packed(
-                             packed_panel.data(), wt.data(), bias.data(), t,
-                             col.data(), pck.data(), k::Epilogue::kNone,
-                             false);
-                       },
-                       calls));
-        for (std::size_t i = 0; i < rows.size(); ++i)
-          t_wide[i] = std::min(
-              t_wide[i], bench::time_per_call_us(
-                             [&] {
-                               (void)rows[i].conv(
-                                   wide_panel.data(), wt.data(), bias.data(),
-                                   t, col.data(), wide.data(),
-                                   k::Epilogue::kNone, false);
-                             },
-                             calls));
-      }
-
+      const std::vector<double> tm = time_arms(rows.size(), reps, calls, call);
       const std::string tag = "conv" + std::to_string(gm.out_c) + "c";
-      std::size_t best = 0;
-      for (std::size_t i = 0; i < rows.size(); ++i) {
-        json.add(tag + "_us_wide_" + k::wide_isa_name(rows[i].isa),
-                 t_wide[i]);
-        if (t_wide[i] < t_wide[best]) best = i;
-      }
-      json.add(tag + "_us_packed", t_pck);
-      json.add(tag + "_speedup", t_pck / t_wide[best]);
-      table.add_row({std::to_string(gm.out_c) + "ch " +
-                         std::to_string(gm.in_c) + "x" +
-                         std::to_string(gm.hw) + "x" + std::to_string(gm.hw),
-                     util::fmt(t_pck, 2), util::fmt(t_wide[best], 2),
-                     k::wide_isa_name(rows[best].isa),
-                     util::fmt(t_pck / t_wide[best], 2) + "x"});
+      record(tag, tm);
+      json.add(tag + "_speedup", tm[0] / tm[best_arm(tm)]);
+      add_row(table,
+              std::to_string(gm.out_c) + "ch " + std::to_string(gm.in_c) +
+                  "x" + std::to_string(gm.hw) + "x" + std::to_string(gm.hw),
+              tm, rows);
     }
     table.print(std::cout);
     std::cout << "\n";
     bench::print_verdict(identical,
-                         "float conv2d: packed and every probed wide "
-                         "variant are bitwise identical to conv2d_im2col "
-                         "on 16- and 32-channel geometries");
+                         "float conv2d: every probed wide arm is bitwise "
+                         "identical to the reference tap loop on 16- and "
+                         "32-channel geometries");
     all_ok = all_ok && identical;
   }
 
   // ------------------------------------------------ 3. int8 matvec micro
   {
     bool identical = true;
-    util::Table table({"int8 matvec", "packed us", "wide us (best)", "isa",
-                       "speedup"});
+    util::Table table = header("int8 matvec");
     for (std::size_t n : sizes) {
       std::vector<std::int8_t> w(n * n), x(n);
       util::Xoshiro256 rng{n + 7};
@@ -326,64 +345,34 @@ int main(int argc, char** argv) {
                            .out_scale = 0.05f,
                            .relu = false};
 
-      std::vector<std::int8_t> pck(n), wide(n);
-      std::vector<std::int8_t> packed_panel(qk::qdense_panel_bytes(n, n));
-      qk::pack_qdense_panel(w.data(), n, n, packed_panel.data());
-      std::vector<std::int8_t> wide_panel(qk::qwide_dense_panel_bytes(n, n));
-      qk::pack_qwide_dense_panel(w.data(), n, n, wide_panel.data());
-
-      std::uint64_t sat_pck = 0, sat_wide = 0;
-      qk::qmatvec_packed(packed_panel.data(), n, n, x.data(), rq, pck.data(),
-                         &sat_pck);
-      for (const IsaRow& row : rows) {
-        sat_wide = 0;
-        row.qdense(wide_panel.data(), n, n, x.data(), rq, wide.data(),
-                   &sat_wide);
-        identical = identical && wide == pck && sat_wide == sat_pck;
-      }
-
-      double t_pck = 1e300;
-      std::vector<double> t_wide(rows.size(), 1e300);
-      for (std::size_t r = 0; r < reps; ++r) {
-        t_pck = std::min(t_pck,
-                         bench::time_per_call_us(
-                             [&] {
-                               qk::qmatvec_packed(packed_panel.data(), n, n,
-                                                  x.data(), rq, pck.data(),
-                                                  &sat_pck);
-                             },
-                             calls));
-        for (std::size_t i = 0; i < rows.size(); ++i)
-          t_wide[i] = std::min(
-              t_wide[i], bench::time_per_call_us(
-                             [&] {
-                               rows[i].qdense(wide_panel.data(), n, n,
-                                              x.data(), rq, wide.data(),
-                                              &sat_wide);
-                             },
-                             calls));
-      }
-
-      std::size_t best = 0;
+      std::vector<std::int8_t> wide(n);
+      std::vector<std::int8_t> panel(qk::qwide_dense_panel_bytes(n, n));
+      qk::pack_qwide_dense_panel(w.data(), n, n, panel.data());
+      std::uint64_t sat_ref = 0, sat_wide = 0;
+      const std::vector<std::int8_t> ref =
+          qmatvec_reference(w, n, x, rq, &sat_ref);
+      auto call = [&](std::size_t i) {
+        rows[i].qdense(panel.data(), n, n, x.data(), rq, wide.data(),
+                       &sat_wide);
+      };
       for (std::size_t i = 0; i < rows.size(); ++i) {
-        q_speedups[i].push_back(t_pck / t_wide[i]);
-        json.add("qmatvec" + std::to_string(n) + "_us_wide_" +
-                     k::wide_isa_name(rows[i].isa),
-                 t_wide[i]);
-        if (t_wide[i] < t_wide[best]) best = i;
+        sat_wide = 0;
+        call(i);
+        identical = identical && wide == ref && sat_wide == sat_ref;
       }
-      json.add("qmatvec" + std::to_string(n) + "_us_packed", t_pck);
-      table.add_row({std::to_string(n) + "x" + std::to_string(n),
-                     util::fmt(t_pck, 2), util::fmt(t_wide[best], 2),
-                     k::wide_isa_name(rows[best].isa),
-                     util::fmt(t_pck / t_wide[best], 2) + "x"});
+
+      const std::vector<double> t = time_arms(rows.size(), reps, calls, call);
+      for (std::size_t i = 0; i < rows.size(); ++i)
+        q_speedups[i].push_back(t[0] / t[i]);
+      record("qmatvec" + std::to_string(n), t);
+      add_row(table, std::to_string(n) + "x" + std::to_string(n), t, rows);
     }
     table.print(std::cout);
     std::cout << "\n";
     bench::print_verdict(identical,
-                         "int8 matvec: every probed wide variant matches "
-                         "the packed kernel byte for byte at all sizes, "
-                         "clip counters included");
+                         "int8 matvec: every probed wide arm matches the "
+                         "reference loop byte for byte at all sizes, clip "
+                         "counters included");
     all_ok = all_ok && identical;
   }
 
@@ -414,68 +403,34 @@ int main(int argc, char** argv) {
                          .out_scale = 0.05f,
                          .relu = true};
 
-    const std::size_t out_n = g.out_c * g.opix();
-    std::vector<std::int8_t> ref(out_n), pck(out_n), wide(out_n);
-    std::vector<std::int8_t> packed_panel(
-        qk::qconv_panel_bytes(g.out_c, g.patch()));
-    qk::pack_qconv_panel(wt.data(), g.out_c, g.patch(), packed_panel.data());
-    std::vector<std::int8_t> wide_panel(
+    std::vector<std::int8_t> wide(g.out_c * g.opix());
+    std::vector<std::int8_t> panel(
         qk::qwide_conv_panel_bytes(g.out_c, g.patch()));
-    qk::pack_qwide_conv_panel(wt.data(), g.out_c, g.patch(),
-                              wide_panel.data());
-
-    std::uint64_t sat_ref = 0, sat_pck = 0, sat_wide = 0;
-    qk::qconv2d_im2col(wt.data(), t, col.data(), rq, ref.data(), &sat_ref);
-    qk::qconv2d_im2col_packed(packed_panel.data(), wt.data(), t, col.data(),
-                              rq, pck.data(), &sat_pck);
-    bool identical = pck == ref && sat_pck == sat_ref;
-    for (const IsaRow& row : rows) {
+    qk::pack_qwide_conv_panel(wt.data(), g.out_c, g.patch(), panel.data());
+    std::uint64_t sat_ref = 0, sat_wide = 0;
+    const std::vector<std::int8_t> ref =
+        qconv_reference(wt, t, col, rq, &sat_ref);
+    auto call = [&](std::size_t i) {
+      rows[i].qconv(panel.data(), wt.data(), t, col.data(), rq, wide.data(),
+                    &sat_wide);
+    };
+    bool identical = true;
+    for (std::size_t i = 0; i < rows.size(); ++i) {
       sat_wide = 0;
-      row.qconv(wide_panel.data(), wt.data(), t, col.data(), rq, wide.data(),
-                &sat_wide);
+      call(i);
       identical = identical && wide == ref && sat_wide == sat_ref;
     }
 
-    double t_pck = 1e300;
-    std::vector<double> t_wide(rows.size(), 1e300);
-    for (std::size_t r = 0; r < reps; ++r) {
-      t_pck = std::min(t_pck, bench::time_per_call_us(
-                                  [&] {
-                                    qk::qconv2d_im2col_packed(
-                                        packed_panel.data(), wt.data(), t,
-                                        col.data(), rq, pck.data(), &sat_pck);
-                                  },
-                                  calls));
-      for (std::size_t i = 0; i < rows.size(); ++i)
-        t_wide[i] = std::min(
-            t_wide[i], bench::time_per_call_us(
-                           [&] {
-                             rows[i].qconv(wide_panel.data(), wt.data(), t,
-                                           col.data(), rq, wide.data(),
-                                           &sat_wide);
-                           },
-                           calls));
-    }
-
-    std::size_t best = 0;
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      json.add("qconv8c_us_wide_" + std::string(k::wide_isa_name(rows[i].isa)),
-               t_wide[i]);
-      if (t_wide[i] < t_wide[best]) best = i;
-    }
-    json.add("qconv8c_us_packed", t_pck);
-    json.add("qconv8c_wide_vs_packed", t_pck / t_wide[best]);
-    util::Table table({"int8 conv2d 3x3", "packed us", "wide us (best)",
-                       "isa", "speedup"});
-    table.add_row({"8ch 8x16x16", util::fmt(t_pck, 2),
-                   util::fmt(t_wide[best], 2),
-                   k::wide_isa_name(rows[best].isa),
-                   util::fmt(t_pck / t_wide[best], 2) + "x"});
+    const std::vector<double> tm = time_arms(rows.size(), reps, calls, call);
+    record("qconv8c", tm);
+    json.add("qconv8c_speedup", tm[0] / tm[best_arm(tm)]);
+    util::Table table = header("int8 conv2d 3x3");
+    add_row(table, "8ch 8x16x16", tm, rows);
     table.print(std::cout);
     std::cout << "\n";
     bench::print_verdict(identical,
-                         "int8 conv2d: packed and every probed wide variant "
-                         "(8-lane half group) match qconv2d_im2col byte for "
+                         "int8 conv2d: every probed wide arm (8-lane half "
+                         "group) matches the reference tap loop byte for "
                          "byte on the 8-channel conv, clip counters "
                          "included");
     all_ok = all_ok && identical;
@@ -485,7 +440,7 @@ int main(int argc, char** argv) {
   {
     double best_geomean = 0.0;
     std::string best_tag = "none";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
+    for (std::size_t i = 1; i < rows.size(); ++i) {
       const double fg = geomean(f_speedups[i]);
       const double qg = geomean(q_speedups[i]);
       const std::string isa = k::wide_isa_name(rows[i].isa);
@@ -493,8 +448,7 @@ int main(int argc, char** argv) {
       json.add("int8_dense_geomean_" + isa, qg);
       std::cout << "geomean over dense sizes [" << isa << "]: float "
                 << util::fmt(fg, 2) << "x, int8 " << util::fmt(qg, 2)
-                << "x vs packed\n";
-      if (rows[i].isa == k::WideIsa::kScalar) continue;  // never gated
+                << "x vs the scalar arm\n";
       if (fg > best_geomean) { best_geomean = fg; best_tag = "float/" + isa; }
       if (qg > best_geomean) { best_geomean = qg; best_tag = "int8/" + isa; }
     }
@@ -503,13 +457,13 @@ int main(int argc, char** argv) {
     if (!has_simd) {
       bench::print_verdict(true,
                            "no wide lane family probed on this machine — "
-                           "the wide entry points are the scalar twin and "
+                           "the SIMD entry points are the scalar arm and "
                            "the >= 2x gate is vacuous here");
     } else {
       all_ok = bench::timing_verdict(
                    best_geomean >= 2.0,
-                   "wide microkernels reach >= 2x geomean over kPacked on "
-                   "at least one probed lane family (best " +
+                   "wide SIMD arms reach >= 2x geomean over the scalar arm "
+                   "on at least one probed lane family (best " +
                        util::fmt(best_geomean, 2) + "x on " + best_tag + ")",
                    args) &&
                all_ok;

@@ -35,54 +35,12 @@ void BM_Matvec(benchmark::State& state) {
 }
 BENCHMARK(BM_Matvec)->Arg(32)->Arg(128)->Arg(512);
 
-// Planned-kernel counterparts at the same sizes as BM_Matvec, so the E14
-// speedup targets are read off the same table. Bitwise identity between
-// all three is asserted in tensor_kernels_test; here we only time.
-void BM_MatvecBlocked(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  tensor::Tensor w{tensor::Shape::mat(n, n)};
-  tensor::Tensor x{tensor::Shape::vec(n)};
-  tensor::Tensor b{tensor::Shape::vec(n)};
-  tensor::Tensor out{tensor::Shape::vec(n)};
-  util::Xoshiro256 rng{1};
-  w.init_uniform(rng, -1, 1);
-  x.init_uniform(rng, -1, 1);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(tensor::kernels::matvec_blocked(
-        w.data().data(), b.data().data(), n, n, x.data().data(),
-        out.data().data(), tensor::kernels::Epilogue::kNone, false));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n * n));
-}
-BENCHMARK(BM_MatvecBlocked)->Arg(32)->Arg(128)->Arg(512);
-
-void BM_MatvecPacked(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  tensor::Tensor w{tensor::Shape::mat(n, n)};
-  tensor::Tensor x{tensor::Shape::vec(n)};
-  tensor::Tensor b{tensor::Shape::vec(n)};
-  tensor::Tensor out{tensor::Shape::vec(n)};
-  util::Xoshiro256 rng{1};
-  w.init_uniform(rng, -1, 1);
-  x.init_uniform(rng, -1, 1);
-  std::vector<float> panel(tensor::kernels::dense_panel_floats(n, n));
-  tensor::kernels::pack_dense_panel(w.data().data(), n, n, panel.data());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(tensor::kernels::matvec_packed(
-        panel.data(), b.data().data(), n, n, x.data().data(),
-        out.data().data(), tensor::kernels::Epilogue::kNone, false));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n * n));
-}
-BENCHMARK(BM_MatvecPacked)->Arg(32)->Arg(128)->Arg(512);
-
-// The kWide lane microkernel at the same sizes, on the lane family the
-// deploy-time probe would select here (scalar twin on machines with no
-// wide lanes). Bitwise identity to the packed/blocked/reference rows is
-// asserted in tensor_kernels_wide_test; here we only time.
-void BM_MatvecWide(benchmark::State& state) {
+// The wide lane microkernel at the same sizes as BM_Matvec, on the lane
+// family the deploy-time probe would select here (the scalar arm on
+// machines with no wide lanes), so the E14 speedup targets are read off
+// the same table. Bitwise identity to the reference row is asserted in
+// tensor_kernels_wide_test; here we only time.
+void matvec_wide(benchmark::State& state, tensor::kernels::Epilogue ep) {
   const auto n = static_cast<std::size_t>(state.range(0));
   tensor::Tensor w{tensor::Shape::mat(n, n)};
   tensor::Tensor x{tensor::Shape::vec(n)};
@@ -98,11 +56,15 @@ void BM_MatvecWide(benchmark::State& state) {
       tensor::kernels::wide_dense_kernel(platform::select_wide_isa().isa);
   for (auto _ : state) {
     benchmark::DoNotOptimize(fn(panel.data(), b.data().data(), n, n,
-                                x.data().data(), out.data().data(),
-                                tensor::kernels::Epilogue::kNone, false));
+                                x.data().data(), out.data().data(), ep,
+                                false));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n * n));
+}
+
+void BM_MatvecWide(benchmark::State& state) {
+  matvec_wide(state, tensor::kernels::Epilogue::kNone);
 }
 BENCHMARK(BM_MatvecWide)->Arg(32)->Arg(128)->Arg(512);
 
@@ -126,23 +88,11 @@ void BM_MatvecThenRelu(benchmark::State& state) {
 BENCHMARK(BM_MatvecThenRelu)->Arg(32)->Arg(128)->Arg(512);
 
 void BM_MatvecFusedRelu(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  tensor::Tensor w{tensor::Shape::mat(n, n)};
-  tensor::Tensor x{tensor::Shape::vec(n)};
-  tensor::Tensor b{tensor::Shape::vec(n)};
-  tensor::Tensor out{tensor::Shape::vec(n)};
-  util::Xoshiro256 rng{1};
-  w.init_uniform(rng, -1, 1);
-  x.init_uniform(rng, -1, 1);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(tensor::kernels::matvec_blocked(
-        w.data().data(), b.data().data(), n, n, x.data().data(),
-        out.data().data(), tensor::kernels::Epilogue::kRelu, false));
-  }
+  matvec_wide(state, tensor::kernels::Epilogue::kRelu);
 }
 BENCHMARK(BM_MatvecFusedRelu)->Arg(32)->Arg(128)->Arg(512);
 
-// Conv2d reference loop vs the planned gather + blocked-GEMM lowering,
+// Conv2d reference loop vs the planned gather + wide-GEMM lowering,
 // square c-channel input, 3x3 kernel, pad 1 (the CNN fixture's geometry).
 void BM_Conv2dReference(benchmark::State& state) {
   const auto hw = static_cast<std::size_t>(state.range(0));
@@ -157,67 +107,9 @@ void BM_Conv2dReference(benchmark::State& state) {
 }
 BENCHMARK(BM_Conv2dReference)->Arg(16)->Arg(32);
 
-void BM_Conv2dIm2col(benchmark::State& state) {
-  namespace k = tensor::kernels;
-  const auto hw = static_cast<std::size_t>(state.range(0));
-  dl::Conv2d layer{3, 8, 3, 1, 1};
-  util::Xoshiro256 rng{9};
-  layer.init(rng);
-  tensor::Tensor in{tensor::Shape::chw(3, hw, hw)};
-  in.init_uniform(rng, -1, 1);
-  tensor::Tensor out{layer.output_shape(in.shape())};
-
-  const k::Conv2dGeom g{.in_c = 3, .in_h = hw, .in_w = hw, .out_c = 8,
-                        .k = 3, .stride = 1, .pad = 1};
-  const std::size_t entries = k::im2col_entries(g);
-  std::vector<std::uint32_t> pix_off(g.opix() + 1), in_idx(entries),
-      w_ofs(entries);
-  k::build_im2col_tables(g, pix_off.data(), in_idx.data(), w_ofs.data());
-  const k::ConvTables t{.out_c = 8, .patch = g.patch(), .opix = g.opix(),
-                        .pix_off = pix_off.data(), .in_idx = in_idx.data(),
-                        .w_ofs = w_ofs.data()};
-  std::vector<float> col(entries);
-  for (auto _ : state) {
-    k::im2col_gather(in.data().data(), in_idx.data(), entries, col.data());
-    benchmark::DoNotOptimize(k::conv2d_im2col(
-        layer.weights().data(), layer.bias().data(), t, col.data(),
-        out.data().data(), k::Epilogue::kNone, false));
-  }
-}
-BENCHMARK(BM_Conv2dIm2col)->Arg(16)->Arg(32);
-
-void BM_Conv2dIm2colFusedRelu(benchmark::State& state) {
-  namespace k = tensor::kernels;
-  const auto hw = static_cast<std::size_t>(state.range(0));
-  dl::Conv2d layer{3, 8, 3, 1, 1};
-  util::Xoshiro256 rng{9};
-  layer.init(rng);
-  tensor::Tensor in{tensor::Shape::chw(3, hw, hw)};
-  in.init_uniform(rng, -1, 1);
-  tensor::Tensor out{layer.output_shape(in.shape())};
-
-  const k::Conv2dGeom g{.in_c = 3, .in_h = hw, .in_w = hw, .out_c = 8,
-                        .k = 3, .stride = 1, .pad = 1};
-  const std::size_t entries = k::im2col_entries(g);
-  std::vector<std::uint32_t> pix_off(g.opix() + 1), in_idx(entries),
-      w_ofs(entries);
-  k::build_im2col_tables(g, pix_off.data(), in_idx.data(), w_ofs.data());
-  const k::ConvTables t{.out_c = 8, .patch = g.patch(), .opix = g.opix(),
-                        .pix_off = pix_off.data(), .in_idx = in_idx.data(),
-                        .w_ofs = w_ofs.data()};
-  std::vector<float> col(entries);
-  for (auto _ : state) {
-    k::im2col_gather(in.data().data(), in_idx.data(), entries, col.data());
-    benchmark::DoNotOptimize(k::conv2d_im2col(
-        layer.weights().data(), layer.bias().data(), t, col.data(),
-        out.data().data(), k::Epilogue::kRelu, false));
-  }
-}
-BENCHMARK(BM_Conv2dIm2colFusedRelu)->Arg(16)->Arg(32);
-
-// kWide conv counterpart of BM_Conv2dIm2col on the probed lane family,
+// The planned gather + wide-GEMM lowering on the probed lane family,
 // 8-channel geometry so the full lane-group path is exercised.
-void BM_Conv2dWide(benchmark::State& state) {
+void conv2d_wide(benchmark::State& state, tensor::kernels::Epilogue ep) {
   namespace k = tensor::kernels;
   const auto hw = static_cast<std::size_t>(state.range(0));
   dl::Conv2d layer{3, 8, 3, 1, 1};
@@ -245,11 +137,19 @@ void BM_Conv2dWide(benchmark::State& state) {
     k::im2col_gather(in.data().data(), in_idx.data(), entries, col.data());
     benchmark::DoNotOptimize(fn(panel.data(), layer.weights().data(),
                                 layer.bias().data(), t, col.data(),
-                                out.data().data(), k::Epilogue::kNone,
-                                false));
+                                out.data().data(), ep, false));
   }
 }
-BENCHMARK(BM_Conv2dWide)->Arg(16)->Arg(32);
+
+void BM_Conv2dIm2col(benchmark::State& state) {
+  conv2d_wide(state, tensor::kernels::Epilogue::kNone);
+}
+BENCHMARK(BM_Conv2dIm2col)->Arg(16)->Arg(32);
+
+void BM_Conv2dIm2colFusedRelu(benchmark::State& state) {
+  conv2d_wide(state, tensor::kernels::Epilogue::kRelu);
+}
+BENCHMARK(BM_Conv2dIm2colFusedRelu)->Arg(16)->Arg(32);
 
 void BM_Softmax(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -70,15 +70,10 @@ CertifiablePipeline::CertifiablePipeline(const dl::Model& model,
         "CertifiablePipeline: the int8 backend reaches the 'monitored' "
         "pattern rung; DMR and above need float replicas");
 
-  // One kernel-mode knob across backends: under kInt8, cfg.kernel_mode
-  // drives the quantized channel / batch pool / IR re-check too, unless
-  // quant_engine.kernels was set explicitly (non-kAuto). Without this a
-  // kWide request would silently deploy the int8 default and the
-  // kernel-backend record would attribute evidence to the wrong mode.
-  if (cfg_.backend == BackendKind::kInt8 &&
-      cfg_.quant_engine.kernels == dl::KernelMode::kAuto &&
-      cfg_.kernel_mode != dl::KernelMode::kAuto)
-    cfg_.quant_engine.kernels = cfg_.kernel_mode;
+  // One kernel-mode knob per pipeline: cfg.kernel_mode drives the
+  // quantized channel, batch pool and IR re-check too, so the
+  // kernel-backend record always names the mode that ran.
+  cfg_.quant_engine.kernels = cfg_.kernel_mode;
 
   model_ = std::make_unique<dl::Model>(model);
   const std::size_t n_out = model_->output_shape().size();
@@ -136,12 +131,11 @@ CertifiablePipeline::CertifiablePipeline(const dl::Model& model,
     dl::BatchRunnerConfig bcfg;
     bcfg.workers = cfg_.batch_workers;
     bcfg.registry = obs_.get();
+    bcfg.kernels = cfg_.kernel_mode;
     if (quant_) {
       bcfg.arena_slack = cfg_.quant_engine.arena_slack;
-      bcfg.kernels = cfg_.quant_engine.kernels;
       batch_ = std::make_unique<dl::BatchRunner>(*quant_, bcfg);
     } else {
-      bcfg.kernels = cfg_.kernel_mode;
       batch_ = std::make_unique<dl::BatchRunner>(*model_, bcfg);
     }
   }
@@ -195,10 +189,9 @@ CertifiablePipeline::CertifiablePipeline(const dl::Model& model,
       // elimination/fusion/liveness from the quantized layers alone and
       // any mismatch (an unsound or corrupted transformation) refuses the
       // deployment before a channel exists.
-      const dl::KernelMode qmode =
-          dl::resolve_kernel_mode(cfg_.quant_engine.kernels);
-      if (qmode != dl::KernelMode::kReference) {
-        const dl::QuantKernelPlan qprobe{*quant_, qmode};
+      if (dl::resolve_kernel_mode(cfg_.kernel_mode) !=
+          dl::KernelMode::kReference) {
+        const dl::QuantKernelPlan qprobe{*quant_};
         verify_->quant_ir = verify::check_ir(*quant_, qprobe);
         if (!verify_->quant_ir.passed())
           verify_->verdict.ir_sound = false;
@@ -320,22 +313,19 @@ CertifiablePipeline::CertifiablePipeline(const dl::Model& model,
   // Resolved-backend record: the mode the deployed plan *actually* runs
   // (post SX_KERNEL_REFERENCE, post CPU probe), not just the requested one
   // — under the escape hatch the two differ, and evidence attributed to
-  // the requested mode would misstate what executed. For kWide the probe /
-  // SX_KERNEL_ISA decision rides along verbatim, and so it does when kAuto
-  // fell back to kBlocked (no SIMD lane family, or SX_KERNEL_ISA=scalar /
-  // refused), saying why.
+  // the requested mode would misstate what executed. A deployed plan
+  // means kWide (the redundant patterns' replicas plan at kAuto whatever
+  // was requested); for kWide the probe / SX_KERNEL_ISA decision rides
+  // along verbatim, naming the arm that runs.
   {
     dl::KernelMode resolved = dl::resolve_kernel_mode(cfg_.kernel_mode);
-    if (channel_ != nullptr && channel_->float_kernel_plan() != nullptr)
-      resolved = channel_->float_kernel_plan()->mode();
-    else if (qchannel_ != nullptr && qchannel_->kernel_plan() != nullptr)
-      resolved = qchannel_->kernel_plan()->mode();
+    if ((channel_ != nullptr && channel_->float_kernel_plan() != nullptr) ||
+        (qchannel_ != nullptr && qchannel_->kernel_plan() != nullptr))
+      resolved = dl::KernelMode::kWide;
     kernel_backend_ =
         "requested=" + std::string(dl::kernel_mode_name(cfg_.kernel_mode)) +
         " resolved=" + std::string(dl::kernel_mode_name(resolved));
-    if (resolved == dl::KernelMode::kWide ||
-        (cfg_.kernel_mode == dl::KernelMode::kAuto &&
-         resolved == dl::KernelMode::kBlocked)) {
+    if (resolved == dl::KernelMode::kWide) {
       const platform::CpuProbe probe = platform::probe_cpu();
       kernel_backend_ +=
           "; " + platform::wide_isa_audit(

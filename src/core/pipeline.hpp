@@ -48,19 +48,20 @@ struct PipelineConfig {
   BackendKind backend = BackendKind::kFloat32;
   /// Weight-scale granularity of the kInt8 backend.
   dl::WeightGranularity quant_granularity = dl::WeightGranularity::kPerChannel;
-  /// Engine knobs of the kInt8 backend (kernel mode, arena slack) —
-  /// forwarded to the channel engine and the quantized batch pool.
+  /// Engine knobs of the kInt8 backend (arena slack) — forwarded to the
+  /// channel engine and the quantized batch pool. Its `kernels` field is
+  /// ignored: kernel_mode below is the pipeline's one kernel knob.
   dl::QuantEngineConfig quant_engine;
   /// Hot-path kernel selection: forwarded to the single/monitored channel
-  /// engines, the float batch pool, the supervisor's tap engine and the
-  /// static-verification arena check. Under the kInt8 backend it also
-  /// drives the quantized channel and batch pool unless
-  /// quant_engine.kernels was set explicitly (non-kAuto). Every mode is
+  /// engines, the float batch pool, the supervisor's tap engine, the
+  /// static-verification arena check, and under the kInt8 backend to the
+  /// quantized channel, batch pool and IR re-check. Both modes are
   /// bitwise identical by construction — the scenario sweeper crosses
-  /// this axis to *prove* it per deployment. kAuto resolves to kWide on
-  /// an avx2/avx512 host and to kBlocked elsewhere (see
-  /// dl::resolve_kernel_mode). The replicas of the redundant patterns (DMR and above, recovery block)
-  /// always deploy at kAuto; an explicit mode here does not reach them.
+  /// this axis to *prove* it per deployment. kAuto resolves to kWide,
+  /// or to kReference under SX_KERNEL_REFERENCE (see
+  /// dl::resolve_kernel_mode). The replicas of the redundant patterns
+  /// (DMR and above, recovery block) always deploy at kAuto; an explicit
+  /// mode here does not reach them.
   dl::KernelMode kernel_mode = dl::KernelMode::kAuto;
   /// When unset, the spec recommended for `criticality` is used.
   std::optional<PipelineSpec> spec;

@@ -325,20 +325,12 @@ EvidenceItem make_kernel_backend_evidence(const CertifiablePipeline& pipeline) {
   // backend from a serialized report without parsing the prose.
   os << "# BEGIN SX_KERNEL_BACKEND\n";
   os << pipeline.kernel_backend() << '\n';
-  if (fp != nullptr) {
-    os << "plan=float mode=" << dl::kernel_mode_name(fp->mode());
-    if (fp->mode() == dl::KernelMode::kWide)
-      os << " isa="
-         << tensor::kernels::wide_isa_name(fp->isa_selection().isa);
-    os << '\n';
-  }
-  if (qp != nullptr) {
-    os << "plan=int8 mode=" << dl::kernel_mode_name(qp->mode());
-    if (qp->mode() == dl::KernelMode::kWide)
-      os << " isa="
-         << tensor::kernels::wide_isa_name(qp->isa_selection().isa);
-    os << '\n';
-  }
+  if (fp != nullptr)
+    os << "plan=float mode=wide isa="
+       << tensor::kernels::wide_isa_name(fp->isa_selection().isa) << '\n';
+  if (qp != nullptr)
+    os << "plan=int8 mode=wide isa="
+       << tensor::kernels::wide_isa_name(qp->isa_selection().isa) << '\n';
   os << "# END SX_KERNEL_BACKEND\n";
   return EvidenceItem{"Resolved kernel backend (CPU-probe selection)",
                       os.str()};

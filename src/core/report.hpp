@@ -48,7 +48,7 @@ CertificationReport make_certification_report(
 EvidenceItem make_batch_runner_evidence(const dl::BatchRunner& runner);
 
 /// Evidence for a deploy-time kernel plan: resolved mode, per-layer step
-/// list (blocked/packed Dense, im2col Conv2d, fused epilogues, reference
+/// list (wide-panel Dense, im2col Conv2d, fused epilogues, reference
 /// fallbacks), deploy-time table/panel footprints and the arena-resident
 /// scratch demand — the "all layout decisions made before operation"
 /// argument. Attach to make_certification_report's evidence list.

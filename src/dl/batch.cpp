@@ -46,7 +46,7 @@ BatchRunner::BatchRunner(const Model& model, BatchRunnerConfig cfg)
       .kernels = cfg_.kernels};
   const KernelMode mode = resolve_kernel_mode(cfg_.kernels);
   if (mode != KernelMode::kReference)
-    plan_ = std::make_unique<KernelPlan>(model, mode);
+    plan_ = std::make_unique<KernelPlan>(model);
   for (auto& w : pool_)
     w.engine = plan_ != nullptr
                    ? std::make_unique<StaticEngine>(model, *plan_, engine_cfg)
@@ -85,7 +85,7 @@ BatchRunner::BatchRunner(const QuantizedModel& model, BatchRunnerConfig cfg)
                                      .kernels = cfg_.kernels};
   const KernelMode mode = resolve_kernel_mode(cfg_.kernels);
   if (mode != KernelMode::kReference)
-    qplan_ = std::make_unique<QuantKernelPlan>(model, mode);
+    qplan_ = std::make_unique<QuantKernelPlan>(model);
   for (auto& w : pool_)
     w.qengine = qplan_ != nullptr
                     ? std::make_unique<QuantEngine>(model, *qplan_, engine_cfg)

@@ -15,7 +15,7 @@ std::unique_ptr<KernelPlan> make_owned_plan(const Model& model,
                                             const StaticEngineConfig& cfg) {
   const KernelMode mode = resolve_kernel_mode(cfg.kernels);
   if (mode == KernelMode::kReference) return nullptr;
-  return std::make_unique<KernelPlan>(model, mode, cfg.pin_tap_layer);
+  return std::make_unique<KernelPlan>(model, cfg.pin_tap_layer);
 }
 
 /// Planned mode: the liveness-colored base block. Reference mode: the
@@ -156,9 +156,9 @@ Status StaticEngine::run_planned(tensor::ConstTensorView input,
     bool pre_ok = true;
     switch (s.kind) {
       case KernelStep::Kind::kDense:
-        // Entry point resolved once at plan construction (mode + probed
-        // ISA) — a branch-free indirect call on the hot path.
-        pre_ok = s.dense_fn(s.dense_arg, s.bias, s.rows, s.cols, in, out,
+        // Entry point resolved once at plan construction (probed ISA) —
+        // a branch-free indirect call on the hot path.
+        pre_ok = s.dense_fn(s.panel, s.bias, s.rows, s.cols, in, out,
                             s.epilogue, pre_check);
         break;
       case KernelStep::Kind::kConv2d: {

@@ -31,8 +31,8 @@ struct StaticEngineConfig {
   std::size_t arena_slack = 0;
   /// Hot-path kernel selection (see dl/plan.hpp). kAuto resolves at
   /// construction time: the reference loops when SX_KERNEL_REFERENCE is
-  /// set, else the wide kernels on an avx2/avx512 host (SX_KERNEL_ISA
-  /// honored), else the planned blocked kernels.
+  /// set, else the wide kernels on the probed arm (SX_KERNEL_ISA
+  /// honored).
   KernelMode kernels = KernelMode::kAuto;
   /// Keep the activation feeding this layer materialized in the plan
   /// (fusion across it is blocked) so run_tapped can capture it. Ignored
@@ -98,19 +98,18 @@ class StaticEngine {
 
   /// The kernel plan in effect (nullptr when running reference loops).
   const KernelPlan* kernel_plan() const noexcept { return plan_; }
-  /// Re-snapshots packed weight panels from the live model parameters.
+  /// Re-snapshots the weight panels from the live model parameters.
   /// Required after in-place weight mutation (fault injection, scrubbing)
-  /// under kPacked and kWide (the usual kAuto resolution), where
-  /// Dense/Conv2d weights were copied into panels at plan time — without
-  /// it the mutation is invisible to the hot path.
-  /// No-op for reference/blocked modes; a shared plan must be repacked by
-  /// its owner instead.
+  /// under kWide (the usual kAuto resolution), where Dense/Conv2d weights
+  /// were copied into panels at plan time — without it the mutation is
+  /// invisible to the hot path. No-op in reference mode; a shared plan
+  /// must be repacked by its owner instead.
   void repack() noexcept {
     if (owned_plan_) owned_plan_->repack();
   }
-  /// Resolved mode: the shared/owned plan's mode, or kReference.
+  /// Resolved mode: kWide when a plan drives the engine, else kReference.
   KernelMode kernel_mode() const noexcept {
-    return plan_ ? plan_->mode() : KernelMode::kReference;
+    return plan_ ? KernelMode::kWide : KernelMode::kReference;
   }
 
  private:

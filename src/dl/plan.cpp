@@ -9,12 +9,10 @@ namespace sx::dl {
 
 namespace k = tensor::kernels;
 
-KernelMode resolve_kernel_mode(KernelMode requested, bool reference_forced,
-                               const platform::WideIsaSelection& isa) noexcept {
+KernelMode resolve_kernel_mode(KernelMode requested,
+                               bool reference_forced) noexcept {
   if (requested != KernelMode::kAuto) return requested;
-  if (reference_forced) return KernelMode::kReference;
-  return isa.isa == k::WideIsa::kScalar ? KernelMode::kBlocked
-                                        : KernelMode::kWide;
+  return reference_forced ? KernelMode::kReference : KernelMode::kWide;
 }
 
 KernelMode resolve_kernel_mode(KernelMode requested) noexcept {
@@ -26,15 +24,13 @@ KernelMode resolve_kernel_mode(KernelMode requested) noexcept {
   const char* env = std::getenv("SX_KERNEL_REFERENCE");
   const bool forced =
       env != nullptr && env[0] != '\0' && !(env[0] == '0' && env[1] == '\0');
-  return resolve_kernel_mode(requested, forced, platform::select_wide_isa());
+  return resolve_kernel_mode(requested, forced);
 }
 
 const char* kernel_mode_name(KernelMode mode) noexcept {
   switch (mode) {
     case KernelMode::kAuto: return "auto";
     case KernelMode::kReference: return "reference";
-    case KernelMode::kBlocked: return "blocked";
-    case KernelMode::kPacked: return "packed";
     case KernelMode::kWide: return "wide";
   }
   return "unknown";
@@ -43,9 +39,8 @@ const char* kernel_mode_name(KernelMode mode) noexcept {
 std::span<const KernelMode> all_kernel_modes() noexcept {
   // kReference first: differential consumers (the scenario identity
   // matrix) treat the first entry as the twin anchor.
-  static constexpr KernelMode kModes[] = {
-      KernelMode::kReference, KernelMode::kBlocked, KernelMode::kPacked,
-      KernelMode::kWide};
+  static constexpr KernelMode kModes[] = {KernelMode::kReference,
+                                          KernelMode::kWide};
   return kModes;
 }
 
@@ -78,20 +73,15 @@ k::Conv2dGeom conv_geom(const Model& m, std::size_t i, const Conv2d& c) {
 
 }  // namespace
 
-KernelPlan::KernelPlan(const Model& model, KernelMode mode,
-                       std::size_t pin_tap_layer)
+KernelPlan::KernelPlan(const Model& model, std::size_t pin_tap_layer)
     : model_(&model),
-      mode_(mode),
+      probe_(platform::probe_cpu()),
       pin_tap_layer_(pin_tap_layer),
       program_(lower(model)) {
-  if (mode_ == KernelMode::kWide) {
-    // The one and only probe: configuration time, before any step exists.
-    // The decision is kept for the audit trail (isa_selection()); the hot
-    // path only ever sees the function pointers resolved below.
-    probe_ = platform::probe_cpu();
-    isa_sel_ =
-        platform::select_wide_isa(probe_, std::getenv("SX_KERNEL_ISA"));
-  }
+  // The one and only probe: configuration time, before any step exists.
+  // The decision is kept for the audit trail (isa_selection()); the hot
+  // path only ever sees the function pointers resolved below.
+  isa_sel_ = platform::select_wide_isa(probe_, std::getenv("SX_KERNEL_ISA"));
   // Static-analysis pass pipeline over the lowered IR: dce, fusion
   // legality, liveness arena coloring. The per-pass audit evidence is
   // retained for the AuditLog and the verify gate re-derives all of it.
@@ -115,18 +105,10 @@ KernelPlan::KernelPlan(const Model& model, KernelMode mode,
       table_u32 += (g.opix() + 1) + 2 * entries;
       table_entries_ += entries;
       scratch_floats_ = scratch_floats_ > entries ? scratch_floats_ : entries;
-      if (mode_ == KernelMode::kPacked)
-        panel_floats_ += k::conv_panel_floats(g.out_c, g.patch());
-      else if (mode_ == KernelMode::kWide)
-        panel_floats_ += k::wide_conv_panel_floats(g.out_c, g.patch());
-    } else if (op.kind == ir::OpKind::kDense &&
-               (mode_ == KernelMode::kPacked ||
-                mode_ == KernelMode::kWide)) {
+      panel_floats_ += k::wide_conv_panel_floats(g.out_c, g.patch());
+    } else if (op.kind == ir::OpKind::kDense) {
       const auto& d = static_cast<const Dense&>(model.layer(op.layer));
-      panel_floats_ += mode_ == KernelMode::kPacked
-                           ? k::dense_panel_floats(d.out_dim(), d.in_dim())
-                           : k::wide_dense_panel_floats(d.out_dim(),
-                                                        d.in_dim());
+      panel_floats_ += k::wide_dense_panel_floats(d.out_dim(), d.in_dim());
     }
   }
 
@@ -172,24 +154,13 @@ KernelPlan::KernelPlan(const Model& model, KernelMode mode,
       s.cols = d.in_dim();
       s.weights = d.weights().data();
       s.bias = d.bias().data();
-      if (mode_ == KernelMode::kPacked) {
-        float* panel = panels_.get() + pf;
-        k::pack_dense_panel(s.weights, s.rows, s.cols, panel);
-        s.panel = panel;
-        pf += k::dense_panel_floats(s.rows, s.cols);
-      } else if (mode_ == KernelMode::kWide) {
-        float* panel = panels_.get() + pf;
-        k::pack_wide_dense_panel(s.weights, s.rows, s.cols, panel);
-        s.panel = panel;
-        pf += k::wide_dense_panel_floats(s.rows, s.cols);
-      }
+      float* panel = panels_.get() + pf;
+      k::pack_wide_dense_panel(s.weights, s.rows, s.cols, panel);
+      s.panel = panel;
+      pf += k::wide_dense_panel_floats(s.rows, s.cols);
       // Branch-free hot path: the kernel entry point is decided here,
       // once, for the plan's whole lifetime.
-      s.dense_fn = mode_ == KernelMode::kBlocked ? &k::matvec_blocked
-                   : mode_ == KernelMode::kPacked
-                       ? &k::matvec_packed
-                       : k::wide_dense_kernel(isa_sel_.isa);
-      s.dense_arg = s.panel != nullptr ? s.panel : s.weights;
+      s.dense_fn = k::wide_dense_kernel(isa_sel_.isa);
       ++planned_dense_;
     } else if (op.kind == ir::OpKind::kConv2d) {
       const auto& c = static_cast<const Conv2d&>(model.layer(op.layer));
@@ -210,30 +181,16 @@ KernelPlan::KernelPlan(const Model& model, KernelMode mode,
       s.weights = c.weights().data();
       s.bias = c.bias().data();
       s.scratch = entries;
-      if (mode_ == KernelMode::kPacked) {
-        const std::size_t pfl = k::conv_panel_floats(g.out_c, g.patch());
-        if (pfl != 0) {
-          float* panel = panels_.get() + pf;
-          k::pack_conv_panel(s.weights, g.out_c, g.patch(), panel);
-          s.panel = panel;
-          pf += pfl;
-        }
-      } else if (mode_ == KernelMode::kWide) {
-        const std::size_t pfl =
-            k::wide_conv_panel_floats(g.out_c, g.patch());
-        if (pfl != 0) {
-          float* panel = panels_.get() + pf;
-          k::pack_wide_conv_panel(s.weights, g.out_c, g.patch(), panel);
-          s.panel = panel;
-          pf += pfl;
-        }
+      // A conv under 4 channels has no panel: its kernel runs zero lane
+      // groups and sweeps every channel from the live weights.
+      const std::size_t pfl = k::wide_conv_panel_floats(g.out_c, g.patch());
+      if (pfl != 0) {
+        float* panel = panels_.get() + pf;
+        k::pack_wide_conv_panel(s.weights, g.out_c, g.patch(), panel);
+        s.panel = panel;
+        pf += pfl;
       }
-      // A conv too narrow for its lane panel (panel == nullptr) runs the
-      // live-weight kernel in every planned mode.
-      s.conv_fn = s.panel == nullptr ? &k::conv2d_im2col_live
-                  : mode_ == KernelMode::kPacked
-                      ? &k::conv2d_im2col_packed
-                      : k::wide_conv_kernel(isa_sel_.isa);
+      s.conv_fn = k::wide_conv_kernel(isa_sel_.isa);
       ++planned_conv_;
     } else {
       s.kind = KernelStep::Kind::kReference;
@@ -246,43 +203,30 @@ KernelPlan::KernelPlan(const Model& model, KernelMode mode,
 }
 
 void KernelPlan::repack() noexcept {
-  if (mode_ != KernelMode::kPacked && mode_ != KernelMode::kWide) return;
-  const bool wide = mode_ == KernelMode::kWide;
   for (std::size_t i = 0; i < step_count_; ++i) {
     KernelStep& s = steps_[i];
     if (s.panel == nullptr) continue;
-    if (s.kind == KernelStep::Kind::kDense) {
-      if (wide)
-        k::pack_wide_dense_panel(s.weights, s.rows, s.cols,
-                                 const_cast<float*>(s.panel));
-      else
-        k::pack_dense_panel(s.weights, s.rows, s.cols,
-                            const_cast<float*>(s.panel));
-    } else if (s.kind == KernelStep::Kind::kConv2d) {
-      if (wide)
-        k::pack_wide_conv_panel(s.weights, s.conv.out_c, s.conv.patch,
-                                const_cast<float*>(s.panel));
-      else
-        k::pack_conv_panel(s.weights, s.conv.out_c, s.conv.patch,
-                           const_cast<float*>(s.panel));
-    }
+    if (s.kind == KernelStep::Kind::kDense)
+      k::pack_wide_dense_panel(s.weights, s.rows, s.cols,
+                               const_cast<float*>(s.panel));
+    else if (s.kind == KernelStep::Kind::kConv2d)
+      k::pack_wide_conv_panel(s.weights, s.conv.out_c, s.conv.patch,
+                              const_cast<float*>(s.panel));
   }
 }
 
 std::string KernelPlan::summary() const {
   std::ostringstream os;
-  os << "mode=" << kernel_mode_name(mode_) << " steps=" << step_count_ << "/"
-     << model_->layer_count() << " layers (dense=" << planned_dense_
-     << " conv=" << planned_conv_ << " fused-act=" << fused_
+  os << "mode=" << kernel_mode_name(KernelMode::kWide)
+     << " steps=" << step_count_ << "/" << model_->layer_count()
+     << " layers (dense=" << planned_dense_ << " conv=" << planned_conv_
+     << " fused-act=" << fused_
      << " removed=" << removed_ << " reference=" << reference_
      << "), arena=" << layout_.total_elems << "/" << layout_.naive_elems
      << " floats, im2col entries=" << table_entries_
      << ", scratch=" << scratch_floats_ << " floats, panels=" << panel_floats_
-     << " floats";
-  if (mode_ == KernelMode::kWide) {
-    os << ", isa=" << k::wide_isa_name(isa_sel_.isa);
-    if (isa_sel_.refused) os << " (override refused)";
-  }
+     << " floats, isa=" << k::wide_isa_name(isa_sel_.isa);
+  if (isa_sel_.refused) os << " (override refused)";
   return os.str();
 }
 

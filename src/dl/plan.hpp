@@ -8,11 +8,10 @@
 // tensor lifetimes into shared arena slots — before the executable steps
 // are built from the surviving ops:
 //
-//   - Dense layers run the register-blocked matvec kernels from
-//     tensor/kernels.hpp; in kPacked mode their weights are additionally
-//     repacked into cache-line-aligned row-blocked panels owned by the
-//     plan (a deploy-time snapshot — see the staleness contract below);
-//   - Conv2d layers are lowered to gather + blocked GEMM through ragged
+//   - Dense layers run the wide matvec kernels from tensor/kernels.hpp
+//     over cache-line-aligned row-blocked panels owned by the plan (a
+//     deploy-time snapshot — see the staleness contract below);
+//   - Conv2d layers are lowered to gather + wide GEMM through ragged
 //     im2col index tables precomputed here; the gathered column is an
 //     arena slot assigned by the liveness pass;
 //   - a Dense/Conv2d whose output has exactly one live consumer, an
@@ -35,25 +34,23 @@
 // (tensor_kernels_test proves this differentially; tensor_golden_test's
 // pinned vectors stay valid).
 //
-// Staleness contract: kBlocked reads layer parameters live on every run,
-// so in-place weight mutation is observed exactly as the reference path
-// observes it. kPacked snapshots Dense weights into row-blocked panels and
-// full kConvLanes-channel groups of Conv2d weights into tap-major lane
-// panels for unit-stride access; kWide (the kAuto default on an avx2 or
-// avx512 host) does the same at its wider geometry (kWideRowBlock rows,
-// kWideConvLanes channels). Callers that mutate weights afterwards — e.g.
-// the SEU campaigns in safety/campaign.cpp injecting into a model behind a
-// long-lived engine — must call repack(); the safety channels do so in
-// InferenceChannel::refresh_replica(). The packed-conv tail channels, and
-// all conv weights in kBlocked mode, are always read live.
+// Staleness contract: a plan snapshots every Dense weight matrix into
+// kWideRowBlock-row panels, and the Conv2d weights of every full
+// kWideConvLanes-channel group and of the kWideHalfLanes-channel half
+// group into tap-major lane panels, for unit-stride access. Only the last
+// out_c % 4 conv channels are read live. Callers that mutate weights
+// afterwards — e.g. the SEU campaigns in safety/campaign.cpp injecting
+// into a model behind a long-lived engine — must call repack(); the
+// safety channels do so in InferenceChannel::refresh_replica(). The
+// kReference loops read every parameter live and need no repack.
 //
-// kWide additionally selects, once, at construction, which SIMD variant
-// of the wide kernels runs (platform::CpuProbe + SX_KERNEL_ISA override);
-// the decision is exposed via isa_selection() for the audit trail, and
-// every step's kernel entry point is resolved to a function pointer here
-// so the engine hot path stays branch-free. All wide variants compute one
-// canonical accumulation tree, so the selection affects timing only —
-// outputs stay bitwise identical across machines, with or without the ISA.
+// The plan also selects, once, at construction, which lane family of the
+// wide kernels runs (platform::CpuProbe + SX_KERNEL_ISA override: scalar,
+// avx2 or avx512); the decision is exposed via isa_selection() for the
+// audit trail, and every step's kernel entry point is resolved to a
+// function pointer here so the engine hot path stays branch-free. All
+// arms compute one canonical accumulation tree, so the selection affects
+// timing only — outputs stay bitwise identical across machines.
 //
 // One plan is immutable after construction (repack() aside) and safe to
 // share read-only across BatchRunner workers; the im2col scratch slots
@@ -76,41 +73,34 @@ namespace sx::dl {
 
 /// Hot-path kernel selection, resolved once at engine construction.
 enum class KernelMode : std::uint8_t {
-  kAuto,       ///< kWide on an avx2/avx512 host, kBlocked elsewhere, and
-               ///< kReference when SX_KERNEL_REFERENCE forces the
-               ///< reference loops (see resolve_kernel_mode)
+  kAuto,       ///< kWide, or kReference when SX_KERNEL_REFERENCE forces
+               ///< the reference loops (see resolve_kernel_mode)
   kReference,  ///< original per-layer reference loops, no plan
-  kBlocked,    ///< planned kernels over live layer parameters
-  kPacked,     ///< kBlocked + Dense weights snapshotted into aligned panels
-  kWide,       ///< wide-SIMD panels (8/16-lane float, 16/32-byte int8) with
-               ///< audited CPU-probe ISA selection; bitwise identical to
-               ///< every other mode (fixed accumulation tree + scalar twin)
+  kWide,       ///< the planned wide-panel kernels (8/16-lane float,
+               ///< 16/32-byte int8) with audited CPU-probe arm selection;
+               ///< bitwise identical to kReference on every arm
 };
 
 /// Every concrete (non-kAuto) kernel mode, kReference first. The single
 /// source of truth for exhaustive mode enumeration — the scenario identity
 /// matrix and differential tests derive their execution axes from this so
-/// a new mode can never silently miss them.
+/// a mode can never silently miss them.
 std::span<const KernelMode> all_kernel_modes() noexcept;
 
 /// "No pinned tap": the fusion pass may fuse every legal activation.
 inline constexpr std::size_t kNoPinnedTap = ~std::size_t{0};
 
-/// Pure resolution core — a function of the requested mode, whether the
-/// SX_KERNEL_REFERENCE escape hatch is set, and the audited wide-ISA
-/// selection, so tests can cover every cell without faking CPUID. An
-/// explicit mode is returned unchanged. kAuto resolves to:
-///   - kReference when the escape hatch is set;
-///   - kWide when the selection names a SIMD lane family (avx2/avx512);
-///   - kBlocked otherwise (scalar host, or SX_KERNEL_ISA=scalar / refused),
-///     where kWide would run its scalar twin, about 2x slower than the
-///     4-lane packed panels (E19).
-KernelMode resolve_kernel_mode(KernelMode requested, bool reference_forced,
-                               const platform::WideIsaSelection& isa) noexcept;
+/// Pure resolution core — a function of the requested mode and whether
+/// the SX_KERNEL_REFERENCE escape hatch is set. An explicit mode is
+/// returned unchanged; kAuto resolves to kReference when the escape hatch
+/// is set and to kWide otherwise. The lane family (scalar, avx2, avx512)
+/// is the plan's own audited choice, not a mode.
+KernelMode resolve_kernel_mode(KernelMode requested,
+                               bool reference_forced) noexcept;
 
-/// Deploy-time entry point: SX_KERNEL_REFERENCE (set, non-empty, not "0")
-/// plus platform::select_wide_isa() (CPU probe + SX_KERNEL_ISA). Reads the
-/// environment; call at configuration time only, never on the hot path.
+/// Deploy-time entry point: SX_KERNEL_REFERENCE (set, non-empty, not "0").
+/// Reads the environment; call at configuration time only, never on the
+/// hot path.
 KernelMode resolve_kernel_mode(KernelMode requested) noexcept;
 
 const char* kernel_mode_name(KernelMode mode) noexcept;
@@ -148,16 +138,15 @@ struct KernelStep {
   // kDense / kConv2d
   std::size_t rows = 0, cols = 0;  ///< Dense dims
   const float* weights = nullptr;  ///< live natural-layout weights
-  const float* panel = nullptr;    ///< packed panel (kPacked/kWide), else null
+  const float* panel = nullptr;    ///< wide panel (null for a conv under
+                                   ///< 4 channels: all of it reads live)
   const float* bias = nullptr;
 
-  /// Kernel entry points resolved once at plan construction (mode + probed
-  /// ISA), so the engine hot path is a branch-free indirect call.
-  /// dense_arg is whatever the dense kernel walks: the live weights
-  /// (kBlocked) or the panel (kPacked/kWide). Conv kernels always receive
-  /// both the panel and the live weights (tail channels read live).
+  /// Kernel entry points resolved once at plan construction (probed ISA),
+  /// so the engine hot path is a branch-free indirect call. Conv kernels
+  /// receive both the panel and the live weights (tail channels read
+  /// live).
   tensor::kernels::DenseKernelFn dense_fn = nullptr;
-  const float* dense_arg = nullptr;
   tensor::kernels::ConvKernelFn conv_fn = nullptr;
 
   // kConv2d
@@ -169,18 +158,16 @@ struct KernelStep {
 /// except repack(); shareable read-only across workers.
 class KernelPlan {
  public:
-  /// `mode` must be kBlocked, kPacked, or kWide (resolve kAuto first); the
-  /// model must outlive the plan. `pin_tap_layer` keeps the activation
-  /// feeding that layer materialized (fusion across it is blocked) so a
-  /// supervisor can tap it. In kWide mode the CPU probe and the
+  /// The model must outlive the plan. `pin_tap_layer` keeps the
+  /// activation feeding that layer materialized (fusion across it is
+  /// blocked) so a supervisor can tap it. The CPU probe and the
   /// SX_KERNEL_ISA override are consulted here, exactly once.
-  KernelPlan(const Model& model, KernelMode mode,
-             std::size_t pin_tap_layer = kNoPinnedTap);
+  explicit KernelPlan(const Model& model,
+                      std::size_t pin_tap_layer = kNoPinnedTap);
 
   KernelPlan(const KernelPlan&) = delete;
   KernelPlan& operator=(const KernelPlan&) = delete;
 
-  KernelMode mode() const noexcept { return mode_; }
   std::span<const KernelStep> steps() const noexcept {
     return {steps_.get(), step_count_};
   }
@@ -210,8 +197,7 @@ class KernelPlan {
   /// over all conv steps).
   std::size_t scratch_floats() const noexcept { return scratch_floats_; }
 
-  /// Deploy-time storage footprint of the packed Dense and Conv2d panels
-  /// (floats; zero in kBlocked mode).
+  /// Deploy-time storage footprint of the Dense and Conv2d panels (floats).
   std::size_t panel_floats() const noexcept { return panel_floats_; }
   /// Total precomputed im2col gather entries across all conv steps.
   std::size_t table_entries() const noexcept { return table_entries_; }
@@ -223,14 +209,12 @@ class KernelPlan {
   /// Layers eliminated by the dce pass (bit identities).
   std::size_t removed_layers() const noexcept { return removed_; }
 
-  /// Re-snapshots Dense and Conv2d weights into the packed panels
-  /// (kPacked/kWide only; no-op in kBlocked mode). For callers that
-  /// mutate weights in place after deployment.
+  /// Re-snapshots Dense and Conv2d weights into the panels. For callers
+  /// that mutate weights in place after deployment.
   void repack() noexcept;
 
-  /// The deploy-time CPU probe and ISA decision (kWide only; defaults —
-  /// scalar, no probe facts — in every other mode). Recorded by the
-  /// pipeline audit log and the SX_KERNEL_BACKEND report block.
+  /// The deploy-time CPU probe and ISA decision. Recorded by the pipeline
+  /// audit log and the SX_KERNEL_BACKEND report block.
   const platform::CpuProbe& cpu_probe() const noexcept { return probe_; }
   const platform::WideIsaSelection& isa_selection() const noexcept {
     return isa_sel_;
@@ -241,7 +225,6 @@ class KernelPlan {
 
  private:
   const Model* model_;
-  KernelMode mode_;
   platform::CpuProbe probe_{};
   platform::WideIsaSelection isa_sel_{};
   std::size_t pin_tap_layer_ = kNoPinnedTap;

@@ -31,13 +31,9 @@ k::Conv2dGeom qconv_geom(const QuantizedModel& m, std::size_t i,
 
 }  // namespace
 
-QuantKernelPlan::QuantKernelPlan(const QuantizedModel& model, KernelMode mode)
-    : model_(&model), mode_(mode), program_(lower(model)) {
-  if (mode_ == KernelMode::kWide) {
-    probe_ = platform::probe_cpu();
-    isa_sel_ =
-        platform::select_wide_isa(probe_, std::getenv("SX_KERNEL_ISA"));
-  }
+QuantKernelPlan::QuantKernelPlan(const QuantizedModel& model)
+    : model_(&model), probe_(platform::probe_cpu()), program_(lower(model)) {
+  isa_sel_ = platform::select_wide_isa(probe_, std::getenv("SX_KERNEL_ISA"));
   // Static-analysis pass pipeline over the lowered IR. The int8 path only
   // ever fuses ReLU: quantize() admits no other activation, and int8 ReLU
   // after the requantize clamp is exact.
@@ -60,17 +56,10 @@ QuantKernelPlan::QuantKernelPlan(const QuantizedModel& model, KernelMode mode)
       table_u32 += (g.opix() + 1) + 2 * entries;
       table_entries_ += entries;
       scratch_bytes_ = scratch_bytes_ > entries ? scratch_bytes_ : entries;
-      if (mode_ == KernelMode::kPacked)
-        panel_bytes_ += qk::qconv_panel_bytes(g.out_c, g.patch());
-      else if (mode_ == KernelMode::kWide)
-        panel_bytes_ += qk::qwide_conv_panel_bytes(g.out_c, g.patch());
-    } else if (op.kind == ir::OpKind::kDense &&
-               (mode_ == KernelMode::kPacked ||
-                mode_ == KernelMode::kWide)) {
+      panel_bytes_ += qk::qwide_conv_panel_bytes(g.out_c, g.patch());
+    } else if (op.kind == ir::OpKind::kDense) {
       const QuantizedModel::QLayerView v = model.layer_view(op.layer);
-      panel_bytes_ += mode_ == KernelMode::kPacked
-                          ? qk::qdense_panel_bytes(v.out_dim, v.in_dim)
-                          : qk::qwide_dense_panel_bytes(v.out_dim, v.in_dim);
+      panel_bytes_ += qk::qwide_dense_panel_bytes(v.out_dim, v.in_dim);
     }
   }
 
@@ -118,23 +107,12 @@ QuantKernelPlan::QuantKernelPlan(const QuantizedModel& model, KernelMode mode)
                          .in_scale = in_scale,
                          .out_scale = v.out_scale,
                          .relu = relu_fused};
-      if (mode_ == KernelMode::kPacked) {
-        std::int8_t* panel = panels_.get() + pb;
-        qk::pack_qdense_panel(s.weights, s.rows, s.cols, panel);
-        s.panel = panel;
-        pb += qk::qdense_panel_bytes(s.rows, s.cols);
-      } else if (mode_ == KernelMode::kWide) {
-        std::int8_t* panel = panels_.get() + pb;
-        qk::pack_qwide_dense_panel(s.weights, s.rows, s.cols, panel);
-        s.panel = panel;
-        pb += qk::qwide_dense_panel_bytes(s.rows, s.cols);
-      }
+      std::int8_t* panel = panels_.get() + pb;
+      qk::pack_qwide_dense_panel(s.weights, s.rows, s.cols, panel);
+      s.panel = panel;
+      pb += qk::qwide_dense_panel_bytes(s.rows, s.cols);
       // Branch-free hot path: the kernel entry point is decided here.
-      s.dense_fn = mode_ == KernelMode::kBlocked ? &qk::qmatvec_blocked
-                   : mode_ == KernelMode::kPacked
-                       ? &qk::qmatvec_packed
-                       : qk::wide_qdense_kernel(isa_sel_.isa);
-      s.dense_arg = s.panel != nullptr ? s.panel : s.weights;
+      s.dense_fn = qk::wide_qdense_kernel(isa_sel_.isa);
       ++planned_dense_;
     } else if (op.kind == ir::OpKind::kConv2d) {
       const k::Conv2dGeom g = qconv_geom(model, i, v);
@@ -159,29 +137,16 @@ QuantKernelPlan::QuantKernelPlan(const QuantizedModel& model, KernelMode mode)
                          .out_scale = v.out_scale,
                          .relu = relu_fused};
       s.scratch = entries;
-      if (mode_ == KernelMode::kPacked) {
-        const std::size_t pbl = qk::qconv_panel_bytes(g.out_c, g.patch());
-        if (pbl != 0) {
-          std::int8_t* panel = panels_.get() + pb;
-          qk::pack_qconv_panel(s.weights, g.out_c, g.patch(), panel);
-          s.panel = panel;
-          pb += pbl;
-        }
-      } else if (mode_ == KernelMode::kWide) {
-        const std::size_t pbl =
-            qk::qwide_conv_panel_bytes(g.out_c, g.patch());
-        if (pbl != 0) {
-          std::int8_t* panel = panels_.get() + pb;
-          qk::pack_qwide_conv_panel(s.weights, g.out_c, g.patch(), panel);
-          s.panel = panel;
-          pb += pbl;
-        }
+      // A conv under 8 channels has no panel: its kernel runs zero lane
+      // groups and sweeps every channel from the live weights.
+      const std::size_t pbl = qk::qwide_conv_panel_bytes(g.out_c, g.patch());
+      if (pbl != 0) {
+        std::int8_t* panel = panels_.get() + pb;
+        qk::pack_qwide_conv_panel(s.weights, g.out_c, g.patch(), panel);
+        s.panel = panel;
+        pb += pbl;
       }
-      // A conv too narrow for its lane panel runs the live-weight kernel.
-      s.conv_fn = s.panel == nullptr ? &qk::qconv2d_im2col_live
-                  : mode_ == KernelMode::kPacked
-                      ? &qk::qconv2d_im2col_packed
-                      : qk::wide_qconv_kernel(isa_sel_.isa);
+      s.conv_fn = qk::wide_qconv_kernel(isa_sel_.isa);
       ++planned_conv_;
     } else {
       s.kind = QuantKernelStep::Kind::kReference;
@@ -191,43 +156,30 @@ QuantKernelPlan::QuantKernelPlan(const QuantizedModel& model, KernelMode mode)
 }
 
 void QuantKernelPlan::repack() noexcept {
-  if (mode_ != KernelMode::kPacked && mode_ != KernelMode::kWide) return;
-  const bool wide = mode_ == KernelMode::kWide;
   for (std::size_t i = 0; i < step_count_; ++i) {
     QuantKernelStep& s = steps_[i];
     if (s.panel == nullptr) continue;
-    if (s.kind == QuantKernelStep::Kind::kDense) {
-      if (wide)
-        qk::pack_qwide_dense_panel(s.weights, s.rows, s.cols,
-                                   const_cast<std::int8_t*>(s.panel));
-      else
-        qk::pack_qdense_panel(s.weights, s.rows, s.cols,
-                              const_cast<std::int8_t*>(s.panel));
-    } else if (s.kind == QuantKernelStep::Kind::kConv2d) {
-      if (wide)
-        qk::pack_qwide_conv_panel(s.weights, s.conv.out_c, s.conv.patch,
-                                  const_cast<std::int8_t*>(s.panel));
-      else
-        qk::pack_qconv_panel(s.weights, s.conv.out_c, s.conv.patch,
-                             const_cast<std::int8_t*>(s.panel));
-    }
+    if (s.kind == QuantKernelStep::Kind::kDense)
+      qk::pack_qwide_dense_panel(s.weights, s.rows, s.cols,
+                                 const_cast<std::int8_t*>(s.panel));
+    else if (s.kind == QuantKernelStep::Kind::kConv2d)
+      qk::pack_qwide_conv_panel(s.weights, s.conv.out_c, s.conv.patch,
+                                const_cast<std::int8_t*>(s.panel));
   }
 }
 
 std::string QuantKernelPlan::summary() const {
   std::ostringstream os;
-  os << "mode=" << kernel_mode_name(mode_) << " steps=" << step_count_ << "/"
-     << model_->layer_count() << " layers (dense=" << planned_dense_
-     << " conv=" << planned_conv_ << " fused-relu=" << fused_
+  os << "mode=" << kernel_mode_name(KernelMode::kWide)
+     << " steps=" << step_count_ << "/" << model_->layer_count()
+     << " layers (dense=" << planned_dense_ << " conv=" << planned_conv_
+     << " fused-relu=" << fused_
      << " removed=" << removed_ << " reference=" << reference_
      << "), arena=" << layout_.total_elems << "/" << layout_.naive_elems
      << " bytes, im2col entries=" << table_entries_
      << ", scratch=" << scratch_bytes_ << " bytes, panels=" << panel_bytes_
-     << " bytes";
-  if (mode_ == KernelMode::kWide) {
-    os << ", isa=" << k::wide_isa_name(isa_sel_.isa);
-    if (isa_sel_.refused) os << " (override refused)";
-  }
+     << " bytes, isa=" << k::wide_isa_name(isa_sel_.isa);
+  if (isa_sel_.refused) os << " (override refused)";
   return os.str();
 }
 
@@ -236,7 +188,7 @@ namespace {
 std::unique_ptr<QuantKernelPlan> make_owned_qplan(const QuantizedModel& model,
                                                   KernelMode resolved) {
   if (resolved == KernelMode::kReference) return nullptr;
-  return std::make_unique<QuantKernelPlan>(model, resolved);  // sxlint: allow(hot-path-alloc) deploy-time plan construction
+  return std::make_unique<QuantKernelPlan>(model);  // sxlint: allow(hot-path-alloc) deploy-time plan construction
 }
 
 /// Largest activation in bytes (int8: one byte per element), input
@@ -361,9 +313,9 @@ Status QuantEngine::run_planned(std::span<float> output) noexcept {
     std::uint64_t* sat = &sat_counts_[s.first_layer];
     switch (s.kind) {
       case QuantKernelStep::Kind::kDense:
-        // Entry point resolved once at plan construction (mode + probed
-        // ISA) — a branch-free indirect call on the hot path.
-        s.dense_fn(s.dense_arg, s.rows, s.cols, in, s.rq, dst, sat);
+        // Entry point resolved once at plan construction (probed ISA) —
+        // a branch-free indirect call on the hot path.
+        s.dense_fn(s.panel, s.rows, s.cols, in, s.rq, dst, sat);
         break;
       case QuantKernelStep::Kind::kConv2d: {
         std::int8_t* scratch = base + s.scratch_offset;

@@ -9,11 +9,10 @@
 // coloring the int8 activation lifetimes into shared byte-arena slots.
 // The executable steps are then built from the surviving ops:
 //
-//   - Dense layers run the register-blocked int8 matvec kernels from
-//     tensor/qkernels.hpp; in kPacked mode their weights are additionally
-//     snapshotted into cache-line-aligned row-blocked panels owned by the
-//     plan;
-//   - Conv2d layers are lowered to int8 gather + blocked GEMM through the
+//   - Dense layers run the wide int8 matvec kernels from
+//     tensor/qkernels.hpp over cache-line-aligned row-blocked panels owned
+//     by the plan;
+//   - Conv2d layers are lowered to int8 gather + wide GEMM through the
 //     same ragged im2col index tables the float plan uses (the tables are
 //     element-type-agnostic); the gathered int8 column is a byte-arena
 //     slot assigned by the liveness pass;
@@ -31,17 +30,16 @@
 // including the per-layer saturation counters (dl_quant_kernels_test
 // proves both differentially).
 //
-// Staleness contract: kBlocked reads the quantized weights live on every
-// run. kPacked snapshots Dense rows and full kQConvLanes-channel conv
-// groups into panels; kWide (the kAuto default on an avx2/avx512 host)
-// does the same at the widened geometry (kQWideRowBlock rows, 16-channel
-// conv lane groups plus one 8-channel half group) and
-// additionally resolves, once, which SIMD variant of the wide int8
-// kernels runs (platform::CpuProbe + SX_KERNEL_ISA — see dl/plan.hpp;
-// the selection affects timing only, never output or the overflow
-// envelope). Callers that mutate the quantized weights afterwards must
-// call repack(). KernelMode and the SX_KERNEL_REFERENCE escape hatch are
-// shared with the float plan (dl/plan.hpp).
+// Staleness contract: a plan snapshots every Dense weight matrix into
+// kQWideRowBlock-row panels, and the conv weights of every 16-channel
+// lane group and of the 8-channel half group into tap-major panels; only
+// the last out_c % 8 conv channels are read live. It also resolves, once,
+// which lane family of the wide int8 kernels runs (platform::CpuProbe +
+// SX_KERNEL_ISA — see dl/plan.hpp; the selection affects timing only,
+// never output or the overflow envelope). Callers that mutate the
+// quantized weights afterwards must call repack(). KernelMode and the
+// SX_KERNEL_REFERENCE escape hatch are shared with the float plan
+// (dl/plan.hpp).
 //
 // One plan is immutable after construction (repack() aside) and safe to
 // share read-only across BatchRunner workers; each worker's arena slots
@@ -82,15 +80,15 @@ struct QuantKernelStep {
   // kDense / kConv2d
   std::size_t rows = 0, cols = 0;       ///< Dense dims
   const std::int8_t* weights = nullptr; ///< live natural-layout weights
-  const std::int8_t* panel = nullptr;   ///< packed panel (kPacked/kWide)
+  const std::int8_t* panel = nullptr;   ///< wide panel (null for a conv
+                                        ///< under 8 channels)
   tensor::qkernels::Requant rq{};       ///< fused requantize(+ReLU) params
 
-  /// Kernel entry points resolved once at plan construction (mode + probed
-  /// ISA) — the engine hot path is a branch-free indirect call. dense_arg
-  /// is the live weights (kBlocked) or the panel (kPacked/kWide); conv
-  /// kernels always receive both (tail channels read live).
+  /// Kernel entry points resolved once at plan construction (probed ISA)
+  /// — the engine hot path is a branch-free indirect call. Conv kernels
+  /// receive both the panel and the live weights (tail channels read
+  /// live).
   tensor::qkernels::QDenseKernelFn dense_fn = nullptr;
-  const std::int8_t* dense_arg = nullptr;
   tensor::qkernels::QConvKernelFn conv_fn = nullptr;
 
   // kConv2d
@@ -102,15 +100,13 @@ struct QuantKernelStep {
 /// construction except repack(); shareable read-only across workers.
 class QuantKernelPlan {
  public:
-  /// `mode` must be kBlocked, kPacked, or kWide (resolve kAuto first); the
-  /// model must outlive the plan. kWide consults the CPU probe and the
-  /// SX_KERNEL_ISA override here, exactly once.
-  QuantKernelPlan(const QuantizedModel& model, KernelMode mode);
+  /// The model must outlive the plan. The CPU probe and the SX_KERNEL_ISA
+  /// override are consulted here, exactly once.
+  explicit QuantKernelPlan(const QuantizedModel& model);
 
   QuantKernelPlan(const QuantKernelPlan&) = delete;
   QuantKernelPlan& operator=(const QuantKernelPlan&) = delete;
 
-  KernelMode mode() const noexcept { return mode_; }
   std::span<const QuantKernelStep> steps() const noexcept {
     return {steps_.get(), step_count_};
   }
@@ -135,7 +131,7 @@ class QuantKernelPlan {
   /// all conv steps).
   std::size_t scratch_bytes() const noexcept { return scratch_bytes_; }
 
-  /// Deploy-time footprint of the packed panels (bytes; 0 in kBlocked).
+  /// Deploy-time footprint of the wide panels (bytes).
   std::size_t panel_bytes() const noexcept { return panel_bytes_; }
   /// Total precomputed im2col gather entries across all conv steps.
   std::size_t table_entries() const noexcept { return table_entries_; }
@@ -147,12 +143,10 @@ class QuantKernelPlan {
   /// Layers eliminated by the dce pass (bit identities).
   std::size_t removed_layers() const noexcept { return removed_; }
 
-  /// Re-snapshots the quantized weights into the packed panels
-  /// (kPacked/kWide only; no-op in kBlocked mode).
+  /// Re-snapshots the quantized weights into the panels.
   void repack() noexcept;
 
-  /// The deploy-time CPU probe and ISA decision (kWide only; defaults in
-  /// every other mode). Mirrors dl::KernelPlan.
+  /// The deploy-time CPU probe and ISA decision. Mirrors dl::KernelPlan.
   const platform::CpuProbe& cpu_probe() const noexcept { return probe_; }
   const platform::WideIsaSelection& isa_selection() const noexcept {
     return isa_sel_;
@@ -163,7 +157,6 @@ class QuantKernelPlan {
 
  private:
   const QuantizedModel* model_;
-  KernelMode mode_;
   platform::CpuProbe probe_{};
   platform::WideIsaSelection isa_sel_{};
   ir::Program program_;
@@ -234,11 +227,11 @@ class QuantEngine {
   /// The plan driving this engine (nullptr in reference mode).
   const QuantKernelPlan* plan() const noexcept { return plan_; }
 
-  /// Re-snapshots the engine-private plan's packed weight panels after a
+  /// Re-snapshots the engine-private plan's weight panels after a
   /// deliberate mutation of the quantized weights (fault injection). No-op
-  /// for blocked/reference plans, which read the live weights anyway. A
-  /// *shared* plan is left untouched — its owner must coordinate repack()
-  /// across every engine it serves.
+  /// in reference mode, which reads the live weights anyway. A *shared*
+  /// plan is left untouched — its owner must coordinate repack() across
+  /// every engine it serves.
   void repack() noexcept {
     if (owned_plan_ != nullptr) owned_plan_->repack();
   }

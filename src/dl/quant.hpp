@@ -93,8 +93,8 @@ class QuantizedModel {
   /// Mutable view of layer i's int8 weights — the deployed parameter
   /// memory a fault-injection campaign perturbs (empty for layers without
   /// parameters). Campaign/configuration-time API; throws on a bad index.
-  /// Mutating weights under a kPacked or kWide QuantKernelPlan requires
-  /// repack() afterwards so panel snapshots see the new bits.
+  /// Mutating weights under a QuantKernelPlan requires repack()
+  /// afterwards so panel snapshots see the new bits.
   std::span<std::int8_t> mutable_weights(std::size_t i) {
     return layers_.at(i).weights;
   }

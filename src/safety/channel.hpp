@@ -43,10 +43,9 @@ class InferenceChannel {
 
   /// Number of model replicas (fault-injection targets).
   virtual std::size_t replica_count() const noexcept { return 1; }
-  /// Model replica `i`. Planned engines (kPacked, and kWide — what kAuto
-  /// resolves to on an avx2/avx512 host) snapshot its weights into panels
-  /// at deploy time, so they cannot see an in-place write to replica(i)
-  /// until refresh_replica(i) runs.
+  /// Model replica `i`. Planned engines (kWide — what kAuto resolves to)
+  /// snapshot its weights into panels at deploy time, so they cannot see
+  /// an in-place write to replica(i) until refresh_replica(i) runs.
   virtual dl::Model& replica(std::size_t i) = 0;
 
   /// Re-snapshots the weight panels of the engine(s) reading replica `i`
@@ -291,7 +290,7 @@ class QuantChannel final : public InferenceChannel {
   /// Re-snapshots the int8 engine's panels from the deployed int8 store
   /// (the float twin is never read).
   void refresh_replica(std::size_t) override { engine_->repack(); }
-  /// Injects into the deployed int8 weights and re-snapshots any packed
+  /// Injects into the deployed int8 weights and re-snapshots the plan's
   /// panels, so the planned engine computes with the faulted bits.
   FaultRecord inject_fault(FaultInjector& injector, std::size_t i,
                            FaultType type) override;

@@ -58,7 +58,8 @@ class FaultInjector {
   /// Int8 twin of inject(): one fault at a uniformly random position in
   /// the deployed int8 weight store (bit 0..7 for kBitFlip; kStuckLarge
   /// forces +/-127). Throws if the model has no quantized weights. A
-  /// kPacked kernel plan over the model must be repacked afterwards.
+  /// kernel plan over the model (kWide, what kAuto resolves to) snapshots
+  /// the weights into panels and must be repacked afterwards.
   FaultRecord inject(dl::QuantizedModel& model, FaultType type);
 
   /// Int8 twin of inject_at().

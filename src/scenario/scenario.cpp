@@ -188,8 +188,8 @@ std::vector<ExecConfig> default_exec_grid() {
   // Backend-major so the reference-mode/workers=1 anchor of each backend
   // comes first; the sweep compares every later sibling against it. The
   // mode axis comes from dl::all_kernel_modes() (kReference first), the
-  // single source of truth — a newly added KernelMode lands in the
-  // identity matrix automatically instead of silently missing it.
+  // single source of truth — every KernelMode lands in the identity
+  // matrix automatically instead of silently missing it.
   for (const auto backend : kBackends)
     for (const auto mode : dl::all_kernel_modes())
       for (const auto workers : kWorkers)
@@ -362,7 +362,6 @@ ScenarioCellEvidence ScenarioSweeper::run_cell(const Perturbation& pert,
   pc.criticality = cfg_.criticality;
   pc.backend = exec.backend;
   pc.kernel_mode = exec.mode;
-  pc.quant_engine.kernels = exec.mode;
   pc.spec = spec_;
   pc.batch_workers = exec.batch_workers;
   pc.seed = cfg_.seed;

@@ -110,10 +110,10 @@ struct ScenarioConfig {
   std::uint64_t seed = 77;
 };
 
-/// dl::all_kernel_modes() x {float32, int8} x batch_workers {1, 4},
-/// reference mode first per backend (the twin anchors). The mode axis is
-/// derived from the shared enumeration helper, so every concrete
-/// KernelMode — including kWide — is always in the identity matrix.
+/// dl::all_kernel_modes() = {kReference, kWide} x {float32, int8} x
+/// batch_workers {1, 4}, reference mode first per backend (the twin
+/// anchors). The mode axis is derived from the shared enumeration helper,
+/// so every concrete KernelMode is always in the identity matrix.
 std::vector<ExecConfig> default_exec_grid();
 
 // ------------------------------------------------------------------ cells

@@ -1,5 +1,5 @@
-// Deploy-time-planned numeric kernels: register-blocked matvec/GEMM and a
-// ragged-im2col Conv2d lowering with fused bias+activation epilogues.
+// Deploy-time-planned numeric kernels: the wide-panel matvec/GEMM family
+// and a ragged-im2col Conv2d lowering with fused bias+activation epilogues.
 //
 // Every kernel here preserves the *per-output accumulation order* of the
 // reference loops in tensor/ops.cpp and dl/layers.cpp: each output element
@@ -8,10 +8,10 @@
 // vectors pinned in tensor_golden_test stay valid. The speedups come from
 // order-preserving transformations only:
 //
-//   - row blocking: kRowBlock independent accumulation chains per sweep
-//     break the single serial FMA/add dependency chain of the reference
-//     loop (ILP), and the input vector is streamed once per block instead
-//     of once per row;
+//   - row blocking: kWideRowBlock independent accumulation chains per
+//     sweep break the single serial FMA/add dependency chain of the
+//     reference loop (ILP), and the input vector is streamed once per
+//     block instead of once per row;
 //   - deploy-time im2col index tables: all Conv2d bounds checks and index
 //     arithmetic move to configuration time; the hot path is one flat
 //     gather plus a dense blocked GEMM.  The tables are *ragged*
@@ -36,16 +36,6 @@
 
 namespace sx::tensor::kernels {
 
-/// Output rows (Dense) per register-blocked sweep. 8 independent
-/// accumulator chains are enough to cover scalar FP add latency on
-/// current cores without spilling.
-inline constexpr std::size_t kRowBlock = 8;
-
-/// Output channels (Conv2d GEMM) per register-blocked sweep. Eight chains
-/// read the gathered im2col column once per sweep (the deployed perception
-/// CNNs are 8-channel), at the same register budget as the Dense kernel.
-inline constexpr std::size_t kOcBlock = 8;
-
 /// Panel alignment in floats: 16 floats == one 64-byte cache line.
 inline constexpr std::size_t kAlignFloats = 16;
 
@@ -67,36 +57,6 @@ inline float apply_epilogue(float v, Epilogue ep) noexcept {
   }
   return v;
 }
-
-// --------------------------------------------------------------- Dense
-
-/// y = W x + b with kRowBlock-way register blocking over the live
-/// row-major weight matrix (rows x cols). When `check` is set, the
-/// pre-activation value of every output is screened with the same
-/// predicate the engine's per-layer scan uses; returns false iff a
-/// non-finite pre-activation was seen (the caller maps that to
-/// Status::kNumericFault exactly where the reference path would).
-bool matvec_blocked(const float* w, const float* bias, std::size_t rows,
-                    std::size_t cols, const float* x, float* out,
-                    Epilogue ep, bool check) noexcept;
-
-/// Floats needed for the cache-line-aligned row-blocked panel of a
-/// rows x cols Dense weight matrix (every block starts 64-byte aligned).
-std::size_t dense_panel_floats(std::size_t rows, std::size_t cols) noexcept;
-
-/// Repacks the row-major weight matrix into the panel layout: full blocks
-/// of kRowBlock rows interleaved column-major-within-block
-/// (panel[c * 8 + r]), the tail block interleaved at its own row count.
-/// `panel` must hold dense_panel_floats() floats; alignment padding is
-/// zero-filled.
-void pack_dense_panel(const float* w, std::size_t rows, std::size_t cols,
-                      float* panel) noexcept;
-
-/// matvec_blocked over a packed panel (weights snapshot; see
-/// dl::KernelPlan for the staleness contract).
-bool matvec_packed(const float* panel, const float* bias, std::size_t rows,
-                   std::size_t cols, const float* x, float* out,
-                   Epilogue ep, bool check) noexcept;
 
 // --------------------------------------------------------------- Conv2d
 
@@ -130,7 +90,7 @@ std::size_t im2col_entries(const Conv2dGeom& g) noexcept;
 ///              (ic * k * k + ky * k + kx).
 /// `pix_off` must hold opix()+1 entries; `in_idx`/`w_ofs` must hold
 /// im2col_entries() each. Interior pixels carry the full patch with
-/// w_ofs == 0..patch-1, which conv2d_im2col detects and runs without
+/// w_ofs == 0..patch-1, which the conv kernels detect and run without
 /// indirection.
 void build_im2col_tables(const Conv2dGeom& g, std::uint32_t* pix_off,
                          std::uint32_t* in_idx,
@@ -151,39 +111,6 @@ struct ConvTables {
   const std::uint32_t* w_ofs = nullptr;    ///< weight offsets per entry
 };
 
-/// out[oc * opix + p] = bias[oc] + sum over the pixel's taps, kOcBlock
-/// output channels per sweep sharing one gathered column. `wt` is the
-/// live Conv2d weight tensor (out_c x patch, the natural layout), `col`
-/// the gathered ragged im2col buffer. Same check/epilogue contract as
-/// matvec_blocked.
-bool conv2d_im2col(const float* wt, const float* bias, const ConvTables& t,
-                   const float* col, float* out, Epilogue ep,
-                   bool check) noexcept;
-
-/// Output channels per SIMD lane group of a packed Conv2d panel.
-inline constexpr std::size_t kConvLanes = 4;
-
-/// Floats needed for the tap-major lane panel of an out_c x patch Conv2d
-/// weight tensor: full kConvLanes-channel groups only (each group starts
-/// 64-byte aligned); the out_c % kConvLanes tail channels keep reading
-/// the live weights.
-std::size_t conv_panel_floats(std::size_t out_c,
-                              std::size_t patch) noexcept;
-
-/// Repacks the natural out_c x patch weight layout into lane groups:
-/// group g, tap j holds weights of channels g*kConvLanes .. +3 at
-/// panel[g * align_up(patch * kConvLanes) + j * kConvLanes + i].
-void pack_conv_panel(const float* wt, std::size_t out_c, std::size_t patch,
-                     float* panel) noexcept;
-
-/// conv2d_im2col over a packed lane panel (weights snapshot; see
-/// dl::KernelPlan for the staleness contract). `wt` must still point at
-/// the live weights — the out_c % kConvLanes tail channels use it.
-bool conv2d_im2col_packed(const float* panel, const float* wt,
-                          const float* bias, const ConvTables& t,
-                          const float* col, float* out, Epilogue ep,
-                          bool check) noexcept;
-
 // ------------------------------------------------- wide (kWide) backends
 
 /// Microkernel lane family of the kWide backend, selected once at deploy
@@ -191,10 +118,11 @@ bool conv2d_im2col_packed(const float* panel, const float* wt,
 /// and recorded as audit evidence. Every family computes the *identical*
 /// fixed accumulation tree — one serial ascending-column chain per output,
 /// vectorized only across independent outputs — so outputs are bitwise
-/// identical across families (and to every other KernelMode). kScalar is
-/// the portable twin that runs on any machine.
+/// identical across families and to the kReference loops. kScalar is the
+/// portable arm that runs on any machine (generic 4-lane vectors: SSE2 on
+/// x86-64, NEON on aarch64, scalar code elsewhere).
 enum class WideIsa : std::uint8_t {
-  kScalar,  ///< portable scalar twin of the wide accumulation tree
+  kScalar,  ///< portable arm of the wide accumulation tree
   kAvx2,    ///< 8-lane 256-bit float / 32-byte int8 microkernels
   kAvx512,  ///< 16-lane 512-bit float / 64-byte int8 microkernels
 };
@@ -202,14 +130,17 @@ enum class WideIsa : std::uint8_t {
 const char* wide_isa_name(WideIsa isa) noexcept;
 
 /// Output rows (Dense) per wide sweep: one 16-lane (512-bit-class) group,
-/// executed as 2 x 8 lanes on AVX2 and 16 scalar chains by the twin.
+/// executed as 2 x 8 lanes on AVX2 and 4 x 4 lanes by the scalar arm.
 inline constexpr std::size_t kWideRowBlock = 16;
 
 /// Output channels (Conv2d GEMM) per wide lane group. Eight matches the
 /// deployed perception CNNs' channel counts, so their convs hit the
 /// full-group path; the AVX-512-class variant keeps 16 channels in flight
-/// by pairing adjacent groups.
+/// by pairing adjacent groups. One kWideHalfLanes-channel half group runs
+/// after the full groups whenever at least 4 channels remain, so only the
+/// last out_c % 4 channels read the live weights.
 inline constexpr std::size_t kWideConvLanes = 8;
+inline constexpr std::size_t kWideHalfLanes = 4;
 
 /// Floats needed for the wide row-blocked panel of a rows x cols Dense
 /// weight matrix (full kWideRowBlock blocks plus an interleaved tail,
@@ -223,10 +154,13 @@ std::size_t wide_dense_panel_floats(std::size_t rows,
 void pack_wide_dense_panel(const float* w, std::size_t rows,
                            std::size_t cols, float* panel) noexcept;
 
-/// matvec over a wide panel — the portable scalar twin and the two SIMD
-/// families. Same signature and check/epilogue contract as matvec_packed;
-/// all three produce bitwise-identical outputs (the SIMD variants fall
-/// back to the twin on non-x86 builds).
+/// y = W x + b over a wide panel — the portable scalar arm and the two
+/// SIMD families; all three produce bitwise-identical outputs (the SIMD
+/// variants fall back to the scalar arm on non-x86 builds). When `check`
+/// is set, the pre-activation value of every output is screened with the
+/// same predicate the engine's per-layer scan uses; returns false iff a
+/// non-finite pre-activation was seen (the caller maps that to
+/// Status::kNumericFault exactly where the reference path would).
 bool matvec_wide_scalar(const float* panel, const float* bias,
                         std::size_t rows, std::size_t cols, const float* x,
                         float* out, Epilogue ep, bool check) noexcept;
@@ -238,20 +172,27 @@ bool matvec_wide_avx512(const float* panel, const float* bias,
                         float* out, Epilogue ep, bool check) noexcept;
 
 /// Floats needed for the wide tap-major lane panel of an out_c x patch
-/// Conv2d weight tensor: full kWideConvLanes-channel groups only; the
-/// tail channels keep reading the live weights.
+/// Conv2d weight tensor: the full kWideConvLanes-channel groups, plus one
+/// kWideHalfLanes-channel half group when out_c % 8 >= 4 (each group
+/// 64-byte aligned). The last out_c % 4 channels keep reading the live
+/// weights.
 std::size_t wide_conv_panel_floats(std::size_t out_c,
                                    std::size_t patch) noexcept;
 
 /// Repacks the natural out_c x patch weight layout into wide lane groups:
 /// group g, tap j holds weights of channels g*kWideConvLanes .. +7 at
-/// panel[g * align_up(patch * kWideConvLanes) + j * kWideConvLanes + i].
+/// panel[g * align_up(patch * kWideConvLanes) + j * kWideConvLanes + i],
+/// followed by the half group at stride kWideHalfLanes when present.
 void pack_wide_conv_panel(const float* wt, std::size_t out_c,
                           std::size_t patch, float* panel) noexcept;
 
-/// conv2d_im2col over a wide lane panel (same tail-channel live-weight
-/// contract as conv2d_im2col_packed). The avx512 variant pairs adjacent
-/// groups to keep 16 output channels in flight per tap.
+/// out[oc * opix + p] = bias[oc] + sum over the pixel's taps, over a wide
+/// lane panel: the full groups, then the half group (shared by all three
+/// arms), then the last out_c % 4 channels from the live weights `wt`
+/// (out_c x patch, the natural layout). `col` is the gathered ragged
+/// im2col buffer; same check/epilogue contract as the matvec kernels.
+/// The avx512 variant pairs adjacent groups to keep 16 output channels
+/// in flight per tap.
 bool conv2d_im2col_wide_scalar(const float* panel, const float* wt,
                                const float* bias, const ConvTables& t,
                                const float* col, float* out, Epilogue ep,
@@ -267,28 +208,19 @@ bool conv2d_im2col_wide_avx512(const float* panel, const float* wt,
 
 // ------------------------------------------- hot-path dispatch pointers
 
-/// Uniform Dense kernel shape: matvec_blocked (live weights),
-/// matvec_packed and the matvec_wide_* family all match it, so a plan can
+/// Uniform Dense kernel shape of the matvec_wide_* family, so a plan can
 /// resolve one pointer per step at deploy time and the hot path stays
 /// branch-free.
-using DenseKernelFn = bool (*)(const float* w_or_panel, const float* bias,
+using DenseKernelFn = bool (*)(const float* panel, const float* bias,
                                std::size_t rows, std::size_t cols,
                                const float* x, float* out, Epilogue ep,
                                bool check) noexcept;
 
-/// Uniform Conv2d kernel shape (panel variants use `panel`, the live
-/// adapter ignores it).
+/// Uniform Conv2d kernel shape of the conv2d_im2col_wide_* family.
 using ConvKernelFn = bool (*)(const float* panel, const float* wt,
                               const float* bias, const ConvTables& t,
                               const float* col, float* out, Epilogue ep,
                               bool check) noexcept;
-
-/// conv2d_im2col behind the uniform ConvKernelFn shape (ignores `panel`;
-/// reads the live weights).
-bool conv2d_im2col_live(const float* panel, const float* wt,
-                        const float* bias, const ConvTables& t,
-                        const float* col, float* out, Epilogue ep,
-                        bool check) noexcept;
 
 /// The wide Dense / Conv2d microkernel for one lane family — resolved
 /// once at plan construction, never on the hot path.

@@ -1,4 +1,4 @@
-// Deploy-time-planned int8 kernels: register-blocked int8 x int8 -> int32
+// Deploy-time-planned int8 kernels: wide-panel int8 x int8 -> int32
 // matvec/GEMM and the ragged-im2col Conv2d lowering with fused
 // requantize(+ReLU) epilogues (pillar 3: the quantized deployment path).
 //
@@ -12,9 +12,9 @@
 // is about keeping the overflow envelope identical to the audited reference
 // loop, not about rounding.
 //
-//   - row blocking: kRowBlock independent int32 accumulation chains per
-//     sweep break the serial dependency chain of the reference loop (ILP)
-//     and stream the quantized input vector once per block;
+//   - row blocking: kQWideRowBlock independent int32 accumulation chains
+//     per sweep break the serial dependency chain of the reference loop
+//     (ILP) and stream the quantized input vector once per block;
 //   - deploy-time im2col: the dtype-agnostic geometry and index tables of
 //     tensor/kernels.hpp (Conv2dGeom, build_im2col_tables, ConvTables) are
 //     reused verbatim — only the gather and the GEMM change element type;
@@ -39,12 +39,6 @@
 #include "tensor/kernels.hpp"
 
 namespace sx::tensor::qkernels {
-
-/// Output rows (Dense) and output channels (Conv2d GEMM) per
-/// register-blocked sweep — eight independent int32 chains, mirroring the
-/// float kernels' geometry so the same models block the same way.
-inline constexpr std::size_t kRowBlock = 8;
-inline constexpr std::size_t kOcBlock = 8;
 
 /// Panel alignment: 64 bytes == one cache line.
 inline constexpr std::size_t kAlignBytes = 64;
@@ -104,35 +98,6 @@ inline std::int8_t requantize(std::int32_t acc, std::size_t ch,
   return rq.relu ? (q > 0 ? q : std::int8_t{0}) : q;
 }
 
-// --------------------------------------------------------------- Dense
-
-/// out = requant(W x) with kRowBlock-way register blocking over the live
-/// row-major int8 weight matrix (rows x cols). Each output row accumulates
-/// its columns in strict ascending order into one int32 chain, exactly as
-/// the reference Dense loop does.
-void qmatvec_blocked(const std::int8_t* w, std::size_t rows,
-                     std::size_t cols, const std::int8_t* x,
-                     const Requant& rq, std::int8_t* out,
-                     std::uint64_t* sat) noexcept;
-
-/// Bytes needed for the cache-line-aligned row-blocked panel of a
-/// rows x cols int8 weight matrix (every block starts 64-byte aligned).
-std::size_t qdense_panel_bytes(std::size_t rows, std::size_t cols) noexcept;
-
-/// Repacks the row-major int8 weights into the panel layout: full blocks
-/// of kRowBlock rows interleaved column-major-within-block
-/// (panel[c * 8 + r]), the tail block interleaved at its own row count.
-/// `panel` must hold qdense_panel_bytes() bytes; padding is zero-filled.
-void pack_qdense_panel(const std::int8_t* w, std::size_t rows,
-                       std::size_t cols, std::int8_t* panel) noexcept;
-
-/// qmatvec_blocked over a packed panel (weights snapshot; see
-/// dl::QuantKernelPlan for the staleness contract).
-void qmatvec_packed(const std::int8_t* panel, std::size_t rows,
-                    std::size_t cols, const std::int8_t* x,
-                    const Requant& rq, std::int8_t* out,
-                    std::uint64_t* sat) noexcept;
-
 // --------------------------------------------------------------- Conv2d
 
 /// The int8 hot-path gather: col[e] = in[in_idx[e]] over the ragged
@@ -141,53 +106,19 @@ void qmatvec_packed(const std::int8_t* panel, std::size_t rows,
 void im2col_gather_i8(const std::int8_t* in, const std::uint32_t* in_idx,
                       std::size_t entries, std::int8_t* col) noexcept;
 
-/// out[oc * opix + p] = requant over the pixel's taps, kOcBlock output
-/// channels per sweep sharing one gathered int8 column. `wt` is the live
-/// int8 Conv2d weight tensor (out_c x patch, natural layout); the tables
-/// are shared with the float path.
-void qconv2d_im2col(const std::int8_t* wt,
-                    const kernels::ConvTables& t, const std::int8_t* col,
-                    const Requant& rq, std::int8_t* out,
-                    std::uint64_t* sat) noexcept;
-
-/// Output channels per lane group of a packed int8 Conv2d panel. Eight
-/// int8 lanes fill the same 8 bytes a single float pair would — tap-major
-/// groups keep the panel stream unit-stride.
-inline constexpr std::size_t kQConvLanes = 8;
-
-/// Bytes needed for the tap-major lane panel of an out_c x patch int8
-/// Conv2d weight tensor: full kQConvLanes-channel groups only (each group
-/// starts 64-byte aligned); the out_c % kQConvLanes tail channels keep
-/// reading the live weights.
-std::size_t qconv_panel_bytes(std::size_t out_c, std::size_t patch) noexcept;
-
-/// Repacks the natural out_c x patch int8 layout into lane groups:
-/// group g, tap j holds weights of channels g*kQConvLanes .. +7 at
-/// panel[g * align_up_bytes(patch * kQConvLanes) + j * kQConvLanes + i].
-void pack_qconv_panel(const std::int8_t* wt, std::size_t out_c,
-                      std::size_t patch, std::int8_t* panel) noexcept;
-
-/// qconv2d_im2col over a packed lane panel (weights snapshot; see
-/// dl::QuantKernelPlan for the staleness contract). `wt` must still point
-/// at the live weights — the out_c % kQConvLanes tail channels use it.
-void qconv2d_im2col_packed(const std::int8_t* panel, const std::int8_t* wt,
-                           const kernels::ConvTables& t,
-                           const std::int8_t* col, const Requant& rq,
-                           std::int8_t* out, std::uint64_t* sat) noexcept;
-
 // ------------------------------------------------- Wide (kWide) backends
 //
 // Widened int8 x int8 -> int32 dot-product microkernels: 32-row Dense
 // blocks and 16-channel (plus one 8-channel half) Conv2d lane groups, each
 // in three variants that compute the *identical* fixed accumulation tree —
-// a portable scalar twin, a 16-byte-load AVX2-class sweep, and a
+// a portable scalar arm, a 16-byte-load AVX2-class sweep, and a
 // 32-byte-load AVX-512-class sweep. One output element is always one serial int32 chain in strict
 // reference order; the SIMD runs independent chains side by side
 // (broadcast multiplicand, sign-extended lane loads, no partial-sum
 // restructuring), so the overflow envelope matches the audited reference
 // loop exactly and all variants are bitwise identical. Variant selection
 // happens once at deploy time (platform::CpuProbe); on non-x86 builds the
-// SIMD entry points are the scalar twin.
+// SIMD entry points are the scalar arm.
 
 /// Output rows per wide Dense sweep (32 int8 lanes = one 256-bit load or
 /// two 128-bit loads per column), output channels per wide Conv2d lane
@@ -209,23 +140,25 @@ std::size_t qwide_dense_panel_bytes(std::size_t rows,
 void pack_qwide_dense_panel(const std::int8_t* w, std::size_t rows,
                             std::size_t cols, std::int8_t* panel) noexcept;
 
-/// qmatvec over a wide panel — portable scalar twin: 32 independent int32
-/// chains per block, columns in strict ascending order. The canonical
-/// tree the SIMD variants below reproduce lane for lane.
+/// out = requant(W x) over a wide panel — portable scalar arm: 32
+/// independent int32 chains per block, each output row accumulating its
+/// columns in strict ascending order exactly as the reference Dense loop
+/// does. The canonical tree the SIMD variants below reproduce lane for
+/// lane.
 void qmatvec_wide_scalar(const std::int8_t* panel, std::size_t rows,
                          std::size_t cols, const std::int8_t* x,
                          const Requant& rq, std::int8_t* out,
                          std::uint64_t* sat) noexcept;
 
 /// AVX2-class variant: four 8-lane int32 accumulators per block, 8-byte
-/// sign-extended lane loads. Bitwise identical to the scalar twin.
+/// sign-extended lane loads. Bitwise identical to the scalar arm.
 void qmatvec_wide_avx2(const std::int8_t* panel, std::size_t rows,
                        std::size_t cols, const std::int8_t* x,
                        const Requant& rq, std::int8_t* out,
                        std::uint64_t* sat) noexcept;
 
 /// AVX-512-class variant: two 16-lane int32 accumulators per block,
-/// 16-byte sign-extended lane loads. Bitwise identical to the scalar twin.
+/// 16-byte sign-extended lane loads. Bitwise identical to the scalar arm.
 void qmatvec_wide_avx512(const std::int8_t* panel, std::size_t rows,
                          std::size_t cols, const std::int8_t* x,
                          const Requant& rq, std::int8_t* out,
@@ -244,9 +177,11 @@ std::size_t qwide_conv_panel_bytes(std::size_t out_c,
 void pack_qwide_conv_panel(const std::int8_t* wt, std::size_t out_c,
                            std::size_t patch, std::int8_t* panel) noexcept;
 
-/// Wide conv over the lane panel (16-channel groups, then the 8-channel
-/// half group) — portable scalar twin. The last out_c % 8 channels read
-/// the live weights via the shared scalar sweeps.
+/// out[oc * opix + p] = requant over the pixel's taps, over the wide lane
+/// panel (16-channel groups, then the 8-channel half group) — portable
+/// scalar arm. The last out_c % 8 channels read the live int8 weights
+/// `wt` (out_c x patch, natural layout) via the shared scalar sweeps;
+/// the tables are shared with the float path.
 void qconv2d_im2col_wide_scalar(const std::int8_t* panel,
                                 const std::int8_t* wt,
                                 const kernels::ConvTables& t,
@@ -272,11 +207,9 @@ void qconv2d_im2col_wide_avx512(const std::int8_t* panel,
                                 std::uint64_t* sat) noexcept;
 
 /// Per-step int8 kernel entry points resolved once at plan-construction
-/// time so the engine hot path stays branch-free. qmatvec_blocked (live
-/// weights) and qmatvec_packed / the wide variants (panel) share the
-/// Dense shape; conv kernels take both the panel and the live weights
-/// (panel-less steps pass panel == nullptr and use qconv2d_im2col_live).
-using QDenseKernelFn = void (*)(const std::int8_t* w_or_panel,
+/// time so the engine hot path stays branch-free. Conv kernels take both
+/// the panel and the live weights (the tail channels read live).
+using QDenseKernelFn = void (*)(const std::int8_t* panel,
                                 std::size_t rows, std::size_t cols,
                                 const std::int8_t* x, const Requant& rq,
                                 std::int8_t* out,
@@ -287,12 +220,6 @@ using QConvKernelFn = void (*)(const std::int8_t* panel,
                                const std::int8_t* col, const Requant& rq,
                                std::int8_t* out,
                                std::uint64_t* sat) noexcept;
-
-/// qconv2d_im2col behind the QConvKernelFn shape (ignores `panel`).
-void qconv2d_im2col_live(const std::int8_t* panel, const std::int8_t* wt,
-                         const kernels::ConvTables& t, const std::int8_t* col,
-                         const Requant& rq, std::int8_t* out,
-                         std::uint64_t* sat) noexcept;
 
 /// The wide kernel family for a probed/selected ISA (deploy-time only).
 QDenseKernelFn wide_qdense_kernel(kernels::WideIsa isa) noexcept;

@@ -1,7 +1,7 @@
 // kWide int8 microkernels: widened int8 x int8 -> int32 dot products with
 // fused requantize. 32-row Dense blocks and 16-channel Conv2d lane groups
 // (plus one 8-channel half group) in three variants — portable scalar
-// twin, AVX2-class (8-byte sign-extended lane loads into 256-bit int32
+// arm, AVX2-class (8-byte sign-extended lane loads into 256-bit int32
 // accumulators), AVX-512-class (16-byte lane loads into 512-bit
 // accumulators; the half group keeps one 256-bit accumulator).
 //
@@ -11,7 +11,7 @@
 // (__builtin_convertvector) and fold the broadcast multiplicand into each
 // lane's own accumulator only — no horizontal reductions, no partial-sum
 // restructuring — so the per-chain sequence of int32 additions, and hence
-// the overflow envelope, is *identical* to the scalar twin and to the
+// the overflow envelope, is *identical* to the scalar arm and to the
 // audited reference loop in dl/quant.cpp. Int32 accumulation of in-range
 // products is exact, so bitwise identity across variants follows by
 // construction; dl_quant_kernels_wide_test proves it differentially.
@@ -20,7 +20,6 @@
 // the requantize epilogue is float math and must keep the reference's
 // two-rounding a*b+c shape.
 #include "tensor/qkernels.hpp"
-#include "tensor/qkernels_detail.hpp"
 
 #if defined(__x86_64__) || defined(__i386__)
 #define SX_QWIDE_X86 1
@@ -32,6 +31,75 @@
 namespace sx::tensor::qkernels {
 
 namespace {
+
+/// One kOc-channel sweep over every output pixel, sharing the gathered
+/// int8 column. Interior pixels (full patch, w_ofs is the identity) take
+/// the contiguous-weight fast path; clipped border pixels indirect through
+/// w_ofs. Both walk the taps in table order == reference order (the table
+/// construction in tensor/kernels.cpp mirrors the dl/quant.cpp skip).
+template <std::size_t kOc>
+inline void qconv_oc_sweep(const std::int8_t* wt,
+                           const kernels::ConvTables& t,
+                           const std::int8_t* col, const Requant& rq,
+                           std::int8_t* out, std::size_t oc0,
+                           std::uint64_t* sat) noexcept {
+  const std::int8_t* w[kOc];
+  for (std::size_t i = 0; i < kOc; ++i) w[i] = wt + (oc0 + i) * t.patch;
+  std::int8_t* o[kOc];
+  for (std::size_t i = 0; i < kOc; ++i) o[i] = out + (oc0 + i) * t.opix;
+  for (std::size_t p = 0; p < t.opix; ++p) {
+    const std::size_t base = t.pix_off[p];
+    const std::size_t taps = t.pix_off[p + 1] - base;
+    std::int32_t acc[kOc] = {};
+    const std::int8_t* c = col + base;
+    if (taps == t.patch) {
+      // 4x tap unroll on the contiguous fast path (interior pixels are the
+      // overwhelming majority); tap order per channel stays ascending.
+      std::size_t j = 0;
+      for (; j + 4 <= taps; j += 4) {
+        for (std::size_t u = 0; u < 4; ++u) {
+          const std::int32_t v = c[j + u];
+          for (std::size_t i = 0; i < kOc; ++i)
+            acc[i] += static_cast<std::int32_t>(w[i][j + u]) * v;
+        }
+      }
+      for (; j < taps; ++j) {
+        const std::int32_t v = c[j];
+        for (std::size_t i = 0; i < kOc; ++i)
+          acc[i] += static_cast<std::int32_t>(w[i][j]) * v;
+      }
+    } else {
+      const std::uint32_t* wo = t.w_ofs + base;
+      for (std::size_t j = 0; j < taps; ++j) {
+        const std::int32_t v = c[j];
+        const std::size_t k = wo[j];
+        for (std::size_t i = 0; i < kOc; ++i)
+          acc[i] += static_cast<std::int32_t>(w[i][k]) * v;
+      }
+    }
+    for (std::size_t i = 0; i < kOc; ++i)
+      o[i][p] = requantize(acc[i], oc0 + i, rq, sat);
+  }
+}
+
+/// Sweeps the 1..7 output channels oc..out_c left after the wide groups
+/// and the 8-lane half group over the live weights.
+inline void qconv_tail_sweep(const std::int8_t* wt,
+                             const kernels::ConvTables& t,
+                             const std::int8_t* col, const Requant& rq,
+                             std::int8_t* out, std::size_t oc,
+                             std::uint64_t* sat) noexcept {
+  switch (t.out_c - oc) {
+    case 1: qconv_oc_sweep<1>(wt, t, col, rq, out, oc, sat); break;
+    case 2: qconv_oc_sweep<2>(wt, t, col, rq, out, oc, sat); break;
+    case 3: qconv_oc_sweep<3>(wt, t, col, rq, out, oc, sat); break;
+    case 4: qconv_oc_sweep<4>(wt, t, col, rq, out, oc, sat); break;
+    case 5: qconv_oc_sweep<5>(wt, t, col, rq, out, oc, sat); break;
+    case 6: qconv_oc_sweep<6>(wt, t, col, rq, out, oc, sat); break;
+    case 7: qconv_oc_sweep<7>(wt, t, col, rq, out, oc, sat); break;
+    default: break;
+  }
+}
 
 typedef std::int32_t v8si __attribute__((vector_size(32)));
 typedef std::int32_t v16si __attribute__((vector_size(64)));
@@ -54,6 +122,11 @@ inline void qwide_dense_tail(const std::int8_t* blk, std::size_t r0,
 }
 
 }  // namespace
+
+void im2col_gather_i8(const std::int8_t* in, const std::uint32_t* in_idx,
+                      std::size_t entries, std::int8_t* col) noexcept {
+  for (std::size_t e = 0; e < entries; ++e) col[e] = in[in_idx[e]];
+}
 
 std::size_t qwide_dense_panel_bytes(std::size_t rows,
                                     std::size_t cols) noexcept {
@@ -120,7 +193,7 @@ namespace {
 
 // The sign-extending lane loads use the vpmovsxbd intrinsics directly:
 // GCC scalarizes a generic __builtin_convertvector from int8 to int32
-// (one movsbl + insert per lane), which is slower than the scalar twin.
+// (one movsbl + insert per lane), which is slower than the scalar arm.
 // The value is identical either way — sign extension is exact — only the
 // instruction selection changes.
 __attribute__((target("avx2"))) inline v8si v8si_sx(
@@ -213,7 +286,7 @@ void qmatvec_wide_avx512(const std::int8_t* panel, std::size_t rows,
                      tail, cols, x, rq, out, sat);
 }
 
-#else  // !SX_QWIDE_X86: the SIMD entry points are the twin itself.
+#else  // !SX_QWIDE_X86: the SIMD entry points are the scalar arm itself.
 
 void qmatvec_wide_avx2(const std::int8_t* panel, std::size_t rows,
                        std::size_t cols, const std::int8_t* x,
@@ -290,7 +363,7 @@ inline void qwide_conv_schedule(const std::int8_t* panel,
     half(panel + groups * gstride, t, col, rq, out, oc, sat);
     oc += kQWideHalfLanes;
   }
-  detail::qconv_tail_sweep(wt, t, col, rq, out, oc, sat);
+  qconv_tail_sweep(wt, t, col, rq, out, oc, sat);
 }
 
 /// Scalar core of one wide conv lane group of kLanes channels — the

@@ -7,7 +7,7 @@
 //      matrix and the evidence records key on these strings).
 //   2. Selection — platform::select_wide_isa honors SX_KERNEL_ISA only
 //      when the probe confirms the feature, refuses unknown/unavailable
-//      tokens to the scalar twin (never UB), and the audit line records
+//      tokens to the scalar arm (never UB), and the audit line records
 //      both what was asked and what ran.
 //   3. Identity — the kWide StaticEngine and BatchRunner are bitwise
 //      identical to the reference engine for every selectable ISA, and
@@ -59,8 +59,6 @@ std::vector<float> run_engine(StaticEngine& e, tensor::ConstTensorView in) {
 TEST(WideKernelMode, NameMappingIsExhaustive) {
   EXPECT_STREQ(kernel_mode_name(KernelMode::kAuto), "auto");
   EXPECT_STREQ(kernel_mode_name(KernelMode::kReference), "reference");
-  EXPECT_STREQ(kernel_mode_name(KernelMode::kBlocked), "blocked");
-  EXPECT_STREQ(kernel_mode_name(KernelMode::kPacked), "packed");
   EXPECT_STREQ(kernel_mode_name(KernelMode::kWide), "wide");
 }
 
@@ -68,11 +66,9 @@ TEST(WideKernelMode, AllKernelModesEnumeratesEveryConcreteMode) {
   const auto modes = all_kernel_modes();
   // kReference first: the scenario matrix anchors each backend's twin on
   // the first entry of the shared enumeration.
-  ASSERT_GE(modes.size(), 4u);
+  ASSERT_GE(modes.size(), 2u);
   EXPECT_EQ(modes[0], KernelMode::kReference);
-  std::vector<KernelMode> want = {KernelMode::kReference,
-                                  KernelMode::kBlocked, KernelMode::kPacked,
-                                  KernelMode::kWide};
+  std::vector<KernelMode> want = {KernelMode::kReference, KernelMode::kWide};
   ASSERT_EQ(modes.size(), want.size());
   for (std::size_t i = 0; i < want.size(); ++i) EXPECT_EQ(modes[i], want[i]);
   // No kAuto, no duplicates.
@@ -171,7 +167,7 @@ TEST(WideEngine, BitwiseIdenticalToReferenceUnderIsaOverrides) {
       ASSERT_EQ(setenv("SX_KERNEL_ISA", isa, 1), 0);
       StaticEngine wide{*m, {.kernels = KernelMode::kWide}};
       ASSERT_NE(wide.kernel_plan(), nullptr);
-      EXPECT_EQ(wide.kernel_plan()->mode(), KernelMode::kWide);
+      EXPECT_EQ(wide.kernel_mode(), KernelMode::kWide);
       EXPECT_FALSE(wide.kernel_plan()->isa_selection().refused);
       EXPECT_STREQ(tensor::kernels::wide_isa_name(
                        wide.kernel_plan()->isa_selection().isa),
@@ -190,7 +186,7 @@ TEST(WideEngine, RefusedOverrideFallsBackToScalarAndStaysIdentical) {
   // An operator override naming an ISA this host cannot attest must not
   // abort deployment, must not execute unavailable instructions, and must
   // keep the output bits: the plan records the refusal and runs the
-  // scalar twin.
+  // scalar arm.
   ASSERT_EQ(setenv("SX_KERNEL_ISA", "not-an-isa", 1), 0);
   const Model& m = sx::testing::trained_mlp();
   StaticEngine ref{m, {.kernels = KernelMode::kReference}};
@@ -206,11 +202,12 @@ TEST(WideEngine, RefusedOverrideFallsBackToScalarAndStaysIdentical) {
 }
 
 TEST(WideEngine, PanelSnapshotIsStaleUntilRepack) {
-  // kWide packs weight panels at deploy time like kPacked; SEU campaigns
-  // that mutate live weights must call repack() to resync the snapshot.
+  // kWide packs weight panels at deploy time, while the reference loops
+  // read the live weights; SEU campaigns that mutate live weights must
+  // call repack() to resync the snapshot.
   Model m = sx::testing::trained_mlp();
   StaticEngine ref{m, {.kernels = KernelMode::kReference}};
-  KernelPlan plan{m, KernelMode::kWide};
+  KernelPlan plan{m};
   StaticEngine wide{m, plan};
 
   const auto in = sx::testing::road_data().samples[2].input.view();
@@ -250,7 +247,6 @@ TEST(WideBatch, WorkerCountsBitwiseIdenticalToReference) {
     BatchRunner runner{m, BatchRunnerConfig{.workers = workers,
                                             .kernels = KernelMode::kWide}};
     ASSERT_NE(runner.kernel_plan(), nullptr);
-    EXPECT_EQ(runner.kernel_plan()->mode(), KernelMode::kWide);
     std::vector<float> out(n * out_size, -1.0f);
     std::vector<Status> st(n, Status::kInvalidArgument);
     ASSERT_EQ(runner.run(flat, out, st), Status::kOk);
@@ -294,14 +290,14 @@ TEST(WideBackendRecord, AuditEntryNamesResolvedModeAndProbe) {
 }
 
 TEST(WideBackendRecord, Int8BackendForwardsKernelModeToQuantChannel) {
-  // One knob across backends: a kWide request on the int8 backend must
-  // reach the quantized channel (quant_engine.kernels left at kAuto) and
-  // the record must attribute the deployment to the quant plan's resolved
-  // mode — not silently deploy the int8 default.
+  // One knob per pipeline: kernel_mode drives the quantized channel on
+  // the int8 backend — quant_engine.kernels is ignored, so a stale value
+  // there cannot deploy a mode the record does not name.
   core::PipelineConfig cfg;
   cfg.criticality = core::Criticality::kSil2;
   cfg.backend = core::BackendKind::kInt8;
   cfg.kernel_mode = KernelMode::kWide;
+  cfg.quant_engine.kernels = KernelMode::kReference;
   core::CertifiablePipeline p{sx::testing::trained_mlp(),
                               sx::testing::road_data(), cfg};
 
@@ -311,6 +307,9 @@ TEST(WideBackendRecord, Int8BackendForwardsKernelModeToQuantChannel) {
             std::string::npos)
       << e->payload;
   EXPECT_NE(e->payload.find("probe avx2="), std::string::npos) << e->payload;
+
+  ASSERT_NE(p.quant_channel(), nullptr);
+  EXPECT_NE(p.quant_channel()->kernel_plan(), nullptr);
 
   const core::EvidenceItem item = core::make_kernel_backend_evidence(p);
   EXPECT_NE(item.body.find("plan=int8 mode=wide isa="), std::string::npos)
@@ -338,36 +337,33 @@ TEST(WideBackendRecord, EscapeHatchRecordsResolvedReferenceMode) {
 }
 
 TEST(WideBackendRecord, DefaultPipelineRecordsProbedDefault) {
-  // The default deployment (kAuto) runs the wide family on an avx2/avx512
-  // host and the blocked kernels elsewhere; either way the record carries
-  // the probe audit that decided it.
+  // The default deployment (kAuto) runs the wide family on every host;
+  // the record carries the probe audit that picked its arm.
   ASSERT_EQ(unsetenv("SX_KERNEL_REFERENCE"), 0);
   ASSERT_EQ(unsetenv("SX_KERNEL_ISA"), 0);
   const platform::CpuProbe probe = platform::probe_cpu();
   const platform::WideIsaSelection sel =
       platform::select_wide_isa(probe, nullptr);
-  const bool simd = probe.avx2 || probe.avx512f;
   core::PipelineConfig cfg;
   cfg.criticality = core::Criticality::kSil2;
   core::CertifiablePipeline p{sx::testing::trained_mlp(),
                               sx::testing::road_data(), cfg};
-  EXPECT_EQ(p.kernel_backend(),
-            std::string("requested=auto resolved=") +
-                (simd ? "wide" : "blocked") + "; " +
-                platform::wide_isa_audit(probe, sel));
+  EXPECT_EQ(p.kernel_backend(), "requested=auto resolved=wide; " +
+                                    platform::wide_isa_audit(probe, sel));
   if (probe.avx512f) {
     EXPECT_EQ(p.kernel_backend(),
               "requested=auto resolved=wide; probe avx2=1 avx512f=1 "
               "env=(unset) selected=avx512 refused=0");
   }
 
-  // A scalar override demotes kAuto to kBlocked, and the record says why.
+  // A scalar override keeps kAuto on the wide family's scalar arm, and
+  // the record says so.
   ASSERT_EQ(setenv("SX_KERNEL_ISA", "scalar", 1), 0);
   core::CertifiablePipeline scalar{sx::testing::trained_mlp(),
                                    sx::testing::road_data(), cfg};
   ASSERT_EQ(unsetenv("SX_KERNEL_ISA"), 0);
   EXPECT_EQ(scalar.kernel_backend(),
-            "requested=auto resolved=blocked; " +
+            "requested=auto resolved=wide; " +
                 platform::wide_isa_audit(
                     probe, platform::select_wide_isa(probe, "scalar")));
   EXPECT_NE(scalar.kernel_backend().find("env=scalar selected=scalar"),

@@ -1,7 +1,7 @@
 // Differential and golden tests for the planned int8 execution stack
 // (dl/qplan): the planned QuantEngine must be *bitwise identical* to the
 // reference QuantizedModel::run — dequantized logits AND per-layer
-// saturation counters — at every kernel rung (reference, blocked, packed),
+// saturation counters — at every kernel mode (reference, wide),
 // for every weight granularity, across awkward shapes (tail dims off the
 // 8-lane blocks, strides, padding), and through the quantized BatchRunner
 // for every worker count. A golden-vector file pins one quantized CNN's
@@ -141,8 +141,7 @@ TEST(QuantKernelPlan, DifferentialSweepBitwiseIdentity) {
   for (const Arch& a : sweep_archs())
     for (WeightGranularity g :
          {WeightGranularity::kPerChannel, WeightGranularity::kPerTensor})
-      for (KernelMode m : {KernelMode::kReference, KernelMode::kBlocked,
-                           KernelMode::kPacked, KernelMode::kWide})
+      for (KernelMode m : all_kernel_modes())
         expect_engine_matches_reference(a, g, m);
 }
 
@@ -172,8 +171,7 @@ TEST(QuantKernelPlan, PlanShapeMatchesArchitecture) {
   const Dataset cal = toy_dataset(Shape::chw(3, 9, 9), 8, 41);
   const QuantizedModel qm = QuantizedModel::quantize(m, cal);
 
-  const QuantKernelPlan plan{qm, KernelMode::kPacked};
-  EXPECT_EQ(plan.mode(), KernelMode::kPacked);
+  const QuantKernelPlan plan{qm};
   EXPECT_EQ(plan.planned_conv(), 1u);
   EXPECT_EQ(plan.planned_dense(), 1u);
   EXPECT_EQ(plan.fused_relus(), 1u);   // conv+relu fuse
@@ -182,10 +180,12 @@ TEST(QuantKernelPlan, PlanShapeMatchesArchitecture) {
   EXPECT_GT(plan.panel_bytes(), 0u);
   EXPECT_GT(plan.table_entries(), 0u);
   EXPECT_GT(plan.scratch_bytes(), 0u);
-  EXPECT_NE(plan.summary().find("mode=packed"), std::string::npos);
-
-  const QuantKernelPlan blocked{qm, KernelMode::kBlocked};
-  EXPECT_EQ(blocked.panel_bytes(), 0u);
+  EXPECT_NE(plan.summary().find("mode=wide"), std::string::npos);
+  // 5 conv channels are under the 8-lane half group: the conv step has no
+  // panel and reads every channel live; the dense step is panelled.
+  for (const QuantKernelStep& s : plan.steps())
+    EXPECT_EQ(s.panel == nullptr, s.kind != QuantKernelStep::Kind::kDense)
+        << "layer " << s.first_layer;
 }
 
 TEST(QuantKernelPlan, RepackKeepsOutputsIdentical) {
@@ -194,7 +194,7 @@ TEST(QuantKernelPlan, RepackKeepsOutputsIdentical) {
   const Model m = b.build(9);
   const Dataset cal = toy_dataset(Shape::vec(13), 8, 43);
   const QuantizedModel qm = QuantizedModel::quantize(m, cal);
-  QuantEngine eng{qm, QuantEngineConfig{.kernels = KernelMode::kPacked}};
+  QuantEngine eng{qm, QuantEngineConfig{.kernels = KernelMode::kWide}};
   ASSERT_NE(eng.plan(), nullptr);
 
   Tensor in{Shape::vec(13)};
@@ -215,7 +215,7 @@ TEST(QuantKernelPlan, PackedPanelsAreCacheLineAligned) {
   for (const Arch& a : sweep_archs()) {
     const Dataset cal = toy_dataset(a.input, 8, 1300 + a.input.size());
     const QuantizedModel qm = QuantizedModel::quantize(a.model, cal);
-    const QuantKernelPlan plan{qm, KernelMode::kPacked};
+    const QuantKernelPlan plan{qm};
     for (const QuantKernelStep& s : plan.steps()) {
       if (s.panel == nullptr) continue;
       EXPECT_EQ(reinterpret_cast<std::uintptr_t>(s.panel) %
@@ -259,7 +259,7 @@ TEST(QuantKernelPlan, SharedPlanAcrossEngines) {
   const Model& m = sx::testing::trained_cnn();
   const auto& ds = sx::testing::road_data();
   const QuantizedModel qm = QuantizedModel::quantize(m, ds);
-  const QuantKernelPlan plan{qm, KernelMode::kBlocked};
+  const QuantKernelPlan plan{qm};
   QuantEngine e1{qm, plan};
   QuantEngine e2{qm, plan};
   std::vector<float> a(qm.output_shape().size()), b(a.size());
@@ -377,7 +377,7 @@ TEST(QuantGolden, CnnLogitsMatchGoldenFile) {
 
   std::FILE* f = std::fopen(SX_TEST_DATA_DIR "/quant_cnn_golden.txt", "r");
   ASSERT_NE(f, nullptr) << "golden file missing";
-  QuantEngine eng{qm, QuantEngineConfig{.kernels = KernelMode::kPacked}};
+  QuantEngine eng{qm, QuantEngineConfig{.kernels = KernelMode::kWide}};
   QuantizedModel ref = qm;
   std::vector<float> planned(7), reference(7);
   util::Xoshiro256 rng{2024};

@@ -3,15 +3,16 @@
 //
 // Contract under test: the 32-row Dense and 16/8-channel Conv2d wide
 // microkernels preserve the per-output int32 accumulation chain of the
-// audited reference loops in dl/quant.cpp — so the scalar twin, AVX2 and
-// AVX-512 variants must be bitwise identical to qmatvec_blocked /
-// qconv2d_im2col in outputs AND saturation counts, across ragged tails
-// off the 32/16-lane groups, and the kWide QuantEngine must match the
+// audited reference loops in dl/quant.cpp — so the scalar arm, AVX2 and
+// AVX-512 variants must be bitwise identical to QuantizedModel::apply_layer
+// in outputs AND saturation counts, across ragged tails off the 32/16-lane
+// groups and the 8-lane half group, and the kWide QuantEngine must match the
 // reference QuantizedModel::run bit for bit (logits and per-layer
 // counters), including under the SX_KERNEL_ISA override. SIMD variants
 // run only where the CPU probe reports the ISA.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -39,6 +40,48 @@ std::vector<std::int8_t> random_i8(std::size_t n, util::Xoshiro256& rng) {
   return v;
 }
 
+Dataset toy_dataset(const Shape& input_shape, std::size_t n,
+                    std::uint64_t seed) {
+  Dataset ds;
+  ds.num_classes = 3;
+  ds.input_shape = input_shape;
+  util::Xoshiro256 rng{seed};
+  for (std::size_t i = 0; i < n; ++i) {
+    Sample s;
+    s.input = Tensor{input_shape};
+    s.input.init_uniform(rng, -2.0f, 2.0f);
+    s.label = i % 3;
+    ds.samples.push_back(std::move(s));
+  }
+  return ds;
+}
+
+/// Quantizes `m` (a Dense or Conv2d layer, then a ReLU) and overwrites
+/// layer 0's int8 weights with full-range random values, so the
+/// calibrated scales make requantize clip. QuantizedModel::apply_layer is
+/// then the audited reference loop for exactly these weights.
+QuantizedModel random_weight_qmodel(const Model& m, const Dataset& cal,
+                                    WeightGranularity granularity,
+                                    util::Xoshiro256& rng) {
+  QuantizedModel qm = QuantizedModel::quantize(m, cal, {granularity});
+  const std::span<std::int8_t> w = qm.mutable_weights(0);
+  const auto r = random_i8(w.size(), rng);
+  std::copy(r.begin(), r.end(), w.begin());
+  return qm;
+}
+
+/// The fused requantize parameters of layer 0, as QuantKernelPlan sets
+/// them.
+qk::Requant requant_of(const QuantizedModel& qm, bool relu) {
+  const QuantizedModel::QLayerView v = qm.layer_view(0);
+  return qk::Requant{.w_scales = v.w_scales.data(),
+                     .per_channel = v.w_scales.size() > 1,
+                     .bias = v.bias.data(),
+                     .in_scale = qm.input_scale(),
+                     .out_scale = v.out_scale,
+                     .relu = relu};
+}
+
 std::vector<std::pair<const char*, qk::QDenseKernelFn>> qdense_variants() {
   const platform::CpuProbe p = platform::probe_cpu();
   std::vector<std::pair<const char*, qk::QDenseKernelFn>> v;
@@ -57,36 +100,36 @@ std::vector<std::pair<const char*, qk::QConvKernelFn>> qconv_variants() {
   return v;
 }
 
-TEST(WideQMatvec, BitwiseEqualsBlockedWithSaturationParity) {
+TEST(WideQMatvec, BitwiseEqualsReferenceWithSaturationParity) {
   util::Xoshiro256 rng{404};
   // Below / at / above the 32-row group, primes for ragged tails, and an
   // exact multi-group control.
   const std::size_t sizes[] = {1, 3, 7, 8, 16, 31, 32, 33, 47, 64, 96, 101};
-  std::vector<float> wsc, bias;
+  std::uint64_t clips = 0;
   for (std::size_t rows : sizes) {
     for (std::size_t cols : {std::size_t{1}, std::size_t{5}, std::size_t{32},
                              std::size_t{53}}) {
-      const auto w = random_i8(rows * cols, rng);
-      const auto x = random_i8(cols, rng);
-      wsc.assign(rows, 0.0f);
-      bias.assign(rows, 0.0f);
-      for (auto& s : wsc) s = static_cast<float>(rng.uniform(0.001, 0.02));
-      for (auto& b : bias) b = static_cast<float>(rng.uniform(-0.5, 0.5));
-      for (const bool per_channel : {true, false}) {
-        for (const bool relu : {false, true}) {
-          // Small out_scale so some outputs clip: saturation-count parity
-          // must be non-vacuous.
-          const qk::Requant rq{wsc.data(), per_channel, bias.data(),
-                               /*in_scale=*/0.04f, /*out_scale=*/0.02f,
-                               relu};
-          std::vector<std::int8_t> ref(rows, -7);
-          std::uint64_t ref_sat = 0;
-          qk::qmatvec_blocked(w.data(), rows, cols, x.data(), rq, ref.data(),
-                              &ref_sat);
+      ModelBuilder b{Shape::vec(cols)};
+      b.dense(rows).relu();
+      const Model m = b.build(1000 * rows + cols);
+      const Dataset cal = toy_dataset(Shape::vec(cols), 4, rows + cols);
+      for (const WeightGranularity gran :
+           {WeightGranularity::kPerChannel, WeightGranularity::kPerTensor}) {
+        const QuantizedModel qm = random_weight_qmodel(m, cal, gran, rng);
+        const auto x = random_i8(cols, rng);
+        std::vector<std::int8_t> pre(rows, -7), post(rows, -7);
+        std::uint64_t ref_sat = 0;
+        ASSERT_EQ(qm.apply_layer(0, x, pre, &ref_sat), Status::kOk);
+        ASSERT_EQ(qm.apply_layer(1, pre, post, nullptr), Status::kOk);
+        clips += ref_sat;
 
-          std::vector<std::int8_t> panel(
-              qk::qwide_dense_panel_bytes(rows, cols), -1);
-          qk::pack_qwide_dense_panel(w.data(), rows, cols, panel.data());
+        const auto w = qm.layer_view(0).weights;
+        std::vector<std::int8_t> panel(
+            qk::qwide_dense_panel_bytes(rows, cols), -1);
+        qk::pack_qwide_dense_panel(w.data(), rows, cols, panel.data());
+        for (const bool relu : {false, true}) {
+          const qk::Requant rq = requant_of(qm, relu);
+          const std::vector<std::int8_t>& ref = relu ? post : pre;
           for (const auto& [name, fn] : qdense_variants()) {
             std::vector<std::int8_t> out(rows, -7);
             std::uint64_t sat = 0;
@@ -100,11 +143,13 @@ TEST(WideQMatvec, BitwiseEqualsBlockedWithSaturationParity) {
       }
     }
   }
+  EXPECT_GT(clips, 0u) << "saturation-count parity must be non-vacuous";
 }
 
 TEST(WideQConv, BitwiseEqualsUnpackedAcrossGeometriesAndIsas) {
   namespace k = tensor::kernels;
   util::Xoshiro256 rng{405};
+  std::uint64_t clips = 0;
   for (std::size_t in_c : {1u, 3u}) {
     for (std::size_t kk : {1u, 3u}) {
       for (std::size_t pad : {0u, 1u}) {
@@ -117,32 +162,35 @@ TEST(WideQConv, BitwiseEqualsUnpackedAcrossGeometriesAndIsas) {
           const k::Conv2dGeom g{.in_c = in_c, .in_h = in_h, .in_w = in_w,
                                 .out_c = out_c, .k = kk, .stride = stride,
                                 .pad = pad};
+          const Shape in_shape = Shape::chw(in_c, in_h, in_w);
+          ModelBuilder b{in_shape};
+          b.conv2d(out_c, kk, stride, pad).relu();
+          const Model m = b.build(100 * out_c + 10 * kk + pad);
+          const QuantizedModel qm = random_weight_qmodel(
+              m, toy_dataset(in_shape, 4, out_c + in_c),
+              WeightGranularity::kPerChannel, rng);
+          const auto wt = qm.layer_view(0).weights;
+          const auto img = random_i8(in_shape.size(), rng);
+          const std::size_t n = out_c * g.opix();
+          std::vector<std::int8_t> pre(n, -7), ref(n, -7);
+          std::uint64_t ref_sat = 0;
+          ASSERT_EQ(qm.apply_layer(0, img, pre, &ref_sat), Status::kOk);
+          ASSERT_EQ(qm.apply_layer(1, pre, ref, nullptr), Status::kOk);
+          clips += ref_sat;
+
           const std::size_t entries = k::im2col_entries(g);
           std::vector<std::uint32_t> pix_off(g.opix() + 1), in_idx(entries),
               w_ofs(entries);
           k::build_im2col_tables(g, pix_off.data(), in_idx.data(),
                                  w_ofs.data());
-          const auto wt = random_i8(out_c * g.patch(), rng);
-          const auto img = random_i8(in_c * in_h * in_w, rng);
           std::vector<std::int8_t> col(entries);
           qk::im2col_gather_i8(img.data(), in_idx.data(), entries,
                                col.data());
-          std::vector<float> wsc(out_c), bias(out_c);
-          for (auto& s : wsc)
-            s = static_cast<float>(rng.uniform(0.001, 0.02));
-          for (auto& b : bias)
-            b = static_cast<float>(rng.uniform(-0.5, 0.5));
-          const qk::Requant rq{wsc.data(), true, bias.data(), 0.04f, 0.02f,
-                               true};
+          const qk::Requant rq = requant_of(qm, /*relu=*/true);
           const k::ConvTables t{.out_c = out_c, .patch = g.patch(),
                                 .opix = g.opix(), .pix_off = pix_off.data(),
                                 .in_idx = in_idx.data(),
                                 .w_ofs = w_ofs.data()};
-          const std::size_t n = out_c * g.opix();
-          std::vector<std::int8_t> ref(n, -7);
-          std::uint64_t ref_sat = 0;
-          qk::qconv2d_im2col(wt.data(), t, col.data(), rq, ref.data(),
-                             &ref_sat);
 
           std::vector<std::int8_t> panel(
               qk::qwide_conv_panel_bytes(out_c, g.patch()), -1);
@@ -162,6 +210,7 @@ TEST(WideQConv, BitwiseEqualsUnpackedAcrossGeometriesAndIsas) {
       }
     }
   }
+  EXPECT_GT(clips, 0u) << "saturation-count parity must be non-vacuous";
 }
 
 TEST(WideQConvHalfGroup, PanelHoldsHalfGroupWheneverEightChannelsRemain) {
@@ -206,22 +255,6 @@ TEST(WideQDispatch, SelectorsReturnIsaSpecificEntryPoints) {
 
 // ------------------------------------------------- engine-level identity
 
-Dataset toy_dataset(const Shape& input_shape, std::size_t n,
-                    std::uint64_t seed) {
-  Dataset ds;
-  ds.num_classes = 3;
-  ds.input_shape = input_shape;
-  util::Xoshiro256 rng{seed};
-  for (std::size_t i = 0; i < n; ++i) {
-    Sample s;
-    s.input = Tensor{input_shape};
-    s.input.init_uniform(rng, -2.0f, 2.0f);
-    s.label = i % 3;
-    ds.samples.push_back(std::move(s));
-  }
-  return ds;
-}
-
 bool bits_equal(float a, float b) {
   std::uint32_t ua, ub;
   std::memcpy(&ua, &a, sizeof ua);
@@ -255,7 +288,6 @@ TEST(WideQuantEngine, BitwiseIdenticalToReferenceUnderIsaOverrides) {
     QuantizedModel ref = qm;  // counters accumulate in the copy
     QuantEngine eng{qm, QuantEngineConfig{.kernels = KernelMode::kWide}};
     ASSERT_NE(eng.plan(), nullptr);
-    EXPECT_EQ(eng.plan()->mode(), KernelMode::kWide);
     EXPECT_FALSE(eng.plan()->isa_selection().refused) << isa;
     EXPECT_STREQ(
         tensor::kernels::wide_isa_name(eng.plan()->isa_selection().isa),
@@ -342,7 +374,7 @@ TEST(WideQuantPlan, RepackResyncsAfterWeightMutation) {
   QuantizedModel qm = QuantizedModel::quantize(m, cal);
   QuantizedModel ref = qm;
 
-  QuantKernelPlan plan{qm, KernelMode::kWide};
+  QuantKernelPlan plan{qm};
   QuantEngine eng{qm, plan};
   Tensor in{Shape::vec(24)};
   util::Xoshiro256 rng{8};

@@ -13,6 +13,7 @@
 
 #include <bit>
 #include <cstdlib>
+#include <ostream>
 
 #include "core/pipeline.hpp"
 #include "core/report.hpp"
@@ -207,7 +208,7 @@ TEST(IrPasses, LivenessColorsNonInterferingLifetimes) {
 
 TEST(IrArena, DigitCnnFloatDemandDropsAtLeastQuarter) {
   const dl::Model m = digit_cnn();
-  const dl::KernelPlan plan{m, dl::KernelMode::kBlocked};
+  const dl::KernelPlan plan{m};
   const ir::ArenaLayout& lay = plan.layout();
   ASSERT_GT(lay.naive_elems, 0u);
   const double reduction =
@@ -221,7 +222,7 @@ TEST(IrArena, DigitCnnFloatDemandDropsAtLeastQuarter) {
 TEST(IrArena, DigitCnnInt8DemandDropsAtLeastQuarter) {
   const dl::Model m = digit_cnn();
   const dl::QuantizedModel qm = digit_cnn_int8(m);
-  const dl::QuantKernelPlan plan{qm, dl::KernelMode::kPacked};
+  const dl::QuantKernelPlan plan{qm};
   const ir::ArenaLayout& lay = plan.layout();
   ASSERT_GT(lay.naive_elems, 0u);
   const double reduction =
@@ -269,7 +270,7 @@ TEST(IrDifferential, OptimizedInt8PlanMatchesReferenceBitwise) {
   const dl::Model m = digit_cnn();
   const dl::QuantizedModel qm = digit_cnn_int8(m);
   dl::QuantEngine planned{
-      qm, dl::QuantEngineConfig{.kernels = dl::KernelMode::kPacked}};
+      qm, dl::QuantEngineConfig{.kernels = dl::KernelMode::kWide}};
   dl::QuantEngine reference{
       qm, dl::QuantEngineConfig{.kernels = dl::KernelMode::kReference}};
   const dl::Dataset ds = dl::make_digits(24, 13);
@@ -291,7 +292,7 @@ TEST(IrDifferential, OptimizedInt8PlanMatchesReferenceBitwise) {
 
 TEST(IrVerify, HealthyFloatPlanIsSoundOnEveryAxis) {
   const dl::Model m = digit_cnn();
-  const dl::KernelPlan plan{m, dl::KernelMode::kBlocked};
+  const dl::KernelPlan plan{m};
   const verify::IrCheck c = verify::check_ir(m, plan);
   EXPECT_TRUE(c.checked);
   EXPECT_TRUE(c.structure_sound);
@@ -307,7 +308,7 @@ TEST(IrVerify, HealthyFloatPlanIsSoundOnEveryAxis) {
 TEST(IrVerify, HealthyQuantPlanIsSoundOnEveryAxis) {
   const dl::Model m = digit_cnn();
   const dl::QuantizedModel qm = digit_cnn_int8(m);
-  const dl::QuantKernelPlan plan{qm, dl::KernelMode::kBlocked};
+  const dl::QuantKernelPlan plan{qm};
   const verify::IrCheck c = verify::check_ir(qm, plan);
   EXPECT_TRUE(c.checked);
   EXPECT_TRUE(c.passed());
@@ -316,8 +317,7 @@ TEST(IrVerify, HealthyQuantPlanIsSoundOnEveryAxis) {
 
 TEST(IrVerify, PinnedPlanRederivesWithSamePin) {
   const dl::Model m = digit_cnn();
-  const dl::KernelPlan plan{m, dl::KernelMode::kBlocked,
-                            /*pin_tap_layer=*/5};
+  const dl::KernelPlan plan{m, /*pin_tap_layer=*/5};
   const verify::IrCheck c = verify::check_ir(m, plan);
   EXPECT_TRUE(c.passed());
   EXPECT_EQ(c.layers_fused, 1u);  // dense4+relu5 stays materialized
@@ -341,6 +341,10 @@ struct FaultCase {
   bool layout;
 };
 
+// gtest otherwise prints a FaultCase as its raw bytes — a pointer and
+// struct padding — which would make the ctest names differ per build.
+void PrintTo(const FaultCase& fc, std::ostream* os) { *os << fc.fault; }
+
 class IrFaultRefusal : public ::testing::TestWithParam<FaultCase> {
  protected:
   void TearDown() override { unsetenv("SX_IR_PASS_FAULT"); }
@@ -350,7 +354,7 @@ TEST_P(IrFaultRefusal, CorruptedFloatPassIsCaughtOnTheRightAxis) {
   const FaultCase fc = GetParam();
   const dl::Model m = digit_cnn();
   ASSERT_EQ(setenv("SX_IR_PASS_FAULT", fc.fault, 1), 0);
-  const dl::KernelPlan plan{m, dl::KernelMode::kBlocked};
+  const dl::KernelPlan plan{m};
   unsetenv("SX_IR_PASS_FAULT");
   // The corrupted plan advertises its injected fault in the evidence...
   bool saw_fault_evidence = false;
@@ -371,7 +375,7 @@ TEST_P(IrFaultRefusal, CorruptedQuantPassFailsTheCheck) {
   const dl::Model m = digit_cnn();
   const dl::QuantizedModel qm = digit_cnn_int8(m);
   ASSERT_EQ(setenv("SX_IR_PASS_FAULT", fc.fault, 1), 0);
-  const dl::QuantKernelPlan plan{qm, dl::KernelMode::kBlocked};
+  const dl::QuantKernelPlan plan{qm};
   unsetenv("SX_IR_PASS_FAULT");
   const verify::IrCheck c = verify::check_ir(qm, plan);
   EXPECT_TRUE(c.checked);

@@ -272,9 +272,7 @@ TEST_P(CrossModeIdentity, FloatBatchBitsMatchReferenceAcrossModesAndWorkers) {
   std::vector<Status> st(n);
   ASSERT_EQ(anchor.run(flat, ref, st), Status::kOk);
 
-  for (const dl::KernelMode mode :
-       {dl::KernelMode::kReference, dl::KernelMode::kBlocked,
-        dl::KernelMode::kPacked}) {
+  for (const dl::KernelMode mode : dl::all_kernel_modes()) {
     for (const std::size_t workers : {1u, 4u}) {
       dl::BatchRunner runner{m, {.workers = workers, .kernels = mode}};
       std::vector<float> out(n * out_size, -1.0f);
@@ -286,7 +284,7 @@ TEST_P(CrossModeIdentity, FloatBatchBitsMatchReferenceAcrossModesAndWorkers) {
                               std::bit_cast<std::uint32_t>(y);
                      });
       EXPECT_TRUE(identical)
-          << "seed " << seed << " mode " << static_cast<int>(mode) << " x "
+          << "seed " << seed << " mode " << dl::kernel_mode_name(mode) << " x "
           << workers << " workers: " << first_diff_hexfloat(out, ref);
     }
   }
@@ -322,9 +320,7 @@ TEST_P(QuantCrossModeIdentity, Int8BatchBitsMatchReferenceAcrossModes) {
   std::vector<Status> st(n);
   ASSERT_EQ(anchor.run(flat, ref, st), Status::kOk);
 
-  for (const dl::KernelMode mode :
-       {dl::KernelMode::kReference, dl::KernelMode::kBlocked,
-        dl::KernelMode::kPacked}) {
+  for (const dl::KernelMode mode : dl::all_kernel_modes()) {
     for (const std::size_t workers : {1u, 4u}) {
       dl::BatchRunner runner{qm, {.workers = workers, .kernels = mode}};
       std::vector<float> out(n * out_size, -1.0f);
@@ -336,7 +332,7 @@ TEST_P(QuantCrossModeIdentity, Int8BatchBitsMatchReferenceAcrossModes) {
                               std::bit_cast<std::uint32_t>(y);
                      });
       EXPECT_TRUE(identical)
-          << "seed " << seed << " int8 mode " << static_cast<int>(mode)
+          << "seed " << seed << " int8 mode " << dl::kernel_mode_name(mode)
           << " x " << workers << " workers: "
           << first_diff_hexfloat(out, ref);
     }
@@ -357,7 +353,7 @@ TEST_P(IrSoundness, RandomArchitecturePlansRederiveSound) {
   const std::uint64_t seed = GetParam();
   const dl::Model m = random_digit_cnn(seed + 300);
 
-  const dl::KernelPlan plan{m, dl::KernelMode::kPacked};
+  const dl::KernelPlan plan{m};
   const verify::IrCheck c = verify::check_ir(m, plan);
   EXPECT_TRUE(c.checked);
   EXPECT_TRUE(c.passed()) << "seed " << seed;
@@ -366,7 +362,7 @@ TEST_P(IrSoundness, RandomArchitecturePlansRederiveSound) {
 
   const dl::Dataset calib = dl::make_digits(16, seed * 11 + 3);
   const dl::QuantizedModel qm = dl::QuantizedModel::quantize(m, calib);
-  const dl::QuantKernelPlan qplan{qm, dl::KernelMode::kPacked};
+  const dl::QuantKernelPlan qplan{qm};
   const verify::IrCheck qc = verify::check_ir(qm, qplan);
   EXPECT_TRUE(qc.checked);
   EXPECT_TRUE(qc.passed()) << "seed " << seed;

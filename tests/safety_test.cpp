@@ -350,10 +350,10 @@ TEST(Campaign, QuantChannelInjectionHitsDeployedWeights) {
   // int8 engine never reads — every trial reproduced the golden output and
   // a campaign against the deployed int8 backend reported vacuous 100%
   // masking. Injection must perturb what the engine actually computes, and
-  // undo must restore it bitwise. Packed mode exercises the repack path
+  // undo must restore it bitwise. The wide plan exercises the repack path
   // (panel snapshots of the faulted bits), the strictest variant.
   QuantChannel ch{model(), quantized_model(),
-                  dl::QuantEngineConfig{.kernels = dl::KernelMode::kPacked}};
+                  dl::QuantEngineConfig{.kernels = dl::KernelMode::kWide}};
   const auto in = data().samples[0].input.view();
   std::vector<float> golden(ch.output_size()), out(ch.output_size());
   ASSERT_EQ(ch.infer(in, golden), Status::kOk);

@@ -1,8 +1,8 @@
 // Recovery-block and weight-integrity patterns exercised under the
 // scenario machinery: the trained digit workload, scenario perturbations
 // as the probe stream, live fault injection between inferences, and the
-// packed-kernel execution config that PR 6 wired through the safety
-// channels (StaticEngine::repack after weight mutation).
+// panel-snapshot (kWide) execution config the safety channels keep in
+// sync (StaticEngine::repack after weight mutation).
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -134,10 +134,11 @@ TEST(ScenarioIntegrity, GuardRepairsLiveFaultsUnderPackedKernels) {
   safety::WeightIntegrityGuard guard{golden};
   dl::Model deployed = golden;  // the copy faults land in
 
-  // Packed engine over the deployed copy: weights are snapshotted into
-  // panels, the exact configuration where stale packs hide corruption.
+  // Planned engine over the deployed copy: weights are snapshotted into
+  // wide panels, the exact configuration where stale packs hide
+  // corruption.
   dl::StaticEngine engine{
-      deployed, {.check_numeric_faults = false, .kernels = dl::KernelMode::kPacked}};
+      deployed, {.check_numeric_faults = false, .kernels = dl::KernelMode::kWide}};
   const std::size_t n = 12;
   const std::size_t out_size = golden.output_shape().size();
   std::vector<float> baseline(n * out_size), probe(out_size);
@@ -164,7 +165,7 @@ TEST(ScenarioIntegrity, GuardRepairsLiveFaultsUnderPackedKernels) {
   EXPECT_EQ(guard.verify(deployed), Status::kOk);
   EXPECT_EQ(guard.scrub(deployed), Status::kOk) << "second scrub not clean";
 
-  // ...and after a repack the packed engine is bitwise back on the golden
+  // ...and after a repack the planned engine is bitwise back on the golden
   // decision stream: repair + repack == never faulted.
   engine.repack();
   for (std::size_t i = 0; i < n; ++i) {
@@ -187,7 +188,7 @@ TEST(ScenarioIntegrity, AuditChainStaysVerifiableWhileFaultsAreLive) {
   core::PipelineConfig pc;
   pc.criticality = cfg.criticality;
   pc.spec = ScenarioSweeper{w.model, w.train, w.test, cfg}.config().spec;
-  pc.kernel_mode = dl::KernelMode::kPacked;  // the staleness-hazard config
+  pc.kernel_mode = dl::KernelMode::kWide;  // the staleness-hazard config
   core::CertifiablePipeline pipe{w.model, w.train, pc};
   ASSERT_FALSE(pipe.verification_refused());
 
@@ -223,14 +224,14 @@ TEST(ScenarioIntegrity, AuditChainStaysVerifiableWhileFaultsAreLive) {
 }
 
 TEST(ScenarioIntegrity, StaleParkedPanelsAreDetectableWithoutRepack) {
-  // The inverse property: WITHOUT repack, a packed engine keeps computing
+  // The inverse property: WITHOUT repack, a planned engine keeps computing
   // on the pre-fault snapshot. This is exactly the staleness the safety
   // channels now guard against by repacking inside inject_fault/undo_fault
   // — here it is asserted directly as documentation of the hazard.
   const dl::Model& golden = workload().model;
   dl::Model deployed = golden;
   dl::StaticEngine engine{
-      deployed, {.check_numeric_faults = false, .kernels = dl::KernelMode::kPacked}};
+      deployed, {.check_numeric_faults = false, .kernels = dl::KernelMode::kWide}};
   std::vector<float> before(golden.output_shape().size());
   std::vector<float> after(golden.output_shape().size());
   const auto& input = noisy_probes().samples[0].input;

@@ -35,7 +35,7 @@ const DigitWorkload& workload() {
 }
 
 /// Small cross-axes grid: 2 perturbations x 2 campaigns x OOD off/on x
-/// (reference anchor + packed/4-worker extreme, both backends) = 32 cells.
+/// (reference anchor + wide/4-worker extreme, both backends) = 32 cells.
 ScenarioConfig smoke_config() {
   ScenarioConfig cfg;
   cfg.perturbations = {{PerturbationKind::kNone, 0.0f},
@@ -45,9 +45,9 @@ ScenarioConfig smoke_config() {
                     /*n_faults=*/12, /*probes_per_fault=*/4}};
   cfg.execs = {
       {core::BackendKind::kFloat32, dl::KernelMode::kReference, 1},
-      {core::BackendKind::kFloat32, dl::KernelMode::kPacked, 4},
+      {core::BackendKind::kFloat32, dl::KernelMode::kWide, 4},
       {core::BackendKind::kInt8, dl::KernelMode::kReference, 1},
-      {core::BackendKind::kInt8, dl::KernelMode::kPacked, 4},
+      {core::BackendKind::kInt8, dl::KernelMode::kWide, 4},
   };
   cfg.max_probes = 32;
   cfg.ood_probes = 8;
@@ -199,7 +199,7 @@ TEST(ScenarioNegative, PoisonedSil3ModelYieldsRefusedCellsNotSkips) {
   cfg.cross_ood = false;
   cfg.execs = {
       {core::BackendKind::kFloat32, dl::KernelMode::kReference, 1},
-      {core::BackendKind::kFloat32, dl::KernelMode::kBlocked, 1},
+      {core::BackendKind::kFloat32, dl::KernelMode::kWide, 1},
   };
   cfg.max_probes = 16;
   ScenarioSweeper sweeper{poisoned, workload().train, workload().test, cfg};

@@ -1,5 +1,5 @@
-// Differential tests for the deploy-time kernel plans (PR: blocked
-// matvec/GEMM, ragged-im2col Conv2d, fused epilogues).
+// Differential tests for the deploy-time kernel plans (ragged-im2col
+// Conv2d lowering, fused epilogues, plan-driven engines and batches).
 //
 // The load-bearing property is *bitwise* identity with the reference
 // loops in tensor/ops.cpp and dl/layers.cpp — not approximate closeness:
@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <bit>
-#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <limits>
@@ -24,7 +23,6 @@
 #include "dl/plan.hpp"
 #include "platform/cpu_probe.hpp"
 #include "tensor/kernels.hpp"
-#include "tensor/ops.hpp"
 #include "test_helpers.hpp"
 #include "util/rng.hpp"
 #include "verify/range.hpp"
@@ -57,143 +55,6 @@ using sx::Status;
   return ::testing::AssertionSuccess();
 }
 
-std::vector<float> random_vec(std::size_t n, util::Xoshiro256& rng) {
-  std::vector<float> v(n);
-  for (auto& x : v) x = static_cast<float>(rng.uniform(-1.5, 1.5));
-  return v;
-}
-
-// ------------------------------------------------------------- Dense
-
-/// Reference y = W x + b via tensor::matvec, then the epilogue through the
-/// actual activation Layer::forward (not apply_epilogue, so the test is
-/// independent of the kernel header).
-std::vector<float> dense_reference(const std::vector<float>& w,
-                                   const std::vector<float>& b,
-                                   std::size_t rows, std::size_t cols,
-                                   const std::vector<float>& x,
-                                   Epilogue ep) {
-  std::vector<float> pre(rows);
-  EXPECT_EQ(matvec({w, Shape::mat(rows, cols)}, {x, Shape::vec(cols)},
-                   {b, Shape::vec(rows)},
-                   TensorView{pre, Shape::vec(rows)}),
-            Status::kOk);
-  if (ep == Epilogue::kNone) return pre;
-  std::vector<float> post(rows);
-  const TensorView out{post, Shape::vec(rows)};
-  const ConstTensorView in{pre, Shape::vec(rows)};
-  switch (ep) {
-    case Epilogue::kRelu: EXPECT_EQ(dl::Relu{}.forward(in, out), Status::kOk); break;
-    case Epilogue::kSigmoid: EXPECT_EQ(dl::Sigmoid{}.forward(in, out), Status::kOk); break;
-    case Epilogue::kTanh: EXPECT_EQ(dl::Tanh{}.forward(in, out), Status::kOk); break;
-    case Epilogue::kNone: break;
-  }
-  return post;
-}
-
-TEST(MatvecBlocked, BitwiseEqualsReferenceAcrossOddShapes) {
-  util::Xoshiro256 rng{2024};
-  // Deliberately awkward sizes: below / at / above the 8-row block, primes,
-  // and the benchmark sizes.
-  const std::size_t sizes[] = {1, 2, 3, 5, 7, 8, 9, 15, 16, 17, 31, 33, 64, 100};
-  for (std::size_t rows : sizes) {
-    for (std::size_t cols : {std::size_t{1}, std::size_t{3}, std::size_t{17},
-                             std::size_t{32}, std::size_t{53}}) {
-      const auto w = random_vec(rows * cols, rng);
-      const auto b = random_vec(rows, rng);
-      const auto x = random_vec(cols, rng);
-      const auto ref = dense_reference(w, b, rows, cols, x, Epilogue::kNone);
-
-      std::vector<float> out(rows, -7.0f);
-      EXPECT_TRUE(matvec_blocked(w.data(), b.data(), rows, cols, x.data(),
-                                 out.data(), Epilogue::kNone, true));
-      EXPECT_TRUE(BitEqual(out, ref)) << rows << "x" << cols << " blocked";
-
-      std::vector<float> panel(dense_panel_floats(rows, cols), -1.0f);
-      pack_dense_panel(w.data(), rows, cols, panel.data());
-      std::vector<float> out2(rows, -7.0f);
-      EXPECT_TRUE(matvec_packed(panel.data(), b.data(), rows, cols, x.data(),
-                                out2.data(), Epilogue::kNone, true));
-      EXPECT_TRUE(BitEqual(out2, ref)) << rows << "x" << cols << " packed";
-    }
-  }
-}
-
-TEST(MatvecBlocked, FusedEpiloguesMatchActivationLayers) {
-  util::Xoshiro256 rng{7};
-  for (std::size_t rows : {std::size_t{5}, std::size_t{8}, std::size_t{19},
-                           std::size_t{40}}) {
-    const std::size_t cols = 23;
-    const auto w = random_vec(rows * cols, rng);
-    const auto b = random_vec(rows, rng);
-    const auto x = random_vec(cols, rng);
-    for (Epilogue ep : {Epilogue::kRelu, Epilogue::kSigmoid, Epilogue::kTanh}) {
-      const auto ref = dense_reference(w, b, rows, cols, x, ep);
-      std::vector<float> out(rows);
-      EXPECT_TRUE(matvec_blocked(w.data(), b.data(), rows, cols, x.data(),
-                                 out.data(), ep, true));
-      EXPECT_TRUE(BitEqual(out, ref)) << "rows=" << rows << " ep="
-                                      << static_cast<int>(ep);
-
-      std::vector<float> panel(dense_panel_floats(rows, cols));
-      pack_dense_panel(w.data(), rows, cols, panel.data());
-      std::vector<float> out2(rows);
-      EXPECT_TRUE(matvec_packed(panel.data(), b.data(), rows, cols, x.data(),
-                                out2.data(), ep, true));
-      EXPECT_TRUE(BitEqual(out2, ref)) << "packed rows=" << rows;
-    }
-  }
-}
-
-TEST(MatvecBlocked, CheckFlagsNonFinitePreActivation) {
-  // relu(NaN) == 0 and sigmoid(+Inf) == 1 would silently mask a corrupted
-  // accumulation; the kernels must report the fault the reference engine's
-  // per-layer scan would have caught before the activation.
-  const std::size_t rows = 9, cols = 4;
-  util::Xoshiro256 rng{3};
-  auto w = random_vec(rows * cols, rng);
-  const auto b = random_vec(rows, rng);
-  const auto x = random_vec(cols, rng);
-  w[5 * cols + 2] = std::numeric_limits<float>::quiet_NaN();
-
-  std::vector<float> out(rows);
-  EXPECT_FALSE(matvec_blocked(w.data(), b.data(), rows, cols, x.data(),
-                              out.data(), Epilogue::kRelu, true));
-  // Unchecked mode still computes (campaign analyses run with checks off).
-  EXPECT_TRUE(matvec_blocked(w.data(), b.data(), rows, cols, x.data(),
-                             out.data(), Epilogue::kNone, false));
-  EXPECT_TRUE(std::isnan(out[5]));
-
-  std::vector<float> panel(dense_panel_floats(rows, cols));
-  pack_dense_panel(w.data(), rows, cols, panel.data());
-  EXPECT_FALSE(matvec_packed(panel.data(), b.data(), rows, cols, x.data(),
-                             out.data(), Epilogue::kRelu, true));
-}
-
-TEST(DensePanel, LayoutIsAlignedAndExhaustive) {
-  // Panel planner invariants the packer and kernel rely on: cache-line
-  // granularity, and every weight present exactly once in block order.
-  EXPECT_EQ(dense_panel_floats(8, 16) % kAlignFloats, 0u);
-  EXPECT_EQ(dense_panel_floats(1, 1), kAlignFloats);  // one padded line
-
-  const std::size_t rows = 11, cols = 3;  // one full block + 3-row tail
-  util::Xoshiro256 rng{41};
-  const auto w = random_vec(rows * cols, rng);
-  std::vector<float> panel(dense_panel_floats(rows, cols), 99.0f);
-  pack_dense_panel(w.data(), rows, cols, panel.data());
-
-  // Full block: panel[c * kRowBlock + r] == w[r * cols + c].
-  for (std::size_t r = 0; r < kRowBlock; ++r)
-    for (std::size_t c = 0; c < cols; ++c)
-      EXPECT_EQ(panel[c * kRowBlock + r], w[r * cols + c]);
-  // Tail block of 3 rows, interleaved at its own row count.
-  const std::size_t tail_base = align_up(kRowBlock * cols);
-  for (std::size_t r = 0; r < rows - kRowBlock; ++r)
-    for (std::size_t c = 0; c < cols; ++c)
-      EXPECT_EQ(panel[tail_base + c * (rows - kRowBlock) + r],
-                w[(kRowBlock + r) * cols + c]);
-}
-
 // ------------------------------------------------------------- Conv2d
 
 TEST(Conv2dIm2col, BitwiseEqualsReferenceAcrossGeometries) {
@@ -202,8 +63,8 @@ TEST(Conv2dIm2col, BitwiseEqualsReferenceAcrossGeometries) {
     for (std::size_t k : {1u, 2u, 3u}) {
       for (std::size_t stride : {1u, 2u}) {
         for (std::size_t pad : {0u, 1u, 2u}) {
-         // 4 = one full lane group; 6 = one group + 2 tail channels that
-         // the packed kernel must read from the live weights.
+         // 4 = one half lane group; 6 = the half group + 2 tail channels
+         // that the kernel must read from the live weights.
          for (std::size_t out_c : {4u, 6u}) {
           const std::size_t in_h = 7, in_w = 5;  // odd, non-square
           if (in_h + 2 * pad < k) continue;
@@ -234,24 +95,16 @@ TEST(Conv2dIm2col, BitwiseEqualsReferenceAcrossGeometries) {
           const ConvTables t{.out_c = out_c, .patch = g.patch(),
                              .opix = g.opix(), .pix_off = pix_off.data(),
                              .in_idx = in_idx.data(), .w_ofs = w_ofs.data()};
+          std::vector<float> panel(wide_conv_panel_floats(out_c, g.patch()));
+          ASSERT_FALSE(panel.empty());
+          pack_wide_conv_panel(layer.weights().data(), out_c, g.patch(),
+                               panel.data());
           std::vector<float> out(out_shape.size(), -7.0f);
-          EXPECT_TRUE(conv2d_im2col(layer.weights().data(),
-                                    layer.bias().data(), t, col.data(),
-                                    out.data(), Epilogue::kNone, true));
+          EXPECT_TRUE(conv2d_im2col_wide_scalar(
+              panel.data(), layer.weights().data(), layer.bias().data(), t,
+              col.data(), out.data(), Epilogue::kNone, true));
           EXPECT_TRUE(BitEqual(out, ref))
               << "in_c=" << in_c << " k=" << k << " stride=" << stride
-              << " pad=" << pad << " out_c=" << out_c;
-
-          std::vector<float> panel(conv_panel_floats(out_c, g.patch()));
-          ASSERT_FALSE(panel.empty());
-          pack_conv_panel(layer.weights().data(), out_c, g.patch(),
-                          panel.data());
-          std::vector<float> packed(out_shape.size(), -7.0f);
-          EXPECT_TRUE(conv2d_im2col_packed(
-              panel.data(), layer.weights().data(), layer.bias().data(), t,
-              col.data(), packed.data(), Epilogue::kNone, true));
-          EXPECT_TRUE(BitEqual(packed, ref))
-              << "packed in_c=" << in_c << " k=" << k << " stride=" << stride
               << " pad=" << pad << " out_c=" << out_c;
          }
         }
@@ -303,16 +156,12 @@ TEST(KernelPlanEngine, AllModesBitwiseIdenticalOnTrainedModels) {
   for (const Model* m : {&sx::testing::trained_mlp(),
                          &sx::testing::trained_cnn()}) {
     StaticEngine ref{*m, {.kernels = KernelMode::kReference}};
-    StaticEngine blocked{*m, {.kernels = KernelMode::kBlocked}};
-    StaticEngine packed{*m, {.kernels = KernelMode::kPacked}};
     StaticEngine wide{*m, {.kernels = KernelMode::kWide}};
     ASSERT_EQ(ref.kernel_plan(), nullptr);
-    ASSERT_NE(blocked.kernel_plan(), nullptr);
+    ASSERT_NE(wide.kernel_plan(), nullptr);
     for (std::size_t i = 0; i < 32; ++i) {
       const auto in = ds.samples[i].input.view();
       const auto a = run_engine(ref, in);
-      EXPECT_TRUE(BitEqual(run_engine(blocked, in), a)) << "sample " << i;
-      EXPECT_TRUE(BitEqual(run_engine(packed, in), a)) << "sample " << i;
       EXPECT_TRUE(BitEqual(run_engine(wide, in), a)) << "sample " << i;
     }
   }
@@ -331,7 +180,7 @@ TEST(KernelPlanEngine, FusedSigmoidTanhPipelineBitwiseIdentical) {
       .softmax();
   const Model m = b.build(/*seed=*/99);
 
-  const KernelPlan plan{m, KernelMode::kBlocked};
+  const KernelPlan plan{m};
   EXPECT_EQ(plan.planned_conv(), 1u);
   EXPECT_EQ(plan.planned_dense(), 2u);
   EXPECT_EQ(plan.fused_activations(), 2u);  // tanh + sigmoid
@@ -361,50 +210,19 @@ TEST(KernelPlanEngine, NumericFaultParityWithFusedActivations) {
 
   const auto in = sx::testing::road_data().samples[0].input.view();
   StaticEngine ref{m, {.kernels = KernelMode::kReference}};
-  StaticEngine blocked{m, {.kernels = KernelMode::kBlocked}};
-  StaticEngine packed{m, {.kernels = KernelMode::kPacked}};
   StaticEngine wide{m, {.kernels = KernelMode::kWide}};
   run_engine(ref, in, Status::kNumericFault);
-  run_engine(blocked, in, Status::kNumericFault);
-  run_engine(packed, in, Status::kNumericFault);
   run_engine(wide, in, Status::kNumericFault);
   EXPECT_EQ(ref.numeric_fault_count(), 1u);
-  EXPECT_EQ(blocked.numeric_fault_count(), 1u);
-  EXPECT_EQ(packed.numeric_fault_count(), 1u);
   EXPECT_EQ(wide.numeric_fault_count(), 1u);
 
   // With checks off, all engines agree bit for bit on the corrupted output
   // (the campaign path compares raw propagation).
   StaticEngine ref_nc{m, {.check_numeric_faults = false,
                           .kernels = KernelMode::kReference}};
-  StaticEngine blk_nc{m, {.check_numeric_faults = false,
-                          .kernels = KernelMode::kBlocked}};
-  EXPECT_TRUE(BitEqual(run_engine(blk_nc, in), run_engine(ref_nc, in)));
-}
-
-TEST(KernelPlanEngine, BlockedModeObservesLiveWeightMutation) {
-  // The SEU campaigns mutate weights behind a long-lived engine; kBlocked
-  // (the default) must observe the mutation exactly as reference does,
-  // while kPacked holds its deploy-time snapshot until repack().
-  Model m = sx::testing::trained_mlp();
-  StaticEngine ref{m, {.kernels = KernelMode::kReference}};
-  StaticEngine blocked{m, {.kernels = KernelMode::kBlocked}};
-  KernelPlan packed_plan{m, KernelMode::kPacked};
-  StaticEngine packed{m, packed_plan};
-
-  const auto in = sx::testing::road_data().samples[2].input.view();
-  const auto before = run_engine(ref, in);
-  ASSERT_TRUE(BitEqual(run_engine(packed, in), before));
-
-  auto& dense = static_cast<dl::Dense&>(m.layer(1));
-  dense.weights()[0] += 0.25f;
-  const auto after = run_engine(ref, in);
-  ASSERT_FALSE(BitEqual(after, before));
-
-  EXPECT_TRUE(BitEqual(run_engine(blocked, in), after));  // live view
-  EXPECT_TRUE(BitEqual(run_engine(packed, in), before));  // stale snapshot
-  packed_plan.repack();
-  EXPECT_TRUE(BitEqual(run_engine(packed, in), after));   // resynced
+  StaticEngine wide_nc{m, {.check_numeric_faults = false,
+                           .kernels = KernelMode::kWide}};
+  EXPECT_TRUE(BitEqual(run_engine(wide_nc, in), run_engine(ref_nc, in)));
 }
 
 TEST(KernelPlanEngine, ArenaDemandMatchesIndependentDerivation) {
@@ -413,8 +231,7 @@ TEST(KernelPlanEngine, ArenaDemandMatchesIndependentDerivation) {
   // kernel mode, keeping the static verifier's ArenaCheck sound.
   for (const Model* m : {&sx::testing::trained_mlp(),
                          &sx::testing::trained_cnn()}) {
-    for (KernelMode mode : {KernelMode::kReference, KernelMode::kBlocked,
-                            KernelMode::kPacked, KernelMode::kWide}) {
+    for (KernelMode mode : dl::all_kernel_modes()) {
       const StaticEngineConfig cfg{.kernels = mode};
       StaticEngine e{*m, cfg};
       EXPECT_EQ(verify::static_arena_demand(*m, cfg), e.arena_capacity())
@@ -427,7 +244,7 @@ TEST(KernelPlanEngine, ArenaDemandMatchesIndependentDerivation) {
   // reference ping-pong demand.
   EXPECT_GT(verify::static_arena_demand(
                 sx::testing::trained_cnn(),
-                StaticEngineConfig{.kernels = KernelMode::kBlocked}),
+                StaticEngineConfig{.kernels = KernelMode::kWide}),
             verify::static_arena_demand(
                 sx::testing::trained_cnn(),
                 StaticEngineConfig{.kernels = KernelMode::kReference}));
@@ -435,69 +252,61 @@ TEST(KernelPlanEngine, ArenaDemandMatchesIndependentDerivation) {
 
 TEST(KernelPlanEngine, AutoResolutionMatrix) {
   // The pure core over every probe x SX_KERNEL_ISA x SX_KERNEL_REFERENCE
-  // cell. kAuto picks the reference loops when forced, the wide family
-  // when the audited selection names a SIMD lane family, and the blocked
-  // kernels otherwise (scalar host, scalar or refused override).
+  // cell. kAuto picks the reference loops when forced and the wide family
+  // otherwise; the audited selection only picks the arm, and names a SIMD
+  // family iff the override (if any) names one the probe confirms —
+  // "scalar" and unknown tokens never do.
   const platform::CpuProbe probes[] = {
       {.avx2 = false, .avx512f = false},
       {.avx2 = true, .avx512f = false},
       {.avx2 = true, .avx512f = true}};
   const char* envs[] = {nullptr, "", "scalar", "avx2", "avx512", "sse9"};
-  std::size_t cells = 0, wide = 0, blocked = 0;
+  std::size_t cells = 0, wide = 0, simd = 0;
   for (const platform::CpuProbe& probe : probes) {
     for (const char* env : envs) {
-      // A SIMD family runs iff the override (if any) names one the probe
-      // confirms; "scalar" and unknown tokens never do.
       const std::string e = env != nullptr ? env : "";
-      bool simd = false;
+      WideIsa arm = WideIsa::kScalar;
       if (e.empty())
-        simd = probe.avx2 || probe.avx512f;
-      else if (e == "avx2")
-        simd = probe.avx2;
-      else if (e == "avx512")
-        simd = probe.avx512f;
-      const platform::WideIsaSelection sel =
-          platform::select_wide_isa(probe, env);
+        arm = probe.avx512f ? WideIsa::kAvx512
+              : probe.avx2  ? WideIsa::kAvx2
+                            : WideIsa::kScalar;
+      else if (e == "avx2" && probe.avx2)
+        arm = WideIsa::kAvx2;
+      else if (e == "avx512" && probe.avx512f)
+        arm = WideIsa::kAvx512;
+      EXPECT_EQ(platform::select_wide_isa(probe, env).isa, arm)
+          << "avx2=" << probe.avx2 << " avx512f=" << probe.avx512f
+          << " env=" << (env != nullptr ? env : "(unset)");
       for (const bool forced : {false, true}) {
-        const KernelMode want = forced ? KernelMode::kReference
-                                : simd ? KernelMode::kWide
-                                       : KernelMode::kBlocked;
-        EXPECT_EQ(dl::resolve_kernel_mode(KernelMode::kAuto, forced, sel),
-                  want)
-            << "avx2=" << probe.avx2 << " avx512f=" << probe.avx512f
-            << " env=" << (env != nullptr ? env : "(unset)")
-            << " forced=" << forced;
+        const KernelMode want =
+            forced ? KernelMode::kReference : KernelMode::kWide;
+        EXPECT_EQ(dl::resolve_kernel_mode(KernelMode::kAuto, forced), want);
         // Explicit modes are never overridden, in any cell.
         for (const KernelMode m : dl::all_kernel_modes())
-          EXPECT_EQ(dl::resolve_kernel_mode(m, forced, sel), m);
+          EXPECT_EQ(dl::resolve_kernel_mode(m, forced), m);
         ++cells;
         wide += want == KernelMode::kWide;
-        blocked += want == KernelMode::kBlocked;
+        simd += want == KernelMode::kWide && arm != WideIsa::kScalar;
       }
     }
   }
   EXPECT_EQ(cells, 36u);
-  EXPECT_EQ(wide, 7u);
-  EXPECT_EQ(blocked, 11u);
+  EXPECT_EQ(wide, 18u);
+  EXPECT_EQ(simd, 7u);
 }
 
 TEST(KernelPlanEngine, ReferenceEscapeHatchEnvVar) {
   ASSERT_EQ(unsetenv("SX_KERNEL_REFERENCE"), 0);
-  // Unforced, the env entry point agrees with the pure core on the live
-  // probe and SX_KERNEL_ISA.
-  const KernelMode host = dl::resolve_kernel_mode(
-      KernelMode::kAuto, false, platform::select_wide_isa());
-  EXPECT_NE(host, KernelMode::kReference);
-  EXPECT_EQ(dl::resolve_kernel_mode(KernelMode::kAuto), host);
+  EXPECT_EQ(dl::resolve_kernel_mode(KernelMode::kAuto), KernelMode::kWide);
   ASSERT_EQ(setenv("SX_KERNEL_REFERENCE", "1", 1), 0);
   EXPECT_EQ(dl::resolve_kernel_mode(KernelMode::kAuto),
             KernelMode::kReference);
   // Explicit modes are never overridden; "0" and empty do not force.
-  EXPECT_EQ(dl::resolve_kernel_mode(KernelMode::kPacked), KernelMode::kPacked);
+  EXPECT_EQ(dl::resolve_kernel_mode(KernelMode::kWide), KernelMode::kWide);
   ASSERT_EQ(setenv("SX_KERNEL_REFERENCE", "0", 1), 0);
-  EXPECT_EQ(dl::resolve_kernel_mode(KernelMode::kAuto), host);
+  EXPECT_EQ(dl::resolve_kernel_mode(KernelMode::kAuto), KernelMode::kWide);
   ASSERT_EQ(setenv("SX_KERNEL_REFERENCE", "", 1), 0);
-  EXPECT_EQ(dl::resolve_kernel_mode(KernelMode::kAuto), host);
+  EXPECT_EQ(dl::resolve_kernel_mode(KernelMode::kAuto), KernelMode::kWide);
 
   ASSERT_EQ(setenv("SX_KERNEL_REFERENCE", "1", 1), 0);
   const Model& m = sx::testing::trained_mlp();
@@ -506,12 +315,14 @@ TEST(KernelPlanEngine, ReferenceEscapeHatchEnvVar) {
   EXPECT_EQ(forced.kernel_plan(), nullptr);
   ASSERT_EQ(unsetenv("SX_KERNEL_REFERENCE"), 0);
   StaticEngine normal{m};
-  EXPECT_EQ(normal.kernel_mode(), host);
-  // A scalar override demotes kAuto to the blocked kernels.
+  EXPECT_EQ(normal.kernel_mode(), KernelMode::kWide);
+  // A scalar override keeps kAuto on the wide family, on its scalar arm.
   ASSERT_EQ(setenv("SX_KERNEL_ISA", "scalar", 1), 0);
-  EXPECT_EQ(dl::resolve_kernel_mode(KernelMode::kAuto), KernelMode::kBlocked);
+  EXPECT_EQ(dl::resolve_kernel_mode(KernelMode::kAuto), KernelMode::kWide);
   StaticEngine scalar{m};
-  EXPECT_EQ(scalar.kernel_mode(), KernelMode::kBlocked);
+  EXPECT_EQ(scalar.kernel_mode(), KernelMode::kWide);
+  ASSERT_NE(scalar.kernel_plan(), nullptr);
+  EXPECT_EQ(scalar.kernel_plan()->isa_selection().isa, WideIsa::kScalar);
   ASSERT_EQ(unsetenv("SX_KERNEL_ISA"), 0);
 }
 
@@ -534,20 +345,16 @@ TEST(KernelPlanBatch, WorkerCountsBitwiseIdenticalToReference) {
               Status::kOk);
   }
 
-  for (KernelMode mode : {KernelMode::kBlocked, KernelMode::kPacked,
-                          KernelMode::kWide}) {
-    for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
-      dl::BatchRunner runner{m, dl::BatchRunnerConfig{.workers = workers,
-                                                      .kernels = mode}};
-      ASSERT_NE(runner.kernel_plan(), nullptr);
-      EXPECT_EQ(runner.kernel_plan()->mode(), mode);
-      std::vector<float> out(n * out_size, -1.0f);
-      std::vector<Status> st(n, Status::kInvalidArgument);
-      ASSERT_EQ(runner.run(flat, out, st), Status::kOk);
-      for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(st[i], Status::kOk);
-      EXPECT_TRUE(BitEqual(out, expected))
-          << dl::kernel_mode_name(mode) << " x " << workers << " workers";
-    }
+  for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
+    dl::BatchRunner runner{m, dl::BatchRunnerConfig{
+                                  .workers = workers,
+                                  .kernels = KernelMode::kWide}};
+    ASSERT_NE(runner.kernel_plan(), nullptr);
+    std::vector<float> out(n * out_size, -1.0f);
+    std::vector<Status> st(n, Status::kInvalidArgument);
+    ASSERT_EQ(runner.run(flat, out, st), Status::kOk);
+    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(st[i], Status::kOk);
+    EXPECT_TRUE(BitEqual(out, expected)) << workers << " workers";
   }
 }
 
@@ -557,13 +364,13 @@ TEST(KernelPlanEngine, CanTapReflectsStepBoundaries) {
   // inputs (layers 1 and 5) are never materialized.
   const Model& m = sx::testing::trained_cnn();
   StaticEngine ref{m, {.kernels = KernelMode::kReference}};
-  StaticEngine blocked{m, {.kernels = KernelMode::kBlocked}};
+  StaticEngine wide{m, {.kernels = KernelMode::kWide}};
   for (std::size_t l = 0; l < m.layer_count(); ++l)
     EXPECT_TRUE(ref.can_tap(l)) << l;
   EXPECT_FALSE(ref.can_tap(m.layer_count()));
-  for (std::size_t l : {0u, 2u, 3u, 4u, 6u}) EXPECT_TRUE(blocked.can_tap(l)) << l;
-  for (std::size_t l : {1u, 5u}) EXPECT_FALSE(blocked.can_tap(l)) << l;
-  EXPECT_FALSE(blocked.can_tap(m.layer_count()));
+  for (std::size_t l : {0u, 2u, 3u, 4u, 6u}) EXPECT_TRUE(wide.can_tap(l)) << l;
+  for (std::size_t l : {1u, 5u}) EXPECT_FALSE(wide.can_tap(l)) << l;
+  EXPECT_FALSE(wide.can_tap(m.layer_count()));
 }
 
 TEST(KernelPlanEngine, TappedRunMatchesForwardTraceBitwise) {
@@ -573,10 +380,7 @@ TEST(KernelPlanEngine, TappedRunMatchesForwardTraceBitwise) {
   const auto& ds = sx::testing::road_data();
   for (const Model* m : {&sx::testing::trained_mlp(),
                          &sx::testing::trained_cnn()}) {
-    for (const KernelMode mode : {KernelMode::kReference,
-                                  KernelMode::kBlocked,
-                                  KernelMode::kPacked,
-                                  KernelMode::kWide}) {
+    for (const KernelMode mode : dl::all_kernel_modes()) {
       StaticEngine e{*m, {.kernels = mode}};
       for (std::size_t s = 0; s < 4; ++s) {
         const Tensor& in = ds.samples[s].input;
@@ -607,9 +411,9 @@ TEST(KernelPlanEngine, TappedRunMatchesForwardTraceBitwise) {
 }
 
 TEST(KernelPlanEvidence, SummaryAndReportLines) {
-  const KernelPlan plan{sx::testing::trained_cnn(), KernelMode::kPacked};
+  const KernelPlan plan{sx::testing::trained_cnn()};
   const std::string s = plan.summary();
-  EXPECT_NE(s.find("mode=packed"), std::string::npos) << s;
+  EXPECT_NE(s.find("mode=wide"), std::string::npos) << s;
   EXPECT_NE(s.find("dense=2"), std::string::npos) << s;
   EXPECT_NE(s.find("conv=1"), std::string::npos) << s;
   EXPECT_GT(plan.panel_floats(), 0u);

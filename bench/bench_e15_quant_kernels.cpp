@@ -12,7 +12,9 @@
 //   1. raw int8 matvec 512x512: the reference per-row scalar loop vs the
 //      probed qmatvec_wide_* lane kernel;
 //   2. QuantEngine on the quantized perception CNN: reference vs the wide
-//      plan (logits AND per-layer clip counters compared);
+//      plan (logits AND per-layer clip counters compared), plus the float
+//      StaticEngine on the same CNN, timed interleaved, for the int8 :
+//      float engine ratio (printed and recorded, not gated);
 //   3. end-to-end SIL2 int8 pipeline (ODD guard, monitor, supervisor,
 //      audit chain, telemetry all live) built once with
 //      SX_KERNEL_REFERENCE=1 and once normally — the deployment-shaped
@@ -32,6 +34,7 @@
 #include "bench_common.hpp"
 #include "core/pipeline.hpp"
 #include "core/report.hpp"
+#include "dl/engine.hpp"
 #include "dl/qplan.hpp"
 #include "dl/quant.hpp"
 #include "platform/cpu_probe.hpp"
@@ -173,8 +176,8 @@ int main(int argc, char** argv) {
     std::vector<std::int8_t> ref(n), wide(n);
     std::vector<std::int8_t> wpanel(qk::qwide_dense_panel_bytes(n, n));
     qk::pack_qwide_dense_panel(w.data(), n, n, wpanel.data());
-    const auto isa = platform::select_wide_isa().isa;
-    const auto wide_fn = qk::wide_qdense_kernel(isa);
+    const auto arm = platform::select_wide_isa().int8;
+    const auto wide_fn = qk::wide_qdense_kernel(arm);
     std::uint64_t sat_ref = 0, sat_wide = 0;
 
     qmatvec_reference(w.data(), n, n, x.data(), rq, ref.data(), &sat_ref);
@@ -208,9 +211,8 @@ int main(int argc, char** argv) {
 
     util::Table table({"int8 matvec 512x512", "us/call", "speedup"});
     table.add_row({"reference loop", util::fmt(t_ref, 2), "1.00x"});
-    table.add_row({std::string("wide (") +
-                       sx::tensor::kernels::wide_isa_name(isa) +
-                       " lane panels)",
+    table.add_row({std::string("wide (") + qk::qarm_name(arm) +
+                       " quad panels)",
                    util::fmt(t_wide, 2),
                    util::fmt(t_ref / t_wide, 2) + "x"});
     table.print(std::cout);
@@ -267,20 +269,38 @@ int main(int argc, char** argv) {
                  1) /
              static_cast<double>(infs);
     };
-    double t_ref = 1e300, t_wid = 1e300;
+    // The float engine the int8 backend replaces: same CNN, default
+    // (wide) plan.
+    dl::StaticEngine flt{perception_cnn(), {.kernels = dl::KernelMode::kWide}};
+    std::vector<float> fo(out_size);
+    auto run_many_float = [&] {
+      return bench::time_per_call_us(
+                 [&] {
+                   for (std::size_t i = 0; i < infs; ++i)
+                     (void)flt.run(ds.samples[i % ds.size()].input.view(),
+                                   fo);
+                 },
+                 1) /
+             static_cast<double>(infs);
+    };
+    double t_ref = 1e300, t_wid = 1e300, t_flt = 1e300;
     for (std::size_t r = 0; r < reps; ++r) {
       t_ref = std::min(t_ref, run_many(ref));
       t_wid = std::min(t_wid, run_many(wid));
+      t_flt = std::min(t_flt, run_many_float());
     }
     util::Table table({"QuantEngine CNN", "us/inference", "speedup"});
     table.add_row({"reference loops", util::fmt(t_ref, 2), "1.00x"});
-    table.add_row({std::string("wide plan (") +
-                       sx::tensor::kernels::wide_isa_name(
-                           wid.plan()->isa_selection().isa) +
-                       ")",
+    table.add_row({std::string("wide plan (int8 ") +
+                       qk::qarm_name(wid.plan()->isa_selection().int8) + ")",
                    util::fmt(t_wid, 2), util::fmt(t_ref / t_wid, 2) + "x"});
     table.print(std::cout);
-    std::cout << "\n";
+    std::cout << "int8 : float engine on the rung-3 CNN: "
+              << util::fmt(t_wid / t_flt, 2) << " (int8 " << util::fmt(t_wid, 2)
+              << " us vs float wide plan " << util::fmt(t_flt, 2)
+              << " us per inference)\n\n";
+    json.add("engine_us_float", t_flt);
+    json.add("engine_int8_to_float_ratio", t_wid / t_flt);
 
     const double eng_speedup = t_ref / t_wid;
     json.add("engine_us_reference", t_ref);

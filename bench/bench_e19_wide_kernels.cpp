@@ -1,11 +1,11 @@
 // E19 — wide-SIMD kernel backends (`bench_e19_wide_kernels`)
 //
 // Question: how much do the SIMD lane arms of the wide kernel family
-// (8/16-lane float panels, 16/32-byte int8 dot products) buy over the
-// family's portable scalar arm — while every arm still computes the
-// reference accumulation tree bit for bit? The FUSA rule is unchanged
-// from E14/E15: an optimization may change timing only, never a single
-// output bit or clip counter.
+// (8/16-lane float panels; vpmaddwd and vpdpbusd int8 dot products) buy
+// over the family's portable scalar arm — while every arm still matches
+// the reference bit for bit (the float accumulation tree; the exact int32
+// sums)? The FUSA rule is unchanged from E14/E15: an optimization may
+// change timing only, never a single output bit or clip counter.
 //
 // Method: the deploy-time CPU probe is printed first (the same
 // platform::wide_isa_audit line the pipeline records), then four rungs,
@@ -16,16 +16,18 @@
 //      matvec_wide_{scalar,avx2,avx512};
 //   2. float Conv2d GEMM on 16- and 32-channel geometries:
 //      conv2d_im2col_wide_*;
-//   3. int8 matvec at the same sizes: qmatvec_wide_* (saturation counters
-//      compared as well as output bytes);
+//   3. int8 matvec at the same sizes: qmatvec_wide_* on every probed
+//      int8 arm — scalar, avx2 and avx512bw (vpmaddwd), avx512vnni
+//      (vpdpbusd) — one row per arm (saturation counters compared as well
+//      as output bytes);
 //   4. int8 Conv2d GEMM on the 8-channel perception conv:
-//      qconv2d_im2col_wide_* (the half group).
+//      qconv2d_im2col_wide_* (the half group), one row per int8 arm.
 // Every rung first proves every arm bitwise identical to a reference
 // loop (tensor::matvec, or the plain tap loop over the im2col tables).
 //
 // Gate: geomean speedup over the scalar arm across the dense micro sizes
-// must reach >= 2x on at least one probed SIMD lane family (avx2 or
-// avx512), in float or int8. On hardware with no wide lanes the SIMD
+// must reach >= 2x on at least one probed SIMD lane family (float avx2 or
+// avx512; int8 avx2, avx512bw or avx512vnni). On hardware with no wide lanes the SIMD
 // entry points *are* the scalar arm, so the gate is vacuous there and
 // says so.
 //
@@ -61,25 +63,48 @@ bool bits_equal(const std::vector<float>& a, const std::vector<float>& b) {
   return true;
 }
 
-/// The lane arms the probe confirmed on this machine, scalar arm first
-/// (the timing baseline; never gated).
+/// The float lane arms the probe confirmed on this machine, scalar arm
+/// first (the timing baseline; never gated).
 struct IsaRow {
-  k::WideIsa isa;
+  std::string name;
   k::DenseKernelFn dense;
   k::ConvKernelFn conv;
-  qk::QDenseKernelFn qdense;
-  qk::QConvKernelFn qconv;
 };
 
 std::vector<IsaRow> probed_rows(const sx::platform::CpuProbe& probe) {
   std::vector<IsaRow> rows;
   auto row = [](k::WideIsa isa) {
-    return IsaRow{isa, k::wide_dense_kernel(isa), k::wide_conv_kernel(isa),
-                  qk::wide_qdense_kernel(isa), qk::wide_qconv_kernel(isa)};
+    return IsaRow{k::wide_isa_name(isa), k::wide_dense_kernel(isa),
+                  k::wide_conv_kernel(isa)};
   };
   rows.push_back(row(k::WideIsa::kScalar));
   if (probe.avx2) rows.push_back(row(k::WideIsa::kAvx2));
   if (probe.avx512f) rows.push_back(row(k::WideIsa::kAvx512));
+  return rows;
+}
+
+/// The int8 arms every SX_KERNEL_ISA spelling the probe honors selects —
+/// VNNI refused (avx512-novnni: vpmaddwd) as well as allowed — scalar
+/// first.
+struct QRow {
+  std::string name;
+  qk::QDenseKernelFn qdense;
+  qk::QConvKernelFn qconv;
+};
+
+std::vector<QRow> probed_qrows(const sx::platform::CpuProbe& probe) {
+  std::vector<QRow> rows;
+  for (const char* env : {"scalar", "avx2", "avx512-novnni", "avx512"}) {
+    const sx::platform::WideIsaSelection s =
+        sx::platform::select_wide_isa(probe, env);
+    const std::string name = qk::qarm_name(s.int8);
+    if (s.refused ||
+        std::any_of(rows.begin(), rows.end(),
+                    [&](const QRow& r) { return r.name == name; }))
+      continue;
+    rows.push_back(QRow{name, qk::wide_qdense_kernel(s.int8),
+                        qk::wide_qconv_kernel(s.int8)});
+  }
   return rows;
 }
 
@@ -166,12 +191,22 @@ std::vector<std::int8_t> qmatvec_reference(const std::vector<std::int8_t>& w,
 
 /// One table row: the scalar arm's time, the best SIMD arm's, its name
 /// and speedup.
+template <typename Row>
 void add_row(sx::util::Table& table, const std::string& label,
-             const std::vector<double>& t, const std::vector<IsaRow>& rows) {
+             const std::vector<double>& t, const std::vector<Row>& rows) {
   const std::size_t best = best_arm(t);
   table.add_row({label, sx::util::fmt(t[0], 2), sx::util::fmt(t[best], 2),
-                 k::wide_isa_name(rows[best].isa),
-                 sx::util::fmt(t[0] / t[best], 2) + "x"});
+                 rows[best].name, sx::util::fmt(t[0] / t[best], 2) + "x"});
+}
+
+/// One table row per int8 arm: its time and speedup over the scalar arm.
+void add_arm_rows(sx::util::Table& table, const std::string& label,
+                  const std::vector<double>& t,
+                  const std::vector<QRow>& rows) {
+  for (std::size_t i = 0; i < rows.size(); ++i)
+    table.add_row({i == 0 ? label : "", rows[i].name,
+                   sx::util::fmt(t[i], 2),
+                   sx::util::fmt(t[0] / t[i], 2) + "x"});
 }
 
 }  // namespace
@@ -183,9 +218,9 @@ int main(int argc, char** argv) {
 
   bench::print_header(
       "E19: wide-SIMD kernel backends",
-      "What do the SIMD lane arms (8/16-lane float panels, 16/32-byte int8 "
-      "dot products) buy over the wide family's scalar arm — at "
-      "bitwise-identical outputs and clip counters?");
+      "What do the SIMD lane arms (8/16-lane float panels, vpmaddwd and "
+      "vpdpbusd int8 dot products) buy over the wide family's scalar arm — "
+      "at bitwise-identical outputs and clip counters?");
 
   bool all_ok = true;
   bench::JsonResult json{"E19", smoke};
@@ -197,7 +232,10 @@ int main(int argc, char** argv) {
             << platform::wide_isa_audit(probe, sel) << "\n\n";
   json.add("probe_avx2", probe.avx2 ? 1.0 : 0.0);
   json.add("probe_avx512f", probe.avx512f ? 1.0 : 0.0);
+  json.add("probe_avx512bw", probe.avx512bw ? 1.0 : 0.0);
+  json.add("probe_avx512_vnni", probe.avx512_vnni ? 1.0 : 0.0);
   const std::vector<IsaRow> rows = probed_rows(probe);
+  const std::vector<QRow> qrows = probed_qrows(probe);
   const bool has_simd = probe.avx2 || probe.avx512f;
 
   const std::vector<std::size_t> sizes = {128, 192, 256, 512};
@@ -206,11 +244,16 @@ int main(int argc, char** argv) {
   // Per-arm geomean inputs: dense float / dense int8 speedups over the
   // scalar arm.
   std::vector<std::vector<double>> f_speedups(rows.size());
-  std::vector<std::vector<double>> q_speedups(rows.size());
+  std::vector<std::vector<double>> q_speedups(qrows.size());
   auto record = [&](const std::string& tag, const std::vector<double>& t) {
     for (std::size_t i = 0; i < rows.size(); ++i)
-      json.add(tag + "_us_wide_" + k::wide_isa_name(rows[i].isa), t[i]);
+      json.add(tag + "_us_wide_" + rows[i].name, t[i]);
   };
+  auto record_q = [&](const std::string& tag, const std::vector<double>& t) {
+    for (std::size_t i = 0; i < qrows.size(); ++i)
+      json.add(tag + "_us_wide_" + qrows[i].name, t[i]);
+  };
+  const std::vector<std::string> qcols = {"", "int8 arm", "us", "speedup"};
   const std::vector<std::string> cols = {"", "scalar us", "wide us (best)",
                                          "isa", "speedup"};
   auto header = [&](const std::string& first) {
@@ -327,7 +370,9 @@ int main(int argc, char** argv) {
   // ------------------------------------------------ 3. int8 matvec micro
   {
     bool identical = true;
-    util::Table table = header("int8 matvec");
+    std::vector<std::string> h = qcols;
+    h[0] = "int8 matvec";
+    util::Table table{h};
     for (std::size_t n : sizes) {
       std::vector<std::int8_t> w(n * n), x(n);
       util::Xoshiro256 rng{n + 7};
@@ -352,20 +397,22 @@ int main(int argc, char** argv) {
       const std::vector<std::int8_t> ref =
           qmatvec_reference(w, n, x, rq, &sat_ref);
       auto call = [&](std::size_t i) {
-        rows[i].qdense(panel.data(), n, n, x.data(), rq, wide.data(),
-                       &sat_wide);
+        qrows[i].qdense(panel.data(), n, n, x.data(), rq, wide.data(),
+                        &sat_wide);
       };
-      for (std::size_t i = 0; i < rows.size(); ++i) {
+      for (std::size_t i = 0; i < qrows.size(); ++i) {
         sat_wide = 0;
         call(i);
         identical = identical && wide == ref && sat_wide == sat_ref;
       }
 
-      const std::vector<double> t = time_arms(rows.size(), reps, calls, call);
-      for (std::size_t i = 0; i < rows.size(); ++i)
+      const std::vector<double> t =
+          time_arms(qrows.size(), reps, calls, call);
+      for (std::size_t i = 0; i < qrows.size(); ++i)
         q_speedups[i].push_back(t[0] / t[i]);
-      record("qmatvec" + std::to_string(n), t);
-      add_row(table, std::to_string(n) + "x" + std::to_string(n), t, rows);
+      record_q("qmatvec" + std::to_string(n), t);
+      add_arm_rows(table, std::to_string(n) + "x" + std::to_string(n), t,
+                   qrows);
     }
     table.print(std::cout);
     std::cout << "\n";
@@ -411,21 +458,24 @@ int main(int argc, char** argv) {
     const std::vector<std::int8_t> ref =
         qconv_reference(wt, t, col, rq, &sat_ref);
     auto call = [&](std::size_t i) {
-      rows[i].qconv(panel.data(), wt.data(), t, col.data(), rq, wide.data(),
-                    &sat_wide);
+      qrows[i].qconv(panel.data(), t, col.data(), rq, wide.data(),
+                     &sat_wide);
     };
     bool identical = true;
-    for (std::size_t i = 0; i < rows.size(); ++i) {
+    for (std::size_t i = 0; i < qrows.size(); ++i) {
       sat_wide = 0;
       call(i);
       identical = identical && wide == ref && sat_wide == sat_ref;
     }
 
-    const std::vector<double> tm = time_arms(rows.size(), reps, calls, call);
-    record("qconv8c", tm);
+    const std::vector<double> tm =
+        time_arms(qrows.size(), reps, calls, call);
+    record_q("qconv8c", tm);
     json.add("qconv8c_speedup", tm[0] / tm[best_arm(tm)]);
-    util::Table table = header("int8 conv2d 3x3");
-    add_row(table, "8ch 8x16x16", tm, rows);
+    std::vector<std::string> h = qcols;
+    h[0] = "int8 conv2d 3x3";
+    util::Table table{h};
+    add_arm_rows(table, "8ch 8x16x16", tm, qrows);
     table.print(std::cout);
     std::cout << "\n";
     bench::print_verdict(identical,
@@ -442,15 +492,19 @@ int main(int argc, char** argv) {
     std::string best_tag = "none";
     for (std::size_t i = 1; i < rows.size(); ++i) {
       const double fg = geomean(f_speedups[i]);
-      const double qg = geomean(q_speedups[i]);
-      const std::string isa = k::wide_isa_name(rows[i].isa);
+      const std::string& isa = rows[i].name;
       json.add("float_dense_geomean_" + isa, fg);
-      json.add("int8_dense_geomean_" + isa, qg);
-      std::cout << "geomean over dense sizes [" << isa << "]: float "
-                << util::fmt(fg, 2) << "x, int8 " << util::fmt(qg, 2)
-                << "x vs the scalar arm\n";
+      std::cout << "geomean over dense sizes [float " << isa << "]: "
+                << util::fmt(fg, 2) << "x vs the scalar arm\n";
       if (fg > best_geomean) { best_geomean = fg; best_tag = "float/" + isa; }
-      if (qg > best_geomean) { best_geomean = qg; best_tag = "int8/" + isa; }
+    }
+    for (std::size_t i = 1; i < qrows.size(); ++i) {
+      const double qg = geomean(q_speedups[i]);
+      const std::string& arm = qrows[i].name;
+      json.add("int8_dense_geomean_" + arm, qg);
+      std::cout << "geomean over dense sizes [int8 " << arm << "]: "
+                << util::fmt(qg, 2) << "x vs the scalar arm\n";
+      if (qg > best_geomean) { best_geomean = qg; best_tag = "int8/" + arm; }
     }
     std::cout << "\n";
     json.add("micro_geomean_best", best_geomean);

@@ -163,10 +163,10 @@ EvidenceItem make_quant_backend_evidence(const CertifiablePipeline& pipeline) {
       os << "kernel plan: " << plan->summary() << "\n"
          << "  panels, im2col tables and scratch are planned at deploy "
             "time; the int8 hot\n"
-         << "  path is noexcept, allocation-free, and accumulates each "
-            "output in the\n"
-         << "  reference order => planned and reference runs are bitwise "
-            "identical\n";
+         << "  path is noexcept, allocation-free, and forms exact int32 "
+            "sums under each\n"
+         << "  step's no-overflow bound => planned and reference runs are "
+            "bitwise identical\n";
     } else {
       os << "kernel plan: reference loops (SX_KERNEL_REFERENCE or explicit "
             "kReference)\n";
@@ -330,7 +330,9 @@ EvidenceItem make_kernel_backend_evidence(const CertifiablePipeline& pipeline) {
        << tensor::kernels::wide_isa_name(fp->isa_selection().isa) << '\n';
   if (qp != nullptr)
     os << "plan=int8 mode=wide isa="
-       << tensor::kernels::wide_isa_name(qp->isa_selection().isa) << '\n';
+       << tensor::kernels::wide_isa_name(qp->isa_selection().isa)
+       << " int8=" << tensor::qkernels::qarm_name(qp->isa_selection().int8)
+       << '\n';
   os << "# END SX_KERNEL_BACKEND\n";
   return EvidenceItem{"Resolved kernel backend (CPU-probe selection)",
                       os.str()};

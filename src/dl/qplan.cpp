@@ -95,6 +95,14 @@ QuantKernelPlan::QuantKernelPlan(const QuantizedModel& model)
     const QuantizedModel::QLayerView v = model.layer_view(i);
     const float in_scale =
         i == 0 ? model.input_scale() : model.activation_scale(i - 1);
+    // No-overflow evidence for the step's reduction length; past the
+    // bound only the scalar arm's serial chain is planned.
+    const auto plan_arm = [&](std::size_t k_len) {
+      s.mac_bound = qk::qwide_mac_bound(k_len);
+      if (qk::qwide_bound_ok(k_len)) return isa_sel_.int8;
+      ++bound_scalar_;
+      return qk::QArm::kScalar;
+    };
 
     if (op.kind == ir::OpKind::kDense) {
       s.kind = QuantKernelStep::Kind::kDense;
@@ -112,7 +120,7 @@ QuantKernelPlan::QuantKernelPlan(const QuantizedModel& model)
       s.panel = panel;
       pb += qk::qwide_dense_panel_bytes(s.rows, s.cols);
       // Branch-free hot path: the kernel entry point is decided here.
-      s.dense_fn = qk::wide_qdense_kernel(isa_sel_.isa);
+      s.dense_fn = qk::wide_qdense_kernel(plan_arm(s.cols));
       ++planned_dense_;
     } else if (op.kind == ir::OpKind::kConv2d) {
       const k::Conv2dGeom g = qconv_geom(model, i, v);
@@ -137,16 +145,11 @@ QuantKernelPlan::QuantKernelPlan(const QuantizedModel& model)
                          .out_scale = v.out_scale,
                          .relu = relu_fused};
       s.scratch = entries;
-      // A conv under 8 channels has no panel: its kernel runs zero lane
-      // groups and sweeps every channel from the live weights.
-      const std::size_t pbl = qk::qwide_conv_panel_bytes(g.out_c, g.patch());
-      if (pbl != 0) {
-        std::int8_t* panel = panels_.get() + pb;
-        qk::pack_qwide_conv_panel(s.weights, g.out_c, g.patch(), panel);
-        s.panel = panel;
-        pb += pbl;
-      }
-      s.conv_fn = qk::wide_qconv_kernel(isa_sel_.isa);
+      std::int8_t* panel = panels_.get() + pb;
+      qk::pack_qwide_conv_panel(s.weights, g.out_c, g.patch(), panel);
+      s.panel = panel;
+      pb += qk::qwide_conv_panel_bytes(g.out_c, g.patch());
+      s.conv_fn = qk::wide_qconv_kernel(plan_arm(g.patch()));
       ++planned_conv_;
     } else {
       s.kind = QuantKernelStep::Kind::kReference;
@@ -178,7 +181,9 @@ std::string QuantKernelPlan::summary() const {
      << "), arena=" << layout_.total_elems << "/" << layout_.naive_elems
      << " bytes, im2col entries=" << table_entries_
      << ", scratch=" << scratch_bytes_ << " bytes, panels=" << panel_bytes_
-     << " bytes, isa=" << k::wide_isa_name(isa_sel_.isa);
+     << " bytes, isa=" << k::wide_isa_name(isa_sel_.isa)
+     << " int8=" << qk::qarm_name(isa_sel_.int8);
+  if (bound_scalar_ != 0) os << " bound-scalar=" << bound_scalar_;
   if (isa_sel_.refused) os << " (override refused)";
   return os.str();
 }
@@ -320,7 +325,7 @@ Status QuantEngine::run_planned(std::span<float> output) noexcept {
       case QuantKernelStep::Kind::kConv2d: {
         std::int8_t* scratch = base + s.scratch_offset;
         qk::im2col_gather_i8(in, s.conv.in_idx, s.scratch, scratch);
-        s.conv_fn(s.panel, s.weights, s.conv, scratch, s.rq, dst, sat);
+        s.conv_fn(s.panel, s.conv, scratch, s.rq, dst, sat);
         break;
       }
       case QuantKernelStep::Kind::kReference: {

@@ -24,20 +24,24 @@
 //     dce; pooling layers become kReference steps executed through
 //     QuantizedModel::apply_layer.
 //
-// All planned kernels preserve the reference per-output int32 accumulation
-// order and finish with the reference requantization expression, so a
+// All planned kernels compute exact int32 sums (any grouping of the
+// products equals the reference chain while k_len * 255 * 128 < 2^31) and
+// finish with a requantization value-identical to the reference, so a
 // planned QuantEngine is bitwise identical to QuantizedModel::run —
 // including the per-layer saturation counters (dl_quant_kernels_test
-// proves both differentially).
+// proves both differentially). Each Dense/Conv2d step records that
+// no-overflow bound for its reduction length; a step whose bound reaches
+// 2^31 is planned on the scalar arm, which keeps the reference's serial
+// chain, and verify::check_ir re-derives the bound independently.
 //
-// Staleness contract: a plan snapshots every Dense weight matrix into
-// kQWideRowBlock-row panels, and the conv weights of every 16-channel
-// lane group and of the 8-channel half group into tap-major panels; only
-// the last out_c % 8 conv channels are read live. It also resolves, once,
-// which lane family of the wide int8 kernels runs (platform::CpuProbe +
-// SX_KERNEL_ISA — see dl/plan.hpp; the selection affects timing only,
-// never output or the overflow envelope). Callers that mutate the
-// quantized weights afterwards must call repack(). KernelMode and the
+// Staleness contract: a plan snapshots every Dense and Conv2d weight
+// matrix into zero-padded 4-k quad panels (every channel, plus each
+// lane's 128 * sum(w) correction); nothing is read from the live weights
+// at run time. It also resolves, once, which arm of the wide int8 kernels
+// runs (platform::CpuProbe + SX_KERNEL_ISA — see dl/plan.hpp; the
+// selection affects timing only, never output). Callers that mutate the
+// quantized weights afterwards must call repack(), which re-packs the
+// panels and recomputes the corrections. KernelMode and the
 // SX_KERNEL_REFERENCE escape hatch are shared with the float plan
 // (dl/plan.hpp).
 //
@@ -79,15 +83,18 @@ struct QuantKernelStep {
 
   // kDense / kConv2d
   std::size_t rows = 0, cols = 0;       ///< Dense dims
-  const std::int8_t* weights = nullptr; ///< live natural-layout weights
-  const std::int8_t* panel = nullptr;   ///< wide panel (null for a conv
-                                        ///< under 8 channels)
+  const std::int8_t* weights = nullptr; ///< live weights (repack source)
+  const std::int8_t* panel = nullptr;   ///< wide quad panel
   tensor::qkernels::Requant rq{};       ///< fused requantize(+ReLU) params
 
-  /// Kernel entry points resolved once at plan construction (probed ISA)
-  /// — the engine hot path is a branch-free indirect call. Conv kernels
-  /// receive both the panel and the live weights (tail channels read
-  /// live).
+  /// No-overflow evidence: k_len * 255 * 128 for this step's reduction
+  /// length (cols, or in_c * k * k). Below 2^31 every arm's regrouped
+  /// int32 sums are exact; otherwise the step runs the scalar arm.
+  std::uint64_t mac_bound = 0;
+
+  /// Kernel entry points resolved once at plan construction (probed arm,
+  /// or scalar past the bound) — the engine hot path is a branch-free
+  /// indirect call.
   tensor::qkernels::QDenseKernelFn dense_fn = nullptr;
   tensor::qkernels::QConvKernelFn conv_fn = nullptr;
 
@@ -142,8 +149,12 @@ class QuantKernelPlan {
   std::size_t reference_steps() const noexcept { return reference_; }
   /// Layers eliminated by the dce pass (bit identities).
   std::size_t removed_layers() const noexcept { return removed_; }
+  /// Dense/Conv2d steps planned on the scalar arm because their
+  /// reduction length fails the no-overflow bound.
+  std::size_t bound_scalar_steps() const noexcept { return bound_scalar_; }
 
-  /// Re-snapshots the quantized weights into the panels.
+  /// Re-snapshots the quantized weights into the panels and recomputes
+  /// the per-lane corrections.
   void repack() noexcept;
 
   /// The deploy-time CPU probe and ISA decision. Mirrors dl::KernelPlan.
@@ -175,6 +186,7 @@ class QuantKernelPlan {
   std::size_t fused_ = 0;
   std::size_t reference_ = 0;
   std::size_t removed_ = 0;
+  std::size_t bound_scalar_ = 0;
 };
 
 struct QuantEngineConfig {

@@ -2,19 +2,24 @@
 // matvec/GEMM and the ragged-im2col Conv2d lowering with fused
 // requantize(+ReLU) epilogues (pillar 3: the quantized deployment path).
 //
-// Every kernel preserves the *per-output accumulation order* of the
-// reference loops in dl/quant.cpp: each output element accumulates the same
-// int8 products in the same sequence into one int32 chain, and is finished
-// by a requantization expression character-identical to the reference
-// epilogue — so planned and reference QuantizedModel runs are bitwise
-// identical (dl_quant_kernels_test proves this differentially). Because
-// int32 accumulation of in-range products is exact, order preservation here
-// is about keeping the overflow envelope identical to the audited reference
-// loop, not about rounding.
+// Determinism contract: exact int32 sums. Every product of two int8
+// values and every partial sum the kernels form is an integer that fits
+// in int32 as long as the reduction length k_len satisfies the plan's
+// bound k_len * 255 * 128 < 2^31 (qwide_bound_ok). Integer addition is
+// associative and exact in that range, so *any* grouping of the products
+// — four k per lane (vpdpbusd), two k per lane (vpmaddwd), or the serial
+// chain of the reference loop — yields the identical int32, which the
+// epilogue then finishes with a requantization value-identical to the
+// reference expression. Planned and reference QuantizedModel runs are
+// therefore bitwise identical, clip counters included
+// (dl_quant_kernels_wide_test proves this differentially on every arm).
+// A step whose k_len fails the bound is planned on the scalar arm, which
+// keeps the reference loop's own serial chain.
 //
-//   - row blocking: kQWideRowBlock independent int32 accumulation chains
-//     per sweep break the serial dependency chain of the reference loop
-//     (ILP) and stream the quantized input vector once per block;
+//   - one panel layout: each lane group (32 Dense rows, 16 or 8 Conv2d
+//     channels) stores 4 consecutive k per output lane, zero-padded in k
+//     and in lanes, followed by the per-lane correction 128 * sum(w) that
+//     the u8-shifted vpdpbusd arm subtracts;
 //   - deploy-time im2col: the dtype-agnostic geometry and index tables of
 //     tensor/kernels.hpp (Conv2dGeom, build_im2col_tables, ConvTables) are
 //     reused verbatim — only the gather and the GEMM change element type;
@@ -98,6 +103,46 @@ inline std::int8_t requantize(std::int32_t acc, std::size_t ch,
   return rq.relu ? (q > 0 ? q : std::int8_t{0}) : q;
 }
 
+// ------------------------------------------------- Wide (kWide) backends
+//
+// Exact int8 dot products over one panel layout, in four arms:
+//   - kScalar: the canonical per-chain loop — each output accumulates its
+//     products in reference order (ascending columns / table-order taps);
+//   - kAvx2 / kAvx512Bw: vpmovsxbw + vpmaddwd, two k per int32 lane,
+//     256-bit / 512-bit (the 8-lane half group stays 256-bit);
+//   - kAvx512Vnni: vpdpbusd, four k per int32 lane, on activations
+//     shifted into u8 (x ^ 0x80 == x + 128) and corrected by the panel's
+//     per-lane 128 * sum(w); zmm for 32-row blocks and 16-channel groups,
+//     ymm (AVX512VL) for the 8-channel half group.
+// The saturating vpmaddubsw / vpdpbusds are never used. Each SIMD arm
+// finishes with a vectorised requantize epilogue value-identical to
+// quantize_sat: cvtdq2ps, the reference mul/mul/add/div order (this TU is
+// built with -ffp-contract=off), round-half-away by blend, a
+// !(r < 128) / r <= -128 clip that also sends NaN to +127, a truncating
+// convert, the optional ReLU, and a clip count summed from the masks. The
+// arm is selected once at deploy time (platform::select_wide_isa); on
+// non-x86 builds the SIMD entry points are the scalar arm.
+
+/// The int8 kernel arm of the wide family.
+enum class QArm : std::uint8_t {
+  kScalar,      ///< canonical per-chain loop, any machine
+  kAvx2,        ///< vpmovsxbw + vpmaddwd on 256-bit vectors
+  kAvx512Bw,    ///< vpmovsxbw + vpmaddwd on 512-bit vectors (AVX512BW+VL)
+  kAvx512Vnni,  ///< vpdpbusd on 512/256-bit vectors (AVX512_VNNI+VL)
+};
+
+const char* qarm_name(QArm arm) noexcept;
+
+/// Output rows per Dense block (the last block is zero-padded to it),
+/// output channels per Conv2d lane group, and per the half group that
+/// takes the last 1..8 channels (zero-padded to 8 lanes). Every channel
+/// lives in the panel; nothing is read from the live weights.
+inline constexpr std::size_t kQWideRowBlock = 32;
+inline constexpr std::size_t kQWideConvLanes = 16;
+inline constexpr std::size_t kQWideHalfLanes = 8;
+/// Consecutive k stored per output lane (one vpdpbusd int32 lane).
+inline constexpr std::size_t kQWideQuad = 4;
+
 // --------------------------------------------------------------- Conv2d
 
 /// The int8 hot-path gather: col[e] = in[in_idx[e]] over the ragged
@@ -106,123 +151,105 @@ inline std::int8_t requantize(std::int32_t acc, std::size_t ch,
 void im2col_gather_i8(const std::int8_t* in, const std::uint32_t* in_idx,
                       std::size_t entries, std::int8_t* col) noexcept;
 
-// ------------------------------------------------- Wide (kWide) backends
-//
-// Widened int8 x int8 -> int32 dot-product microkernels: 32-row Dense
-// blocks and 16-channel (plus one 8-channel half) Conv2d lane groups, each
-// in three variants that compute the *identical* fixed accumulation tree —
-// a portable scalar arm, a 16-byte-load AVX2-class sweep, and a
-// 32-byte-load AVX-512-class sweep. One output element is always one serial int32 chain in strict
-// reference order; the SIMD runs independent chains side by side
-// (broadcast multiplicand, sign-extended lane loads, no partial-sum
-// restructuring), so the overflow envelope matches the audited reference
-// loop exactly and all variants are bitwise identical. Variant selection
-// happens once at deploy time (platform::CpuProbe); on non-x86 builds the
-// SIMD entry points are the scalar arm.
+/// Upper bound on |partial sum| over a reduction of k_len products of a
+/// u8-shifted activation (0..255) and an int8 weight (|w| <= 128). Every
+/// SIMD arm forms partial sums no larger than this.
+constexpr std::uint64_t qwide_mac_bound(std::size_t k_len) noexcept {
+  return static_cast<std::uint64_t>(k_len) * 255u * 128u;
+}
 
-/// Output rows per wide Dense sweep (32 int8 lanes = one 256-bit load or
-/// two 128-bit loads per column), output channels per wide Conv2d lane
-/// group (16 int8 lanes = one 128-bit load per tap), and per wide Conv2d
-/// half group (8 lanes = one 64-bit load per tap), which runs once after
-/// the full groups whenever at least 8 channels remain.
-inline constexpr std::size_t kQWideRowBlock = 32;
-inline constexpr std::size_t kQWideConvLanes = 16;
-inline constexpr std::size_t kQWideHalfLanes = 8;
+/// True when the SIMD arms' regrouped sums provably equal the reference
+/// chain: qwide_mac_bound(k_len) < 2^31.
+constexpr bool qwide_bound_ok(std::size_t k_len) noexcept {
+  return qwide_mac_bound(k_len) < (std::uint64_t{1} << 31);
+}
 
-/// Bytes needed for the wide row-blocked panel (blocks of kQWideRowBlock
-/// rows, each 64-byte aligned; the tail block interleaved at its own row
-/// count).
+/// Bytes of one lane group: 4-k quads for `lanes` lanes (64-byte aligned),
+/// then `lanes` int32 corrections (64-byte aligned).
+std::size_t qwide_group_bytes(std::size_t lanes, std::size_t k_len) noexcept;
+
+/// Bytes needed for the Dense panel: ceil(rows / 32) blocks of 32 lanes.
 std::size_t qwide_dense_panel_bytes(std::size_t rows,
                                     std::size_t cols) noexcept;
 
-/// Repacks row-major int8 weights into the wide panel layout
-/// (panel[c * 32 + r] within a block); padding is zero-filled.
+/// Packs row-major int8 weights into the Dense panel. Within block b,
+/// row b * 32 + i, column c sits at
+/// blk[(c / 4) * 128 + i * 4 + c % 4]; padding is zero and the block's
+/// corrections are recomputed from the weights.
 void pack_qwide_dense_panel(const std::int8_t* w, std::size_t rows,
                             std::size_t cols, std::int8_t* panel) noexcept;
 
-/// out = requant(W x) over a wide panel — portable scalar arm: 32
-/// independent int32 chains per block, each output row accumulating its
-/// columns in strict ascending order exactly as the reference Dense loop
-/// does. The canonical tree the SIMD variants below reproduce lane for
-/// lane.
+/// out = requant(W x) over a Dense panel. `x` holds exactly `cols` bytes
+/// (never read past). All arms are bitwise identical to the reference
+/// Dense loop.
 void qmatvec_wide_scalar(const std::int8_t* panel, std::size_t rows,
                          std::size_t cols, const std::int8_t* x,
                          const Requant& rq, std::int8_t* out,
                          std::uint64_t* sat) noexcept;
-
-/// AVX2-class variant: four 8-lane int32 accumulators per block, 8-byte
-/// sign-extended lane loads. Bitwise identical to the scalar arm.
 void qmatvec_wide_avx2(const std::int8_t* panel, std::size_t rows,
                        std::size_t cols, const std::int8_t* x,
                        const Requant& rq, std::int8_t* out,
                        std::uint64_t* sat) noexcept;
+void qmatvec_wide_avx512bw(const std::int8_t* panel, std::size_t rows,
+                           std::size_t cols, const std::int8_t* x,
+                           const Requant& rq, std::int8_t* out,
+                           std::uint64_t* sat) noexcept;
+void qmatvec_wide_avx512vnni(const std::int8_t* panel, std::size_t rows,
+                             std::size_t cols, const std::int8_t* x,
+                             const Requant& rq, std::int8_t* out,
+                             std::uint64_t* sat) noexcept;
 
-/// AVX-512-class variant: two 16-lane int32 accumulators per block,
-/// 16-byte sign-extended lane loads. Bitwise identical to the scalar arm.
-void qmatvec_wide_avx512(const std::int8_t* panel, std::size_t rows,
-                         std::size_t cols, const std::int8_t* x,
-                         const Requant& rq, std::int8_t* out,
-                         std::uint64_t* sat) noexcept;
-
-/// Bytes needed for the wide tap-major conv lane panel: the full
-/// kQWideConvLanes-channel groups, plus one kQWideHalfLanes-channel half
-/// group when out_c % 16 >= 8 (each group 64-byte aligned). The last
-/// out_c % 8 channels keep reading the live weights.
+/// Bytes needed for the Conv2d panel: out_c / 16 groups of 16 lanes, then
+/// one group for the remaining channels — 8 lanes when at most 8 remain,
+/// else 16.
 std::size_t qwide_conv_panel_bytes(std::size_t out_c,
                                    std::size_t patch) noexcept;
 
-/// Repacks the natural out_c x patch int8 layout into 16-channel
-/// tap-major groups, panel[g * align_up_bytes(patch * 16) + j * 16 + i],
-/// followed by the half group at stride 8 when present.
+/// Packs the natural out_c x patch int8 layout into the Conv2d panel:
+/// channel oc0 + i of a group of `lanes`, tap k at
+/// gp[(k / 4) * 4 * lanes + i * 4 + k % 4]; padding is zero.
 void pack_qwide_conv_panel(const std::int8_t* wt, std::size_t out_c,
                            std::size_t patch, std::int8_t* panel) noexcept;
 
-/// out[oc * opix + p] = requant over the pixel's taps, over the wide lane
-/// panel (16-channel groups, then the 8-channel half group) — portable
-/// scalar arm. The last out_c % 8 channels read the live int8 weights
-/// `wt` (out_c x patch, natural layout) via the shared scalar sweeps;
-/// the tables are shared with the float path.
+/// out[oc * opix + p] = requant over the pixel's taps, reading the
+/// ragged gathered column `col` (t.pix_off[t.opix] bytes, never read
+/// past) and the panel. Every arm is bitwise identical to the reference
+/// Conv2d loop.
 void qconv2d_im2col_wide_scalar(const std::int8_t* panel,
-                                const std::int8_t* wt,
                                 const kernels::ConvTables& t,
                                 const std::int8_t* col, const Requant& rq,
                                 std::int8_t* out,
                                 std::uint64_t* sat) noexcept;
-
-/// AVX2-class variant: two 8-lane int32 accumulators per group, one per
-/// half group.
 void qconv2d_im2col_wide_avx2(const std::int8_t* panel,
-                              const std::int8_t* wt,
                               const kernels::ConvTables& t,
                               const std::int8_t* col, const Requant& rq,
                               std::int8_t* out, std::uint64_t* sat) noexcept;
-
-/// AVX-512-class variant: one 16-lane int32 accumulator per group; the
-/// half group runs on one 8-lane (256-bit) accumulator.
-void qconv2d_im2col_wide_avx512(const std::int8_t* panel,
-                                const std::int8_t* wt,
-                                const kernels::ConvTables& t,
-                                const std::int8_t* col, const Requant& rq,
-                                std::int8_t* out,
-                                std::uint64_t* sat) noexcept;
+void qconv2d_im2col_wide_avx512bw(const std::int8_t* panel,
+                                  const kernels::ConvTables& t,
+                                  const std::int8_t* col, const Requant& rq,
+                                  std::int8_t* out,
+                                  std::uint64_t* sat) noexcept;
+void qconv2d_im2col_wide_avx512vnni(const std::int8_t* panel,
+                                    const kernels::ConvTables& t,
+                                    const std::int8_t* col,
+                                    const Requant& rq, std::int8_t* out,
+                                    std::uint64_t* sat) noexcept;
 
 /// Per-step int8 kernel entry points resolved once at plan-construction
-/// time so the engine hot path stays branch-free. Conv kernels take both
-/// the panel and the live weights (the tail channels read live).
+/// time so the engine hot path stays branch-free.
 using QDenseKernelFn = void (*)(const std::int8_t* panel,
                                 std::size_t rows, std::size_t cols,
                                 const std::int8_t* x, const Requant& rq,
                                 std::int8_t* out,
                                 std::uint64_t* sat) noexcept;
 using QConvKernelFn = void (*)(const std::int8_t* panel,
-                               const std::int8_t* wt,
                                const kernels::ConvTables& t,
                                const std::int8_t* col, const Requant& rq,
                                std::int8_t* out,
                                std::uint64_t* sat) noexcept;
 
-/// The wide kernel family for a probed/selected ISA (deploy-time only).
-QDenseKernelFn wide_qdense_kernel(kernels::WideIsa isa) noexcept;
-QConvKernelFn wide_qconv_kernel(kernels::WideIsa isa) noexcept;
+/// The kernel entry points of one arm (deploy-time only).
+QDenseKernelFn wide_qdense_kernel(QArm arm) noexcept;
+QConvKernelFn wide_qconv_kernel(QArm arm) noexcept;
 
 }  // namespace sx::tensor::qkernels

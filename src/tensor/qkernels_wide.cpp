@@ -1,25 +1,25 @@
-// kWide int8 microkernels: widened int8 x int8 -> int32 dot products with
-// fused requantize. 32-row Dense blocks and 16-channel Conv2d lane groups
-// (plus one 8-channel half group) in three variants — portable scalar
-// arm, AVX2-class (8-byte sign-extended lane loads into 256-bit int32
-// accumulators), AVX-512-class (16-byte lane loads into 512-bit
-// accumulators; the half group keeps one 256-bit accumulator).
+// kWide int8 microkernels: exact int8 x int8 -> int32 dot products with a
+// fused requantize epilogue, in four arms over one panel layout (4
+// consecutive k per output lane, zero-padded in k and in lanes):
+//   - scalar: the canonical per-chain loop;
+//   - avx2 / avx512bw: vpmovsxbw + vpmaddwd (two k per int32 lane);
+//   - avx512vnni: vpdpbusd (four k per int32 lane) on activations shifted
+//     into u8 by x ^ 0x80, minus the panel's per-lane 128 * sum(w).
 //
-// Determinism contract: one output element is always one serial int32
-// chain in strict reference order (ascending columns / table-order taps).
-// The SIMD variants sign-extend each int8 lane load to int32
-// (__builtin_convertvector) and fold the broadcast multiplicand into each
-// lane's own accumulator only — no horizontal reductions, no partial-sum
-// restructuring — so the per-chain sequence of int32 additions, and hence
-// the overflow envelope, is *identical* to the scalar arm and to the
-// audited reference loop in dl/quant.cpp. Int32 accumulation of in-range
-// products is exact, so bitwise identity across variants follows by
-// construction; dl_quant_kernels_wide_test proves it differentially.
-//
-// This TU is compiled with -ffp-contract=off alongside kernels_wide.cpp;
-// the requantize epilogue is float math and must keep the reference's
-// two-rounding a*b+c shape.
+// Determinism contract: exact int32 sums. An int8 x int8 product and
+// every partial sum below are integers of magnitude at most
+// k_len * 255 * 128, which the plan requires to stay under 2^31
+// (qwide_bound_ok; a step that fails it runs on the scalar arm). In that
+// range int32 addition is exact and associative, so any grouping of the
+// products — pairs, quads, four pixels side by side, the u8 shift and its
+// correction — equals the reference's serial chain bit for bit. The
+// saturating vpmaddubsw / vpdpbusds are never used. The epilogue is float
+// math and must keep the reference's separately rounded mul/mul/add/div,
+// so this TU is compiled with -ffp-contract=off; dl_quant_kernels_wide_test
+// proves identity to QuantizedModel::apply_layer on every probed arm.
 #include "tensor/qkernels.hpp"
+
+#include <cstring>
 
 #if defined(__x86_64__) || defined(__i386__)
 #define SX_QWIDE_X86 1
@@ -30,95 +30,77 @@
 
 namespace sx::tensor::qkernels {
 
+const char* qarm_name(QArm arm) noexcept {
+  switch (arm) {
+    case QArm::kScalar: return "scalar";
+    case QArm::kAvx2: return "avx2";
+    case QArm::kAvx512Bw: return "avx512bw";
+    case QArm::kAvx512Vnni: return "avx512vnni";
+  }
+  return "scalar";
+}
+
 namespace {
 
-/// One kOc-channel sweep over every output pixel, sharing the gathered
-/// int8 column. Interior pixels (full patch, w_ofs is the identity) take
-/// the contiguous-weight fast path; clipped border pixels indirect through
-/// w_ofs. Both walk the taps in table order == reference order (the table
-/// construction in tensor/kernels.cpp mirrors the dl/quant.cpp skip).
-template <std::size_t kOc>
-inline void qconv_oc_sweep(const std::int8_t* wt,
-                           const kernels::ConvTables& t,
-                           const std::int8_t* col, const Requant& rq,
-                           std::int8_t* out, std::size_t oc0,
-                           std::uint64_t* sat) noexcept {
-  const std::int8_t* w[kOc];
-  for (std::size_t i = 0; i < kOc; ++i) w[i] = wt + (oc0 + i) * t.patch;
-  std::int8_t* o[kOc];
-  for (std::size_t i = 0; i < kOc; ++i) o[i] = out + (oc0 + i) * t.opix;
-  for (std::size_t p = 0; p < t.opix; ++p) {
-    const std::size_t base = t.pix_off[p];
-    const std::size_t taps = t.pix_off[p + 1] - base;
-    std::int32_t acc[kOc] = {};
-    const std::int8_t* c = col + base;
-    if (taps == t.patch) {
-      // 4x tap unroll on the contiguous fast path (interior pixels are the
-      // overwhelming majority); tap order per channel stays ascending.
-      std::size_t j = 0;
-      for (; j + 4 <= taps; j += 4) {
-        for (std::size_t u = 0; u < 4; ++u) {
-          const std::int32_t v = c[j + u];
-          for (std::size_t i = 0; i < kOc; ++i)
-            acc[i] += static_cast<std::int32_t>(w[i][j + u]) * v;
-        }
-      }
-      for (; j < taps; ++j) {
-        const std::int32_t v = c[j];
-        for (std::size_t i = 0; i < kOc; ++i)
-          acc[i] += static_cast<std::int32_t>(w[i][j]) * v;
-      }
-    } else {
-      const std::uint32_t* wo = t.w_ofs + base;
-      for (std::size_t j = 0; j < taps; ++j) {
-        const std::int32_t v = c[j];
-        const std::size_t k = wo[j];
-        for (std::size_t i = 0; i < kOc; ++i)
-          acc[i] += static_cast<std::int32_t>(w[i][k]) * v;
-      }
+constexpr std::size_t quads(std::size_t k_len) noexcept {
+  return (k_len + kQWideQuad - 1) / kQWideQuad;
+}
+
+/// Bytes of a group's weight quads (its corrections follow).
+constexpr std::size_t weight_bytes(std::size_t lanes,
+                                   std::size_t k_len) noexcept {
+  return align_up_bytes(kQWideQuad * quads(k_len) * lanes);
+}
+
+inline const std::int32_t* corrections(const std::int8_t* gp,
+                                       std::size_t wbytes) noexcept {
+  return reinterpret_cast<const std::int32_t*>(gp + wbytes);
+}
+
+/// Lane count of the conv group starting at channel oc0 < out_c.
+constexpr std::size_t group_lanes(std::size_t out_c, std::size_t oc0) noexcept {
+  return out_c - oc0 > kQWideHalfLanes ? kQWideConvLanes : kQWideHalfLanes;
+}
+
+/// Packs `real` rows of k_len int8 weights (row i at w + i * k_len) into
+/// one zero-padded group of `lanes` lanes and stores each lane's
+/// correction 128 * sum(w) after the quads.
+void pack_group(const std::int8_t* w, std::size_t real, std::size_t lanes,
+                std::size_t k_len, std::int8_t* gp) noexcept {
+  const std::size_t wbytes = weight_bytes(lanes, k_len);
+  const std::size_t total = qwide_group_bytes(lanes, k_len);
+  for (std::size_t i = 0; i < total; ++i) gp[i] = 0;
+  std::int32_t corr[kQWideRowBlock] = {};
+  for (std::size_t i = 0; i < real; ++i) {
+    std::int64_t sum = 0;
+    for (std::size_t c = 0; c < k_len; ++c) {
+      const std::int8_t v = w[i * k_len + c];
+      gp[c / kQWideQuad * kQWideQuad * lanes + i * kQWideQuad +
+         c % kQWideQuad] = v;
+      sum += v;
     }
-    for (std::size_t i = 0; i < kOc; ++i)
-      o[i][p] = requantize(acc[i], oc0 + i, rq, sat);
+    // Exact within the plan's bound; past it only the scalar arm runs,
+    // which never reads the correction.
+    corr[i] = static_cast<std::int32_t>(128 * sum);
   }
+  std::memcpy(gp + wbytes, corr, lanes * sizeof(std::int32_t));
 }
 
-/// Sweeps the 1..7 output channels oc..out_c left after the wide groups
-/// and the 8-lane half group over the live weights.
-inline void qconv_tail_sweep(const std::int8_t* wt,
-                             const kernels::ConvTables& t,
-                             const std::int8_t* col, const Requant& rq,
-                             std::int8_t* out, std::size_t oc,
-                             std::uint64_t* sat) noexcept {
-  switch (t.out_c - oc) {
-    case 1: qconv_oc_sweep<1>(wt, t, col, rq, out, oc, sat); break;
-    case 2: qconv_oc_sweep<2>(wt, t, col, rq, out, oc, sat); break;
-    case 3: qconv_oc_sweep<3>(wt, t, col, rq, out, oc, sat); break;
-    case 4: qconv_oc_sweep<4>(wt, t, col, rq, out, oc, sat); break;
-    case 5: qconv_oc_sweep<5>(wt, t, col, rq, out, oc, sat); break;
-    case 6: qconv_oc_sweep<6>(wt, t, col, rq, out, oc, sat); break;
-    case 7: qconv_oc_sweep<7>(wt, t, col, rq, out, oc, sat); break;
-    default: break;
-  }
+inline std::uint32_t load_quad(const std::int8_t* p) noexcept {
+  std::uint32_t v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
 }
 
-typedef std::int32_t v8si __attribute__((vector_size(32)));
-typedef std::int32_t v16si __attribute__((vector_size(64)));
-
-/// Scalar tail block of the wide Dense kernel (rows % kQWideRowBlock,
-/// interleaved at its own row count) — shared by every variant.
-inline void qwide_dense_tail(const std::int8_t* blk, std::size_t r0,
-                             std::size_t tail, std::size_t cols,
-                             const std::int8_t* x, const Requant& rq,
-                             std::int8_t* out, std::uint64_t* sat) noexcept {
-  std::int32_t acc[kQWideRowBlock - 1] = {};
-  for (std::size_t c = 0; c < cols; ++c) {
-    const std::int32_t xv = x[c];
-    const std::int8_t* lane = blk + c * tail;
-    for (std::size_t i = 0; i < tail; ++i)
-      acc[i] += static_cast<std::int32_t>(lane[i]) * xv;
-  }
-  for (std::size_t i = 0; i < tail; ++i)
-    out[r0 + i] = requantize(acc[i], r0 + i, rq, sat);
+/// The n < 4 bytes at p as a quad with zero upper bytes; never reads
+/// past p + n.
+inline std::uint32_t load_partial_quad(const std::int8_t* p,
+                                       std::size_t n) noexcept {
+  std::uint32_t v = 0;
+  for (std::size_t i = 0; i < n; ++i)
+    v |= static_cast<std::uint32_t>(static_cast<std::uint8_t>(p[i]))
+         << (8 * i);
+  return v;
 }
 
 }  // namespace
@@ -128,162 +110,554 @@ void im2col_gather_i8(const std::int8_t* in, const std::uint32_t* in_idx,
   for (std::size_t e = 0; e < entries; ++e) col[e] = in[in_idx[e]];
 }
 
+std::size_t qwide_group_bytes(std::size_t lanes, std::size_t k_len) noexcept {
+  return weight_bytes(lanes, k_len) +
+         align_up_bytes(lanes * sizeof(std::int32_t));
+}
+
 std::size_t qwide_dense_panel_bytes(std::size_t rows,
                                     std::size_t cols) noexcept {
-  const std::size_t full = rows / kQWideRowBlock;
-  const std::size_t tail = rows % kQWideRowBlock;
-  std::size_t bytes = full * align_up_bytes(kQWideRowBlock * cols);
-  if (tail != 0) bytes += align_up_bytes(tail * cols);
-  return bytes;
+  const std::size_t blocks = (rows + kQWideRowBlock - 1) / kQWideRowBlock;
+  return blocks * qwide_group_bytes(kQWideRowBlock, cols);
 }
 
 void pack_qwide_dense_panel(const std::int8_t* w, std::size_t rows,
                             std::size_t cols, std::int8_t* panel) noexcept {
-  const std::size_t total = qwide_dense_panel_bytes(rows, cols);
-  for (std::size_t i = 0; i < total; ++i) panel[i] = 0;  // padding
-  const std::size_t full = rows / kQWideRowBlock;
-  const std::size_t tail = rows % kQWideRowBlock;
-  const std::size_t full_stride = align_up_bytes(kQWideRowBlock * cols);
-  for (std::size_t b = 0; b < full; ++b) {
-    std::int8_t* blk = panel + b * full_stride;
-    const std::int8_t* wb = w + b * kQWideRowBlock * cols;
-    for (std::size_t c = 0; c < cols; ++c)
-      for (std::size_t i = 0; i < kQWideRowBlock; ++i)
-        blk[c * kQWideRowBlock + i] = wb[i * cols + c];
-  }
-  if (tail != 0) {
-    std::int8_t* blk = panel + full * full_stride;
-    const std::int8_t* wb = w + full * kQWideRowBlock * cols;
-    for (std::size_t c = 0; c < cols; ++c)
-      for (std::size_t i = 0; i < tail; ++i)
-        blk[c * tail + i] = wb[i * cols + c];
+  const std::size_t gbytes = qwide_group_bytes(kQWideRowBlock, cols);
+  for (std::size_t r0 = 0; r0 < rows; r0 += kQWideRowBlock) {
+    const std::size_t real =
+        rows - r0 < kQWideRowBlock ? rows - r0 : kQWideRowBlock;
+    pack_group(w + r0 * cols, real, kQWideRowBlock, cols,
+               panel + r0 / kQWideRowBlock * gbytes);
   }
 }
+
+std::size_t qwide_conv_panel_bytes(std::size_t out_c,
+                                   std::size_t patch) noexcept {
+  std::size_t bytes = 0;
+  for (std::size_t oc0 = 0; oc0 < out_c;) {
+    const std::size_t lanes = group_lanes(out_c, oc0);
+    bytes += qwide_group_bytes(lanes, patch);
+    oc0 += lanes;
+  }
+  return bytes;
+}
+
+void pack_qwide_conv_panel(const std::int8_t* wt, std::size_t out_c,
+                           std::size_t patch, std::int8_t* panel) noexcept {
+  for (std::size_t oc0 = 0; oc0 < out_c;) {
+    const std::size_t lanes = group_lanes(out_c, oc0);
+    const std::size_t real = out_c - oc0 < lanes ? out_c - oc0 : lanes;
+    pack_group(wt + oc0 * patch, real, lanes, patch, panel);
+    panel += qwide_group_bytes(lanes, patch);
+    oc0 += lanes;
+  }
+}
+
+// ------------------------------------------------------------ scalar arm
+
+namespace {
+
+// Generic 4-lane int32 vectors (SSE2 on x86-64, NEON on aarch64, scalar
+// code elsewhere), one lane per output channel: a 16-byte load holds four
+// lanes' quads. Shifting byte u of a lane to the top and back
+// (arithmetic) sign-extends that lane's weight for k = 4q + u; the quad
+// path does the same in 16-bit halves, where every int8 x int8 product
+// is exact, so no 32-bit multiply is needed. Each lane still adds its
+// products in ascending k — one serial chain.
+typedef std::int32_t v4si __attribute__((vector_size(16)));
+typedef std::int16_t v8hi __attribute__((vector_size(16)));
+
+template <typename V>
+inline V load16(const std::int8_t* p) noexcept {
+  V v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+/// acc += w(., k) * v for the L lanes of one group.
+template <std::size_t L>
+inline void scalar_tap(v4si* acc, const std::int8_t* gp, std::size_t k,
+                       std::int32_t v) noexcept {
+  const std::int8_t* row = gp + k / kQWideQuad * kQWideQuad * L;
+  const int up = static_cast<int>(8 * (3 - k % kQWideQuad));
+  for (std::size_t n = 0; n < L / 4; ++n)
+    acc[n] += ((load16<v4si>(row + 16 * n) << up) >> 24) * v;
+}
+
+/// The four taps of one quad row, in ascending k per lane.
+template <std::size_t L>
+inline void scalar_quad(v4si* acc, const std::int8_t* row,
+                        const std::int8_t* x) noexcept {
+  // 16-bit halves of each lane's quad: (k0, k1) and (k2, k3).
+  const v8hi x_even = {x[0], x[2], x[0], x[2], x[0], x[2], x[0], x[2]};
+  const v8hi x_odd = {x[1], x[3], x[1], x[3], x[1], x[3], x[1], x[3]};
+  for (std::size_t n = 0; n < L / 4; ++n) {
+    const v8hi w = load16<v8hi>(row + 16 * n);
+    // int16 products of k0/k2 and k1/k3, exact (|w * x| <= 16384).
+    v4si pe, po;
+    const v8hi e = ((w << 8) >> 8) * x_even;
+    const v8hi o = (w >> 8) * x_odd;
+    std::memcpy(&pe, &e, sizeof pe);
+    std::memcpy(&po, &o, sizeof po);
+    v4si a = acc[n];
+    a += (pe << 16) >> 16;  // k0
+    a += (po << 16) >> 16;  // k1
+    a += pe >> 16;          // k2
+    a += po >> 16;          // k3
+    acc[n] = a;
+  }
+}
+
+/// One reduction of k_len taps x[0..k_len) against a group: whole quads,
+/// then the last k_len % 4 taps one at a time; the lane sums land in out.
+template <std::size_t L>
+inline void scalar_dot(const std::int8_t* gp, const std::int8_t* x,
+                       std::size_t k_len, std::int32_t* out) noexcept {
+  v4si acc[L / 4] = {};
+  const std::size_t full = k_len / kQWideQuad;
+  for (std::size_t q = 0; q < full; ++q)
+    scalar_quad<L>(acc, gp + q * kQWideQuad * L, x + q * kQWideQuad);
+  for (std::size_t k = full * kQWideQuad; k < k_len; ++k)
+    scalar_tap<L>(acc, gp, k, x[k]);
+  std::memcpy(out, acc, sizeof acc);
+}
+
+/// One conv group of L lanes: per pixel, one int32 chain per channel over
+/// the pixel's taps in table order (== the reference loop's order;
+/// clipped taps are absent). Padded lanes accumulate zeros and are never
+/// stored.
+template <std::size_t L>
+void qconv_group_scalar(const std::int8_t* gp, const kernels::ConvTables& t,
+                        const std::int8_t* col, const Requant& rq,
+                        std::int8_t* out, std::size_t oc0,
+                        std::uint64_t* sat) noexcept {
+  const std::size_t real = t.out_c - oc0 < L ? t.out_c - oc0 : L;
+  for (std::size_t p = 0; p < t.opix; ++p) {
+    const std::size_t base = t.pix_off[p];
+    const std::size_t taps = t.pix_off[p + 1] - base;
+    std::int32_t acc[L];
+    if (taps == t.patch) {
+      scalar_dot<L>(gp, col + base, taps, acc);
+    } else {
+      v4si a[L / 4] = {};
+      for (std::size_t j = 0; j < taps; ++j)
+        scalar_tap<L>(a, gp, t.w_ofs[base + j], col[base + j]);
+      std::memcpy(acc, a, sizeof a);
+    }
+    for (std::size_t i = 0; i < real; ++i)
+      out[(oc0 + i) * t.opix + p] = requantize(acc[i], oc0 + i, rq, sat);
+  }
+}
+
+}  // namespace
 
 void qmatvec_wide_scalar(const std::int8_t* panel, std::size_t rows,
                          std::size_t cols, const std::int8_t* x,
                          const Requant& rq, std::int8_t* out,
                          std::uint64_t* sat) noexcept {
-  const std::size_t full = rows / kQWideRowBlock;
-  const std::size_t tail = rows % kQWideRowBlock;
-  const std::size_t full_stride = align_up_bytes(kQWideRowBlock * cols);
-  for (std::size_t b = 0; b < full; ++b) {
-    const std::int8_t* blk = panel + b * full_stride;
-    const std::size_t r = b * kQWideRowBlock;
-    // Thirty-two independent int32 chains; chain r+i sums its columns in
-    // strict ascending order — the exact tree the SIMD variants compute.
-    std::int32_t acc[kQWideRowBlock] = {};
-    const std::int8_t* lane = blk;
-    for (std::size_t c = 0; c < cols; ++c, lane += kQWideRowBlock) {
-      const std::int32_t xv = x[c];
-      for (std::size_t i = 0; i < kQWideRowBlock; ++i)
-        acc[i] += static_cast<std::int32_t>(lane[i]) * xv;
-    }
-    for (std::size_t i = 0; i < kQWideRowBlock; ++i)
-      out[r + i] = requantize(acc[i], r + i, rq, sat);
+  const std::size_t gbytes = qwide_group_bytes(kQWideRowBlock, cols);
+  for (std::size_t r0 = 0; r0 < rows; r0 += kQWideRowBlock) {
+    const std::int8_t* blk = panel + r0 / kQWideRowBlock * gbytes;
+    const std::size_t real =
+        rows - r0 < kQWideRowBlock ? rows - r0 : kQWideRowBlock;
+    // One int32 chain per row, its columns in ascending order — the
+    // reference Dense loop.
+    std::int32_t acc[kQWideRowBlock];
+    scalar_dot<kQWideRowBlock>(blk, x, cols, acc);
+    for (std::size_t i = 0; i < real; ++i)
+      out[r0 + i] = requantize(acc[i], r0 + i, rq, sat);
   }
-  if (tail != 0)
-    qwide_dense_tail(panel + full * full_stride, full * kQWideRowBlock,
-                     tail, cols, x, rq, out, sat);
+}
+
+void qconv2d_im2col_wide_scalar(const std::int8_t* panel,
+                                const kernels::ConvTables& t,
+                                const std::int8_t* col, const Requant& rq,
+                                std::int8_t* out,
+                                std::uint64_t* sat) noexcept {
+  for (std::size_t oc0 = 0; oc0 < t.out_c;) {
+    const std::size_t lanes = group_lanes(t.out_c, oc0);
+    if (lanes == kQWideConvLanes)
+      qconv_group_scalar<kQWideConvLanes>(panel, t, col, rq, out, oc0, sat);
+    else
+      qconv_group_scalar<kQWideHalfLanes>(panel, t, col, rq, out, oc0, sat);
+    panel += qwide_group_bytes(lanes, t.patch);
+    oc0 += lanes;
+  }
 }
 
 #if SX_QWIDE_X86
 
 namespace {
 
-// The sign-extending lane loads use the vpmovsxbd intrinsics directly:
-// GCC scalarizes a generic __builtin_convertvector from int8 to int32
-// (one movsbl + insert per lane), which is slower than the scalar arm.
-// The value is identical either way — sign extension is exact — only the
-// instruction selection changes.
-__attribute__((target("avx2"))) inline v8si v8si_sx(
-    const std::int8_t* p) noexcept {
-  const __m256i w = _mm256_cvtepi8_epi32(
-      _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p)));
-  v8si v;
-  __builtin_memcpy(&v, &w, sizeof v);
-  return v;
+// ------------------------------------------- vectorised requantize (AVX2)
+//
+// Eight lanes at a time, value-identical to quantize_sat composed with
+// requantize(): every step is the scalar expression's IEEE operation in
+// the same order, lane for lane.
+
+#define SX_AVX2_INLINE __attribute__((target("avx2"), always_inline)) inline
+
+/// Loop-invariant epilogue state plus the running clip count (one int32
+/// counter per lane, summed into *sat once per kernel call).
+struct Epilogue8 {
+  __m256 in_scale, out_scale;
+  __m256i clips;
+  bool relu;
+};
+
+/// Per-8-lane parameters: scales and bias of channels ch0..ch0+real
+/// (masked loads, so padded lanes read nothing) and the real-lane mask.
+struct Lanes8 {
+  __m256 ws, bias;
+  __m256i valid;
+  std::size_t real;
+};
+
+SX_AVX2_INLINE Epilogue8 make_epilogue(const Requant& rq) noexcept {
+  return Epilogue8{_mm256_set1_ps(rq.in_scale), _mm256_set1_ps(rq.out_scale),
+                   _mm256_setzero_si256(), rq.relu};
 }
 
-// maskz with an all-ones mask (not _mm512_cvtepi8_epi32): the unmasked
-// intrinsic's _mm512_undefined_epi32 passthrough trips GCC's
-// -Wmaybe-uninitialized; a full maskz select is the same vpmovsxbd.
-__attribute__((target("avx512f"))) inline v16si v16si_sx(
-    const std::int8_t* p) noexcept {
-  const __m512i w = _mm512_maskz_cvtepi8_epi32(
-      static_cast<__mmask16>(-1),
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
-  v16si v;
-  __builtin_memcpy(&v, &w, sizeof v);
-  return v;
+SX_AVX2_INLINE Lanes8 lanes8(const Requant& rq, std::size_t ch0,
+                             std::size_t real) noexcept {
+  const __m256i valid =
+      _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(real)),
+                         _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+  return Lanes8{rq.per_channel ? _mm256_maskload_ps(rq.w_scales + ch0, valid)
+                               : _mm256_set1_ps(rq.w_scales[0]),
+                _mm256_maskload_ps(rq.bias + ch0, valid), valid, real};
 }
+
+/// float(acc) * ws * in_scale + bias, / out_scale, round half away
+/// (q >= 0 ? q + 0.5 : q - 0.5), clip !(r < 128) -> +127 (NaN included)
+/// and r <= -128 -> -127, otherwise truncate; then the optional ReLU.
+/// Clips of real lanes are counted.
+SX_AVX2_INLINE __m256i requant8(Epilogue8& ep, const Lanes8& ln,
+                                __m256i acc) noexcept {
+  const __m256 f = _mm256_cvtepi32_ps(acc);
+  const __m256 v = _mm256_add_ps(
+      _mm256_mul_ps(_mm256_mul_ps(f, ln.ws), ep.in_scale), ln.bias);
+  const __m256 q = _mm256_div_ps(v, ep.out_scale);
+  const __m256 half = _mm256_set1_ps(0.5f);
+  const __m256 r =
+      _mm256_blendv_ps(_mm256_sub_ps(q, half), _mm256_add_ps(q, half),
+                       _mm256_cmp_ps(q, _mm256_setzero_ps(), _CMP_GE_OQ));
+  const __m256 hi = _mm256_cmp_ps(r, _mm256_set1_ps(128.0f), _CMP_NLT_UQ);
+  const __m256 lo = _mm256_cmp_ps(r, _mm256_set1_ps(-128.0f), _CMP_LE_OQ);
+  __m256i t = _mm256_cvttps_epi32(r);
+  t = _mm256_blendv_epi8(t, _mm256_set1_epi32(127), _mm256_castps_si256(hi));
+  t = _mm256_blendv_epi8(t, _mm256_set1_epi32(-127), _mm256_castps_si256(lo));
+  if (ep.relu) t = _mm256_max_epi32(t, _mm256_setzero_si256());
+  const __m256i clipped = _mm256_castps_si256(_mm256_or_ps(hi, lo));
+  ep.clips = _mm256_sub_epi32(ep.clips, _mm256_and_si256(clipped, ln.valid));
+  return t;
+}
+
+SX_AVX2_INLINE void flush(const Epilogue8& ep, std::uint64_t* sat) noexcept {
+  alignas(32) std::int32_t c[8];
+  _mm256_store_si256(reinterpret_cast<__m256i*>(c), ep.clips);
+  std::uint64_t n = 0;
+  for (const std::int32_t v : c) n += static_cast<std::uint32_t>(v);
+  if (sat != nullptr) *sat += n;
+}
+
+/// Eight int32 lanes in [-127, 127] as eight bytes (the saturating packs
+/// are exact in that range).
+SX_AVX2_INLINE std::uint64_t pack8(__m256i v) noexcept {
+  const __m128i w = _mm_packs_epi32(_mm256_castsi256_si128(v),
+                                    _mm256_extracti128_si256(v, 1));
+  return static_cast<std::uint64_t>(_mm_cvtsi128_si64(_mm_packs_epi16(w, w)));
+}
+
+/// Dense store: the first `real` of eight consecutive outputs.
+SX_AVX2_INLINE void store_row(std::int8_t* out, __m256i v,
+                              std::size_t real) noexcept {
+  const std::uint64_t b = pack8(v);
+  std::memcpy(out, &b, real);
+}
+
+/// Conv store of one pixel: lane i goes to channel plane i.
+SX_AVX2_INLINE void store_pixel(__m256i v, std::size_t real,
+                                std::int8_t* out, std::size_t opix) noexcept {
+  const std::uint64_t b = pack8(v);
+  for (std::size_t i = 0; i < real; ++i)
+    out[i * opix] = static_cast<std::int8_t>(b >> (8 * i));
+}
+
+/// Conv store of four consecutive pixels: the 4 x 8 byte block is
+/// transposed so each channel plane takes one 4-byte store.
+SX_AVX2_INLINE void store_tile4(__m256i t0, __m256i t1, __m256i t2,
+                                __m256i t3, std::size_t real,
+                                std::int8_t* out, std::size_t opix) noexcept {
+  // Per 128-bit half: bytes [pixel][channel 0..3 | 4..7] ...
+  const __m256i b = _mm256_packs_epi16(_mm256_packs_epi32(t0, t1),
+                                       _mm256_packs_epi32(t2, t3));
+  // ... reordered to [channel][pixel].
+  const __m256i perm =
+      _mm256_setr_epi8(0, 4, 8, 12, 1, 5, 9, 13, 2, 6, 10, 14, 3, 7, 11, 15,
+                       0, 4, 8, 12, 1, 5, 9, 13, 2, 6, 10, 14, 3, 7, 11, 15);
+  alignas(32) std::int8_t buf[32];
+  _mm256_store_si256(reinterpret_cast<__m256i*>(buf),
+                     _mm256_shuffle_epi8(b, perm));
+  for (std::size_t i = 0; i < real; ++i)
+    std::memcpy(out + i * opix, buf + 4 * i, 4);
+}
+
+// --------------------------------------------- exact dot-product policies
+//
+// Each policy accumulates L lanes: zero() an accumulator, load() one quad
+// row of weights (4 k x L lanes), prep() one activation quad, mac() one
+// quad into the accumulator, finish() the exact int32 lane sums as 8-lane
+// units.
+
+#define SX_BW_INLINE                                                    \
+  __attribute__((target("avx2,avx512f,avx512bw,avx512vl"), always_inline)) \
+  inline
+#define SX_VNNI_INLINE                                               \
+  __attribute__((target("avx2,avx512f,avx512bw,avx512vl,avx512vnni"), \
+                 always_inline)) inline
+
+// The maskz forms with all-ones masks are the same instructions as the
+// unmasked intrinsics, whose _mm512_undefined passthrough trips GCC's
+// -Wmaybe-uninitialized.
+constexpr __mmask8 kAll8 = 0xFF;
+constexpr __mmask16 kAll16 = 0xFFFF;
+
+SX_BW_INLINE __m256i high256(__m512i v) noexcept {
+  return _mm512_maskz_extracti64x4_epi64(kAll8, v, 1);
+}
+
+/// The low half is a register subview (GCC 12's _mm512_castsi512_si256
+/// also trips the warning).
+SX_BW_INLINE __m256i low256(__m512i v) noexcept {
+  __m256i r;
+  std::memcpy(&r, &v, sizeof r);
+  return r;
+}
+
+/// vpmovsxbw + vpmaddwd on 256-bit vectors: one accumulator per 4 lanes,
+/// holding each lane's (k0*x0 + k1*x1, k2*x2 + k3*x3) pair sums.
+template <std::size_t L>
+struct MaddY {
+  static constexpr std::size_t kN = L / 4;
+  struct Acc { __m256i v[kN]; };
+  struct W { __m256i v[kN]; };
+  SX_AVX2_INLINE static Acc zero() noexcept {
+    Acc a;
+#pragma GCC unroll 8
+    for (std::size_t n = 0; n < kN; ++n) a.v[n] = _mm256_setzero_si256();
+    return a;
+  }
+  SX_AVX2_INLINE static W load(const std::int8_t* w) noexcept {
+    W r;
+#pragma GCC unroll 8
+    for (std::size_t n = 0; n < kN; ++n)
+      r.v[n] = _mm256_cvtepi8_epi16(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(w + 16 * n)));
+    return r;
+  }
+  /// (x0, x1, x2, x3) sign-extended to int16 in every 64-bit lane.
+  SX_AVX2_INLINE static __m256i prep(std::uint32_t q) noexcept {
+    return _mm256_broadcastq_epi64(
+        _mm_cvtepi8_epi16(_mm_cvtsi32_si128(static_cast<int>(q))));
+  }
+  SX_AVX2_INLINE static void mac(Acc& a, const W& w, __m256i x) noexcept {
+#pragma GCC unroll 8
+    for (std::size_t n = 0; n < kN; ++n)
+      a.v[n] = _mm256_add_epi32(a.v[n], _mm256_madd_epi16(w.v[n], x));
+  }
+  /// hadd folds each lane's two pair sums: [l0 l1 l4 l5 | l2 l3 l6 l7],
+  /// which the 64-bit permute puts back in lane order.
+  SX_AVX2_INLINE static void finish(const Acc& a, const std::int32_t*,
+                                    __m256i* u) noexcept {
+#pragma GCC unroll 8
+    for (std::size_t k = 0; k < L / 8; ++k)
+      u[k] = _mm256_permute4x64_epi64(
+          _mm256_hadd_epi32(a.v[2 * k], a.v[2 * k + 1]), 0xD8);
+  }
+};
+
+/// vpmovsxbw + vpmaddwd on 512-bit vectors: one accumulator per 8 lanes.
+template <std::size_t L>
+struct MaddZ {
+  static constexpr std::size_t kN = L / 8;
+  struct Acc { __m512i v[kN]; };
+  struct W { __m512i v[kN]; };
+  SX_BW_INLINE static Acc zero() noexcept {
+    Acc a;
+#pragma GCC unroll 8
+    for (std::size_t n = 0; n < kN; ++n) a.v[n] = _mm512_setzero_si512();
+    return a;
+  }
+  SX_BW_INLINE static W load(const std::int8_t* w) noexcept {
+    W r;
+#pragma GCC unroll 8
+    for (std::size_t n = 0; n < kN; ++n)
+      r.v[n] = _mm512_cvtepi8_epi16(
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + 32 * n)));
+    return r;
+  }
+  SX_BW_INLINE static __m512i prep(std::uint32_t q) noexcept {
+    return _mm512_maskz_broadcastq_epi64(
+        kAll8, _mm_cvtepi8_epi16(_mm_cvtsi32_si128(static_cast<int>(q))));
+  }
+  SX_BW_INLINE static void mac(Acc& a, const W& w, __m512i x) noexcept {
+#pragma GCC unroll 8
+    for (std::size_t n = 0; n < kN; ++n)
+      a.v[n] = _mm512_add_epi32(a.v[n], _mm512_madd_epi16(w.v[n], x));
+  }
+  /// Even pair sums to the low half, odd to the high half, then add.
+  SX_BW_INLINE static void finish(const Acc& a, const std::int32_t*,
+                                  __m256i* u) noexcept {
+    const __m512i idx = _mm512_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14, 1, 3,
+                                          5, 7, 9, 11, 13, 15);
+#pragma GCC unroll 8
+    for (std::size_t n = 0; n < kN; ++n) {
+      const __m512i s = _mm512_maskz_permutexvar_epi32(kAll16, idx, a.v[n]);
+      u[n] = _mm256_add_epi32(low256(s), high256(s));
+    }
+  }
+};
+
+/// vpdpbusd on 256 bits (AVX512VL): 8 lanes, four k per int32 lane. The
+/// activation quad is shifted into u8 (x ^ 0x80 == x + 128), so each lane
+/// accumulates sum(x * w) + 128 * sum(w); finish() subtracts the panel's
+/// correction.
+struct VnniY8 {
+  using Acc = __m256i;
+  using W = __m256i;
+  SX_VNNI_INLINE static Acc zero() noexcept { return _mm256_setzero_si256(); }
+  SX_VNNI_INLINE static W load(const std::int8_t* w) noexcept {
+    return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w));
+  }
+  SX_VNNI_INLINE static __m256i prep(std::uint32_t q) noexcept {
+    return _mm256_xor_si256(_mm256_set1_epi32(static_cast<int>(q)),
+                            _mm256_set1_epi32(static_cast<int>(0x80808080u)));
+  }
+  SX_VNNI_INLINE static void mac(Acc& a, W w, __m256i x) noexcept {
+    a = _mm256_dpbusd_epi32(a, x, w);
+  }
+  SX_VNNI_INLINE static void finish(Acc a, const std::int32_t* corr,
+                                    __m256i* u) noexcept {
+    u[0] = _mm256_sub_epi32(
+        a, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(corr)));
+  }
+};
+
+/// vpdpbusd on 512 bits: one accumulator per 16 lanes.
+template <std::size_t L>
+struct VnniZ {
+  static constexpr std::size_t kN = L / 16;
+  struct Acc { __m512i v[kN]; };
+  struct W { __m512i v[kN]; };
+  SX_VNNI_INLINE static Acc zero() noexcept {
+    Acc a;
+#pragma GCC unroll 4
+    for (std::size_t n = 0; n < kN; ++n) a.v[n] = _mm512_setzero_si512();
+    return a;
+  }
+  SX_VNNI_INLINE static W load(const std::int8_t* w) noexcept {
+    W r;
+#pragma GCC unroll 4
+    for (std::size_t n = 0; n < kN; ++n) r.v[n] = _mm512_loadu_si512(w + 64 * n);
+    return r;
+  }
+  SX_VNNI_INLINE static __m512i prep(std::uint32_t q) noexcept {
+    return _mm512_xor_si512(_mm512_set1_epi32(static_cast<int>(q)),
+                            _mm512_set1_epi32(static_cast<int>(0x80808080u)));
+  }
+  SX_VNNI_INLINE static void mac(Acc& a, const W& w, __m512i x) noexcept {
+#pragma GCC unroll 4
+    for (std::size_t n = 0; n < kN; ++n)
+      a.v[n] = _mm512_dpbusd_epi32(a.v[n], x, w.v[n]);
+  }
+  SX_VNNI_INLINE static void finish(const Acc& a, const std::int32_t* corr,
+                                    __m256i* u) noexcept {
+#pragma GCC unroll 4
+    for (std::size_t n = 0; n < kN; ++n) {
+      const __m512i s =
+          _mm512_sub_epi32(a.v[n], _mm512_loadu_si512(corr + 16 * n));
+      u[2 * n] = low256(s);
+      u[2 * n + 1] = high256(s);
+    }
+  }
+};
+
+// ------------------------------------------------------------ SIMD arms
+
+namespace avx2_arm {
+template <std::size_t L>
+struct Group : MaddY<L> {};
+#define SX_QARM_TARGET "avx2"
+#include "tensor/qkernels_wide_arm.h"
+#undef SX_QARM_TARGET
+}  // namespace avx2_arm
+
+namespace avx512bw_arm {
+template <std::size_t L>
+struct Group : MaddZ<L> {};
+template <>
+struct Group<kQWideHalfLanes> : MaddY<kQWideHalfLanes> {};
+#define SX_QARM_TARGET "avx2,avx512f,avx512bw,avx512vl"
+#include "tensor/qkernels_wide_arm.h"
+#undef SX_QARM_TARGET
+}  // namespace avx512bw_arm
+
+namespace avx512vnni_arm {
+template <std::size_t L>
+struct Group : VnniZ<L> {};
+template <>
+struct Group<kQWideHalfLanes> : VnniY8 {};
+#define SX_QARM_TARGET "avx2,avx512f,avx512bw,avx512vl,avx512vnni"
+#include "tensor/qkernels_wide_arm.h"
+#undef SX_QARM_TARGET
+}  // namespace avx512vnni_arm
 
 }  // namespace
 
-__attribute__((target("avx2")))
 void qmatvec_wide_avx2(const std::int8_t* panel, std::size_t rows,
                        std::size_t cols, const std::int8_t* x,
                        const Requant& rq, std::int8_t* out,
                        std::uint64_t* sat) noexcept {
-  const std::size_t full = rows / kQWideRowBlock;
-  const std::size_t tail = rows % kQWideRowBlock;
-  const std::size_t full_stride = align_up_bytes(kQWideRowBlock * cols);
-  for (std::size_t b = 0; b < full; ++b) {
-    const std::int8_t* blk = panel + b * full_stride;
-    const std::size_t r = b * kQWideRowBlock;
-    // Four 8-lane int32 accumulators carry the 32 chains. Each column
-    // sign-extends its 8-byte lane quarters and folds the broadcast
-    // multiplicand vertically — per-chain addition order is untouched.
-    v8si a0 = {}, a1 = {}, a2 = {}, a3 = {};
-    const std::int8_t* lane = blk;
-    for (std::size_t c = 0; c < cols; ++c, lane += kQWideRowBlock) {
-      const v8si xv = v8si{} + static_cast<std::int32_t>(x[c]);
-      a0 += v8si_sx(lane) * xv;
-      a1 += v8si_sx(lane + 8) * xv;
-      a2 += v8si_sx(lane + 16) * xv;
-      a3 += v8si_sx(lane + 24) * xv;
-    }
-    std::int32_t acc[kQWideRowBlock];
-    __builtin_memcpy(acc, &a0, sizeof a0);
-    __builtin_memcpy(acc + 8, &a1, sizeof a1);
-    __builtin_memcpy(acc + 16, &a2, sizeof a2);
-    __builtin_memcpy(acc + 24, &a3, sizeof a3);
-    for (std::size_t i = 0; i < kQWideRowBlock; ++i)
-      out[r + i] = requantize(acc[i], r + i, rq, sat);
-  }
-  if (tail != 0)
-    qwide_dense_tail(panel + full * full_stride, full * kQWideRowBlock,
-                     tail, cols, x, rq, out, sat);
+  avx2_arm::dense(panel, rows, cols, x, rq, out, sat);
 }
 
-__attribute__((target("avx512f")))
-void qmatvec_wide_avx512(const std::int8_t* panel, std::size_t rows,
-                         std::size_t cols, const std::int8_t* x,
-                         const Requant& rq, std::int8_t* out,
-                         std::uint64_t* sat) noexcept {
-  const std::size_t full = rows / kQWideRowBlock;
-  const std::size_t tail = rows % kQWideRowBlock;
-  const std::size_t full_stride = align_up_bytes(kQWideRowBlock * cols);
-  for (std::size_t b = 0; b < full; ++b) {
-    const std::int8_t* blk = panel + b * full_stride;
-    const std::size_t r = b * kQWideRowBlock;
-    // Two 16-lane int32 accumulators; 16-byte sign-extended lane loads.
-    v16si lo = {}, hi = {};
-    const std::int8_t* lane = blk;
-    for (std::size_t c = 0; c < cols; ++c, lane += kQWideRowBlock) {
-      const v16si xv = v16si{} + static_cast<std::int32_t>(x[c]);
-      lo += v16si_sx(lane) * xv;
-      hi += v16si_sx(lane + 16) * xv;
-    }
-    std::int32_t acc[kQWideRowBlock];
-    __builtin_memcpy(acc, &lo, sizeof lo);
-    __builtin_memcpy(acc + 16, &hi, sizeof hi);
-    for (std::size_t i = 0; i < kQWideRowBlock; ++i)
-      out[r + i] = requantize(acc[i], r + i, rq, sat);
-  }
-  if (tail != 0)
-    qwide_dense_tail(panel + full * full_stride, full * kQWideRowBlock,
-                     tail, cols, x, rq, out, sat);
+void qmatvec_wide_avx512bw(const std::int8_t* panel, std::size_t rows,
+                           std::size_t cols, const std::int8_t* x,
+                           const Requant& rq, std::int8_t* out,
+                           std::uint64_t* sat) noexcept {
+  avx512bw_arm::dense(panel, rows, cols, x, rq, out, sat);
+}
+
+void qmatvec_wide_avx512vnni(const std::int8_t* panel, std::size_t rows,
+                             std::size_t cols, const std::int8_t* x,
+                             const Requant& rq, std::int8_t* out,
+                             std::uint64_t* sat) noexcept {
+  avx512vnni_arm::dense(panel, rows, cols, x, rq, out, sat);
+}
+
+void qconv2d_im2col_wide_avx2(const std::int8_t* panel,
+                              const kernels::ConvTables& t,
+                              const std::int8_t* col, const Requant& rq,
+                              std::int8_t* out, std::uint64_t* sat) noexcept {
+  avx2_arm::conv(panel, t, col, rq, out, sat);
+}
+
+void qconv2d_im2col_wide_avx512bw(const std::int8_t* panel,
+                                  const kernels::ConvTables& t,
+                                  const std::int8_t* col, const Requant& rq,
+                                  std::int8_t* out,
+                                  std::uint64_t* sat) noexcept {
+  avx512bw_arm::conv(panel, t, col, rq, out, sat);
+}
+
+void qconv2d_im2col_wide_avx512vnni(const std::int8_t* panel,
+                                    const kernels::ConvTables& t,
+                                    const std::int8_t* col,
+                                    const Requant& rq, std::int8_t* out,
+                                    std::uint64_t* sat) noexcept {
+  avx512vnni_arm::conv(panel, t, col, rq, out, sat);
 }
 
 #else  // !SX_QWIDE_X86: the SIMD entry points are the scalar arm itself.
@@ -295,265 +669,61 @@ void qmatvec_wide_avx2(const std::int8_t* panel, std::size_t rows,
   qmatvec_wide_scalar(panel, rows, cols, x, rq, out, sat);
 }
 
-void qmatvec_wide_avx512(const std::int8_t* panel, std::size_t rows,
-                         std::size_t cols, const std::int8_t* x,
-                         const Requant& rq, std::int8_t* out,
-                         std::uint64_t* sat) noexcept {
+void qmatvec_wide_avx512bw(const std::int8_t* panel, std::size_t rows,
+                           std::size_t cols, const std::int8_t* x,
+                           const Requant& rq, std::int8_t* out,
+                           std::uint64_t* sat) noexcept {
   qmatvec_wide_scalar(panel, rows, cols, x, rq, out, sat);
 }
 
-#endif  // SX_QWIDE_X86
-
-std::size_t qwide_conv_panel_bytes(std::size_t out_c,
-                                   std::size_t patch) noexcept {
-  std::size_t bytes =
-      (out_c / kQWideConvLanes) * align_up_bytes(patch * kQWideConvLanes);
-  if (out_c % kQWideConvLanes >= kQWideHalfLanes)
-    bytes += align_up_bytes(patch * kQWideHalfLanes);
-  return bytes;
-}
-
-void pack_qwide_conv_panel(const std::int8_t* wt, std::size_t out_c,
-                           std::size_t patch, std::int8_t* panel) noexcept {
-  const std::size_t total = qwide_conv_panel_bytes(out_c, patch);
-  for (std::size_t i = 0; i < total; ++i) panel[i] = 0;  // padding
-  // Tap-major lane group of `lanes` channels starting at oc0.
-  auto pack_group = [&](std::int8_t* gp, std::size_t oc0,
-                        std::size_t lanes) {
-    for (std::size_t j = 0; j < patch; ++j)
-      for (std::size_t i = 0; i < lanes; ++i)
-        gp[j * lanes + i] = wt[(oc0 + i) * patch + j];
-  };
-  const std::size_t gstride = align_up_bytes(patch * kQWideConvLanes);
-  const std::size_t groups = out_c / kQWideConvLanes;
-  for (std::size_t g = 0; g < groups; ++g)
-    pack_group(panel + g * gstride, g * kQWideConvLanes, kQWideConvLanes);
-  if (out_c % kQWideConvLanes >= kQWideHalfLanes)
-    pack_group(panel + groups * gstride, groups * kQWideConvLanes,
-               kQWideHalfLanes);
-}
-
-namespace {
-
-/// Signature shared by the per-variant lane-group sweeps.
-using QWideGroupFn = void (*)(const std::int8_t* gp,
-                              const kernels::ConvTables& t,
-                              const std::int8_t* col, const Requant& rq,
-                              std::int8_t* out, std::size_t oc0,
-                              std::uint64_t* sat) noexcept;
-
-/// The group schedule every wide conv variant shares: the full
-/// kQWideConvLanes-channel groups, then one kQWideHalfLanes-channel half
-/// group when at least that many channels remain, then the live-weight
-/// tail sweep over the last 0..7 channels. Each channel is computed by
-/// exactly one sweep, so the schedule changes timing only.
-inline void qwide_conv_schedule(const std::int8_t* panel,
-                                const std::int8_t* wt,
-                                const kernels::ConvTables& t,
-                                const std::int8_t* col, const Requant& rq,
-                                std::int8_t* out, std::uint64_t* sat,
-                                QWideGroupFn full,
-                                QWideGroupFn half) noexcept {
-  const std::size_t gstride = align_up_bytes(t.patch * kQWideConvLanes);
-  const std::size_t groups = t.out_c / kQWideConvLanes;
-  for (std::size_t g = 0; g < groups; ++g)
-    full(panel + g * gstride, t, col, rq, out, g * kQWideConvLanes, sat);
-  std::size_t oc = groups * kQWideConvLanes;
-  if (t.out_c - oc >= kQWideHalfLanes) {
-    half(panel + groups * gstride, t, col, rq, out, oc, sat);
-    oc += kQWideHalfLanes;
-  }
-  qconv_tail_sweep(wt, t, col, rq, out, oc, sat);
-}
-
-/// Scalar core of one wide conv lane group of kLanes channels — the
-/// canonical tree the SIMD group sweeps reproduce.
-template <std::size_t kLanes>
-void qwide_conv_group_scalar(const std::int8_t* gp,
-                             const kernels::ConvTables& t,
-                             const std::int8_t* col, const Requant& rq,
-                             std::int8_t* out, std::size_t oc0,
+void qmatvec_wide_avx512vnni(const std::int8_t* panel, std::size_t rows,
+                             std::size_t cols, const std::int8_t* x,
+                             const Requant& rq, std::int8_t* out,
                              std::uint64_t* sat) noexcept {
-  std::int8_t* o[kLanes];
-  for (std::size_t i = 0; i < kLanes; ++i) o[i] = out + (oc0 + i) * t.opix;
-  for (std::size_t p = 0; p < t.opix; ++p) {
-    const std::size_t base = t.pix_off[p];
-    const std::size_t taps = t.pix_off[p + 1] - base;
-    std::int32_t acc[kLanes] = {};
-    const std::int8_t* c = col + base;
-    if (taps == t.patch) {
-      const std::int8_t* lane = gp;
-      for (std::size_t j = 0; j < taps; ++j, lane += kLanes) {
-        const std::int32_t v = c[j];
-        for (std::size_t i = 0; i < kLanes; ++i)
-          acc[i] += static_cast<std::int32_t>(lane[i]) * v;
-      }
-    } else {
-      const std::uint32_t* wo = t.w_ofs + base;
-      for (std::size_t j = 0; j < taps; ++j) {
-        const std::int32_t v = c[j];
-        const std::int8_t* lane = gp + wo[j] * kLanes;
-        for (std::size_t i = 0; i < kLanes; ++i)
-          acc[i] += static_cast<std::int32_t>(lane[i]) * v;
-      }
-    }
-    for (std::size_t i = 0; i < kLanes; ++i)
-      o[i][p] = requantize(acc[i], oc0 + i, rq, sat);
-  }
+  qmatvec_wide_scalar(panel, rows, cols, x, rq, out, sat);
 }
-
-}  // namespace
-
-void qconv2d_im2col_wide_scalar(const std::int8_t* panel,
-                                const std::int8_t* wt,
-                                const kernels::ConvTables& t,
-                                const std::int8_t* col, const Requant& rq,
-                                std::int8_t* out,
-                                std::uint64_t* sat) noexcept {
-  qwide_conv_schedule(panel, wt, t, col, rq, out, sat,
-                      &qwide_conv_group_scalar<kQWideConvLanes>,
-                      &qwide_conv_group_scalar<kQWideHalfLanes>);
-}
-
-#if SX_QWIDE_X86
-
-namespace {
-
-/// One conv group of 16 (two) or 8 (one) channels on 256-bit int32
-/// accumulators: every tap broadcasts the shared column value and folds
-/// into its own lane only.
-template <std::size_t kLanes>
-__attribute__((target("avx2")))
-void qwide_conv_group_avx2(const std::int8_t* gp,
-                           const kernels::ConvTables& t,
-                           const std::int8_t* col, const Requant& rq,
-                           std::int8_t* out, std::size_t oc0,
-                           std::uint64_t* sat) noexcept {
-  static_assert(kLanes == 8 || kLanes == 16);
-  std::int8_t* o[kLanes];
-  for (std::size_t i = 0; i < kLanes; ++i) o[i] = out + (oc0 + i) * t.opix;
-  for (std::size_t p = 0; p < t.opix; ++p) {
-    const std::size_t base = t.pix_off[p];
-    const std::size_t taps = t.pix_off[p + 1] - base;
-    v8si lo = {}, hi = {};
-    const std::int8_t* c = col + base;
-    if (taps == t.patch) {
-      const std::int8_t* lane = gp;
-      for (std::size_t j = 0; j < taps; ++j, lane += kLanes) {
-        const v8si v = v8si{} + static_cast<std::int32_t>(c[j]);
-        lo += v8si_sx(lane) * v;
-        if constexpr (kLanes == 16) hi += v8si_sx(lane + 8) * v;
-      }
-    } else {
-      const std::uint32_t* wo = t.w_ofs + base;
-      for (std::size_t j = 0; j < taps; ++j) {
-        const v8si v = v8si{} + static_cast<std::int32_t>(c[j]);
-        const std::int8_t* lane = gp + wo[j] * kLanes;
-        lo += v8si_sx(lane) * v;
-        if constexpr (kLanes == 16) hi += v8si_sx(lane + 8) * v;
-      }
-    }
-    std::int32_t acc[kLanes];
-    __builtin_memcpy(acc, &lo, sizeof lo);
-    if constexpr (kLanes == 16) __builtin_memcpy(acc + 8, &hi, sizeof hi);
-    for (std::size_t i = 0; i < kLanes; ++i)
-      o[i][p] = requantize(acc[i], oc0 + i, rq, sat);
-  }
-}
-
-/// One 16-channel conv group on a single 512-bit int32 accumulator.
-__attribute__((target("avx512f")))
-void qwide_conv_group_avx512(const std::int8_t* gp,
-                             const kernels::ConvTables& t,
-                             const std::int8_t* col, const Requant& rq,
-                             std::int8_t* out, std::size_t oc0,
-                             std::uint64_t* sat) noexcept {
-  std::int8_t* o[kQWideConvLanes];
-  for (std::size_t i = 0; i < kQWideConvLanes; ++i)
-    o[i] = out + (oc0 + i) * t.opix;
-  for (std::size_t p = 0; p < t.opix; ++p) {
-    const std::size_t base = t.pix_off[p];
-    const std::size_t taps = t.pix_off[p + 1] - base;
-    v16si acc = {};
-    const std::int8_t* c = col + base;
-    if (taps == t.patch) {
-      const std::int8_t* lane = gp;
-      for (std::size_t j = 0; j < taps; ++j, lane += kQWideConvLanes)
-        acc += v16si_sx(lane) * (v16si{} + static_cast<std::int32_t>(c[j]));
-    } else {
-      const std::uint32_t* wo = t.w_ofs + base;
-      for (std::size_t j = 0; j < taps; ++j)
-        acc += v16si_sx(gp + wo[j] * kQWideConvLanes) *
-               (v16si{} + static_cast<std::int32_t>(c[j]));
-    }
-    std::int32_t a[kQWideConvLanes];
-    __builtin_memcpy(a, &acc, sizeof acc);
-    for (std::size_t i = 0; i < kQWideConvLanes; ++i)
-      o[i][p] = requantize(a[i], oc0 + i, rq, sat);
-  }
-}
-
-}  // namespace
 
 void qconv2d_im2col_wide_avx2(const std::int8_t* panel,
-                              const std::int8_t* wt,
                               const kernels::ConvTables& t,
                               const std::int8_t* col, const Requant& rq,
-                              std::int8_t* out,
-                              std::uint64_t* sat) noexcept {
-  qwide_conv_schedule(panel, wt, t, col, rq, out, sat,
-                      &qwide_conv_group_avx2<kQWideConvLanes>,
-                      &qwide_conv_group_avx2<kQWideHalfLanes>);
+                              std::int8_t* out, std::uint64_t* sat) noexcept {
+  qconv2d_im2col_wide_scalar(panel, t, col, rq, out, sat);
 }
 
-// The half group has 8 lanes: one 256-bit accumulator, the AVX2 sweep.
-void qconv2d_im2col_wide_avx512(const std::int8_t* panel,
-                                const std::int8_t* wt,
-                                const kernels::ConvTables& t,
-                                const std::int8_t* col, const Requant& rq,
-                                std::int8_t* out,
-                                std::uint64_t* sat) noexcept {
-  qwide_conv_schedule(panel, wt, t, col, rq, out, sat,
-                      &qwide_conv_group_avx512,
-                      &qwide_conv_group_avx2<kQWideHalfLanes>);
+void qconv2d_im2col_wide_avx512bw(const std::int8_t* panel,
+                                  const kernels::ConvTables& t,
+                                  const std::int8_t* col, const Requant& rq,
+                                  std::int8_t* out,
+                                  std::uint64_t* sat) noexcept {
+  qconv2d_im2col_wide_scalar(panel, t, col, rq, out, sat);
 }
 
-#else  // !SX_QWIDE_X86
-
-void qconv2d_im2col_wide_avx2(const std::int8_t* panel,
-                              const std::int8_t* wt,
-                              const kernels::ConvTables& t,
-                              const std::int8_t* col, const Requant& rq,
-                              std::int8_t* out,
-                              std::uint64_t* sat) noexcept {
-  qconv2d_im2col_wide_scalar(panel, wt, t, col, rq, out, sat);
-}
-
-void qconv2d_im2col_wide_avx512(const std::int8_t* panel,
-                                const std::int8_t* wt,
-                                const kernels::ConvTables& t,
-                                const std::int8_t* col, const Requant& rq,
-                                std::int8_t* out,
-                                std::uint64_t* sat) noexcept {
-  qconv2d_im2col_wide_scalar(panel, wt, t, col, rq, out, sat);
+void qconv2d_im2col_wide_avx512vnni(const std::int8_t* panel,
+                                    const kernels::ConvTables& t,
+                                    const std::int8_t* col,
+                                    const Requant& rq, std::int8_t* out,
+                                    std::uint64_t* sat) noexcept {
+  qconv2d_im2col_wide_scalar(panel, t, col, rq, out, sat);
 }
 
 #endif  // SX_QWIDE_X86
 
-QDenseKernelFn wide_qdense_kernel(kernels::WideIsa isa) noexcept {
-  switch (isa) {
-    case kernels::WideIsa::kAvx2: return &qmatvec_wide_avx2;
-    case kernels::WideIsa::kAvx512: return &qmatvec_wide_avx512;
-    case kernels::WideIsa::kScalar: break;
+QDenseKernelFn wide_qdense_kernel(QArm arm) noexcept {
+  switch (arm) {
+    case QArm::kAvx2: return &qmatvec_wide_avx2;
+    case QArm::kAvx512Bw: return &qmatvec_wide_avx512bw;
+    case QArm::kAvx512Vnni: return &qmatvec_wide_avx512vnni;
+    case QArm::kScalar: break;
   }
   return &qmatvec_wide_scalar;
 }
 
-QConvKernelFn wide_qconv_kernel(kernels::WideIsa isa) noexcept {
-  switch (isa) {
-    case kernels::WideIsa::kAvx2: return &qconv2d_im2col_wide_avx2;
-    case kernels::WideIsa::kAvx512: return &qconv2d_im2col_wide_avx512;
-    case kernels::WideIsa::kScalar: break;
+QConvKernelFn wide_qconv_kernel(QArm arm) noexcept {
+  switch (arm) {
+    case QArm::kAvx2: return &qconv2d_im2col_wide_avx2;
+    case QArm::kAvx512Bw: return &qconv2d_im2col_wide_avx512bw;
+    case QArm::kAvx512Vnni: return &qconv2d_im2col_wide_avx512vnni;
+    case QArm::kScalar: break;
   }
   return &qconv2d_im2col_wide_scalar;
 }

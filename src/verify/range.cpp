@@ -98,6 +98,7 @@ std::string VerificationEvidence::to_text() const {
        << " elimination=" << (quant_ir.elimination_sound ? "OK" : "UNSOUND")
        << " fusion=" << (quant_ir.fusion_sound ? "OK" : "UNSOUND")
        << " layout=" << (quant_ir.layout_sound ? "OK" : "UNSOUND")
+       << " bound=" << (quant_ir.bound_sound ? "OK" : "UNSOUND")
        << "; arena rederived=" << quant_ir.rederived_elems
        << " planned=" << quant_ir.planned_elems
        << " bytes, removed=" << quant_ir.layers_removed
@@ -523,9 +524,40 @@ IrCheck check_ir(const dl::QuantizedModel& quantized,
       derive_plan(quantized.input_shape().size(), /*input_in_arena=*/true,
                   quant_chain(quantized), /*fuse_sigmoid_tanh=*/false,
                   kNoIdx);
-  return check_against(plan.program(), plan.layout(), d,
-                       quantized.layer_count(),
-                       quantized.output_shape().size());
+  IrCheck c = check_against(plan.program(), plan.layout(), d,
+                            quantized.layer_count(),
+                            quantized.output_shape().size());
+  // No-overflow evidence, re-derived from the layer itself: the SIMD arms
+  // regroup int32 partial sums of u8-shifted activations (0..255) times
+  // int8 weights, exact only while k_len * 255 * 128 stays below 2^31.
+  namespace qk = tensor::qkernels;
+  constexpr std::uint64_t kInt32Limit = std::uint64_t{1} << 31;
+  for (const dl::QuantKernelStep& s : plan.steps()) {
+    using Kind = dl::QuantKernelStep::Kind;
+    if (s.kind == Kind::kReference) continue;
+    if (s.first_layer >= quantized.layer_count()) {
+      c.bound_sound = false;
+      continue;
+    }
+    const dl::QuantizedModel::QLayerView v =
+        quantized.layer_view(s.first_layer);
+    std::uint64_t k_len = 0;
+    bool scalar = false;
+    if (s.kind == Kind::kDense && v.kind == dl::LayerKind::kDense) {
+      k_len = v.in_dim;
+      scalar = s.dense_fn == qk::wide_qdense_kernel(qk::QArm::kScalar);
+    } else if (s.kind == Kind::kConv2d && v.kind == dl::LayerKind::kConv2d) {
+      k_len = static_cast<std::uint64_t>(v.in_c) * v.k * v.k;
+      scalar = s.conv_fn == qk::wide_qconv_kernel(qk::QArm::kScalar);
+    } else {
+      c.bound_sound = false;
+      continue;
+    }
+    const std::uint64_t bound = k_len * 255u * 128u;
+    if (s.mac_bound != bound || (bound >= kInt32Limit && !scalar))
+      c.bound_sound = false;
+  }
+  return c;
 }
 
 VerificationEvidence verify_model(const dl::Model& model,

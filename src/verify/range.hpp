@@ -69,6 +69,10 @@ struct IrCheck {
   bool elimination_sound = false;  ///< surviving ops == re-derived set
   bool fusion_sound = false;       ///< fusion decisions == re-derived set
   bool layout_sound = false;       ///< arena total + no interference
+  /// int8 plans: every Dense/Conv2d step's recorded no-overflow bound
+  /// equals k_len * 255 * 128 re-derived from the model layer, and a step
+  /// at or past 2^31 runs the scalar kernel (vacuous for float plans).
+  bool bound_sound = true;
   std::size_t rederived_elems = 0; ///< first-fit total, model-derived
   std::size_t planned_elems = 0;   ///< plan's claimed ArenaLayout total
   std::size_t layers_removed = 0;  ///< re-derived dce eliminations
@@ -78,7 +82,7 @@ struct IrCheck {
   /// be sound on every axis.
   bool passed() const noexcept {
     return !checked || (structure_sound && elimination_sound &&
-                        fusion_sound && layout_sound);
+                        fusion_sound && layout_sound && bound_sound);
   }
 };
 
@@ -150,7 +154,8 @@ std::size_t static_arena_demand(const dl::Model& model,
 /// and compares every structural fact and arena offset of `plan`.
 IrCheck check_ir(const dl::Model& model, const dl::KernelPlan& plan);
 /// Same re-verification for the int8 plan (relu-only fusion, in-arena
-/// input slot, byte arena).
+/// input slot, byte arena), plus the no-overflow bound of every Dense and
+/// Conv2d step (IrCheck::bound_sound).
 IrCheck check_ir(const dl::QuantizedModel& quantized,
                  const dl::QuantKernelPlan& plan);
 

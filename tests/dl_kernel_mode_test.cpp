@@ -35,6 +35,7 @@ namespace sx::dl {
 namespace {
 
 using tensor::kernels::WideIsa;
+using tensor::qkernels::QArm;
 
 ::testing::AssertionResult BitEqual(const std::vector<float>& a,
                                     const std::vector<float>& b) {
@@ -105,6 +106,27 @@ TEST(WideIsaSelect, NoOverridePicksWidestProbedIsa) {
   EXPECT_EQ(s.isa, WideIsa::kAvx512);
   EXPECT_FALSE(s.env_present);
   EXPECT_FALSE(s.refused);
+  // The int8 arm follows the ISA and the widest confirmed dot product.
+  EXPECT_EQ(select_wide_isa(CpuProbe{false, false}, nullptr).int8,
+            QArm::kScalar);
+  EXPECT_EQ(select_wide_isa(CpuProbe{true, false}, nullptr).int8,
+            QArm::kAvx2);
+  EXPECT_EQ(select_wide_isa(CpuProbe{true, true}, nullptr).int8,
+            QArm::kAvx2);  // avx512f without BW/VL: vpmaddwd stays 256-bit
+  EXPECT_EQ(select_wide_isa(CpuProbe{true, true, true, true}, nullptr).int8,
+            QArm::kAvx512Bw);
+  EXPECT_EQ(
+      select_wide_isa(CpuProbe{true, true, true, true, true}, nullptr).int8,
+      QArm::kAvx512Vnni);
+  // VNNI needs VL for the 256-bit half group; AVX-VNNI alone selects
+  // nothing.
+  EXPECT_EQ(
+      select_wide_isa(CpuProbe{true, true, true, false, true}, nullptr).int8,
+      QArm::kAvx2);
+  EXPECT_EQ(select_wide_isa(CpuProbe{true, false, false, false, false, true},
+                            nullptr)
+                .int8,
+            QArm::kAvx2);
 }
 
 TEST(WideIsaSelect, OverrideHonoredOnlyWhenProbeConfirms) {
@@ -115,15 +137,29 @@ TEST(WideIsaSelect, OverrideHonoredOnlyWhenProbeConfirms) {
     const char* env;
     WideIsa want;
     bool refused;
+    QArm int8 = QArm::kScalar;
   };
+  const CpuProbe vnni{true, true, true, true, true, true};
+  const CpuProbe bw{true, true, true, true, false, false};
   const Cell cells[] = {
       // scalar is always available, on any probe.
       {{false, false}, "scalar", WideIsa::kScalar, false},
       {{true, true}, "scalar", WideIsa::kScalar, false},
       // narrowing below the widest probed ISA is a legitimate override.
-      {{true, true}, "avx2", WideIsa::kAvx2, false},
-      {{true, true}, "avx512", WideIsa::kAvx512, false},
-      {{true, false}, "avx2", WideIsa::kAvx2, false},
+      {{true, true}, "avx2", WideIsa::kAvx2, false, QArm::kAvx2},
+      {{true, true}, "avx512", WideIsa::kAvx512, false, QArm::kAvx2},
+      {{true, false}, "avx2", WideIsa::kAvx2, false, QArm::kAvx2},
+      {vnni, "avx2", WideIsa::kAvx2, false, QArm::kAvx2},
+      {vnni, "avx512", WideIsa::kAvx512, false, QArm::kAvx512Vnni},
+      {bw, "avx512", WideIsa::kAvx512, false, QArm::kAvx512Bw},
+      // avx512-novnni: the float arm stays avx512, the int8 kernels
+      // refuse VNNI and run vpmaddwd.
+      {vnni, "avx512-novnni", WideIsa::kAvx512, false, QArm::kAvx512Bw},
+      {bw, "avx512-novnni", WideIsa::kAvx512, false, QArm::kAvx512Bw},
+      {{true, true}, "avx512-novnni", WideIsa::kAvx512, false, QArm::kAvx2},
+      {{true, false}, "avx512-novnni", WideIsa::kScalar, true},
+      {{false, false}, "avx512-novnni", WideIsa::kScalar, true},
+      {vnni, "novnni", WideIsa::kScalar, true},
       // probe-mismatch: requested feature not attested -> refused, scalar.
       {{false, false}, "avx2", WideIsa::kScalar, true},
       {{false, false}, "avx512", WideIsa::kScalar, true},
@@ -136,6 +172,7 @@ TEST(WideIsaSelect, OverrideHonoredOnlyWhenProbeConfirms) {
     const auto s = select_wide_isa(c.probe, c.env);
     EXPECT_EQ(s.isa, c.want) << "env=" << c.env;
     EXPECT_EQ(s.refused, c.refused) << "env=" << c.env;
+    EXPECT_EQ(s.int8, c.int8) << "env=" << c.env;
     EXPECT_TRUE(s.env_present) << "env=" << c.env;
     EXPECT_STREQ(s.requested, c.env);
   }
@@ -145,10 +182,17 @@ TEST(WideIsaSelect, AuditLineNamesProbeOverrideAndOutcome) {
   using platform::CpuProbe;
   const CpuProbe p{true, false};
   EXPECT_EQ(platform::wide_isa_audit(p, platform::select_wide_isa(p, nullptr)),
-            "probe avx2=1 avx512f=0 env=(unset) selected=avx2 refused=0");
+            "probe avx2=1 avx512f=0 env=(unset) selected=avx2 refused=0"
+            " avx512bw=0 avx512vl=0 avx512_vnni=0 avx_vnni=0 int8=avx2");
   EXPECT_EQ(
       platform::wide_isa_audit(p, platform::select_wide_isa(p, "avx512")),
-      "probe avx2=1 avx512f=0 env=avx512 selected=scalar refused=1");
+      "probe avx2=1 avx512f=0 env=avx512 selected=scalar refused=1"
+      " avx512bw=0 avx512vl=0 avx512_vnni=0 avx_vnni=0 int8=scalar");
+  const CpuProbe v{true, true, true, true, true, true};
+  EXPECT_EQ(
+      platform::wide_isa_audit(v, platform::select_wide_isa(v, "avx512-novnni")),
+      "probe avx2=1 avx512f=1 env=avx512-novnni selected=avx512 refused=0"
+      " avx512bw=1 avx512vl=1 avx512_vnni=1 avx_vnni=1 int8=avx512bw");
 }
 
 // ------------------------------------------------------- engine identity
@@ -314,6 +358,10 @@ TEST(WideBackendRecord, Int8BackendForwardsKernelModeToQuantChannel) {
   const core::EvidenceItem item = core::make_kernel_backend_evidence(p);
   EXPECT_NE(item.body.find("plan=int8 mode=wide isa="), std::string::npos)
       << item.body;
+  const std::string arm = tensor::qkernels::qarm_name(
+      p.quant_channel()->kernel_plan()->isa_selection().int8);
+  EXPECT_NE(item.body.find(" int8=" + arm + "\n"), std::string::npos)
+      << item.body;
 }
 
 TEST(WideBackendRecord, EscapeHatchRecordsResolvedReferenceMode) {
@@ -351,9 +399,11 @@ TEST(WideBackendRecord, DefaultPipelineRecordsProbedDefault) {
   EXPECT_EQ(p.kernel_backend(), "requested=auto resolved=wide; " +
                                     platform::wide_isa_audit(probe, sel));
   if (probe.avx512f) {
-    EXPECT_EQ(p.kernel_backend(),
-              "requested=auto resolved=wide; probe avx2=1 avx512f=1 "
-              "env=(unset) selected=avx512 refused=0");
+    EXPECT_EQ(p.kernel_backend().rfind(
+                  "requested=auto resolved=wide; probe avx2=1 avx512f=1 "
+                  "env=(unset) selected=avx512 refused=0 avx512bw=",
+                  0),
+              0u);
   }
 
   // A scalar override keeps kAuto on the wide family's scalar arm, and

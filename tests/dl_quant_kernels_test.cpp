@@ -181,10 +181,11 @@ TEST(QuantKernelPlan, PlanShapeMatchesArchitecture) {
   EXPECT_GT(plan.table_entries(), 0u);
   EXPECT_GT(plan.scratch_bytes(), 0u);
   EXPECT_NE(plan.summary().find("mode=wide"), std::string::npos);
-  // 5 conv channels are under the 8-lane half group: the conv step has no
-  // panel and reads every channel live; the dense step is panelled.
+  // Every conv and dense step reads a panel — 5 conv channels fill a
+  // zero-padded 8-lane half group; only the maxpool step has none.
   for (const QuantKernelStep& s : plan.steps())
-    EXPECT_EQ(s.panel == nullptr, s.kind != QuantKernelStep::Kind::kDense)
+    EXPECT_EQ(s.panel == nullptr,
+              s.kind == QuantKernelStep::Kind::kReference)
         << "layer " << s.first_layer;
 }
 

@@ -1,18 +1,23 @@
-// Differential sweeps for the widened int8 (kWide) dot-product
-// microkernels and the planned int8 engine running on top of them.
+// Differential sweeps for the wide int8 (kWide) dot-product microkernels
+// and the planned int8 engine running on top of them.
 //
-// Contract under test: the 32-row Dense and 16/8-channel Conv2d wide
-// microkernels preserve the per-output int32 accumulation chain of the
-// audited reference loops in dl/quant.cpp — so the scalar arm, AVX2 and
-// AVX-512 variants must be bitwise identical to QuantizedModel::apply_layer
-// in outputs AND saturation counts, across ragged tails off the 32/16-lane
-// groups and the 8-lane half group, and the kWide QuantEngine must match the
-// reference QuantizedModel::run bit for bit (logits and per-layer
-// counters), including under the SX_KERNEL_ISA override. SIMD variants
-// run only where the CPU probe reports the ISA.
+// Contract under test: exact int32 sums. The scalar arm keeps the
+// reference's serial chain; the vpmaddwd (avx2, avx512bw) and vpdpbusd
+// (avx512vnni) arms regroup the products, which is exact under the plan's
+// no-overflow bound. Every arm must therefore be bitwise identical to
+// QuantizedModel::apply_layer in outputs AND saturation counts — across
+// reduction lengths of every residue mod 4, Dense row tails off the
+// 32-row block, every conv width from 1 to 9 plus the 16/8-lane group
+// edges, -128 weights, per-tensor and per-channel scales, ReLU on and off
+// — and the kWide QuantEngine must match QuantizedModel::run bit for bit
+// under every SX_KERNEL_ISA spelling the probe honors, VNNI refused as
+// well as allowed. SIMD arms run only where the CPU probe confirms them.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -25,18 +30,23 @@
 #include "platform/cpu_probe.hpp"
 #include "tensor/qkernels.hpp"
 #include "util/rng.hpp"
+#include "verify/range.hpp"
 
 namespace sx::dl {
 namespace {
 
 namespace qk = tensor::qkernels;
+namespace k = tensor::kernels;
+using qk::QArm;
 using tensor::Shape;
 using tensor::Tensor;
 
+/// Full int8 range, -128 (the value an SEU can flip a weight to) included.
 std::vector<std::int8_t> random_i8(std::size_t n, util::Xoshiro256& rng) {
   std::vector<std::int8_t> v(n);
   for (auto& x : v)
-    x = static_cast<std::int8_t>(static_cast<int>(rng.uniform(-127.0, 128.0)));
+    x = static_cast<std::int8_t>(
+        std::floor(rng.uniform(-128.0, 128.0)));
   return v;
 }
 
@@ -82,33 +92,64 @@ qk::Requant requant_of(const QuantizedModel& qm, bool relu) {
                      .relu = relu};
 }
 
-std::vector<std::pair<const char*, qk::QDenseKernelFn>> qdense_variants() {
+/// The SX_KERNEL_ISA spellings this host honors, each with the int8 arm
+/// it selects: VNNI refused (avx512-novnni) as well as allowed.
+std::vector<std::pair<const char*, QArm>> honored_isas() {
   const platform::CpuProbe p = platform::probe_cpu();
-  std::vector<std::pair<const char*, qk::QDenseKernelFn>> v;
-  v.emplace_back("scalar", &qk::qmatvec_wide_scalar);
-  if (p.avx2) v.emplace_back("avx2", &qk::qmatvec_wide_avx2);
-  if (p.avx512f) v.emplace_back("avx512", &qk::qmatvec_wide_avx512);
+  std::vector<std::pair<const char*, QArm>> v;
+  for (const char* env : {"scalar", "avx2", "avx512-novnni", "avx512"}) {
+    const platform::WideIsaSelection s = platform::select_wide_isa(p, env);
+    if (!s.refused) v.emplace_back(env, s.int8);
+  }
   return v;
 }
 
-std::vector<std::pair<const char*, qk::QConvKernelFn>> qconv_variants() {
-  const platform::CpuProbe p = platform::probe_cpu();
-  std::vector<std::pair<const char*, qk::QConvKernelFn>> v;
-  v.emplace_back("scalar", &qk::qconv2d_im2col_wide_scalar);
-  if (p.avx2) v.emplace_back("avx2", &qk::qconv2d_im2col_wide_avx2);
-  if (p.avx512f) v.emplace_back("avx512", &qk::qconv2d_im2col_wide_avx512);
-  return v;
+/// Every distinct int8 arm this host can run.
+std::vector<QArm> probed_arms() {
+  std::vector<QArm> arms;
+  for (const auto& [env, arm] : honored_isas())
+    if (std::find(arms.begin(), arms.end(), arm) == arms.end())
+      arms.push_back(arm);
+  return arms;
 }
+
+/// A byte buffer whose last byte sits right before a PROT_NONE page, so
+/// a kernel that reads past the end faults in every build, not only
+/// under ASan.
+class GuardedBytes {
+ public:
+  explicit GuardedBytes(std::span<const std::int8_t> bytes) {
+    page_ = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+    pages_ = (bytes.size() + page_ - 1) / page_ + 1;
+    void* m = mmap(nullptr, pages_ * page_, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    EXPECT_NE(m, MAP_FAILED);
+    base_ = static_cast<std::int8_t*>(m);
+    EXPECT_EQ(mprotect(base_ + (pages_ - 1) * page_, page_, PROT_NONE), 0);
+    data_ = base_ + (pages_ - 1) * page_ - bytes.size();
+    std::memcpy(data_, bytes.data(), bytes.size());
+  }
+  ~GuardedBytes() { munmap(base_, pages_ * page_); }
+  GuardedBytes(const GuardedBytes&) = delete;
+  GuardedBytes& operator=(const GuardedBytes&) = delete;
+  const std::int8_t* data() const { return data_; }
+
+ private:
+  std::size_t page_ = 0, pages_ = 0;
+  std::int8_t* base_ = nullptr;
+  std::int8_t* data_ = nullptr;
+};
 
 TEST(WideQMatvec, BitwiseEqualsReferenceWithSaturationParity) {
   util::Xoshiro256 rng{404};
-  // Below / at / above the 32-row group, primes for ragged tails, and an
-  // exact multi-group control.
-  const std::size_t sizes[] = {1, 3, 7, 8, 16, 31, 32, 33, 47, 64, 96, 101};
+  // Row tails on both sides of the 32-row block; cols of every residue
+  // mod 4 (the partial last quad).
+  const std::size_t row_sizes[] = {1, 3, 7, 8, 9, 16, 31, 32, 33, 47, 63,
+                                   64, 65, 96, 101};
+  const std::size_t col_sizes[] = {1, 2, 3, 4, 5, 6, 7, 8, 32, 53, 66, 67};
   std::uint64_t clips = 0;
-  for (std::size_t rows : sizes) {
-    for (std::size_t cols : {std::size_t{1}, std::size_t{5}, std::size_t{32},
-                             std::size_t{53}}) {
+  for (std::size_t rows : row_sizes) {
+    for (std::size_t cols : col_sizes) {
       ModelBuilder b{Shape::vec(cols)};
       b.dense(rows).relu();
       const Model m = b.build(1000 * rows + cols);
@@ -127,17 +168,20 @@ TEST(WideQMatvec, BitwiseEqualsReferenceWithSaturationParity) {
         std::vector<std::int8_t> panel(
             qk::qwide_dense_panel_bytes(rows, cols), -1);
         qk::pack_qwide_dense_panel(w.data(), rows, cols, panel.data());
+        // x ends exactly where readable memory ends.
+        const GuardedBytes gx{x};
         for (const bool relu : {false, true}) {
           const qk::Requant rq = requant_of(qm, relu);
           const std::vector<std::int8_t>& ref = relu ? post : pre;
-          for (const auto& [name, fn] : qdense_variants()) {
+          for (const QArm arm : probed_arms()) {
             std::vector<std::int8_t> out(rows, -7);
             std::uint64_t sat = 0;
-            fn(panel.data(), rows, cols, x.data(), rq, out.data(), &sat);
+            qk::wide_qdense_kernel(arm)(panel.data(), rows, cols, gx.data(),
+                                        rq, out.data(), &sat);
             EXPECT_EQ(0, std::memcmp(out.data(), ref.data(), rows))
-                << rows << "x" << cols << " qwide/" << name;
-            EXPECT_EQ(sat, ref_sat) << rows << "x" << cols << " qwide/"
-                                    << name;
+                << rows << "x" << cols << " " << qk::qarm_name(arm);
+            EXPECT_EQ(sat, ref_sat)
+                << rows << "x" << cols << " " << qk::qarm_name(arm);
           }
         }
       }
@@ -146,111 +190,245 @@ TEST(WideQMatvec, BitwiseEqualsReferenceWithSaturationParity) {
   EXPECT_GT(clips, 0u) << "saturation-count parity must be non-vacuous";
 }
 
-TEST(WideQConv, BitwiseEqualsUnpackedAcrossGeometriesAndIsas) {
-  namespace k = tensor::kernels;
+/// One conv configuration against apply_layer (+ the ReLU layer), on
+/// every probed arm, with the ragged gathered column ending exactly at a
+/// guard page.
+void expect_conv_matches_reference(const k::Conv2dGeom& g,
+                                   WeightGranularity gran,
+                                   util::Xoshiro256& rng,
+                                   std::uint64_t* clips) {
+  const Shape in_shape = Shape::chw(g.in_c, g.in_h, g.in_w);
+  ModelBuilder b{in_shape};
+  b.conv2d(g.out_c, g.k, g.stride, g.pad).relu();
+  const Model m = b.build(100 * g.out_c + 10 * g.k + g.pad);
+  const QuantizedModel qm = random_weight_qmodel(
+      m, toy_dataset(in_shape, 4, g.out_c + g.in_c), gran, rng);
+  const auto wt = qm.layer_view(0).weights;
+  const auto img = random_i8(in_shape.size(), rng);
+  const std::size_t n = g.out_c * g.opix();
+  std::vector<std::int8_t> pre(n, -7), post(n, -7);
+  std::uint64_t ref_sat = 0;
+  ASSERT_EQ(qm.apply_layer(0, img, pre, &ref_sat), Status::kOk);
+  ASSERT_EQ(qm.apply_layer(1, pre, post, nullptr), Status::kOk);
+  *clips += ref_sat;
+
+  const std::size_t entries = k::im2col_entries(g);
+  std::vector<std::uint32_t> pix_off(g.opix() + 1), in_idx(entries),
+      w_ofs(entries);
+  k::build_im2col_tables(g, pix_off.data(), in_idx.data(), w_ofs.data());
+  std::vector<std::int8_t> col(entries);
+  qk::im2col_gather_i8(img.data(), in_idx.data(), entries, col.data());
+  const GuardedBytes gcol{col};
+  const k::ConvTables t{.out_c = g.out_c, .patch = g.patch(),
+                        .opix = g.opix(), .pix_off = pix_off.data(),
+                        .in_idx = in_idx.data(), .w_ofs = w_ofs.data()};
+  std::vector<std::int8_t> panel(qk::qwide_conv_panel_bytes(g.out_c, g.patch()),
+                                 -1);
+  qk::pack_qwide_conv_panel(wt.data(), g.out_c, g.patch(), panel.data());
+  for (const bool relu : {false, true}) {
+    const qk::Requant rq = requant_of(qm, relu);
+    const std::vector<std::int8_t>& ref = relu ? post : pre;
+    for (const QArm arm : probed_arms()) {
+      std::vector<std::int8_t> out(n, -7);
+      std::uint64_t sat = 0;
+      qk::wide_qconv_kernel(arm)(panel.data(), t, gcol.data(), rq,
+                                 out.data(), &sat);
+      EXPECT_EQ(0, std::memcmp(out.data(), ref.data(), n))
+          << qk::qarm_name(arm) << " in_c=" << g.in_c << " k=" << g.k
+          << " stride=" << g.stride << " pad=" << g.pad
+          << " out_c=" << g.out_c << " relu=" << relu;
+      EXPECT_EQ(sat, ref_sat) << qk::qarm_name(arm) << " out_c=" << g.out_c;
+    }
+  }
+}
+
+TEST(WideQConv, BitwiseEqualsReferenceAcrossGeometriesAndIsas) {
   util::Xoshiro256 rng{405};
   std::uint64_t clips = 0;
-  for (std::size_t in_c : {1u, 3u}) {
-    for (std::size_t kk : {1u, 3u}) {
+  // patch = in_c * k * k covers every residue mod 4: 1, 4, 9 | 2, 8, 18 |
+  // 3, 12, 27. out_c covers 1..9 (the padded half group), the 16-lane
+  // group edges 15/16/17, 23/24 (group + half group) and 40.
+  for (std::size_t in_c : {1u, 2u, 3u}) {
+    for (std::size_t kk : {1u, 2u, 3u}) {
       for (std::size_t pad : {0u, 1u}) {
-        // 16 = one full wide lane group; 32 = two; 8 = the half group
-        // alone; 24 = group + half group; 21 = group + 5 tail channels;
-        // 11 = half group + 3 tail channels.
-        for (std::size_t out_c : {8u, 11u, 16u, 21u, 24u, 32u}) {
-          const std::size_t in_h = 6, in_w = 5, stride = 1;
-          if (in_h + 2 * pad < kk) continue;
-          const k::Conv2dGeom g{.in_c = in_c, .in_h = in_h, .in_w = in_w,
-                                .out_c = out_c, .k = kk, .stride = stride,
+        for (std::size_t out_c :
+             {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 15u, 16u, 17u, 23u, 24u,
+              40u}) {
+          const k::Conv2dGeom g{.in_c = in_c, .in_h = 6, .in_w = 5,
+                                .out_c = out_c, .k = kk, .stride = 1,
                                 .pad = pad};
-          const Shape in_shape = Shape::chw(in_c, in_h, in_w);
-          ModelBuilder b{in_shape};
-          b.conv2d(out_c, kk, stride, pad).relu();
-          const Model m = b.build(100 * out_c + 10 * kk + pad);
-          const QuantizedModel qm = random_weight_qmodel(
-              m, toy_dataset(in_shape, 4, out_c + in_c),
-              WeightGranularity::kPerChannel, rng);
-          const auto wt = qm.layer_view(0).weights;
-          const auto img = random_i8(in_shape.size(), rng);
-          const std::size_t n = out_c * g.opix();
-          std::vector<std::int8_t> pre(n, -7), ref(n, -7);
-          std::uint64_t ref_sat = 0;
-          ASSERT_EQ(qm.apply_layer(0, img, pre, &ref_sat), Status::kOk);
-          ASSERT_EQ(qm.apply_layer(1, pre, ref, nullptr), Status::kOk);
-          clips += ref_sat;
-
-          const std::size_t entries = k::im2col_entries(g);
-          std::vector<std::uint32_t> pix_off(g.opix() + 1), in_idx(entries),
-              w_ofs(entries);
-          k::build_im2col_tables(g, pix_off.data(), in_idx.data(),
-                                 w_ofs.data());
-          std::vector<std::int8_t> col(entries);
-          qk::im2col_gather_i8(img.data(), in_idx.data(), entries,
-                               col.data());
-          const qk::Requant rq = requant_of(qm, /*relu=*/true);
-          const k::ConvTables t{.out_c = out_c, .patch = g.patch(),
-                                .opix = g.opix(), .pix_off = pix_off.data(),
-                                .in_idx = in_idx.data(),
-                                .w_ofs = w_ofs.data()};
-
-          std::vector<std::int8_t> panel(
-              qk::qwide_conv_panel_bytes(out_c, g.patch()), -1);
-          qk::pack_qwide_conv_panel(wt.data(), out_c, g.patch(),
-                                    panel.data());
-          for (const auto& [name, fn] : qconv_variants()) {
-            std::vector<std::int8_t> out(n, -7);
-            std::uint64_t sat = 0;
-            fn(panel.empty() ? nullptr : panel.data(), wt.data(), t,
-               col.data(), rq, out.data(), &sat);
-            EXPECT_EQ(0, std::memcmp(out.data(), ref.data(), n))
-                << "qwide/" << name << " in_c=" << in_c << " k=" << kk
-                << " pad=" << pad << " out_c=" << out_c;
-            EXPECT_EQ(sat, ref_sat) << "qwide/" << name;
-          }
+          expect_conv_matches_reference(
+              g,
+              out_c % 2 == 0 ? WeightGranularity::kPerChannel
+                             : WeightGranularity::kPerTensor,
+              rng, &clips);
         }
       }
     }
   }
   EXPECT_GT(clips, 0u) << "saturation-count parity must be non-vacuous";
+}
+
+TEST(WideQConv, StridedAndLargePatchColumnsEndAtTheirBuffer) {
+  // Strided geometries and patches long enough for many quads (45, 63
+  // and 72 taps). With pad 0 the column's last pixel is a full interior
+  // pixel whose final quad would overrun the column (and fault on the
+  // guard page) on a careless fast path.
+  util::Xoshiro256 rng{406};
+  std::uint64_t clips = 0;
+  for (std::size_t stride : {1u, 2u}) {
+    for (std::size_t in_c : {5u, 7u, 8u}) {
+      for (std::size_t out_c : {8u, 16u, 19u}) {
+        for (std::size_t pad : {0u, 1u}) {
+          const k::Conv2dGeom g{.in_c = in_c, .in_h = 9, .in_w = 8,
+                                .out_c = out_c, .k = 3, .stride = stride,
+                                .pad = pad};
+          expect_conv_matches_reference(g, WeightGranularity::kPerChannel,
+                                        rng, &clips);
+        }
+      }
+    }
+  }
+  EXPECT_GT(clips, 0u);
+}
+
+TEST(WideQKernels, MinusOneTwentyEightOperandsStayExact) {
+  // All weights -128 and activations at both extremes: the largest
+  // products (16384) in every lane, with the u8 shift meeting w = -128.
+  for (const std::size_t cols : {5u, 64u, 1023u}) {
+    const std::size_t rows = 40;
+    std::vector<std::int8_t> w(rows * cols, -128);
+    for (std::size_t r = 0; r < rows; r += 3) w[r * cols] = 127;
+    std::vector<std::int8_t> x(cols);
+    for (std::size_t c = 0; c < cols; ++c)
+      x[c] = c % 2 == 0 ? std::int8_t{-128} : std::int8_t{127};
+    std::vector<float> scales(rows, 1.0f / 4096.0f), bias(rows, 0.25f);
+    const qk::Requant rq{.w_scales = scales.data(), .per_channel = true,
+                         .bias = bias.data(), .in_scale = 1.0f,
+                         .out_scale = 1.0f, .relu = false};
+    std::vector<std::int8_t> ref(rows);
+    std::uint64_t ref_sat = 0;
+    for (std::size_t r = 0; r < rows; ++r) {
+      std::int32_t acc = 0;
+      for (std::size_t c = 0; c < cols; ++c)
+        acc += static_cast<std::int32_t>(w[r * cols + c]) * x[c];
+      ref[r] = qk::requantize(acc, r, rq, &ref_sat);
+    }
+    std::vector<std::int8_t> panel(qk::qwide_dense_panel_bytes(rows, cols));
+    qk::pack_qwide_dense_panel(w.data(), rows, cols, panel.data());
+    for (const QArm arm : probed_arms()) {
+      std::vector<std::int8_t> out(rows);
+      std::uint64_t sat = 0;
+      qk::wide_qdense_kernel(arm)(panel.data(), rows, cols, x.data(), rq,
+                                  out.data(), &sat);
+      EXPECT_EQ(out, ref) << qk::qarm_name(arm) << " cols=" << cols;
+      EXPECT_EQ(sat, ref_sat) << qk::qarm_name(arm) << " cols=" << cols;
+    }
+  }
+}
+
+TEST(WideQKernels, ZeroOutScaleClipsNaNToPlus127AndCounts) {
+  // out_scale = 0: v / 0 is +/-inf, or NaN where v == 0 — which
+  // quantize_sat sends to +127 and counts. Zero weight rows and zero bias
+  // make v exactly 0 for some lanes.
+  const std::size_t rows = 37, cols = 11;
+  util::Xoshiro256 rng{77};
+  std::vector<std::int8_t> w = random_i8(rows * cols, rng);
+  for (std::size_t r = 0; r < rows; r += 4)
+    std::fill_n(w.begin() + static_cast<std::ptrdiff_t>(r * cols), cols, 0);
+  const std::vector<std::int8_t> x = random_i8(cols, rng);
+  std::vector<float> bias(rows, 0.0f);
+  for (std::size_t r = 1; r < rows; r += 4) bias[r] = -0.5f;
+  const float scale = 0.01f;
+  for (const bool relu : {false, true}) {
+    const qk::Requant rq{.w_scales = &scale, .per_channel = false,
+                         .bias = bias.data(), .in_scale = 0.5f,
+                         .out_scale = 0.0f, .relu = relu};
+    std::vector<std::int8_t> ref(rows);
+    std::uint64_t ref_sat = 0;
+    for (std::size_t r = 0; r < rows; ++r) {
+      std::int32_t acc = 0;
+      for (std::size_t c = 0; c < cols; ++c)
+        acc += static_cast<std::int32_t>(w[r * cols + c]) * x[c];
+      ref[r] = qk::requantize(acc, r, rq, &ref_sat);
+    }
+    ASSERT_EQ(ref_sat, rows) << "every lane clips at out_scale 0";
+    ASSERT_EQ(ref[0], 127) << "0 / 0 is NaN, which clips to +127";
+    std::vector<std::int8_t> panel(qk::qwide_dense_panel_bytes(rows, cols));
+    qk::pack_qwide_dense_panel(w.data(), rows, cols, panel.data());
+    for (const QArm arm : probed_arms()) {
+      std::vector<std::int8_t> out(rows);
+      std::uint64_t sat = 0;
+      qk::wide_qdense_kernel(arm)(panel.data(), rows, cols, x.data(), rq,
+                                  out.data(), &sat);
+      EXPECT_EQ(out, ref) << qk::qarm_name(arm) << " relu=" << relu;
+      EXPECT_EQ(sat, ref_sat) << qk::qarm_name(arm) << " relu=" << relu;
+    }
+  }
 }
 
 TEST(WideQConvHalfGroup, PanelHoldsHalfGroupWheneverEightChannelsRemain) {
-  const std::size_t patch = 27;  // 3 input channels, 3x3 kernel
-  const std::size_t full = qk::align_up_bytes(patch * 16);
-  const std::size_t half = qk::align_up_bytes(patch * 8);
-  EXPECT_EQ(qk::qwide_conv_panel_bytes(7, patch), 0u);
+  const std::size_t patch = 27;  // 3 input channels, 3x3 kernel: 7 quads
+  const std::size_t full = qk::qwide_group_bytes(16, patch);
+  const std::size_t half = qk::qwide_group_bytes(8, patch);
+  // 28 k x 16 lanes = 448 -> 448 bytes + 64 of corrections.
+  EXPECT_EQ(full, 448u + 64u);
+  EXPECT_EQ(half, 256u + 64u);  // 28 x 8 = 224 -> 256, + 32 -> 64
+  EXPECT_EQ(qk::qwide_conv_panel_bytes(1, patch), half);
   EXPECT_EQ(qk::qwide_conv_panel_bytes(8, patch), half);
-  EXPECT_EQ(qk::qwide_conv_panel_bytes(15, patch), half);
+  EXPECT_EQ(qk::qwide_conv_panel_bytes(9, patch), full);
   EXPECT_EQ(qk::qwide_conv_panel_bytes(16, patch), full);
-  EXPECT_EQ(qk::qwide_conv_panel_bytes(23, patch), full);
+  EXPECT_EQ(qk::qwide_conv_panel_bytes(23, patch), full + half);
   EXPECT_EQ(qk::qwide_conv_panel_bytes(24, patch), full + half);
+  EXPECT_EQ(qk::qwide_conv_panel_bytes(25, patch), 2 * full);
   EXPECT_EQ(qk::qwide_conv_panel_bytes(40, patch), 2 * full + half);
 
-  // The half group is tap-major at lane stride 8, right after the full
-  // groups: channel 16 + i, tap j sits at full + j * 8 + i.
-  std::vector<std::int8_t> wt(24 * patch);
+  // The half group follows the full group: channel 16 + i, tap k sits at
+  // full + (k / 4) * 32 + i * 4 + k % 4; padded lanes and k are zero and
+  // each real lane's correction is 128 * sum(w).
+  const std::size_t out_c = 21;
+  std::vector<std::int8_t> wt(out_c * patch);
   for (std::size_t i = 0; i < wt.size(); ++i)
     wt[i] = static_cast<std::int8_t>(i % 251 - 125);
-  std::vector<std::int8_t> panel(qk::qwide_conv_panel_bytes(24, patch), -1);
-  qk::pack_qwide_conv_panel(wt.data(), 24, patch, panel.data());
-  for (std::size_t j = 0; j < patch; ++j)
-    for (std::size_t i = 0; i < 8; ++i)
-      ASSERT_EQ(panel[full + j * 8 + i], wt[(16 + i) * patch + j])
-          << "tap " << j << " lane " << i;
+  std::vector<std::int8_t> panel(qk::qwide_conv_panel_bytes(out_c, patch),
+                                 -1);
+  qk::pack_qwide_conv_panel(wt.data(), out_c, patch, panel.data());
+  const std::int8_t* hp = panel.data() + full;
+  for (std::size_t kk = 0; kk < 28; ++kk)
+    for (std::size_t i = 0; i < 8; ++i) {
+      const std::int8_t want =
+          16 + i < out_c && kk < patch ? wt[(16 + i) * patch + kk] : 0;
+      ASSERT_EQ(hp[kk / 4 * 32 + i * 4 + kk % 4], want)
+          << "tap " << kk << " lane " << i;
+    }
+  std::int32_t corr[8];
+  std::memcpy(corr, hp + 256, sizeof corr);
+  for (std::size_t i = 0; i < 8; ++i) {
+    std::int32_t sum = 0;
+    if (16 + i < out_c)
+      for (std::size_t kk = 0; kk < patch; ++kk)
+        sum += wt[(16 + i) * patch + kk];
+    EXPECT_EQ(corr[i], 128 * sum) << "lane " << i;
+  }
 }
 
 TEST(WideQDispatch, SelectorsReturnIsaSpecificEntryPoints) {
-  using tensor::kernels::WideIsa;
-  EXPECT_EQ(qk::wide_qdense_kernel(WideIsa::kScalar),
-            &qk::qmatvec_wide_scalar);
-  EXPECT_EQ(qk::wide_qdense_kernel(WideIsa::kAvx2), &qk::qmatvec_wide_avx2);
-  EXPECT_EQ(qk::wide_qdense_kernel(WideIsa::kAvx512),
-            &qk::qmatvec_wide_avx512);
-  EXPECT_EQ(qk::wide_qconv_kernel(WideIsa::kScalar),
+  EXPECT_EQ(qk::wide_qdense_kernel(QArm::kScalar), &qk::qmatvec_wide_scalar);
+  EXPECT_EQ(qk::wide_qdense_kernel(QArm::kAvx2), &qk::qmatvec_wide_avx2);
+  EXPECT_EQ(qk::wide_qdense_kernel(QArm::kAvx512Bw),
+            &qk::qmatvec_wide_avx512bw);
+  EXPECT_EQ(qk::wide_qdense_kernel(QArm::kAvx512Vnni),
+            &qk::qmatvec_wide_avx512vnni);
+  EXPECT_EQ(qk::wide_qconv_kernel(QArm::kScalar),
             &qk::qconv2d_im2col_wide_scalar);
-  EXPECT_EQ(qk::wide_qconv_kernel(WideIsa::kAvx2),
+  EXPECT_EQ(qk::wide_qconv_kernel(QArm::kAvx2),
             &qk::qconv2d_im2col_wide_avx2);
-  EXPECT_EQ(qk::wide_qconv_kernel(WideIsa::kAvx512),
-            &qk::qconv2d_im2col_wide_avx512);
+  EXPECT_EQ(qk::wide_qconv_kernel(QArm::kAvx512Bw),
+            &qk::qconv2d_im2col_wide_avx512bw);
+  EXPECT_EQ(qk::wide_qconv_kernel(QArm::kAvx512Vnni),
+            &qk::qconv2d_im2col_wide_avx512vnni);
+  EXPECT_STREQ(qk::qarm_name(QArm::kAvx512Vnni), "avx512vnni");
+  EXPECT_STREQ(qk::qarm_name(QArm::kAvx512Bw), "avx512bw");
 }
 
 // ------------------------------------------------- engine-level identity
@@ -262,8 +440,8 @@ bool bits_equal(float a, float b) {
   return ua == ub;
 }
 
-/// kWide QuantEngine vs reference QuantizedModel::run, for every ISA the
-/// SX_KERNEL_ISA override can legitimately request on this host.
+/// kWide QuantEngine vs reference QuantizedModel::run, for every
+/// SX_KERNEL_ISA spelling the probe honors on this host.
 TEST(WideQuantEngine, BitwiseIdenticalToReferenceUnderIsaOverrides) {
   ModelBuilder b{Shape::chw(2, 9, 9)};
   b.conv2d(16, 3, /*stride=*/1, /*padding=*/1)
@@ -277,21 +455,21 @@ TEST(WideQuantEngine, BitwiseIdenticalToReferenceUnderIsaOverrides) {
   const Dataset cal = toy_dataset(Shape::chw(2, 9, 9), 12, 99);
   const QuantizedModel qm = QuantizedModel::quantize(m, cal);
 
-  const platform::CpuProbe probe = platform::probe_cpu();
-  std::vector<const char*> isas = {"scalar"};
-  if (probe.avx2) isas.push_back("avx2");
-  if (probe.avx512f) isas.push_back("avx512");
-
   const std::size_t n_out = qm.output_shape().size();
-  for (const char* isa : isas) {
+  for (const auto& [isa, arm] : honored_isas()) {
     ASSERT_EQ(setenv("SX_KERNEL_ISA", isa, 1), 0);
     QuantizedModel ref = qm;  // counters accumulate in the copy
     QuantEngine eng{qm, QuantEngineConfig{.kernels = KernelMode::kWide}};
     ASSERT_NE(eng.plan(), nullptr);
     EXPECT_FALSE(eng.plan()->isa_selection().refused) << isa;
-    EXPECT_STREQ(
-        tensor::kernels::wide_isa_name(eng.plan()->isa_selection().isa),
-        isa);
+    EXPECT_EQ(eng.plan()->isa_selection().int8, arm) << isa;
+    for (const QuantKernelStep& s : eng.plan()->steps()) {
+      if (s.kind == QuantKernelStep::Kind::kDense) {
+        EXPECT_EQ(s.dense_fn, qk::wide_qdense_kernel(arm)) << isa;
+      } else if (s.kind == QuantKernelStep::Kind::kConv2d) {
+        EXPECT_EQ(s.conv_fn, qk::wide_qconv_kernel(arm)) << isa;
+      }
+    }
 
     std::vector<float> r(n_out), p(n_out);
     util::Xoshiro256 rng{77};
@@ -314,18 +492,15 @@ TEST(WideQuantEngine, BitwiseIdenticalToReferenceUnderIsaOverrides) {
 }
 
 /// Engine-level sweep over conv widths that hit every group schedule:
-/// tail only, half group alone, half group + tail, full groups with and
-/// without a half group. The kWide engine must match the reference
-/// QuantizedModel::run bit for bit — logits and per-layer clip counters —
-/// under every ISA the probe confirms.
+/// the padded half group alone (1..8), one padded 16-lane group (9..15),
+/// full groups with and without a half group. The kWide engine must
+/// match the reference QuantizedModel::run bit for bit — logits and
+/// per-layer clip counters — under every spelling the probe honors.
 TEST(WideQConvHalfGroup, EngineSweepBitwiseIdenticalToReference) {
-  const platform::CpuProbe probe = platform::probe_cpu();
-  std::vector<const char*> isas = {"scalar"};
-  if (probe.avx2) isas.push_back("avx2");
-  if (probe.avx512f) isas.push_back("avx512");
-
   std::uint64_t conv_clips = 0;
-  for (std::size_t out_c : {1u, 7u, 8u, 9u, 15u, 16u, 17u, 24u, 31u, 32u}) {
+  for (std::size_t out_c :
+       {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 15u, 16u, 17u, 23u, 24u, 31u,
+        32u, 40u}) {
     ModelBuilder b{Shape::chw(3, 8, 8)};
     b.conv2d(out_c, 3, /*stride=*/1, /*padding=*/1)
         .relu()
@@ -336,7 +511,7 @@ TEST(WideQConvHalfGroup, EngineSweepBitwiseIdenticalToReference) {
     const Dataset cal = toy_dataset(Shape::chw(3, 8, 8), 10, 31 + out_c);
     const QuantizedModel qm = QuantizedModel::quantize(m, cal);
     const std::size_t n_out = qm.output_shape().size();
-    for (const char* isa : isas) {
+    for (const auto& [isa, arm] : honored_isas()) {
       ASSERT_EQ(setenv("SX_KERNEL_ISA", isa, 1), 0);
       QuantizedModel ref = qm;  // counters accumulate in the copy
       QuantEngine eng{qm, QuantEngineConfig{.kernels = KernelMode::kWide}};
@@ -371,29 +546,98 @@ TEST(WideQuantPlan, RepackResyncsAfterWeightMutation) {
   b.dense(40).relu().dense(3);
   const Model m = b.build(55);
   const Dataset cal = toy_dataset(Shape::vec(24), 10, 7);
-  QuantizedModel qm = QuantizedModel::quantize(m, cal);
-  QuantizedModel ref = qm;
-
-  QuantKernelPlan plan{qm};
-  QuantEngine eng{qm, plan};
+  const QuantizedModel base = QuantizedModel::quantize(m, cal);
   Tensor in{Shape::vec(24)};
   util::Xoshiro256 rng{8};
   in.init_uniform(rng, -2.0f, 2.0f);
-  const std::size_t n_out = qm.output_shape().size();
-  std::vector<float> r(n_out), p(n_out);
-  ASSERT_EQ(ref.run(in.view(), r), Status::kOk);
-  ASSERT_EQ(eng.run(in.view(), p), Status::kOk);
-  for (std::size_t i = 0; i < n_out; ++i) ASSERT_TRUE(bits_equal(r[i], p[i]));
+  const std::size_t n_out = base.output_shape().size();
 
-  // SEU-campaign shape: mutate a quantized weight behind the wide panel
-  // snapshot. The panel is stale until repack() resynchronizes it.
-  qm.mutable_weights(0)[3] ^= 0x40;
-  ref = qm;
-  ASSERT_EQ(ref.run(in.view(), r), Status::kOk);
-  plan.repack();
-  ASSERT_EQ(eng.run(in.view(), p), Status::kOk);
-  for (std::size_t i = 0; i < n_out; ++i)
-    EXPECT_TRUE(bits_equal(r[i], p[i])) << "post-repack logit " << i;
+  for (const auto& [isa, arm] : honored_isas()) {
+    ASSERT_EQ(setenv("SX_KERNEL_ISA", isa, 1), 0);
+    QuantizedModel qm = base;
+    QuantizedModel ref = qm;
+    QuantKernelPlan plan{qm};
+    QuantEngine eng{qm, plan};
+    std::vector<float> r(n_out), p(n_out);
+    ASSERT_EQ(ref.run(in.view(), r), Status::kOk);
+    ASSERT_EQ(eng.run(in.view(), p), Status::kOk);
+    for (std::size_t i = 0; i < n_out; ++i)
+      ASSERT_TRUE(bits_equal(r[i], p[i])) << isa;
+
+    // SEU-campaign shape: flip a high bit of a quantized weight behind
+    // the panel snapshot. The flip changes the row's sum(w), so the
+    // vpdpbusd arm's 128 * sum(w) correction must be recomputed too; the
+    // panel is stale until repack() resynchronizes both.
+    const auto sum_row0 = [&] {
+      std::int32_t s = 0;
+      for (std::size_t c = 0; c < 24; ++c) s += qm.mutable_weights(0)[c];
+      return s;
+    };
+    const std::int32_t before = sum_row0();
+    qm.mutable_weights(0)[3] ^= static_cast<std::int8_t>(0x80);
+    ASSERT_NE(sum_row0(), before);
+    ref = qm;
+    ASSERT_EQ(ref.run(in.view(), r), Status::kOk);
+    plan.repack();
+    ASSERT_EQ(eng.run(in.view(), p), Status::kOk);
+    for (std::size_t i = 0; i < n_out; ++i)
+      EXPECT_TRUE(bits_equal(r[i], p[i]))
+          << isa << " post-repack logit " << i;
+  }
+  ASSERT_EQ(unsetenv("SX_KERNEL_ISA"), 0);
+}
+
+TEST(WideQuantPlan, StepPastOverflowBoundRunsScalarAndVerifies) {
+  // cols = 70000: 70000 * 255 * 128 >= 2^31, so the regrouped SIMD sums
+  // are not provably exact and the step must run the scalar arm's serial
+  // chain — on every arm the host would otherwise pick.
+  const std::size_t cols = 70000;
+  ASSERT_FALSE(qk::qwide_bound_ok(cols));
+  ModelBuilder b{Shape::vec(cols)};
+  b.dense(3).relu().dense(2);
+  const Model m = b.build(91);
+  const QuantizedModel qm =
+      QuantizedModel::quantize(m, toy_dataset(Shape::vec(cols), 3, 5));
+  Tensor in{Shape::vec(cols)};
+  util::Xoshiro256 rng{6};
+  in.init_uniform(rng, -2.0f, 2.0f);
+
+  for (const auto& [isa, arm] : honored_isas()) {
+    ASSERT_EQ(setenv("SX_KERNEL_ISA", isa, 1), 0);
+    QuantKernelPlan plan{qm};
+    ASSERT_EQ(plan.steps().size(), 2u);
+    const QuantKernelStep& big = plan.steps()[0];
+    EXPECT_EQ(big.mac_bound, std::uint64_t{cols} * 255 * 128);
+    EXPECT_EQ(big.dense_fn, &qk::qmatvec_wide_scalar) << isa;
+    // cols = 3: within the bound, on the host's arm.
+    EXPECT_EQ(plan.steps()[1].dense_fn, qk::wide_qdense_kernel(arm)) << isa;
+    EXPECT_EQ(plan.bound_scalar_steps(), 1u);
+    EXPECT_NE(plan.summary().find("bound-scalar=1"), std::string::npos);
+
+    const verify::IrCheck ok = verify::check_ir(qm, plan);
+    EXPECT_TRUE(ok.bound_sound) << isa;
+    EXPECT_TRUE(ok.passed()) << isa;
+
+    QuantizedModel ref = qm;
+    QuantEngine eng{qm, plan};
+    std::vector<float> r(2), p(2);
+    ASSERT_EQ(ref.run(in.view(), r), Status::kOk);
+    ASSERT_EQ(eng.run(in.view(), p), Status::kOk);
+    for (std::size_t i = 0; i < 2; ++i) EXPECT_TRUE(bits_equal(r[i], p[i]));
+
+    // The checker re-derives the bound from the layer, so a plan that
+    // mis-records it, or runs a SIMD arm past it, is refused.
+    auto& forged = const_cast<QuantKernelStep&>(plan.steps()[0]);
+    forged.mac_bound = 0;
+    EXPECT_FALSE(verify::check_ir(qm, plan).bound_sound) << isa;
+    EXPECT_FALSE(verify::check_ir(qm, plan).passed()) << isa;
+    forged.mac_bound = std::uint64_t{cols} * 255 * 128;
+    forged.dense_fn = &qk::qmatvec_wide_avx2;
+    EXPECT_FALSE(verify::check_ir(qm, plan).bound_sound) << isa;
+    forged.dense_fn = &qk::qmatvec_wide_scalar;
+    EXPECT_TRUE(verify::check_ir(qm, plan).passed()) << isa;
+  }
+  ASSERT_EQ(unsetenv("SX_KERNEL_ISA"), 0);
 }
 
 }  // namespace

@@ -205,29 +205,29 @@ CertifiablePipeline::CertifiablePipeline(const dl::Model& model,
   // refuse-only mode: fitting would execute the very model the static
   // gate just rejected.
   if (spec_.has_supervisor && !verify_refused_) {
-    auto mahal = std::make_unique<supervise::MahalanobisSupervisor>();
-    mahal_ = mahal.get();
-    supervisor_ = std::move(mahal);
+    supervisor_ = std::make_unique<supervise::MahalanobisSupervisor>();
     supervisor_->fit(*model_, calibration);
     // Per-decision feature extraction goes through a tap-capable static
     // engine (planned kernels, buffers preallocated here) instead of
     // Model::forward_trace's per-layer heap tensors. Bitwise identical:
     // the planned engine reproduces the reference activations exactly.
     // Fault policing stays off to match forward_trace, which does not
-    // screen activations either.
+    // screen activations either. It is the only per-decision scoring
+    // path, so a feature layer it cannot tap refuses the deployment.
     dl::StaticEngineConfig sup_cfg;
     sup_cfg.check_numeric_faults = false;
     sup_cfg.kernels = cfg_.kernel_mode;
     // Pin the tapped feature layer: the fusion pass must not fold an
     // epilogue across it, or the pre-activation values the supervisor
     // reads would no longer exist in the arena.
-    sup_cfg.pin_tap_layer = mahal_->feature_layer();
-    auto sup_eng = std::make_unique<dl::StaticEngine>(*model_, sup_cfg);
-    if (sup_eng->can_tap(mahal_->feature_layer())) {
-      sup_engine_ = std::move(sup_eng);
-      sup_feat_.assign(mahal_->feature_dim(), 0.0f);
-      sup_logits_.assign(n_out, 0.0f);
-    }
+    sup_cfg.pin_tap_layer = supervisor_->feature_layer();
+    sup_engine_ = std::make_unique<dl::StaticEngine>(*model_, sup_cfg);
+    if (!sup_engine_->can_tap(supervisor_->feature_layer()))
+      throw std::logic_error(
+          "CertifiablePipeline: supervisor engine cannot tap the feature "
+          "layer");
+    sup_feat_.assign(supervisor_->feature_dim(), 0.0f);
+    sup_logits_.assign(n_out, 0.0f);
     const auto scores =
         supervise::collect_scores(*supervisor_, *model_, calibration);
     supervisor_->calibrate_threshold(scores, cfg_.supervisor_tpr);
@@ -281,6 +281,7 @@ CertifiablePipeline::CertifiablePipeline(const dl::Model& model,
       "inputs within fitted ODD; see safety case");
 
   out_buf_.assign(n_out, 0.0f);
+  probs_.assign(n_out, 0.0f);
   audit_.append(0, "pipeline", "deploy",
                 "model=" + card_.model_hash +
                     " criticality=" +
@@ -358,15 +359,6 @@ CertifiablePipeline::quant_saturation_cross_check() const {
   return verify::cross_check_saturation(verify_->quant, measured);
 }
 
-double CertifiablePipeline::supervisor_score(const tensor::Tensor& input) {
-  if (sup_engine_ != nullptr) {
-    const Status st = sup_engine_->run_tapped(
-        input.view(), sup_logits_, mahal_->feature_layer(), sup_feat_);
-    if (ok(st)) return mahal_->score_from_features(sup_feat_);
-  }
-  return supervisor_->score(*model_, input);
-}
-
 void CertifiablePipeline::obs_finish_decision(const Decision& d,
                                               std::uint64_t t0) noexcept {
   if (!obs_) return;
@@ -375,104 +367,95 @@ void CertifiablePipeline::obs_finish_decision(const Decision& d,
   obs_span(obs::Stage::kDecision, d.status, d.degraded, t0, t1);
 }
 
-Decision CertifiablePipeline::infer(const tensor::Tensor& input,
-                                    std::uint64_t logical_time,
-                                    std::uint64_t elapsed) {
-  Decision d;
+CertifiablePipeline::OddVerdict CertifiablePipeline::guard(
+    tensor::ConstTensorView input) noexcept {
+  OddVerdict v;
+  if (!odd_) return v;
+  v.t0 = obs_ ? obs_->now() : 0;
+  v.status = odd_->check(input);
+  if (obs_) {
+    v.t1 = obs_->now();
+    obs_->observe(h_odd_, v.t1 >= v.t0 ? v.t1 - v.t0 : 0);
+  }
+  return v;
+}
+
+void CertifiablePipeline::reject(Decision& d, const ItemContext& c, Status st,
+                                 const char* actor, const char* action,
+                                 std::string_view detail) {
+  ++rejections_;
+  d.status = st;
+  d.degraded = true;
+  d.predicted_class = cfg_.fallback_class;
+  std::string payload;
+  if (c.batch_index)
+    payload = "batch_index=" + std::to_string(*c.batch_index) + " ";
+  if (detail.empty())
+    payload.append("status=").append(to_string(st));
+  else
+    payload.append(detail);
+  d.audit_sequence =
+      audit_.append(c.logical_time, actor, action, std::move(payload))
+          .sequence;
+  obs_finish_decision(d, c.t_decision);
+}
+
+bool CertifiablePipeline::admit(Decision& d, const ItemContext& c) {
   ++decisions_;
-  const std::uint64_t t_dec = obs_ ? obs_->now() : 0;
   obs_count(c_decisions_);
 
   // 0. Pre-flight gate verdict: a statically refused model never runs.
   if (verify_refused_) {
-    ++rejections_;
     obs_count(c_verify_refusals_);
-    d.status = Status::kVerificationFailed;
-    d.degraded = true;
-    d.predicted_class = cfg_.fallback_class;
-    d.audit_sequence =
-        audit_.append(logical_time, "static-verify", "refuse",
-                      "status=" + std::string(to_string(d.status)))
-            .sequence;
-    obs_span(obs::Stage::kStaticVerify, d.status, true, t_dec, t_dec);
-    obs_finish_decision(d, t_dec);
-    return d;
+    obs_span(obs::Stage::kStaticVerify, Status::kVerificationFailed, true,
+             c.t_decision, c.t_decision);
+    reject(d, c, Status::kVerificationFailed, "static-verify", "refuse");
+    return false;
   }
 
-  // 1. ODD guard.
+  // 1. ODD guard, checked by the entry point (see guard()).
   if (odd_) {
-    const std::uint64_t t0 = obs_ ? obs_->now() : 0;
-    const Status st = odd_->check(input.view());
-    if (obs_) {
-      const std::uint64_t t1 = obs_->now();
-      obs_->observe(h_odd_, t1 >= t0 ? t1 - t0 : 0);
-      obs_span(obs::Stage::kOddGuard, st, !ok(st), t0, t1);
-    }
-    if (!ok(st)) {
-      ++rejections_;
+    obs_span(obs::Stage::kOddGuard, c.odd.status, !ok(c.odd.status), c.odd.t0,
+             c.odd.t1);
+    if (!ok(c.odd.status)) {
       obs_count(c_odd_rej_);
-      d.status = st;
-      d.degraded = true;
-      d.predicted_class = cfg_.fallback_class;
-      d.audit_sequence =
-          audit_.append(logical_time, "odd-guard", "reject",
-                        "status=" + std::string(to_string(st)))
-              .sequence;
-      obs_finish_decision(d, t_dec);
-      return d;
+      reject(d, c, c.odd.status, "odd-guard", "reject");
+      return false;
     }
   }
 
-  // 2. Timing budget (watchdog over the measured execution time). The
-  // overrun counter increments inside kick() via the watchdog's binding.
+  // 2. Timing budget: infer() passes the caller's elapsed time, the batch
+  // path the measured per-item inference time; either way the check runs
+  // serially in decision order, so the overrun counter (incremented inside
+  // kick() via the watchdog's binding) and the audit trail are
+  // schedule-free.
   if (spec_.has_timing_budget) {
-    watchdog_.arm(logical_time, cfg_.timing_budget);
-    const Status wd = watchdog_.kick(logical_time + elapsed);
+    watchdog_.arm(c.logical_time, cfg_.timing_budget);
+    const Status wd = watchdog_.kick(c.logical_time + c.elapsed);
     if (obs_) {
       const std::uint64_t t1 = obs_->now();
       obs_span(obs::Stage::kWatchdog, wd, !ok(wd), t1, t1);
     }
     if (!ok(wd)) {
-      ++rejections_;
-      d.status = Status::kDeadlineMiss;
-      d.degraded = true;
-      d.predicted_class = cfg_.fallback_class;
-      d.audit_sequence =
-          audit_.append(logical_time, "watchdog", "deadline-miss",
-                        "elapsed=" + std::to_string(elapsed) + " budget=" +
-                            std::to_string(cfg_.timing_budget))
-              .sequence;
-      obs_finish_decision(d, t_dec);
-      return d;
+      reject(d, c, Status::kDeadlineMiss, "watchdog", "deadline-miss",
+             "elapsed=" + std::to_string(c.elapsed) +
+                 " budget=" + std::to_string(cfg_.timing_budget));
+      return false;
     }
   }
+  return true;
+}
 
-  // 3. Channel inference (includes pattern redundancy and the safety bag).
-  const std::uint64_t t_inf = obs_ ? obs_->now() : 0;
-  const Status st = channel_->infer(input.view(), out_buf_);
+void CertifiablePipeline::decide(Decision& d, const ItemContext& c,
+                                 const InferenceOutcome& r) {
   if (obs_) {
-    const std::uint64_t t1 = obs_->now();
-    obs_->observe(h_infer_, t1 >= t_inf ? t1 - t_inf : 0);
-    if (qchannel_ != nullptr)
-      obs_->observe(h_qinfer_, t1 >= t_inf ? t1 - t_inf : 0);
-    obs_span(obs::Stage::kInference, st, channel_->last_degraded(), t_inf,
-             t1);
+    const std::uint64_t dt = r.t1 >= r.t0 ? r.t1 - r.t0 : 0;
+    obs_->observe(h_infer_, dt);
+    if (quant_) obs_->observe(h_qinfer_, dt);
+    obs_span(obs::Stage::kInference, r.status, r.degraded, r.t0, r.t1);
   }
-  d.status = st;
-  if (!ok(st)) {
-    ++rejections_;
-    obs_count(c_fault_det_);
-    d.degraded = true;
-    d.predicted_class = cfg_.fallback_class;
-    d.audit_sequence =
-        audit_.append(logical_time, "channel", "fail-stop",
-                      "status=" + std::string(to_string(st)))
-            .sequence;
-    obs_finish_decision(d, t_dec);
-    return d;
-  }
-  d.degraded = channel_->last_degraded();
-  if (d.degraded) {
+  Status st = r.status;
+  if (ok(st) && r.degraded) {
     ++fallbacks_;
     obs_count(c_fallback_);
     if (obs_) {
@@ -481,40 +464,78 @@ Decision CertifiablePipeline::infer(const tensor::Tensor& input,
     }
   }
 
-  // 4. Decision + confidence.
-  const auto probs = dl::softmax_copy(out_buf_);
-  d.predicted_class = 0;
-  for (std::size_t i = 1; i < probs.size(); ++i)
-    if (probs[i] > probs[d.predicted_class]) d.predicted_class = i;
-  d.confidence = probs[d.predicted_class];
-  if (supervisor_) {
+  // 3. Supervisor score on features tapped from the planned engine, then
+  // the CUSUM drift detector on its log-transformed score stream. A failed
+  // tap fail-stops the decision exactly like a failed inference.
+  if (ok(st) && supervisor_) {
     const std::uint64_t t_sup = obs_ ? obs_->now() : 0;
-    d.supervisor_score = supervisor_score(input);
-    if (drift_) {
+    st = sup_engine_->run_tapped(c.input, sup_logits_,
+                                 supervisor_->feature_layer(), sup_feat_);
+    if (ok(st)) {
+      d.supervisor_score = supervisor_->score_from_features(sup_feat_);
       const bool was_alarmed = drift_->alarmed();
       drift_->update(std::log1p(std::max(0.0, d.supervisor_score)));
       if (obs_) obs_->set(g_drift_cusum_, drift_->statistic());
       if (!was_alarmed && drift_->alarmed()) {
         obs_count(c_drift_alarms_);
-        audit_.append(logical_time, "drift-detector", "alarm",
+        audit_.append(c.logical_time, "drift-detector", "alarm",
                       "cusum=" + std::to_string(drift_->statistic()));
       }
     }
     if (obs_) {
       const std::uint64_t t1 = obs_->now();
       obs_->observe(h_sup_, t1 >= t_sup ? t1 - t_sup : 0);
-      obs_span(obs::Stage::kSupervisor, Status::kOk, false, t_sup, t1);
+      obs_span(obs::Stage::kSupervisor, st, !ok(st), t_sup, t1);
     }
   }
+  if (!ok(st)) {
+    obs_count(c_fault_det_);
+    reject(d, c, st, c.component, "fail-stop");
+    return;
+  }
+
+  // 4. Decision + confidence.
+  d.status = Status::kOk;
+  d.degraded = r.degraded;
+  dl::softmax_into(r.logits, probs_);
+  d.predicted_class = 0;
+  for (std::size_t k = 1; k < probs_.size(); ++k)
+    if (probs_[k] > probs_[d.predicted_class]) d.predicted_class = k;
+  d.confidence = probs_[d.predicted_class];
 
   std::ostringstream payload;
-  payload << "class=" << d.predicted_class << " conf=" << d.confidence
-          << " degraded=" << (d.degraded ? 1 : 0)
-          << " sup=" << d.supervisor_score;
+  if (c.batch_index) payload << "batch_index=" << *c.batch_index << ' ';
+  payload << "class=" << d.predicted_class << " conf=" << d.confidence;
+  if (d.degraded) payload << " degraded=1";
+  payload << " sup=" << d.supervisor_score;
   d.audit_sequence =
-      audit_.append(logical_time, "channel", "decision", payload.str())
+      audit_.append(c.logical_time, c.component, "decision", payload.str())
           .sequence;
-  obs_finish_decision(d, t_dec);
+  obs_finish_decision(d, c.t_decision);
+}
+
+Decision CertifiablePipeline::infer(const tensor::Tensor& input,
+                                    std::uint64_t logical_time,
+                                    std::uint64_t elapsed) {
+  const ItemContext c{
+      .input = input.view(),
+      .logical_time = logical_time,
+      .t_decision = obs_ ? obs_->now() : 0,
+      .odd = verify_refused_ ? OddVerdict{} : guard(input.view()),
+      .elapsed = elapsed,
+      .component = "channel",
+      .batch_index = std::nullopt};
+  Decision d;
+  if (!admit(d, c)) return d;
+
+  // Channel inference (includes pattern redundancy and the safety bag).
+  InferenceOutcome r;
+  r.t0 = obs_ ? obs_->now() : 0;
+  r.status = channel_->infer(c.input, out_buf_);
+  r.t1 = obs_ ? obs_->now() : 0;
+  r.logits = out_buf_;
+  r.degraded = channel_->last_degraded();
+  decide(d, c, r);
   return d;
 }
 
@@ -524,214 +545,91 @@ std::vector<Decision> CertifiablePipeline::infer_batch(
     throw std::logic_error(
         "CertifiablePipeline::infer_batch: deploy with cfg.batch_workers > "
         "0 to enable the batch path");
-  std::vector<Decision> decisions(inputs.size());
-  if (inputs.empty()) return decisions;
-
-  if (verify_refused_) {
-    for (std::size_t i = 0; i < inputs.size(); ++i) {
-      Decision& d = decisions[i];
-      ++decisions_;
-      ++rejections_;
-      obs_count(c_decisions_);
-      obs_count(c_verify_refusals_);
-      d.status = Status::kVerificationFailed;
-      d.degraded = true;
-      d.predicted_class = cfg_.fallback_class;
-      d.audit_sequence =
-          audit_.append(logical_time, "static-verify", "refuse",
-                        "batch_index=" + std::to_string(i) + " status=" +
-                            std::string(to_string(d.status)))
-              .sequence;
-      if (obs_) {
-        const std::uint64_t t = obs_->now();
-        obs_span(obs::Stage::kStaticVerify, d.status, true, t, t);
-        obs_finish_decision(d, t);
-      }
-    }
-    return decisions;
-  }
+  const std::size_t n_items = inputs.size();
+  std::vector<Decision> decisions(n_items);
+  if (n_items == 0) return decisions;
 
   const std::size_t in_size = model_->input_shape().size();
   const std::size_t n_out = model_->output_shape().size();
-
-  // Stage the batch contiguously and take ODD verdicts up front, so the
-  // evidence trail preserves the single-item ordering (guard first). Guard
-  // checks run serially in batch-index order, so their histogram
-  // observations are schedule-free; span timestamps are staged per item
-  // and recorded in the decision loop under the decision's ordinal.
-  std::vector<float> staged(inputs.size() * in_size);
-  std::vector<float> logits(inputs.size() * n_out);
-  std::vector<Status> engine_status(inputs.size(), Status::kOk);
-  std::vector<Status> guard_status(inputs.size(), Status::kOk);
-  std::vector<std::uint64_t> guard_t0(inputs.size(), 0);
-  std::vector<std::uint64_t> guard_t1(inputs.size(), 0);
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    if (inputs[i].shape() != model_->input_shape())
-      throw std::invalid_argument(
-          "CertifiablePipeline::infer_batch: input shape mismatch");
-    if (odd_) {
-      guard_t0[i] = obs_ ? obs_->now() : 0;
-      guard_status[i] = odd_->check(inputs[i].view());
-      if (obs_) {
-        guard_t1[i] = obs_->now();
-        obs_->observe(h_odd_,
-                      guard_t1[i] >= guard_t0[i] ? guard_t1[i] - guard_t0[i]
-                                                 : 0);
-      }
-    }
-    const auto src = inputs[i].data();
-    std::copy(src.begin(), src.end(), staged.begin() + i * in_size);
-  }
-
-  // Parallel dispatch over the static pool, chunked to the pre-planned
-  // batch capacity. Every item (even a guard-rejected one) goes through
-  // the engine so per-worker counters depend only on the batch size.
-  // Per-item inference time is measured inside the workers into the
-  // batch-indexed `item_elapsed` array whenever the watchdog or telemetry
-  // consumes it — both consume it serially, in batch-index order.
+  // Per-item inference time is measured inside the workers whenever the
+  // watchdog or telemetry consumes it — both consume it serially, in
+  // batch-index order.
   const bool want_elapsed = obs_ != nullptr || spec_.has_timing_budget;
-  std::vector<std::uint64_t> item_elapsed(
-      want_elapsed ? inputs.size() : std::size_t{0}, 0);
-  for (std::size_t base = 0; base < inputs.size();
-       base += batch_->max_batch()) {
-    const std::size_t n =
-        std::min(batch_->max_batch(), inputs.size() - base);
-    const Status st = batch_->run(
-        std::span<const float>(staged).subspan(base * in_size, n * in_size),
-        std::span<float>(logits).subspan(base * n_out, n * n_out),
-        std::span<Status>(engine_status).subspan(base, n),
-        want_elapsed ? std::span<std::uint64_t>(item_elapsed).subspan(base, n)
-                     : std::span<std::uint64_t>{});
-    if (!ok(st))
-      throw std::logic_error("CertifiablePipeline::infer_batch: dispatch " +
-                             std::string(to_string(st)));
-  }
+  const bool dispatched = !verify_refused_;
+  if (dispatched) {
+    const auto grow = [](auto& v, std::size_t n) {
+      if (v.size() < n) v.resize(n);
+    };
+    grow(staged_, n_items * in_size);
+    grow(batch_logits_, n_items * n_out);
+    grow(engine_status_, n_items);
+    grow(odd_verdicts_, n_items);
+    grow(item_elapsed_, n_items);
 
-  // Quantized pool: push the clips this dispatch added, so the telemetry
-  // counter mirrors the pool's deterministic total.
-  if (obs_ && batch_->quantized()) {
-    const std::uint64_t total = batch_->saturation_count();
-    if (total > reported_batch_sats_) {
-      obs_->add(c_quant_sats_, total - reported_batch_sats_);
-      reported_batch_sats_ = total;
+    // Stage the batch contiguously and take ODD verdicts up front, in
+    // batch-index order, so the guard histogram is schedule-free; the
+    // verdict spans are recorded in the decision loop under the
+    // decision's ordinal.
+    for (std::size_t i = 0; i < n_items; ++i) {
+      if (inputs[i].shape() != model_->input_shape())
+        throw std::invalid_argument(
+            "CertifiablePipeline::infer_batch: input shape mismatch");
+      odd_verdicts_[i] = guard(inputs[i].view());
+      const auto src = inputs[i].data();
+      std::copy(src.begin(), src.end(), staged_.begin() + i * in_size);
+    }
+
+    // Parallel dispatch over the static pool, chunked to the pre-planned
+    // batch capacity. Every item (even a guard-rejected one) goes through
+    // the engine so per-worker counters depend only on the batch size.
+    for (std::size_t base = 0; base < n_items; base += batch_->max_batch()) {
+      const std::size_t n = std::min(batch_->max_batch(), n_items - base);
+      const Status st = batch_->run(
+          std::span<const float>(staged_).subspan(base * in_size, n * in_size),
+          std::span<float>(batch_logits_).subspan(base * n_out, n * n_out),
+          std::span<Status>(engine_status_).subspan(base, n),
+          want_elapsed
+              ? std::span<std::uint64_t>(item_elapsed_).subspan(base, n)
+              : std::span<std::uint64_t>{});
+      if (!ok(st))
+        throw std::logic_error("CertifiablePipeline::infer_batch: dispatch " +
+                               std::string(to_string(st)));
+    }
+
+    // Quantized pool: push the clips this dispatch added, so the telemetry
+    // counter mirrors the pool's deterministic total.
+    if (obs_ && batch_->quantized()) {
+      const std::uint64_t total = batch_->saturation_count();
+      if (total > reported_batch_sats_) {
+        obs_->add(c_quant_sats_, total - reported_batch_sats_);
+        reported_batch_sats_ = total;
+      }
     }
   }
 
-  // Per-item decision, supervision, drift tracking and audit, serially in
-  // batch-index order — the audit chain is identical for every worker
-  // count because nothing here depends on the parallel schedule.
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
+  // The shared decision sequence, serially in batch-index order — the
+  // audit chain is identical for every worker count because nothing here
+  // depends on the parallel schedule.
+  for (std::size_t i = 0; i < n_items; ++i) {
+    const ItemContext c{
+        .input = inputs[i].view(),
+        .logical_time = logical_time,
+        .t_decision = obs_ ? obs_->now() : 0,
+        .odd = dispatched ? odd_verdicts_[i] : OddVerdict{},
+        .elapsed = dispatched && want_elapsed ? item_elapsed_[i] : 0,
+        .component = "batch-engine",
+        .batch_index = i};
     Decision& d = decisions[i];
-    ++decisions_;
-    const std::uint64_t t_dec = obs_ ? obs_->now() : 0;
-    obs_count(c_decisions_);
-    if (odd_) {
-      obs_span(obs::Stage::kOddGuard, guard_status[i], !ok(guard_status[i]),
-               guard_t0[i], guard_t1[i]);
-    }
-
-    if (odd_ && !ok(guard_status[i])) {
-      ++rejections_;
-      obs_count(c_odd_rej_);
-      d.status = guard_status[i];
-      d.degraded = true;
-      d.predicted_class = cfg_.fallback_class;
-      d.audit_sequence =
-          audit_.append(logical_time, "odd-guard", "reject",
-                        "batch_index=" + std::to_string(i) + " status=" +
-                            std::string(to_string(d.status)))
-              .sequence;
-      obs_finish_decision(d, t_dec);
-      continue;
-    }
-
-    // Timing budget: watchdog parity with the single-item path. The batch
-    // path feeds the watchdog the *measured* per-item inference time (in
-    // telemetry clock units), checked serially in batch-index order so the
-    // overrun counter and audit trail stay schedule-free. The overrun
-    // counter increments inside kick() via the watchdog's binding.
-    if (spec_.has_timing_budget) {
-      watchdog_.arm(logical_time, cfg_.timing_budget);
-      const Status wd = watchdog_.kick(logical_time + item_elapsed[i]);
-      if (obs_) {
-        const std::uint64_t t1 = obs_->now();
-        obs_span(obs::Stage::kWatchdog, wd, !ok(wd), t1, t1);
-      }
-      if (!ok(wd)) {
-        ++rejections_;
-        d.status = Status::kDeadlineMiss;
-        d.degraded = true;
-        d.predicted_class = cfg_.fallback_class;
-        d.audit_sequence =
-            audit_.append(logical_time, "watchdog", "deadline-miss",
-                          "batch_index=" + std::to_string(i) + " elapsed=" +
-                              std::to_string(item_elapsed[i]) + " budget=" +
-                              std::to_string(cfg_.timing_budget))
-                .sequence;
-        obs_finish_decision(d, t_dec);
-        continue;
-      }
-    }
-
-    if (obs_) {
-      const std::uint64_t t1 = obs_->now();
-      obs_->observe(h_infer_, item_elapsed[i]);
-      if (batch_->quantized()) obs_->observe(h_qinfer_, item_elapsed[i]);
-      obs_span(obs::Stage::kInference, engine_status[i],
-               !ok(engine_status[i]), t1, t1 + item_elapsed[i]);
-    }
-
-    if (!ok(engine_status[i])) {
-      ++rejections_;
-      obs_count(c_fault_det_);
-      d.status = engine_status[i];
-      d.degraded = true;
-      d.predicted_class = cfg_.fallback_class;
-      d.audit_sequence =
-          audit_.append(logical_time, "batch-engine", "fail-stop",
-                        "batch_index=" + std::to_string(i) + " status=" +
-                            std::string(to_string(d.status)))
-              .sequence;
-      obs_finish_decision(d, t_dec);
-      continue;
-    }
-
-    const std::span<const float> item_logits(logits.data() + i * n_out,
-                                             n_out);
-    const auto probs = dl::softmax_copy(item_logits);
-    d.status = Status::kOk;
-    d.predicted_class = 0;
-    for (std::size_t k = 1; k < probs.size(); ++k)
-      if (probs[k] > probs[d.predicted_class]) d.predicted_class = k;
-    d.confidence = probs[d.predicted_class];
-    if (supervisor_) {
-      const std::uint64_t t_sup = obs_ ? obs_->now() : 0;
-      d.supervisor_score = supervisor_score(inputs[i]);
-      if (drift_) {
-        const bool was_alarmed = drift_->alarmed();
-        drift_->update(std::log1p(std::max(0.0, d.supervisor_score)));
-        if (obs_) obs_->set(g_drift_cusum_, drift_->statistic());
-        if (!was_alarmed && drift_->alarmed()) {
-          obs_count(c_drift_alarms_);
-          audit_.append(logical_time, "drift-detector", "alarm",
-                        "cusum=" + std::to_string(drift_->statistic()));
-        }
-      }
-      if (obs_) {
-        const std::uint64_t t1 = obs_->now();
-        obs_->observe(h_sup_, t1 >= t_sup ? t1 - t_sup : 0);
-        obs_span(obs::Stage::kSupervisor, Status::kOk, false, t_sup, t1);
-      }
-    }
-
-    std::ostringstream payload;
-    payload << "batch_index=" << i << " class=" << d.predicted_class
-            << " conf=" << d.confidence << " sup=" << d.supervisor_score;
-    d.audit_sequence =
-        audit_.append(logical_time, "batch-engine", "decision",
-                      payload.str())
-            .sequence;
-    obs_finish_decision(d, t_dec);
+    if (!admit(d, c)) continue;
+    const std::uint64_t t_inf = obs_ ? obs_->now() : 0;
+    decide(d, c,
+           InferenceOutcome{
+               .status = engine_status_[i],
+               .t0 = t_inf,
+               .t1 = t_inf + c.elapsed,
+               .logits = std::span<const float>(batch_logits_)
+                             .subspan(i * n_out, n_out),
+               .degraded = !ok(engine_status_[i])});
   }
   return decisions;
 }

@@ -9,6 +9,8 @@
 
 #include <memory>
 #include <optional>
+#include <span>
+#include <string_view>
 
 #include "core/criticality.hpp"
 #include "dl/batch.hpp"
@@ -112,13 +114,17 @@ class CertifiablePipeline {
                  std::uint64_t elapsed = 0);
 
   /// Runs one decision per input through the deterministic batch executor
-  /// (requires cfg.batch_workers > 0; throws std::logic_error otherwise).
-  /// Raw inference is fanned out over the static worker pool with a static
-  /// partition, so decisions, counters and the audit trail are identical
-  /// for every worker count; ODD guarding, supervision, drift tracking and
-  /// audit logging run serially in batch-index order. The batch path uses
-  /// the monitored static engine directly — pattern redundancy and timing
-  /// budgets currently apply only to the single-item infer() path.
+  /// (requires cfg.batch_workers > 0; throws std::logic_error otherwise,
+  /// and std::invalid_argument on an input of the wrong shape). ODD
+  /// verdicts are taken serially up front; raw inference is then fanned
+  /// out over the static worker pool with a static partition, so
+  /// decisions, counters and the audit trail are identical for every
+  /// worker count. Every item then passes the same stage sequence as
+  /// infer(), serially in batch-index order: refusal, ODD reject, watchdog
+  /// (fed the item's measured inference time in telemetry clock units),
+  /// fail-stop, supervisor score, drift tracking and audit entry. The pool
+  /// runs plain BatchRunner engines (float, or int8 under kInt8): pattern
+  /// redundancy and the safety bag apply only to the infer() channel.
   std::vector<Decision> infer_batch(
       const std::vector<tensor::Tensor>& inputs,
       std::uint64_t logical_time = 0);
@@ -233,10 +239,43 @@ class CertifiablePipeline {
   /// Closes a decision: whole-decision histogram + summary span.
   void obs_finish_decision(const Decision& d, std::uint64_t t0) noexcept;
 
-  /// Per-decision supervisor score: features tapped from the planned
-  /// engine run when possible, Model::forward_trace otherwise. Bitwise
-  /// identical either way.
-  double supervisor_score(const tensor::Tensor& input);
+  /// ODD verdict of one input with its span (kOk when there is no guard).
+  struct OddVerdict {
+    Status status = Status::kOk;
+    std::uint64_t t0 = 0;
+    std::uint64_t t1 = 0;
+  };
+  /// What infer() and infer_batch() differ in for one decision, handed to
+  /// the shared stage sequence as data.
+  struct ItemContext {
+    tensor::ConstTensorView input;  ///< the input the supervisor scores
+    std::uint64_t logical_time = 0;
+    std::uint64_t t_decision = 0;   ///< telemetry clock at decision start
+    OddVerdict odd;
+    std::uint64_t elapsed = 0;      ///< execution time fed to the watchdog
+    const char* component = nullptr;  ///< audit actor of the engine
+    std::optional<std::size_t> batch_index;  ///< prefixes audit payloads
+  };
+  /// Outcome of the inference stage as the entry point measured it.
+  struct InferenceOutcome {
+    Status status = Status::kOk;
+    std::uint64_t t0 = 0;  ///< inference span (telemetry clock)
+    std::uint64_t t1 = 0;
+    std::span<const float> logits;
+    bool degraded = false;  ///< logits are the fallback (or status failed)
+  };
+
+  OddVerdict guard(tensor::ConstTensorView input) noexcept;
+  /// First half of the per-decision sequence: refusal, ODD reject and
+  /// watchdog. Returns false when `d` is already decided (degraded).
+  bool admit(Decision& d, const ItemContext& c);
+  /// Second half, after inference: fail-stop, fallback, supervisor score
+  /// and drift tracking, softmax decision and its audit entry.
+  void decide(Decision& d, const ItemContext& c, const InferenceOutcome& r);
+  /// Degrades `d` to the fallback class with status `st` and one audit
+  /// entry; `detail` defaults to "status=<st>".
+  void reject(Decision& d, const ItemContext& c, Status st, const char* actor,
+              const char* action, std::string_view detail = {});
 
   PipelineConfig cfg_;
   PipelineSpec spec_;
@@ -254,11 +293,10 @@ class CertifiablePipeline {
   std::unique_ptr<dl::BatchRunner> batch_;
   std::unique_ptr<safety::InferenceChannel> channel_;
   safety::QuantChannel* qchannel_ = nullptr;  // view into channel_ (kInt8)
-  std::unique_ptr<supervise::Supervisor> supervisor_;
-  supervise::MahalanobisSupervisor* mahal_ = nullptr;  // concrete view
+  std::unique_ptr<supervise::MahalanobisSupervisor> supervisor_;
   // Tap-capable engine + preallocated buffers feeding the supervisor its
-  // per-decision features without a second allocation-heavy forward pass
-  // (null when the feature layer is not tappable under the resolved plan).
+  // per-decision features without a second allocation-heavy forward pass.
+  // The only scoring path: deployment refuses an untappable feature layer.
   std::unique_ptr<dl::StaticEngine> sup_engine_;
   std::vector<float> sup_feat_;
   std::vector<float> sup_logits_;
@@ -272,7 +310,15 @@ class CertifiablePipeline {
   std::string kernel_backend_;
   trace::ModelCard card_;
   std::vector<float> out_buf_;
+  std::vector<float> probs_;  // softmax of the decided logits
   std::vector<float> fallback_;
+  // infer_batch() staging, grow-only: sized by the largest batch served,
+  // not by max_batch(), so deployment does not reserve the pool's limit.
+  std::vector<float> staged_;
+  std::vector<float> batch_logits_;
+  std::vector<Status> engine_status_;
+  std::vector<OddVerdict> odd_verdicts_;
+  std::vector<std::uint64_t> item_elapsed_;
   std::uint64_t decisions_ = 0;
   std::uint64_t rejections_ = 0;
   std::uint64_t fallbacks_ = 0;

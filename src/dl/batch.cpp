@@ -13,12 +13,15 @@ double micros_between(std::chrono::steady_clock::time_point t0,
 
 }  // namespace
 
-BatchRunner::BatchRunner(const Model& model, BatchRunnerConfig cfg)
-    : model_(&model),
+BatchRunner::BatchRunner(const Model* model, const QuantizedModel* qmodel,
+                         const Shape& in_shape, const Shape& out_shape,
+                         BatchRunnerConfig cfg)
+    : model_(model),
+      qmodel_(qmodel),
       cfg_(cfg),
-      in_shape_(model.input_shape()),
-      in_size_(model.input_shape().size()),
-      out_size_(model.output_shape().size()) {
+      in_shape_(in_shape),
+      in_size_(in_shape.size()),
+      out_size_(out_shape.size()) {
   if (cfg_.workers == 0)
     throw std::invalid_argument("BatchRunner: workers must be >= 1");
   if (cfg_.max_batch == 0)
@@ -33,63 +36,51 @@ BatchRunner::BatchRunner(const Model& model, BatchRunnerConfig cfg)
     faults_id_ = cfg_.registry->counter("sx_batch_numeric_faults_total");
     clock_ = cfg_.registry->config().clock;
   }
+  pool_.resize(cfg_.workers);
+}
 
+BatchRunner::BatchRunner(const Model& model, BatchRunnerConfig cfg)
+    : BatchRunner(&model, nullptr, model.input_shape(), model.output_shape(),
+                  cfg) {
   // Plan every arena before any thread exists: all allocation happens here,
   // at configuration time. One KernelPlan is built once and shared
   // read-only by every worker engine (index tables and weight panels are
   // immutable on the hot path); each worker's im2col scratch stays in its
   // own arena, so workers never share a mutable buffer.
-  pool_.resize(cfg_.workers);
   const StaticEngineConfig engine_cfg{
       .check_numeric_faults = cfg_.check_numeric_faults,
       .arena_slack = cfg_.arena_slack,
       .kernels = cfg_.kernels};
-  const KernelMode mode = resolve_kernel_mode(cfg_.kernels);
-  if (mode != KernelMode::kReference)
+  if (resolve_kernel_mode(cfg_.kernels) != KernelMode::kReference)
     plan_ = std::make_unique<KernelPlan>(model);
   for (auto& w : pool_)
     w.engine = plan_ != nullptr
                    ? std::make_unique<StaticEngine>(model, *plan_, engine_cfg)
                    : std::make_unique<StaticEngine>(model, engine_cfg);
-  for (std::size_t i = 0; i < pool_.size(); ++i)
-    pool_[i].thread = std::thread(&BatchRunner::worker_main, this, i);
+  start_workers();
 }
 
 BatchRunner::BatchRunner(const QuantizedModel& model, BatchRunnerConfig cfg)
-    : qmodel_(&model),
-      cfg_(cfg),
-      in_shape_(model.input_shape()),
-      in_size_(model.input_shape().size()),
-      out_size_(model.output_shape().size()) {
-  if (cfg_.workers == 0)
-    throw std::invalid_argument("BatchRunner: workers must be >= 1");
-  if (cfg_.max_batch == 0)
-    throw std::invalid_argument("BatchRunner: max_batch must be >= 1");
+    : BatchRunner(nullptr, &model, model.input_shape(), model.output_shape(),
+                  cfg) {
   if (model.layer_count() == 0)
     throw std::invalid_argument("BatchRunner: quantized model is empty");
-
-  fault_log_.reserve(cfg_.max_batch);
-
-  if (cfg_.registry != nullptr) {
-    items_id_ = cfg_.registry->counter("sx_batch_items_total");
-    faults_id_ = cfg_.registry->counter("sx_batch_numeric_faults_total");
-    clock_ = cfg_.registry->config().clock;
-  }
-
   // Same discipline as the float pool: one shared read-only
   // QuantKernelPlan, one private QuantEngine (byte arena + saturation
   // counters) per worker. check_numeric_faults is meaningless for int8
   // and intentionally not forwarded.
-  pool_.resize(cfg_.workers);
   const QuantEngineConfig engine_cfg{.arena_slack = cfg_.arena_slack,
                                      .kernels = cfg_.kernels};
-  const KernelMode mode = resolve_kernel_mode(cfg_.kernels);
-  if (mode != KernelMode::kReference)
+  if (resolve_kernel_mode(cfg_.kernels) != KernelMode::kReference)
     qplan_ = std::make_unique<QuantKernelPlan>(model);
   for (auto& w : pool_)
     w.qengine = qplan_ != nullptr
                     ? std::make_unique<QuantEngine>(model, *qplan_, engine_cfg)
                     : std::make_unique<QuantEngine>(model, engine_cfg);
+  start_workers();
+}
+
+void BatchRunner::start_workers() {
   for (std::size_t i = 0; i < pool_.size(); ++i)
     pool_[i].thread = std::thread(&BatchRunner::worker_main, this, i);
 }

@@ -176,6 +176,13 @@ class BatchRunner {
     std::size_t count = 0;
   };
 
+  /// Shared by both public constructors: argument checks, telemetry
+  /// binding, fault-log reservation and the (engine-less) pool.
+  BatchRunner(const Model* model, const QuantizedModel* qmodel,
+              const Shape& in_shape, const Shape& out_shape,
+              BatchRunnerConfig cfg);
+  /// Spawns one thread per pool slot once its engine exists.
+  void start_workers();
   void worker_main(std::size_t w) noexcept;
 
   const Model* model_ = nullptr;            ///< float runners

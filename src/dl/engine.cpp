@@ -211,8 +211,8 @@ std::vector<float> DynamicEngine::run(const tensor::Tensor& input) const {
   return std::vector<float>(out.data().begin(), out.data().end());
 }
 
-std::vector<float> softmax_copy(std::span<const float> logits) {
-  std::vector<float> out(logits.size());
+void softmax_into(std::span<const float> logits,
+                  std::span<float> out) noexcept {
   float m = -std::numeric_limits<float>::infinity();
   for (float v : logits) m = v > m ? v : m;
   float z = 0.0f;
@@ -221,6 +221,11 @@ std::vector<float> softmax_copy(std::span<const float> logits) {
     z += out[i];
   }
   for (auto& v : out) v /= z;
+}
+
+std::vector<float> softmax_copy(std::span<const float> logits) {
+  std::vector<float> out(logits.size());
+  softmax_into(logits, out);
   return out;
 }
 

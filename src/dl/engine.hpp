@@ -154,6 +154,10 @@ class DynamicEngine {
   const Model* model_;
 };
 
+/// Softmax applied to raw logits, written into `out` (same size as
+/// `logits`; the caller owns the buffer, so no allocation happens here).
+void softmax_into(std::span<const float> logits, std::span<float> out) noexcept;
+
 /// Softmax applied to raw logits; offline helper shared by callers that
 /// want probabilities out of a logits-producing model.
 std::vector<float> softmax_copy(std::span<const float> logits);

@@ -152,14 +152,8 @@ double MahalanobisSupervisor::score(const dl::Model& model,
                                     const tensor::Tensor& input) const {
   if (!fitted_)
     throw std::logic_error("MahalanobisSupervisor::score before fit");
-  const auto f = features_of(model, input);
-  double best = std::numeric_limits<double>::infinity();
-  std::vector<double> diff(feature_dim_);
-  for (const auto& mu : class_means_) {
-    for (std::size_t d = 0; d < feature_dim_; ++d) diff[d] = f[d] - mu[d];
-    best = std::min(best, util::mahalanobis_sq(cov_chol_, diff));
-  }
-  return best;
+  const auto acts = model.forward_trace(input);
+  return score_from_features(acts.at(feature_layer_).data());
 }
 
 // ------------------------------------------------------------- autoencoder

@@ -103,8 +103,9 @@ class MahalanobisSupervisor final : public Supervisor {
 
   /// Scores a feature vector captured externally — e.g. tapped from a
   /// StaticEngine::run_tapped at feature_layer() — instead of re-running
-  /// the model through Model::forward_trace. Widening float -> double is
-  /// exact, so this is bitwise identical to score() on the same input.
+  /// the model through Model::forward_trace. score() is this function
+  /// applied to forward_trace's activation at feature_layer(), so both
+  /// give bitwise identical scores on the same input.
   double score_from_features(std::span<const float> features) const;
 
  private:

@@ -4,6 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <ostream>
+#include <string>
 
 #include "core/pipeline.hpp"
 #include "core/report.hpp"
@@ -206,24 +210,101 @@ TEST(CertifiablePipeline, BatchDecisionsIdenticalAcrossWorkerCounts) {
   }
 }
 
-TEST(CertifiablePipeline, BatchAgreesWithSerialInference) {
+struct ParityCase {
+  core::BackendKind backend;
+  KernelMode kernels;
+};
+
+const char* kernels_name(KernelMode m) {
+  return m == KernelMode::kAuto ? "auto" : "reference";
+}
+
+// Names the parameter in test listings instead of its raw bytes.
+void PrintTo(const ParityCase& pc, std::ostream* os) {
+  *os << core::to_string(pc.backend) << '/' << kernels_name(pc.kernels);
+}
+
+class PipelineBatchParity : public ::testing::TestWithParam<ParityCase> {};
+
+// infer() and infer_batch() run one decision sequence: for the same inputs
+// every Decision field — and the audit entries each decision leaves —
+// must agree bit for bit, ODD rejections included.
+TEST_P(PipelineBatchParity, EveryDecisionFieldMatchesInfer) {
   const auto& ds = sx::testing::road_data();
   core::PipelineConfig cfg;
-  cfg.criticality = trace::Criticality::kQM;
+  cfg.criticality = trace::Criticality::kSil2;
+  cfg.backend = GetParam().backend;
+  cfg.kernel_mode = GetParam().kernels;
   cfg.batch_workers = 2;
-  core::CertifiablePipeline p{sx::testing::trained_mlp(), ds, cfg};
+  core::CertifiablePipeline batch{sx::testing::trained_mlp(), ds, cfg};
+  cfg.batch_workers = 0;
+  core::CertifiablePipeline serial{sx::testing::trained_mlp(), ds, cfg};
+  ASSERT_EQ(batch.audit().size(), serial.audit().size());
 
+  // In-ODD samples, every fifth one scaled out of the ODD box.
   std::vector<Tensor> burst;
-  for (std::size_t i = 0; i < 10; ++i) burst.push_back(ds.samples[i].input);
-  const auto decisions = p.infer_batch(burst);
-  for (std::size_t i = 0; i < burst.size(); ++i) {
-    const Tensor ref = sx::testing::trained_mlp().forward(burst[i]);
-    std::size_t cls = 0;
-    for (std::size_t k = 1; k < ref.size(); ++k)
-      if (ref.at(k) > ref.at(cls)) cls = k;
-    EXPECT_EQ(decisions[i].predicted_class, cls) << "item " << i;
+  std::size_t scaled = 0;
+  for (std::size_t i = 0; i < 20; ++i) {
+    Tensor x = ds.samples[i].input;
+    if (i % 5 == 3) {
+      for (std::size_t k = 0; k < x.size(); ++k) x.at(k) *= 25.0f;
+      ++scaled;
+    }
+    burst.push_back(x);
   }
+  // Sequence numbers are audit indices: the last deploy entry's comes
+  // first, and each decision's step from its predecessor counts its entries.
+  std::uint64_t prev_batch = batch.audit().size() - 1;
+  std::uint64_t prev_serial = serial.audit().size() - 1;
+  const std::uint64_t t = 7;
+  const auto decisions = batch.infer_batch(burst, t);
+  ASSERT_EQ(decisions.size(), burst.size());
+
+  std::size_t odd_rejects = 0, decided = 0;
+  for (std::size_t i = 0; i < burst.size(); ++i) {
+    const core::Decision s = serial.infer(burst[i], t);
+    const core::Decision& b = decisions[i];
+    EXPECT_EQ(b.status, s.status) << "item " << i;
+    EXPECT_EQ(b.predicted_class, s.predicted_class) << "item " << i;
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(b.confidence),
+              std::bit_cast<std::uint32_t>(s.confidence))
+        << "item " << i;
+    EXPECT_EQ(b.degraded, s.degraded) << "item " << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(b.supervisor_score),
+              std::bit_cast<std::uint64_t>(s.supervisor_score))
+        << "item " << i;
+    // Audit entries this decision added (its own plus any drift alarm).
+    EXPECT_EQ(b.audit_sequence - prev_batch, s.audit_sequence - prev_serial)
+        << "item " << i;
+    // Same evidence text: the batch entry only prefixes its batch index.
+    EXPECT_EQ(batch.audit().entry(b.audit_sequence).payload,
+              "batch_index=" + std::to_string(i) + " " +
+                  serial.audit().entry(s.audit_sequence).payload)
+        << "item " << i;
+    prev_batch = b.audit_sequence;
+    prev_serial = s.audit_sequence;
+    odd_rejects += b.status == Status::kOddViolation ? 1 : 0;
+    decided += b.status == Status::kOk ? 1 : 0;
+  }
+  EXPECT_EQ(odd_rejects, scaled);
+  EXPECT_EQ(decided + odd_rejects, burst.size());
+  EXPECT_EQ(batch.audit().size(), serial.audit().size());
+  EXPECT_EQ(batch.decisions(), serial.decisions());
+  EXPECT_EQ(batch.rejections(), serial.rejections());
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Sil2, PipelineBatchParity,
+    ::testing::Values(
+        ParityCase{core::BackendKind::kFloat32, KernelMode::kAuto},
+        ParityCase{core::BackendKind::kFloat32, KernelMode::kReference},
+        ParityCase{core::BackendKind::kInt8, KernelMode::kAuto},
+        ParityCase{core::BackendKind::kInt8, KernelMode::kReference}),
+    [](const ::testing::TestParamInfo<ParityCase>& param_info) {
+      const ParityCase& pc = param_info.param;
+      return std::string(core::to_string(pc.backend)) + "_" +
+             kernels_name(pc.kernels);
+    });
 
 }  // namespace
 }  // namespace sx::dl

@@ -118,6 +118,13 @@ TEST(SoftmaxCopy, NormalizesLogits) {
   EXPECT_GT(p[2], p[0]);
 }
 
+TEST(SoftmaxInto, WritesTheCopysBitsIntoTheCallersBuffer) {
+  const std::vector<float> logits{-3.5f, 0.25f, 7.0f, 1e-3f};
+  std::vector<float> out(logits.size(), -1.0f);
+  softmax_into(logits, out);
+  EXPECT_EQ(out, softmax_copy(logits));
+}
+
 // Property sweep: static engine output matches offline forward for both
 // model architectures over many samples.
 class EngineEquivalence

@@ -25,11 +25,13 @@ int run_experiment() {
   probes.input_shape = ds.input_shape;
   for (std::size_t i = 0; i < 16; ++i) probes.samples.push_back(ds.samples[i]);
 
-  // Supervisor for the safety-bag configuration.
-  supervise::AutoencoderSupervisor supervisor{16, 10, 0.05, 3};
+  // Supervisor for the safety-bag configuration: the Mahalanobis score a
+  // deployed pipeline uses, taken through the same planned tap scorer.
+  supervise::MahalanobisSupervisor supervisor;
   supervisor.fit(model, ds);
   supervisor.calibrate_threshold(
       supervise::collect_scores(supervisor, model, ds), 0.95);
+  supervise::TapScorer scorer{model, supervisor};
   std::vector<float> fallback(dl::kRoadSceneClasses, 0.0f);
   fallback[static_cast<std::size_t>(dl::RoadSceneClass::kObstacle)] = 10.0f;
 
@@ -50,7 +52,7 @@ int run_experiment() {
   cases.push_back(
       {"tmr+safety-bag",
        std::make_unique<safety::SafetyBagChannel>(
-           std::make_unique<safety::TmrChannel>(model), &model, &supervisor,
+           std::make_unique<safety::TmrChannel>(model), &scorer,
            fallback)});
 
   const safety::CampaignConfig cfg{.n_faults = 150,

@@ -207,27 +207,6 @@ CertifiablePipeline::CertifiablePipeline(const dl::Model& model,
   if (spec_.has_supervisor && !verify_refused_) {
     supervisor_ = std::make_unique<supervise::MahalanobisSupervisor>();
     supervisor_->fit(*model_, calibration);
-    // Per-decision feature extraction goes through a tap-capable static
-    // engine (planned kernels, buffers preallocated here) instead of
-    // Model::forward_trace's per-layer heap tensors. Bitwise identical:
-    // the planned engine reproduces the reference activations exactly.
-    // Fault policing stays off to match forward_trace, which does not
-    // screen activations either. It is the only per-decision scoring
-    // path, so a feature layer it cannot tap refuses the deployment.
-    dl::StaticEngineConfig sup_cfg;
-    sup_cfg.check_numeric_faults = false;
-    sup_cfg.kernels = cfg_.kernel_mode;
-    // Pin the tapped feature layer: the fusion pass must not fold an
-    // epilogue across it, or the pre-activation values the supervisor
-    // reads would no longer exist in the arena.
-    sup_cfg.pin_tap_layer = supervisor_->feature_layer();
-    sup_engine_ = std::make_unique<dl::StaticEngine>(*model_, sup_cfg);
-    if (!sup_engine_->can_tap(supervisor_->feature_layer()))
-      throw std::logic_error(
-          "CertifiablePipeline: supervisor engine cannot tap the feature "
-          "layer");
-    sup_feat_.assign(supervisor_->feature_dim(), 0.0f);
-    sup_logits_.assign(n_out, 0.0f);
     const auto scores =
         supervise::collect_scores(*supervisor_, *model_, calibration);
     supervisor_->calibrate_threshold(scores, cfg_.supervisor_tpr);
@@ -236,8 +215,13 @@ CertifiablePipeline::CertifiablePipeline(const dl::Model& model,
       log_scores[i] = std::log1p(std::max(0.0, scores[i]));
     drift_ = std::make_unique<supervise::CusumDetector>(
         supervise::CusumDetector::fit(log_scores, 0.5, 10.0));
+    // Per-decision scores go through a planned engine that taps the
+    // feature layer (buffers and solve scratch sized here), bitwise
+    // identical to the reference walk the threshold was calibrated on.
+    scorer_ = std::make_unique<supervise::TapScorer>(*model_, *supervisor_,
+                                                     cfg_.kernel_mode);
     if (obs_) {
-      supervisor_->bind_telemetry(obs_.get(), c_sup_rej_);
+      scorer_->bind_telemetry(obs_.get(), c_sup_rej_);
       obs_->set(g_sup_threshold_, supervisor_->threshold());
     }
   }
@@ -260,9 +244,10 @@ CertifiablePipeline::CertifiablePipeline(const dl::Model& model,
           make_channel(spec_.pattern, *model_, calibration, cfg_.kernel_mode);
     }
     if (spec_.has_safety_bag) {
-      channel_ = std::make_unique<safety::SafetyBagChannel>(
-          std::move(inner), supervisor_ ? model_.get() : nullptr,
-          supervisor_.get(), fallback_);
+      auto bag = std::make_unique<safety::SafetyBagChannel>(
+          std::move(inner), scorer_.get(), fallback_);
+      bag_ = bag.get();
+      channel_ = std::move(bag);
     } else {
       channel_ = std::move(inner);
     }
@@ -464,15 +449,17 @@ void CertifiablePipeline::decide(Decision& d, const ItemContext& c,
     }
   }
 
-  // 3. Supervisor score on features tapped from the planned engine, then
-  // the CUSUM drift detector on its log-transformed score stream. A failed
-  // tap fail-stops the decision exactly like a failed inference.
-  if (ok(st) && supervisor_) {
+  // 3. The decision's one supervisor score: the safety bag's when it took
+  // one inside the channel, else the scorer's. Then the CUSUM drift
+  // detector on its log-transformed score stream. A failed tap fail-stops
+  // the decision exactly like a failed inference.
+  if (ok(st) && scorer_) {
     const std::uint64_t t_sup = obs_ ? obs_->now() : 0;
-    st = sup_engine_->run_tapped(c.input, sup_logits_,
-                                 supervisor_->feature_layer(), sup_feat_);
+    if (r.score)
+      d.supervisor_score = *r.score;
+    else
+      st = scorer_->score(c.input, d.supervisor_score);
     if (ok(st)) {
-      d.supervisor_score = supervisor_->score_from_features(sup_feat_);
       const bool was_alarmed = drift_->alarmed();
       drift_->update(std::log1p(std::max(0.0, d.supervisor_score)));
       if (obs_) obs_->set(g_drift_cusum_, drift_->statistic());
@@ -535,6 +522,7 @@ Decision CertifiablePipeline::infer(const tensor::Tensor& input,
   r.t1 = obs_ ? obs_->now() : 0;
   r.logits = out_buf_;
   r.degraded = channel_->last_degraded();
+  if (bag_ != nullptr) r.score = bag_->last_score();
   decide(d, c, r);
   return d;
 }
@@ -569,14 +557,15 @@ std::vector<Decision> CertifiablePipeline::infer_batch(
     // Stage the batch contiguously and take ODD verdicts up front, in
     // batch-index order, so the guard histogram is schedule-free; the
     // verdict spans are recorded in the decision loop under the
-    // decision's ordinal.
+    // decision's ordinal. A wrong-shaped input stages zeros, so the pool
+    // still runs every slot, and fail-stops below as it does in infer().
     for (std::size_t i = 0; i < n_items; ++i) {
-      if (inputs[i].shape() != model_->input_shape())
-        throw std::invalid_argument(
-            "CertifiablePipeline::infer_batch: input shape mismatch");
       odd_verdicts_[i] = guard(inputs[i].view());
-      const auto src = inputs[i].data();
-      std::copy(src.begin(), src.end(), staged_.begin() + i * in_size);
+      const auto slot = staged_.begin() + i * in_size;
+      if (inputs[i].shape() == model_->input_shape())
+        std::copy(inputs[i].data().begin(), inputs[i].data().end(), slot);
+      else
+        std::fill(slot, slot + in_size, 0.0f);
     }
 
     // Parallel dispatch over the static pool, chunked to the pre-planned
@@ -595,6 +584,10 @@ std::vector<Decision> CertifiablePipeline::infer_batch(
         throw std::logic_error("CertifiablePipeline::infer_batch: dispatch " +
                                std::string(to_string(st)));
     }
+
+    for (std::size_t i = 0; i < n_items; ++i)
+      if (inputs[i].shape() != model_->input_shape())
+        engine_status_[i] = Status::kShapeMismatch;
 
     // Quantized pool: push the clips this dispatch added, so the telemetry
     // counter mirrors the pool's deterministic total.
@@ -629,7 +622,8 @@ std::vector<Decision> CertifiablePipeline::infer_batch(
                .t1 = t_inf + c.elapsed,
                .logits = std::span<const float>(batch_logits_)
                              .subspan(i * n_out, n_out),
-               .degraded = !ok(engine_status_[i])});
+               .degraded = !ok(engine_status_[i]),
+               .score = {}});  // the pool takes no trust score
   }
   return decisions;
 }

@@ -22,6 +22,7 @@
 #include "safety/watchdog.hpp"
 #include "supervise/drift.hpp"
 #include "supervise/supervisor.hpp"
+#include "supervise/tap_scorer.hpp"
 #include "trace/audit.hpp"
 #include "trace/odd.hpp"
 #include "trace/provenance.hpp"
@@ -114,8 +115,9 @@ class CertifiablePipeline {
                  std::uint64_t elapsed = 0);
 
   /// Runs one decision per input through the deterministic batch executor
-  /// (requires cfg.batch_workers > 0; throws std::logic_error otherwise,
-  /// and std::invalid_argument on an input of the wrong shape). ODD
+  /// (requires cfg.batch_workers > 0; throws std::logic_error otherwise).
+  /// An input of the wrong shape fail-stops its own decision with
+  /// kShapeMismatch, as in infer(); the rest of the batch decides. ODD
   /// verdicts are taken serially up front; raw inference is then fanned
   /// out over the static worker pool with a static partition, so
   /// decisions, counters and the audit trail are identical for every
@@ -263,6 +265,7 @@ class CertifiablePipeline {
     std::uint64_t t1 = 0;
     std::span<const float> logits;
     bool degraded = false;  ///< logits are the fallback (or status failed)
+    std::optional<double> score;  ///< the safety bag's, when it took one
   };
 
   OddVerdict guard(tensor::ConstTensorView input) noexcept;
@@ -291,15 +294,13 @@ class CertifiablePipeline {
   std::unique_ptr<obs::Registry> obs_;
   std::unique_ptr<obs::FlightRecorder> fdr_;
   std::unique_ptr<dl::BatchRunner> batch_;
+  std::unique_ptr<supervise::MahalanobisSupervisor> supervisor_;
+  // The one scoring path; declared before channel_, whose safety bag
+  // points at it. Deployment refuses an untappable feature layer.
+  std::unique_ptr<supervise::TapScorer> scorer_;
   std::unique_ptr<safety::InferenceChannel> channel_;
   safety::QuantChannel* qchannel_ = nullptr;  // view into channel_ (kInt8)
-  std::unique_ptr<supervise::MahalanobisSupervisor> supervisor_;
-  // Tap-capable engine + preallocated buffers feeding the supervisor its
-  // per-decision features without a second allocation-heavy forward pass.
-  // The only scoring path: deployment refuses an untappable feature layer.
-  std::unique_ptr<dl::StaticEngine> sup_engine_;
-  std::vector<float> sup_feat_;
-  std::vector<float> sup_logits_;
+  safety::SafetyBagChannel* bag_ = nullptr;   // view into channel_
   std::unique_ptr<supervise::CusumDetector> drift_;
   std::unique_ptr<trace::OddGuard> odd_;
   std::unique_ptr<explain::Explainer> explainer_;

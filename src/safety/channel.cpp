@@ -230,47 +230,28 @@ Status QuantChannel::infer(tensor::ConstTensorView in,
 // --------------------------------------------------------- SafetyBagChannel
 
 SafetyBagChannel::SafetyBagChannel(std::unique_ptr<InferenceChannel> primary,
-                                   const dl::Model* supervisor_model,
-                                   const supervise::Supervisor* supervisor,
+                                   supervise::TapScorer* scorer,
                                    std::vector<float> fallback_logits)
     : primary_(std::move(primary)),
-      supervisor_model_(supervisor_model),
-      supervisor_(supervisor),
+      scorer_(scorer),
       fallback_(std::move(fallback_logits)) {
   if (!primary_) throw std::invalid_argument("SafetyBagChannel: null primary");
   if (fallback_.size() != primary_->output_size())
     throw std::invalid_argument("SafetyBagChannel: fallback size mismatch");
-  if ((supervisor_ != nullptr) != (supervisor_model_ != nullptr))
-    throw std::invalid_argument(
-        "SafetyBagChannel: supervisor and its model must come together");
-  if (supervisor_ && !supervisor_->has_threshold())
-    throw std::invalid_argument(
-        "SafetyBagChannel: supervisor threshold not calibrated");
 }
 
 Status SafetyBagChannel::infer(tensor::ConstTensorView in,
                                std::span<float> out) noexcept {
-  degraded_ = false;
-  bool use_fallback = false;
-  const Status st = primary_->infer(in, out);
-  if (!ok(st)) {
-    use_fallback = true;
-  } else if (supervisor_ != nullptr) {
-    // Supervisor scoring is not noexcept by construction; contain it.
-    bool trusted = true;
-    try {
-      tensor::Tensor copy{in.shape};
-      for (std::size_t i = 0; i < in.data.size(); ++i)
-        copy.at(i) = in.data[i];
-      trusted = supervisor_->accept(*supervisor_model_, copy);
-    } catch (...) {
-      trusted = false;
-    }
-    if (!trusted) use_fallback = true;
+  score_.reset();
+  bool use_fallback = !ok(primary_->infer(in, out));
+  if (!use_fallback && scorer_ != nullptr) {
+    double score = 0.0;
+    if (ok(scorer_->score(in, score))) score_ = score;
+    use_fallback = !score_ || !scorer_->accept(*score_);
   }
+  degraded_ = use_fallback;
   if (use_fallback) {
     for (std::size_t i = 0; i < out.size(); ++i) out[i] = fallback_[i];
-    degraded_ = true;
     ++fallbacks_;
   }
   return Status::kOk;  // fail-operational: always produces a safe output

@@ -10,13 +10,18 @@
 //   diverse-tmr   diverse triplication: float / int8 / float replicas with
 //                 argmax majority vote (common-cause defence)
 //   safety-bag    any channel + trust supervisor + rule-based fallback
-//                 (fail-operational: degrades instead of stopping)
+//                 (fail-operational: degrades instead of stopping). The
+//                 bag computes the decision's one trust score itself,
+//                 through the pipeline's supervise::TapScorer over the
+//                 clean deployed model; the pipeline's supervisor stage
+//                 reuses it instead of scoring a second time.
 //
 // Channels own *copies* of the deployed model so that fault injection into
 // one replica models an SEU in that replica's weight memory.
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "dl/engine.hpp"
@@ -25,7 +30,7 @@
 #include "obs/registry.hpp"
 #include "safety/fault.hpp"
 #include "safety/monitor.hpp"
-#include "supervise/supervisor.hpp"
+#include "supervise/tap_scorer.hpp"
 
 namespace sx::safety {
 
@@ -326,16 +331,15 @@ class QuantChannel final : public InferenceChannel {
 };
 
 /// Fail-operational safety bag: primary channel + (optional) trust
-/// supervisor + deterministic fallback output (e.g. "assume obstacle").
+/// scorer + deterministic fallback output (e.g. "assume obstacle").
 class SafetyBagChannel final : public InferenceChannel {
  public:
   /// `fallback_logits` is the conservative output substituted when the
-  /// primary fails or the supervisor rejects. `supervisor` may be null
-  /// (then only channel-status failures trigger the fallback); if given it
-  /// must already be fitted and threshold-calibrated.
+  /// primary fails or the scorer rejects. `scorer` may be null (then only
+  /// channel-status failures trigger the fallback); it must outlive the
+  /// bag.
   SafetyBagChannel(std::unique_ptr<InferenceChannel> primary,
-                   const dl::Model* supervisor_model,
-                   const supervise::Supervisor* supervisor,
+                   supervise::TapScorer* scorer,
                    std::vector<float> fallback_logits);
 
   std::string_view pattern_name() const noexcept override {
@@ -367,6 +371,10 @@ class SafetyBagChannel final : public InferenceChannel {
     return primary_->float_kernel_plan();
   }
 
+  /// The trust score the previous infer() took: only when the primary
+  /// succeeded, a scorer is attached and its tap succeeded.
+  std::optional<double> last_score() const noexcept { return score_; }
+
   std::uint64_t fallback_activations() const noexcept { return fallbacks_; }
 
   void bind_telemetry(obs::Registry& registry) override {
@@ -375,9 +383,9 @@ class SafetyBagChannel final : public InferenceChannel {
 
  private:
   std::unique_ptr<InferenceChannel> primary_;
-  const dl::Model* supervisor_model_;
-  const supervise::Supervisor* supervisor_;
+  supervise::TapScorer* scorer_;
   std::vector<float> fallback_;
+  std::optional<double> score_;
   bool degraded_ = false;
   std::uint64_t fallbacks_ = 0;
 };

@@ -138,12 +138,18 @@ double MahalanobisSupervisor::score_from_features(
   if (features.size() != feature_dim_)
     throw std::invalid_argument(
         "MahalanobisSupervisor::score_from_features: feature width");
+  std::vector<double> scratch(feature_dim_);
+  return score_into(features, scratch);
+}
+
+double MahalanobisSupervisor::score_into(
+    std::span<const float> features,
+    std::span<double> scratch) const noexcept {
   double best = std::numeric_limits<double>::infinity();
-  std::vector<double> diff(feature_dim_);
   for (const auto& mu : class_means_) {
     for (std::size_t d = 0; d < feature_dim_; ++d)
-      diff[d] = static_cast<double>(features[d]) - mu[d];
-    best = std::min(best, util::mahalanobis_sq(cov_chol_, diff));
+      scratch[d] = static_cast<double>(features[d]) - mu[d];
+    best = std::min(best, util::mahalanobis_sq(cov_chol_, scratch));
   }
   return best;
 }

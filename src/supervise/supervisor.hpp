@@ -17,7 +17,6 @@
 
 #include "dl/dataset.hpp"
 #include "dl/model.hpp"
-#include "obs/registry.hpp"
 #include "util/linalg.hpp"
 
 namespace sx::supervise {
@@ -42,26 +41,16 @@ class Supervisor {
   double threshold() const noexcept { return threshold_; }
   bool has_threshold() const noexcept { return has_threshold_; }
 
-  /// Accept/reject decision (requires a calibrated threshold).
+  /// Accept/reject decision (requires a calibrated threshold): a pure
+  /// threshold check on score(). Deployed pipelines score through
+  /// supervise::TapScorer instead.
   bool accept(const dl::Model& model, const tensor::Tensor& input) const {
-    const bool accepted = score(model, input) <= threshold_;
-    if (!accepted && obs_ != nullptr) obs_->add(rejections_id_);
-    return accepted;
-  }
-
-  /// Binds a rejection counter (configuration time): every accept()
-  /// returning false also increments `rejections` in `registry`.
-  void bind_telemetry(obs::Registry* registry,
-                      obs::CounterId rejections) noexcept {
-    obs_ = registry;
-    rejections_id_ = rejections;
+    return score(model, input) <= threshold_;
   }
 
  private:
   double threshold_ = 0.0;
   bool has_threshold_ = false;
-  obs::Registry* obs_ = nullptr;
-  obs::CounterId rejections_id_{};
 };
 
 /// Baseline: score = 1 - max softmax probability.
@@ -107,6 +96,13 @@ class MahalanobisSupervisor final : public Supervisor {
   /// applied to forward_trace's activation at feature_layer(), so both
   /// give bitwise identical scores on the same input.
   double score_from_features(std::span<const float> features) const;
+
+  /// score_from_features without its checks and without allocating: the
+  /// caller guarantees fit() ran and features.size() == feature_dim(), and
+  /// `scratch` holds feature_dim() doubles (overwritten). Same arithmetic,
+  /// so the same bits.
+  double score_into(std::span<const float> features,
+                    std::span<double> scratch) const noexcept;
 
  private:
   std::vector<double> features_of(const dl::Model& model,

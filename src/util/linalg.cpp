@@ -43,18 +43,17 @@ std::vector<double> cholesky_solve(const SquareMatrix& chol,
   return b;
 }
 
-double mahalanobis_sq(const SquareMatrix& chol, const std::vector<double>& x) {
+double mahalanobis_sq(const SquareMatrix& chol, std::span<double> x) {
   const std::size_t n = chol.n;
   if (x.size() != n) throw std::invalid_argument("mahalanobis_sq: size");
-  // Solve L y = x; then distance^2 = y . y.
-  std::vector<double> y(x);
+  // Solve L y = x in place; then distance^2 = y . y.
   for (std::size_t i = 0; i < n; ++i) {
-    double s = y[i];
-    for (std::size_t k = 0; k < i; ++k) s -= chol.at(i, k) * y[k];
-    y[i] = s / chol.at(i, i);
+    double s = x[i];
+    for (std::size_t k = 0; k < i; ++k) s -= chol.at(i, k) * x[k];
+    x[i] = s / chol.at(i, i);
   }
   double acc = 0.0;
-  for (double v : y) acc += v * v;
+  for (double v : x) acc += v * v;
   return acc;
 }
 

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 namespace sx::util {
@@ -27,8 +28,9 @@ bool cholesky(SquareMatrix& m, double jitter = 0.0);
 std::vector<double> cholesky_solve(const SquareMatrix& chol,
                                    std::vector<double> b);
 
-/// x^T A^{-1} x via two triangular solves with the Cholesky factor.
-double mahalanobis_sq(const SquareMatrix& chol,
-                      const std::vector<double>& x);
+/// x^T A^{-1} x via one triangular solve with the Cholesky factor L:
+/// solves L y = x in place (x is overwritten with y) and returns y . y.
+/// Makes no allocation.
+double mahalanobis_sq(const SquareMatrix& chol, std::span<double> x);
 
 }  // namespace sx::util

@@ -1,0 +1,178 @@
+// Heap-allocation gates on the decision path. This binary replaces the
+// global operator new/delete family with a counting one, so it stands
+// alone: the count covers every allocation the linked program makes, the
+// library under test included. Each gate warms up first (grow-only buffers
+// reach their size), then counts over a loop with no assertion inside.
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+#include <vector>
+
+#include "core/pipeline.hpp"
+#include "supervise/metrics.hpp"
+#include "supervise/tap_scorer.hpp"
+#include "test_helpers.hpp"
+
+namespace {
+
+std::atomic<std::uint64_t> g_allocations{0};
+
+void* counted_alloc(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size == 0 ? 1 : size);
+}
+
+void* counted_aligned_alloc(std::size_t size, std::align_val_t align) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  void* p = nullptr;
+  const std::size_t a = static_cast<std::size_t>(align) < sizeof(void*)
+                            ? sizeof(void*)
+                            : static_cast<std::size_t>(align);
+  if (posix_memalign(&p, a, size == 0 ? 1 : size) != 0) return nullptr;
+  return p;
+}
+
+std::uint64_t allocations() noexcept {
+  return g_allocations.load(std::memory_order_relaxed);
+}
+
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (void* p = counted_alloc(size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) {
+  if (void* p = counted_alloc(size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_alloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_alloc(size);
+}
+void* operator new(std::size_t size, std::align_val_t align) {
+  if (void* p = counted_aligned_alloc(size, align)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size, std::align_val_t align) {
+  if (void* p = counted_aligned_alloc(size, align)) return p;
+  throw std::bad_alloc();
+}
+void* operator new(std::size_t size, std::align_val_t align,
+                   const std::nothrow_t&) noexcept {
+  return counted_aligned_alloc(size, align);
+}
+void* operator new[](std::size_t size, std::align_val_t align,
+                     const std::nothrow_t&) noexcept {
+  return counted_aligned_alloc(size, align);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, std::align_val_t,
+                     const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::align_val_t,
+                       const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+
+namespace sx {
+namespace {
+
+const dl::Model& model() { return sx::testing::trained_mlp(); }
+const dl::Dataset& data() { return sx::testing::road_data(); }
+
+TEST(Allocations, CounterSeesTheHeap) {
+  const std::uint64_t before = allocations();
+  std::vector<int>* v = new std::vector<int>(16);
+  const std::uint64_t after = allocations();
+  delete v;
+  EXPECT_EQ(after - before, 2u);  // the vector and its storage
+}
+
+TEST(Allocations, TapScorerScoresWithoutAllocating) {
+  supervise::MahalanobisSupervisor sup;
+  sup.fit(model(), data());
+  sup.calibrate_threshold(supervise::collect_scores(sup, model(), data()),
+                          0.95);
+  supervise::TapScorer scorer{model(), sup};
+  double score = 0.0;
+  for (std::size_t i = 0; i < 8; ++i)
+    (void)scorer.score(data().samples[i].input.view(), score);
+
+  std::size_t failed = 0, accepted = 0;
+  const std::uint64_t before = allocations();
+  for (std::size_t i = 0; i < 100; ++i) {
+    failed += ok(scorer.score(data().samples[i].input.view(), score)) ? 0 : 1;
+    accepted += scorer.accept(score) ? 1 : 0;
+  }
+  const std::uint64_t made = allocations() - before;
+  EXPECT_EQ(made, 0u);
+  EXPECT_EQ(failed, 0u);
+  EXPECT_GT(accepted, 0u);
+}
+
+/// Heap allocations per infer() decision over in-distribution inputs,
+/// after a warm-up pass over the same inputs.
+double allocations_per_decision(core::CertifiablePipeline& p) {
+  constexpr std::size_t kDecisions = 32;
+  for (std::size_t i = 0; i < kDecisions; ++i)
+    (void)p.infer(data().samples[i].input, i);
+  std::size_t decided = 0;
+  const std::uint64_t before = allocations();
+  for (std::size_t i = 0; i < kDecisions; ++i)
+    decided += p.infer(data().samples[i].input, kDecisions + i).status ==
+                       Status::kOk
+                   ? 1
+                   : 0;
+  const std::uint64_t made = allocations() - before;
+  EXPECT_EQ(decided, kDecisions);
+  return static_cast<double>(made) / static_cast<double>(kDecisions);
+}
+
+// The safety bag takes the decision's one trust score through the shared
+// scorer, so SIL3's TMR + safety bag costs no more allocations per
+// decision than SIL2's monitored channel.
+TEST(Allocations, Sil3TmrBagDecisionAllocatesNoMoreThanSil2Monitored) {
+  core::PipelineConfig cfg;
+  cfg.criticality = trace::Criticality::kSil2;
+  core::CertifiablePipeline sil2{model(), data(), cfg};
+  ASSERT_EQ(sil2.spec().pattern, core::PatternKind::kMonitored);
+  cfg.criticality = trace::Criticality::kSil3;
+  cfg.spec = core::recommended_spec(cfg.criticality);
+  cfg.spec->pattern = core::PatternKind::kTmr;
+  cfg.timing_budget = 1'000'000'000;
+  core::CertifiablePipeline sil3{model(), data(), cfg};
+  ASSERT_EQ(sil3.spec().pattern, core::PatternKind::kTmr);
+  ASSERT_TRUE(sil3.spec().has_safety_bag);
+
+  const double per_sil2 = allocations_per_decision(sil2);
+  const double per_sil3 = allocations_per_decision(sil3);
+  EXPECT_LE(per_sil3, per_sil2) << "SIL2 " << per_sil2 << ", SIL3 "
+                                << per_sil3;
+  RecordProperty("sil2_allocs_per_decision", std::to_string(per_sil2));
+  RecordProperty("sil3_allocs_per_decision", std::to_string(per_sil3));
+}
+
+}  // namespace
+}  // namespace sx

@@ -12,6 +12,8 @@
 #include "core/pipeline.hpp"
 #include "core/report.hpp"
 #include "dl/batch.hpp"
+#include "obs/snapshot.hpp"
+#include "supervise/metrics.hpp"
 #include "test_helpers.hpp"
 #include "util/hash.hpp"
 #include "verify/range.hpp"
@@ -304,6 +306,84 @@ INSTANTIATE_TEST_SUITE_P(
       const ParityCase& pc = param_info.param;
       return std::string(core::to_string(pc.backend)) + "_" +
              kernels_name(pc.kernels);
+    });
+
+class PipelineScoreParity
+    : public ::testing::TestWithParam<trace::Criticality> {};
+
+// At SIL3/4 the safety bag takes each decision's one trust score inside the
+// channel and the supervisor stage reuses it. That score must be the
+// reference walk's bit for bit, the bag's verdict must be the threshold
+// check on it, and the rejection counter must count exactly the bag's
+// supervisor rejections.
+TEST_P(PipelineScoreParity, BagScoreIsTheReferenceScore) {
+  const auto& ds = sx::testing::road_data();
+  const dl::Model& model = sx::testing::trained_mlp();
+  core::PipelineConfig cfg;
+  cfg.criticality = GetParam();
+  // SIL3 with TMR rather than its minimum DMR; SIL4's minimum is already
+  // diverse TMR. Both carry the safety bag.
+  cfg.spec = core::recommended_spec(cfg.criticality);
+  if (cfg.criticality == trace::Criticality::kSil3)
+    cfg.spec->pattern = core::PatternKind::kTmr;
+  cfg.timing_budget = 1'000'000'000;
+  core::CertifiablePipeline p{model, ds, cfg};
+  auto* bag = dynamic_cast<safety::SafetyBagChannel*>(p.channel());
+  ASSERT_NE(bag, nullptr);
+  EXPECT_EQ(p.spec().pattern, GetParam() == trace::Criticality::kSil3
+                                  ? core::PatternKind::kTmr
+                                  : core::PatternKind::kDiverseTmr);
+
+  // The pipeline's supervisor, refitted: fit and calibration are
+  // deterministic, so the reference walk here scores with the same bits.
+  supervise::MahalanobisSupervisor ref;
+  ref.fit(model, ds);
+  ref.calibrate_threshold(supervise::collect_scores(ref, model, ds),
+                          cfg.supervisor_tpr);
+
+  const dl::Dataset ood =
+      dl::corrupt(ds, dl::Corruption::kUniformRandom, 3);
+  std::vector<Tensor> inputs;
+  for (std::size_t i = 0; i < 24; ++i) {
+    inputs.push_back(ds.samples[i].input);
+    inputs.push_back(ood.samples[i].input);
+  }
+  std::uint64_t scored = 0, sup_rejections = 0, odd_rejections = 0;
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    const core::Decision d = p.infer(inputs[i], i);
+    if (d.status == Status::kOddViolation) {
+      // Refused before the channel: the decision takes no score.
+      EXPECT_EQ(d.supervisor_score, 0.0) << "item " << i;
+      ++odd_rejections;
+      continue;
+    }
+    ASSERT_EQ(d.status, Status::kOk) << "item " << i;
+    ASSERT_TRUE(bag->last_score().has_value()) << "item " << i;
+    ++scored;
+    const double want = ref.score(model, inputs[i]);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(d.supervisor_score),
+              std::bit_cast<std::uint64_t>(want))
+        << "item " << i;
+    EXPECT_EQ(d.degraded, d.supervisor_score > ref.threshold())
+        << "item " << i;
+    sup_rejections += d.degraded ? 1 : 0;
+  }
+  // The guard refuses every uniform-noise input at SIL3/4; of the
+  // in-distribution ones the supervisor accepts some and rejects some.
+  EXPECT_EQ(odd_rejections, 24u);
+  EXPECT_GT(sup_rejections, 0u);
+  EXPECT_LT(sup_rejections, scored);
+  EXPECT_EQ(bag->fallback_activations(), sup_rejections);
+  const auto snap = obs::RegistrySnapshot::capture(*p.telemetry());
+  EXPECT_EQ(snap.counter_value("sx_supervisor_rejections_total"),
+            sup_rejections);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SafetyBag, PipelineScoreParity,
+    ::testing::Values(trace::Criticality::kSil3, trace::Criticality::kSil4),
+    [](const ::testing::TestParamInfo<trace::Criticality>& param_info) {
+      return std::string(trace::to_string(param_info.param));
     });
 
 }  // namespace

@@ -212,7 +212,7 @@ TEST(SafetyBag, FallsBackOnPrimaryFailure) {
   primary->refresh_replica(0);  // planned engines snapshot weights
   std::vector<float> fallback(dl::kRoadSceneClasses, 0.0f);
   fallback[3] = 10.0f;  // conservative: "obstacle"
-  SafetyBagChannel bag{std::move(primary), nullptr, nullptr, fallback};
+  SafetyBagChannel bag{std::move(primary), nullptr, fallback};
   std::vector<float> out(bag.output_size());
   ASSERT_EQ(bag.infer(data().samples[0].input.view(), out), Status::kOk);
   EXPECT_TRUE(bag.last_degraded());
@@ -224,14 +224,18 @@ TEST(SafetyBag, FallsBackOnPrimaryFailure) {
 }
 
 TEST(SafetyBag, SupervisorRejectTriggersFallback) {
-  supervise::AutoencoderSupervisor sup{16, 10, 0.05, 3};
-  sup.fit(model(), data());
-  sup.calibrate_threshold(supervise::collect_scores(sup, model(), data()),
-                          0.95);
-  auto primary = std::make_unique<SingleChannel>(model());
+  // The CNN: the Mahalanobis supervisor reads the penultimate features, and
+  // the MLP's 16-wide layer separates uniform noise less well (9 of these
+  // 20 inputs rejected at its 95% threshold, against 16 on the CNN).
+  const dl::Model& cnn = sx::testing::trained_cnn();
+  supervise::MahalanobisSupervisor sup;
+  sup.fit(cnn, data());
+  sup.calibrate_threshold(supervise::collect_scores(sup, cnn, data()), 0.95);
+  supervise::TapScorer scorer{cnn, sup};
+  auto primary = std::make_unique<SingleChannel>(cnn);
   std::vector<float> fallback(dl::kRoadSceneClasses, 0.0f);
   fallback[3] = 10.0f;
-  SafetyBagChannel bag{std::move(primary), &model(), &sup, fallback};
+  SafetyBagChannel bag{std::move(primary), &scorer, fallback};
   // Far-OOD input should be rejected by the supervisor.
   const dl::Dataset ood =
       dl::corrupt(data(), dl::Corruption::kUniformRandom, 3);
@@ -240,6 +244,10 @@ TEST(SafetyBag, SupervisorRejectTriggersFallback) {
   for (std::size_t i = 0; i < 20; ++i) {
     ASSERT_EQ(bag.infer(ood.samples[i].input.view(), out), Status::kOk);
     fallbacks += bag.last_degraded() ? 1 : 0;
+    // The bag's verdict is the reference walk's, on the same score bits.
+    ASSERT_TRUE(bag.last_score().has_value());
+    EXPECT_EQ(*bag.last_score(), sup.score(cnn, ood.samples[i].input));
+    EXPECT_EQ(bag.last_degraded(), !sup.accept(cnn, ood.samples[i].input));
   }
   EXPECT_GT(fallbacks, 15u);
 }
@@ -247,13 +255,11 @@ TEST(SafetyBag, SupervisorRejectTriggersFallback) {
 TEST(SafetyBag, ValidatesConstruction) {
   std::vector<float> wrong_size(2, 0.0f);
   EXPECT_THROW(SafetyBagChannel(std::make_unique<SingleChannel>(model()),
-                                nullptr, nullptr, wrong_size),
+                                nullptr, wrong_size),
                std::invalid_argument);
-  supervise::MahalanobisSupervisor sup;  // unfitted, no threshold
-  std::vector<float> fb(dl::kRoadSceneClasses, 0.0f);
-  EXPECT_THROW(SafetyBagChannel(std::make_unique<SingleChannel>(model()),
-                                &model(), &sup, fb),
-               std::invalid_argument);
+  // An unfitted, uncalibrated supervisor never becomes a bag's scorer.
+  supervise::MahalanobisSupervisor sup;
+  EXPECT_THROW(supervise::TapScorer(model(), sup), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------- campaign

@@ -391,6 +391,43 @@ TEST(ServeWindow, SaturatesNearUint64MaxInsteadOfWrapping) {
   EXPECT_EQ(server.shed_count(), 0u);
 }
 
+// A payload of the wrong shape fail-stops its own decision, as infer()
+// does, and the rest of its window is served: the window is not lost.
+TEST(ServeShape, WrongShapedPayloadFailStopsOnlyItsItem) {
+  core::PipelineConfig pcfg = pipe_cfg(1);
+  pcfg.criticality = trace::Criticality::kQM;
+  core::CertifiablePipeline pipe{sx::testing::trained_mlp(),
+                                 sx::testing::road_data(), pcfg};
+  serve::ServerConfig cfg = base_cfg();
+  cfg.streams = {cfg.streams[1]};
+  cfg.streams[0].service_lo = 1;  // both fit their deadlines
+  serve::Server server{pipe, cfg};
+  std::vector<tensor::Tensor> pool = input_pool(1);
+  pool.push_back(tensor::Tensor{tensor::Shape{3}});
+
+  serve::ArrivalTrace trace;
+  trace.horizon = 64;
+  trace.requests = {req(0, 0, 0, 0), req(1, 0, 1, 0)};
+  ASSERT_NO_THROW(server.run_trace(trace, pool));
+
+  ASSERT_EQ(server.served_count(), 2u);
+  EXPECT_EQ(server.shed_count(), 0u);
+  const auto snap = obs::RegistrySnapshot::capture(server.telemetry());
+  EXPECT_EQ(snap.counter_value("sx_serve_windows_total"), 1u);
+  core::CertifiablePipeline twin{sx::testing::trained_mlp(),
+                                 sx::testing::road_data(), pcfg};
+  for (std::size_t k = 0; k < 2; ++k) {
+    const core::Decision& d = server.served()[k].decision;
+    const core::Decision want = twin.infer(pool[k]);
+    EXPECT_EQ(d.status, want.status) << "payload " << k;
+    EXPECT_EQ(d.predicted_class, want.predicted_class) << "payload " << k;
+    EXPECT_EQ(d.degraded, want.degraded) << "payload " << k;
+  }
+  EXPECT_EQ(server.served()[0].decision.status, Status::kOk);
+  EXPECT_EQ(server.served()[1].decision.status, Status::kShapeMismatch);
+  EXPECT_TRUE(server.served()[1].decision.degraded);
+}
+
 // ---------------------------------------------------------------------------
 // Overload: Simplex fallback sheds LO only, every shed is audited
 // ---------------------------------------------------------------------------

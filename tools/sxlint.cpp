@@ -27,7 +27,8 @@
 //                      `// sxlint: allow(recursion)` bound marker —
 //                      unbounded stack demand is unverifiable.
 //   hot-path-alloc     dynamic allocation in the hot-kernel files
-//                      (src/tensor/** and src/dl/plan.*): container
+//                      (src/tensor/**, src/dl/plan.* and the other
+//                      files is_hot_path() names): container
 //                      growth calls (push_back/resize/reserve/...),
 //                      make_unique/make_shared, and raw `new`. The kernel
 //                      plan's contract is that every byte is owned at
@@ -239,18 +240,22 @@ bool is_runtime_path(const fs::path& p) {
 }
 
 /// Hot-kernel files under the zero-allocation contract: everything in a
-/// tensor/ directory, plus the kernel plans (dl/plan.*, dl/qplan.*) and the
+/// tensor/ directory, plus the kernel plans (dl/plan.*, dl/qplan.*), the
 /// quantized runtime (dl/quant.*) — its run()/apply_layer() hot path shares
-/// the same "every byte owned at deploy time" contract.
+/// the same "every byte owned at deploy time" contract — and the per-
+/// decision trust scorer (supervise/tap_scorer.*).
 bool is_hot_path(const fs::path& p) {
   bool in_dl = false;
+  bool in_supervise = false;
   for (const auto& part : p) {
     const std::string s = part.string();
     if (s == "tensor") return true;
     if (s == "dl") in_dl = true;
+    if (s == "supervise") in_supervise = true;
   }
-  if (!in_dl) return false;
   const std::string stem = p.stem().string();
+  if (in_supervise) return stem == "tap_scorer";
+  if (!in_dl) return false;
   return stem == "plan" || stem == "qplan" || stem == "quant";
 }
 

@@ -60,7 +60,8 @@ int run_experiment() {
     return o;
   };
 
-  safety::SingleChannel bare{model};
+  safety::EngineChannel bare{
+      safety::Replica{model, {.check_numeric_faults = false}}};
   safety::DeepMonitoredChannel deep{model, ds, 0.5f};
   safety::RecoveryBlockChannel recovery{model, alternate,
                                         safety::MonitorConfig{

@@ -201,7 +201,7 @@ int main(int argc, char** argv) {
     const dl::Model& m = bench::trained_cnn();
     dl::StaticEngine ref{m, {.kernels = dl::KernelMode::kReference}};
     dl::StaticEngine wid{m, {.kernels = dl::KernelMode::kWide}};
-    std::cout << core::make_kernel_plan_evidence(*wid.kernel_plan()).body
+    std::cout << core::make_kernel_plan_evidence(*wid.plan()).body
               << "\n";
 
     const auto& ds = bench::road_data();
@@ -239,7 +239,7 @@ int main(int argc, char** argv) {
     table.add_row({"reference loops", util::fmt(t_ref, 2), "1.00x"});
     table.add_row({std::string("wide plan (") +
                        k::wide_isa_name(
-                           wid.kernel_plan()->isa_selection().isa) +
+                           wid.plan()->isa_selection().isa) +
                        ")",
                    util::fmt(t_wid, 2), util::fmt(t_ref / t_wid, 2) + "x"});
     table.print(std::cout);

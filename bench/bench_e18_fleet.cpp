@@ -32,9 +32,9 @@
 namespace {
 
 std::unique_ptr<sx::safety::InferenceChannel> make_channel() {
-  return std::make_unique<sx::safety::SingleChannel>(
+  return std::make_unique<sx::safety::EngineChannel>(sx::safety::Replica{
       sx::bench::trained_mlp(),
-      sx::dl::StaticEngineConfig{.check_numeric_faults = true});
+      sx::dl::StaticEngineConfig{.check_numeric_faults = true}});
 }
 
 sx::fleet::FleetConfig fleet_config(std::size_t shards, bool smoke) {

@@ -40,11 +40,14 @@ int run_experiment() {
     std::unique_ptr<safety::InferenceChannel> channel;
   };
   std::vector<PatternCase> cases;
-  cases.push_back({"single", std::make_unique<safety::SingleChannel>(model)});
+  cases.push_back({"single", std::make_unique<safety::EngineChannel>(
+                                 safety::Replica{model, {.check_numeric_faults =
+                                                             false}})});
   cases.push_back(
-      {"monitored", std::make_unique<safety::MonitoredChannel>(
-                        model, safety::MonitorConfig{.output_min = -50.0f,
-                                                     .output_max = 50.0f})});
+      {"monitored", std::make_unique<safety::EngineChannel>(
+                        safety::Replica{model},
+                        safety::MonitorConfig{.output_min = -50.0f,
+                                              .output_max = 50.0f})});
   cases.push_back({"dmr", std::make_unique<safety::DmrChannel>(model)});
   cases.push_back({"tmr", std::make_unique<safety::TmrChannel>(model)});
   cases.push_back(

@@ -9,7 +9,6 @@
 
 #include "dl/engine.hpp"
 #include "platform/cpu_probe.hpp"
-#include "supervise/metrics.hpp"
 
 namespace sx::core {
 
@@ -23,25 +22,31 @@ const char* to_string(BackendKind b) noexcept {
 
 namespace {
 
+/// The pattern's channel, every replica built at `kernels`. A non-null
+/// `quant` (kInt8 backend) makes the single/monitored replica int8.
 std::unique_ptr<safety::InferenceChannel> make_channel(
-    PatternKind p, const dl::Model& model, const dl::Dataset& calibration,
-    dl::KernelMode kernels) {
+    PatternKind p, const dl::Model& model, const dl::QuantizedModel* quant,
+    const dl::Dataset& calibration, dl::KernelMode kernels) {
   switch (p) {
     case PatternKind::kSingle:
-      return std::make_unique<safety::SingleChannel>(
-          model, dl::StaticEngineConfig{.check_numeric_faults = false,
-                                        .kernels = kernels});
-    case PatternKind::kMonitored:
-      return std::make_unique<safety::MonitoredChannel>(
-          model, safety::MonitorConfig{},
-          dl::StaticEngineConfig{.check_numeric_faults = true,
-                                 .kernels = kernels});
+    case PatternKind::kMonitored: {
+      const bool monitored = p == PatternKind::kMonitored;
+      safety::Replica replica =
+          quant != nullptr
+              ? safety::Replica{*quant, kernels}
+              : safety::Replica{model, {.check_numeric_faults = monitored,
+                                        .kernels = kernels}};
+      return std::make_unique<safety::EngineChannel>(
+          std::move(replica),
+          monitored ? std::optional{safety::MonitorConfig{}} : std::nullopt);
+    }
     case PatternKind::kDmr:
-      return std::make_unique<safety::DmrChannel>(model);
+      return std::make_unique<safety::DmrChannel>(model, kernels);
     case PatternKind::kTmr:
-      return std::make_unique<safety::TmrChannel>(model);
+      return std::make_unique<safety::TmrChannel>(model, kernels);
     case PatternKind::kDiverseTmr:
-      return std::make_unique<safety::DiverseTmrChannel>(model, calibration);
+      return std::make_unique<safety::DiverseTmrChannel>(model, calibration,
+                                                         kernels);
   }
   throw std::invalid_argument("make_channel: unknown pattern");
 }
@@ -70,23 +75,20 @@ CertifiablePipeline::CertifiablePipeline(const dl::Model& model,
         "CertifiablePipeline: the int8 backend reaches the 'monitored' "
         "pattern rung; DMR and above need float replicas");
 
-  // One kernel-mode knob per pipeline: cfg.kernel_mode drives the
-  // quantized channel, batch pool and IR re-check too, so the
-  // kernel-backend record always names the mode that ran.
-  cfg_.quant_engine.kernels = cfg_.kernel_mode;
-
   model_ = std::make_unique<dl::Model>(model);
   const std::size_t n_out = model_->output_shape().size();
 
   // kInt8 backend: fold BatchNorm and quantize against the calibration
   // set, here at deploy time (quantization is calibration, not service —
   // a model the static gate later refuses still never serves traffic).
-  // Both the folded twin and the quantized model outlive the batch pool
-  // and the channel, which hold references into them.
+  // The folded twin's layer indices align with the quantized model's;
+  // static verification reads it below. The quantized model outlives the
+  // batch pool, which holds a reference into it.
+  std::optional<dl::Model> folded;
   if (cfg_.backend == BackendKind::kInt8) {
-    folded_ = std::make_unique<dl::Model>(dl::fold_batchnorm(*model_));
+    folded.emplace(dl::fold_batchnorm(*model_));
     quant_ = std::make_unique<dl::QuantizedModel>(dl::QuantizedModel::quantize(
-        *folded_, calibration, dl::QuantConfig{cfg_.quant_granularity}));
+        *folded, calibration, dl::QuantConfig{cfg_.quant_granularity}));
   }
 
   // Telemetry: registry, flight recorder and every metric name are fixed
@@ -132,12 +134,8 @@ CertifiablePipeline::CertifiablePipeline(const dl::Model& model,
     bcfg.workers = cfg_.batch_workers;
     bcfg.registry = obs_.get();
     bcfg.kernels = cfg_.kernel_mode;
-    if (quant_) {
-      bcfg.arena_slack = cfg_.quant_engine.arena_slack;
-      batch_ = std::make_unique<dl::BatchRunner>(*quant_, bcfg);
-    } else {
-      batch_ = std::make_unique<dl::BatchRunner>(*model_, bcfg);
-    }
+    batch_ = quant_ ? std::make_unique<dl::BatchRunner>(*quant_, bcfg)
+                    : std::make_unique<dl::BatchRunner>(*model_, bcfg);
   }
 
   // Fallback logits: explicit, or one-hot on the conservative class.
@@ -178,9 +176,9 @@ CertifiablePipeline::CertifiablePipeline(const dl::Model& model,
     // arena refuses the deployment exactly like a float arena mismatch.
     if (quant_) {
       verify_->quant =
-          verify::check_quant_saturation(*folded_, *quant_, odd_spec);
-      verify_->quant_arena =
-          verify::check_quant_arena(*quant_, cfg_.quant_engine);
+          verify::check_quant_saturation(*folded, *quant_, odd_spec);
+      verify_->quant_arena = verify::check_quant_arena(
+          *quant_, dl::QuantEngineConfig{.kernels = cfg_.kernel_mode});
       verify_->quant_checked = true;
       if (!verify_->quant_arena.consistent)
         verify_->verdict.arena_consistent = false;
@@ -203,12 +201,13 @@ CertifiablePipeline::CertifiablePipeline(const dl::Model& model,
   // Supervisor (fit + threshold on calibration data) plus a stream-level
   // CUSUM drift detector on the log-transformed score stream. Skipped in
   // refuse-only mode: fitting would execute the very model the static
-  // gate just rejected.
+  // gate just rejected. One planned pass takes every calibration
+  // sample's features, bitwise those of the reference walk, and both the
+  // fit and the threshold scores come from them.
   if (spec_.has_supervisor && !verify_refused_) {
     supervisor_ = std::make_unique<supervise::MahalanobisSupervisor>();
-    supervisor_->fit(*model_, calibration);
-    const auto scores =
-        supervise::collect_scores(*supervisor_, *model_, calibration);
+    const std::vector<double> scores =
+        supervisor_->fit_planned(*model_, calibration, cfg_.kernel_mode);
     supervisor_->calibrate_threshold(scores, cfg_.supervisor_tpr);
     std::vector<double> log_scores(scores.size());
     for (std::size_t i = 0; i < scores.size(); ++i)
@@ -226,23 +225,11 @@ CertifiablePipeline::CertifiablePipeline(const dl::Model& model,
     }
   }
 
-  // Inference channel, optionally wrapped in a safety bag.
+  // Inference channel, optionally wrapped in a safety bag. Under kInt8
+  // campaign faults land in the replica's deployed int8 weight store.
   if (!verify_refused_) {
-    std::unique_ptr<safety::InferenceChannel> inner;
-    if (quant_) {
-      // Int8 rung of the pattern ladder: bare engine at kSingle, envelope
-      // monitor at kMonitored. Campaign faults land in the deployed int8
-      // weight store (QuantChannel::inject_fault), not the float twin.
-      const safety::MonitorConfig mon{};
-      auto qc = std::make_unique<safety::QuantChannel>(
-          *folded_, *quant_, cfg_.quant_engine,
-          spec_.pattern == PatternKind::kMonitored ? &mon : nullptr);
-      qchannel_ = qc.get();
-      inner = std::move(qc);
-    } else {
-      inner =
-          make_channel(spec_.pattern, *model_, calibration, cfg_.kernel_mode);
-    }
+    std::unique_ptr<safety::InferenceChannel> inner = make_channel(
+        spec_.pattern, *model_, quant_.get(), calibration, cfg_.kernel_mode);
     if (spec_.has_safety_bag) {
       auto bag = std::make_unique<safety::SafetyBagChannel>(
           std::move(inner), scorer_.get(), fallback_);
@@ -277,22 +264,19 @@ CertifiablePipeline::CertifiablePipeline(const dl::Model& model,
     audit_.append(0, "static-verify",
                   verify_refused_ ? "refuse-model" : "pass",
                   verify_->verdict_line());
-  // Deploy-time plan evidence: the plan summary plus one audit entry per
-  // static-analysis pass (dce, fusion, liveness), so the tamper-evident
-  // chain records exactly which transformations shaped the deployed
-  // program and what each one claims to have saved.
-  if (channel_ != nullptr) {
-    if (const dl::KernelPlan* fp = channel_->float_kernel_plan();
-        fp != nullptr) {
-      audit_.append(0, "kernel-plan", "deploy", fp->summary());
-      for (const auto& pe : fp->pass_evidence())
-        audit_.append(0, "ir-pass", pe.pass, pe.summary());
-    }
-  }
-  if (qchannel_ != nullptr && qchannel_->kernel_plan() != nullptr) {
-    audit_.append(0, "quant-plan", "deploy",
-                  qchannel_->kernel_plan()->summary());
-    for (const auto& pe : qchannel_->kernel_plan()->pass_evidence())
+  // Deploy-time plan evidence of the channel's replica 0: the plan
+  // summary plus one audit entry per static-analysis pass (dce, fusion,
+  // liveness), so the tamper-evident chain records exactly which
+  // transformations shaped the deployed program and what each one claims
+  // to have saved.
+  const dl::PlanEvidence* plan =
+      channel_ != nullptr ? channel_->plan() : nullptr;
+  if (plan != nullptr) {
+    audit_.append(0,
+                  plan->elem() == dl::ElemType::kInt8 ? "quant-plan"
+                                                      : "kernel-plan",
+                  "deploy", plan->summary());
+    for (const auto& pe : plan->pass_evidence())
       audit_.append(0, "ir-pass", pe.pass, pe.summary());
   }
 
@@ -300,14 +284,12 @@ CertifiablePipeline::CertifiablePipeline(const dl::Model& model,
   // (post SX_KERNEL_REFERENCE, post CPU probe), not just the requested one
   // — under the escape hatch the two differ, and evidence attributed to
   // the requested mode would misstate what executed. A deployed plan
-  // means kWide (the redundant patterns' replicas plan at kAuto whatever
-  // was requested); for kWide the probe / SX_KERNEL_ISA decision rides
-  // along verbatim, naming the arm that runs.
+  // means kWide; for kWide the probe / SX_KERNEL_ISA decision rides along
+  // verbatim, naming the arm that runs.
   {
-    dl::KernelMode resolved = dl::resolve_kernel_mode(cfg_.kernel_mode);
-    if ((channel_ != nullptr && channel_->float_kernel_plan() != nullptr) ||
-        (qchannel_ != nullptr && qchannel_->kernel_plan() != nullptr))
-      resolved = dl::KernelMode::kWide;
+    const dl::KernelMode resolved =
+        plan != nullptr ? dl::KernelMode::kWide
+                        : dl::resolve_kernel_mode(cfg_.kernel_mode);
     kernel_backend_ =
         "requested=" + std::string(dl::kernel_mode_name(cfg_.kernel_mode)) +
         " resolved=" + std::string(dl::kernel_mode_name(resolved));
@@ -324,8 +306,8 @@ CertifiablePipeline::CertifiablePipeline(const dl::Model& model,
 
 std::uint64_t CertifiablePipeline::quant_saturation_total() const noexcept {
   std::uint64_t n = 0;
-  if (qchannel_ != nullptr) n += qchannel_->saturation_total();
-  if (batch_ && batch_->quantized()) n += batch_->saturation_count();
+  if (channel_) n += channel_->replicas().front().engine().saturation_total();
+  if (batch_) n += batch_->saturation_count();
   return n;
 }
 
@@ -336,11 +318,11 @@ CertifiablePipeline::quant_saturation_cross_check() const {
         "quant_saturation_cross_check: deploy with backend=kInt8 and a "
         "spec demanding static verification");
   std::vector<std::uint64_t> measured(quant_->layer_count(), 0);
-  if (qchannel_ != nullptr) {
-    const auto cs = qchannel_->engine().saturation_counts();
+  if (channel_) {
+    const auto cs = channel_->replicas().front().engine().saturation_counts();
     for (std::size_t i = 0; i < cs.size(); ++i) measured[i] += cs[i];
   }
-  if (batch_ && batch_->quantized()) batch_->saturation_counts_into(measured);
+  if (batch_) batch_->saturation_counts_into(measured);
   return verify::cross_check_saturation(verify_->quant, measured);
 }
 
@@ -591,7 +573,7 @@ std::vector<Decision> CertifiablePipeline::infer_batch(
 
     // Quantized pool: push the clips this dispatch added, so the telemetry
     // counter mirrors the pool's deterministic total.
-    if (obs_ && batch_->quantized()) {
+    if (obs_ && quant_) {
       const std::uint64_t total = batch_->saturation_count();
       if (total > reported_batch_sats_) {
         obs_->add(c_quant_sats_, total - reported_batch_sats_);

@@ -35,12 +35,14 @@ namespace sx::core {
 ///
 /// kFloat32 serves the planned float StaticEngine stack. kInt8 folds
 /// BatchNorm, quantizes the model against the calibration set and serves
-/// traffic through the planned int8 engine (safety::QuantChannel, wrapped
-/// in the safety bag when the spec demands one); infer_batch() dispatches
-/// to quantized per-worker engines sharing one QuantKernelPlan. The int8
-/// ladder currently reaches the "monitored" rung, so kInt8 is admissible
-/// up to SIL2; stronger patterns (DMR and above) need float replicas and
-/// reject the backend at deploy time.
+/// traffic through one int8 safety::Replica (the single/monitored
+/// safety::EngineChannel, wrapped in the safety bag when the spec demands
+/// one); infer_batch() dispatches to quantized per-worker engines sharing
+/// one QuantKernelPlan. The int8 backend currently deploys up to the
+/// "monitored" rung, so kInt8 is admissible up to SIL2; DMR and above
+/// reject it at deploy time (their int8 replicas need their own fault
+/// campaigns first). SIL4's diverse-TMR carries an int8 replica under
+/// either backend.
 enum class BackendKind : std::uint8_t { kFloat32, kInt8 };
 
 const char* to_string(BackendKind b) noexcept;
@@ -51,20 +53,14 @@ struct PipelineConfig {
   BackendKind backend = BackendKind::kFloat32;
   /// Weight-scale granularity of the kInt8 backend.
   dl::WeightGranularity quant_granularity = dl::WeightGranularity::kPerChannel;
-  /// Engine knobs of the kInt8 backend (arena slack) — forwarded to the
-  /// channel engine and the quantized batch pool. Its `kernels` field is
-  /// ignored: kernel_mode below is the pipeline's one kernel knob.
-  dl::QuantEngineConfig quant_engine;
-  /// Hot-path kernel selection: forwarded to the single/monitored channel
-  /// engines, the float batch pool, the supervisor's tap engine, the
-  /// static-verification arena check, and under the kInt8 backend to the
-  /// quantized channel, batch pool and IR re-check. Both modes are
-  /// bitwise identical by construction — the scenario sweeper crosses
-  /// this axis to *prove* it per deployment. kAuto resolves to kWide,
-  /// or to kReference under SX_KERNEL_REFERENCE (see
-  /// dl::resolve_kernel_mode). The replicas of the redundant patterns
-  /// (DMR and above, recovery block) always deploy at kAuto; an explicit
-  /// mode here does not reach them.
+  /// Hot-path kernel selection, the pipeline's one kernel knob: forwarded
+  /// to every replica of the channel (float or int8, every pattern), the
+  /// batch pool, the supervisor's calibration and tap engines, the
+  /// static-verification arena checks and the int8 IR re-check. Both
+  /// modes are bitwise identical by construction — the scenario sweeper
+  /// crosses this axis to *prove* it per deployment. kAuto resolves to
+  /// kWide, or to kReference under SX_KERNEL_REFERENCE (see
+  /// dl::resolve_kernel_mode).
   dl::KernelMode kernel_mode = dl::KernelMode::kAuto;
   /// When unset, the spec recommended for `criticality` is used.
   std::optional<PipelineSpec> spec;
@@ -141,9 +137,9 @@ class CertifiablePipeline {
   const trace::ModelCard& model_card() const noexcept { return card_; }
 
   /// One-line resolved-backend record, fixed at deploy time: the requested
-  /// kernel mode, the mode actually deployed (post resolve_kernel_mode,
-  /// i.e. after the SX_KERNEL_REFERENCE escape hatch), and — when the
-  /// deployed plan is kWide — the CPU-probe / SX_KERNEL_ISA selection
+  /// kernel mode, the mode actually deployed (derived from the channel's
+  /// replica-0 plan, so after the SX_KERNEL_REFERENCE escape hatch), and —
+  /// when that plan is kWide — the CPU-probe / SX_KERNEL_ISA selection
   /// audit. Also appended to the audit log as the "kernel-backend" entry
   /// and published in the certification report's SX_KERNEL_BACKEND block,
   /// so evidence is never misattributed to a mode that did not run.
@@ -203,10 +199,13 @@ class CertifiablePipeline {
   const dl::QuantizedModel* quantized_model() const noexcept {
     return quant_.get();
   }
-  /// The int8 inference channel (null unless backend() == kInt8 and the
-  /// pipeline deployed; points inside channel_ / the safety bag).
-  const safety::QuantChannel* quant_channel() const noexcept {
-    return qchannel_;
+  /// The fitted trust supervisor and its CUSUM drift detector (null
+  /// unless the spec includes a supervisor and the model deployed).
+  const supervise::MahalanobisSupervisor* supervisor() const noexcept {
+    return supervisor_.get();
+  }
+  const supervise::CusumDetector* drift_detector() const noexcept {
+    return drift_.get();
   }
   /// The deployed inference channel — safety bag included when the spec
   /// demands one; null in refuse-only mode. Exposed so fault-injection
@@ -216,15 +215,16 @@ class CertifiablePipeline {
   const safety::InferenceChannel* channel() const noexcept {
     return channel_.get();
   }
-  /// Requantization clips observed so far across the int8 channel and the
-  /// quantized batch pool (0 for the float backend). Deterministic:
+  /// Requantization clips observed so far across the channel's replica 0
+  /// and the batch pool (0 for the float backend). Deterministic:
   /// depends only on the served inputs.
   std::uint64_t quant_saturation_total() const noexcept;
 
   /// Cross-checks the static saturation-margin verdicts (computed at
   /// deploy time into static_verification()->quant) against the measured
-  /// runtime clip counters of the int8 channel. Throws std::logic_error
-  /// unless the pipeline deployed with kInt8 and static verification.
+  /// runtime clip counters of the int8 channel and pool. Throws
+  /// std::logic_error unless the pipeline deployed with kInt8 and static
+  /// verification.
   verify::SaturationCrossCheck quant_saturation_cross_check() const;
 
  private:
@@ -283,11 +283,8 @@ class CertifiablePipeline {
   PipelineConfig cfg_;
   PipelineSpec spec_;
   std::unique_ptr<dl::Model> model_;  // deployed copy
-  // kInt8 backend: the BatchNorm-folded float twin (layer indices align
-  // with the quantized model — verification and fault injection need it)
-  // and the quantized deployment itself. Declared before batch_/channel_,
-  // which hold references into them.
-  std::unique_ptr<dl::Model> folded_;
+  // kInt8 backend: the quantized deployment. Declared before batch_,
+  // which holds a reference into it.
   std::unique_ptr<dl::QuantizedModel> quant_;
   // Telemetry must outlive (and be registered before) every component that
   // binds counters into it — the batch pool in particular.
@@ -299,8 +296,7 @@ class CertifiablePipeline {
   // points at it. Deployment refuses an untappable feature layer.
   std::unique_ptr<supervise::TapScorer> scorer_;
   std::unique_ptr<safety::InferenceChannel> channel_;
-  safety::QuantChannel* qchannel_ = nullptr;  // view into channel_ (kInt8)
-  safety::SafetyBagChannel* bag_ = nullptr;   // view into channel_
+  safety::SafetyBagChannel* bag_ = nullptr;  // view into channel_
   std::unique_ptr<supervise::CusumDetector> drift_;
   std::unique_ptr<trace::OddGuard> odd_;
   std::unique_ptr<explain::Explainer> explainer_;

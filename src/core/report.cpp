@@ -123,22 +123,20 @@ EvidenceItem make_batch_runner_evidence(const dl::BatchRunner& runner) {
        << " floats, busy=" << std::setprecision(1) << s.busy_micros
        << " us\n";
   }
-  if (const dl::KernelPlan* plan = runner.kernel_plan(); plan != nullptr) {
-    os << "kernel plan (shared read-only across workers): "
-       << plan->summary() << "\n";
-  } else if (const dl::QuantKernelPlan* qp = runner.quant_kernel_plan();
-             qp != nullptr) {
-    os << "int8 kernel plan (shared read-only across workers): "
-       << qp->summary() << "\n"
-       << "requantization clips: " << runner.saturation_count()
-       << " (sum over static shard order => schedule-independent)\n";
-  } else if (runner.quantized()) {
-    os << "int8 kernel plan: reference loops (SX_KERNEL_REFERENCE or "
-          "explicit kReference); requantization clips: "
-       << runner.saturation_count() << "\n";
+  const bool int8 = runner.elem() == dl::ElemType::kInt8;
+  const char* prefix = int8 ? "int8 kernel plan" : "kernel plan";
+  if (const dl::PlanEvidence* plan = runner.plan(); plan != nullptr) {
+    os << prefix << " (shared read-only across workers): " << plan->summary()
+       << "\n";
+    if (int8)
+      os << "requantization clips: " << runner.saturation_count()
+         << " (sum over static shard order => schedule-independent)\n";
   } else {
-    os << "kernel plan: reference loops (SX_KERNEL_REFERENCE or explicit "
-          "kReference)\n";
+    os << prefix
+       << ": reference loops (SX_KERNEL_REFERENCE or explicit kReference)";
+    if (int8)
+      os << "; requantization clips: " << runner.saturation_count();
+    os << "\n";
   }
   return EvidenceItem{"Deterministic batch execution", os.str()};
 }
@@ -148,7 +146,7 @@ EvidenceItem make_quant_backend_evidence(const CertifiablePipeline& pipeline) {
     throw std::logic_error(
         "make_quant_backend_evidence: pipeline deployed with float backend");
   const dl::QuantizedModel* qm = pipeline.quantized_model();
-  const safety::QuantChannel* qc = pipeline.quant_channel();
+  const safety::InferenceChannel* ch = pipeline.channel();
   std::ostringstream os;
   os << "backend: int8 (BatchNorm folded, quantized against the "
         "calibration set at deploy time)\n"
@@ -157,9 +155,8 @@ EvidenceItem make_quant_backend_evidence(const CertifiablePipeline& pipeline) {
              ? "per-channel weight scales"
              : "per-tensor weight scales")
      << ", weight footprint: " << qm->weight_bytes() << " bytes\n";
-  if (qc != nullptr) {
-    if (const dl::QuantKernelPlan* plan = qc->kernel_plan();
-        plan != nullptr) {
+  if (ch != nullptr) {
+    if (const dl::PlanEvidence* plan = ch->plan(); plan != nullptr) {
       os << "kernel plan: " << plan->summary() << "\n"
          << "  panels, im2col tables and scratch are planned at deploy "
             "time; the int8 hot\n"
@@ -171,9 +168,10 @@ EvidenceItem make_quant_backend_evidence(const CertifiablePipeline& pipeline) {
       os << "kernel plan: reference loops (SX_KERNEL_REFERENCE or explicit "
             "kReference)\n";
     }
-    os << "channel arena: " << qc->engine().arena_high_water_mark() << "/"
-       << qc->engine().arena_capacity() << " bytes, pattern: "
-       << qc->pattern_name() << "\n";
+    const dl::Engine& engine = ch->replicas().front().engine();
+    os << "channel arena: " << engine.arena_high_water_mark() << "/"
+       << engine.arena_capacity() << " bytes, pattern: int8-"
+       << to_string(pipeline.spec().pattern) << "\n";
   }
   os << "requantization clips observed: " << pipeline.quant_saturation_total()
      << " (channel + batch pool, deterministic in the served inputs)\n";
@@ -222,49 +220,42 @@ EvidenceItem make_static_verification_evidence(
 
 namespace {
 
-void ir_plan_lines(std::ostringstream& os, const char* plan_name,
-                   const sx::ir::ArenaLayout& layout,
-                   std::span<const sx::ir::PassEvidence> passes,
-                   const char* unit) {
+void ir_plan_lines(std::ostringstream& os, const dl::PlanEvidence& plan) {
+  const sx::ir::ArenaLayout& layout = plan.layout();
+  const char* name = dl::elem_name(plan.elem());
   const double pct =
       layout.naive_elems > 0
           ? 100.0 * static_cast<double>(layout.naive_elems -
                                         layout.total_elems) /
                 static_cast<double>(layout.naive_elems)
           : 0.0;
-  os << plan_name << " plan arena: " << layout.total_elems << " " << unit
+  os << name << " plan arena: " << layout.total_elems << " "
+     << (plan.elem() == dl::ElemType::kInt8 ? "bytes" : "floats")
      << " planned vs " << layout.naive_elems
      << " naive ping-pong => " << std::fixed << std::setprecision(1) << pct
      << "% reuse from liveness coloring\n";
-  for (const auto& pe : passes)
-    os << "  " << plan_name << " " << pe.summary() << "\n";
+  for (const auto& pe : plan.pass_evidence())
+    os << "  " << name << " " << pe.summary() << "\n";
 }
 
-void ir_marker_lines(std::ostringstream& os, const char* plan_name,
-                     const sx::ir::ArenaLayout& layout,
-                     std::span<const sx::ir::PassEvidence> passes) {
-  for (const auto& pe : passes)
-    os << "plan=" << plan_name << " " << pe.summary() << "\n";
-  os << "plan=" << plan_name << " arena_total=" << layout.total_elems
-     << " arena_naive=" << layout.naive_elems << "\n";
+void ir_marker_lines(std::ostringstream& os, const dl::PlanEvidence& plan) {
+  const char* name = dl::elem_name(plan.elem());
+  for (const auto& pe : plan.pass_evidence())
+    os << "plan=" << name << " " << pe.summary() << "\n";
+  os << "plan=" << name << " arena_total=" << plan.layout().total_elems
+     << " arena_naive=" << plan.layout().naive_elems << "\n";
 }
 
 }  // namespace
 
 EvidenceItem make_ir_evidence(const CertifiablePipeline& pipeline) {
   std::ostringstream os;
-  const dl::KernelPlan* fp =
-      pipeline.channel() != nullptr
-          ? pipeline.channel()->float_kernel_plan()
-          : nullptr;
-  const dl::QuantKernelPlan* qp =
-      pipeline.quant_channel() != nullptr
-          ? pipeline.quant_channel()->kernel_plan()
-          : nullptr;
-  if (fp == nullptr && qp == nullptr) {
+  const dl::PlanEvidence* plan =
+      pipeline.channel() != nullptr ? pipeline.channel()->plan() : nullptr;
+  if (plan == nullptr) {
     os << "no IR-backed kernel plan deployed (reference loops via "
-          "SX_KERNEL_REFERENCE / explicit kReference, refuse-only mode, "
-          "or a redundant pattern that owns its engines internally)\n";
+          "SX_KERNEL_REFERENCE / explicit kReference, or refuse-only "
+          "mode)\n";
     return EvidenceItem{"IR pass pipeline (static-analysis evidence)",
                         os.str()};
   }
@@ -274,10 +265,7 @@ EvidenceItem make_ir_evidence(const CertifiablePipeline& pipeline) {
         "re-derives all of\n"
      << "  them independently from the model layers before the plan may "
         "serve traffic\n";
-  if (fp != nullptr)
-    ir_plan_lines(os, "float", fp->layout(), fp->pass_evidence(), "floats");
-  if (qp != nullptr)
-    ir_plan_lines(os, "int8", qp->layout(), qp->pass_evidence(), "bytes");
+  ir_plan_lines(os, *plan);
   if (const auto* sv = pipeline.static_verification(); sv != nullptr) {
     if (sv->ir.checked)
       os << "float re-verification: "
@@ -293,10 +281,7 @@ EvidenceItem make_ir_evidence(const CertifiablePipeline& pipeline) {
   // The marker pair lets tools/sxmetrics --ir recover the per-pass facts
   // from a serialized report without parsing the surrounding prose.
   os << "# BEGIN SX_IR_PASSES\n";
-  if (fp != nullptr)
-    ir_marker_lines(os, "float", fp->layout(), fp->pass_evidence());
-  if (qp != nullptr)
-    ir_marker_lines(os, "int8", qp->layout(), qp->pass_evidence());
+  ir_marker_lines(os, *plan);
   os << "# END SX_IR_PASSES\n";
   return EvidenceItem{"IR pass pipeline (static-analysis evidence)",
                       os.str()};
@@ -314,25 +299,20 @@ EvidenceItem make_kernel_backend_evidence(const CertifiablePipeline& pipeline) {
         "under the\n"
      << "  SX_KERNEL_REFERENCE escape hatch it differs from the requested "
         "mode.\n";
-  const dl::KernelPlan* fp = pipeline.channel() != nullptr
-                                 ? pipeline.channel()->float_kernel_plan()
-                                 : nullptr;
-  const dl::QuantKernelPlan* qp =
-      pipeline.quant_channel() != nullptr
-          ? pipeline.quant_channel()->kernel_plan()
-          : nullptr;
+  const dl::PlanEvidence* plan =
+      pipeline.channel() != nullptr ? pipeline.channel()->plan() : nullptr;
   // The marker pair lets tools/sxmetrics --kernel recover the resolved
   // backend from a serialized report without parsing the prose.
   os << "# BEGIN SX_KERNEL_BACKEND\n";
   os << pipeline.kernel_backend() << '\n';
-  if (fp != nullptr)
-    os << "plan=float mode=wide isa="
-       << tensor::kernels::wide_isa_name(fp->isa_selection().isa) << '\n';
-  if (qp != nullptr)
-    os << "plan=int8 mode=wide isa="
-       << tensor::kernels::wide_isa_name(qp->isa_selection().isa)
-       << " int8=" << tensor::qkernels::qarm_name(qp->isa_selection().int8)
-       << '\n';
+  if (plan != nullptr) {
+    const platform::WideIsaSelection& sel = plan->isa_selection();
+    os << "plan=" << dl::elem_name(plan->elem())
+       << " mode=wide isa=" << tensor::kernels::wide_isa_name(sel.isa);
+    if (plan->elem() == dl::ElemType::kInt8)
+      os << " int8=" << tensor::qkernels::qarm_name(sel.int8);
+    os << '\n';
+  }
   os << "# END SX_KERNEL_BACKEND\n";
   return EvidenceItem{"Resolved kernel backend (CPU-probe selection)",
                       os.str()};

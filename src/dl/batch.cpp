@@ -13,12 +13,9 @@ double micros_between(std::chrono::steady_clock::time_point t0,
 
 }  // namespace
 
-BatchRunner::BatchRunner(const Model* model, const QuantizedModel* qmodel,
-                         const Shape& in_shape, const Shape& out_shape,
+BatchRunner::BatchRunner(const Shape& in_shape, const Shape& out_shape,
                          BatchRunnerConfig cfg)
-    : model_(model),
-      qmodel_(qmodel),
-      cfg_(cfg),
+    : cfg_(cfg),
       in_shape_(in_shape),
       in_size_(in_shape.size()),
       out_size_(out_shape.size()) {
@@ -27,7 +24,7 @@ BatchRunner::BatchRunner(const Model* model, const QuantizedModel* qmodel,
   if (cfg_.max_batch == 0)
     throw std::invalid_argument("BatchRunner: max_batch must be >= 1");
 
-  fault_log_.reserve(cfg_.max_batch);
+  fault_log_.reserve(cfg_.max_batch);  // sxlint: allow(hot-path-alloc) configuration-time fault-log storage
 
   // Telemetry binding happens here, at configuration time, so no worker
   // ever touches the registry's registration path.
@@ -36,51 +33,42 @@ BatchRunner::BatchRunner(const Model* model, const QuantizedModel* qmodel,
     faults_id_ = cfg_.registry->counter("sx_batch_numeric_faults_total");
     clock_ = cfg_.registry->config().clock;
   }
-  pool_.resize(cfg_.workers);
+  pool_.resize(cfg_.workers);  // sxlint: allow(hot-path-alloc) configuration-time pool
 }
 
 BatchRunner::BatchRunner(const Model& model, BatchRunnerConfig cfg)
-    : BatchRunner(&model, nullptr, model.input_shape(), model.output_shape(),
-                  cfg) {
-  // Plan every arena before any thread exists: all allocation happens here,
-  // at configuration time. One KernelPlan is built once and shared
-  // read-only by every worker engine (index tables and weight panels are
-  // immutable on the hot path); each worker's im2col scratch stays in its
-  // own arena, so workers never share a mutable buffer.
-  const StaticEngineConfig engine_cfg{
-      .check_numeric_faults = cfg_.check_numeric_faults,
-      .arena_slack = cfg_.arena_slack,
-      .kernels = cfg_.kernels};
-  if (resolve_kernel_mode(cfg_.kernels) != KernelMode::kReference)
-    plan_ = std::make_unique<KernelPlan>(model);
-  for (auto& w : pool_)
-    w.engine = plan_ != nullptr
-                   ? std::make_unique<StaticEngine>(model, *plan_, engine_cfg)
-                   : std::make_unique<StaticEngine>(model, engine_cfg);
-  start_workers();
+    : BatchRunner(model.input_shape(), model.output_shape(), cfg) {
+  start_pool<KernelPlan, StaticEngine>(
+      model,
+      StaticEngineConfig{.check_numeric_faults = cfg_.check_numeric_faults,
+                         .arena_slack = cfg_.arena_slack,
+                         .kernels = cfg_.kernels});
 }
 
 BatchRunner::BatchRunner(const QuantizedModel& model, BatchRunnerConfig cfg)
-    : BatchRunner(nullptr, &model, model.input_shape(), model.output_shape(),
-                  cfg) {
+    : BatchRunner(model.input_shape(), model.output_shape(), cfg) {
   if (model.layer_count() == 0)
     throw std::invalid_argument("BatchRunner: quantized model is empty");
-  // Same discipline as the float pool: one shared read-only
-  // QuantKernelPlan, one private QuantEngine (byte arena + saturation
-  // counters) per worker. check_numeric_faults is meaningless for int8
-  // and intentionally not forwarded.
-  const QuantEngineConfig engine_cfg{.arena_slack = cfg_.arena_slack,
-                                     .kernels = cfg_.kernels};
-  if (resolve_kernel_mode(cfg_.kernels) != KernelMode::kReference)
-    qplan_ = std::make_unique<QuantKernelPlan>(model);
-  for (auto& w : pool_)
-    w.qengine = qplan_ != nullptr
-                    ? std::make_unique<QuantEngine>(model, *qplan_, engine_cfg)
-                    : std::make_unique<QuantEngine>(model, engine_cfg);
-  start_workers();
+  start_pool<QuantKernelPlan, QuantEngine>(
+      model, QuantEngineConfig{.arena_slack = cfg_.arena_slack,
+                               .kernels = cfg_.kernels});
 }
 
-void BatchRunner::start_workers() {
+template <class Plan, class Eng, class M, class Cfg>
+void BatchRunner::start_pool(const M& model, const Cfg& engine_cfg) {
+  // Plan every arena before any thread exists: all allocation happens here,
+  // at configuration time. One plan is built once and shared read-only by
+  // every worker engine (index tables and weight panels are immutable on
+  // the hot path); each worker's scratch, arena and counters stay its own,
+  // so workers never share a mutable buffer.
+  std::unique_ptr<Plan> plan;
+  if (resolve_kernel_mode(cfg_.kernels) != KernelMode::kReference)
+    plan = std::make_unique<Plan>(model);  // sxlint: allow(hot-path-alloc) configuration-time shared plan
+  for (auto& w : pool_)
+    w.engine = plan != nullptr
+                   ? std::make_unique<Eng>(model, *plan, engine_cfg)  // sxlint: allow(hot-path-alloc) configuration-time worker engine
+                   : std::make_unique<Eng>(model, engine_cfg);  // sxlint: allow(hot-path-alloc) configuration-time worker engine
+  plan_ = std::move(plan);
   for (std::size_t i = 0; i < pool_.size(); ++i)
     pool_[i].thread = std::thread(&BatchRunner::worker_main, this, i);
 }
@@ -132,9 +120,11 @@ Status BatchRunner::run(std::span<const float> inputs,
 
   // Rebuild the fault log from the per-item statuses, in batch-index order:
   // trivially identical across worker counts and thread schedules.
+  // count <= max_batch, the capacity reserved at configuration time, so
+  // the append never reallocates.
   for (std::size_t i = 0; i < count; ++i)
     if (!ok(statuses[i]))
-      fault_log_.push_back(BatchFaultEvent{i, statuses[i]});
+      fault_log_.push_back(BatchFaultEvent{i, statuses[i]});  // sxlint: allow(hot-path-alloc) within reserved capacity
 
   ++batches_;
   items_ += count;
@@ -170,13 +160,11 @@ void BatchRunner::worker_main(std::size_t w) noexcept {
         // Per-item timing lands in the batch-indexed slot; the caller
         // consumes it serially, so histogram order is schedule-free.
         const std::uint64_t c0 = clock_();
-        job.statuses[i] = me.qengine != nullptr ? me.qengine->run(in, out)
-                                                : me.engine->run(in, out);
+        job.statuses[i] = me.engine->run(in, out);
         const std::uint64_t c1 = clock_();
         job.elapsed[i] = c1 >= c0 ? c1 - c0 : 0;
       } else {
-        job.statuses[i] = me.qengine != nullptr ? me.qengine->run(in, out)
-                                                : me.engine->run(in, out);
+        job.statuses[i] = me.engine->run(in, out);
       }
       ++me.items;
       if (obs != nullptr) {
@@ -197,31 +185,26 @@ void BatchRunner::worker_main(std::size_t w) noexcept {
 
 std::uint64_t BatchRunner::run_count() const noexcept {
   std::uint64_t n = 0;
-  for (const auto& w : pool_)
-    n += w.qengine != nullptr ? w.qengine->run_count()
-                              : w.engine->run_count();
+  for (const auto& w : pool_) n += w.engine->run_count();
   return n;
 }
 
 std::uint64_t BatchRunner::numeric_fault_count() const noexcept {
   std::uint64_t n = 0;
-  for (const auto& w : pool_)
-    if (w.engine != nullptr) n += w.engine->numeric_fault_count();
-  return n;  // int8 workers cannot raise numeric faults
+  for (const auto& w : pool_) n += w.engine->numeric_fault_count();
+  return n;
 }
 
 std::uint64_t BatchRunner::saturation_count() const noexcept {
   std::uint64_t n = 0;
-  for (const auto& w : pool_)
-    if (w.qengine != nullptr) n += w.qengine->saturation_total();
+  for (const auto& w : pool_) n += w.engine->saturation_total();
   return n;
 }
 
 void BatchRunner::saturation_counts_into(
     std::span<std::uint64_t> acc) const noexcept {
   for (const auto& w : pool_) {
-    if (w.qengine == nullptr) continue;
-    const auto cs = w.qengine->saturation_counts();
+    const auto cs = w.engine->saturation_counts();
     const std::size_t n = cs.size() < acc.size() ? cs.size() : acc.size();
     for (std::size_t i = 0; i < n; ++i) acc[i] += cs[i];
   }
@@ -232,17 +215,10 @@ BatchWorkerStats BatchRunner::worker_stats(std::size_t w) const {
   BatchWorkerStats s;
   s.batches = src.batches;
   s.items = src.items;
-  if (src.qengine != nullptr) {
-    s.runs = src.qengine->run_count();
-    s.faults = 0;  // int8 workers cannot raise numeric faults
-    s.arena_high_water_mark = src.qengine->arena_high_water_mark();
-    s.arena_capacity = src.qengine->arena_capacity();
-  } else {
-    s.runs = src.engine->run_count();
-    s.faults = src.engine->numeric_fault_count();
-    s.arena_high_water_mark = src.engine->arena_high_water_mark();
-    s.arena_capacity = src.engine->arena_capacity();
-  }
+  s.runs = src.engine->run_count();
+  s.faults = src.engine->numeric_fault_count();
+  s.arena_high_water_mark = src.engine->arena_high_water_mark();
+  s.arena_capacity = src.engine->arena_capacity();
   s.busy_micros = src.busy_micros;
   return s;
 }

@@ -5,8 +5,9 @@
 //
 //   - a *static worker pool*: threads are spawned once at configuration
 //     time; run() never creates a thread;
-//   - one pre-planned tensor::Arena per worker (each worker owns a private
-//     StaticEngine), so the hot path performs zero heap allocations;
+//   - one pre-planned arena per worker (each worker owns a private engine,
+//     float or int8, over one shared read-only plan), so the hot path
+//     performs zero heap allocations;
 //   - a *static round-robin partition*: item i is always executed by worker
 //     i % workers, in increasing i order within each worker.  Which thread
 //     runs first is irrelevant: every item is computed by the same kernel
@@ -38,14 +39,15 @@ namespace sx::dl {
 struct BatchRunnerConfig {
   /// Worker threads (and private engines/arenas). Must be >= 1.
   std::size_t workers = 1;
-  /// Forwarded to every worker's StaticEngine.
+  /// Forwarded to every float worker engine (int8 arithmetic cannot
+  /// produce a NaN/Inf).
   bool check_numeric_faults = true;
   std::size_t arena_slack = 0;
   /// Largest batch run() accepts; fault-log storage is reserved from this
   /// at configuration time so run() never allocates.
   std::size_t max_batch = 4096;
-  /// Hot-path kernel selection, forwarded to the shared KernelPlan (one
-  /// plan serves every worker; see dl/plan.hpp).
+  /// Hot-path kernel selection, forwarded to the shared plan (one plan
+  /// serves every worker; see dl/plan.hpp).
   KernelMode kernels = KernelMode::kAuto;
   /// Optional telemetry sink. When set, the runner registers
   /// sx_batch_items_total / sx_batch_numeric_faults_total at configuration
@@ -84,8 +86,7 @@ class BatchRunner {
   /// one QuantKernelPlan, with the same static round-robin partition — so
   /// outputs *and* per-layer saturation counters are bitwise identical
   /// across worker counts and schedules. The quantized model must outlive
-  /// the runner. (check_numeric_faults is ignored: int8 arithmetic cannot
-  /// produce a NaN/Inf.)
+  /// the runner.
   explicit BatchRunner(const QuantizedModel& model, BatchRunnerConfig cfg = {});
   ~BatchRunner();
 
@@ -118,7 +119,7 @@ class BatchRunner {
   std::uint64_t batch_count() const noexcept { return batches_; }
   /// Total items attempted across all batches.
   std::uint64_t item_count() const noexcept { return items_; }
-  /// Sum of per-worker successful inferences (== StaticEngine semantics).
+  /// Sum of per-worker successful inferences (== Engine::run_count).
   std::uint64_t run_count() const noexcept;
   /// Sum of per-worker numeric-fault counts.
   std::uint64_t numeric_fault_count() const noexcept;
@@ -131,20 +132,16 @@ class BatchRunner {
   /// Deterministic snapshot of worker `w` (partition-dependent only).
   BatchWorkerStats worker_stats(std::size_t w) const;
 
-  /// The kernel plan shared by every worker engine (nullptr when the
-  /// resolved mode is kReference or the runner is quantized).
-  const KernelPlan* kernel_plan() const noexcept { return plan_.get(); }
+  /// The plan shared by every worker engine (nullptr when the resolved
+  /// mode is kReference).
+  const PlanEvidence* plan() const noexcept { return plan_.get(); }
+  /// The worker engines' element type (kInt8 when built over a
+  /// QuantizedModel).
+  ElemType elem() const noexcept { return pool_.front().engine->elem(); }
 
-  /// True when built over a QuantizedModel (int8 worker engines).
-  bool quantized() const noexcept { return qmodel_ != nullptr; }
-  /// The quantized kernel plan shared by every worker engine (nullptr when
-  /// the runner is float or the resolved mode is kReference).
-  const QuantKernelPlan* quant_kernel_plan() const noexcept {
-    return qplan_.get();
-  }
-  /// Total requantization clips across all workers (quantized runners
-  /// only; 0 otherwise). Depends only on the inputs and the static
-  /// partition, never on the schedule.
+  /// Total requantization clips across all workers (0 for float runners).
+  /// Depends only on the inputs and the static partition, never on the
+  /// schedule.
   std::uint64_t saturation_count() const noexcept;
   /// Adds each quantized layer's clip count (summed across workers) into
   /// `acc[layer]`; slots past the model's layer count are left untouched.
@@ -159,8 +156,7 @@ class BatchRunner {
 
  private:
   struct Worker {
-    std::unique_ptr<StaticEngine> engine;   ///< float runners
-    std::unique_ptr<QuantEngine> qengine;   ///< quantized runners
+    std::unique_ptr<Engine> engine;
     std::thread thread;
     std::uint64_t batches = 0;
     std::uint64_t items = 0;
@@ -178,15 +174,14 @@ class BatchRunner {
 
   /// Shared by both public constructors: argument checks, telemetry
   /// binding, fault-log reservation and the (engine-less) pool.
-  BatchRunner(const Model* model, const QuantizedModel* qmodel,
-              const Shape& in_shape, const Shape& out_shape,
+  BatchRunner(const Shape& in_shape, const Shape& out_shape,
               BatchRunnerConfig cfg);
-  /// Spawns one thread per pool slot once its engine exists.
-  void start_workers();
+  /// Plans the shared plan (unless the resolved mode is kReference), one
+  /// engine per pool slot over it, then spawns one thread per slot.
+  template <class Plan, class Eng, class M, class Cfg>
+  void start_pool(const M& model, const Cfg& engine_cfg);
   void worker_main(std::size_t w) noexcept;
 
-  const Model* model_ = nullptr;            ///< float runners
-  const QuantizedModel* qmodel_ = nullptr;  ///< quantized runners
   BatchRunnerConfig cfg_;
   Shape in_shape_{};
   std::size_t in_size_ = 0;
@@ -194,8 +189,7 @@ class BatchRunner {
 
   // Declared before pool_: worker engines hold references into the plan,
   // so it must outlive them (members destroy in reverse order).
-  std::unique_ptr<KernelPlan> plan_;
-  std::unique_ptr<QuantKernelPlan> qplan_;
+  std::unique_ptr<const PlanEvidence> plan_;
   std::vector<Worker> pool_;
   std::vector<BatchFaultEvent> fault_log_;  // reserved to max_batch
 

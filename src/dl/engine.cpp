@@ -15,7 +15,7 @@ std::unique_ptr<KernelPlan> make_owned_plan(const Model& model,
                                             const StaticEngineConfig& cfg) {
   const KernelMode mode = resolve_kernel_mode(cfg.kernels);
   if (mode == KernelMode::kReference) return nullptr;
-  return std::make_unique<KernelPlan>(model, cfg.pin_tap_layer);
+  return std::make_unique<KernelPlan>(model, cfg.pin_tap_layer);  // sxlint: allow(hot-path-alloc) deploy-time engine-private plan
 }
 
 /// Planned mode: the liveness-colored base block. Reference mode: the
@@ -29,7 +29,8 @@ std::size_t planned_capacity(const Model& model, const KernelPlan* plan,
 }  // namespace
 
 StaticEngine::StaticEngine(const Model& model, StaticEngineConfig cfg)
-    : model_(&model),
+    : Engine(ElemType::kFloat32),
+      model_(&model),
       cfg_(cfg),
       owned_plan_(make_owned_plan(model, cfg)),
       plan_(owned_plan_.get()),
@@ -45,7 +46,8 @@ StaticEngine::StaticEngine(const Model& model, StaticEngineConfig cfg)
 
 StaticEngine::StaticEngine(const Model& model, const KernelPlan& plan,
                            StaticEngineConfig cfg)
-    : model_(&model),
+    : Engine(ElemType::kFloat32),
+      model_(&model),
       cfg_(cfg),
       plan_(&plan),
       arena_(planned_capacity(model, &plan, cfg)) {

@@ -11,11 +11,17 @@
 // case; every KernelStep carries its offsets. Reference mode keeps the
 // original ping-pong loop as the bitwise-identical unoptimized twin.
 //
+// StaticEngine and the int8 QuantEngine (dl/qplan.hpp) implement one
+// interface, Engine: run, repack, counters, arena marks and the plan's
+// evidence view. Safety channels and the batch pool hold engines through
+// it, so the element type is decided once, where the engine is built.
+//
 // DynamicEngine is the deliberately non-compliant baseline standing in for a
 // general-purpose DL framework: per-inference heap allocation and no fault
 // containment. Experiment E1 contrasts the two.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "dl/model.hpp"
@@ -41,8 +47,56 @@ struct StaticEngineConfig {
   std::size_t pin_tap_layer = kNoPinnedTap;
 };
 
+/// The planned-engine interface both element types implement. run() is
+/// noexcept and allocation-free in every implementation.
+class Engine {
+ public:
+  virtual ~Engine() = default;
+
+  /// Runs inference. `input` must match the model input shape; `output`
+  /// must have exactly the model's output size (float logits, dequantized
+  /// for int8).
+  virtual Status run(tensor::ConstTensorView input,
+                     std::span<float> output) noexcept = 0;
+  /// Re-snapshots the weight panels of an engine-private plan from the
+  /// live weights, after an in-place write (fault injection, scrubbing).
+  /// No-op under reference loops, which read the weights live, and for a
+  /// shared plan, whose owner repacks it.
+  virtual void repack() noexcept = 0;
+
+  ElemType elem() const noexcept { return elem_; }
+  /// The deploy-time plan driving this engine (nullptr under the
+  /// reference loops).
+  virtual const PlanEvidence* plan() const noexcept = 0;
+
+  /// Number of successful inferences.
+  virtual std::uint64_t run_count() const noexcept = 0;
+  /// Runs rejected for a non-finite value (always 0 for int8, whose
+  /// arithmetic cannot produce one).
+  virtual std::uint64_t numeric_fault_count() const noexcept = 0;
+  /// Cumulative requantization clips per layer (empty for float).
+  virtual std::span<const std::uint64_t> saturation_counts()
+      const noexcept = 0;
+  std::uint64_t saturation_total() const noexcept {
+    std::uint64_t n = 0;
+    for (const std::uint64_t c : saturation_counts()) n += c;
+    return n;
+  }
+
+  /// Worst-case arena demand actually observed (certification evidence)
+  /// and the arena's capacity; floats for float engines, bytes for int8.
+  virtual std::size_t arena_high_water_mark() const noexcept = 0;
+  virtual std::size_t arena_capacity() const noexcept = 0;
+
+ protected:
+  explicit Engine(ElemType elem) noexcept : elem_(elem) {}
+
+ private:
+  ElemType elem_;
+};
+
 /// Allocation-free, deterministic inference over a fixed model.
-class StaticEngine {
+class StaticEngine final : public Engine {
  public:
   /// Plans buffers (and, unless the resolved kernel mode is kReference,
   /// a private KernelPlan) for `model`. The model must outlive the engine.
@@ -60,10 +114,8 @@ class StaticEngine {
   StaticEngine(const StaticEngine&) = delete;
   StaticEngine& operator=(const StaticEngine&) = delete;
 
-  /// Runs inference. `input` must match the model input shape; `output`
-  /// must have exactly output_shape().size() elements. No allocation.
   Status run(tensor::ConstTensorView input,
-             std::span<float> output) noexcept;
+             std::span<float> output) noexcept override;
 
   /// Runs inference and additionally copies the activation feeding layer
   /// `tap_layer` into `tap` — bitwise identical to
@@ -85,26 +137,28 @@ class StaticEngine {
   const Shape& input_shape() const noexcept { return model_->input_shape(); }
   const Shape& output_shape() const noexcept { return model_->output_shape(); }
 
-  /// Worst-case arena demand actually observed (certification evidence).
-  std::size_t arena_high_water_mark() const noexcept {
+  std::size_t arena_high_water_mark() const noexcept override {
     return arena_.high_water_mark();
   }
-  std::size_t arena_capacity() const noexcept { return arena_.capacity(); }
+  std::size_t arena_capacity() const noexcept override {
+    return arena_.capacity();
+  }
 
-  /// Number of inferences executed.
-  std::uint64_t run_count() const noexcept { return runs_; }
-  /// Number of runs rejected due to numeric faults.
-  std::uint64_t numeric_fault_count() const noexcept { return faults_; }
+  std::uint64_t run_count() const noexcept override { return runs_; }
+  std::uint64_t numeric_fault_count() const noexcept override {
+    return faults_;
+  }
+  std::span<const std::uint64_t> saturation_counts()
+      const noexcept override {
+    return {};
+  }
 
   /// The kernel plan in effect (nullptr when running reference loops).
-  const KernelPlan* kernel_plan() const noexcept { return plan_; }
-  /// Re-snapshots the weight panels from the live model parameters.
-  /// Required after in-place weight mutation (fault injection, scrubbing)
-  /// under kWide (the usual kAuto resolution), where Dense/Conv2d weights
-  /// were copied into panels at plan time — without it the mutation is
-  /// invisible to the hot path. No-op in reference mode; a shared plan
-  /// must be repacked by its owner instead.
-  void repack() noexcept {
+  const KernelPlan* plan() const noexcept override { return plan_; }
+  /// Under kWide (the usual kAuto resolution) Dense/Conv2d weights were
+  /// copied into panels at plan time, so an in-place mutation is invisible
+  /// to the hot path until this runs.
+  void repack() noexcept override {
     if (owned_plan_) owned_plan_->repack();
   }
   /// Resolved mode: kWide when a plan drives the engine, else kReference.

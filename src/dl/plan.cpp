@@ -73,27 +73,33 @@ k::Conv2dGeom conv_geom(const Model& m, std::size_t i, const Conv2d& c) {
 
 }  // namespace
 
-KernelPlan::KernelPlan(const Model& model, std::size_t pin_tap_layer)
-    : model_(&model),
-      probe_(platform::probe_cpu()),
-      pin_tap_layer_(pin_tap_layer),
-      program_(lower(model)) {
+const char* elem_name(ElemType elem) noexcept {
+  return elem == ElemType::kInt8 ? "int8" : "float";
+}
+
+PlanEvidence::PlanEvidence(ElemType elem, ir::Program program,
+                           const ir::PassOptions& opts)
+    : elem_(elem), probe_(platform::probe_cpu()), program_(std::move(program)) {
   // The one and only probe: configuration time, before any step exists.
   // The decision is kept for the audit trail (isa_selection()); the hot
-  // path only ever sees the function pointers resolved below.
+  // path only ever sees the function pointers the derived plan resolves.
   isa_sel_ = platform::select_wide_isa(probe_, std::getenv("SX_KERNEL_ISA"));
   // Static-analysis pass pipeline over the lowered IR: dce, fusion
   // legality, liveness arena coloring. The per-pass audit evidence is
   // retained for the AuditLog and the verify gate re-derives all of it.
-  ir::PassOptions opts;
-  opts.fuse_sigmoid_tanh = true;
-  opts.pin_layer = pin_tap_layer;
   ir::OptimizeResult opt = ir::optimize(program_, opts);
   layout_ = std::move(opt.layout);
   passes_ = std::move(opt.passes);
   output_offset_ = layout_.value_offset[program_.output_value];
   for (const ir::PassEvidence& pe : passes_) removed_ += pe.layers_removed;
+}
 
+KernelPlan::KernelPlan(const Model& model, std::size_t pin_tap_layer)
+    : PlanEvidence(ElemType::kFloat32, lower(model),
+                   ir::PassOptions{.fuse_sigmoid_tanh = true,
+                                   .pin_layer = pin_tap_layer}),
+      model_(&model),
+      pin_tap_layer_(pin_tap_layer) {
   // Pass 1 over the surviving ops: size the deploy-time storage.
   std::size_t table_u32 = 0;  // pix_off arrays + in_idx + w_ofs
   for (const ir::Op& op : program_.ops) {

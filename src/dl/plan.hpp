@@ -41,8 +41,8 @@
 // out_c % 4 conv channels are read live. Callers that mutate weights
 // afterwards — e.g. the SEU campaigns in safety/campaign.cpp injecting
 // into a model behind a long-lived engine — must call repack(); the
-// safety channels do so in InferenceChannel::refresh_replica(). The
-// kReference loops read every parameter live and need no repack.
+// safety channels do so in safety::Replica::refresh(). The kReference
+// loops read every parameter live and need no repack.
 //
 // The plan also selects, once, at construction, which lane family of the
 // wide kernels runs (platform::CpuProbe + SX_KERNEL_ISA override: scalar,
@@ -105,6 +105,63 @@ KernelMode resolve_kernel_mode(KernelMode requested) noexcept;
 
 const char* kernel_mode_name(KernelMode mode) noexcept;
 
+/// Element type a plan and its engine compute in.
+enum class ElemType : std::uint8_t { kFloat32, kInt8 };
+
+/// "float" or "int8": the plan name the audit chain and reports use.
+const char* elem_name(ElemType elem) noexcept;
+
+/// The evidence every deploy-time plan carries, whatever its element
+/// type: the optimized program IR, its liveness-colored arena layout, the
+/// per-pass audit facts and the CPU-probe arm decision. KernelPlan and
+/// QuantKernelPlan derive from it, so the audit chain and the report read
+/// one view and never branch on the element type's plan class.
+class PlanEvidence {
+ public:
+  virtual ~PlanEvidence() = default;
+  PlanEvidence(const PlanEvidence&) = delete;
+  PlanEvidence& operator=(const PlanEvidence&) = delete;
+
+  ElemType elem() const noexcept { return elem_; }
+  /// The optimized program IR and its liveness-colored arena layout —
+  /// the structures verify/range re-checks against the model. Layout
+  /// units are floats for a float plan, bytes for an int8 plan.
+  const ir::Program& program() const noexcept { return program_; }
+  const ir::ArenaLayout& layout() const noexcept { return layout_; }
+  /// Structured audit evidence emitted by each static-analysis pass.
+  std::span<const ir::PassEvidence> pass_evidence() const noexcept {
+    return {passes_.data(), passes_.size()};
+  }
+  /// Layers eliminated by the dce pass (bit identities).
+  std::size_t removed_layers() const noexcept { return removed_; }
+
+  /// The deploy-time CPU probe and ISA decision. Recorded by the pipeline
+  /// audit log and the SX_KERNEL_BACKEND report block.
+  const platform::CpuProbe& cpu_probe() const noexcept { return probe_; }
+  const platform::WideIsaSelection& isa_selection() const noexcept {
+    return isa_sel_;
+  }
+
+  /// One-line evidence summary for core/report.
+  virtual std::string summary() const = 0;
+
+ protected:
+  /// Probes the CPU once (SX_KERNEL_ISA honored) and runs the pass
+  /// pipeline — dce, fusion legality, liveness coloring — over the
+  /// lowered `program`.
+  PlanEvidence(ElemType elem, ir::Program program,
+               const ir::PassOptions& opts);
+
+  const ElemType elem_;
+  platform::CpuProbe probe_{};
+  platform::WideIsaSelection isa_sel_{};
+  ir::Program program_;
+  ir::ArenaLayout layout_;
+  std::vector<ir::PassEvidence> passes_;
+  std::size_t output_offset_ = ir::kNone;
+  std::size_t removed_ = 0;
+};
+
 /// One executable step of a plan: one surviving IR op — a layer, or a
 /// layer fused with its following activation. Pointer members alias the
 /// model's live parameter storage (or the plan's own tables/panels) and
@@ -156,7 +213,7 @@ struct KernelStep {
 
 /// Deploy-time execution plan for one model. Immutable after construction
 /// except repack(); shareable read-only across workers.
-class KernelPlan {
+class KernelPlan final : public PlanEvidence {
  public:
   /// The model must outlive the plan. `pin_tap_layer` keeps the
   /// activation feeding that layer materialized (fusion across it is
@@ -165,20 +222,8 @@ class KernelPlan {
   explicit KernelPlan(const Model& model,
                       std::size_t pin_tap_layer = kNoPinnedTap);
 
-  KernelPlan(const KernelPlan&) = delete;
-  KernelPlan& operator=(const KernelPlan&) = delete;
-
   std::span<const KernelStep> steps() const noexcept {
     return {steps_.get(), step_count_};
-  }
-
-  /// The optimized program IR and its liveness-colored arena layout —
-  /// the structures verify/range re-checks against the model.
-  const ir::Program& program() const noexcept { return program_; }
-  const ir::ArenaLayout& layout() const noexcept { return layout_; }
-  /// Structured audit evidence emitted by each static-analysis pass.
-  std::span<const ir::PassEvidence> pass_evidence() const noexcept {
-    return {passes_.data(), passes_.size()};
   }
 
   /// Engine arena demand in floats (liveness-pass total, excluding slack).
@@ -206,36 +251,20 @@ class KernelPlan {
   std::size_t planned_conv() const noexcept { return planned_conv_; }
   std::size_t fused_activations() const noexcept { return fused_; }
   std::size_t reference_steps() const noexcept { return reference_; }
-  /// Layers eliminated by the dce pass (bit identities).
-  std::size_t removed_layers() const noexcept { return removed_; }
 
   /// Re-snapshots Dense and Conv2d weights into the panels. For callers
   /// that mutate weights in place after deployment.
   void repack() noexcept;
 
-  /// The deploy-time CPU probe and ISA decision. Recorded by the pipeline
-  /// audit log and the SX_KERNEL_BACKEND report block.
-  const platform::CpuProbe& cpu_probe() const noexcept { return probe_; }
-  const platform::WideIsaSelection& isa_selection() const noexcept {
-    return isa_sel_;
-  }
-
-  /// One-line evidence summary for core/report.
-  std::string summary() const;
+  std::string summary() const override;
 
  private:
   const Model* model_;
-  platform::CpuProbe probe_{};
-  platform::WideIsaSelection isa_sel_{};
   std::size_t pin_tap_layer_ = kNoPinnedTap;
-  ir::Program program_;
-  ir::ArenaLayout layout_;
-  std::vector<ir::PassEvidence> passes_;
   std::unique_ptr<KernelStep[]> steps_;
   std::size_t step_count_ = 0;
   std::unique_ptr<std::uint32_t[]> tables_;  ///< pix_off + in_idx + w_ofs
   tensor::AlignedStorage<float> panels_;  ///< cache-line-aligned base
-  std::size_t output_offset_ = ir::kNone;
   std::size_t final_tap_first_ = 0;
   std::size_t scratch_floats_ = 0;
   std::size_t panel_floats_ = 0;
@@ -244,7 +273,6 @@ class KernelPlan {
   std::size_t planned_conv_ = 0;
   std::size_t fused_ = 0;
   std::size_t reference_ = 0;
-  std::size_t removed_ = 0;
 };
 
 }  // namespace sx::dl

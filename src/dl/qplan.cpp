@@ -32,18 +32,11 @@ k::Conv2dGeom qconv_geom(const QuantizedModel& m, std::size_t i,
 }  // namespace
 
 QuantKernelPlan::QuantKernelPlan(const QuantizedModel& model)
-    : model_(&model), probe_(platform::probe_cpu()), program_(lower(model)) {
-  isa_sel_ = platform::select_wide_isa(probe_, std::getenv("SX_KERNEL_ISA"));
-  // Static-analysis pass pipeline over the lowered IR. The int8 path only
-  // ever fuses ReLU: quantize() admits no other activation, and int8 ReLU
-  // after the requantize clamp is exact.
-  ir::PassOptions opts;
-  opts.fuse_sigmoid_tanh = false;
-  ir::OptimizeResult opt = ir::optimize(program_, opts);
-  layout_ = std::move(opt.layout);
-  passes_ = std::move(opt.passes);
-  output_offset_ = layout_.value_offset[program_.output_value];
-  for (const ir::PassEvidence& pe : passes_) removed_ += pe.layers_removed;
+    // The int8 path only ever fuses ReLU: quantize() admits no other
+    // activation, and int8 ReLU after the requantize clamp is exact.
+    : PlanEvidence(ElemType::kInt8, lower(model),
+                   ir::PassOptions{.fuse_sigmoid_tanh = false}),
+      model_(&model) {
 
   // Pass 1 over the surviving ops: size the deploy-time storage.
   std::size_t table_u32 = 0;  // pix_off arrays + in_idx + w_ofs
@@ -220,7 +213,8 @@ std::size_t planned_capacity(const QuantizedModel& m,
 }  // namespace
 
 QuantEngine::QuantEngine(const QuantizedModel& model, QuantEngineConfig cfg)
-    : model_(&model),
+    : Engine(ElemType::kInt8),
+      model_(&model),
       cfg_(cfg),
       owned_plan_(make_owned_qplan(model, resolve_kernel_mode(cfg.kernels))),
       plan_(owned_plan_.get()),
@@ -230,7 +224,8 @@ QuantEngine::QuantEngine(const QuantizedModel& model, QuantEngineConfig cfg)
 
 QuantEngine::QuantEngine(const QuantizedModel& model,
                          const QuantKernelPlan& plan, QuantEngineConfig cfg)
-    : model_(&model),
+    : Engine(ElemType::kInt8),
+      model_(&model),
       cfg_(cfg),
       plan_(&plan),
       arena_(planned_capacity(model, &plan, cfg)) {

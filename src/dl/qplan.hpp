@@ -55,6 +55,7 @@
 #include <string>
 #include <vector>
 
+#include "dl/engine.hpp"
 #include "dl/plan.hpp"
 #include "dl/quant.hpp"
 #include "tensor/arena.hpp"
@@ -105,26 +106,14 @@ struct QuantKernelStep {
 
 /// Deploy-time execution plan for one quantized model. Immutable after
 /// construction except repack(); shareable read-only across workers.
-class QuantKernelPlan {
+class QuantKernelPlan final : public PlanEvidence {
  public:
   /// The model must outlive the plan. The CPU probe and the SX_KERNEL_ISA
   /// override are consulted here, exactly once.
   explicit QuantKernelPlan(const QuantizedModel& model);
 
-  QuantKernelPlan(const QuantKernelPlan&) = delete;
-  QuantKernelPlan& operator=(const QuantKernelPlan&) = delete;
-
   std::span<const QuantKernelStep> steps() const noexcept {
     return {steps_.get(), step_count_};
-  }
-
-  /// The optimized program IR and its liveness-colored arena layout —
-  /// the structures verify/range re-checks against the model.
-  const ir::Program& program() const noexcept { return program_; }
-  const ir::ArenaLayout& layout() const noexcept { return layout_; }
-  /// Structured audit evidence emitted by each static-analysis pass.
-  std::span<const ir::PassEvidence> pass_evidence() const noexcept {
-    return {passes_.data(), passes_.size()};
   }
 
   /// Engine byte-arena demand (liveness-pass total, excluding slack).
@@ -147,8 +136,6 @@ class QuantKernelPlan {
   std::size_t planned_conv() const noexcept { return planned_conv_; }
   std::size_t fused_relus() const noexcept { return fused_; }
   std::size_t reference_steps() const noexcept { return reference_; }
-  /// Layers eliminated by the dce pass (bit identities).
-  std::size_t removed_layers() const noexcept { return removed_; }
   /// Dense/Conv2d steps planned on the scalar arm because their
   /// reduction length fails the no-overflow bound.
   std::size_t bound_scalar_steps() const noexcept { return bound_scalar_; }
@@ -157,27 +144,14 @@ class QuantKernelPlan {
   /// the per-lane corrections.
   void repack() noexcept;
 
-  /// The deploy-time CPU probe and ISA decision. Mirrors dl::KernelPlan.
-  const platform::CpuProbe& cpu_probe() const noexcept { return probe_; }
-  const platform::WideIsaSelection& isa_selection() const noexcept {
-    return isa_sel_;
-  }
-
-  /// One-line evidence summary for core/report.
-  std::string summary() const;
+  std::string summary() const override;
 
  private:
   const QuantizedModel* model_;
-  platform::CpuProbe probe_{};
-  platform::WideIsaSelection isa_sel_{};
-  ir::Program program_;
-  ir::ArenaLayout layout_;
-  std::vector<ir::PassEvidence> passes_;
   std::unique_ptr<QuantKernelStep[]> steps_;
   std::size_t step_count_ = 0;
   std::unique_ptr<std::uint32_t[]> tables_;  ///< pix_off + in_idx + w_ofs
   tensor::AlignedStorage<std::int8_t> panels_;  ///< cache-line-aligned base
-  std::size_t output_offset_ = ir::kNone;
   std::size_t scratch_bytes_ = 0;
   std::size_t panel_bytes_ = 0;
   std::size_t table_entries_ = 0;
@@ -185,7 +159,6 @@ class QuantKernelPlan {
   std::size_t planned_conv_ = 0;
   std::size_t fused_ = 0;
   std::size_t reference_ = 0;
-  std::size_t removed_ = 0;
   std::size_t bound_scalar_ = 0;
 };
 
@@ -203,7 +176,7 @@ struct QuantEngineConfig {
 /// mode keeps the classic ping-pong pair as the unoptimized twin. run()
 /// is noexcept and performs zero heap allocations. Outputs are bitwise
 /// identical to QuantizedModel::run for every kernel mode.
-class QuantEngine {
+class QuantEngine final : public Engine {
  public:
   /// Builds an engine-private plan (or none when the resolved mode is
   /// kReference). The model must outlive the engine.
@@ -219,37 +192,33 @@ class QuantEngine {
 
   /// Int8 inference; output is dequantized float logits.
   Status run(tensor::ConstTensorView input,
-             std::span<float> output) noexcept;
+             std::span<float> output) noexcept override;
 
-  std::uint64_t run_count() const noexcept { return runs_; }
+  std::uint64_t run_count() const noexcept override { return runs_; }
+  std::uint64_t numeric_fault_count() const noexcept override { return 0; }
 
   /// Cumulative requantization clips per layer across every run() —
   /// bitwise identical to the reference model's counters on the same
   /// inputs (fused-ReLU clips are attributed to the producing layer, where
   /// the reference also counts them; the ReLU layer itself never clips).
-  std::span<const std::uint64_t> saturation_counts() const noexcept {
+  std::span<const std::uint64_t> saturation_counts()
+      const noexcept override {
     return {sat_counts_.get(), layer_count_};
-  }
-  std::uint64_t saturation_total() const noexcept {
-    std::uint64_t n = 0;
-    for (std::size_t i = 0; i < layer_count_; ++i) n += sat_counts_[i];
-    return n;
   }
 
   /// The plan driving this engine (nullptr in reference mode).
-  const QuantKernelPlan* plan() const noexcept { return plan_; }
+  const QuantKernelPlan* plan() const noexcept override { return plan_; }
 
-  /// Re-snapshots the engine-private plan's weight panels after a
-  /// deliberate mutation of the quantized weights (fault injection). No-op
-  /// in reference mode, which reads the live weights anyway. A *shared*
-  /// plan is left untouched — its owner must coordinate repack() across
-  /// every engine it serves.
-  void repack() noexcept {
+  /// Re-snapshots the engine-private plan's panels and per-lane
+  /// corrections after a mutation of the quantized weights.
+  void repack() noexcept override {
     if (owned_plan_ != nullptr) owned_plan_->repack();
   }
 
-  std::size_t arena_capacity() const noexcept { return arena_.capacity(); }
-  std::size_t arena_high_water_mark() const noexcept {
+  std::size_t arena_capacity() const noexcept override {
+    return arena_.capacity();
+  }
+  std::size_t arena_high_water_mark() const noexcept override {
     return arena_.high_water_mark();
   }
 

@@ -69,9 +69,9 @@ CampaignOutcome run_campaign(InferenceChannel& channel,
   CampaignOutcome outcome;
   std::size_t probe_cursor = 0;
   for (std::size_t f = 0; f < cfg.n_faults; ++f) {
-    // The channel decides where the fault lands so it hits the parameter
-    // memory its inference path actually reads (float weights for the
-    // float patterns, the int8 store for QuantChannel).
+    // Replica 0 decides where the fault lands so it hits the parameter
+    // memory its engine actually reads (float weights for a float replica,
+    // the int8 store for an int8 one).
     const FaultRecord rec = channel.inject_fault(injector, 0, cfg.fault_type);
     for (std::size_t p = 0; p < cfg.probes_per_fault; ++p) {
       const std::size_t idx = probe_cursor % g.usable.size();

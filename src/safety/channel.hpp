@@ -3,12 +3,15 @@
 // Each pattern wraps DL inference in an increasingly sophisticated
 // fault-detection/-tolerance architecture:
 //
-//   single        bare StaticEngine (QM / baseline)
-//   monitored     + envelope monitor (fail-stop on implausible outputs)
+//   single        one replica, no protection (QM / baseline)
+//   monitored     + envelope monitor (fail-stop on implausible outputs);
+//                 single and monitored are one EngineChannel, whose
+//                 replica is float or int8 (the int8 rungs are named
+//                 int8-single / int8-monitored)
 //   dmr           duplication with comparison (fail-stop on divergence)
 //   tmr           triplication with median vote (fault masking)
-//   diverse-tmr   diverse triplication: float / int8 / float replicas with
-//                 argmax majority vote (common-cause defence)
+//   diverse-tmr   diverse triplication: float / float / int8 replicas
+//                 with argmax majority vote (common-cause defence)
 //   safety-bag    any channel + trust supervisor + rule-based fallback
 //                 (fail-operational: degrades instead of stopping). The
 //                 bag computes the decision's one trust score itself,
@@ -16,16 +19,19 @@
 //                 clean deployed model; the pipeline's supervisor stage
 //                 reuses it instead of scoring a second time.
 //
-// Channels own *copies* of the deployed model so that fault injection into
-// one replica models an SEU in that replica's weight memory.
+// Every channel holds its replicas as Replica values: an owned float or
+// int8 model plus the planned engine that reads it, built at the
+// deployment's kernel mode. Fault injection into one replica models an SEU
+// in that replica's weight memory and lands in the weights its engine
+// actually reads (the int8 store for an int8 replica).
 #pragma once
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "dl/engine.hpp"
-#include "dl/qplan.hpp"
 #include "dl/quant.hpp"
 #include "obs/registry.hpp"
 #include "safety/fault.hpp"
@@ -33,6 +39,44 @@
 #include "supervise/tap_scorer.hpp"
 
 namespace sx::safety {
+
+/// One redundant copy of the DL component: an owned float or int8 model
+/// plus the engine that runs it. Planned engines (kWide — what kAuto
+/// resolves to) snapshot the weights into panels at deploy time, so code
+/// that writes model() in place must call refresh(); inject_fault and
+/// undo_fault do so themselves.
+class Replica {
+ public:
+  /// A float replica: owns `model` and a StaticEngine over it.
+  explicit Replica(dl::Model model, dl::StaticEngineConfig cfg = {});
+  /// An int8 replica: owns `model` and a QuantEngine over it.
+  explicit Replica(dl::QuantizedModel model,
+                   dl::KernelMode kernels = dl::KernelMode::kAuto);
+
+  Status run(tensor::ConstTensorView in, std::span<float> out) noexcept {
+    return engine_->run(in, out);
+  }
+  const dl::Engine& engine() const noexcept { return *engine_; }
+  dl::ElemType elem() const noexcept { return engine_->elem(); }
+  std::size_t output_size() const noexcept { return output_size_; }
+
+  /// The owned float model (std::logic_error on an int8 replica).
+  dl::Model& model();
+
+  /// Re-snapshots the engine's panels from the live weights.
+  void refresh() noexcept { engine_->repack(); }
+  /// Injects one fault into the weights the engine reads and returns the
+  /// record for undo_fault().
+  FaultRecord inject_fault(FaultInjector& injector, FaultType type);
+  /// Removes the fault recorded by inject_fault(), bitwise.
+  void undo_fault(const FaultRecord& rec);
+
+ private:
+  std::unique_ptr<dl::Model> model_;            // float replicas
+  std::unique_ptr<dl::QuantizedModel> qmodel_;  // int8 replicas
+  std::unique_ptr<dl::Engine> engine_;
+  std::size_t output_size_ = 0;
+};
 
 class InferenceChannel {
  public:
@@ -46,48 +90,39 @@ class InferenceChannel {
 
   virtual std::size_t output_size() const noexcept = 0;
 
-  /// Number of model replicas (fault-injection targets).
-  virtual std::size_t replica_count() const noexcept { return 1; }
-  /// Model replica `i`. Planned engines (kWide — what kAuto resolves to)
-  /// snapshot its weights into panels at deploy time, so they cannot see
-  /// an in-place write to replica(i) until refresh_replica(i) runs.
-  virtual dl::Model& replica(std::size_t i) = 0;
+  /// The model replicas this channel runs (the fault-injection targets),
+  /// replica 0 first.
+  virtual std::span<Replica> replicas() noexcept = 0;
+  std::span<const Replica> replicas() const noexcept {
+    return const_cast<InferenceChannel*>(this)->replicas();
+  }
+  std::size_t replica_count() const noexcept { return replicas().size(); }
+  /// Replica `i` (std::out_of_range past replica_count()).
+  Replica& replica(std::size_t i);
 
-  /// Re-snapshots the weight panels of the engine(s) reading replica `i`
-  /// from its live parameters. Call it after writing replica(i) in place;
-  /// inject_fault/undo_fault call it themselves. No-op by default, for
-  /// channels whose inference reads the weights live.
-  virtual void refresh_replica(std::size_t i) { (void)i; }
-
-  /// Injects one fault into replica `i`'s *deployed* parameter memory and
-  /// returns the record for undo_fault(). The default targets the float
-  /// parameters of replica(i); a channel whose inference reads a different
-  /// representation (e.g. QuantChannel's int8 weight store) overrides both
-  /// hooks so campaigns mutate memory the inference path actually reads —
-  /// faults into an unread twin would measure nothing.
-  virtual FaultRecord inject_fault(FaultInjector& injector, std::size_t i,
-                                   FaultType type) {
-    FaultRecord rec = injector.inject(replica(i), type);
-    refresh_replica(i);
-    return rec;
+  /// Injects one fault into replica `i`'s *deployed* weights — the store
+  /// its engine reads, so a campaign never faults an unread twin — and
+  /// returns the record for undo_fault().
+  FaultRecord inject_fault(FaultInjector& injector, std::size_t i,
+                           FaultType type) {
+    return replica(i).inject_fault(injector, type);
   }
   /// Removes the fault recorded by inject_fault().
-  virtual void undo_fault(std::size_t i, const FaultRecord& rec) {
-    FaultInjector::restore(replica(i), rec);
-    refresh_replica(i);
+  void undo_fault(std::size_t i, const FaultRecord& rec) {
+    replica(i).undo_fault(rec);
+  }
+
+  /// Replica 0's deploy-time plan, float or int8: the deployment's plan
+  /// evidence (nullptr under the reference loops). Lets the pipeline
+  /// attach the plan's IR pass evidence to the audit chain without
+  /// knowing the concrete pattern.
+  const dl::PlanEvidence* plan() const noexcept {
+    const auto r = replicas();
+    return r.empty() ? nullptr : r.front().engine().plan();
   }
 
   /// True if the previous infer() produced a fallback (degraded) output.
   virtual bool last_degraded() const noexcept { return false; }
-
-  /// The deploy-time float kernel plan of replica 0's engine, when the
-  /// channel runs planned kernels (nullptr in reference mode or when the
-  /// channel deploys no float StaticEngine of its own, e.g. QuantChannel).
-  /// Lets the pipeline attach the plan's IR pass evidence to the audit
-  /// chain without knowing the concrete pattern.
-  virtual const dl::KernelPlan* float_kernel_plan() const noexcept {
-    return nullptr;
-  }
 
   /// Registers and binds this pattern's telemetry counters (configuration
   /// time; no-op by default). Wrapper channels forward to their inner
@@ -95,141 +130,119 @@ class InferenceChannel {
   virtual void bind_telemetry(obs::Registry& registry) { (void)registry; }
 };
 
-/// Bare engine, no protection.
-class SingleChannel final : public InferenceChannel {
+/// A pattern event counter (divergences, masked votes), mirrored into a
+/// telemetry counter once bound.
+class EventCounter {
  public:
-  explicit SingleChannel(const dl::Model& model,
-                         dl::StaticEngineConfig cfg = {.check_numeric_faults =
-                                                           false});
-
-  std::string_view pattern_name() const noexcept override { return "single"; }
-  Status infer(tensor::ConstTensorView in,
-               std::span<float> out) noexcept override;
-  std::size_t output_size() const noexcept override {
-    return model_->output_shape().size();
+  void bind(obs::Registry& registry, std::string_view name) {
+    obs_ = &registry;
+    id_ = registry.counter(name);
   }
-  dl::Model& replica(std::size_t) override { return *model_; }
-
-  void refresh_replica(std::size_t) override { engine_->repack(); }
-
-  const dl::KernelPlan* float_kernel_plan() const noexcept override {
-    return engine_->kernel_plan();
+  void hit() noexcept {
+    ++n_;
+    if (obs_ != nullptr) obs_->add(id_);
   }
+  std::uint64_t value() const noexcept { return n_; }
 
  private:
-  std::unique_ptr<dl::Model> model_;
-  std::unique_ptr<dl::StaticEngine> engine_;
+  std::uint64_t n_ = 0;
+  obs::Registry* obs_ = nullptr;
+  obs::CounterId id_{};
 };
 
-/// Engine + envelope monitor (fail-stop).
-class MonitoredChannel final : public InferenceChannel {
+/// One replica, optionally behind the envelope monitor: the single and
+/// monitored rungs for either element type. An int8 channel mirrors its
+/// engine's requantization clips into sx_quant_saturations_total.
+class EngineChannel final : public InferenceChannel {
  public:
-  MonitoredChannel(const dl::Model& model, MonitorConfig cfg,
-                   dl::StaticEngineConfig engine_cfg = {
-                       .check_numeric_faults = true});
+  /// A set `monitor` adds the monitored rung's envelope checks (fail-stop
+  /// on implausible inputs/outputs).
+  explicit EngineChannel(Replica replica,
+                         std::optional<MonitorConfig> monitor = std::nullopt);
 
-  std::string_view pattern_name() const noexcept override {
-    return "monitored";
-  }
+  std::string_view pattern_name() const noexcept override;
   Status infer(tensor::ConstTensorView in,
                std::span<float> out) noexcept override;
   std::size_t output_size() const noexcept override {
-    return model_->output_shape().size();
+    return replica_.output_size();
   }
-  dl::Model& replica(std::size_t) override { return *model_; }
+  std::span<Replica> replicas() noexcept override { return {&replica_, 1}; }
 
-  void refresh_replica(std::size_t) override { engine_->repack(); }
-
-  const SafetyMonitor& monitor() const noexcept { return monitor_; }
-
-  const dl::KernelPlan* float_kernel_plan() const noexcept override {
-    return engine_->kernel_plan();
-  }
-
-  void bind_telemetry(obs::Registry& registry) override {
-    monitor_.bind_telemetry(&registry,
-                            registry.counter("sx_monitor_rejections_total"));
-  }
+  void bind_telemetry(obs::Registry& registry) override;
 
  private:
-  std::unique_ptr<dl::Model> model_;
-  std::unique_ptr<dl::StaticEngine> engine_;
-  SafetyMonitor monitor_;
+  Replica replica_;
+  std::optional<SafetyMonitor> monitor_;  // empty on the single rung
+  obs::Registry* obs_ = nullptr;          // bound for int8 replicas only
+  obs::CounterId sat_id_{};
+  std::uint64_t reported_sats_ = 0;  // saturations already pushed to obs
 };
 
 /// Dual modular redundancy: two replicas, compare, fail-stop on divergence.
 class DmrChannel final : public InferenceChannel {
  public:
-  DmrChannel(const dl::Model& model, float tolerance = 1e-5f);
+  explicit DmrChannel(const dl::Model& model,
+                      dl::KernelMode kernels = dl::KernelMode::kAuto,
+                      float tolerance = 1e-5f);
 
   std::string_view pattern_name() const noexcept override { return "dmr"; }
   Status infer(tensor::ConstTensorView in,
                std::span<float> out) noexcept override;
   std::size_t output_size() const noexcept override {
-    return models_[0]->output_shape().size();
+    return replicas_[0].output_size();
   }
-  std::size_t replica_count() const noexcept override { return 2; }
-  dl::Model& replica(std::size_t i) override { return *models_.at(i); }
+  std::span<Replica> replicas() noexcept override { return replicas_; }
 
-  void refresh_replica(std::size_t i) override { engines_.at(i)->repack(); }
-
-  std::uint64_t divergences() const noexcept { return divergences_; }
+  std::uint64_t divergences() const noexcept { return divergences_.value(); }
 
   void bind_telemetry(obs::Registry& registry) override {
-    obs_ = &registry;
-    divergences_id_ = registry.counter("sx_dmr_divergences_total");
+    divergences_.bind(registry, "sx_dmr_divergences_total");
   }
 
  private:
-  std::vector<std::unique_ptr<dl::Model>> models_;
-  std::vector<std::unique_ptr<dl::StaticEngine>> engines_;
+  std::vector<Replica> replicas_;
   std::vector<float> scratch_;
   float tolerance_;
-  std::uint64_t divergences_ = 0;
-  obs::Registry* obs_ = nullptr;
-  obs::CounterId divergences_id_{};
+  EventCounter divergences_;
 };
 
 /// Triple modular redundancy with element-wise median vote (fault masking).
 class TmrChannel final : public InferenceChannel {
  public:
-  TmrChannel(const dl::Model& model, float tolerance = 1e-5f);
+  explicit TmrChannel(const dl::Model& model,
+                      dl::KernelMode kernels = dl::KernelMode::kAuto,
+                      float tolerance = 1e-5f);
 
   std::string_view pattern_name() const noexcept override { return "tmr"; }
   Status infer(tensor::ConstTensorView in,
                std::span<float> out) noexcept override;
   std::size_t output_size() const noexcept override {
-    return models_[0]->output_shape().size();
+    return replicas_[0].output_size();
   }
-  std::size_t replica_count() const noexcept override { return 3; }
-  dl::Model& replica(std::size_t i) override { return *models_.at(i); }
-
-  void refresh_replica(std::size_t i) override { engines_.at(i)->repack(); }
+  std::span<Replica> replicas() noexcept override { return replicas_; }
 
   /// Votes in which at least one replica disagreed (masked faults).
-  std::uint64_t masked_votes() const noexcept { return masked_; }
+  std::uint64_t masked_votes() const noexcept { return masked_.value(); }
 
   void bind_telemetry(obs::Registry& registry) override {
-    obs_ = &registry;
-    masked_id_ = registry.counter("sx_tmr_masked_votes_total");
+    masked_.bind(registry, "sx_tmr_masked_votes_total");
   }
 
  private:
-  std::vector<std::unique_ptr<dl::Model>> models_;
-  std::vector<std::unique_ptr<dl::StaticEngine>> engines_;
+  std::vector<Replica> replicas_;
   std::vector<float> scratch_;  // 3 * output buffers
   float tolerance_;
-  std::uint64_t masked_ = 0;
-  obs::Registry* obs_ = nullptr;
-  obs::CounterId masked_id_{};
+  EventCounter masked_;
 };
 
-/// Diverse redundancy: float replica, int8-quantized replica and a second
-/// float replica vote on the *argmax*; ties broken toward replica 0. Output
-/// logits come from the first float replica agreeing with the majority.
+/// Diverse redundancy: two float replicas and an int8-quantized replica
+/// (replica 2, quantized against `calibration`) vote on the *argmax*; ties
+/// broken toward replica 0. Output logits come from the first float
+/// replica agreeing with the majority. All three are injectable.
 class DiverseTmrChannel final : public InferenceChannel {
  public:
-  DiverseTmrChannel(const dl::Model& model, const dl::Dataset& calibration);
+  DiverseTmrChannel(const dl::Model& model, const dl::Dataset& calibration,
+                    dl::KernelMode kernels = dl::KernelMode::kAuto);
 
   std::string_view pattern_name() const noexcept override {
     return "diverse-tmr";
@@ -237,97 +250,21 @@ class DiverseTmrChannel final : public InferenceChannel {
   Status infer(tensor::ConstTensorView in,
                std::span<float> out) noexcept override;
   std::size_t output_size() const noexcept override {
-    return models_[0]->output_shape().size();
+    return replicas_[0].output_size();
   }
-  /// Replicas 0 and 1 are the float models; the quantized replica is not
-  /// exposed for parameter-level injection.
-  std::size_t replica_count() const noexcept override { return 2; }
-  dl::Model& replica(std::size_t i) override { return *models_.at(i); }
+  std::span<Replica> replicas() noexcept override { return replicas_; }
 
-  void refresh_replica(std::size_t i) override { engines_.at(i)->repack(); }
+  /// Votes in which at least one replica disagreed (masked faults).
+  std::uint64_t masked_votes() const noexcept { return masked_.value(); }
 
   void bind_telemetry(obs::Registry& registry) override {
-    obs_ = &registry;
-    masked_id_ = registry.counter("sx_diverse_masked_votes_total");
+    masked_.bind(registry, "sx_diverse_masked_votes_total");
   }
 
  private:
-  std::vector<std::unique_ptr<dl::Model>> models_;  // two float replicas
-  std::vector<std::unique_ptr<dl::StaticEngine>> engines_;
-  std::unique_ptr<dl::QuantizedModel> qmodel_;
+  std::vector<Replica> replicas_;  // float, float, int8
   std::vector<float> scratch_;
-  std::uint64_t masked_ = 0;
-  obs::Registry* obs_ = nullptr;
-  obs::CounterId masked_id_{};
-};
-
-/// Planned int8 inference as a safety channel: the quantized deployment
-/// backend of the pipeline (BackendKind::kInt8). Wraps a private
-/// dl::QuantEngine over an owned copy of the quantized model. Fault
-/// injection targets the deployed int8 weight store (inject_fault
-/// override), not the float twin — the engine never reads the twin, so
-/// faults there would be invisible and a campaign would report vacuous
-/// 100% masking. The float twin is retained as replica(0) only for
-/// structural introspection (layer geometry, replica_count bookkeeping).
-class QuantChannel final : public InferenceChannel {
- public:
-  /// `model` is the (folded) float twin the quantization was produced
-  /// from; `quantized` is the deployed int8 model. The channel owns
-  /// copies of both. A non-null `monitor` adds the envelope monitor of the
-  /// "monitored" pattern around the int8 engine (fail-stop on implausible
-  /// inputs/outputs) — the int8 ladder rung required above QM.
-  QuantChannel(const dl::Model& model, const dl::QuantizedModel& quantized,
-               dl::QuantEngineConfig cfg = {},
-               const MonitorConfig* monitor = nullptr);
-
-  std::string_view pattern_name() const noexcept override {
-    return monitor_ ? "int8-monitored" : "int8-single";
-  }
-  Status infer(tensor::ConstTensorView in,
-               std::span<float> out) noexcept override;
-  std::size_t output_size() const noexcept override {
-    return qmodel_->output_shape().size();
-  }
-  /// The float twin (introspection only — NOT the fault-injection target;
-  /// see inject_fault).
-  dl::Model& replica(std::size_t) override { return *model_; }
-
-  /// Re-snapshots the int8 engine's panels from the deployed int8 store
-  /// (the float twin is never read).
-  void refresh_replica(std::size_t) override { engine_->repack(); }
-  /// Injects into the deployed int8 weights and re-snapshots the plan's
-  /// panels, so the planned engine computes with the faulted bits.
-  FaultRecord inject_fault(FaultInjector& injector, std::size_t i,
-                           FaultType type) override;
-  void undo_fault(std::size_t i, const FaultRecord& rec) override;
-
-  const dl::QuantizedModel& quantized() const noexcept { return *qmodel_; }
-  const dl::QuantEngine& engine() const noexcept { return *engine_; }
-  /// The deploy-time plan driving the engine (nullptr in reference mode).
-  const dl::QuantKernelPlan* kernel_plan() const noexcept {
-    return engine_->plan();
-  }
-  /// Cumulative requantization clips across every infer().
-  std::uint64_t saturation_total() const noexcept {
-    return engine_->saturation_total();
-  }
-
-  void bind_telemetry(obs::Registry& registry) override {
-    obs_ = &registry;
-    sat_id_ = registry.counter("sx_quant_saturations_total");
-    if (monitor_)
-      monitor_->bind_telemetry(
-          &registry, registry.counter("sx_monitor_rejections_total"));
-  }
-
- private:
-  std::unique_ptr<dl::Model> model_;  // float twin, fault-injection target
-  std::unique_ptr<dl::QuantizedModel> qmodel_;
-  std::unique_ptr<dl::QuantEngine> engine_;
-  std::unique_ptr<SafetyMonitor> monitor_;  // null for the bare rung
-  obs::Registry* obs_ = nullptr;
-  obs::CounterId sat_id_{};
-  std::uint64_t reported_sats_ = 0;  // saturations already pushed to obs
+  EventCounter masked_;
 };
 
 /// Fail-operational safety bag: primary channel + (optional) trust
@@ -350,26 +287,11 @@ class SafetyBagChannel final : public InferenceChannel {
   std::size_t output_size() const noexcept override {
     return primary_->output_size();
   }
-  std::size_t replica_count() const noexcept override {
-    return primary_->replica_count();
-  }
-  dl::Model& replica(std::size_t i) override { return primary_->replica(i); }
-  void refresh_replica(std::size_t i) override {
-    primary_->refresh_replica(i);
-  }
-  /// Forwarded so a wrapped channel's own injection surface (e.g. a
-  /// QuantChannel primary's int8 weights) stays effective under the bag.
-  FaultRecord inject_fault(FaultInjector& injector, std::size_t i,
-                           FaultType type) override {
-    return primary_->inject_fault(injector, i, type);
-  }
-  void undo_fault(std::size_t i, const FaultRecord& rec) override {
-    primary_->undo_fault(i, rec);
+  /// The primary's replicas, so injection reaches what it runs.
+  std::span<Replica> replicas() noexcept override {
+    return primary_->replicas();
   }
   bool last_degraded() const noexcept override { return degraded_; }
-  const dl::KernelPlan* float_kernel_plan() const noexcept override {
-    return primary_->float_kernel_plan();
-  }
 
   /// The trust score the previous infer() took: only when the primary
   /// succeeded, a scorer is attached and its tap succeeded.

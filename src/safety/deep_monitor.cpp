@@ -9,7 +9,9 @@ namespace sx::safety {
 DeepMonitoredChannel::DeepMonitoredChannel(const dl::Model& model,
                                            const dl::Dataset& calibration,
                                            float margin)
-    : model_(std::make_unique<dl::Model>(model)) {
+    : replica_(model,
+               dl::StaticEngineConfig{.kernels = dl::KernelMode::kReference}),
+      model_(&replica_.model()) {
   if (calibration.samples.empty())
     throw std::invalid_argument("DeepMonitoredChannel: empty calibration");
   if (margin < 0.0f)

@@ -32,9 +32,12 @@ class DeepMonitoredChannel final : public InferenceChannel {
   Status infer(tensor::ConstTensorView in,
                std::span<float> out) noexcept override;
   std::size_t output_size() const noexcept override {
-    return model_->output_shape().size();
+    return replica_.output_size();
   }
-  dl::Model& replica(std::size_t) override { return *model_; }
+  /// The monitored model. Inference walks its layers directly (every
+  /// activation is checked), so the replica's engine runs the reference
+  /// loops, which read the weights live: no refresh is needed.
+  std::span<Replica> replicas() noexcept override { return {&replica_, 1}; }
 
   const std::vector<LayerEnvelope>& envelopes() const noexcept {
     return envelopes_;
@@ -45,7 +48,8 @@ class DeepMonitoredChannel final : public InferenceChannel {
   std::uint64_t violations() const noexcept { return violations_; }
 
  private:
-  std::unique_ptr<dl::Model> model_;
+  Replica replica_;
+  const dl::Model* model_;  // the replica's model
   std::vector<LayerEnvelope> envelopes_;
   std::vector<float> ping_;
   std::vector<float> pong_;

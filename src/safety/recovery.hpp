@@ -29,17 +29,10 @@ class RecoveryBlockChannel final : public InferenceChannel {
   Status infer(tensor::ConstTensorView in,
                std::span<float> out) noexcept override;
   std::size_t output_size() const noexcept override {
-    return primary_->output_shape().size();
+    return blocks_[0].output_size();
   }
-  std::size_t replica_count() const noexcept override { return 2; }
-  dl::Model& replica(std::size_t i) override {
-    return i == 0 ? *primary_ : *alternate_;
-  }
-  /// Both blocks' engines snapshot weights into panels under the planned
-  /// kAuto default, so faults reach them only through this repack.
-  void refresh_replica(std::size_t i) override {
-    (i == 0 ? primary_engine_ : alternate_engine_)->repack();
-  }
+  /// Replica 0 is the primary block, replica 1 the alternate.
+  std::span<Replica> replicas() noexcept override { return blocks_; }
 
   /// Times the alternate was engaged.
   std::uint64_t recoveries() const noexcept { return recoveries_; }
@@ -47,10 +40,7 @@ class RecoveryBlockChannel final : public InferenceChannel {
   std::uint64_t double_failures() const noexcept { return double_failures_; }
 
  private:
-  std::unique_ptr<dl::Model> primary_;
-  std::unique_ptr<dl::Model> alternate_;
-  std::unique_ptr<dl::StaticEngine> primary_engine_;
-  std::unique_ptr<dl::StaticEngine> alternate_engine_;
+  std::vector<Replica> blocks_;
   SafetyMonitor acceptance_;
   std::uint64_t recoveries_ = 0;
   std::uint64_t double_failures_ = 0;

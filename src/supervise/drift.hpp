@@ -36,6 +36,8 @@ class CusumDetector {
 
   bool alarmed() const noexcept { return alarmed_; }
   double statistic() const noexcept { return s_; }
+  double reference_mean() const noexcept { return mean_; }
+  double reference_std() const noexcept { return std_; }
   void reset() noexcept {
     s_ = 0.0;
     alarmed_ = false;

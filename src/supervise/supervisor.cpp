@@ -55,17 +55,8 @@ double EnergySupervisor::score(const dl::Model& model,
 
 // ------------------------------------------------------------- mahalanobis
 
-std::vector<double> MahalanobisSupervisor::features_of(
-    const dl::Model& model, const tensor::Tensor& input) const {
-  const auto acts = model.forward_trace(input);
-  const tensor::Tensor& feat = acts.at(feature_layer_);
-  std::vector<double> out(feat.size());
-  for (std::size_t i = 0; i < feat.size(); ++i) out[i] = feat.at(i);
-  return out;
-}
-
-void MahalanobisSupervisor::fit(const dl::Model& model,
-                                const dl::Dataset& id_data) {
+void MahalanobisSupervisor::begin_fit(const dl::Model& model,
+                                      const dl::Dataset& id_data) {
   if (id_data.samples.empty())
     throw std::invalid_argument("MahalanobisSupervisor::fit: empty data");
   // Feature layer: the activation feeding the last parametric layer — i.e.
@@ -82,44 +73,98 @@ void MahalanobisSupervisor::fit(const dl::Model& model,
     throw std::invalid_argument(
         "MahalanobisSupervisor: model has no Dense layer");
   feature_layer_ = last_dense;  // activations[last_dense] = its input
-
+  feature_dim_ = last_dense == 0
+                     ? model.input_shape().size()
+                     : model.activation_shape(last_dense - 1).size();
   const std::size_t n_classes = model.output_shape().size();
-  // Accumulate class means.
-  std::vector<std::size_t> counts(n_classes, 0);
-  std::vector<std::vector<double>> feats;
-  std::vector<std::size_t> labels;
-  feats.reserve(id_data.samples.size());
-  for (const auto& s : id_data.samples) {
+  for (const auto& s : id_data.samples)
     if (s.label >= n_classes)
       throw std::invalid_argument("MahalanobisSupervisor: label range");
-    feats.push_back(features_of(model, s.input));
-    labels.push_back(s.label);
+}
+
+void MahalanobisSupervisor::fit(const dl::Model& model,
+                                const dl::Dataset& id_data) {
+  begin_fit(model, id_data);
+  std::vector<float> feats;
+  feats.reserve(id_data.samples.size() * feature_dim_);
+  for (const auto& s : id_data.samples) {
+    const auto acts = model.forward_trace(s.input);
+    const auto f = acts.at(feature_layer_).data();
+    feats.insert(feats.end(), f.begin(), f.end());
   }
-  feature_dim_ = feats.front().size();
-  class_means_.assign(n_classes, std::vector<double>(feature_dim_, 0.0));
-  for (std::size_t i = 0; i < feats.size(); ++i) {
-    ++counts[labels[i]];
-    for (std::size_t d = 0; d < feature_dim_; ++d)
-      class_means_[labels[i]][d] += feats[i][d];
+  fit_features(id_data, model.output_shape().size(), feats);
+}
+
+std::vector<double> MahalanobisSupervisor::fit_planned(
+    const dl::Model& model, const dl::Dataset& id_data,
+    dl::KernelMode kernels) {
+  begin_fit(model, id_data);
+  // Pinning the feature layer keeps the fusion pass from folding an
+  // epilogue across it, so its activation exists in the arena to tap.
+  dl::StaticEngine engine{model, {.check_numeric_faults = false,
+                                  .kernels = kernels,
+                                  .pin_tap_layer = feature_layer_}};
+  if (!engine.can_tap(feature_layer_))
+    throw std::logic_error(
+        "MahalanobisSupervisor: engine cannot tap the feature layer");
+  const std::size_t n = id_data.samples.size();
+  const std::size_t dim = feature_dim_;
+  std::vector<float> feats(n * dim);
+  std::vector<float> logits(model.output_shape().size());
+  for (std::size_t i = 0; i < n; ++i) {
+    const Status st =
+        engine.run_tapped(id_data.samples[i].input.view(), logits,
+                          feature_layer_,
+                          std::span<float>(feats).subspan(i * dim, dim));
+    if (!ok(st))
+      throw std::invalid_argument(
+          "MahalanobisSupervisor: calibration sample: " +
+          std::string(to_string(st)));
+  }
+  fit_features(id_data, model.output_shape().size(), feats);
+
+  std::vector<double> scores(n);
+  std::vector<double> scratch(dim);
+  for (std::size_t i = 0; i < n; ++i)
+    scores[i] = score_into(std::span<const float>(feats).subspan(i * dim, dim),
+                           scratch);
+  return scores;
+}
+
+void MahalanobisSupervisor::fit_features(const dl::Dataset& id_data,
+                                         std::size_t n_classes,
+                                         std::span<const float> feats) {
+  const std::size_t n = id_data.samples.size();
+  const std::size_t dim = feature_dim_;
+  const auto x = [&](std::size_t i, std::size_t d) {
+    return static_cast<double>(feats[i * dim + d]);
+  };
+  // Accumulate class means.
+  std::vector<std::size_t> counts(n_classes, 0);
+  class_means_.assign(n_classes, std::vector<double>(dim, 0.0));
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t label = id_data.samples[i].label;
+    ++counts[label];
+    for (std::size_t d = 0; d < dim; ++d) class_means_[label][d] += x(i, d);
   }
   for (std::size_t c = 0; c < n_classes; ++c) {
     if (counts[c] == 0) continue;
     for (auto& v : class_means_[c]) v /= static_cast<double>(counts[c]);
   }
   // Tied covariance of residuals.
-  cov_chol_ = util::SquareMatrix(feature_dim_);
-  for (std::size_t i = 0; i < feats.size(); ++i) {
-    const auto& mu = class_means_[labels[i]];
-    for (std::size_t r = 0; r < feature_dim_; ++r) {
-      const double dr = feats[i][r] - mu[r];
+  cov_chol_ = util::SquareMatrix(dim);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto& mu = class_means_[id_data.samples[i].label];
+    for (std::size_t r = 0; r < dim; ++r) {
+      const double dr = x(i, r) - mu[r];
       for (std::size_t c = 0; c <= r; ++c) {
-        const double dc = feats[i][c] - mu[c];
+        const double dc = x(i, c) - mu[c];
         cov_chol_.at(r, c) += dr * dc;
       }
     }
   }
-  const double inv_n = 1.0 / static_cast<double>(feats.size());
-  for (std::size_t r = 0; r < feature_dim_; ++r)
+  const double inv_n = 1.0 / static_cast<double>(n);
+  for (std::size_t r = 0; r < dim; ++r)
     for (std::size_t c = 0; c <= r; ++c) {
       cov_chol_.at(r, c) *= inv_n;
       cov_chol_.at(c, r) = cov_chol_.at(r, c);

@@ -17,6 +17,7 @@
 
 #include "dl/dataset.hpp"
 #include "dl/model.hpp"
+#include "dl/plan.hpp"
 #include "util/linalg.hpp"
 
 namespace sx::supervise {
@@ -81,9 +82,20 @@ class EnergySupervisor final : public Supervisor {
 class MahalanobisSupervisor final : public Supervisor {
  public:
   std::string_view name() const noexcept override { return "mahalanobis"; }
+  /// Offline fit: each sample's features from the reference model walk
+  /// (Model::forward_trace).
   void fit(const dl::Model& model, const dl::Dataset& id_data) override;
   double score(const dl::Model& model,
                const tensor::Tensor& input) const override;
+
+  /// Deploy-time fit in one planned pass: each sample's features are
+  /// taken once from a planned engine pinned at the feature layer —
+  /// bitwise those of the reference walk — and fit the model. Returns
+  /// every sample's score, bitwise collect_scores(*this, model, id_data)
+  /// after fit(model, id_data), without walking the samples again.
+  std::vector<double> fit_planned(const dl::Model& model,
+                                  const dl::Dataset& id_data,
+                                  dl::KernelMode kernels);
 
   /// Index of the activation used as the feature vector (set by fit()).
   std::size_t feature_layer() const noexcept { return feature_layer_; }
@@ -105,8 +117,12 @@ class MahalanobisSupervisor final : public Supervisor {
                     std::span<double> scratch) const noexcept;
 
  private:
-  std::vector<double> features_of(const dl::Model& model,
-                                  const tensor::Tensor& input) const;
+  /// Picks the feature layer of `model` and checks the data (throws).
+  void begin_fit(const dl::Model& model, const dl::Dataset& id_data);
+  /// Fits the class means and the tied covariance from `feats`: one
+  /// feature_dim_-wide row per sample of `id_data`, in order.
+  void fit_features(const dl::Dataset& id_data, std::size_t n_classes,
+                    std::span<const float> feats);
 
   std::size_t feature_layer_ = 0;
   std::size_t feature_dim_ = 0;

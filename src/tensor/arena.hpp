@@ -56,9 +56,15 @@ AlignedStorage<T> make_aligned_storage(std::size_t n) {
 class Arena {
  public:
   /// Creates an arena holding `capacity` floats. Allocates once, here,
-  /// at configuration time — never afterwards.
+  /// at configuration time — never afterwards. The buffer starts on a
+  /// cache line, so the wide kernels' activation loads do not straddle
+  /// lines by an accident of heap layout (a CNN decision's throughput
+  /// moved by up to a quarter with it). The line is reached by padding a
+  /// plain allocation: aligned allocations raised resident memory across
+  /// repeated deployments.
   explicit Arena(std::size_t capacity)
-      : storage_(std::make_unique<float[]>(capacity)),  // sxlint: allow(hot-path-alloc) the one configuration-time allocation the arena exists to own
+      : storage_(std::make_unique<float[]>(capacity + kPadFloats)),  // sxlint: allow(hot-path-alloc) the one configuration-time allocation the arena exists to own
+        base_(storage_.get() + pad_floats(storage_.get())),
         capacity_(capacity) {}
 
   Arena(const Arena&) = delete;
@@ -67,7 +73,7 @@ class Arena {
   /// Allocates `n` floats; returns an empty span when exhausted.
   std::span<float> alloc(std::size_t n) noexcept {
     if (used_ + n > capacity_) return {};
-    std::span<float> out{storage_.get() + used_, n};
+    std::span<float> out{base_ + used_, n};
     used_ += n;
     high_water_ = used_ > high_water_ ? used_ : high_water_;
     return out;
@@ -83,7 +89,17 @@ class Arena {
   std::size_t high_water_mark() const noexcept { return high_water_; }
 
  private:
+  static constexpr std::size_t kPadFloats =
+      kStorageAlignBytes / sizeof(float) - 1;
+  /// Floats from `p` to the next cache-line boundary.
+  static std::size_t pad_floats(const float* p) noexcept {
+    const auto misalign =
+        reinterpret_cast<std::uintptr_t>(p) % kStorageAlignBytes;
+    return misalign == 0 ? 0 : (kStorageAlignBytes - misalign) / sizeof(float);
+  }
+
   std::unique_ptr<float[]> storage_;
+  float* base_;
   std::size_t capacity_ = 0;
   std::size_t used_ = 0;
   std::size_t high_water_ = 0;

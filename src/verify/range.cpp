@@ -607,11 +607,11 @@ VerificationEvidence verify_model(const dl::Model& model,
   const dl::StaticEngine probe{model, cfg};
   VerificationEvidence ev =
       verify_model(model, odd, probe.arena_capacity(), cfg);
-  if (probe.kernel_plan() != nullptr) {
+  if (probe.plan() != nullptr) {
     // Planned deployment: re-verify the IR pass pipeline the plan was
     // built with. An unsound transformation (or a mis-reported layout)
     // fails the whole verdict, so the SIL3/4 gate refuses it.
-    ev.ir = check_ir(model, *probe.kernel_plan());
+    ev.ir = check_ir(model, *probe.plan());
     ev.verdict.ir_sound = ev.ir.passed();
   }
   return ev;

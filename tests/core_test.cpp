@@ -2,6 +2,7 @@
 
 #include "core/criticality.hpp"
 #include "core/pipeline.hpp"
+#include "supervise/metrics.hpp"
 #include "test_helpers.hpp"
 
 namespace sx::core {
@@ -278,6 +279,40 @@ INSTANTIATE_TEST_SUITE_P(AllLevels, PipelineLevels,
                                            Criticality::kSil3,
                                            Criticality::kSil4));
 
+// ------------------------------------------------ deploy-time calibration
+
+TEST(PipelineCalibration, PlannedFitMatchesReferencePath) {
+  // Deployment fits the supervisor from one planned pass over the
+  // calibration set; the threshold, the CUSUM parameters and every score
+  // must be bitwise those of the reference walk (fit + collect_scores).
+  const dl::Model& m = model();
+  supervise::MahalanobisSupervisor ref;
+  ref.fit(m, data());
+  const std::vector<double> scores = supervise::collect_scores(ref, m, data());
+  ref.calibrate_threshold(scores, 0.95);
+  std::vector<double> log_scores;
+  for (const double s : scores)
+    log_scores.push_back(std::log1p(std::max(0.0, s)));
+  const auto ref_drift = supervise::CusumDetector::fit(log_scores, 0.5, 10.0);
+
+  for (const auto crit : {Criticality::kSil2, Criticality::kSil3}) {
+    PipelineConfig cfg;
+    cfg.criticality = crit;
+    cfg.timing_budget = 1'000'000;
+    CertifiablePipeline p{m, data(), cfg};
+    ASSERT_NE(p.supervisor(), nullptr);
+    ASSERT_NE(p.drift_detector(), nullptr);
+    EXPECT_EQ(p.supervisor()->threshold(), ref.threshold());
+    EXPECT_EQ(p.drift_detector()->reference_mean(),
+              ref_drift.reference_mean());
+    EXPECT_EQ(p.drift_detector()->reference_std(),
+              ref_drift.reference_std());
+    for (std::size_t i = 0; i < 8; ++i)
+      EXPECT_EQ(p.supervisor()->score(m, data().samples[i].input),
+                ref.score(m, data().samples[i].input));
+  }
+}
+
 // ------------------------------------------------------------ int8 backend
 
 TEST(PipelineInt8, Sil2EndToEndDecides) {
@@ -289,10 +324,14 @@ TEST(PipelineInt8, Sil2EndToEndDecides) {
   EXPECT_EQ(p.backend(), BackendKind::kInt8);
   EXPECT_STREQ(to_string(p.backend()), "int8");
   ASSERT_NE(p.quantized_model(), nullptr);
-  ASSERT_NE(p.quant_channel(), nullptr);
+  ASSERT_NE(p.channel(), nullptr);
+  EXPECT_EQ(p.channel()->replica(0).elem(), dl::ElemType::kInt8);
   // SIL2's recommended pattern is kMonitored: the int8 channel must carry
-  // its own runtime monitor to stay admissible.
-  EXPECT_EQ(p.quant_channel()->pattern_name(), "int8-monitored");
+  // its own runtime monitor to stay admissible (only a monitor binds the
+  // rejection counter).
+  ASSERT_NE(p.telemetry(), nullptr);
+  EXPECT_TRUE(
+      p.telemetry()->find_counter("sx_monitor_rejections_total").valid());
 
   std::size_t ok_count = 0, correct = 0;
   const std::size_t n = 40;
@@ -336,7 +375,8 @@ TEST(PipelineInt8, FloatBackendHasNoQuantState) {
   CertifiablePipeline p{model(), data(), cfg};
   EXPECT_EQ(p.backend(), BackendKind::kFloat32);
   EXPECT_EQ(p.quantized_model(), nullptr);
-  EXPECT_EQ(p.quant_channel(), nullptr);
+  ASSERT_NE(p.channel(), nullptr);
+  EXPECT_EQ(p.channel()->replica(0).elem(), dl::ElemType::kFloat32);
   EXPECT_EQ(p.quant_saturation_total(), 0u);
   EXPECT_THROW(p.quant_saturation_cross_check(), std::logic_error);
 }
@@ -348,7 +388,7 @@ TEST(PipelineInt8, BatchPathIsQuantizedAndDecides) {
   cfg.batch_workers = 4;
   CertifiablePipeline p{model(), data(), cfg};
   ASSERT_NE(p.batch_runner(), nullptr);
-  EXPECT_TRUE(p.batch_runner()->quantized());
+  EXPECT_EQ(p.batch_runner()->elem(), dl::ElemType::kInt8);
 
   std::vector<tensor::Tensor> inputs;
   for (std::size_t i = 0; i < 9; ++i)

@@ -78,9 +78,9 @@ TEST(StaticEngine, ArenaHighWaterMarkIsBounded) {
   EXPECT_LE(engine.arena_high_water_mark(), engine.arena_capacity());
   // The liveness pass shares non-interfering lifetimes, so the planned
   // demand is strictly below the classic ping-pong worst case.
-  ASSERT_NE(engine.kernel_plan(), nullptr);
+  ASSERT_NE(engine.plan(), nullptr);
   EXPECT_EQ(engine.arena_high_water_mark(),
-            engine.kernel_plan()->arena_elems());
+            engine.plan()->arena_elems());
   EXPECT_LT(engine.arena_high_water_mark(), 2 * m.max_activation_size());
 }
 

@@ -210,11 +210,11 @@ TEST(WideEngine, BitwiseIdenticalToReferenceUnderIsaOverrides) {
     for (const char* isa : isas) {
       ASSERT_EQ(setenv("SX_KERNEL_ISA", isa, 1), 0);
       StaticEngine wide{*m, {.kernels = KernelMode::kWide}};
-      ASSERT_NE(wide.kernel_plan(), nullptr);
+      ASSERT_NE(wide.plan(), nullptr);
       EXPECT_EQ(wide.kernel_mode(), KernelMode::kWide);
-      EXPECT_FALSE(wide.kernel_plan()->isa_selection().refused);
+      EXPECT_FALSE(wide.plan()->isa_selection().refused);
       EXPECT_STREQ(tensor::kernels::wide_isa_name(
-                       wide.kernel_plan()->isa_selection().isa),
+                       wide.plan()->isa_selection().isa),
                    isa);
       for (std::size_t i = 0; i < 16; ++i) {
         const auto in = ds.samples[i].input.view();
@@ -235,10 +235,10 @@ TEST(WideEngine, RefusedOverrideFallsBackToScalarAndStaysIdentical) {
   const Model& m = sx::testing::trained_mlp();
   StaticEngine ref{m, {.kernels = KernelMode::kReference}};
   StaticEngine wide{m, {.kernels = KernelMode::kWide}};
-  ASSERT_NE(wide.kernel_plan(), nullptr);
-  EXPECT_TRUE(wide.kernel_plan()->isa_selection().refused);
-  EXPECT_EQ(wide.kernel_plan()->isa_selection().isa, WideIsa::kScalar);
-  EXPECT_NE(wide.kernel_plan()->summary().find("override refused"),
+  ASSERT_NE(wide.plan(), nullptr);
+  EXPECT_TRUE(wide.plan()->isa_selection().refused);
+  EXPECT_EQ(wide.plan()->isa_selection().isa, WideIsa::kScalar);
+  EXPECT_NE(wide.plan()->summary().find("override refused"),
             std::string::npos);
   const auto in = sx::testing::road_data().samples[0].input.view();
   EXPECT_TRUE(BitEqual(run_engine(wide, in), run_engine(ref, in)));
@@ -290,7 +290,7 @@ TEST(WideBatch, WorkerCountsBitwiseIdenticalToReference) {
   for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
     BatchRunner runner{m, BatchRunnerConfig{.workers = workers,
                                             .kernels = KernelMode::kWide}};
-    ASSERT_NE(runner.kernel_plan(), nullptr);
+    ASSERT_NE(runner.plan(), nullptr);
     std::vector<float> out(n * out_size, -1.0f);
     std::vector<Status> st(n, Status::kInvalidArgument);
     ASSERT_EQ(runner.run(flat, out, st), Status::kOk);
@@ -335,13 +335,11 @@ TEST(WideBackendRecord, AuditEntryNamesResolvedModeAndProbe) {
 
 TEST(WideBackendRecord, Int8BackendForwardsKernelModeToQuantChannel) {
   // One knob per pipeline: kernel_mode drives the quantized channel on
-  // the int8 backend — quant_engine.kernels is ignored, so a stale value
-  // there cannot deploy a mode the record does not name.
+  // the int8 backend, so the record names the mode that ran.
   core::PipelineConfig cfg;
   cfg.criticality = core::Criticality::kSil2;
   cfg.backend = core::BackendKind::kInt8;
   cfg.kernel_mode = KernelMode::kWide;
-  cfg.quant_engine.kernels = KernelMode::kReference;
   core::CertifiablePipeline p{sx::testing::trained_mlp(),
                               sx::testing::road_data(), cfg};
 
@@ -352,16 +350,66 @@ TEST(WideBackendRecord, Int8BackendForwardsKernelModeToQuantChannel) {
       << e->payload;
   EXPECT_NE(e->payload.find("probe avx2="), std::string::npos) << e->payload;
 
-  ASSERT_NE(p.quant_channel(), nullptr);
-  EXPECT_NE(p.quant_channel()->kernel_plan(), nullptr);
+  ASSERT_NE(p.channel(), nullptr);
+  const dl::PlanEvidence* plan = p.channel()->plan();
+  ASSERT_NE(plan, nullptr);
+  EXPECT_EQ(plan->elem(), dl::ElemType::kInt8);
 
   const core::EvidenceItem item = core::make_kernel_backend_evidence(p);
   EXPECT_NE(item.body.find("plan=int8 mode=wide isa="), std::string::npos)
       << item.body;
-  const std::string arm = tensor::qkernels::qarm_name(
-      p.quant_channel()->kernel_plan()->isa_selection().int8);
+  const std::string arm =
+      tensor::qkernels::qarm_name(plan->isa_selection().int8);
   EXPECT_NE(item.body.find(" int8=" + arm + "\n"), std::string::npos)
       << item.body;
+}
+
+TEST(WideBackendRecord, RedundantPatternsRecordTheirReplicaPlan) {
+  // DMR, TMR and diverse-TMR deploy every replica at the pipeline's kernel
+  // mode and the record derives from replica 0's plan: SIL3/SIL4 audits
+  // carry the kernel-plan entry and one ir-pass entry per pass, and a
+  // kReference SIL3 deployment runs and records the reference loops.
+  ASSERT_EQ(unsetenv("SX_KERNEL_REFERENCE"), 0);
+  for (const auto crit : {core::Criticality::kSil3, core::Criticality::kSil4}) {
+    core::PipelineConfig cfg;
+    cfg.criticality = crit;
+    cfg.timing_budget = 1'000'000;
+    core::CertifiablePipeline p{sx::testing::trained_mlp(),
+                                sx::testing::road_data(), cfg};
+    ASSERT_NE(p.channel(), nullptr);
+    const PlanEvidence* plan = p.channel()->plan();
+    ASSERT_NE(plan, nullptr);
+    EXPECT_EQ(plan->elem(), ElemType::kFloat32);
+    const auto* e = find_entry(p.audit(), "kernel-plan");
+    ASSERT_NE(e, nullptr);
+    EXPECT_EQ(e->payload, plan->summary());
+    std::size_t passes = 0;
+    for (const auto& entry : p.audit().entries())
+      passes += entry.actor == "ir-pass" ? 1 : 0;
+    EXPECT_EQ(passes, plan->pass_evidence().size());
+    EXPECT_GT(passes, 0u);
+    EXPECT_NE(p.kernel_backend().find("requested=auto resolved=wide"),
+              std::string::npos)
+        << p.kernel_backend();
+    EXPECT_NE(core::make_kernel_backend_evidence(p).body.find(
+                  "plan=float mode=wide isa="),
+              std::string::npos);
+  }
+
+  core::PipelineConfig cfg;
+  cfg.criticality = core::Criticality::kSil3;
+  cfg.timing_budget = 1'000'000;
+  cfg.kernel_mode = KernelMode::kReference;
+  core::CertifiablePipeline p{sx::testing::trained_mlp(),
+                              sx::testing::road_data(), cfg};
+  ASSERT_NE(p.channel(), nullptr);
+  EXPECT_EQ(p.channel()->plan(), nullptr);
+  for (const auto& r : p.channel()->replicas())
+    EXPECT_EQ(r.engine().plan(), nullptr);
+  EXPECT_EQ(find_entry(p.audit(), "kernel-plan"), nullptr);
+  EXPECT_NE(p.kernel_backend().find("requested=reference resolved=reference"),
+            std::string::npos)
+      << p.kernel_backend();
 }
 
 TEST(WideBackendRecord, EscapeHatchRecordsResolvedReferenceMode) {

@@ -316,7 +316,7 @@ TEST(QuantBatch, ScheduleIndependentAcrossWorkerCounts) {
   for (std::size_t workers : {1u, 2u, 4u, 8u}) {
     SCOPED_TRACE("workers=" + std::to_string(workers));
     BatchRunner runner{qm, BatchRunnerConfig{.workers = workers}};
-    ASSERT_TRUE(runner.quantized());
+    ASSERT_EQ(runner.elem(), dl::ElemType::kInt8);
     std::vector<float> outputs(count * out_size, -1.0f);
     std::vector<Status> statuses(count, Status::kNotReady);
     ASSERT_EQ(runner.run(inputs, outputs, statuses), Status::kOk);
@@ -351,9 +351,9 @@ TEST(QuantBatch, ReferenceModeHasNoPlanButSameBits) {
   BatchRunner planned{qm, BatchRunnerConfig{.workers = 2}};
   BatchRunner reference{
       qm, BatchRunnerConfig{.workers = 2, .kernels = KernelMode::kReference}};
-  EXPECT_NE(planned.quant_kernel_plan(), nullptr);
-  EXPECT_EQ(reference.quant_kernel_plan(), nullptr);
-  EXPECT_EQ(planned.kernel_plan(), nullptr);  // float plan stays absent
+  ASSERT_NE(planned.plan(), nullptr);
+  EXPECT_EQ(planned.plan()->elem(), dl::ElemType::kInt8);
+  EXPECT_EQ(reference.plan(), nullptr);
 
   std::vector<float> a(count * out_size), b(count * out_size);
   ASSERT_EQ(planned.run(inputs, a, statuses), Status::kOk);

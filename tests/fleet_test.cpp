@@ -21,8 +21,8 @@ const dl::Model& model() { return sx::testing::trained_mlp(); }
 const dl::Dataset& data() { return sx::testing::road_data(); }
 
 std::unique_ptr<safety::InferenceChannel> make_channel() {
-  return std::make_unique<safety::SingleChannel>(
-      model(), dl::StaticEngineConfig{.check_numeric_faults = true});
+  return std::make_unique<safety::EngineChannel>(safety::Replica{
+      model(), dl::StaticEngineConfig{.check_numeric_faults = true}});
 }
 
 FleetConfig small_config(std::size_t shards) {

@@ -239,8 +239,8 @@ TEST(IrDifferential, OptimizedFloatPlanMatchesReferenceBitwise) {
   dl::StaticEngine planned{m};
   dl::StaticEngine reference{
       m, dl::StaticEngineConfig{.kernels = dl::KernelMode::kReference}};
-  ASSERT_NE(planned.kernel_plan(), nullptr);
-  ASSERT_EQ(reference.kernel_plan(), nullptr);
+  ASSERT_NE(planned.plan(), nullptr);
+  ASSERT_EQ(reference.plan(), nullptr);
   const dl::Dataset ds = dl::make_digits(24, 11);
   std::vector<float> a(m.output_shape().size()), b(a.size());
   for (const auto& s : ds.samples) {
@@ -254,7 +254,7 @@ TEST(IrDifferential, OptimizedFloatPlanMatchesReferenceBitwise) {
 TEST(IrDifferential, OptimizedGoldenCnnMatchesOfflineForwardBitwise) {
   const dl::Model& m = sx::testing::trained_cnn();
   dl::StaticEngine planned{m};
-  ASSERT_NE(planned.kernel_plan(), nullptr);
+  ASSERT_NE(planned.plan(), nullptr);
   std::vector<float> out(m.output_shape().size());
   for (std::size_t i = 0; i < 16; ++i) {
     const Tensor& in = sx::testing::road_data().samples[i].input;

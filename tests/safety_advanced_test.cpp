@@ -76,7 +76,7 @@ TEST(DeepMonitor, AcceptsInDistribution) {
 
 TEST(DeepMonitor, CatchesLargeWeightCorruption) {
   DeepMonitoredChannel ch{model(), data(), 0.5f};
-  ch.replica(0).layer(1).params()[3] += 100.0f;
+  ch.replica(0).model().layer(1).params()[3] += 100.0f;
   std::vector<float> out(ch.output_size());
   std::size_t rejected = 0;
   for (std::size_t i = 0; i < 20; ++i)
@@ -87,7 +87,7 @@ TEST(DeepMonitor, CatchesLargeWeightCorruption) {
 TEST(DeepMonitor, LocalizesTheFaultyLayer) {
   DeepMonitoredChannel ch{model(), data(), 0.5f};
   // Corrupt the *second* dense layer (model layer index 3).
-  ch.replica(0).layer(3).params()[0] += 100.0f;
+  ch.replica(0).model().layer(3).params()[0] += 100.0f;
   std::vector<float> out(ch.output_size());
   for (std::size_t i = 0; i < 20; ++i) {
     if (!ok(ch.infer(data().samples[i].input.view(), out))) {
@@ -146,9 +146,9 @@ TEST(RecoveryBlock, PrimaryHandlesNominalTraffic) {
 TEST(RecoveryBlock, AlternateTakesOverOnPrimaryFault) {
   RecoveryBlockChannel ch{model(), alternate_model(), MonitorConfig{}};
   // Poison the primary so its outputs go non-finite.
-  ch.replica(0).layer(1).params()[0] =
+  ch.replica(0).model().layer(1).params()[0] =
       std::numeric_limits<float>::infinity();
-  ch.refresh_replica(0);  // planned engines snapshot weights
+  ch.replica(0).refresh();  // planned engines snapshot weights
   std::vector<float> out(ch.output_size());
   for (std::size_t i = 0; i < 10; ++i)
     EXPECT_EQ(ch.infer(data().samples[i].input.view(), out), Status::kOk)
@@ -159,12 +159,12 @@ TEST(RecoveryBlock, AlternateTakesOverOnPrimaryFault) {
 
 TEST(RecoveryBlock, DoubleFaultFailsStop) {
   RecoveryBlockChannel ch{model(), alternate_model(), MonitorConfig{}};
-  ch.replica(0).layer(1).params()[0] =
+  ch.replica(0).model().layer(1).params()[0] =
       std::numeric_limits<float>::infinity();
-  ch.refresh_replica(0);  // planned engines snapshot weights
-  ch.replica(1).layer(1).params()[0] =
+  ch.replica(0).refresh();  // planned engines snapshot weights
+  ch.replica(1).model().layer(1).params()[0] =
       std::numeric_limits<float>::infinity();
-  ch.refresh_replica(1);  // planned engines snapshot weights
+  ch.replica(1).refresh();  // planned engines snapshot weights
   std::vector<float> out(ch.output_size());
   EXPECT_EQ(ch.infer(data().samples[0].input.view(), out),
             Status::kRedundancyFault);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <limits>
 
 #include "safety/campaign.hpp"
@@ -98,7 +99,8 @@ TEST(FaultInjector, TargetedInjection) {
 // ---------------------------------------------------------------- channels
 
 TEST(SingleChannel, MatchesModelForward) {
-  SingleChannel ch{model()};
+  EngineChannel ch{Replica{model()}};
+  EXPECT_EQ(ch.pattern_name(), "single");
   std::vector<float> out(ch.output_size());
   ASSERT_EQ(ch.infer(data().samples[0].input.view(), out), Status::kOk);
   const Tensor ref = model().forward(data().samples[0].input);
@@ -106,11 +108,11 @@ TEST(SingleChannel, MatchesModelForward) {
 }
 
 TEST(SingleChannel, ReplicaIsIndependentCopy) {
-  SingleChannel ch{model()};
-  ch.replica(0).layer(1).params()[0] += 100.0f;
-  ch.refresh_replica(0);  // planned engines snapshot weights
+  EngineChannel ch{Replica{model()}};
+  ch.replica(0).model().layer(1).params()[0] += 100.0f;
+  ch.replica(0).refresh();  // planned engines snapshot weights
   // The original shared model is untouched.
-  SingleChannel fresh{model()};
+  EngineChannel fresh{Replica{model()}};
   std::vector<float> a(ch.output_size()), b(ch.output_size());
   ASSERT_EQ(ch.infer(data().samples[0].input.view(), a), Status::kOk);
   ASSERT_EQ(fresh.infer(data().samples[0].input.view(), b), Status::kOk);
@@ -122,8 +124,8 @@ TEST(SingleChannel, ReplicaIsIndependentCopy) {
 TEST(DmrChannel, DetectsSingleReplicaCorruption) {
   DmrChannel ch{model()};
   // Large corruption in replica 0 only.
-  ch.replica(0).layer(1).params()[10] += 50.0f;
-  ch.refresh_replica(0);  // planned engines snapshot weights
+  ch.replica(0).model().layer(1).params()[10] += 50.0f;
+  ch.replica(0).refresh();  // planned engines snapshot weights
   std::vector<float> out(ch.output_size());
   std::size_t detected = 0;
   for (std::size_t i = 0; i < 20; ++i) {
@@ -144,10 +146,10 @@ TEST(DmrChannel, AgreesWhenHealthy) {
 
 TEST(TmrChannel, MasksSingleReplicaCorruption) {
   TmrChannel ch{model()};
-  ch.replica(0).layer(1).params()[10] += 50.0f;
-  ch.refresh_replica(0);  // planned engines snapshot weights
+  ch.replica(0).model().layer(1).params()[10] += 50.0f;
+  ch.replica(0).refresh();  // planned engines snapshot weights
   std::vector<float> out(ch.output_size());
-  SingleChannel golden{model()};
+  EngineChannel golden{Replica{model()}};
   std::vector<float> ref(golden.output_size());
   std::size_t correct = 0;
   for (std::size_t i = 0; i < 20; ++i) {
@@ -168,21 +170,21 @@ TEST(TmrChannel, MasksSingleReplicaCorruption) {
 
 TEST(TmrChannel, SurvivesNaNReplica) {
   TmrChannel ch{model()};
-  ch.replica(1).layer(1).params()[0] =
+  ch.replica(1).model().layer(1).params()[0] =
       std::numeric_limits<float>::quiet_NaN();
-  ch.refresh_replica(1);  // planned engines snapshot weights
+  ch.replica(1).refresh();  // planned engines snapshot weights
   std::vector<float> out(ch.output_size());
   EXPECT_EQ(ch.infer(data().samples[0].input.view(), out), Status::kOk);
 }
 
 TEST(TmrChannel, FailsWithTwoBadReplicas) {
   TmrChannel ch{model()};
-  ch.replica(0).layer(1).params()[0] =
+  ch.replica(0).model().layer(1).params()[0] =
       std::numeric_limits<float>::quiet_NaN();
-  ch.refresh_replica(0);  // planned engines snapshot weights
-  ch.replica(1).layer(1).params()[0] =
+  ch.replica(0).refresh();  // planned engines snapshot weights
+  ch.replica(1).model().layer(1).params()[0] =
       std::numeric_limits<float>::quiet_NaN();
-  ch.refresh_replica(1);  // planned engines snapshot weights
+  ch.replica(1).refresh();  // planned engines snapshot weights
   std::vector<float> out(ch.output_size());
   EXPECT_EQ(ch.infer(data().samples[0].input.view(), out),
             Status::kRedundancyFault);
@@ -190,7 +192,7 @@ TEST(TmrChannel, FailsWithTwoBadReplicas) {
 
 TEST(DiverseTmrChannel, HealthyMajorityAgreesWithFloat) {
   DiverseTmrChannel ch{model(), data()};
-  SingleChannel golden{model()};
+  EngineChannel golden{Replica{model()}};
   std::vector<float> out(ch.output_size()), ref(ch.output_size());
   std::size_t agree = 0;
   for (std::size_t i = 0; i < 30; ++i) {
@@ -206,10 +208,64 @@ TEST(DiverseTmrChannel, HealthyMajorityAgreesWithFloat) {
   EXPECT_GT(agree, 27u);
 }
 
+TEST(DiverseTmrChannel, Int8ReplicaIsThePlannedReferenceModel) {
+  // Replica 2 runs the planned int8 engine: its logits and per-layer clip
+  // counters are bitwise those of QuantizedModel::run, so moving it off the
+  // reference loops changes no vote.
+  DiverseTmrChannel ch{model(), data(), dl::KernelMode::kWide};
+  ASSERT_EQ(ch.replica_count(), 3u);
+  Replica& q = ch.replica(2);
+  ASSERT_EQ(q.elem(), dl::ElemType::kInt8);
+  ASSERT_NE(q.engine().plan(), nullptr);
+  dl::QuantizedModel ref = dl::QuantizedModel::quantize(model(), data());
+  std::vector<float> out(ch.output_size()), expect(ch.output_size());
+  for (std::size_t i = 0; i < 40; ++i) {
+    const auto in = data().samples[i].input.view();
+    ASSERT_EQ(q.run(in, out), Status::kOk);
+    ASSERT_EQ(ref.run(in, expect), Status::kOk);
+    for (std::size_t k = 0; k < out.size(); ++k)
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(out[k]),
+                std::bit_cast<std::uint32_t>(expect[k]))
+          << "probe " << i << " logit " << k;
+  }
+  const auto got = q.engine().saturation_counts();
+  const auto want = ref.saturation_counts();
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t l = 0; l < got.size(); ++l)
+    EXPECT_EQ(got[l], want[l]) << "layer " << l;
+}
+
+TEST(DiverseTmrChannel, InjectedInt8FaultIsOutvoted) {
+  // The int8 voter is injectable replica 2: a stuck-large fault in its
+  // weight store flips its argmax on some probes, the two float replicas
+  // outvote it, and the emitted logits stay the float majority's. The CNN:
+  // the MLP's confident argmax survives every such single fault.
+  DiverseTmrChannel ch{sx::testing::trained_cnn(), data()};
+  EngineChannel golden{Replica{sx::testing::trained_cnn()}};
+  std::vector<float> out(ch.output_size()), ref(ch.output_size());
+  FaultInjector injector{7};
+  for (int trial = 0; trial < 48; ++trial) {
+    const FaultRecord rec =
+        ch.inject_fault(injector, 2, FaultType::kStuckLarge);
+    EXPECT_TRUE(rec.quantized);
+    for (std::size_t i = 0; i < 40; ++i) {
+      const auto in = data().samples[i].input.view();
+      ASSERT_EQ(ch.infer(in, out), Status::kOk);
+      ASSERT_EQ(golden.infer(in, ref), Status::kOk);
+      for (std::size_t k = 0; k < out.size(); ++k)
+        ASSERT_EQ(out[k], ref[k]) << "trial " << trial << " probe " << i;
+    }
+    ch.undo_fault(2, rec);
+  }
+  EXPECT_GT(ch.masked_votes(), 0u)
+      << "no int8-replica fault ever reached the vote";
+}
+
 TEST(SafetyBag, FallsBackOnPrimaryFailure) {
   auto primary = std::make_unique<DmrChannel>(model());
-  primary->replica(0).layer(1).params()[10] += 50.0f;  // force divergence
-  primary->refresh_replica(0);  // planned engines snapshot weights
+  // Force divergence.
+  primary->replica(0).model().layer(1).params()[10] += 50.0f;
+  primary->replica(0).refresh();  // planned engines snapshot weights
   std::vector<float> fallback(dl::kRoadSceneClasses, 0.0f);
   fallback[3] = 10.0f;  // conservative: "obstacle"
   SafetyBagChannel bag{std::move(primary), nullptr, fallback};
@@ -232,7 +288,7 @@ TEST(SafetyBag, SupervisorRejectTriggersFallback) {
   sup.fit(cnn, data());
   sup.calibrate_threshold(supervise::collect_scores(sup, cnn, data()), 0.95);
   supervise::TapScorer scorer{cnn, sup};
-  auto primary = std::make_unique<SingleChannel>(cnn);
+  auto primary = std::make_unique<EngineChannel>(Replica{cnn});
   std::vector<float> fallback(dl::kRoadSceneClasses, 0.0f);
   fallback[3] = 10.0f;
   SafetyBagChannel bag{std::move(primary), &scorer, fallback};
@@ -254,8 +310,9 @@ TEST(SafetyBag, SupervisorRejectTriggersFallback) {
 
 TEST(SafetyBag, ValidatesConstruction) {
   std::vector<float> wrong_size(2, 0.0f);
-  EXPECT_THROW(SafetyBagChannel(std::make_unique<SingleChannel>(model()),
-                                nullptr, wrong_size),
+  EXPECT_THROW(SafetyBagChannel(
+                   std::make_unique<EngineChannel>(Replica{model()}), nullptr,
+                   wrong_size),
                std::invalid_argument);
   // An unfitted, uncalibrated supervisor never becomes a bag's scorer.
   supervise::MahalanobisSupervisor sup;
@@ -274,9 +331,9 @@ TEST(Campaign, LadderSafetyIsMonotone) {
   const CampaignConfig cfg{.n_faults = 60, .probes_per_fault = 4,
                            .fault_type = FaultType::kBitFlip, .seed = 5};
 
-  SingleChannel bare{model()};
-  MonitoredChannel monitored{model(), MonitorConfig{.output_min = -50,
-                                                    .output_max = 50}};
+  EngineChannel bare{Replica{model(), {.check_numeric_faults = false}}};
+  EngineChannel monitored{Replica{model()},
+                          MonitorConfig{.output_min = -50, .output_max = 50}};
   DmrChannel dmr{model()};
   TmrChannel tmr{model()};
 
@@ -307,7 +364,7 @@ TEST(Campaign, OutcomeArithmetic) {
 }
 
 TEST(Campaign, RejectsEmptyProbes) {
-  SingleChannel ch{model()};
+  EngineChannel ch{Replica{model()}};
   dl::Dataset empty;
   EXPECT_THROW(run_campaign(ch, empty, CampaignConfig{}),
                std::invalid_argument);
@@ -318,10 +375,10 @@ TEST(Campaign, AlwaysRefusingChannelYieldsEmptyOutcome) {
   // an input-range monitor no RoadScene sample satisfies) used to throw
   // from run_campaign mid-analysis. Zero usable probes is a legitimate
   // measurement — the outcome must be the well-defined empty one.
-  MonitoredChannel ch{model(),
-                      MonitorConfig{.check_input_range = true,
-                                    .input_min = 100.0f,
-                                    .input_max = 101.0f}};
+  EngineChannel ch{Replica{model()},
+                   MonitorConfig{.check_input_range = true,
+                                 .input_min = 100.0f,
+                                 .input_max = 101.0f}};
   dl::Dataset probes;
   probes.num_classes = data().num_classes;
   probes.input_shape = data().input_shape;
@@ -358,8 +415,8 @@ TEST(Campaign, QuantChannelInjectionHitsDeployedWeights) {
   // masking. Injection must perturb what the engine actually computes, and
   // undo must restore it bitwise. The wide plan exercises the repack path
   // (panel snapshots of the faulted bits), the strictest variant.
-  QuantChannel ch{model(), quantized_model(),
-                  dl::QuantEngineConfig{.kernels = dl::KernelMode::kWide}};
+  EngineChannel ch{Replica{quantized_model(), dl::KernelMode::kWide}};
+  EXPECT_EQ(ch.pattern_name(), "int8-single");
   const auto in = data().samples[0].input.view();
   std::vector<float> golden(ch.output_size()), out(ch.output_size());
   ASSERT_EQ(ch.infer(in, golden), Status::kOk);
@@ -386,7 +443,7 @@ TEST(Campaign, QuantChannelInjectionHitsDeployedWeights) {
 }
 
 TEST(Campaign, QuantChannelCampaignMeasuresRealFaults) {
-  QuantChannel ch{model(), quantized_model()};
+  EngineChannel ch{Replica{quantized_model()}};
   std::vector<float> out(ch.output_size());
   const auto decide = [&](const Tensor& x) {
     EXPECT_EQ(ch.infer(x.view(), out), Status::kOk);

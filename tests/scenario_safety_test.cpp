@@ -75,10 +75,10 @@ TEST(ScenarioRecovery, DegradedEntryAndExitUnderLiveFault) {
   // Degraded entry: poison the primary replica with a weight large enough
   // to blow the output envelope on every probe. The channel must stay
   // operational (kOk) by engaging the alternate each time.
-  float& weight = first_param_layer(ch.replica(0)).params()[0];
+  float& weight = first_param_layer(ch.replica(0).model()).params()[0];
   const float golden_weight = weight;
   weight = 1e9f;
-  ch.refresh_replica(0);  // planned engines snapshot weights
+  ch.replica(0).refresh();  // planned engines snapshot weights
   for (std::size_t i = 0; i < n; ++i)
     EXPECT_EQ(ch.infer(noisy_probes().samples[i].input.view(), out),
               Status::kOk)
@@ -88,7 +88,7 @@ TEST(ScenarioRecovery, DegradedEntryAndExitUnderLiveFault) {
   // Degraded exit: restoring the primary weight must return the channel
   // to the primary path — the recovery counter freezes.
   weight = golden_weight;
-  ch.refresh_replica(0);
+  ch.replica(0).refresh();
   for (std::size_t i = 0; i < n; ++i)
     ASSERT_EQ(ch.infer(noisy_probes().samples[i].input.view(), out),
               Status::kOk);

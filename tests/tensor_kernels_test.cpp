@@ -157,8 +157,8 @@ TEST(KernelPlanEngine, AllModesBitwiseIdenticalOnTrainedModels) {
                          &sx::testing::trained_cnn()}) {
     StaticEngine ref{*m, {.kernels = KernelMode::kReference}};
     StaticEngine wide{*m, {.kernels = KernelMode::kWide}};
-    ASSERT_EQ(ref.kernel_plan(), nullptr);
-    ASSERT_NE(wide.kernel_plan(), nullptr);
+    ASSERT_EQ(ref.plan(), nullptr);
+    ASSERT_NE(wide.plan(), nullptr);
     for (std::size_t i = 0; i < 32; ++i) {
       const auto in = ds.samples[i].input.view();
       const auto a = run_engine(ref, in);
@@ -312,7 +312,7 @@ TEST(KernelPlanEngine, ReferenceEscapeHatchEnvVar) {
   const Model& m = sx::testing::trained_mlp();
   StaticEngine forced{m};  // kAuto resolves at construction
   EXPECT_EQ(forced.kernel_mode(), KernelMode::kReference);
-  EXPECT_EQ(forced.kernel_plan(), nullptr);
+  EXPECT_EQ(forced.plan(), nullptr);
   ASSERT_EQ(unsetenv("SX_KERNEL_REFERENCE"), 0);
   StaticEngine normal{m};
   EXPECT_EQ(normal.kernel_mode(), KernelMode::kWide);
@@ -321,8 +321,8 @@ TEST(KernelPlanEngine, ReferenceEscapeHatchEnvVar) {
   EXPECT_EQ(dl::resolve_kernel_mode(KernelMode::kAuto), KernelMode::kWide);
   StaticEngine scalar{m};
   EXPECT_EQ(scalar.kernel_mode(), KernelMode::kWide);
-  ASSERT_NE(scalar.kernel_plan(), nullptr);
-  EXPECT_EQ(scalar.kernel_plan()->isa_selection().isa, WideIsa::kScalar);
+  ASSERT_NE(scalar.plan(), nullptr);
+  EXPECT_EQ(scalar.plan()->isa_selection().isa, WideIsa::kScalar);
   ASSERT_EQ(unsetenv("SX_KERNEL_ISA"), 0);
 }
 
@@ -349,7 +349,7 @@ TEST(KernelPlanBatch, WorkerCountsBitwiseIdenticalToReference) {
     dl::BatchRunner runner{m, dl::BatchRunnerConfig{
                                   .workers = workers,
                                   .kernels = KernelMode::kWide}};
-    ASSERT_NE(runner.kernel_plan(), nullptr);
+    ASSERT_NE(runner.plan(), nullptr);
     std::vector<float> out(n * out_size, -1.0f);
     std::vector<Status> st(n, Status::kInvalidArgument);
     ASSERT_EQ(runner.run(flat, out, st), Status::kOk);

@@ -8,7 +8,7 @@
 //
 //   sxfleet run --shards 4 --shard 2 --out shard2.txt [--trials N] [--seed S]
 //       runs shard 2 of a 4-shard campaign over the built-in deterministic
-//       workload (trained road-scene MLP + SingleChannel) and writes the
+//       workload (trained road-scene MLP, single channel) and writes the
 //       shard evidence file (schema sx-fleet-shard/1)
 //
 //   sxfleet merge shard0.txt shard1.txt ... [--confidence C]
@@ -73,9 +73,9 @@ const sx::dl::Model& workload_model() {
 std::unique_ptr<sx::safety::InferenceChannel> make_channel() {
   // Numeric-fault checking on: injected faults can fail-stop (detected)
   // instead of every corruption being silent or masked.
-  return std::make_unique<sx::safety::SingleChannel>(
+  return std::make_unique<sx::safety::EngineChannel>(sx::safety::Replica{
       workload_model(),
-      sx::dl::StaticEngineConfig{.check_numeric_faults = true});
+      sx::dl::StaticEngineConfig{.check_numeric_faults = true}});
 }
 
 FleetConfig make_config(std::size_t shards, std::size_t trials,

@@ -242,21 +242,23 @@ bool is_runtime_path(const fs::path& p) {
 /// Hot-kernel files under the zero-allocation contract: everything in a
 /// tensor/ directory, plus the kernel plans (dl/plan.*, dl/qplan.*), the
 /// quantized runtime (dl/quant.*) — its run()/apply_layer() hot path shares
-/// the same "every byte owned at deploy time" contract — and the per-
-/// decision trust scorer (supervise/tap_scorer.*).
+/// the same "every byte owned at deploy time" contract — the float engine
+/// (dl/engine.*), the batch pool's worker loop (dl/batch.*), the safety
+/// channels' infer() (safety/channel.*) and the per-decision trust scorer
+/// (supervise/tap_scorer.*).
 bool is_hot_path(const fs::path& p) {
-  bool in_dl = false;
-  bool in_supervise = false;
+  std::string dir;
   for (const auto& part : p) {
     const std::string s = part.string();
     if (s == "tensor") return true;
-    if (s == "dl") in_dl = true;
-    if (s == "supervise") in_supervise = true;
+    if (s == "dl" || s == "supervise" || s == "safety") dir = s;
   }
   const std::string stem = p.stem().string();
-  if (in_supervise) return stem == "tap_scorer";
-  if (!in_dl) return false;
-  return stem == "plan" || stem == "qplan" || stem == "quant";
+  if (dir == "supervise") return stem == "tap_scorer";
+  if (dir == "safety") return stem == "channel";
+  if (dir != "dl") return false;
+  return stem == "plan" || stem == "qplan" || stem == "quant" ||
+         stem == "engine" || stem == "batch";
 }
 
 /// Files that own or repair the deployed weight image: all of safety/

@@ -6,6 +6,7 @@
 // "shape" verdicts the reproduction commits to).
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <fstream>
 #include <iostream>
@@ -65,6 +66,35 @@ inline const dl::Model& trained_cnn() {
   return model;
 }
 
+/// Deployment-shaped perception CNN ("rung 3"): two 8-channel conv blocks
+/// and dense32. The tiny fixture CNN spends most of each decision in the
+/// fixed safety machinery (ODD scan, supervisor, SHA-256 audit append);
+/// this one has the compute balance of the perception networks the
+/// paper's case studies deploy.
+inline const dl::Model& perception_cnn() {
+  static const dl::Model model = [] {
+    dl::ModelBuilder b{road_data().input_shape};
+    b.conv2d(8, 3, 1, 1)
+        .relu()
+        .conv2d(8, 3, 1, 1)
+        .relu()
+        .maxpool(2)
+        .flatten()
+        .dense(32)
+        .relu()
+        .dense(dl::kRoadSceneClasses);
+    dl::Model m = b.build(/*seed=*/21);
+    dl::Trainer trainer{dl::TrainConfig{.learning_rate = 0.02,
+                                        .momentum = 0.9,
+                                        .epochs = 4,
+                                        .batch_size = 16,
+                                        .shuffle_seed = 7}};
+    trainer.fit(m, road_data());
+    return m;
+  }();
+  return model;
+}
+
 /// Wall-clock microseconds for `fn()` repeated `reps` times, per repetition.
 template <typename Fn>
 double time_per_call_us(Fn&& fn, std::size_t reps) {
@@ -73,6 +103,42 @@ double time_per_call_us(Fn&& fn, std::size_t reps) {
   const auto t1 = std::chrono::steady_clock::now();
   return std::chrono::duration<double, std::micro>(t1 - t0).count() /
          static_cast<double>(reps);
+}
+
+/// One variant's per-call time under time_interleaved: the median over
+/// rounds and the quartiles around it (the spread to quote with it).
+struct Timing {
+  double median_us = 0.0;
+  double q1_us = 0.0;
+  double q3_us = 0.0;
+};
+
+/// The shared timing protocol for comparing variants in one process:
+/// `warmup` untimed rounds, then `reps` timed rounds; each round runs
+/// every variant's `call(v)` `calls` times back to back, the variants in
+/// turn, so a change in machine load hits all of them alike. Returns each
+/// variant's median per-call time over the rounds, with its quartiles.
+template <typename Call>
+std::vector<Timing> time_interleaved(std::size_t variants, std::size_t calls,
+                                     std::size_t reps, Call&& call,
+                                     std::size_t warmup = 2) {
+  std::vector<std::vector<double>> per(variants);
+  for (std::size_t r = 0; r < warmup + reps; ++r)
+    for (std::size_t v = 0; v < variants; ++v) {
+      const double us = time_per_call_us([&] { call(v); }, calls);
+      if (r >= warmup) per[v].push_back(us);
+    }
+  std::vector<Timing> out(variants);
+  for (std::size_t v = 0; v < variants && reps > 0; ++v) {
+    std::vector<double>& xs = per[v];
+    std::sort(xs.begin(), xs.end());
+    const auto at = [&xs](double q) {  // nearest rank
+      const double pos = q * static_cast<double>(xs.size() - 1);
+      return xs[static_cast<std::size_t>(pos + 0.5)];
+    };
+    out[v] = Timing{at(0.5), at(0.25), at(0.75)};
+  }
+  return out;
 }
 
 inline void print_header(const char* experiment, const char* question) {

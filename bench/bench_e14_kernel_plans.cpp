@@ -50,41 +50,11 @@ bool bits_equal(const std::vector<float>& a, const std::vector<float>& b) {
   return true;
 }
 
-/// Deployment-shaped perception CNN: two 8-channel conv blocks. The tiny
-/// test-fixture CNN spends most of each decision in the fixed safety
-/// machinery (ODD scan, supervisor, SHA-256 audit append), which caps any
-/// kernel speedup at ~1.2x by Amdahl; this model has the compute balance
-/// of the perception networks the paper's case studies deploy, so the
-/// end-to-end number reflects the kernels rather than the fixed overhead.
-const sx::dl::Model& perception_cnn() {
-  static const sx::dl::Model model = [] {
-    sx::dl::ModelBuilder b{sx::bench::road_data().input_shape};
-    b.conv2d(8, 3, 1, 1)
-        .relu()
-        .conv2d(8, 3, 1, 1)
-        .relu()
-        .maxpool(2)
-        .flatten()
-        .dense(32)
-        .relu()
-        .dense(sx::dl::kRoadSceneClasses);
-    sx::dl::Model m = b.build(/*seed=*/21);
-    sx::dl::Trainer trainer{sx::dl::TrainConfig{.learning_rate = 0.02,
-                                                .momentum = 0.9,
-                                                .epochs = 4,
-                                                .batch_size = 16,
-                                                .shuffle_seed = 7}};
-    trainer.fit(m, sx::bench::road_data());
-    return m;
-  }();
-  return model;
-}
-
 sx::core::CertifiablePipeline make_sil2_pipeline(std::size_t batch_workers) {
   sx::core::PipelineConfig cfg;
   cfg.criticality = sx::core::Criticality::kSil2;
   cfg.batch_workers = batch_workers;
-  return sx::core::CertifiablePipeline{perception_cnn(),
+  return sx::core::CertifiablePipeline{sx::bench::perception_cnn(),
                                        sx::bench::road_data(), cfg};
 }
 

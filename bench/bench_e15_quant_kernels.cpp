@@ -70,37 +70,9 @@ void qmatvec_reference(const std::int8_t* w, std::size_t rows,
   }
 }
 
-/// Same deployment-shaped perception CNN as E14 (the tiny fixture CNN is
-/// dominated by the fixed safety machinery; this one has the compute
-/// balance of the paper's case-study networks), trained briefly, then
-/// quantized against the RoadScene calibration set.
-const sx::dl::Model& perception_cnn() {
-  static const sx::dl::Model model = [] {
-    sx::dl::ModelBuilder b{sx::bench::road_data().input_shape};
-    b.conv2d(8, 3, 1, 1)
-        .relu()
-        .conv2d(8, 3, 1, 1)
-        .relu()
-        .maxpool(2)
-        .flatten()
-        .dense(32)
-        .relu()
-        .dense(sx::dl::kRoadSceneClasses);
-    sx::dl::Model m = b.build(/*seed=*/21);
-    sx::dl::Trainer trainer{sx::dl::TrainConfig{.learning_rate = 0.02,
-                                                .momentum = 0.9,
-                                                .epochs = 4,
-                                                .batch_size = 16,
-                                                .shuffle_seed = 7}};
-    trainer.fit(m, sx::bench::road_data());
-    return m;
-  }();
-  return model;
-}
-
 const sx::dl::QuantizedModel& quantized_cnn() {
   static const sx::dl::QuantizedModel qm = sx::dl::QuantizedModel::quantize(
-      perception_cnn(), sx::bench::road_data());
+      sx::bench::perception_cnn(), sx::bench::road_data());
   return qm;
 }
 
@@ -110,7 +82,7 @@ sx::core::CertifiablePipeline make_sil2_int8_pipeline(
   cfg.criticality = sx::core::Criticality::kSil2;
   cfg.backend = sx::core::BackendKind::kInt8;
   cfg.batch_workers = batch_workers;
-  return sx::core::CertifiablePipeline{perception_cnn(),
+  return sx::core::CertifiablePipeline{sx::bench::perception_cnn(),
                                        sx::bench::road_data(), cfg};
 }
 
@@ -271,7 +243,8 @@ int main(int argc, char** argv) {
     };
     // The float engine the int8 backend replaces: same CNN, default
     // (wide) plan.
-    dl::StaticEngine flt{perception_cnn(), {.kernels = dl::KernelMode::kWide}};
+    dl::StaticEngine flt{bench::perception_cnn(),
+                         {.kernels = dl::KernelMode::kWide}};
     std::vector<float> fo(out_size);
     auto run_many_float = [&] {
       return bench::time_per_call_us(

@@ -3,7 +3,10 @@
 // Regenerates the table: pattern x {correct, detected, fallback, SDC,
 // latency overhead}. Shape claims: SDC falls monotonically along the
 // ladder; redundancy costs latency roughly proportional to replica count —
-// the criticality-dependent trade-off the project argues for.
+// the criticality-dependent trade-off the project argues for. Latency is
+// timed after every campaign, all patterns interleaved
+// (bench::time_interleaved): the median per-call time over the rounds,
+// with its quartiles, and the overhead as the ratio of medians.
 #include "bench_common.hpp"
 #include "safety/campaign.hpp"
 #include "safety/channel.hpp"
@@ -26,12 +29,13 @@ int run_experiment() {
   for (std::size_t i = 0; i < 16; ++i) probes.samples.push_back(ds.samples[i]);
 
   // Supervisor for the safety-bag configuration: the Mahalanobis score a
-  // deployed pipeline uses, taken through the same planned tap scorer.
+  // deployed pipeline uses, solved on the features the TMR vote's replica
+  // tapped in its own run.
   supervise::MahalanobisSupervisor supervisor;
   supervisor.fit(model, ds);
   supervisor.calibrate_threshold(
       supervise::collect_scores(supervisor, model, ds), 0.95);
-  supervise::TapScorer scorer{model, supervisor};
+  supervise::TapScorer scorer{supervisor};
   std::vector<float> fallback(dl::kRoadSceneClasses, 0.0f);
   fallback[static_cast<std::size_t>(dl::RoadSceneClass::kObstacle)] = 10.0f;
 
@@ -63,27 +67,32 @@ int run_experiment() {
                                    .fault_type = safety::FaultType::kBitFlip,
                                    .seed = 5};
 
-  // Baseline latency of the bare channel for the overhead column.
+  std::vector<safety::CampaignOutcome> outcomes;
+  for (auto& c : cases)
+    outcomes.push_back(safety::run_campaign(*c.channel, probes, cfg));
+
+  // Latency, every pattern interleaved; "single" is the overhead baseline.
   std::vector<float> out(model.output_shape().size());
-  const double base_us = bench::time_per_call_us(
-      [&] { (void)cases[0].channel->infer(ds.samples[0].input.view(), out); },
-      300);
+  const std::vector<bench::Timing> lat = bench::time_interleaved(
+      cases.size(), 100, 15, [&](std::size_t v) {
+        (void)cases[v].channel->infer(ds.samples[0].input.view(), out);
+      });
 
   util::Table table({"pattern", "correct", "detected", "fallback", "SDC",
-                     "safe rate", "latency overhead"});
+                     "safe rate", "latency us [q1, q3]", "overhead"});
   std::vector<double> sdc_rates;
-  for (auto& c : cases) {
-    const auto outcome = safety::run_campaign(*c.channel, probes, cfg);
-    const double us = bench::time_per_call_us(
-        [&] { (void)c.channel->infer(ds.samples[0].input.view(), out); }, 300);
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const safety::CampaignOutcome& outcome = outcomes[i];
     const auto total = static_cast<double>(outcome.total());
     table.add_row(
-        {c.name,
+        {cases[i].name,
          util::fmt_pct(static_cast<double>(outcome.correct) / total),
          util::fmt_pct(static_cast<double>(outcome.detected) / total),
          util::fmt_pct(static_cast<double>(outcome.fallback) / total),
          util::fmt_pct(outcome.sdc_rate()), util::fmt_pct(outcome.safe_rate()),
-         util::fmt(us / base_us, 2) + "x"});
+         util::fmt(lat[i].median_us, 2) + " [" + util::fmt(lat[i].q1_us, 2) +
+             ", " + util::fmt(lat[i].q3_us, 2) + "]",
+         util::fmt(lat[i].median_us / lat[0].median_us, 2) + "x"});
     sdc_rates.push_back(outcome.sdc_rate());
   }
   table.print(std::cout);

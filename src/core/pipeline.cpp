@@ -51,6 +51,20 @@ std::unique_ptr<safety::InferenceChannel> make_channel(
   throw std::invalid_argument("make_channel: unknown pattern");
 }
 
+/// The replica whose features the supervisor reads (safety case Sn1.3).
+const char* tap_source(PatternKind p) noexcept {
+  switch (p) {
+    case PatternKind::kSingle:
+    case PatternKind::kMonitored: return "the channel's one replica";
+    case PatternKind::kDmr: return "replica 0 once the DMR comparison passes";
+    case PatternKind::kTmr:
+      return "the first replica that reproduces the TMR vote";
+    case PatternKind::kDiverseTmr:
+      return "the float replica whose logits the diverse vote emits";
+  }
+  return "the channel's replica";
+}
+
 }  // namespace
 
 CertifiablePipeline::CertifiablePipeline(const dl::Model& model,
@@ -129,6 +143,8 @@ CertifiablePipeline::CertifiablePipeline(const dl::Model& model,
   // here, at deploy time — infer_batch() spawns nothing and allocates
   // nothing on the inference path itself. Under the int8 backend the pool
   // runs quantized per-worker engines sharing one QuantKernelPlan.
+  // With a supervisor, every worker taps its item's features in the same
+  // engine run.
   if (cfg_.batch_workers > 0) {
     dl::BatchRunnerConfig bcfg;
     bcfg.workers = cfg_.batch_workers;
@@ -201,24 +217,30 @@ CertifiablePipeline::CertifiablePipeline(const dl::Model& model,
   // Supervisor (fit + threshold on calibration data) plus a stream-level
   // CUSUM drift detector on the log-transformed score stream. Skipped in
   // refuse-only mode: fitting would execute the very model the static
-  // gate just rejected. One planned pass takes every calibration
-  // sample's features, bitwise those of the reference walk, and both the
-  // fit and the threshold scores come from them.
+  // gate just rejected. One pass of an engine of the deployed element type
+  // taps every calibration sample's features — bitwise the reference
+  // walk's for float, the dequantized int8 features the channel will tap
+  // for int8 — and both the fit and the threshold scores come from them.
   if (spec_.has_supervisor && !verify_refused_) {
     supervisor_ = std::make_unique<supervise::MahalanobisSupervisor>();
-    const std::vector<double> scores =
-        supervisor_->fit_planned(*model_, calibration, cfg_.kernel_mode);
+    std::unique_ptr<dl::Engine> fit_engine =
+        quant_ ? safety::make_replica_engine(*quant_, cfg_.kernel_mode)
+               : safety::make_replica_engine(
+                     *model_, {.check_numeric_faults = false,
+                               .kernels = cfg_.kernel_mode});
+    const std::vector<double> scores = supervisor_->fit_planned(
+        folded ? *folded : *model_, calibration, *fit_engine);
+    fit_engine.reset();
     supervisor_->calibrate_threshold(scores, cfg_.supervisor_tpr);
     std::vector<double> log_scores(scores.size());
     for (std::size_t i = 0; i < scores.size(); ++i)
       log_scores[i] = std::log1p(std::max(0.0, scores[i]));
     drift_ = std::make_unique<supervise::CusumDetector>(
         supervise::CusumDetector::fit(log_scores, 0.5, 10.0));
-    // Per-decision scores go through a planned engine that taps the
-    // feature layer (buffers and solve scratch sized here), bitwise
-    // identical to the reference walk the threshold was calibrated on.
-    scorer_ = std::make_unique<supervise::TapScorer>(*model_, *supervisor_,
-                                                     cfg_.kernel_mode);
+    // Per-decision scores solve on the features the channel or the pool
+    // tapped in the decision's own engine run.
+    scorer_ = std::make_unique<supervise::TapScorer>(*supervisor_);
+    feat_.assign(scorer_->feature_dim(), 0.0f);
     if (obs_) {
       scorer_->bind_telemetry(obs_.get(), c_sup_rej_);
       obs_->set(g_sup_threshold_, supervisor_->threshold());
@@ -230,6 +252,9 @@ CertifiablePipeline::CertifiablePipeline(const dl::Model& model,
   if (!verify_refused_) {
     std::unique_ptr<safety::InferenceChannel> inner = make_channel(
         spec_.pattern, *model_, quant_.get(), calibration, cfg_.kernel_mode);
+    if (scorer_ && inner->tap_size() != scorer_->feature_dim())
+      throw std::logic_error(
+          "CertifiablePipeline: channel tap does not match the supervisor");
     if (spec_.has_safety_bag) {
       auto bag = std::make_unique<safety::SafetyBagChannel>(
           std::move(inner), scorer_.get(), fallback_);
@@ -432,29 +457,26 @@ void CertifiablePipeline::decide(Decision& d, const ItemContext& c,
   }
 
   // 3. The decision's one supervisor score: the safety bag's when it took
-  // one inside the channel, else the scorer's. Then the CUSUM drift
-  // detector on its log-transformed score stream. A failed tap fail-stops
-  // the decision exactly like a failed inference.
-  if (ok(st) && scorer_) {
+  // one inside the channel, else a solve on the features the channel or
+  // the pool tapped in the decision's own engine run. A decision with
+  // neither (the bag's primary failed, so nothing was tapped) takes no
+  // score and no drift update, like an ODD rejection. Then the CUSUM drift
+  // detector on the log-transformed score stream.
+  if (ok(st) && scorer_ && (r.score || !r.features.empty())) {
     const std::uint64_t t_sup = obs_ ? obs_->now() : 0;
-    if (r.score)
-      d.supervisor_score = *r.score;
-    else
-      st = scorer_->score(c.input, d.supervisor_score);
-    if (ok(st)) {
-      const bool was_alarmed = drift_->alarmed();
-      drift_->update(std::log1p(std::max(0.0, d.supervisor_score)));
-      if (obs_) obs_->set(g_drift_cusum_, drift_->statistic());
-      if (!was_alarmed && drift_->alarmed()) {
-        obs_count(c_drift_alarms_);
-        audit_.append(c.logical_time, "drift-detector", "alarm",
-                      "cusum=" + std::to_string(drift_->statistic()));
-      }
+    d.supervisor_score = r.score ? *r.score : scorer_->score(r.features);
+    const bool was_alarmed = drift_->alarmed();
+    drift_->update(std::log1p(std::max(0.0, d.supervisor_score)));
+    if (obs_) obs_->set(g_drift_cusum_, drift_->statistic());
+    if (!was_alarmed && drift_->alarmed()) {
+      obs_count(c_drift_alarms_);
+      audit_.append(c.logical_time, "drift-detector", "alarm",
+                    "cusum=" + std::to_string(drift_->statistic()));
     }
     if (obs_) {
       const std::uint64_t t1 = obs_->now();
       obs_->observe(h_sup_, t1 >= t_sup ? t1 - t_sup : 0);
-      obs_span(obs::Stage::kSupervisor, st, !ok(st), t_sup, t1);
+      obs_span(obs::Stage::kSupervisor, st, false, t_sup, t1);
     }
   }
   if (!ok(st)) {
@@ -498,13 +520,21 @@ Decision CertifiablePipeline::infer(const tensor::Tensor& input,
   if (!admit(d, c)) return d;
 
   // Channel inference (includes pattern redundancy and the safety bag).
+  // With a supervisor the channel also taps the features (feat_ is empty
+  // without one). A wrong-shaped input fail-stops, as on the batch path,
+  // instead of reaching a safety bag that would degrade it.
   InferenceOutcome r;
   r.t0 = obs_ ? obs_->now() : 0;
-  r.status = channel_->infer(c.input, out_buf_);
+  if (c.input.shape != model_->input_shape()) {
+    r.status = Status::kShapeMismatch;
+  } else {
+    r.status = channel_->infer(c.input, out_buf_, feat_);
+    r.degraded = channel_->last_degraded();
+    if (!r.degraded) r.features = feat_;
+    if (bag_ != nullptr) r.score = bag_->last_score();
+  }
   r.t1 = obs_ ? obs_->now() : 0;
   r.logits = out_buf_;
-  r.degraded = channel_->last_degraded();
-  if (bag_ != nullptr) r.score = bag_->last_score();
   decide(d, c, r);
   return d;
 }
@@ -535,6 +565,7 @@ std::vector<Decision> CertifiablePipeline::infer_batch(
     grow(engine_status_, n_items);
     grow(odd_verdicts_, n_items);
     grow(item_elapsed_, n_items);
+    grow(batch_taps_, n_items * feat_.size());
 
     // Stage the batch contiguously and take ODD verdicts up front, in
     // batch-index order, so the guard histogram is schedule-free; the
@@ -561,7 +592,9 @@ std::vector<Decision> CertifiablePipeline::infer_batch(
           std::span<Status>(engine_status_).subspan(base, n),
           want_elapsed
               ? std::span<std::uint64_t>(item_elapsed_).subspan(base, n)
-              : std::span<std::uint64_t>{});
+              : std::span<std::uint64_t>{},
+          std::span<float>(batch_taps_)
+              .subspan(base * feat_.size(), n * feat_.size()));
       if (!ok(st))
         throw std::logic_error("CertifiablePipeline::infer_batch: dispatch " +
                                std::string(to_string(st)));
@@ -597,6 +630,7 @@ std::vector<Decision> CertifiablePipeline::infer_batch(
     Decision& d = decisions[i];
     if (!admit(d, c)) continue;
     const std::uint64_t t_inf = obs_ ? obs_->now() : 0;
+    const std::size_t w = feat_.size();
     decide(d, c,
            InferenceOutcome{
                .status = engine_status_[i],
@@ -605,7 +639,9 @@ std::vector<Decision> CertifiablePipeline::infer_batch(
                .logits = std::span<const float>(batch_logits_)
                              .subspan(i * n_out, n_out),
                .degraded = !ok(engine_status_[i]),
-               .score = {}});  // the pool takes no trust score
+               .features = std::span<const float>(batch_taps_)
+                               .subspan(i * w, w),
+               .score = {}});
   }
   return decisions;
 }
@@ -643,7 +679,11 @@ trace::SafetyCase CertifiablePipeline::build_safety_case() const {
     sc.add_solution(g1, "Sn1.3",
                     "runtime trust supervisor '" +
                         std::string(supervisor_->name()) + "', threshold=" +
-                        std::to_string(supervisor_->threshold()));
+                        std::to_string(supervisor_->threshold()) +
+                        ", reading the features of " +
+                        tap_source(spec_.pattern) +
+                        " from the decision's own engine run (it shares that "
+                        "replica's weights and faults)");
   if (odd_) sc.add_solution(g1, "Sn1.4", "fitted ODD guard active");
   if (explainer_)
     sc.add_solution(g1, "Sn1.5",

@@ -42,7 +42,8 @@ namespace sx::core {
 /// "monitored" rung, so kInt8 is admissible up to SIL2; DMR and above
 /// reject it at deploy time (their int8 replicas need their own fault
 /// campaigns first). SIL4's diverse-TMR carries an int8 replica under
-/// either backend.
+/// either backend. The supervisor is fitted on, and scores, the features
+/// the deployed element type taps: dequantized int8 features under kInt8.
 enum class BackendKind : std::uint8_t { kFloat32, kInt8 };
 
 const char* to_string(BackendKind b) noexcept;
@@ -55,7 +56,7 @@ struct PipelineConfig {
   dl::WeightGranularity quant_granularity = dl::WeightGranularity::kPerChannel;
   /// Hot-path kernel selection, the pipeline's one kernel knob: forwarded
   /// to every replica of the channel (float or int8, every pattern), the
-  /// batch pool, the supervisor's calibration and tap engines, the
+  /// batch pool, the supervisor's calibration engine, the
   /// static-verification arena checks and the int8 IR re-check. Both
   /// modes are bitwise identical by construction — the scenario sweeper
   /// crosses this axis to *prove* it per deployment. kAuto resolves to
@@ -120,9 +121,10 @@ class CertifiablePipeline {
   /// worker count. Every item then passes the same stage sequence as
   /// infer(), serially in batch-index order: refusal, ODD reject, watchdog
   /// (fed the item's measured inference time in telemetry clock units),
-  /// fail-stop, supervisor score, drift tracking and audit entry. The pool
-  /// runs plain BatchRunner engines (float, or int8 under kInt8): pattern
-  /// redundancy and the safety bag apply only to the infer() channel.
+  /// fail-stop, supervisor score (on the features the item's own pool run
+  /// tapped), drift tracking and audit entry. The pool runs plain
+  /// BatchRunner engines (float, or int8 under kInt8): pattern redundancy
+  /// and the safety bag apply only to the infer() channel.
   std::vector<Decision> infer_batch(
       const std::vector<tensor::Tensor>& inputs,
       std::uint64_t logical_time = 0);
@@ -250,7 +252,7 @@ class CertifiablePipeline {
   /// What infer() and infer_batch() differ in for one decision, handed to
   /// the shared stage sequence as data.
   struct ItemContext {
-    tensor::ConstTensorView input;  ///< the input the supervisor scores
+    tensor::ConstTensorView input;
     std::uint64_t logical_time = 0;
     std::uint64_t t_decision = 0;   ///< telemetry clock at decision start
     OddVerdict odd;
@@ -265,6 +267,9 @@ class CertifiablePipeline {
     std::uint64_t t1 = 0;
     std::span<const float> logits;
     bool degraded = false;  ///< logits are the fallback (or status failed)
+    /// The supervisor's features from the same engine run (empty when
+    /// nothing was tapped).
+    std::span<const float> features;
     std::optional<double> score;  ///< the safety bag's, when it took one
   };
 
@@ -293,7 +298,7 @@ class CertifiablePipeline {
   std::unique_ptr<dl::BatchRunner> batch_;
   std::unique_ptr<supervise::MahalanobisSupervisor> supervisor_;
   // The one scoring path; declared before channel_, whose safety bag
-  // points at it. Deployment refuses an untappable feature layer.
+  // points at it. It solves on the channel's or the pool's taps.
   std::unique_ptr<supervise::TapScorer> scorer_;
   std::unique_ptr<safety::InferenceChannel> channel_;
   safety::SafetyBagChannel* bag_ = nullptr;  // view into channel_
@@ -307,12 +312,14 @@ class CertifiablePipeline {
   std::string kernel_backend_;
   trace::ModelCard card_;
   std::vector<float> out_buf_;
+  std::vector<float> feat_;  // infer()'s feature tap (empty: no supervisor)
   std::vector<float> probs_;  // softmax of the decided logits
   std::vector<float> fallback_;
   // infer_batch() staging, grow-only: sized by the largest batch served,
   // not by max_batch(), so deployment does not reserve the pool's limit.
   std::vector<float> staged_;
   std::vector<float> batch_logits_;
+  std::vector<float> batch_taps_;
   std::vector<Status> engine_status_;
   std::vector<OddVerdict> odd_verdicts_;
   std::vector<std::uint64_t> item_elapsed_;

@@ -11,6 +11,16 @@ double micros_between(std::chrono::steady_clock::time_point t0,
   return std::chrono::duration<double, std::micro>(t1 - t0).count();
 }
 
+/// The plan every worker shares; the float plan pins the feature layer.
+std::unique_ptr<KernelPlan> shared_plan(const Model& model,
+                                        std::size_t tap_layer) {
+  return std::make_unique<KernelPlan>(model, tap_layer);  // sxlint: allow(hot-path-alloc) configuration-time shared plan
+}
+std::unique_ptr<QuantKernelPlan> shared_plan(const QuantizedModel& model,
+                                             std::size_t /*tap_layer*/) {
+  return std::make_unique<QuantKernelPlan>(model);  // sxlint: allow(hot-path-alloc) configuration-time shared plan
+}
+
 }  // namespace
 
 BatchRunner::BatchRunner(const Shape& in_shape, const Shape& out_shape,
@@ -38,7 +48,7 @@ BatchRunner::BatchRunner(const Shape& in_shape, const Shape& out_shape,
 
 BatchRunner::BatchRunner(const Model& model, BatchRunnerConfig cfg)
     : BatchRunner(model.input_shape(), model.output_shape(), cfg) {
-  start_pool<KernelPlan, StaticEngine>(
+  start_pool<StaticEngine>(
       model,
       StaticEngineConfig{.check_numeric_faults = cfg_.check_numeric_faults,
                          .arena_slack = cfg_.arena_slack,
@@ -49,21 +59,23 @@ BatchRunner::BatchRunner(const QuantizedModel& model, BatchRunnerConfig cfg)
     : BatchRunner(model.input_shape(), model.output_shape(), cfg) {
   if (model.layer_count() == 0)
     throw std::invalid_argument("BatchRunner: quantized model is empty");
-  start_pool<QuantKernelPlan, QuantEngine>(
+  start_pool<QuantEngine>(
       model, QuantEngineConfig{.arena_slack = cfg_.arena_slack,
                                .kernels = cfg_.kernels});
 }
 
-template <class Plan, class Eng, class M, class Cfg>
+template <class Eng, class M, class Cfg>
 void BatchRunner::start_pool(const M& model, const Cfg& engine_cfg) {
   // Plan every arena before any thread exists: all allocation happens here,
   // at configuration time. One plan is built once and shared read-only by
   // every worker engine (index tables and weight panels are immutable on
   // the hot path); each worker's scratch, arena and counters stay its own,
   // so workers never share a mutable buffer.
-  std::unique_ptr<Plan> plan;
-  if (resolve_kernel_mode(cfg_.kernels) != KernelMode::kReference)
-    plan = std::make_unique<Plan>(model);  // sxlint: allow(hot-path-alloc) configuration-time shared plan
+  tap_layer_ = feature_layer(model);
+  tap_size_ = feature_width(model);
+  auto plan = resolve_kernel_mode(cfg_.kernels) != KernelMode::kReference
+                  ? shared_plan(model, tap_layer_)
+                  : nullptr;
   for (auto& w : pool_)
     w.engine = plan != nullptr
                    ? std::make_unique<Eng>(model, *plan, engine_cfg)  // sxlint: allow(hot-path-alloc) configuration-time worker engine
@@ -85,14 +97,9 @@ BatchRunner::~BatchRunner() {
 
 Status BatchRunner::run(std::span<const float> inputs,
                         std::span<float> outputs,
-                        std::span<Status> statuses) noexcept {
-  return run(inputs, outputs, statuses, std::span<std::uint64_t>{});
-}
-
-Status BatchRunner::run(std::span<const float> inputs,
-                        std::span<float> outputs,
                         std::span<Status> statuses,
-                        std::span<std::uint64_t> elapsed) noexcept {
+                        std::span<std::uint64_t> elapsed,
+                        std::span<float> taps) noexcept {
   const std::size_t count = statuses.size();
   if (count > cfg_.max_batch) return Status::kInvalidArgument;
   if (inputs.size() != count * in_size_ ||
@@ -100,6 +107,8 @@ Status BatchRunner::run(std::span<const float> inputs,
     return Status::kShapeMismatch;
   if (!elapsed.empty() && elapsed.size() != count)
     return Status::kInvalidArgument;
+  if (!taps.empty() && (tap_size_ == 0 || taps.size() != count * tap_size_))
+    return Status::kShapeMismatch;
   fault_log_.clear();
   if (count == 0) return Status::kOk;
 
@@ -107,7 +116,8 @@ Status BatchRunner::run(std::span<const float> inputs,
   {
     std::lock_guard<std::mutex> lk(mu_);
     job_ = Job{inputs.data(), outputs.data(), statuses.data(),
-               elapsed.empty() ? nullptr : elapsed.data(), count};
+               elapsed.empty() ? nullptr : elapsed.data(),
+               taps.empty() ? nullptr : taps.data(), count};
     done_ = 0;
     ++epoch_;
   }
@@ -156,15 +166,23 @@ void BatchRunner::worker_main(std::size_t w) noexcept {
           std::span<const float>(job.inputs + i * in_size_, in_size_),
           in_shape_};
       const std::span<float> out{job.outputs + i * out_size_, out_size_};
+      // The item's tap sits in its own batch-indexed slot, like its logits.
+      const auto infer = [&] {
+        return job.taps == nullptr
+                   ? me.engine->run(in, out)
+                   : me.engine->run_tapped(
+                         in, out, tap_layer_,
+                         {job.taps + i * tap_size_, tap_size_});
+      };
       if (job.elapsed != nullptr) {
         // Per-item timing lands in the batch-indexed slot; the caller
         // consumes it serially, so histogram order is schedule-free.
         const std::uint64_t c0 = clock_();
-        job.statuses[i] = me.engine->run(in, out);
+        job.statuses[i] = infer();
         const std::uint64_t c1 = clock_();
         job.elapsed[i] = c1 >= c0 ? c1 - c0 : 0;
       } else {
-        job.statuses[i] = me.engine->run(in, out);
+        job.statuses[i] = infer();
       }
       ++me.items;
       if (obs != nullptr) {

@@ -96,23 +96,27 @@ class BatchRunner {
   /// Runs `statuses.size()` items. `inputs` holds the items back-to-back
   /// (count * input_size() floats); `outputs` receives count *
   /// output_size() floats; statuses[i] is the per-item engine status.
+  /// Two optional outputs, each skipped when empty:
+  ///   - `elapsed[i]`: item i's inference time on the telemetry clock
+  ///     (count slots; indexed by batch index, so its contents are
+  ///     schedule-independent whenever the clock is deterministic);
+  ///   - `taps`: count * tap_size() floats, item i's supervisor features
+  ///     (the input of the model's dl::feature_layer, pinned in the shared
+  ///     float plan) at i * tap_size(), taken in the same engine run as
+  ///     its logits (valid where statuses[i] is kOk).
   /// Returns kOk when the batch was *executed* (individual items may still
   /// fault — inspect `statuses` / fault_log()). No heap allocation, no
   /// thread creation.
   Status run(std::span<const float> inputs, std::span<float> outputs,
-             std::span<Status> statuses) noexcept;
-
-  /// Same, additionally measuring each item's inference time with the
-  /// telemetry clock into `elapsed[i]` (clock units; indexed by batch
-  /// index, so the array's contents are schedule-independent whenever the
-  /// clock is deterministic). `elapsed` must hold statuses.size() slots.
-  Status run(std::span<const float> inputs, std::span<float> outputs,
              std::span<Status> statuses,
-             std::span<std::uint64_t> elapsed) noexcept;
+             std::span<std::uint64_t> elapsed = {},
+             std::span<float> taps = {}) noexcept;
 
   std::size_t workers() const noexcept { return pool_.size(); }
   std::size_t input_size() const noexcept { return in_size_; }
   std::size_t output_size() const noexcept { return out_size_; }
+  /// Width of one item's tap (0 when the model has no Dense layer).
+  std::size_t tap_size() const noexcept { return tap_size_; }
   std::size_t max_batch() const noexcept { return cfg_.max_batch; }
 
   /// Batches dispatched through run().
@@ -169,6 +173,7 @@ class BatchRunner {
     float* outputs = nullptr;
     Status* statuses = nullptr;
     std::uint64_t* elapsed = nullptr;  ///< per-item clock units (optional)
+    float* taps = nullptr;             ///< per-item feature taps (optional)
     std::size_t count = 0;
   };
 
@@ -178,7 +183,7 @@ class BatchRunner {
               BatchRunnerConfig cfg);
   /// Plans the shared plan (unless the resolved mode is kReference), one
   /// engine per pool slot over it, then spawns one thread per slot.
-  template <class Plan, class Eng, class M, class Cfg>
+  template <class Eng, class M, class Cfg>
   void start_pool(const M& model, const Cfg& engine_cfg);
   void worker_main(std::size_t w) noexcept;
 
@@ -186,6 +191,8 @@ class BatchRunner {
   Shape in_shape_{};
   std::size_t in_size_ = 0;
   std::size_t out_size_ = 0;
+  std::size_t tap_layer_ = 0;  // dl::feature_layer of the model
+  std::size_t tap_size_ = 0;
 
   // Declared before pool_: worker engines hold references into the plan,
   // so it must outlive them (members destroy in reverse order).

@@ -73,10 +73,8 @@ Status StaticEngine::run_tapped(tensor::ConstTensorView input,
                                 std::size_t tap_layer,
                                 std::span<float> tap) noexcept {
   if (!can_tap(tap_layer)) return Status::kShapeMismatch;
-  const std::size_t want =
-      tap_layer == 0 ? model_->input_shape().size()
-                     : model_->activation_shape(tap_layer - 1).size();
-  if (tap.size() != want) return Status::kShapeMismatch;
+  if (tap.size() != tap_width(*model_, tap_layer))
+    return Status::kShapeMismatch;
   return run_impl(input, output, tap_layer, tap);
 }
 

@@ -12,8 +12,8 @@
 // original ping-pong loop as the bitwise-identical unoptimized twin.
 //
 // StaticEngine and the int8 QuantEngine (dl/qplan.hpp) implement one
-// interface, Engine: run, repack, counters, arena marks and the plan's
-// evidence view. Safety channels and the batch pool hold engines through
+// interface, Engine: run, the tapped run a supervisor reads its features
+// from, repack, counters, arena marks and the plan's evidence view. Safety channels and the batch pool hold engines through
 // it, so the element type is decided once, where the engine is built.
 //
 // DynamicEngine is the deliberately non-compliant baseline standing in for a
@@ -47,6 +47,41 @@ struct StaticEngineConfig {
   std::size_t pin_tap_layer = kNoPinnedTap;
 };
 
+/// Element count of the activation feeding layer `layer` of `model` (a
+/// Model or a QuantizedModel): the width of a tap there. Configuration
+/// time; throws past the last layer.
+template <class M>
+std::size_t tap_width(const M& model, std::size_t layer) {
+  return layer == 0 ? model.input_shape().size()
+                    : model.activation_shape(layer - 1).size();
+}
+
+/// The supervisor's feature layer of `model` (a Model or a QuantizedModel,
+/// in its own layer indexing): the index of the last Dense layer, whose
+/// input activation is the penultimate feature vector a runtime supervisor
+/// reads; layer_count() when there is no Dense layer. Replicas and the
+/// batch pool pin it so their engines can tap it.
+template <class M>
+std::size_t feature_layer(const M& model) {
+  for (std::size_t i = model.layer_count(); i-- > 0;) {
+    LayerKind kind;
+    if constexpr (requires { model.layer_view(i); })
+      kind = model.layer_view(i).kind;
+    else
+      kind = model.layer(i).kind();
+    if (kind == LayerKind::kDense) return i;
+  }
+  return model.layer_count();
+}
+
+/// tap_width at feature_layer: the width of the supervisor's features (0
+/// when the model has no Dense layer).
+template <class M>
+std::size_t feature_width(const M& model) {
+  const std::size_t layer = feature_layer(model);
+  return layer < model.layer_count() ? tap_width(model, layer) : 0;
+}
+
 /// The planned-engine interface both element types implement. run() is
 /// noexcept and allocation-free in every implementation.
 class Engine {
@@ -58,6 +93,17 @@ class Engine {
   /// for int8).
   virtual Status run(tensor::ConstTensorView input,
                      std::span<float> output) noexcept = 0;
+  /// run() that also copies the activation feeding layer `tap_layer` into
+  /// `tap` (dequantized for int8), from the same forward pass, at zero
+  /// allocations. `tap` must hold exactly that activation's element count
+  /// (tap_width) and `tap_layer` must satisfy can_tap(); kShapeMismatch
+  /// otherwise. Lets a runtime supervisor read the features of the run
+  /// that decided instead of running the model a second time.
+  virtual Status run_tapped(tensor::ConstTensorView input,
+                            std::span<float> output, std::size_t tap_layer,
+                            std::span<float> tap) noexcept = 0;
+  /// True if run_tapped can capture the activation feeding `tap_layer`.
+  virtual bool can_tap(std::size_t tap_layer) const noexcept = 0;
   /// Re-snapshots the weight panels of an engine-private plan from the
   /// live weights, after an in-place write (fault injection, scrubbing).
   /// No-op under reference loops, which read the weights live, and for a
@@ -117,22 +163,17 @@ class StaticEngine final : public Engine {
   Status run(tensor::ConstTensorView input,
              std::span<float> output) noexcept override;
 
-  /// Runs inference and additionally copies the activation feeding layer
-  /// `tap_layer` into `tap` — bitwise identical to
-  /// Model::forward_trace(input)[tap_layer], at zero allocations. `tap`
-  /// must hold exactly that activation's element count and `tap_layer`
-  /// must satisfy can_tap(). Lets runtime supervisors read intermediate
-  /// features without a second, allocation-heavy forward pass.
+  /// The tap is bitwise Model::forward_trace(input)[tap_layer].
   Status run_tapped(tensor::ConstTensorView input, std::span<float> output,
-                    std::size_t tap_layer, std::span<float> tap) noexcept;
+                    std::size_t tap_layer,
+                    std::span<float> tap) noexcept override;
 
-  /// True if run_tapped can capture the activation feeding `tap_layer`.
   /// Reference engines materialize every activation. A planned engine
   /// materializes step boundaries: taps inside a step's [tap_first,
   /// first_layer] range read its input (the layers between were dce'd bit
   /// identities), but the input of an activation fused into the preceding
   /// kernel's epilogue is gone — pin it via cfg.pin_tap_layer to keep it.
-  bool can_tap(std::size_t tap_layer) const noexcept;
+  bool can_tap(std::size_t tap_layer) const noexcept override;
 
   const Shape& input_shape() const noexcept { return model_->input_shape(); }
   const Shape& output_shape() const noexcept { return model_->output_shape(); }

@@ -71,12 +71,15 @@ QuantKernelPlan::QuantKernelPlan(const QuantizedModel& model)
   // is keyed to the op's own model layer — dce'd flatten layers preserve
   // bytes AND scale, so this matches what the reference path feeds it.
   std::size_t tu = 0, pb = 0;
+  std::size_t prev_last = 0;
   for (const ir::Op& op : program_.ops) {
     if (!op.live) continue;
     QuantKernelStep& s = steps_[step_count_++];
     const std::size_t i = op.layer;
     s.first_layer = i;
     s.last_layer = program_.last_layer(op);
+    s.tap_first = step_count_ == 1 ? 0 : prev_last + 1;
+    prev_last = s.last_layer;
     s.in_elems = program_.values[op.input].elems;
     s.out_elems = program_.values[op.output].elems;
     const ir::ArenaAssignment& slot = layout_.per_op[op.id];
@@ -243,9 +246,12 @@ void QuantEngine::init() {
     final_scale_ = model_->activation_scale(layer_count_ - 1);
   }
   act_sizes_ = std::make_unique<std::size_t[]>(layer_count_);  // sxlint: allow(hot-path-alloc) configuration-time size cache
+  in_scales_ = std::make_unique<float[]>(layer_count_);  // sxlint: allow(hot-path-alloc) configuration-time tap scales
   sat_counts_ = std::make_unique<std::uint64_t[]>(layer_count_);  // sxlint: allow(hot-path-alloc) configuration-time counters (value-initialized to zero)
-  for (std::size_t i = 0; i < layer_count_; ++i)
+  for (std::size_t i = 0; i < layer_count_; ++i) {
     act_sizes_[i] = model_->activation_shape(i).size();
+    in_scales_[i] = i == 0 ? in_scale_ : model_->activation_scale(i - 1);
+  }
 
   if (plan_ != nullptr) {
     base_ = arena_.alloc(plan_->arena_bytes());
@@ -258,8 +264,42 @@ void QuantEngine::init() {
   }
 }
 
+namespace {
+
+/// A tapped int8 activation, dequantized exactly like the logits.
+void dequantize_tap(const std::int8_t* q, float scale,
+                    std::span<float> tap) noexcept {
+  for (std::size_t j = 0; j < tap.size(); ++j)
+    tap[j] = static_cast<float>(q[j]) * scale;
+}
+
+}  // namespace
+
 Status QuantEngine::run(tensor::ConstTensorView input,
                         std::span<float> output) noexcept {
+  return run_impl(input, output, kNoTap, {});
+}
+
+bool QuantEngine::can_tap(std::size_t tap_layer) const noexcept {
+  if (tap_layer >= layer_count_) return false;
+  if (plan_ == nullptr) return true;  // reference keeps every activation
+  for (const QuantKernelStep& s : plan_->steps())
+    if (tap_layer >= s.tap_first && tap_layer <= s.first_layer) return true;
+  return false;
+}
+
+Status QuantEngine::run_tapped(tensor::ConstTensorView input,
+                               std::span<float> output, std::size_t tap_layer,
+                               std::span<float> tap) noexcept {
+  if (!can_tap(tap_layer)) return Status::kShapeMismatch;
+  if (tap.size() != tap_width(*model_, tap_layer))
+    return Status::kShapeMismatch;
+  return run_impl(input, output, tap_layer, tap);
+}
+
+Status QuantEngine::run_impl(tensor::ConstTensorView input,
+                             std::span<float> output, std::size_t tap_layer,
+                             std::span<float> tap) noexcept {
   if (layer_count_ == 0) return Status::kNotReady;
   if (input.shape != model_->input_shape() || !input.valid())
     return Status::kShapeMismatch;
@@ -273,20 +313,24 @@ Status QuantEngine::run(tensor::ConstTensorView input,
     std::int8_t* qin = base_.data() + input_offset_;
     for (std::size_t i = 0; i < in_size_; ++i)
       qin[i] = quantize_value(input.data[i], in_scale_);
-    return run_planned(output);
+    return run_planned(output, tap_layer, tap);
   }
   if (ping_.empty() || pong_.empty()) return Status::kArenaExhausted;
   for (std::size_t i = 0; i < in_size_; ++i)
     ping_[i] = quantize_value(input.data[i], in_scale_);
-  return run_reference(output);
+  return run_reference(output, tap_layer, tap);
 }
 
-Status QuantEngine::run_reference(std::span<float> output) noexcept {
+Status QuantEngine::run_reference(std::span<float> output,
+                                  std::size_t tap_layer,
+                                  std::span<float> tap) noexcept {
   // Ping-pong between the two arena buffers, one reference layer at a
   // time — byte-for-byte the loop inside QuantizedModel::run.
   const std::int8_t* cur = ping_.data();
   bool dst_ping = false;  // the input occupies ping_; first output -> pong_
   for (std::size_t i = 0; i < layer_count_; ++i) {
+    // `cur` at the top of iteration i is the activation feeding layer i.
+    if (i == tap_layer) dequantize_tap(cur, in_scales_[i], tap);
     std::int8_t* dst = dst_ping ? ping_.data() : pong_.data();
     const std::size_t in_sz = i == 0 ? in_size_ : act_sizes_[i - 1];
     const Status st = model_->apply_layer(
@@ -301,7 +345,9 @@ Status QuantEngine::run_reference(std::span<float> output) noexcept {
   return Status::kOk;
 }
 
-Status QuantEngine::run_planned(std::span<float> output) noexcept {
+Status QuantEngine::run_planned(std::span<float> output,
+                                std::size_t tap_layer,
+                                std::span<float> tap) noexcept {
   // One step per surviving IR op, each reading/writing its liveness-pass
   // byte-arena offsets (dce'd flatten layers have no step — same bytes,
   // one less pass). Fused-ReLU clips land on the producing layer's
@@ -309,6 +355,10 @@ Status QuantEngine::run_planned(std::span<float> output) noexcept {
   std::int8_t* const base = base_.data();
   for (const QuantKernelStep& s : plan_->steps()) {
     const std::int8_t* in = base + s.in_offset;
+    // `in` carries the bytes (and scale) of the activation feeding every
+    // layer in [tap_first, first_layer].
+    if (tap_layer >= s.tap_first && tap_layer <= s.first_layer)
+      dequantize_tap(in, in_scales_[tap_layer], tap);
     std::int8_t* dst = base + s.out_offset;
     std::uint64_t* sat = &sat_counts_[s.first_layer];
     switch (s.kind) {

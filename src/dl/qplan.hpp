@@ -74,6 +74,9 @@ struct QuantKernelStep {
   Kind kind = Kind::kReference;
   std::size_t first_layer = 0;  ///< model layer index this step starts at
   std::size_t last_layer = 0;   ///< fused ReLU layer, or first_layer
+  /// Taps at layers [tap_first, first_layer] all read this step's input
+  /// (the layers between were dce'd byte identities).
+  std::size_t tap_first = 0;
 
   // Byte-arena addressing (liveness-pass assignment).
   std::size_t in_offset = ir::kNone;
@@ -193,6 +196,17 @@ class QuantEngine final : public Engine {
   /// Int8 inference; output is dequantized float logits.
   Status run(tensor::ConstTensorView input,
              std::span<float> output) noexcept override;
+  /// The tap is the int8 activation feeding `tap_layer`, dequantized with
+  /// its calibrated scale — on the planned and the reference path alike,
+  /// so both give the same bits as a dequantized QuantizedModel::apply_layer
+  /// walk.
+  Status run_tapped(tensor::ConstTensorView input, std::span<float> output,
+                    std::size_t tap_layer,
+                    std::span<float> tap) noexcept override;
+  /// Reference engines keep every activation; a planned engine keeps step
+  /// inputs (a fused ReLU's input is gone). The last Dense layer's input,
+  /// the supervisor's feature layer, is always a step input.
+  bool can_tap(std::size_t tap_layer) const noexcept override;
 
   std::uint64_t run_count() const noexcept override { return runs_; }
   std::uint64_t numeric_fault_count() const noexcept override { return 0; }
@@ -223,9 +237,16 @@ class QuantEngine final : public Engine {
   }
 
  private:
+  /// Sentinel tap_layer meaning "no tap" on the shared run paths.
+  static constexpr std::size_t kNoTap = ~std::size_t{0};
+
   void init();
-  Status run_planned(std::span<float> output) noexcept;
-  Status run_reference(std::span<float> output) noexcept;
+  Status run_impl(tensor::ConstTensorView input, std::span<float> output,
+                  std::size_t tap_layer, std::span<float> tap) noexcept;
+  Status run_planned(std::span<float> output, std::size_t tap_layer,
+                     std::span<float> tap) noexcept;
+  Status run_reference(std::span<float> output, std::size_t tap_layer,
+                       std::span<float> tap) noexcept;
 
   const QuantizedModel* model_;
   QuantEngineConfig cfg_;
@@ -245,6 +266,7 @@ class QuantEngine final : public Engine {
   float in_scale_ = 1.0f;
   float final_scale_ = 1.0f;
   std::unique_ptr<std::size_t[]> act_sizes_;  ///< size after each layer
+  std::unique_ptr<float[]> in_scales_;  ///< scale of each layer's input
   std::unique_ptr<std::uint64_t[]> sat_counts_;
   std::uint64_t runs_ = 0;
 };

@@ -14,16 +14,21 @@
 //                 with argmax majority vote (common-cause defence)
 //   safety-bag    any channel + trust supervisor + rule-based fallback
 //                 (fail-operational: degrades instead of stopping). The
-//                 bag computes the decision's one trust score itself,
-//                 through the pipeline's supervise::TapScorer over the
-//                 clean deployed model; the pipeline's supervisor stage
-//                 reuses it instead of scoring a second time.
+//                 bag computes the decision's one trust score itself: the
+//                 pipeline's supervise::TapScorer solves on the features
+//                 its primary tapped from the replica whose logits it
+//                 emitted; the pipeline's supervisor stage reuses that
+//                 score instead of scoring a second time.
 //
 // Every channel holds its replicas as Replica values: an owned float or
 // int8 model plus the planned engine that reads it, built at the
-// deployment's kernel mode. Fault injection into one replica models an SEU
-// in that replica's weight memory and lands in the weights its engine
-// actually reads (the int8 store for an int8 replica).
+// deployment's kernel mode with the supervisor's feature layer pinned.
+// infer() can tap that layer in the same forward pass that computes the
+// logits, so a supervised decision runs the model once per replica. The
+// tap comes from the replica the channel emits, so a fault in that
+// replica reaches the supervisor too. Fault injection into one replica
+// models an SEU in that replica's weight memory and lands in the weights
+// its engine actually reads (the int8 store for an int8 replica).
 #pragma once
 
 #include <memory>
@@ -40,25 +45,46 @@
 
 namespace sx::safety {
 
+/// The engine a Replica runs over `model`, built at the deployment's
+/// kernel mode with the feature layer (dl::feature_layer) pinned so it can
+/// tap the supervisor's features. A deployment fits its supervisor through
+/// the same builder, so the fit reads the features its channel taps.
+/// `model` must outlive the engine.
+std::unique_ptr<dl::Engine> make_replica_engine(
+    const dl::Model& model, dl::StaticEngineConfig cfg = {});
+std::unique_ptr<dl::Engine> make_replica_engine(
+    const dl::QuantizedModel& model,
+    dl::KernelMode kernels = dl::KernelMode::kAuto);
+
 /// One redundant copy of the DL component: an owned float or int8 model
-/// plus the engine that runs it. Planned engines (kWide — what kAuto
+/// plus the engine that runs it, its plan pinned at the model's feature
+/// layer (dl::feature_layer). Planned engines (kWide — what kAuto
 /// resolves to) snapshot the weights into panels at deploy time, so code
 /// that writes model() in place must call refresh(); inject_fault and
 /// undo_fault do so themselves.
 class Replica {
  public:
-  /// A float replica: owns `model` and a StaticEngine over it.
+  /// A float replica: owns `model` and a StaticEngine over it
+  /// (`cfg.pin_tap_layer` is set to the feature layer).
   explicit Replica(dl::Model model, dl::StaticEngineConfig cfg = {});
   /// An int8 replica: owns `model` and a QuantEngine over it.
   explicit Replica(dl::QuantizedModel model,
                    dl::KernelMode kernels = dl::KernelMode::kAuto);
 
-  Status run(tensor::ConstTensorView in, std::span<float> out) noexcept {
-    return engine_->run(in, out);
+  /// Runs the engine; a non-empty `tap` (tap_size() floats) also receives
+  /// the feature layer's activation from the same run, dequantized for
+  /// int8.
+  Status run(tensor::ConstTensorView in, std::span<float> out,
+             std::span<float> tap = {}) noexcept {
+    return tap.empty() ? engine_->run(in, out)
+                       : engine_->run_tapped(in, out, tap_layer_, tap);
   }
   const dl::Engine& engine() const noexcept { return *engine_; }
   dl::ElemType elem() const noexcept { return engine_->elem(); }
   std::size_t output_size() const noexcept { return output_size_; }
+  /// The pinned feature layer and its width (0 without a Dense layer).
+  std::size_t tap_layer() const noexcept { return tap_layer_; }
+  std::size_t tap_size() const noexcept { return tap_size_; }
 
   /// The owned float model (std::logic_error on an int8 replica).
   dl::Model& model();
@@ -74,9 +100,21 @@ class Replica {
  private:
   std::unique_ptr<dl::Model> model_;            // float replicas
   std::unique_ptr<dl::QuantizedModel> qmodel_;  // int8 replicas
+  std::size_t tap_layer_ = 0;
+  std::size_t tap_size_ = 0;
   std::unique_ptr<dl::Engine> engine_;
   std::size_t output_size_ = 0;
 };
+
+/// Diverse-TMR's vote on its voters' argmaxes (the two float replicas',
+/// then the int8 replica's; kNoVote for a voter whose engine failed): the
+/// float replica, 0 or 1, whose logits carry the majority decision —
+/// replica 0 when it is in the majority — or kNoVote when no two voters
+/// agree. The majority never rests on the int8 replica alone: with at
+/// most one voter failed, any agreeing pair holds a float replica.
+inline constexpr std::size_t kNoVote = ~std::size_t{0};
+std::size_t diverse_vote(std::size_t a0, std::size_t a1,
+                         std::size_t aq) noexcept;
 
 class InferenceChannel {
  public:
@@ -84,11 +122,22 @@ class InferenceChannel {
 
   virtual std::string_view pattern_name() const noexcept = 0;
 
-  /// Runs one inference; `out` must hold output_size() floats.
-  virtual Status infer(tensor::ConstTensorView in,
-                       std::span<float> out) noexcept = 0;
+  /// Runs one inference; `out` must hold output_size() floats. A
+  /// non-empty `tap` (tap_size() floats) also receives the supervisor's
+  /// features, taken in the same forward pass from the replica whose
+  /// logits the channel emits; it is valid when the status is kOk (for
+  /// the safety bag: when the output is not the fallback's).
+  Status infer(tensor::ConstTensorView in, std::span<float> out,
+               std::span<float> tap = {}) noexcept {
+    return infer_impl(in, out, tap);
+  }
 
   virtual std::size_t output_size() const noexcept = 0;
+  /// Width of the feature tap: replica 0's (every float replica of a
+  /// channel has the same one).
+  std::size_t tap_size() const noexcept {
+    return replicas().front().tap_size();
+  }
 
   /// The model replicas this channel runs (the fault-injection targets),
   /// replica 0 first.
@@ -128,6 +177,11 @@ class InferenceChannel {
   /// time; no-op by default). Wrapper channels forward to their inner
   /// channel. The registry must outlive the channel.
   virtual void bind_telemetry(obs::Registry& registry) { (void)registry; }
+
+ private:
+  /// The pattern itself; `tap` is empty or tap_size() floats.
+  virtual Status infer_impl(tensor::ConstTensorView in, std::span<float> out,
+                            std::span<float> tap) noexcept = 0;
 };
 
 /// A pattern event counter (divergences, masked votes), mirrored into a
@@ -161,8 +215,6 @@ class EngineChannel final : public InferenceChannel {
                          std::optional<MonitorConfig> monitor = std::nullopt);
 
   std::string_view pattern_name() const noexcept override;
-  Status infer(tensor::ConstTensorView in,
-               std::span<float> out) noexcept override;
   std::size_t output_size() const noexcept override {
     return replica_.output_size();
   }
@@ -171,6 +223,9 @@ class EngineChannel final : public InferenceChannel {
   void bind_telemetry(obs::Registry& registry) override;
 
  private:
+  Status infer_impl(tensor::ConstTensorView in, std::span<float> out,
+                    std::span<float> tap) noexcept override;
+
   Replica replica_;
   std::optional<SafetyMonitor> monitor_;  // empty on the single rung
   obs::Registry* obs_ = nullptr;          // bound for int8 replicas only
@@ -179,6 +234,7 @@ class EngineChannel final : public InferenceChannel {
 };
 
 /// Dual modular redundancy: two replicas, compare, fail-stop on divergence.
+/// The tap is replica 0's, valid once the comparison passes.
 class DmrChannel final : public InferenceChannel {
  public:
   explicit DmrChannel(const dl::Model& model,
@@ -186,8 +242,6 @@ class DmrChannel final : public InferenceChannel {
                       float tolerance = 1e-5f);
 
   std::string_view pattern_name() const noexcept override { return "dmr"; }
-  Status infer(tensor::ConstTensorView in,
-               std::span<float> out) noexcept override;
   std::size_t output_size() const noexcept override {
     return replicas_[0].output_size();
   }
@@ -200,6 +254,9 @@ class DmrChannel final : public InferenceChannel {
   }
 
  private:
+  Status infer_impl(tensor::ConstTensorView in, std::span<float> out,
+                    std::span<float> tap) noexcept override;
+
   std::vector<Replica> replicas_;
   std::vector<float> scratch_;
   float tolerance_;
@@ -207,6 +264,10 @@ class DmrChannel final : public InferenceChannel {
 };
 
 /// Triple modular redundancy with element-wise median vote (fault masking).
+/// The tap is that of the first ok replica within tolerance of the voted
+/// logits on every element. When none is (two replicas faulty, beyond the
+/// single-fault hypothesis) it is the ok replica nearest the vote; the tap
+/// never changes the vote or the status.
 class TmrChannel final : public InferenceChannel {
  public:
   explicit TmrChannel(const dl::Model& model,
@@ -214,8 +275,6 @@ class TmrChannel final : public InferenceChannel {
                       float tolerance = 1e-5f);
 
   std::string_view pattern_name() const noexcept override { return "tmr"; }
-  Status infer(tensor::ConstTensorView in,
-               std::span<float> out) noexcept override;
   std::size_t output_size() const noexcept override {
     return replicas_[0].output_size();
   }
@@ -229,15 +288,19 @@ class TmrChannel final : public InferenceChannel {
   }
 
  private:
+  Status infer_impl(tensor::ConstTensorView in, std::span<float> out,
+                    std::span<float> tap) noexcept override;
+
   std::vector<Replica> replicas_;
   std::vector<float> scratch_;  // 3 * output buffers
+  std::vector<float> taps_;     // replicas 1 and 2's feature taps
   float tolerance_;
   EventCounter masked_;
 };
 
 /// Diverse redundancy: two float replicas and an int8-quantized replica
-/// (replica 2, quantized against `calibration`) vote on the *argmax*; ties
-/// broken toward replica 0. Output logits come from the first float
+/// (replica 2, quantized against `calibration`) vote on the *argmax*
+/// (diverse_vote). Output logits and the tap come from the first float
 /// replica agreeing with the majority. All three are injectable.
 class DiverseTmrChannel final : public InferenceChannel {
  public:
@@ -247,8 +310,6 @@ class DiverseTmrChannel final : public InferenceChannel {
   std::string_view pattern_name() const noexcept override {
     return "diverse-tmr";
   }
-  Status infer(tensor::ConstTensorView in,
-               std::span<float> out) noexcept override;
   std::size_t output_size() const noexcept override {
     return replicas_[0].output_size();
   }
@@ -262,19 +323,24 @@ class DiverseTmrChannel final : public InferenceChannel {
   }
 
  private:
+  Status infer_impl(tensor::ConstTensorView in, std::span<float> out,
+                    std::span<float> tap) noexcept override;
+
   std::vector<Replica> replicas_;  // float, float, int8
   std::vector<float> scratch_;
+  std::vector<float> tap1_;  // replica 1's feature tap
   EventCounter masked_;
 };
 
 /// Fail-operational safety bag: primary channel + (optional) trust
-/// scorer + deterministic fallback output (e.g. "assume obstacle").
+/// scorer + deterministic fallback output (e.g. "assume obstacle"). The
+/// scorer solves on the features the primary tapped in its own run.
 class SafetyBagChannel final : public InferenceChannel {
  public:
   /// `fallback_logits` is the conservative output substituted when the
   /// primary fails or the scorer rejects. `scorer` may be null (then only
   /// channel-status failures trigger the fallback); it must outlive the
-  /// bag.
+  /// bag and read features of the primary's tap width.
   SafetyBagChannel(std::unique_ptr<InferenceChannel> primary,
                    supervise::TapScorer* scorer,
                    std::vector<float> fallback_logits);
@@ -282,8 +348,6 @@ class SafetyBagChannel final : public InferenceChannel {
   std::string_view pattern_name() const noexcept override {
     return "safety-bag";
   }
-  Status infer(tensor::ConstTensorView in,
-               std::span<float> out) noexcept override;
   std::size_t output_size() const noexcept override {
     return primary_->output_size();
   }
@@ -294,7 +358,7 @@ class SafetyBagChannel final : public InferenceChannel {
   bool last_degraded() const noexcept override { return degraded_; }
 
   /// The trust score the previous infer() took: only when the primary
-  /// succeeded, a scorer is attached and its tap succeeded.
+  /// succeeded (so it tapped its features) and a scorer is attached.
   std::optional<double> last_score() const noexcept { return score_; }
 
   std::uint64_t fallback_activations() const noexcept { return fallbacks_; }
@@ -304,9 +368,13 @@ class SafetyBagChannel final : public InferenceChannel {
   }
 
  private:
+  Status infer_impl(tensor::ConstTensorView in, std::span<float> out,
+                    std::span<float> tap) noexcept override;
+
   std::unique_ptr<InferenceChannel> primary_;
   supervise::TapScorer* scorer_;
   std::vector<float> fallback_;
+  std::vector<float> feat_;  // the tap when the caller passes none
   std::optional<double> score_;
   bool degraded_ = false;
   std::uint64_t fallbacks_ = 0;

@@ -40,16 +40,20 @@ DeepMonitoredChannel::DeepMonitoredChannel(const dl::Model& model,
   violation_at_ = model_->layer_count();
 }
 
-Status DeepMonitoredChannel::infer(tensor::ConstTensorView in,
-                                   std::span<float> out) noexcept {
+Status DeepMonitoredChannel::infer_impl(tensor::ConstTensorView in,
+                                        std::span<float> out,
+                                        std::span<float> tap) noexcept {
   violation_at_ = model_->layer_count();
   if (in.shape != model_->input_shape() || !in.valid() ||
-      out.size() != model_->output_shape().size())
+      out.size() != model_->output_shape().size() ||
+      (!tap.empty() && tap.size() != replica_.tap_size()))
     return Status::kShapeMismatch;
 
   tensor::ConstTensorView cur = in;
   bool use_ping = true;
   for (std::size_t i = 0; i < model_->layer_count(); ++i) {
+    if (i == replica_.tap_layer())
+      for (std::size_t j = 0; j < tap.size(); ++j) tap[j] = cur.data[j];
     const tensor::Shape& shape = model_->activation_shape(i);
     auto& dst = use_ping ? ping_ : pong_;
     tensor::TensorView next{std::span<float>(dst.data(), shape.size()),

@@ -29,8 +29,6 @@ class DeepMonitoredChannel final : public InferenceChannel {
   std::string_view pattern_name() const noexcept override {
     return "deep-monitored";
   }
-  Status infer(tensor::ConstTensorView in,
-               std::span<float> out) noexcept override;
   std::size_t output_size() const noexcept override {
     return replica_.output_size();
   }
@@ -48,6 +46,9 @@ class DeepMonitoredChannel final : public InferenceChannel {
   std::uint64_t violations() const noexcept { return violations_; }
 
  private:
+  Status infer_impl(tensor::ConstTensorView in, std::span<float> out,
+                    std::span<float> tap) noexcept override;
+
   Replica replica_;
   const dl::Model* model_;  // the replica's model
   std::vector<LayerEnvelope> envelopes_;

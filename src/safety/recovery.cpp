@@ -15,15 +15,20 @@ RecoveryBlockChannel::RecoveryBlockChannel(const dl::Model& primary,
         "RecoveryBlockChannel: primary/alternate shape mismatch");
   blocks_.emplace_back(primary, engine_cfg);
   blocks_.emplace_back(alternate, engine_cfg);
+  if (blocks_[0].tap_size() != blocks_[1].tap_size())
+    throw std::invalid_argument(
+        "RecoveryBlockChannel: primary/alternate feature width mismatch");
 }
 
-Status RecoveryBlockChannel::infer(tensor::ConstTensorView in,
-                                   std::span<float> out) noexcept {
-  const Status p = blocks_[0].run(in, out);
+Status RecoveryBlockChannel::infer_impl(tensor::ConstTensorView in,
+                                        std::span<float> out,
+                                        std::span<float> tap) noexcept {
+  // The tap comes from the block whose output is emitted.
+  const Status p = blocks_[0].run(in, out, tap);
   if (ok(p) && ok(acceptance_.check_output(out))) return Status::kOk;
 
   ++recoveries_;
-  const Status a = blocks_[1].run(in, out);
+  const Status a = blocks_[1].run(in, out, tap);
   if (ok(a) && ok(acceptance_.check_output(out))) return Status::kOk;
 
   ++double_failures_;

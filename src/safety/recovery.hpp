@@ -17,7 +17,10 @@ class RecoveryBlockChannel final : public InferenceChannel {
   /// `primary` and `alternate` are model variants (e.g. different seeds or
   /// float vs quantized surrogate retrained); `acceptance` defines the
   /// deterministic acceptance test applied to each candidate output;
-  /// `engine_cfg` configures both blocks' engines.
+  /// `engine_cfg` configures both blocks' engines. Both must have the same
+  /// supervisor feature width (std::invalid_argument otherwise): the tap
+  /// comes from the block whose output is emitted, so after a recovery a
+  /// supervisor fitted on the primary reads the alternate's features.
   RecoveryBlockChannel(const dl::Model& primary, const dl::Model& alternate,
                        MonitorConfig acceptance,
                        dl::StaticEngineConfig engine_cfg = {
@@ -26,8 +29,6 @@ class RecoveryBlockChannel final : public InferenceChannel {
   std::string_view pattern_name() const noexcept override {
     return "recovery-block";
   }
-  Status infer(tensor::ConstTensorView in,
-               std::span<float> out) noexcept override;
   std::size_t output_size() const noexcept override {
     return blocks_[0].output_size();
   }
@@ -40,6 +41,9 @@ class RecoveryBlockChannel final : public InferenceChannel {
   std::uint64_t double_failures() const noexcept { return double_failures_; }
 
  private:
+  Status infer_impl(tensor::ConstTensorView in, std::span<float> out,
+                    std::span<float> tap) noexcept override;
+
   std::vector<Replica> blocks_;
   SafetyMonitor acceptance_;
   std::uint64_t recoveries_ = 0;

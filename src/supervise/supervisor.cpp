@@ -4,8 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "dl/engine.hpp"
-
 namespace sx::supervise {
 
 void Supervisor::calibrate_threshold(std::vector<double> id_scores,
@@ -59,23 +57,13 @@ void MahalanobisSupervisor::begin_fit(const dl::Model& model,
                                       const dl::Dataset& id_data) {
   if (id_data.samples.empty())
     throw std::invalid_argument("MahalanobisSupervisor::fit: empty data");
-  // Feature layer: the activation feeding the last parametric layer — i.e.
-  // the input of the final Dense. forward_trace index: activations[i] is the
-  // input of layer i; find the last Dense layer.
-  std::size_t last_dense = model.layer_count();
-  for (std::size_t i = model.layer_count(); i-- > 0;) {
-    if (model.layer(i).kind() == dl::LayerKind::kDense) {
-      last_dense = i;
-      break;
-    }
-  }
-  if (last_dense == model.layer_count())
+  // Feature layer: the input of the final Dense (forward_trace's
+  // activations[i] is the input of layer i).
+  feature_layer_ = dl::feature_layer(model);
+  if (feature_layer_ == model.layer_count())
     throw std::invalid_argument(
         "MahalanobisSupervisor: model has no Dense layer");
-  feature_layer_ = last_dense;  // activations[last_dense] = its input
-  feature_dim_ = last_dense == 0
-                     ? model.input_shape().size()
-                     : model.activation_shape(last_dense - 1).size();
+  feature_dim_ = dl::tap_width(model, feature_layer_);
   const std::size_t n_classes = model.output_shape().size();
   for (const auto& s : id_data.samples)
     if (s.label >= n_classes)
@@ -96,14 +84,8 @@ void MahalanobisSupervisor::fit(const dl::Model& model,
 }
 
 std::vector<double> MahalanobisSupervisor::fit_planned(
-    const dl::Model& model, const dl::Dataset& id_data,
-    dl::KernelMode kernels) {
+    const dl::Model& model, const dl::Dataset& id_data, dl::Engine& engine) {
   begin_fit(model, id_data);
-  // Pinning the feature layer keeps the fusion pass from folding an
-  // epilogue across it, so its activation exists in the arena to tap.
-  dl::StaticEngine engine{model, {.check_numeric_faults = false,
-                                  .kernels = kernels,
-                                  .pin_tap_layer = feature_layer_}};
   if (!engine.can_tap(feature_layer_))
     throw std::logic_error(
         "MahalanobisSupervisor: engine cannot tap the feature layer");

@@ -17,7 +17,7 @@
 
 #include "dl/dataset.hpp"
 #include "dl/model.hpp"
-#include "dl/plan.hpp"
+#include "dl/engine.hpp"
 #include "util/linalg.hpp"
 
 namespace sx::supervise {
@@ -43,8 +43,9 @@ class Supervisor {
   bool has_threshold() const noexcept { return has_threshold_; }
 
   /// Accept/reject decision (requires a calibrated threshold): a pure
-  /// threshold check on score(). Deployed pipelines score through
-  /// supervise::TapScorer instead.
+  /// threshold check on score(), which runs the model itself. Deployed
+  /// pipelines instead score the features their channel's own engine run
+  /// tapped, through supervise::TapScorer.
   bool accept(const dl::Model& model, const tensor::Tensor& input) const {
     return score(model, input) <= threshold_;
   }
@@ -88,22 +89,26 @@ class MahalanobisSupervisor final : public Supervisor {
   double score(const dl::Model& model,
                const tensor::Tensor& input) const override;
 
-  /// Deploy-time fit in one planned pass: each sample's features are
-  /// taken once from a planned engine pinned at the feature layer —
-  /// bitwise those of the reference walk — and fit the model. Returns
-  /// every sample's score, bitwise collect_scores(*this, model, id_data)
-  /// after fit(model, id_data), without walking the samples again.
+  /// Deploy-time fit in one pass of the deployed engine: each sample's
+  /// features are tapped once from `engine` at the feature layer and fit
+  /// the model. `model` picks the feature layer and must share `engine`'s
+  /// layer indexing (the folded float twin of an int8 engine), and the
+  /// engine must be able to tap it (std::logic_error otherwise). A float
+  /// engine gives bitwise the reference walk's features, so the result
+  /// equals fit(model, id_data); an int8 engine fits on its dequantized
+  /// int8 features, the ones the deployed int8 channel taps. Returns every
+  /// sample's score without walking the samples again.
   std::vector<double> fit_planned(const dl::Model& model,
                                   const dl::Dataset& id_data,
-                                  dl::KernelMode kernels);
+                                  dl::Engine& engine);
 
   /// Index of the activation used as the feature vector (set by fit()).
   std::size_t feature_layer() const noexcept { return feature_layer_; }
   /// Width of that feature vector (set by fit()).
   std::size_t feature_dim() const noexcept { return feature_dim_; }
 
-  /// Scores a feature vector captured externally — e.g. tapped from a
-  /// StaticEngine::run_tapped at feature_layer() — instead of re-running
+  /// Scores a feature vector captured externally — e.g. tapped from an
+  /// Engine::run_tapped at feature_layer() — instead of re-running
   /// the model through Model::forward_trace. score() is this function
   /// applied to forward_trace's activation at feature_layer(), so both
   /// give bitwise identical scores on the same input.

@@ -1,39 +1,38 @@
-// One planned, allocation-free trust score per decision (pillar 1).
+// One allocation-free trust score per decision (pillar 1).
 //
 // A TapScorer is the deploy-time scoring object behind every runtime
-// Mahalanobis verdict: the safety bag scores through it inside the channel,
-// and the pipeline's supervisor stage reuses that score or, when the bag
-// took none, scores through the same object. It owns a StaticEngine over
-// the deployed model whose plan pins the supervisor's feature layer, the
-// engine's feature and logit buffers, and the per-class solve scratch, all
-// sized here, at deploy time. score() runs the engine once, taps the
-// feature layer and solves in place: bitwise identical to
-// MahalanobisSupervisor::score (the reference model walk) and free of heap
+// Mahalanobis verdict. It runs no model: the channel's own engine run taps
+// the supervisor's feature layer (safety::InferenceChannel::infer's tap,
+// or the batch pool's), so each decision runs the model once per replica
+// and scoring is the solve alone. The safety bag scores through it inside
+// the channel and the pipeline reuses that score; without a bag the
+// pipeline scores the channel's or the pool's tap itself. It holds the
+// fitted supervisor (threshold included), the rejection counter binding
+// and a per-class solve scratch sized at deploy time, so score() is
+// bitwise MahalanobisSupervisor::score_from_features and free of heap
 // allocation.
 #pragma once
 
+#include <span>
 #include <vector>
 
-#include "dl/engine.hpp"
 #include "obs/registry.hpp"
 #include "supervise/supervisor.hpp"
-#include "util/status.hpp"
 
 namespace sx::supervise {
 
 class TapScorer {
  public:
-  /// `model` and `supervisor` must outlive the scorer. The supervisor must
-  /// be fitted on `model` and threshold-calibrated (std::invalid_argument
-  /// otherwise). A feature layer the planned engine cannot tap throws
-  /// std::logic_error. Fault policing stays off, matching the reference
-  /// walk, which does not screen activations either.
-  TapScorer(const dl::Model& model, const MahalanobisSupervisor& supervisor,
-            dl::KernelMode kernels = dl::KernelMode::kAuto);
+  /// `supervisor` must outlive the scorer, be fitted and be
+  /// threshold-calibrated (std::invalid_argument otherwise).
+  explicit TapScorer(const MahalanobisSupervisor& supervisor);
 
-  /// Scores `input`. `score` is written only on kOk; a failed tap (e.g. a
-  /// wrong-shaped input) returns the engine's status.
-  Status score(tensor::ConstTensorView input, double& score) noexcept;
+  /// Width of the features score() reads.
+  std::size_t feature_dim() const noexcept { return scratch_.size(); }
+
+  /// Scores features tapped at the supervisor's feature layer. A span of
+  /// the wrong width scores +infinity, which accept() never passes.
+  double score(std::span<const float> features) noexcept;
 
   /// Threshold verdict on a score from score(): true when it is at most
   /// the calibrated threshold. A rejection increments the bound counter.
@@ -49,9 +48,6 @@ class TapScorer {
 
  private:
   const MahalanobisSupervisor* sup_;
-  dl::StaticEngine engine_;
-  std::vector<float> feat_;
-  std::vector<float> logits_;
   std::vector<double> scratch_;  // one feature-width solve, reused per class
   obs::Registry* obs_ = nullptr;
   obs::CounterId rejections_id_{};

@@ -12,6 +12,9 @@
 #include <vector>
 
 #include "core/pipeline.hpp"
+#include "dl/batch.hpp"
+#include "dl/quant.hpp"
+#include "safety/channel.hpp"
 #include "supervise/metrics.hpp"
 #include "supervise/tap_scorer.hpp"
 #include "test_helpers.hpp"
@@ -110,26 +113,78 @@ TEST(Allocations, CounterSeesTheHeap) {
   EXPECT_EQ(after - before, 2u);  // the vector and its storage
 }
 
-TEST(Allocations, TapScorerScoresWithoutAllocating) {
+/// Heap allocations over 64 tapped infer() calls on `ch`, after a
+/// warm-up; every call must succeed.
+std::uint64_t tapped_infer_allocations(safety::InferenceChannel& ch) {
+  std::vector<float> out(ch.output_size());
+  std::vector<float> tap(ch.tap_size());
+  for (std::size_t i = 0; i < 8; ++i)
+    (void)ch.infer(data().samples[i].input.view(), out, tap);
+  std::size_t failed = 0;
+  const std::uint64_t before = allocations();
+  for (std::size_t i = 0; i < 64; ++i)
+    failed += ok(ch.infer(data().samples[i].input.view(), out, tap)) ? 0 : 1;
+  const std::uint64_t made = allocations() - before;
+  EXPECT_EQ(failed, 0u) << ch.pattern_name();
+  return made;
+}
+
+// The decision's one forward pass: every channel taps the supervisor's
+// features beside its logits, float and int8, and the bag solves on that
+// tap, all without touching the heap.
+TEST(Allocations, TappedInferOnEveryChannelAllocatesNothing) {
   supervise::MahalanobisSupervisor sup;
   sup.fit(model(), data());
   sup.calibrate_threshold(supervise::collect_scores(sup, model(), data()),
                           0.95);
-  supervise::TapScorer scorer{model(), sup};
-  double score = 0.0;
-  for (std::size_t i = 0; i < 8; ++i)
-    (void)scorer.score(data().samples[i].input.view(), score);
+  supervise::TapScorer scorer{sup};
+  const dl::QuantizedModel q = dl::QuantizedModel::quantize(model(), data());
+  const safety::MonitorConfig envelope{.output_min = -50, .output_max = 50};
+  std::vector<float> fallback(dl::kRoadSceneClasses, 0.0f);
+  fallback[3] = 10.0f;
 
-  std::size_t failed = 0, accepted = 0;
+  std::vector<std::unique_ptr<safety::InferenceChannel>> channels;
+  channels.push_back(std::make_unique<safety::EngineChannel>(
+      safety::Replica{model(), {.check_numeric_faults = false}}));
+  channels.push_back(std::make_unique<safety::EngineChannel>(
+      safety::Replica{model()}, envelope));
+  channels.push_back(
+      std::make_unique<safety::EngineChannel>(safety::Replica{q}));
+  channels.push_back(
+      std::make_unique<safety::EngineChannel>(safety::Replica{q}, envelope));
+  channels.push_back(std::make_unique<safety::DmrChannel>(model()));
+  channels.push_back(std::make_unique<safety::TmrChannel>(model()));
+  channels.push_back(
+      std::make_unique<safety::DiverseTmrChannel>(model(), data()));
+  channels.push_back(std::make_unique<safety::SafetyBagChannel>(
+      std::make_unique<safety::TmrChannel>(model()), &scorer, fallback));
+  for (const auto& ch : channels)
+    EXPECT_EQ(tapped_infer_allocations(*ch), 0u) << ch->pattern_name();
+}
+
+TEST(Allocations, PoolRunWithTapsAllocatesNothing) {
+  constexpr std::size_t kItems = 16;
+  dl::BatchRunner runner{model(), {.workers = 2}};
+  const std::size_t in = runner.input_size();
+  std::vector<float> inputs(kItems * in);
+  for (std::size_t i = 0; i < kItems; ++i)
+    std::copy(data().samples[i].input.data().begin(),
+              data().samples[i].input.data().end(), inputs.begin() + i * in);
+  std::vector<float> outputs(kItems * runner.output_size());
+  std::vector<float> taps(kItems * runner.tap_size());
+  std::vector<std::uint64_t> elapsed(kItems);
+  std::vector<Status> statuses(kItems);
+  ASSERT_GT(runner.tap_size(), 0u);
+  ASSERT_EQ(runner.run(inputs, outputs, statuses, elapsed, taps), Status::kOk);
+
+  std::size_t failed = 0;
   const std::uint64_t before = allocations();
-  for (std::size_t i = 0; i < 100; ++i) {
-    failed += ok(scorer.score(data().samples[i].input.view(), score)) ? 0 : 1;
-    accepted += scorer.accept(score) ? 1 : 0;
-  }
+  for (std::size_t r = 0; r < 8; ++r)
+    failed += ok(runner.run(inputs, outputs, statuses, elapsed, taps)) ? 0 : 1;
   const std::uint64_t made = allocations() - before;
   EXPECT_EQ(made, 0u);
   EXPECT_EQ(failed, 0u);
-  EXPECT_GT(accepted, 0u);
+  EXPECT_TRUE(runner.fault_log().empty());
 }
 
 /// Heap allocations per infer() decision over in-distribution inputs,
@@ -151,27 +206,37 @@ double allocations_per_decision(core::CertifiablePipeline& p) {
 }
 
 // The safety bag takes the decision's one trust score through the shared
-// scorer, so SIL3's TMR + safety bag costs no more allocations per
-// decision than SIL2's monitored channel.
-TEST(Allocations, Sil3TmrBagDecisionAllocatesNoMoreThanSil2Monitored) {
+// scorer, on its primary's tap, so a SIL3 decision (safety bag over
+// `pattern`) costs no more allocations than SIL2's monitored channel.
+void expect_sil3_allocates_no_more_than_sil2(core::PatternKind pattern) {
   core::PipelineConfig cfg;
   cfg.criticality = trace::Criticality::kSil2;
   core::CertifiablePipeline sil2{model(), data(), cfg};
   ASSERT_EQ(sil2.spec().pattern, core::PatternKind::kMonitored);
   cfg.criticality = trace::Criticality::kSil3;
   cfg.spec = core::recommended_spec(cfg.criticality);
-  cfg.spec->pattern = core::PatternKind::kTmr;
+  cfg.spec->pattern = pattern;
   cfg.timing_budget = 1'000'000'000;
   core::CertifiablePipeline sil3{model(), data(), cfg};
-  ASSERT_EQ(sil3.spec().pattern, core::PatternKind::kTmr);
   ASSERT_TRUE(sil3.spec().has_safety_bag);
 
   const double per_sil2 = allocations_per_decision(sil2);
   const double per_sil3 = allocations_per_decision(sil3);
   EXPECT_LE(per_sil3, per_sil2) << "SIL2 " << per_sil2 << ", SIL3 "
                                 << per_sil3;
-  RecordProperty("sil2_allocs_per_decision", std::to_string(per_sil2));
-  RecordProperty("sil3_allocs_per_decision", std::to_string(per_sil3));
+  ::testing::Test::RecordProperty("sil2_allocs_per_decision", std::to_string(per_sil2));
+  ::testing::Test::RecordProperty("sil3_allocs_per_decision", std::to_string(per_sil3));
+}
+
+// SIL3's recommended pattern.
+TEST(Allocations, Sil3DecisionAllocatesNoMoreThanSil2) {
+  ASSERT_EQ(core::recommended_spec(trace::Criticality::kSil3).pattern,
+            core::PatternKind::kDmr);
+  expect_sil3_allocates_no_more_than_sil2(core::PatternKind::kDmr);
+}
+
+TEST(Allocations, Sil3TmrBagDecisionAllocatesNoMoreThanSil2Monitored) {
+  expect_sil3_allocates_no_more_than_sil2(core::PatternKind::kTmr);
 }
 
 }  // namespace

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "core/criticality.hpp"
 #include "core/pipeline.hpp"
 #include "supervise/metrics.hpp"
@@ -109,9 +111,9 @@ TEST(Pipeline, Sil2RejectsOutOfOddInput) {
 }
 
 TEST(Pipeline, WrongShapedInputFailStopsInsteadOfThrowing) {
-  // No ODD guard to catch the shape: the safety bag degrades the input and
-  // the supervisor's tap engine then refuses it, which must fail-stop the
-  // decision rather than throw out of infer().
+  // No ODD guard to catch the shape: the safety bag would degrade the
+  // input, but a wrong-shaped input must fail-stop the decision (as on the
+  // batch path) rather than throw out of infer().
   PipelineConfig cfg;
   cfg.criticality = Criticality::kQM;
   PipelineSpec spec;
@@ -311,6 +313,83 @@ TEST(PipelineCalibration, PlannedFitMatchesReferencePath) {
       EXPECT_EQ(p.supervisor()->score(m, data().samples[i].input),
                 ref.score(m, data().samples[i].input));
   }
+}
+
+// ------------------------------------------------- the decision's one pass
+
+/// Faults replica 0's first Dense layer (before the feature layer).
+void fault_replica0(CertifiablePipeline& p, float delta) {
+  safety::Replica& r = p.channel()->replica(0);
+  r.model().layer(1).params()[10] += delta;
+  r.refresh();
+}
+
+// The supervisor reads the replica that decided: a fault in the monitored
+// channel's replica that stays inside the envelope changes the score.
+TEST(PipelineTap, MonitoredReplicaFaultReachesTheScore) {
+  PipelineConfig cfg;
+  cfg.criticality = Criticality::kSil2;
+  CertifiablePipeline clean{model(), data(), cfg};
+  CertifiablePipeline faulted{model(), data(), cfg};
+  fault_replica0(faulted, 0.5f);
+  std::size_t moved = 0;
+  for (std::size_t i = 0; i < 10; ++i) {
+    const Decision a = clean.infer(data().samples[i].input, i);
+    const Decision b = faulted.infer(data().samples[i].input, i);
+    ASSERT_EQ(a.status, Status::kOk);
+    ASSERT_EQ(b.status, Status::kOk);
+    moved += a.supervisor_score != b.supervisor_score ? 1 : 0;
+  }
+  EXPECT_GT(moved, 0u);
+}
+
+// Under TMR the tap comes from a replica that reproduces the vote, so one
+// faulted replica leaves every score bitwise the clean one.
+TEST(PipelineTap, TmrReplicaFaultLeavesTheScoreBitEqual) {
+  PipelineConfig cfg;
+  cfg.criticality = Criticality::kSil3;
+  cfg.timing_budget = 1'000'000'000;
+  cfg.spec = recommended_spec(cfg.criticality);
+  cfg.spec->pattern = PatternKind::kTmr;
+  CertifiablePipeline clean{model(), data(), cfg};
+  CertifiablePipeline faulted{model(), data(), cfg};
+  fault_replica0(faulted, 50.0f);
+  for (std::size_t i = 0; i < 10; ++i) {
+    const Decision a = clean.infer(data().samples[i].input, i);
+    const Decision b = faulted.infer(data().samples[i].input, i);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.supervisor_score),
+              std::bit_cast<std::uint64_t>(b.supervisor_score));
+    EXPECT_EQ(a.degraded, b.degraded);
+  }
+}
+
+// When the bag's primary fails nothing was tapped: the decision takes the
+// fallback with no score and no drift update, like an ODD rejection.
+TEST(PipelineTap, BagPrimaryFailureTakesNoScoreAndNoDriftUpdate) {
+  PipelineConfig cfg;
+  cfg.criticality = Criticality::kSil3;
+  cfg.timing_budget = 1'000'000'000;
+  CertifiablePipeline p{model(), data(), cfg};
+  ASSERT_EQ(p.spec().pattern, PatternKind::kDmr);
+  const Decision ok_d = p.infer(data().samples[0].input, 0);
+  ASSERT_EQ(ok_d.status, Status::kOk);
+  EXPECT_GT(ok_d.supervisor_score, 0.0);
+  // Every scored decision observes the supervisor stage histogram once.
+  const obs::Registry& reg = *p.telemetry();
+  const auto scored = [&reg] {
+    return reg.histogram_snapshot(
+                  reg.find_histogram("sx_stage_supervisor_cycles"))
+        .count;
+  };
+  ASSERT_EQ(scored(), 1u);
+  fault_replica0(p, 50.0f);
+  const double cusum = p.drift_detector()->statistic();
+  const Decision d = p.infer(data().samples[0].input, 1);
+  EXPECT_EQ(d.status, Status::kOk);
+  EXPECT_TRUE(d.degraded);
+  EXPECT_EQ(d.supervisor_score, 0.0);
+  EXPECT_EQ(p.drift_detector()->statistic(), cusum);
+  EXPECT_EQ(scored(), 1u);
 }
 
 // ------------------------------------------------------------ int8 backend

@@ -283,6 +283,63 @@ TEST(QuantEngine, RejectsWrongShapes) {
   EXPECT_EQ(eng.run_count(), 0u);
 }
 
+// The tap a supervisor reads from an int8 engine: the activation feeding a
+// layer, dequantized with its calibrated scale. Planned and reference
+// engines must give the bits of a dequantized apply_layer walk, at every
+// layer they can tap — the feature layer (the last Dense's input) always.
+TEST(QuantEngine, TapsMatchDequantizedApplyLayerWalk) {
+  std::vector<Arch> archs = sweep_archs();
+  archs.push_back({"trained-cnn", sx::testing::road_data().input_shape,
+                   sx::testing::trained_cnn()});
+  for (const Arch& a : archs) {
+    SCOPED_TRACE(a.name);
+    const Dataset cal = toy_dataset(a.input, 12, 900 + a.input.size());
+    const QuantizedModel qm = QuantizedModel::quantize(a.model, cal);
+    const std::size_t layers = qm.layer_count();
+    QuantEngine planned{qm, {.kernels = KernelMode::kWide}};
+    QuantEngine reference{qm, {.kernels = KernelMode::kReference}};
+    ASSERT_TRUE(planned.can_tap(feature_layer(qm)));
+    EXPECT_FALSE(planned.can_tap(layers));
+    EXPECT_FALSE(reference.can_tap(layers));
+    std::vector<float> out(qm.output_shape().size());
+    util::Xoshiro256 rng{31};
+    for (int it = 0; it < 4; ++it) {
+      Tensor in{a.input};
+      in.init_uniform(rng, -2.5f, 2.5f);
+      // The walk: quantize the input, then one reference layer at a time.
+      std::vector<std::vector<float>> want(layers);
+      std::vector<std::int8_t> cur(in.size());
+      for (std::size_t j = 0; j < cur.size(); ++j)
+        cur[j] = quantize_value(in.data()[j], qm.input_scale());
+      for (std::size_t l = 0; l < layers; ++l) {
+        const float scale =
+            l == 0 ? qm.input_scale() : qm.activation_scale(l - 1);
+        for (const std::int8_t q : cur)
+          want[l].push_back(static_cast<float>(q) * scale);
+        std::vector<std::int8_t> next(qm.activation_shape(l).size());
+        ASSERT_EQ(qm.apply_layer(l, cur, next, nullptr), Status::kOk);
+        cur = std::move(next);
+      }
+      for (std::size_t l = 0; l < layers; ++l) {
+        ASSERT_TRUE(reference.can_tap(l));
+        for (QuantEngine* e : {&reference, &planned}) {
+          if (!e->can_tap(l)) continue;
+          std::vector<float> tap(want[l].size(), -99.0f);
+          ASSERT_EQ(e->run_tapped(in.view(), out, l, tap), Status::kOk);
+          for (std::size_t j = 0; j < tap.size(); ++j)
+            ASSERT_TRUE(bits_equal(tap[j], want[l][j]))
+                << "layer " << l << " element " << j
+                << (e == &planned ? " (planned)" : " (reference)");
+        }
+      }
+      std::vector<float> short_tap(1);
+      EXPECT_EQ(planned.run_tapped(in.view(), out, feature_layer(qm),
+                                   short_tap),
+                Status::kShapeMismatch);
+    }
+  }
+}
+
 // ------------------------------------------------------- batch executor
 
 // Quantized batch dispatch: outputs, statuses and the per-layer clip
@@ -332,6 +389,43 @@ TEST(QuantBatch, ScheduleIndependentAcrossWorkerCounts) {
     for (std::size_t i = 0; i < per_layer.size(); ++i)
       EXPECT_EQ(per_layer[i], rc[i]) << "layer " << i;
     EXPECT_EQ(runner.numeric_fault_count(), 0u);
+  }
+}
+
+// Pool taps: each item's dequantized feature tap lands beside its logits,
+// the same bits a lone engine's run_tapped gives, for every worker count.
+TEST(QuantBatch, TapsMatchEngineForEveryWorkerCount) {
+  const auto& ds = sx::testing::road_data();
+  const QuantizedModel qm =
+      QuantizedModel::quantize(sx::testing::trained_cnn(), ds);
+  const std::size_t layer = feature_layer(qm);
+  const std::size_t count = 11;
+  const std::size_t out_size = qm.output_shape().size();
+  std::vector<float> inputs;
+  for (std::size_t i = 0; i < count; ++i)
+    inputs.insert(inputs.end(), ds.samples[i].input.data().begin(),
+                  ds.samples[i].input.data().end());
+  QuantEngine lone{qm};
+  std::vector<float> out(out_size);
+  std::vector<float> want;
+  for (std::size_t i = 0; i < count; ++i) {
+    std::vector<float> tap(tap_width(qm, layer));
+    ASSERT_EQ(lone.run_tapped(ds.samples[i].input.view(), out, layer, tap),
+              Status::kOk);
+    want.insert(want.end(), tap.begin(), tap.end());
+  }
+  for (std::size_t workers : {1u, 3u}) {
+    BatchRunner runner{qm, {.workers = workers}};
+    ASSERT_EQ(runner.tap_size(), tap_width(qm, layer));
+    std::vector<float> outputs(count * out_size);
+    std::vector<float> taps(count * runner.tap_size(), -1.0f);
+    std::vector<Status> statuses(count);
+    ASSERT_EQ(runner.run(inputs, outputs, statuses, {}, taps), Status::kOk);
+    for (std::size_t i = 0; i < taps.size(); ++i)
+      ASSERT_TRUE(bits_equal(taps[i], want[i])) << "tap element " << i;
+    std::vector<float> wrong(3);
+    EXPECT_EQ(runner.run(inputs, outputs, statuses, {}, wrong),
+              Status::kShapeMismatch);
   }
 }
 

@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <cmath>
 #include <limits>
 
 #include "safety/campaign.hpp"
 #include "safety/channel.hpp"
 #include "safety/fault.hpp"
 #include "safety/monitor.hpp"
+#include "safety/recovery.hpp"
 #include "safety/watchdog.hpp"
 #include "supervise/metrics.hpp"
 #include "test_helpers.hpp"
@@ -261,6 +264,208 @@ TEST(DiverseTmrChannel, InjectedInt8FaultIsOutvoted) {
       << "no int8-replica fault ever reached the vote";
 }
 
+// ------------------------------------------------------- the vote's rules
+
+// Every (status, argmax) combination of diverse-TMR's three voters, against
+// the rule spelled out: the winner is the lowest float replica whose vote
+// another live voter shares. Whenever any two live voters agree, a float
+// replica carries the majority — the int8 replica never does alone.
+TEST(DiverseVote, EveryStatusAndArgmaxCombination) {
+  const std::size_t votes[] = {0, 1, 2, kNoVote};  // kNoVote: engine failed
+  std::size_t combos = 0;
+  for (const std::size_t a0 : votes)
+    for (const std::size_t a1 : votes)
+      for (const std::size_t aq : votes) {
+        const std::size_t a[3] = {a0, a1, aq};
+        const auto shares = [&](std::size_t k) {
+          if (a[k] == kNoVote) return false;
+          for (std::size_t j = 0; j < 3; ++j)
+            if (j != k && a[j] == a[k]) return true;
+          return false;
+        };
+        const std::size_t want = shares(0)   ? 0
+                                 : shares(1) ? 1
+                                             : kNoVote;
+        EXPECT_EQ(diverse_vote(a0, a1, aq), want)
+            << a0 << "," << a1 << "," << aq;
+        if (shares(2)) {
+          EXPECT_NE(want, kNoVote) << a0 << "," << a1;
+        }
+        ++combos;
+      }
+  EXPECT_EQ(combos, 64u);
+}
+
+// ---------------------------------------------------------- the tap source
+
+/// The reference walk's features at the supervisor's layer.
+std::vector<float> walk_features(const dl::Model& m, const Tensor& in) {
+  const auto acts = m.forward_trace(in);
+  const auto f = acts.at(dl::feature_layer(m)).data();
+  return {f.begin(), f.end()};
+}
+
+bool same_bits(std::span<const float> a, std::span<const float> b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    if (std::bit_cast<std::uint32_t>(a[i]) !=
+        std::bit_cast<std::uint32_t>(b[i]))
+      return false;
+  return true;
+}
+
+/// Writes a fault into replica `r`'s first Dense layer, before the
+/// supervisor's feature layer, so it reaches both logits and tap.
+void corrupt_replica(InferenceChannel& ch, std::size_t r, float delta) {
+  ch.replica(r).model().layer(1).params()[10] += delta;
+  ch.replica(r).refresh();
+}
+
+TEST(TapSource, EngineChannelTapsItsReplica) {
+  EngineChannel ch{Replica{model()}};
+  ASSERT_EQ(ch.tap_size(),
+            walk_features(model(), data().samples[0].input).size());
+  std::vector<float> out(ch.output_size()), tap(ch.tap_size());
+  const Tensor& in = data().samples[0].input;
+  ASSERT_EQ(ch.infer(in.view(), out, tap), Status::kOk);
+  EXPECT_TRUE(same_bits(tap, walk_features(model(), in)));
+  // The tap is the replica's own: its fault reaches the features.
+  corrupt_replica(ch, 0, 5.0f);
+  ASSERT_EQ(ch.infer(in.view(), out, tap), Status::kOk);
+  EXPECT_TRUE(same_bits(tap, walk_features(ch.replica(0).model(), in)));
+  EXPECT_FALSE(same_bits(tap, walk_features(model(), in)));
+  std::vector<float> short_tap(tap.size() - 1);
+  EXPECT_EQ(ch.infer(in.view(), out, short_tap), Status::kShapeMismatch);
+}
+
+TEST(TapSource, DmrTapsReplicaZeroOnceTheComparisonPasses) {
+  const Tensor& in = data().samples[0].input;
+  // A loose tolerance lets a faulted replica pass the comparison, so the
+  // tap shows which replica it came from.
+  for (const std::size_t faulted : {0u, 1u}) {
+    DmrChannel ch{model(), dl::KernelMode::kAuto, /*tolerance=*/1e9f};
+    corrupt_replica(ch, faulted, 5.0f);
+    std::vector<float> out(ch.output_size()), tap(ch.tap_size());
+    ASSERT_EQ(ch.infer(in.view(), out, tap), Status::kOk);
+    EXPECT_TRUE(same_bits(tap, walk_features(ch.replica(0).model(), in)))
+        << "faulted replica " << faulted;
+  }
+  DmrChannel strict{model()};
+  corrupt_replica(strict, 0, 50.0f);
+  std::vector<float> out(strict.output_size()), tap(strict.tap_size());
+  EXPECT_EQ(strict.infer(in.view(), out, tap), Status::kRedundancyFault);
+}
+
+// A fault in any one TMR replica leaves the tap, and so the score, bitwise
+// the clean one: the tap comes from a replica that reproduces the vote.
+TEST(TapSource, TmrFaultInOneReplicaLeavesTheScoreBitEqual) {
+  supervise::MahalanobisSupervisor sup;
+  sup.fit(model(), data());
+  sup.calibrate_threshold(supervise::collect_scores(sup, model(), data()),
+                          0.95);
+  supervise::TapScorer scorer{sup};
+  for (const std::size_t faulted : {0u, 1u, 2u}) {
+    TmrChannel ch{model()};
+    corrupt_replica(ch, faulted, 50.0f);
+    std::vector<float> out(ch.output_size()), tap(ch.tap_size());
+    for (std::size_t i = 0; i < 20; ++i) {
+      const Tensor& in = data().samples[i].input;
+      ASSERT_EQ(ch.infer(in.view(), out, tap), Status::kOk);
+      ASSERT_TRUE(same_bits(tap, walk_features(model(), in)))
+          << "faulted replica " << faulted << ", sample " << i;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(scorer.score(tap)),
+                std::bit_cast<std::uint64_t>(sup.score(model(), in)));
+    }
+    EXPECT_GT(ch.masked_votes(), 0u) << "faulted replica " << faulted;
+  }
+  // Two faulty replicas (beyond the single-fault hypothesis): the tap
+  // never changes the vote. Tapped and untapped calls give the same status
+  // and logits; the tap is the first replica within tolerance of the vote,
+  // else the one nearest it.
+  TmrChannel ch{model()};
+  corrupt_replica(ch, 0, 50.0f);
+  corrupt_replica(ch, 1, -50.0f);
+  std::vector<float> out(ch.output_size()), tap(ch.tap_size());
+  std::vector<float> plain(ch.output_size());
+  for (std::size_t i = 0; i < 20; ++i) {
+    const Tensor& in = data().samples[i].input;
+    const Status tapped = ch.infer(in.view(), out, tap);
+    ASSERT_EQ(tapped, ch.infer(in.view(), plain)) << "sample " << i;
+    ASSERT_TRUE(same_bits(out, plain)) << "sample " << i;
+    if (!ok(tapped)) continue;
+    std::size_t source = 3;
+    float best = std::numeric_limits<float>::infinity();
+    for (std::size_t k = 0; k < 3; ++k) {
+      const tensor::Tensor logits = ch.replica(k).model().forward(in);
+      float d = 0.0f;
+      for (std::size_t j = 0; j < out.size(); ++j)
+        d = std::max(d, std::fabs(logits.data()[j] - out[j]));
+      if (d <= 1e-5f) {
+        source = k;
+        break;
+      }
+      if (d < best) {
+        best = d;
+        source = k;
+      }
+    }
+    EXPECT_TRUE(same_bits(tap, walk_features(ch.replica(source).model(), in)))
+        << "sample " << i;
+  }
+}
+
+TEST(TapSource, DiverseTmrTapsTheFloatReplicaItEmits) {
+  DiverseTmrChannel ch{model(), data()};
+  // Replica 0 faulted hard enough to lose the vote: logits and tap then
+  // come from replica 1, bitwise the clean model's.
+  corrupt_replica(ch, 0, 500.0f);
+  EngineChannel golden{Replica{model()}};
+  std::vector<float> out(ch.output_size()), tap(ch.tap_size());
+  std::vector<float> ref(ch.output_size());
+  std::size_t from_replica1 = 0;
+  for (std::size_t i = 0; i < 30; ++i) {
+    const Tensor& in = data().samples[i].input;
+    ASSERT_EQ(ch.infer(in.view(), out, tap), Status::kOk);
+    ASSERT_EQ(golden.infer(in.view(), ref), Status::kOk);
+    const bool clean = same_bits(tap, walk_features(model(), in));
+    EXPECT_EQ(clean, same_bits(out, ref)) << "sample " << i;
+    if (!clean) {
+      EXPECT_TRUE(same_bits(tap, walk_features(ch.replica(0).model(), in)));
+    }
+    from_replica1 += clean ? 1 : 0;
+  }
+  EXPECT_GT(from_replica1, 0u);
+}
+
+// The recovery block taps the block whose output it emits, and refuses an
+// alternate whose features the primary's supervisor could not read.
+TEST(TapSource, RecoveryBlockTapsTheBlockItEmits) {
+  dl::ModelBuilder ab{data().input_shape};
+  ab.flatten().dense(32).relu().dense(16).relu().dense(dl::kRoadSceneClasses);
+  const dl::Model alternate = ab.build(77);
+  RecoveryBlockChannel ch{model(), alternate, MonitorConfig{}};
+  ASSERT_EQ(ch.tap_size(), walk_features(model(), data().samples[0].input).size());
+  std::vector<float> out(ch.output_size()), tap(ch.tap_size());
+  const Tensor& in = data().samples[0].input;
+  ASSERT_EQ(ch.infer(in.view(), out, tap), Status::kOk);
+  EXPECT_EQ(ch.recoveries(), 0u);
+  EXPECT_TRUE(same_bits(tap, walk_features(model(), in)));
+  // A poisoned primary fails its acceptance test: the alternate's output
+  // and its features are emitted together.
+  ch.replica(0).model().layer(1).params()[0] =
+      std::numeric_limits<float>::infinity();
+  ch.replica(0).refresh();
+  ASSERT_EQ(ch.infer(in.view(), out, tap), Status::kOk);
+  EXPECT_EQ(ch.recoveries(), 1u);
+  EXPECT_TRUE(same_bits(tap, walk_features(alternate, in)));
+
+  dl::ModelBuilder wb{data().input_shape};
+  wb.flatten().dense(32).relu().dense(8).relu().dense(dl::kRoadSceneClasses);
+  EXPECT_THROW(
+      (RecoveryBlockChannel{model(), wb.build(78), MonitorConfig{}}),
+      std::invalid_argument);
+}
+
 TEST(SafetyBag, FallsBackOnPrimaryFailure) {
   auto primary = std::make_unique<DmrChannel>(model());
   // Force divergence.
@@ -287,7 +492,7 @@ TEST(SafetyBag, SupervisorRejectTriggersFallback) {
   supervise::MahalanobisSupervisor sup;
   sup.fit(cnn, data());
   sup.calibrate_threshold(supervise::collect_scores(sup, cnn, data()), 0.95);
-  supervise::TapScorer scorer{cnn, sup};
+  supervise::TapScorer scorer{sup};
   auto primary = std::make_unique<EngineChannel>(Replica{cnn});
   std::vector<float> fallback(dl::kRoadSceneClasses, 0.0f);
   fallback[3] = 10.0f;
@@ -316,7 +521,7 @@ TEST(SafetyBag, ValidatesConstruction) {
                std::invalid_argument);
   // An unfitted, uncalibrated supervisor never becomes a bag's scorer.
   supervise::MahalanobisSupervisor sup;
-  EXPECT_THROW(supervise::TapScorer(model(), sup), std::invalid_argument);
+  EXPECT_THROW(supervise::TapScorer{sup}, std::invalid_argument);
 }
 
 // ---------------------------------------------------------------- campaign

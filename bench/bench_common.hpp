@@ -12,12 +12,14 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "dl/dataset.hpp"
 #include "dl/model.hpp"
 #include "dl/train.hpp"
+#include "platform/cpu_probe.hpp"
 #include "util/table.hpp"
 
 namespace sx::bench {
@@ -139,6 +141,22 @@ std::vector<Timing> time_interleaved(std::size_t variants, std::size_t calls,
     out[v] = Timing{at(0.5), at(0.25), at(0.75)};
   }
   return out;
+}
+
+/// Host facts printed before any timing, as e2ebench prints them: the
+/// core count, whether assertions are compiled out, and the deploy-time
+/// probe with the kernel arm it selects (SX_KERNEL_ISA honoured).
+inline void print_host_facts() {
+#ifdef NDEBUG
+  const char* build = "NDEBUG";
+#else
+  const char* build = "assertions";
+#endif
+  std::cout << "# host nproc=" << std::thread::hardware_concurrency()
+            << " build=" << build << "\n# host "
+            << platform::wide_isa_audit(platform::probe_cpu(),
+                                        platform::select_wide_isa())
+            << "\n\n";
 }
 
 inline void print_header(const char* experiment, const char* question) {

@@ -1,15 +1,20 @@
 // E14 — deploy-time kernel plans (`bench_e14_kernel_plans`)
 //
 // Question: how much does the deploy-time kernel plan (wide-panel
-// matvec/GEMM, ragged-im2col Conv2d, fused bias+activation epilogues) buy
-// over the reference per-layer loops, while staying bitwise identical to
-// them? A FUSA argument only tolerates an optimization that changes
-// nothing observable: same bits, same fault behaviour, same memory plan.
+// matvec, direct pixel-vectorized Conv2d, planned MaxPool2d, fused
+// bias+activation epilogues) buy over the reference per-layer loops, while
+// staying bitwise identical to them? A FUSA argument only tolerates an
+// optimization that changes nothing observable: same bits, same fault
+// behaviour, same memory plan.
 //
-// Method: three rungs, each timed min-of-reps with reference/planned
-// rounds interleaved so transient machine load hits both alike.
-//   1. raw matvec 512x512: tensor::matvec vs the probed matvec_wide_*
-//      lane kernel (the BM_Matvec/512 geometry; target >= 2x);
+// Method: host facts first, then three rungs, each timed by
+// bench::time_interleaved (warm-up, then rounds with reference and planned
+// interleaved so transient machine load hits both alike; medians with
+// quartiles are reported).
+//   1. raw kernels: matvec 512x512, tensor::matvec vs the probed
+//      matvec_wide_* lane kernel (the BM_Matvec/512 geometry; target
+//      >= 2x), and the perception CNN's second conv (8 -> 8 channels,
+//      16x16, 3x3 pad 1), Conv2d::forward vs the probed conv2d_direct_*;
 //   2. StaticEngine on the trained CNN: reference vs the wide plan (E19
 //      isolates the lane arms on micro sizes);
 //   3. end-to-end SIL2 CNN pipeline (ODD guard, supervisor, audit chain,
@@ -32,6 +37,7 @@
 #include "core/pipeline.hpp"
 #include "core/report.hpp"
 #include "dl/engine.hpp"
+#include "dl/layers.hpp"
 #include "dl/plan.hpp"
 #include "platform/cpu_probe.hpp"
 #include "tensor/kernels.hpp"
@@ -58,28 +64,10 @@ sx::core::CertifiablePipeline make_sil2_pipeline(std::size_t batch_workers) {
                                        sx::bench::road_data(), cfg};
 }
 
-double time_single_once(sx::core::CertifiablePipeline& p,
-                        std::size_t decisions) {
-  const auto& ds = sx::bench::road_data();
-  const double us = sx::bench::time_per_call_us(
-      [&] {
-        for (std::size_t i = 0; i < decisions; ++i)
-          (void)p.infer(ds.samples[i % ds.size()].input, i);
-      },
-      1);
-  return us / static_cast<double>(decisions);
-}
-
-double time_batch_once(sx::core::CertifiablePipeline& p,
-                       std::size_t decisions) {
-  const auto& ds = sx::bench::road_data();
-  std::vector<sx::tensor::Tensor> inputs;
-  inputs.reserve(decisions);
-  for (std::size_t i = 0; i < decisions; ++i)
-    inputs.push_back(ds.samples[i % ds.size()].input);
-  const double us =
-      sx::bench::time_per_call_us([&] { (void)p.infer_batch(inputs); }, 1);
-  return us / static_cast<double>(decisions);
+/// "median [q1, q3]" of one interleaved timing.
+std::string fmt_timing(const sx::bench::Timing& t) {
+  return sx::util::fmt(t.median_us, 2) + " [" + sx::util::fmt(t.q1_us, 2) +
+         ", " + sx::util::fmt(t.q3_us, 2) + "]";
 }
 
 }  // namespace
@@ -91,9 +79,10 @@ int main(int argc, char** argv) {
 
   bench::print_header(
       "E14: deploy-time kernel plans",
-      "What do wide-panel matvec/GEMM, im2col Conv2d and fused epilogues "
-      "buy over the reference loops — at bitwise-identical outputs?");
+      "What do wide-panel matvec, direct Conv2d and fused epilogues buy "
+      "over the reference loops — at bitwise-identical outputs?");
 
+  bench::print_host_facts();
   bool all_ok = true;
   bench::JsonResult json{"E14", smoke};
 
@@ -123,41 +112,73 @@ int main(int argc, char** argv) {
                          "identical to tensor::matvec");
     all_ok = all_ok && identical;
 
+    // The perception CNN's second conv: 8 -> 8 channels on 16x16.
+    dl::Conv2d conv{8, 8, 3, 1, 1};
+    conv.init(rng);
+    tensor::Tensor cin{tensor::Shape::chw(8, 16, 16)};
+    cin.init_uniform(rng, -1, 1);
+    const tensor::Shape cos = conv.output_shape(cin.shape());
+    std::vector<float> cref(cos.size()), cwide(cos.size());
+    const k::Conv2dGeom g{.in_c = 8, .in_h = 16, .in_w = 16, .out_c = 8,
+                          .k = 3, .stride = 1, .pad = 1};
+    const auto conv_fn = k::wide_conv_kernel(isa);
+    (void)conv.forward(cin.view(), tensor::TensorView{cref, cos});
+    (void)conv_fn(conv.weights().data(), conv.bias().data(), g,
+                  cin.data().data(), cwide.data(), k::Epilogue::kNone, false);
+    const bool conv_identical = bits_equal(cwide, cref);
+    bench::print_verdict(conv_identical,
+                         "conv 8->8 16x16: the direct kernel is bitwise "
+                         "identical to Conv2d::forward");
+    all_ok = all_ok && conv_identical;
+
     const std::size_t calls = smoke ? 20 : 50;
     const std::size_t reps = smoke ? 8 : 20;
-    double t_ref = 1e300, t_wide = 1e300;
-    for (std::size_t r = 0; r < reps; ++r) {
-      t_ref = std::min(t_ref, bench::time_per_call_us(
-                                  [&] {
-                                    (void)tensor::matvec(
-                                        w.view(), x.view(), b.view(),
-                                        tensor::TensorView{
-                                            ref, tensor::Shape::vec(n)});
-                                  },
-                                  calls));
-      t_wide = std::min(t_wide, bench::time_per_call_us(
-                                    [&] {
-                                      (void)wide_fn(
-                                          wpanel.data(), b.data().data(), n,
-                                          n, x.data().data(), wide.data(),
-                                          k::Epilogue::kNone, false);
-                                    },
-                                    calls));
-    }
+    const std::vector<bench::Timing> t = bench::time_interleaved(
+        4, calls, reps, [&](std::size_t v) {
+          switch (v) {
+            case 0:
+              (void)tensor::matvec(
+                  w.view(), x.view(), b.view(),
+                  tensor::TensorView{ref, tensor::Shape::vec(n)});
+              break;
+            case 1:
+              (void)wide_fn(wpanel.data(), b.data().data(), n, n,
+                            x.data().data(), wide.data(), k::Epilogue::kNone,
+                            false);
+              break;
+            case 2:
+              (void)conv.forward(cin.view(), tensor::TensorView{cref, cos});
+              break;
+            default:
+              (void)conv_fn(conv.weights().data(), conv.bias().data(), g,
+                            cin.data().data(), cwide.data(),
+                            k::Epilogue::kNone, false);
+          }
+        });
 
-    util::Table table({"matvec 512x512", "us/call", "speedup"});
-    table.add_row({"reference (tensor::matvec)", util::fmt(t_ref, 2), "1.00x"});
-    table.add_row({std::string("wide (") + k::wide_isa_name(isa) +
-                       " lane panels)",
-                   util::fmt(t_wide, 2),
-                   util::fmt(t_ref / t_wide, 2) + "x"});
+    util::Table table({"kernel", "us/call median [q1, q3]", "speedup"});
+    table.add_row({"matvec 512x512 reference (tensor::matvec)",
+                   fmt_timing(t[0]), "1.00x"});
+    table.add_row({std::string("matvec 512x512 wide (") +
+                       k::wide_isa_name(isa) + " lane panels)",
+                   fmt_timing(t[1]),
+                   util::fmt(t[0].median_us / t[1].median_us, 2) + "x"});
+    table.add_row({"conv 8->8 16x16 reference (Conv2d::forward)",
+                   fmt_timing(t[2]), "1.00x"});
+    table.add_row({std::string("conv 8->8 16x16 direct (") +
+                       k::wide_isa_name(isa) + ")",
+                   fmt_timing(t[3]),
+                   util::fmt(t[2].median_us / t[3].median_us, 2) + "x"});
     table.print(std::cout);
     std::cout << "\n";
 
-    const double best = t_ref / t_wide;
-    json.add("matvec512_us_reference", t_ref);
-    json.add("matvec512_us_wide", t_wide);
+    const double best = t[0].median_us / t[1].median_us;
+    json.add("matvec512_us_reference", t[0].median_us);
+    json.add("matvec512_us_wide", t[1].median_us);
     json.add("matvec512_speedup", best);
+    json.add("conv8_us_reference", t[2].median_us);
+    json.add("conv8_us_direct", t[3].median_us);
+    json.add("conv8_speedup", t[2].median_us / t[3].median_us);
     all_ok = bench::timing_verdict(best >= 2.0,
                                    "planned matvec is >= 2x reference at "
                                    "512 (measured " +
@@ -191,27 +212,21 @@ int main(int argc, char** argv) {
 
     const std::size_t infs = smoke ? 100 : 300;
     const std::size_t reps = smoke ? 8 : 16;
-    auto run_many = [&](dl::StaticEngine& e) {
-      return bench::time_per_call_us(
-                 [&] {
-                   for (std::size_t i = 0; i < infs; ++i)
-                     (void)e.run(ds.samples[i % ds.size()].input.view(), o);
-                 },
-                 1) /
-             static_cast<double>(infs);
-    };
-    double t_ref = 1e300, t_wid = 1e300;
-    for (std::size_t r = 0; r < reps; ++r) {
-      t_ref = std::min(t_ref, run_many(ref));
-      t_wid = std::min(t_wid, run_many(wid));
-    }
-    util::Table table({"StaticEngine CNN", "us/inference", "speedup"});
-    table.add_row({"reference loops", util::fmt(t_ref, 2), "1.00x"});
+    std::size_t next = 0;
+    const std::vector<bench::Timing> t = bench::time_interleaved(
+        2, infs, reps, [&](std::size_t v) {
+          dl::StaticEngine& e = v == 0 ? ref : wid;
+          (void)e.run(ds.samples[next++ % ds.size()].input.view(), o);
+        });
+    const double t_ref = t[0].median_us, t_wid = t[1].median_us;
+    util::Table table({"StaticEngine CNN", "us/inference median [q1, q3]",
+                       "speedup"});
+    table.add_row({"reference loops", fmt_timing(t[0]), "1.00x"});
     table.add_row({std::string("wide plan (") +
                        k::wide_isa_name(
                            wid.plan()->isa_selection().isa) +
                        ")",
-                   util::fmt(t_wid, 2), util::fmt(t_ref / t_wid, 2) + "x"});
+                   fmt_timing(t[1]), util::fmt(t_ref / t_wid, 2) + "x"});
     table.print(std::cout);
     std::cout << "\n";
 
@@ -259,15 +274,29 @@ int main(int argc, char** argv) {
 
     const std::size_t decisions = smoke ? 150 : 400;
     const std::size_t reps = smoke ? 6 : 12;
-    double single_ref = 1e300, single_plan = 1e300;
-    double batch_ref = 1e300, batch_plan = 1e300;
-    for (std::size_t r = 0; r < reps; ++r) {
-      single_ref = std::min(single_ref, time_single_once(p_ref, decisions));
-      single_plan =
-          std::min(single_plan, time_single_once(p_plan, decisions));
-      batch_ref = std::min(batch_ref, time_batch_once(p_ref, decisions));
-      batch_plan = std::min(batch_plan, time_batch_once(p_plan, decisions));
-    }
+    std::vector<tensor::Tensor> inputs;
+    inputs.reserve(decisions);
+    for (std::size_t i = 0; i < decisions; ++i)
+      inputs.push_back(ds.samples[i % ds.size()].input);
+    // Variants: single-item reference, single-item default, batch
+    // reference, batch default; one call runs `decisions` decisions.
+    const std::vector<bench::Timing> t = bench::time_interleaved(
+        4, 1, reps,
+        [&](std::size_t v) {
+          auto& p = v % 2 == 0 ? p_ref : p_plan;
+          if (v >= 2) {
+            (void)p.infer_batch(inputs);
+            return;
+          }
+          for (std::size_t i = 0; i < decisions; ++i)
+            (void)p.infer(inputs[i], i);
+        },
+        1);
+    const auto per_dec = [&](std::size_t v) {
+      return t[v].median_us / static_cast<double>(decisions);
+    };
+    const double single_ref = per_dec(0), single_plan = per_dec(1);
+    const double batch_ref = per_dec(2), batch_plan = per_dec(3);
 
     util::Table table({"SIL2 CNN pipeline", "reference (us/dec)",
                        "default (us/dec)", "speedup"});

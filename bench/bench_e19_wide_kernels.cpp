@@ -7,15 +7,16 @@
 // sums)? The FUSA rule is unchanged from E14/E15: an optimization may
 // change timing only, never a single output bit or clip counter.
 //
-// Method: the deploy-time CPU probe is printed first (the same
-// platform::wide_isa_audit line the pipeline records), then four rungs,
-// each timed min-of-reps with the arms' rounds interleaved so transient
-// machine load hits all alike:
+// Method: host facts and the deploy-time CPU probe are printed first (the
+// same platform::wide_isa_audit line the pipeline records), then four
+// rungs, each timed by bench::time_interleaved (warm-up, then rounds with
+// the arms interleaved so transient machine load hits all alike; the
+// median per call is reported):
 //   1. float matvec at 128/192/256/512 (the 128/192 panels are
 //      L1/L2-resident, where lane width shows up undiluted by memory):
 //      matvec_wide_{scalar,avx2,avx512};
-//   2. float Conv2d GEMM on 16- and 32-channel geometries:
-//      conv2d_im2col_wide_*;
+//   2. float direct Conv2d on 16- and 32-channel geometries:
+//      conv2d_direct_*;
 //   3. int8 matvec at the same sizes: qmatvec_wide_* on every probed
 //      int8 arm — scalar, avx2 and avx512bw (vpmaddwd), avx512vnni
 //      (vpdpbusd) — one row per arm (saturation counters compared as well
@@ -23,7 +24,8 @@
 //   4. int8 Conv2d GEMM on the 8-channel perception conv:
 //      qconv2d_im2col_wide_* (the half group), one row per int8 arm.
 // Every rung first proves every arm bitwise identical to a reference
-// loop (tensor::matvec, or the plain tap loop over the im2col tables).
+// loop (tensor::matvec, Conv2d::forward, or the plain int8 tap loop over
+// the im2col tables).
 //
 // Gate: geomean speedup over the scalar arm across the dense micro sizes
 // must reach >= 2x on at least one probed SIMD lane family (float avx2 or
@@ -43,6 +45,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "dl/layers.hpp"
 #include "platform/cpu_probe.hpp"
 #include "tensor/kernels.hpp"
 #include "tensor/ops.hpp"
@@ -115,16 +118,15 @@ double geomean(const std::vector<double>& xs) {
   return std::exp(log_sum / static_cast<double>(xs.size()));
 }
 
-/// Times every arm with `call(i)` (i indexes rows), min-of-reps with the
-/// arms' rounds interleaved.
+/// Times every arm with `call(i)` (i indexes rows) under the shared
+/// interleaved protocol; returns each arm's median us per call.
 template <typename Call>
 std::vector<double> time_arms(std::size_t arms, std::size_t reps,
                               std::size_t calls, Call call) {
-  std::vector<double> t(arms, 1e300);
-  for (std::size_t r = 0; r < reps; ++r)
-    for (std::size_t i = 0; i < arms; ++i)
-      t[i] = std::min(t[i],
-                      sx::bench::time_per_call_us([&] { call(i); }, calls));
+  std::vector<double> t;
+  for (const sx::bench::Timing& m :
+       sx::bench::time_interleaved(arms, calls, reps, call))
+    t.push_back(m.median_us);
   return t;
 }
 
@@ -136,24 +138,8 @@ std::size_t best_arm(const std::vector<double>& t) {
   return best;
 }
 
-/// Plain reference tap loop over the ragged im2col tables: each output is
-/// one chain, bias then taps in table order (== Conv2d::forward order).
-std::vector<float> conv_reference(const std::vector<float>& wt,
-                                  const std::vector<float>& bias,
-                                  const k::ConvTables& t,
-                                  const std::vector<float>& col) {
-  std::vector<float> out(t.out_c * t.opix);
-  for (std::size_t oc = 0; oc < t.out_c; ++oc)
-    for (std::size_t p = 0; p < t.opix; ++p) {
-      float acc = bias[oc];
-      for (std::uint32_t e = t.pix_off[p]; e < t.pix_off[p + 1]; ++e)
-        acc += wt[oc * t.patch + t.w_ofs[e]] * col[e];
-      out[oc * t.opix + p] = acc;
-    }
-  return out;
-}
-
-/// The int8 twin: one int32 chain per output, then the reference
+/// Plain int8 tap loop over the ragged im2col tables: one int32 chain per
+/// output in table order (== Conv2d::forward order), then the reference
 /// requantize epilogue.
 std::vector<std::int8_t> qconv_reference(const std::vector<std::int8_t>& wt,
                                          const k::ConvTables& t,
@@ -222,6 +208,7 @@ int main(int argc, char** argv) {
       "vpdpbusd int8 dot products) buy over the wide family's scalar arm — "
       "at bitwise-identical outputs and clip counters?");
 
+  bench::print_host_facts();
   bool all_ok = true;
   bench::JsonResult json{"E19", smoke};
 
@@ -304,7 +291,7 @@ int main(int argc, char** argv) {
     all_ok = all_ok && identical;
   }
 
-  // ------------------------------------------- 2. float Conv2d GEMM micro
+  // ------------------------------------------- 2. float direct Conv2d
   {
     struct Geom {
       std::size_t out_c, in_c, hw;
@@ -316,32 +303,20 @@ int main(int argc, char** argv) {
       const k::Conv2dGeom g{.in_c = gm.in_c, .in_h = gm.hw, .in_w = gm.hw,
                             .out_c = gm.out_c, .k = 3, .stride = 1,
                             .pad = 1};
-      const std::size_t entries = k::im2col_entries(g);
-      std::vector<std::uint32_t> pix_off(g.opix() + 1), in_idx(entries),
-          w_ofs(entries);
-      k::build_im2col_tables(g, pix_off.data(), in_idx.data(), w_ofs.data());
-      const k::ConvTables t{.out_c = gm.out_c, .patch = g.patch(),
-                            .opix = g.opix(), .pix_off = pix_off.data(),
-                            .in_idx = in_idx.data(), .w_ofs = w_ofs.data()};
-
+      dl::Conv2d layer{gm.in_c, gm.out_c, 3, 1, 1};
       util::Xoshiro256 rng{gm.out_c};
-      std::vector<float> wt(gm.out_c * g.patch()), bias(gm.out_c),
-          col(entries);
-      for (auto& v : wt)
+      for (auto& v : layer.params())
         v = static_cast<float>(rng() % 2001) * 1e-3f - 1.0f;
-      for (auto& v : bias)
-        v = static_cast<float>(rng() % 2001) * 1e-3f - 1.0f;
-      for (auto& v : col)
+      tensor::Tensor in{tensor::Shape::chw(gm.in_c, gm.hw, gm.hw)};
+      for (auto& v : in.data())
         v = static_cast<float>(rng() % 2001) * 1e-3f - 1.0f;
 
-      std::vector<float> wide(gm.out_c * g.opix());
-      std::vector<float> panel(k::wide_conv_panel_floats(gm.out_c,
-                                                         g.patch()));
-      k::pack_wide_conv_panel(wt.data(), gm.out_c, g.patch(), panel.data());
-      const std::vector<float> ref = conv_reference(wt, bias, t, col);
+      const tensor::Shape os = layer.output_shape(in.shape());
+      std::vector<float> ref(os.size()), wide(os.size());
+      (void)layer.forward(in.view(), tensor::TensorView{ref, os});
       auto call = [&](std::size_t i) {
-        (void)rows[i].conv(panel.data(), wt.data(), bias.data(), t,
-                           col.data(), wide.data(), k::Epilogue::kNone,
+        (void)rows[i].conv(layer.weights().data(), layer.bias().data(), g,
+                           in.data().data(), wide.data(), k::Epilogue::kNone,
                            false);
       };
       for (std::size_t i = 0; i < rows.size(); ++i) {
@@ -362,7 +337,7 @@ int main(int argc, char** argv) {
     std::cout << "\n";
     bench::print_verdict(identical,
                          "float conv2d: every probed wide arm is bitwise "
-                         "identical to the reference tap loop on 16- and "
+                         "identical to Conv2d::forward on 16- and "
                          "32-channel geometries");
     all_ok = all_ok && identical;
   }

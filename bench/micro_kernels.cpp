@@ -107,8 +107,8 @@ void BM_Conv2dReference(benchmark::State& state) {
 }
 BENCHMARK(BM_Conv2dReference)->Arg(16)->Arg(32);
 
-// The planned gather + wide-GEMM lowering on the probed lane family,
-// 8-channel geometry so the full lane-group path is exercised.
+// The planned direct conv on the probed lane family, 8-channel geometry
+// so the full channel-block path is exercised.
 void conv2d_wide(benchmark::State& state, tensor::kernels::Epilogue ep) {
   namespace k = tensor::kernels;
   const auto hw = static_cast<std::size_t>(state.range(0));
@@ -121,35 +121,22 @@ void conv2d_wide(benchmark::State& state, tensor::kernels::Epilogue ep) {
 
   const k::Conv2dGeom g{.in_c = 3, .in_h = hw, .in_w = hw, .out_c = 8,
                         .k = 3, .stride = 1, .pad = 1};
-  const std::size_t entries = k::im2col_entries(g);
-  std::vector<std::uint32_t> pix_off(g.opix() + 1), in_idx(entries),
-      w_ofs(entries);
-  k::build_im2col_tables(g, pix_off.data(), in_idx.data(), w_ofs.data());
-  const k::ConvTables t{.out_c = 8, .patch = g.patch(), .opix = g.opix(),
-                        .pix_off = pix_off.data(), .in_idx = in_idx.data(),
-                        .w_ofs = w_ofs.data()};
-  std::vector<float> col(entries);
-  std::vector<float> panel(k::wide_conv_panel_floats(8, g.patch()));
-  k::pack_wide_conv_panel(layer.weights().data(), 8, g.patch(),
-                          panel.data());
   const auto fn = k::wide_conv_kernel(platform::select_wide_isa().isa);
-  for (auto _ : state) {
-    k::im2col_gather(in.data().data(), in_idx.data(), entries, col.data());
-    benchmark::DoNotOptimize(fn(panel.data(), layer.weights().data(),
-                                layer.bias().data(), t, col.data(),
-                                out.data().data(), ep, false));
-  }
+  for (auto _ : state)
+    benchmark::DoNotOptimize(fn(layer.weights().data(), layer.bias().data(),
+                                g, in.data().data(), out.data().data(), ep,
+                                false));
 }
 
-void BM_Conv2dIm2col(benchmark::State& state) {
+void BM_Conv2dDirect(benchmark::State& state) {
   conv2d_wide(state, tensor::kernels::Epilogue::kNone);
 }
-BENCHMARK(BM_Conv2dIm2col)->Arg(16)->Arg(32);
+BENCHMARK(BM_Conv2dDirect)->Arg(16)->Arg(32);
 
-void BM_Conv2dIm2colFusedRelu(benchmark::State& state) {
+void BM_Conv2dDirectFusedRelu(benchmark::State& state) {
   conv2d_wide(state, tensor::kernels::Epilogue::kRelu);
 }
-BENCHMARK(BM_Conv2dIm2colFusedRelu)->Arg(16)->Arg(32);
+BENCHMARK(BM_Conv2dDirectFusedRelu)->Arg(16)->Arg(32);
 
 void BM_Softmax(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

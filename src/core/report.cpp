@@ -199,8 +199,8 @@ EvidenceItem make_quant_backend_evidence(const CertifiablePipeline& pipeline) {
 EvidenceItem make_kernel_plan_evidence(const dl::KernelPlan& plan) {
   std::ostringstream os;
   os << plan.summary() << "\n"
-     << "layout decisions (weight panels, im2col index tables, scratch "
-        "sizing) are made\n"
+     << "layout decisions (Dense weight panels, arena slots, kernel "
+        "arms) are made\n"
      << "  once at deploy time; the inference path performs zero heap "
         "allocations and\n"
      << "  executes each output's accumulation in the reference kernel "

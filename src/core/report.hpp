@@ -48,10 +48,10 @@ CertificationReport make_certification_report(
 EvidenceItem make_batch_runner_evidence(const dl::BatchRunner& runner);
 
 /// Evidence for a deploy-time kernel plan: resolved mode, per-layer step
-/// list (wide-panel Dense, im2col Conv2d, fused epilogues, reference
-/// fallbacks), deploy-time table/panel footprints and the arena-resident
-/// scratch demand — the "all layout decisions made before operation"
-/// argument. Attach to make_certification_report's evidence list.
+/// list (wide-panel Dense, direct Conv2d, fused epilogues, reference
+/// fallbacks), the deploy-time panel footprint and the arena demand —
+/// the "all layout decisions made before operation" argument. Attach to
+/// make_certification_report's evidence list.
 EvidenceItem make_kernel_plan_evidence(const dl::KernelPlan& plan);
 
 /// Evidence for the int8 deployment (pillar 3): quantization granularity

@@ -161,13 +161,14 @@ Status StaticEngine::run_planned(tensor::ConstTensorView input,
         pre_ok = s.dense_fn(s.panel, s.bias, s.rows, s.cols, in, out,
                             s.epilogue, pre_check);
         break;
-      case KernelStep::Kind::kConv2d: {
-        float* scratch = base + s.scratch_offset;
-        k::im2col_gather(in, s.conv.in_idx, s.scratch, scratch);
-        pre_ok = s.conv_fn(s.panel, s.weights, s.bias, s.conv, scratch, out,
-                           s.epilogue, pre_check);
+      case KernelStep::Kind::kConv2d:
+        pre_ok = s.conv_fn(s.weights, s.bias, s.conv, in, out, s.epilogue,
+                           pre_check);
         break;
-      }
+      case KernelStep::Kind::kMaxPool:
+        k::maxpool2d(in, s.in_shape.dim(0), s.in_shape.dim(1),
+                     s.in_shape.dim(2), s.window, out);
+        break;
       case KernelStep::Kind::kReference: {
         const tensor::ConstTensorView vin{
             std::span<const float>(in, s.in_elems), s.in_shape};

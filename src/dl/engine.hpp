@@ -196,9 +196,9 @@ class StaticEngine final : public Engine {
 
   /// The kernel plan in effect (nullptr when running reference loops).
   const KernelPlan* plan() const noexcept override { return plan_; }
-  /// Under kWide (the usual kAuto resolution) Dense/Conv2d weights were
-  /// copied into panels at plan time, so an in-place mutation is invisible
-  /// to the hot path until this runs.
+  /// Under kWide (the usual kAuto resolution) Dense weights were copied
+  /// into panels at plan time, so an in-place Dense mutation is invisible
+  /// to the hot path until this runs (Conv2d weights are read live).
   void repack() noexcept override {
     if (owned_plan_) owned_plan_->repack();
   }

@@ -24,7 +24,7 @@ ir::OpKind lower_kind(LayerKind kind) noexcept {
 
 namespace {
 
-/// Ragged im2col column for conv layer i — the same scratch the kernel
+/// Ragged im2col column of an int8 conv layer — the same scratch the int8
 /// plan gathers into at run time.
 std::size_t conv_scratch(const Shape& in, std::size_t out_c, std::size_t kk,
                          std::size_t stride, std::size_t pad,
@@ -43,24 +43,16 @@ std::size_t conv_scratch(const Shape& in, std::size_t out_c, std::size_t kk,
 }  // namespace
 
 ir::Program lower(const Model& model) {
+  // Float convs run the direct kernel straight off their input slot, so no
+  // op carries scratch.
   ir::Program p;
   p.elem_bytes = 4;
   p.layer_count = model.layer_count();
   p.input_in_arena = false;
   std::size_t cur = p.set_input(model.input_shape().size());
   for (std::size_t i = 0; i < model.layer_count(); ++i) {
-    const Layer& layer = model.layer(i);
-    std::size_t scratch = 0;
-    if (layer.kind() == LayerKind::kConv2d) {
-      const auto& c = static_cast<const Conv2d&>(layer);
-      const Shape& in =
-          i == 0 ? model.input_shape() : model.activation_shape(i - 1);
-      scratch = conv_scratch(in, c.out_channels(), c.kernel(), c.stride(),
-                             c.padding(), c.in_channels());
-    }
-    const std::size_t op =
-        p.add_op(lower_kind(layer.kind()), i, cur,
-                 model.activation_shape(i).size(), scratch);
+    const std::size_t op = p.add_op(lower_kind(model.layer(i).kind()), i, cur,
+                                    model.activation_shape(i).size());
     cur = p.ops[op].output;
   }
   return p;

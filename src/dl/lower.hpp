@@ -21,13 +21,14 @@ namespace sx::dl {
 ir::OpKind lower_kind(LayerKind k) noexcept;
 
 /// Lowers a float model: elem_bytes = 4, input read from the caller's
-/// buffer (no in-arena input slot). Conv ops carry their ragged im2col
-/// column as scratch_elems.
+/// buffer (no in-arena input slot). No op carries scratch: float convs
+/// run the direct kernel.
 ir::Program lower(const Model& model);
 
 /// Lowers a quantized model: elem_bytes = 1 and input_in_arena = true —
 /// the quant engine stages the quantized input inside its byte arena, so
-/// the input value needs an arena slot of its own.
+/// the input value needs an arena slot of its own. Conv ops carry their
+/// ragged im2col column as scratch_elems.
 ir::Program lower(const QuantizedModel& model);
 
 }  // namespace sx::dl

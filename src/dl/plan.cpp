@@ -100,22 +100,11 @@ KernelPlan::KernelPlan(const Model& model, std::size_t pin_tap_layer)
                                    .pin_layer = pin_tap_layer}),
       model_(&model),
       pin_tap_layer_(pin_tap_layer) {
-  // Pass 1 over the surviving ops: size the deploy-time storage.
-  std::size_t table_u32 = 0;  // pix_off arrays + in_idx + w_ofs
+  // Pass 1 over the surviving ops: size the deploy-time Dense panels.
   for (const ir::Op& op : program_.ops) {
-    if (!op.live) continue;
-    if (op.kind == ir::OpKind::kConv2d) {
-      const auto& c = static_cast<const Conv2d&>(model.layer(op.layer));
-      const k::Conv2dGeom g = conv_geom(model, op.layer, c);
-      const std::size_t entries = k::im2col_entries(g);
-      table_u32 += (g.opix() + 1) + 2 * entries;
-      table_entries_ += entries;
-      scratch_floats_ = scratch_floats_ > entries ? scratch_floats_ : entries;
-      panel_floats_ += k::wide_conv_panel_floats(g.out_c, g.patch());
-    } else if (op.kind == ir::OpKind::kDense) {
-      const auto& d = static_cast<const Dense&>(model.layer(op.layer));
-      panel_floats_ += k::wide_dense_panel_floats(d.out_dim(), d.in_dim());
-    }
+    if (!op.live || op.kind != ir::OpKind::kDense) continue;
+    const auto& d = static_cast<const Dense&>(model.layer(op.layer));
+    panel_floats_ += k::wide_dense_panel_floats(d.out_dim(), d.in_dim());
   }
 
   // Configuration-time storage, allocated exactly once per deployment;
@@ -123,14 +112,12 @@ KernelPlan::KernelPlan(const Model& model, std::size_t pin_tap_layer)
   const std::size_t live = program_.live_op_count();
   if (live != 0)
     steps_ = std::make_unique<KernelStep[]>(live);  // sxlint: allow(hot-path-alloc) deploy-time plan storage
-  if (table_u32 != 0)
-    tables_ = std::make_unique<std::uint32_t[]>(table_u32);  // sxlint: allow(hot-path-alloc) deploy-time im2col tables
   if (panel_floats_ != 0)
     panels_ = tensor::make_aligned_storage<float>(panel_floats_);
 
   // Pass 2: one executable step per surviving op, carrying its liveness
   // arena assignment and fused epilogue.
-  std::size_t tu = 0, pf = 0;
+  std::size_t pf = 0;
   std::size_t prev_last = 0;
   for (const ir::Op& op : program_.ops) {
     if (!op.live) continue;
@@ -147,7 +134,6 @@ KernelPlan::KernelPlan(const Model& model, std::size_t pin_tap_layer)
     const ir::ArenaAssignment& slot = layout_.per_op[op.id];
     s.in_offset = slot.in_offset;
     s.out_offset = slot.out_offset;
-    s.scratch_offset = slot.scratch_offset;
     if (op.fused_layer != ir::kNone) {
       s.epilogue = fused_epilogue(op.fused_kind);
       ++fused_;
@@ -170,34 +156,16 @@ KernelPlan::KernelPlan(const Model& model, std::size_t pin_tap_layer)
       ++planned_dense_;
     } else if (op.kind == ir::OpKind::kConv2d) {
       const auto& c = static_cast<const Conv2d&>(model.layer(op.layer));
-      const k::Conv2dGeom g = conv_geom(model, op.layer, c);
-      const std::size_t entries = k::im2col_entries(g);
-      std::uint32_t* pix_off = tables_.get() + tu;
-      std::uint32_t* in_idx = pix_off + (g.opix() + 1);
-      std::uint32_t* w_ofs = in_idx + entries;
-      k::build_im2col_tables(g, pix_off, in_idx, w_ofs);
-      tu += (g.opix() + 1) + 2 * entries;
       s.kind = KernelStep::Kind::kConv2d;
-      s.conv = k::ConvTables{.out_c = g.out_c,
-                             .patch = g.patch(),
-                             .opix = g.opix(),
-                             .pix_off = pix_off,
-                             .in_idx = in_idx,
-                             .w_ofs = w_ofs};
+      s.conv = conv_geom(model, op.layer, c);
       s.weights = c.weights().data();
       s.bias = c.bias().data();
-      s.scratch = entries;
-      // A conv under 4 channels has no panel: its kernel runs zero lane
-      // groups and sweeps every channel from the live weights.
-      const std::size_t pfl = k::wide_conv_panel_floats(g.out_c, g.patch());
-      if (pfl != 0) {
-        float* panel = panels_.get() + pf;
-        k::pack_wide_conv_panel(s.weights, g.out_c, g.patch(), panel);
-        s.panel = panel;
-        pf += pfl;
-      }
       s.conv_fn = k::wide_conv_kernel(isa_sel_.isa);
       ++planned_conv_;
+    } else if (op.kind == ir::OpKind::kMaxPool2d) {
+      s.kind = KernelStep::Kind::kMaxPool;
+      s.window = static_cast<const MaxPool2d&>(model.layer(op.layer)).window();
+      ++planned_pools_;
     } else {
       s.kind = KernelStep::Kind::kReference;
       s.ref_layer = &model.layer(op.layer);
@@ -211,13 +179,9 @@ KernelPlan::KernelPlan(const Model& model, std::size_t pin_tap_layer)
 void KernelPlan::repack() noexcept {
   for (std::size_t i = 0; i < step_count_; ++i) {
     KernelStep& s = steps_[i];
-    if (s.panel == nullptr) continue;
     if (s.kind == KernelStep::Kind::kDense)
       k::pack_wide_dense_panel(s.weights, s.rows, s.cols,
                                const_cast<float*>(s.panel));
-    else if (s.kind == KernelStep::Kind::kConv2d)
-      k::pack_wide_conv_panel(s.weights, s.conv.out_c, s.conv.patch,
-                              const_cast<float*>(s.panel));
   }
 }
 
@@ -226,11 +190,10 @@ std::string KernelPlan::summary() const {
   os << "mode=" << kernel_mode_name(KernelMode::kWide)
      << " steps=" << step_count_ << "/" << model_->layer_count()
      << " layers (dense=" << planned_dense_ << " conv=" << planned_conv_
-     << " fused-act=" << fused_
+     << " pool=" << planned_pools_ << " fused-act=" << fused_
      << " removed=" << removed_ << " reference=" << reference_
      << "), arena=" << layout_.total_elems << "/" << layout_.naive_elems
-     << " floats, im2col entries=" << table_entries_
-     << ", scratch=" << scratch_floats_ << " floats, panels=" << panel_floats_
+     << " floats, panels=" << panel_floats_
      << " floats, isa=" << k::wide_isa_name(isa_sel_.isa);
   if (isa_sel_.refused) os << " (override refused)";
   return os.str();

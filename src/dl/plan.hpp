@@ -11,9 +11,10 @@
 //   - Dense layers run the wide matvec kernels from tensor/kernels.hpp
 //     over cache-line-aligned row-blocked panels owned by the plan (a
 //     deploy-time snapshot — see the staleness contract below);
-//   - Conv2d layers are lowered to gather + wide GEMM through ragged
-//     im2col index tables precomputed here; the gathered column is an
-//     arena slot assigned by the liveness pass;
+//   - Conv2d layers run the direct pixel-vectorized kernel, which reads
+//     the model's live weights and needs no gather, table, panel or
+//     scratch slot;
+//   - MaxPool2d layers run the planned vector pool (max is exact);
 //   - a Dense/Conv2d whose output has exactly one live consumer, an
 //     activation, absorbs it as a fused kernel epilogue (the fusion pass
 //     decides this from dataflow facts, honoring a pinned tap layer);
@@ -35,14 +36,13 @@
 // pinned vectors stay valid).
 //
 // Staleness contract: a plan snapshots every Dense weight matrix into
-// kWideRowBlock-row panels, and the Conv2d weights of every full
-// kWideConvLanes-channel group and of the kWideHalfLanes-channel half
-// group into tap-major lane panels, for unit-stride access. Only the last
-// out_c % 4 conv channels are read live. Callers that mutate weights
-// afterwards — e.g. the SEU campaigns in safety/campaign.cpp injecting
-// into a model behind a long-lived engine — must call repack(); the
-// safety channels do so in safety::Replica::refresh(). The kReference
-// loops read every parameter live and need no repack.
+// kWideRowBlock-row panels for unit-stride access. Conv2d weights are read
+// live, so a conv weight mutation reaches the next run without a repack.
+// Callers that mutate Dense weights afterwards — e.g. the SEU campaigns in
+// safety/campaign.cpp injecting into a model behind a long-lived engine —
+// must call repack(); the safety channels do so in
+// safety::Replica::refresh(). The kReference loops read every parameter
+// live and need no repack.
 //
 // The plan also selects, once, at construction, which lane family of the
 // wide kernels runs (platform::CpuProbe + SX_KERNEL_ISA override: scalar,
@@ -53,8 +53,8 @@
 // timing only — outputs stay bitwise identical across machines.
 //
 // One plan is immutable after construction (repack() aside) and safe to
-// share read-only across BatchRunner workers; the im2col scratch slots
-// live in each worker's own arena.
+// share read-only across BatchRunner workers; every activation slot lives
+// in each worker's own arena.
 #pragma once
 
 #include <memory>
@@ -164,12 +164,12 @@ class PlanEvidence {
 
 /// One executable step of a plan: one surviving IR op — a layer, or a
 /// layer fused with its following activation. Pointer members alias the
-/// model's live parameter storage (or the plan's own tables/panels) and
+/// model's live parameter storage (or the plan's own Dense panels) and
 /// stay valid for the model's lifetime. Offsets are element indices into
 /// the engine's single arena base block (ir::kNone = no slot; an in_offset
 /// of ir::kNone means the caller's input buffer).
 struct KernelStep {
-  enum class Kind : std::uint8_t { kReference, kDense, kConv2d };
+  enum class Kind : std::uint8_t { kReference, kDense, kConv2d, kMaxPool };
 
   Kind kind = Kind::kReference;
   std::size_t first_layer = 0;  ///< model layer index this step starts at
@@ -183,10 +183,9 @@ struct KernelStep {
   // Arena addressing (liveness-pass assignment).
   std::size_t in_offset = ir::kNone;
   std::size_t out_offset = ir::kNone;
-  std::size_t scratch_offset = ir::kNone;
   std::size_t in_elems = 0;
   std::size_t out_elems = 0;
-  Shape in_shape{};   ///< static views for reference steps (noexcept path)
+  Shape in_shape{};   ///< static views for reference and pool steps
   Shape out_shape{};
 
   // kReference
@@ -195,20 +194,19 @@ struct KernelStep {
   // kDense / kConv2d
   std::size_t rows = 0, cols = 0;  ///< Dense dims
   const float* weights = nullptr;  ///< live natural-layout weights
-  const float* panel = nullptr;    ///< wide panel (null for a conv under
-                                   ///< 4 channels: all of it reads live)
+  const float* panel = nullptr;    ///< Dense wide panel
   const float* bias = nullptr;
 
   /// Kernel entry points resolved once at plan construction (probed ISA),
-  /// so the engine hot path is a branch-free indirect call. Conv kernels
-  /// receive both the panel and the live weights (tail channels read
-  /// live).
+  /// so the engine hot path is a branch-free indirect call.
   tensor::kernels::DenseKernelFn dense_fn = nullptr;
   tensor::kernels::ConvKernelFn conv_fn = nullptr;
 
   // kConv2d
-  tensor::kernels::ConvTables conv{};  ///< tables owned by the plan
-  std::size_t scratch = 0;  ///< im2col column floats this step gathers
+  tensor::kernels::Conv2dGeom conv{};  ///< static geometry
+
+  // kMaxPool
+  std::size_t window = 0;
 };
 
 /// Deploy-time execution plan for one model. Immutable after construction
@@ -238,22 +236,17 @@ class KernelPlan final : public PlanEvidence {
   /// when none).
   std::size_t pin_tap_layer() const noexcept { return pin_tap_layer_; }
 
-  /// Per-inference scratch demand in floats (max ragged im2col column
-  /// over all conv steps).
-  std::size_t scratch_floats() const noexcept { return scratch_floats_; }
-
-  /// Deploy-time storage footprint of the Dense and Conv2d panels (floats).
+  /// Deploy-time storage footprint of the Dense panels (floats).
   std::size_t panel_floats() const noexcept { return panel_floats_; }
-  /// Total precomputed im2col gather entries across all conv steps.
-  std::size_t table_entries() const noexcept { return table_entries_; }
 
   std::size_t planned_dense() const noexcept { return planned_dense_; }
   std::size_t planned_conv() const noexcept { return planned_conv_; }
+  std::size_t planned_pools() const noexcept { return planned_pools_; }
   std::size_t fused_activations() const noexcept { return fused_; }
   std::size_t reference_steps() const noexcept { return reference_; }
 
-  /// Re-snapshots Dense and Conv2d weights into the panels. For callers
-  /// that mutate weights in place after deployment.
+  /// Re-snapshots Dense weights into the panels. For callers that mutate
+  /// weights in place after deployment (conv reads its weights live).
   void repack() noexcept;
 
   std::string summary() const override;
@@ -263,14 +256,12 @@ class KernelPlan final : public PlanEvidence {
   std::size_t pin_tap_layer_ = kNoPinnedTap;
   std::unique_ptr<KernelStep[]> steps_;
   std::size_t step_count_ = 0;
-  std::unique_ptr<std::uint32_t[]> tables_;  ///< pix_off + in_idx + w_ofs
   tensor::AlignedStorage<float> panels_;  ///< cache-line-aligned base
   std::size_t final_tap_first_ = 0;
-  std::size_t scratch_floats_ = 0;
   std::size_t panel_floats_ = 0;
-  std::size_t table_entries_ = 0;
   std::size_t planned_dense_ = 0;
   std::size_t planned_conv_ = 0;
+  std::size_t planned_pools_ = 0;
   std::size_t fused_ = 0;
   std::size_t reference_ = 0;
 };

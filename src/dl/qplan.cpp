@@ -147,6 +147,15 @@ QuantKernelPlan::QuantKernelPlan(const QuantizedModel& model)
       pb += qk::qwide_conv_panel_bytes(g.out_c, g.patch());
       s.conv_fn = qk::wide_qconv_kernel(plan_arm(g.patch()));
       ++planned_conv_;
+    } else if (op.kind == ir::OpKind::kMaxPool2d) {
+      const Shape& in = i == 0 ? model.input_shape()
+                               : model.activation_shape(i - 1);
+      s.kind = QuantKernelStep::Kind::kMaxPool;
+      s.pool_c = in.dim(0);
+      s.pool_h = in.dim(1);
+      s.pool_w = in.dim(2);
+      s.window = v.window;
+      ++planned_pools_;
     } else {
       s.kind = QuantKernelStep::Kind::kReference;
       ++reference_;
@@ -172,7 +181,7 @@ std::string QuantKernelPlan::summary() const {
   os << "mode=" << kernel_mode_name(KernelMode::kWide)
      << " steps=" << step_count_ << "/" << model_->layer_count()
      << " layers (dense=" << planned_dense_ << " conv=" << planned_conv_
-     << " fused-relu=" << fused_
+     << " pool=" << planned_pools_ << " fused-relu=" << fused_
      << " removed=" << removed_ << " reference=" << reference_
      << "), arena=" << layout_.total_elems << "/" << layout_.naive_elems
      << " bytes, im2col entries=" << table_entries_
@@ -310,9 +319,8 @@ Status QuantEngine::run_impl(tensor::ConstTensorView input,
   // planned destination is the input's own liveness-pass arena slot.
   if (plan_ != nullptr) {
     if (base_.empty()) return Status::kArenaExhausted;
-    std::int8_t* qin = base_.data() + input_offset_;
-    for (std::size_t i = 0; i < in_size_; ++i)
-      qin[i] = quantize_value(input.data[i], in_scale_);
+    quantize_span(input.data.data(), in_size_, in_scale_,
+                  base_.data() + input_offset_);
     return run_planned(output, tap_layer, tap);
   }
   if (ping_.empty() || pong_.empty()) return Status::kArenaExhausted;
@@ -373,6 +381,9 @@ Status QuantEngine::run_planned(std::span<float> output,
         s.conv_fn(s.panel, s.conv, scratch, s.rq, dst, sat);
         break;
       }
+      case QuantKernelStep::Kind::kMaxPool:
+        k::maxpool2d(in, s.pool_c, s.pool_h, s.pool_w, s.window, dst);
+        break;
       case QuantKernelStep::Kind::kReference: {
         const Status st = model_->apply_layer(
             s.first_layer, {in, s.in_elems}, {dst, s.out_elems}, sat);

@@ -20,8 +20,10 @@
 //     absorbs it: the requantize epilogue applies `q > 0 ? q : 0` on the
 //     just-quantized value, exactly what the separate reference layer
 //     computes;
+//   - MaxPool2d runs the planned vector pool shared with the float plan
+//     (int8 max is exact);
 //   - Flatten (a verbatim byte copy in the reference) is eliminated by
-//     dce; pooling layers become kReference steps executed through
+//     dce; AvgPool2d becomes a kReference step executed through
 //     QuantizedModel::apply_layer.
 //
 // All planned kernels compute exact int32 sums (any grouping of the
@@ -69,7 +71,7 @@ namespace sx::dl {
 /// plan's own tables/panels) and stay valid for the model's lifetime.
 /// Offsets are byte indices into the engine's arena base block.
 struct QuantKernelStep {
-  enum class Kind : std::uint8_t { kReference, kDense, kConv2d };
+  enum class Kind : std::uint8_t { kReference, kDense, kConv2d, kMaxPool };
 
   Kind kind = Kind::kReference;
   std::size_t first_layer = 0;  ///< model layer index this step starts at
@@ -105,6 +107,9 @@ struct QuantKernelStep {
   // kConv2d
   tensor::kernels::ConvTables conv{};  ///< tables owned by the plan
   std::size_t scratch = 0;  ///< im2col column bytes this step gathers
+
+  // kMaxPool: input channels x height x width and the window
+  std::size_t pool_c = 0, pool_h = 0, pool_w = 0, window = 0;
 };
 
 /// Deploy-time execution plan for one quantized model. Immutable after
@@ -137,6 +142,7 @@ class QuantKernelPlan final : public PlanEvidence {
 
   std::size_t planned_dense() const noexcept { return planned_dense_; }
   std::size_t planned_conv() const noexcept { return planned_conv_; }
+  std::size_t planned_pools() const noexcept { return planned_pools_; }
   std::size_t fused_relus() const noexcept { return fused_; }
   std::size_t reference_steps() const noexcept { return reference_; }
   /// Dense/Conv2d steps planned on the scalar arm because their
@@ -160,6 +166,7 @@ class QuantKernelPlan final : public PlanEvidence {
   std::size_t table_entries_ = 0;
   std::size_t planned_dense_ = 0;
   std::size_t planned_conv_ = 0;
+  std::size_t planned_pools_ = 0;
   std::size_t fused_ = 0;
   std::size_t reference_ = 0;
   std::size_t bound_scalar_ = 0;

@@ -35,6 +35,30 @@ const char* to_string(WeightGranularity g) noexcept {
   return g == WeightGranularity::kPerTensor ? "per-tensor" : "per-channel";
 }
 
+void quantize_span(const float* in, std::size_t n, float scale,
+                   std::int8_t* out) noexcept {
+  typedef float v4sf __attribute__((vector_size(16)));
+  typedef std::int32_t v4si __attribute__((vector_size(16)));
+  typedef std::int8_t v4qi __attribute__((vector_size(4)));
+  const v4sf vscale = {scale, scale, scale, scale}, zero = {};
+  const v4sf half = zero + 0.5f, hi = zero + 128.0f, lo = zero - 128.0f;
+  const v4sf pos = zero + 127.0f, neg = zero - 127.0f;
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    v4sf v;
+    __builtin_memcpy(&v, in + i, sizeof v);
+    const v4sf q = v / vscale;
+    const v4sf r = q >= zero ? q + half : q - half;
+    // The clips happen in float, so only values inside the int8 range
+    // reach the truncating conversion.
+    const v4sf c = r < hi ? (r > lo ? r : neg) : pos;
+    const v4qi b =
+        __builtin_convertvector(__builtin_convertvector(c, v4si), v4qi);
+    __builtin_memcpy(out + i, &b, sizeof b);
+  }
+  for (; i < n; ++i) out[i] = quantize_value(in[i], scale);
+}
+
 std::int32_t quantize_bias_i32(float bias, float w_scale, float in_scale,
                                bool* saturated) noexcept {
   if (saturated != nullptr) *saturated = false;

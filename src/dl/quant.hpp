@@ -174,6 +174,14 @@ inline std::int8_t quantize_value(float v, float scale) noexcept {
   return static_cast<std::int8_t>(static_cast<int>(r));
 }
 
+/// out[i] = quantize_value(in[i], scale) for i < n, four lanes at a time
+/// on generic vectors: the same IEEE division (a packed divide rounds
+/// exactly like the scalar one), the same round-half-away rule, the same
+/// `!(r < 128)` clip to +127 (which catches NaN) and -127 floor, so every
+/// byte equals the scalar function's. The last n % 4 run it directly.
+void quantize_span(const float* in, std::size_t n, float scale,
+                   std::int8_t* out) noexcept;
+
 /// Quantizes a float bias to the int32 accumulator scale w_scale *
 /// in_scale, the representation an integer-only requantizer would need.
 /// Deterministic rule: widen through double (so the quotient itself cannot

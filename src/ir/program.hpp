@@ -63,7 +63,7 @@ struct Op {
   std::size_t layer = 0;           ///< source model layer index
   std::size_t input = 0;           ///< value id read
   std::size_t output = 0;          ///< value id written
-  std::size_t scratch_elems = 0;   ///< private workspace (conv im2col column)
+  std::size_t scratch_elems = 0;   ///< private workspace (int8 conv im2col column)
   std::size_t fused_layer = kNone; ///< activation layer folded into this op
   OpKind fused_kind{};             ///< valid iff fused_layer != kNone
   bool live = true;

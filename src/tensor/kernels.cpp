@@ -2,42 +2,18 @@
 
 namespace sx::tensor::kernels {
 
-std::size_t im2col_entries(const Conv2dGeom& g) noexcept {
-  std::size_t entries = 0;
-  const std::size_t oh = g.out_h(), ow = g.out_w();
-  for (std::size_t oy = 0; oy < oh; ++oy) {
-    for (std::size_t ox = 0; ox < ow; ++ox) {
-      std::size_t taps = 0;
-      for (std::size_t ky = 0; ky < g.k; ++ky) {
-        const std::ptrdiff_t iy = static_cast<std::ptrdiff_t>(oy * g.stride) +
-                                  static_cast<std::ptrdiff_t>(ky) -
-                                  static_cast<std::ptrdiff_t>(g.pad);
-        if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(g.in_h)) continue;
-        for (std::size_t kx = 0; kx < g.k; ++kx) {
-          const std::ptrdiff_t ix =
-              static_cast<std::ptrdiff_t>(ox * g.stride) +
-              static_cast<std::ptrdiff_t>(kx) -
-              static_cast<std::ptrdiff_t>(g.pad);
-          if (ix < 0 || ix >= static_cast<std::ptrdiff_t>(g.in_w)) continue;
-          ++taps;
-        }
-      }
-      entries += g.in_c * taps;
-    }
-  }
-  return entries;
-}
+namespace {
 
-void build_im2col_tables(const Conv2dGeom& g, std::uint32_t* pix_off,
-                         std::uint32_t* in_idx,
-                         std::uint32_t* w_ofs) noexcept {
+/// Walks every pixel's valid taps in the reference order (ic ascending,
+/// then valid ky, then valid kx, exactly as Conv2d::forward), filling the
+/// tables when they are given; returns the entry count.
+std::size_t walk_taps(const Conv2dGeom& g, std::uint32_t* pix_off,
+                      std::uint32_t* in_idx, std::uint32_t* w_ofs) noexcept {
   const std::size_t oh = g.out_h(), ow = g.out_w();
   std::size_t e = 0, p = 0;
   for (std::size_t oy = 0; oy < oh; ++oy) {
     for (std::size_t ox = 0; ox < ow; ++ox) {
-      pix_off[p++] = static_cast<std::uint32_t>(e);
-      // Entry order per pixel mirrors Conv2d::forward exactly:
-      // ic ascending, then valid ky ascending, then valid kx ascending.
+      if (pix_off != nullptr) pix_off[p++] = static_cast<std::uint32_t>(e);
       for (std::size_t ic = 0; ic < g.in_c; ++ic) {
         for (std::size_t ky = 0; ky < g.k; ++ky) {
           const std::ptrdiff_t iy =
@@ -51,23 +27,118 @@ void build_im2col_tables(const Conv2dGeom& g, std::uint32_t* pix_off,
                 static_cast<std::ptrdiff_t>(kx) -
                 static_cast<std::ptrdiff_t>(g.pad);
             if (ix < 0 || ix >= static_cast<std::ptrdiff_t>(g.in_w)) continue;
-            in_idx[e] = static_cast<std::uint32_t>(
-                (ic * g.in_h + static_cast<std::size_t>(iy)) * g.in_w +
-                static_cast<std::size_t>(ix));
-            w_ofs[e] =
-                static_cast<std::uint32_t>((ic * g.k + ky) * g.k + kx);
+            if (in_idx != nullptr) {
+              in_idx[e] = static_cast<std::uint32_t>(
+                  (ic * g.in_h + static_cast<std::size_t>(iy)) * g.in_w +
+                  static_cast<std::size_t>(ix));
+              w_ofs[e] =
+                  static_cast<std::uint32_t>((ic * g.k + ky) * g.k + kx);
+            }
             ++e;
           }
         }
       }
     }
   }
-  pix_off[p] = static_cast<std::uint32_t>(e);
+  if (pix_off != nullptr) pix_off[p] = static_cast<std::uint32_t>(e);
+  return e;
 }
 
-void im2col_gather(const float* in, const std::uint32_t* in_idx,
-                   std::size_t entries, float* col) noexcept {
-  for (std::size_t e = 0; e < entries; ++e) col[e] = in[in_idx[e]];
+}  // namespace
+
+std::size_t im2col_entries(const Conv2dGeom& g) noexcept {
+  return walk_taps(g, nullptr, nullptr, nullptr);
+}
+
+void build_im2col_tables(const Conv2dGeom& g, std::uint32_t* pix_off,
+                         std::uint32_t* in_idx,
+                         std::uint32_t* w_ofs) noexcept {
+  (void)walk_taps(g, pix_off, in_idx, w_ofs);
+}
+
+namespace {
+
+typedef float v4sf __attribute__((vector_size(16)));
+typedef std::int32_t v4si __attribute__((vector_size(16)));
+typedef std::int16_t v8hi __attribute__((vector_size(16)));
+typedef std::int8_t v8qi __attribute__((vector_size(8)));
+
+/// Window 2, four float outputs per vector: lane j's (dy, dx = 0) and
+/// (dy, dx = 1) operands are the even and odd elements of 8 inputs, folded
+/// in the reference order. Returns the first output left to the tail.
+std::size_t pool2_vector(const float* rows, std::size_t in_w, std::size_t ow,
+                         float* o) noexcept {
+  const v4si even = {0, 2, 4, 6}, odd = {1, 3, 5, 7};
+  std::size_t ox = 0;
+  for (; ox + 4 <= ow; ox += 4) {
+    v4sf m = v4sf{} - __builtin_inff(), a, b;
+    for (std::size_t dy = 0; dy < 2; ++dy) {
+      __builtin_memcpy(&a, rows + dy * in_w + 2 * ox, sizeof a);
+      __builtin_memcpy(&b, rows + dy * in_w + 2 * ox + 4, sizeof b);
+      const v4sf e = __builtin_shuffle(a, b, even);
+      const v4sf d = __builtin_shuffle(a, b, odd);
+      m = e > m ? e : m;
+      m = d > m ? d : m;
+    }
+    __builtin_memcpy(o + ox, &m, sizeof m);
+  }
+  return ox;
+}
+
+/// Window 2, eight int8 outputs per vector: each 16-bit lane holds one
+/// horizontal input pair, split by shifts. Int8 max is exact and
+/// order-free, so which byte of the pair is which does not matter.
+std::size_t pool2_vector(const std::int8_t* rows, std::size_t in_w,
+                         std::size_t ow, std::int8_t* o) noexcept {
+  std::size_t ox = 0;
+  for (; ox + 8 <= ow; ox += 8) {
+    v8hi m = v8hi{} - 128, x;
+    for (std::size_t dy = 0; dy < 2; ++dy) {
+      __builtin_memcpy(&x, rows + dy * in_w + 2 * ox, sizeof x);
+      const v8hi lo = static_cast<v8hi>(x << 8) >> 8, hi = x >> 8;
+      m = lo > m ? lo : m;
+      m = hi > m ? hi : m;
+    }
+    const v8qi b = __builtin_convertvector(m, v8qi);
+    __builtin_memcpy(o + ox, &b, sizeof b);
+  }
+  return ox;
+}
+
+/// One body for both element types: window 2 runs the vector rows above,
+/// every other output the reference fold from `lowest`.
+template <typename T>
+void maxpool_impl(const T* in, std::size_t c, std::size_t in_h,
+                  std::size_t in_w, std::size_t window, T* out,
+                  T lowest) noexcept {
+  const std::size_t oh = in_h / window, ow = in_w / window;
+  for (std::size_t r = 0; r < c * oh; ++r) {  // output rows of all channels
+    const T* rows = in + r * window * in_w;
+    T* o = out + r * ow;
+    for (std::size_t ox = window == 2 ? pool2_vector(rows, in_w, ow, o) : 0;
+         ox < ow; ++ox) {
+      T m = lowest;
+      for (std::size_t dy = 0; dy < window; ++dy)
+        for (std::size_t dx = 0; dx < window; ++dx) {
+          const T v = rows[dy * in_w + ox * window + dx];
+          m = v > m ? v : m;
+        }
+      o[ox] = m;
+    }
+  }
+}
+
+}  // namespace
+
+void maxpool2d(const float* in, std::size_t c, std::size_t in_h,
+               std::size_t in_w, std::size_t window, float* out) noexcept {
+  maxpool_impl(in, c, in_h, in_w, window, out, -__builtin_inff());
+}
+
+void maxpool2d(const std::int8_t* in, std::size_t c, std::size_t in_h,
+               std::size_t in_w, std::size_t window,
+               std::int8_t* out) noexcept {
+  maxpool_impl(in, c, in_h, in_w, window, out, std::int8_t{-128});
 }
 
 }  // namespace sx::tensor::kernels

@@ -1,5 +1,6 @@
-// Deploy-time-planned numeric kernels: the wide-panel matvec/GEMM family
-// and a ragged-im2col Conv2d lowering with fused bias+activation epilogues.
+// Deploy-time-planned numeric kernels: the wide-panel matvec family, a
+// direct pixel-vectorized Conv2d and a planned MaxPool2d, with fused
+// bias+activation epilogues.
 //
 // Every kernel here preserves the *per-output accumulation order* of the
 // reference loops in tensor/ops.cpp and dl/layers.cpp: each output element
@@ -8,26 +9,27 @@
 // vectors pinned in tensor_golden_test stay valid. The speedups come from
 // order-preserving transformations only:
 //
-//   - row blocking: kWideRowBlock independent accumulation chains per
-//     sweep break the single serial FMA/add dependency chain of the
-//     reference loop (ILP), and the input vector is streamed once per
-//     block instead of once per row;
-//   - deploy-time im2col index tables: all Conv2d bounds checks and index
-//     arithmetic move to configuration time; the hot path is one flat
-//     gather plus a dense blocked GEMM.  The tables are *ragged*
-//     (padding taps are omitted, exactly as the reference loop skips
-//     them) rather than zero-filled, so even non-finite weights multiply
-//     precisely the operands the reference path multiplies;
+//   - row blocking (Dense): kWideRowBlock independent accumulation chains
+//     per sweep break the single serial add chain of the reference loop
+//     (ILP), and the input vector is streamed once per block instead of
+//     once per row;
+//   - pixel vectorization (Conv2d): a lane is one output pixel of a row,
+//     and kWideConvLanes output channels share every input load. A clipped
+//     kernel row is skipped for the whole vector; a clipped column is a
+//     lane mask under which a lane keeps its accumulator bit for bit and
+//     reads nothing -- the reference skip, so non-finite border weights
+//     multiply exactly what the reference multiplies. Weights are read
+//     live: no gather, tables, panel or scratch;
 //   - fused epilogues: bias (already fused in the reference Dense/Conv2d)
-//     plus an optional ReLU/Sigmoid/Tanh applied in the GEMM tail, saving
-//     one full tensor traversal per fused layer.  The epilogue expression
-//     is character-identical to the corresponding Layer::forward body.
+//     plus an optional ReLU/Sigmoid/Tanh applied in the kernel tail, saving
+//     one full tensor traversal per fused layer. The epilogue is
+//     value-identical to the corresponding Layer::forward body.
 //
 // All functions are allocation-free and operate on caller-provided
-// buffers; table *construction* fills caller-owned storage whose size is
-// returned by the corresponding *_floats()/*_entries() planner so that
-// dl::KernelPlan can place everything in deploy-time storage and the
-// engine arena. (This file is covered by sxlint's hot-path-alloc rule.)
+// buffers; the Dense panel construction fills caller-owned storage sized
+// by wide_dense_panel_floats(). The ragged im2col tables below serve the
+// int8 plan's conv gather (tensor/qkernels.hpp). (This file is covered by
+// sxlint's hot-path-alloc rule.)
 #pragma once
 
 #include <cmath>
@@ -78,8 +80,8 @@ struct Conv2dGeom {
 
 /// Total ragged im2col entries: sum over output pixels of the *valid* tap
 /// count (padding-clipped taps are omitted, matching the reference skip).
-/// This is both the index-table length and the per-inference scratch
-/// demand in floats.
+/// This is both the int8 index-table length and the int8 plan's
+/// per-inference scratch demand in bytes.
 std::size_t im2col_entries(const Conv2dGeom& g) noexcept;
 
 /// Fills the deploy-time gather tables. For output pixel p the entries
@@ -96,12 +98,8 @@ void build_im2col_tables(const Conv2dGeom& g, std::uint32_t* pix_off,
                          std::uint32_t* in_idx,
                          std::uint32_t* w_ofs) noexcept;
 
-/// The hot-path gather: col[e] = in[in_idx[e]] for e in [0, entries).
-/// One flat, branch-free loop (ragged layout keeps padding out entirely).
-void im2col_gather(const float* in, const std::uint32_t* in_idx,
-                   std::size_t entries, float* col) noexcept;
-
-/// Pointer view of one planned Conv2d lowering (tables owned elsewhere).
+/// Pointer view of one planned int8 Conv2d lowering (tables owned by the
+/// int8 plan).
 struct ConvTables {
   std::size_t out_c = 0;
   std::size_t patch = 0;  ///< full tap count per pixel
@@ -133,14 +131,10 @@ const char* wide_isa_name(WideIsa isa) noexcept;
 /// executed as 2 x 8 lanes on AVX2 and 4 x 4 lanes by the scalar arm.
 inline constexpr std::size_t kWideRowBlock = 16;
 
-/// Output channels (Conv2d GEMM) per wide lane group. Eight matches the
-/// deployed perception CNNs' channel counts, so their convs hit the
-/// full-group path; the AVX-512-class variant keeps 16 channels in flight
-/// by pairing adjacent groups. One kWideHalfLanes-channel half group runs
-/// after the full groups whenever at least 4 channels remain, so only the
-/// last out_c % 4 channels read the live weights.
+/// Output channels per direct-conv block: they share every input load and
+/// run as independent accumulator chains. A last block of out_c % 8
+/// channels runs the same kernel at its own chain count.
 inline constexpr std::size_t kWideConvLanes = 8;
-inline constexpr std::size_t kWideHalfLanes = 4;
 
 /// Floats needed for the wide row-blocked panel of a rows x cols Dense
 /// weight matrix (full kWideRowBlock blocks plus an interleaved tail,
@@ -171,40 +165,32 @@ bool matvec_wide_avx512(const float* panel, const float* bias,
                         std::size_t rows, std::size_t cols, const float* x,
                         float* out, Epilogue ep, bool check) noexcept;
 
-/// Floats needed for the wide tap-major lane panel of an out_c x patch
-/// Conv2d weight tensor: the full kWideConvLanes-channel groups, plus one
-/// kWideHalfLanes-channel half group when out_c % 8 >= 4 (each group
-/// 64-byte aligned). The last out_c % 4 channels keep reading the live
-/// weights.
-std::size_t wide_conv_panel_floats(std::size_t out_c,
-                                   std::size_t patch) noexcept;
+/// Direct Conv2d (see the file comment): out = act(bias + conv(in, wt))
+/// in CHW layout over the live natural-layout weights (out_c x in_c x k x
+/// k), one output pixel per lane (4 scalar, 8 avx2, 16 avx512). No masked
+/// lane reads memory, so `in` may end at an unmapped page. Same
+/// check/epilogue contract as the matvec kernels; the arms are bitwise
+/// identical.
+bool conv2d_direct_scalar(const float* wt, const float* bias,
+                          const Conv2dGeom& g, const float* in, float* out,
+                          Epilogue ep, bool check) noexcept;
+bool conv2d_direct_avx2(const float* wt, const float* bias,
+                        const Conv2dGeom& g, const float* in, float* out,
+                        Epilogue ep, bool check) noexcept;
+bool conv2d_direct_avx512(const float* wt, const float* bias,
+                          const Conv2dGeom& g, const float* in, float* out,
+                          Epilogue ep, bool check) noexcept;
 
-/// Repacks the natural out_c x patch weight layout into wide lane groups:
-/// group g, tap j holds weights of channels g*kWideConvLanes .. +7 at
-/// panel[g * align_up(patch * kWideConvLanes) + j * kWideConvLanes + i],
-/// followed by the half group at stride kWideHalfLanes when present.
-void pack_wide_conv_panel(const float* wt, std::size_t out_c,
-                          std::size_t patch, float* panel) noexcept;
-
-/// out[oc * opix + p] = bias[oc] + sum over the pixel's taps, over a wide
-/// lane panel: the full groups, then the half group (shared by all three
-/// arms), then the last out_c % 4 channels from the live weights `wt`
-/// (out_c x patch, the natural layout). `col` is the gathered ragged
-/// im2col buffer; same check/epilogue contract as the matvec kernels.
-/// The avx512 variant pairs adjacent groups to keep 16 output channels
-/// in flight per tap.
-bool conv2d_im2col_wide_scalar(const float* panel, const float* wt,
-                               const float* bias, const ConvTables& t,
-                               const float* col, float* out, Epilogue ep,
-                               bool check) noexcept;
-bool conv2d_im2col_wide_avx2(const float* panel, const float* wt,
-                             const float* bias, const ConvTables& t,
-                             const float* col, float* out, Epilogue ep,
-                             bool check) noexcept;
-bool conv2d_im2col_wide_avx512(const float* panel, const float* wt,
-                               const float* bias, const ConvTables& t,
-                               const float* col, float* out, Epilogue ep,
-                               bool check) noexcept;
+/// MaxPool2d (window x window, stride = window) over a CHW tensor: each
+/// output folds its window in the reference (dy, dx) order with
+/// `v > m ? v : m` from -inf (float) or -128 (int8), so NaN is skipped and
+/// the first of equal signed zeros wins. Window 2 runs as a deinterleaving
+/// vector max over output rows. Max is exact: one body serves every arm.
+void maxpool2d(const float* in, std::size_t c, std::size_t in_h,
+               std::size_t in_w, std::size_t window, float* out) noexcept;
+void maxpool2d(const std::int8_t* in, std::size_t c, std::size_t in_h,
+               std::size_t in_w, std::size_t window,
+               std::int8_t* out) noexcept;
 
 // ------------------------------------------- hot-path dispatch pointers
 
@@ -216,11 +202,10 @@ using DenseKernelFn = bool (*)(const float* panel, const float* bias,
                                const float* x, float* out, Epilogue ep,
                                bool check) noexcept;
 
-/// Uniform Conv2d kernel shape of the conv2d_im2col_wide_* family.
-using ConvKernelFn = bool (*)(const float* panel, const float* wt,
-                              const float* bias, const ConvTables& t,
-                              const float* col, float* out, Epilogue ep,
-                              bool check) noexcept;
+/// Uniform Conv2d kernel shape of the conv2d_direct_* family.
+using ConvKernelFn = bool (*)(const float* wt, const float* bias,
+                              const Conv2dGeom& g, const float* in,
+                              float* out, Epilogue ep, bool check) noexcept;
 
 /// The wide Dense / Conv2d microkernel for one lane family — resolved
 /// once at plan construction, never on the hot path.

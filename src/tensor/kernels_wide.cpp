@@ -1,17 +1,21 @@
-// kWide float microkernels: 8-lane (AVX2-class, GCC vector extensions
-// vector_size(32)) and 16-lane (AVX-512-class, vector_size(64)) panel
-// kernels plus their portable scalar arm (generic vector_size(16) lanes:
-// SSE2 on x86-64, NEON on aarch64, scalar code elsewhere).
+// kWide float microkernels: 8-lane (AVX2-class) and 16-lane
+// (AVX-512-class) Dense panel kernels and direct Conv2d kernels, plus
+// their portable scalar arm (generic vector_size(16) lanes: SSE2 on
+// x86-64, NEON on aarch64, scalar code elsewhere).
 //
 // Determinism contract (the whole point of this file): each lane family
 // computes the *identical* fixed accumulation tree. One output element is
 // always one serial chain — bias, then every column/tap in strict
 // ascending reference order — and the SIMD only runs independent chains
 // side by side (broadcast multiplicand, one lane per output, no
-// horizontal reductions). The scalar arm walks the same panel with the
-// same chains, so scalar/avx2/avx512 outputs are bitwise identical across
-// machines, and all of them are bitwise identical to the kReference loops
-// (tensor_kernels_wide_test proves both claims differentially).
+// horizontal reductions). A Dense lane is one output row of a panel; a
+// conv lane is one output pixel of a row, and a tap that the padding
+// clips for that pixel is masked off the lane (the accumulator keeps its
+// bits, nothing is loaded), which is the reference loop's skip. The
+// scalar arm runs the same chains, so scalar/avx2/avx512 outputs are
+// bitwise identical across machines, and all of them are bitwise
+// identical to the kReference loops (tensor_kernels_wide_test proves both
+// claims differentially).
 //
 // This translation unit is compiled with -ffp-contract=off (see
 // src/tensor/CMakeLists.txt): the target("avx512f")/target("avx2")
@@ -22,6 +26,14 @@
 #include "tensor/kernels.hpp"
 
 #include <cmath>
+#include <cstdint>
+
+#if defined(__x86_64__) || defined(__i386__)
+#define SX_WIDE_X86 1
+#include <immintrin.h>
+#else
+#define SX_WIDE_X86 0
+#endif
 
 namespace sx::tensor::kernels {
 
@@ -39,78 +51,9 @@ inline bool finish(float acc, float* out, Epilogue ep, bool check,
   return ok;
 }
 
-/// One kOc sweep over every output pixel, sharing the gathered column.
-/// Interior pixels (full patch, w_ofs is the identity) take the
-/// contiguous-weight fast path; clipped border pixels indirect through
-/// w_ofs. Both walk the taps in table order == reference order. Used for
-/// the tail channels of every wide conv arm.
-template <std::size_t kOc>
-inline bool conv_oc_sweep(const float* wt, const float* bias,
-                          const ConvTables& t, const float* col, float* out,
-                          std::size_t oc0, Epilogue ep, bool check,
-                          bool ok) noexcept {
-  const float* w[kOc];
-  for (std::size_t i = 0; i < kOc; ++i) w[i] = wt + (oc0 + i) * t.patch;
-  float* o[kOc];
-  for (std::size_t i = 0; i < kOc; ++i) o[i] = out + (oc0 + i) * t.opix;
-  for (std::size_t p = 0; p < t.opix; ++p) {
-    const std::size_t base = t.pix_off[p];
-    const std::size_t taps = t.pix_off[p + 1] - base;
-    float acc[kOc];
-    for (std::size_t i = 0; i < kOc; ++i) acc[i] = bias[oc0 + i];
-    const float* c = col + base;
-    if (taps == t.patch) {
-      // 4x tap unroll on the contiguous fast path (interior pixels are the
-      // overwhelming majority); each output channel's taps stay in strict
-      // ascending order, so accumulation order is untouched.
-      std::size_t j = 0;
-      for (; j + 4 <= taps; j += 4) {
-        for (std::size_t u = 0; u < 4; ++u) {
-          const float v = c[j + u];
-          for (std::size_t i = 0; i < kOc; ++i) acc[i] += w[i][j + u] * v;
-        }
-      }
-      for (; j < taps; ++j) {
-        const float v = c[j];
-        for (std::size_t i = 0; i < kOc; ++i) acc[i] += w[i][j] * v;
-      }
-    } else {
-      const std::uint32_t* wo = t.w_ofs + base;
-      for (std::size_t j = 0; j < taps; ++j) {
-        const float v = c[j];
-        const std::size_t k = wo[j];
-        for (std::size_t i = 0; i < kOc; ++i) acc[i] += w[i][k] * v;
-      }
-    }
-    for (std::size_t i = 0; i < kOc; ++i)
-      ok = finish(acc[i], o[i] + p, ep, check, ok);
-  }
-  return ok;
-}
-
-/// Dispatches the 1..3-channel conv tail left after the wide groups and
-/// the half group through the templated sweep (reads live weights).
-inline bool conv_tail_sweep(const float* wt, const float* bias,
-                            const ConvTables& t, const float* col,
-                            float* out, std::size_t oc0, Epilogue ep,
-                            bool check, bool ok) noexcept {
-  switch (t.out_c - oc0) {
-    case 1: return conv_oc_sweep<1>(wt, bias, t, col, out, oc0, ep, check, ok);
-    case 2: return conv_oc_sweep<2>(wt, bias, t, col, out, oc0, ep, check, ok);
-    case 3: return conv_oc_sweep<3>(wt, bias, t, col, out, oc0, ep, check, ok);
-    default: return ok;
-  }
-}
-
 typedef float v4sf __attribute__((vector_size(16)));
 typedef float v8sf __attribute__((vector_size(32)));
 typedef float v16sf __attribute__((vector_size(64)));
-
-#if defined(__x86_64__) || defined(__i386__)
-#define SX_WIDE_X86 1
-#else
-#define SX_WIDE_X86 0
-#endif
 
 inline v4sf v4_load(const float* p) noexcept {
   v4sf v;
@@ -427,260 +370,209 @@ bool matvec_wide_avx512(const float* panel, const float* bias,
 
 #endif  // SX_WIDE_X86
 
-std::size_t wide_conv_panel_floats(std::size_t out_c,
-                                   std::size_t patch) noexcept {
-  std::size_t floats =
-      (out_c / kWideConvLanes) * align_up(patch * kWideConvLanes);
-  if (out_c % kWideConvLanes >= kWideHalfLanes)
-    floats += align_up(patch * kWideHalfLanes);
-  return floats;
-}
-
-void pack_wide_conv_panel(const float* wt, std::size_t out_c,
-                          std::size_t patch, float* panel) noexcept {
-  const std::size_t total = wide_conv_panel_floats(out_c, patch);
-  for (std::size_t i = 0; i < total; ++i) panel[i] = 0.0f;  // padding
-  // Tap-major lane group of `lanes` channels starting at oc0.
-  auto pack_group = [&](float* gp, std::size_t oc0, std::size_t lanes) {
-    for (std::size_t j = 0; j < patch; ++j)
-      for (std::size_t i = 0; i < lanes; ++i)
-        gp[j * lanes + i] = wt[(oc0 + i) * patch + j];
-  };
-  const std::size_t gstride = align_up(patch * kWideConvLanes);
-  const std::size_t groups = out_c / kWideConvLanes;
-  for (std::size_t g = 0; g < groups; ++g)
-    pack_group(panel + g * gstride, g * kWideConvLanes, kWideConvLanes);
-  if (out_c % kWideConvLanes >= kWideHalfLanes)
-    pack_group(panel + groups * gstride, groups * kWideConvLanes,
-               kWideHalfLanes);
-}
+// ------------------------------------------------------------- Conv2d
 
 namespace {
 
-/// Everything after the full groups, shared by every arm: the 4-lane half
-/// group on one generic vector accumulator when at least kWideHalfLanes
-/// channels remain, then the last 0..3 channels from the live weights.
-/// Each channel is computed by exactly one sweep.
-inline bool wide_conv_rest(const float* panel, const float* wt,
-                           const float* bias, const ConvTables& t,
-                           const float* col, float* out, Epilogue ep,
-                           bool check, bool ok) noexcept {
-  const std::size_t groups = t.out_c / kWideConvLanes;
-  std::size_t oc0 = groups * kWideConvLanes;
-  if (t.out_c - oc0 >= kWideHalfLanes) {
-    const float* gp = panel + groups * align_up(t.patch * kWideConvLanes);
-    float* o[kWideHalfLanes];
-    for (std::size_t i = 0; i < kWideHalfLanes; ++i)
-      o[i] = out + (oc0 + i) * t.opix;
-    for (std::size_t p = 0; p < t.opix; ++p) {
-      const std::size_t base = t.pix_off[p];
-      const std::size_t taps = t.pix_off[p + 1] - base;
-      v4sf acc = v4_load(bias + oc0);
-      const float* c = col + base;
-      if (taps == t.patch) {
-        const float* lane = gp;
-        for (std::size_t j = 0; j < taps; ++j, lane += kWideHalfLanes)
-          acc += v4_load(lane) * c[j];
-      } else {
-        const std::uint32_t* wo = t.w_ofs + base;
-        for (std::size_t j = 0; j < taps; ++j)
-          acc += v4_load(gp + wo[j] * kWideHalfLanes) * c[j];
-      }
-      float a[kWideHalfLanes];
-      __builtin_memcpy(a, &acc, sizeof acc);
-      for (std::size_t i = 0; i < kWideHalfLanes; ++i)
-        ok = finish(a[i], o[i] + p, ep, check, ok);
-    }
-    oc0 += kWideHalfLanes;
-  }
-  return conv_tail_sweep(wt, bias, t, col, out, oc0, ep, check, ok);
-}
+/// Tap columns whose lane masks a tile computes once (every deployed
+/// kernel is far smaller); wider kernels recompute the columns past it.
+constexpr std::size_t kMaskCache = 16;
 
-/// Scalar core of one wide conv lane group — the canonical tree the SIMD
-/// group sweeps reproduce.
-inline bool wide_conv_group_scalar(const float* gp, const float* bias,
-                                   const ConvTables& t, const float* col,
-                                   float* out, std::size_t oc0, Epilogue ep,
-                                   bool check, bool ok) noexcept {
-  float* o[kWideConvLanes];
-  for (std::size_t i = 0; i < kWideConvLanes; ++i)
-    o[i] = out + (oc0 + i) * t.opix;
-  for (std::size_t p = 0; p < t.opix; ++p) {
-    const std::size_t base = t.pix_off[p];
-    const std::size_t taps = t.pix_off[p + 1] - base;
-    float acc[kWideConvLanes];
-    for (std::size_t i = 0; i < kWideConvLanes; ++i)
-      acc[i] = bias[oc0 + i];
-    const float* c = col + base;
-    if (taps == t.patch) {
-      const float* lane = gp;
-      for (std::size_t j = 0; j < taps; ++j, lane += kWideConvLanes) {
-        const float v = c[j];
-        for (std::size_t i = 0; i < kWideConvLanes; ++i)
-          acc[i] += lane[i] * v;
-      }
-    } else {
-      const std::uint32_t* wo = t.w_ofs + base;
-      for (std::size_t j = 0; j < taps; ++j) {
-        const float v = c[j];
-        const float* lane = gp + wo[j] * kWideConvLanes;
-        for (std::size_t i = 0; i < kWideConvLanes; ++i)
-          acc[i] += lane[i] * v;
-      }
-    }
-    for (std::size_t i = 0; i < kWideConvLanes; ++i)
-      ok = finish(acc[i], o[i] + p, ep, check, ok);
-  }
-  return ok;
+/// Lane mask (bit j = lane j) of the tile starting at output column ox0
+/// with `lanes` live lanes for tap column kx: lane j reads input column
+/// ox0 * stride + kx - pad + j * stride and is live iff that column lies
+/// inside the row. Geometry only, so it is shared by every ic, ky and
+/// output channel of the tile.
+inline std::uint32_t tap_mask(const Conv2dGeom& g, std::size_t ox0,
+                              std::size_t lanes, std::size_t kx) noexcept {
+  const auto w = static_cast<std::ptrdiff_t>(g.in_w);
+  const auto s = static_cast<std::ptrdiff_t>(g.stride);
+  std::ptrdiff_t ix = static_cast<std::ptrdiff_t>(ox0 * g.stride + kx) -
+                      static_cast<std::ptrdiff_t>(g.pad);
+  std::uint32_t m = 0;
+  for (std::size_t j = 0; j < lanes; ++j, ix += s)
+    if (ix >= 0 && ix < w) m |= std::uint32_t{1} << j;
+  return m;
 }
 
 }  // namespace
 
-bool conv2d_im2col_wide_scalar(const float* panel, const float* wt,
-                               const float* bias, const ConvTables& t,
-                               const float* col, float* out, Epilogue ep,
-                               bool check) noexcept {
-  bool ok = true;
-  const std::size_t gstride = align_up(t.patch * kWideConvLanes);
-  const std::size_t groups = t.out_c / kWideConvLanes;
-  for (std::size_t g = 0; g < groups; ++g)
-    ok = wide_conv_group_scalar(panel + g * gstride, bias, t, col, out,
-                                g * kWideConvLanes, ep, check, ok);
-  return wide_conv_rest(panel, wt, bias, t, col, out, ep, check, ok);
-}
+// The scalar arm: 4 lanes on generic vectors, a clipped lane kept by a
+// select. The canonical tree the SIMD arms reproduce.
+namespace scalar_arm {
+
+typedef std::int32_t v4si __attribute__((vector_size(16)));
+
+struct Lanes {
+  static constexpr std::size_t kLanes = 4;
+  using V = v4sf;
+  using M = v4si;
+  std::size_t stride;
+
+  M mask(std::uint32_t b) const noexcept {
+    return (M{1, 2, 4, 8} & static_cast<int>(b)) != 0;
+  }
+  V load(const float* p, M m, bool full) const noexcept {
+    V x;
+    if (full && stride == 1) {
+      __builtin_memcpy(&x, p, sizeof x);
+      return x;
+    }
+    for (std::size_t j = 0; j < kLanes; ++j)
+      x[j] = m[j] != 0 ? p[j * stride] : 0.0f;
+    return x;
+  }
+  static V bcast(float v) noexcept { return V{v, v, v, v}; }
+  static V madd(V acc, M m, bool full, V w, V x) noexcept {
+    return full ? acc + w * x : (m ? acc + w * x : acc);
+  }
+  bool store(V acc, float* o, std::size_t lanes, bool relu, bool check,
+             bool ok) const noexcept {
+    float a[kLanes];
+    __builtin_memcpy(a, &acc, sizeof a);
+    for (std::size_t j = 0; j < lanes; ++j)
+      ok = finish(a[j], o + j, relu ? Epilogue::kRelu : Epilogue::kNone,
+                  check, ok);
+    return ok;
+  }
+};
+
+#define SX_FARM_ATTR
+#include "tensor/kernels_wide_conv_arm.h"
+#undef SX_FARM_ATTR
+
+}  // namespace scalar_arm
 
 #if SX_WIDE_X86
 
-namespace {
+// The avx2 arm: 8 lanes, maskload (a masked gather when strided) plus
+// blendv on clipped columns.
+namespace avx2_arm {
 
-/// One 8-lane conv group on 256-bit vectors: every tap broadcasts the
-/// shared column value and folds into its own channel lane only.
-__attribute__((target("avx2")))
-inline bool wide_conv_group_avx2(const float* gp, const float* bias,
-                                 const ConvTables& t, const float* col,
-                                 float* out, std::size_t oc0, Epilogue ep,
-                                 bool check, bool ok) noexcept {
-  float* o[kWideConvLanes];
-  for (std::size_t i = 0; i < kWideConvLanes; ++i)
-    o[i] = out + (oc0 + i) * t.opix;
-  for (std::size_t p = 0; p < t.opix; ++p) {
-    const std::size_t base = t.pix_off[p];
-    const std::size_t taps = t.pix_off[p + 1] - base;
-    v8sf acc = v8_load(bias + oc0);
-    const float* c = col + base;
-    if (taps == t.patch) {
-      const float* lane = gp;
-      for (std::size_t j = 0; j < taps; ++j, lane += kWideConvLanes)
-        acc += v8_load(lane) * c[j];
-    } else {
-      const std::uint32_t* wo = t.w_ofs + base;
-      for (std::size_t j = 0; j < taps; ++j)
-        acc += v8_load(gp + wo[j] * kWideConvLanes) * c[j];
-    }
-    float a[kWideConvLanes];
-    __builtin_memcpy(a, &acc, sizeof acc);
-    for (std::size_t i = 0; i < kWideConvLanes; ++i)
-      ok = finish(a[i], o[i] + p, ep, check, ok);
+struct Lanes {
+  static constexpr std::size_t kLanes = 8;
+  using V = __m256;
+  using M = __m256i;
+  std::size_t stride;
+
+  __attribute__((target("avx2"))) M mask(std::uint32_t b) const noexcept {
+    const __m256i bit = _mm256_setr_epi32(1, 2, 4, 8, 16, 32, 64, 128);
+    const __m256i v = _mm256_set1_epi32(static_cast<int>(b));
+    return _mm256_cmpeq_epi32(_mm256_and_si256(v, bit), bit);
   }
-  return ok;
-}
-
-/// Two adjacent 8-lane groups per pixel sweep — 16 output channels in
-/// flight per tap (the AVX-512-class working set). The chains stay
-/// per-channel serial; pairing only adds ILP.
-__attribute__((target("avx512f")))
-inline bool wide_conv_group_pair_avx512(const float* gp0, const float* gp1,
-                                        const float* bias,
-                                        const ConvTables& t,
-                                        const float* col, float* out,
-                                        std::size_t oc0, Epilogue ep,
-                                        bool check, bool ok) noexcept {
-  float* o[2 * kWideConvLanes];
-  for (std::size_t i = 0; i < 2 * kWideConvLanes; ++i)
-    o[i] = out + (oc0 + i) * t.opix;
-  for (std::size_t p = 0; p < t.opix; ++p) {
-    const std::size_t base = t.pix_off[p];
-    const std::size_t taps = t.pix_off[p + 1] - base;
-    v8sf acc0 = v8_load(bias + oc0);
-    v8sf acc1 = v8_load(bias + oc0 + kWideConvLanes);
-    const float* c = col + base;
-    if (taps == t.patch) {
-      const float* lane0 = gp0;
-      const float* lane1 = gp1;
-      for (std::size_t j = 0; j < taps;
-           ++j, lane0 += kWideConvLanes, lane1 += kWideConvLanes) {
-        const float v = c[j];
-        acc0 += v8_load(lane0) * v;
-        acc1 += v8_load(lane1) * v;
-      }
-    } else {
-      const std::uint32_t* wo = t.w_ofs + base;
-      for (std::size_t j = 0; j < taps; ++j) {
-        const float v = c[j];
-        acc0 += v8_load(gp0 + wo[j] * kWideConvLanes) * v;
-        acc1 += v8_load(gp1 + wo[j] * kWideConvLanes) * v;
-      }
-    }
-    float a[2 * kWideConvLanes];
-    __builtin_memcpy(a, &acc0, sizeof acc0);
-    __builtin_memcpy(a + kWideConvLanes, &acc1, sizeof acc1);
-    for (std::size_t i = 0; i < 2 * kWideConvLanes; ++i)
-      ok = finish(a[i], o[i] + p, ep, check, ok);
+  __attribute__((target("avx2"))) V load(const float* p, M m,
+                                         bool) const noexcept {
+    if (stride == 1) return _mm256_maskload_ps(p, m);
+    const __m256i idx =
+        _mm256_mullo_epi32(_mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+                           _mm256_set1_epi32(static_cast<int>(stride)));
+    return _mm256_mask_i32gather_ps(_mm256_setzero_ps(), p, idx,
+                                    _mm256_castsi256_ps(m), 4);
   }
-  return ok;
-}
+  __attribute__((target("avx2"))) static V bcast(float v) noexcept {
+    return _mm256_set1_ps(v);
+  }
+  __attribute__((target("avx2"))) static V madd(V acc, M m, bool full, V w,
+                                                V x) noexcept {
+    const V sum = _mm256_add_ps(acc, _mm256_mul_ps(w, x));
+    return full ? sum : _mm256_blendv_ps(acc, sum, _mm256_castsi256_ps(m));
+  }
+  __attribute__((target("avx2"))) bool store(V acc, float* o,
+                                             std::size_t lanes, bool relu,
+                                             bool check,
+                                             bool ok) const noexcept {
+    const auto valid = static_cast<int>((1u << lanes) - 1);
+    if (check) {
+      const V mag = _mm256_andnot_ps(_mm256_set1_ps(-0.0f), acc);
+      const V fin = _mm256_cmp_ps(mag, _mm256_set1_ps(__builtin_inff()),
+                                  _CMP_LT_OQ);
+      if ((_mm256_movemask_ps(fin) & valid) != valid) ok = false;
+    }
+    if (relu) acc = _mm256_max_ps(acc, _mm256_setzero_ps());
+    _mm256_maskstore_ps(o, mask(static_cast<std::uint32_t>(valid)), acc);
+    return ok;
+  }
+};
 
-}  // namespace
+#define SX_FARM_ATTR __attribute__((target("avx2")))
+#include "tensor/kernels_wide_conv_arm.h"
+#undef SX_FARM_ATTR
 
-bool conv2d_im2col_wide_avx2(const float* panel, const float* wt,
-                             const float* bias, const ConvTables& t,
-                             const float* col, float* out, Epilogue ep,
-                             bool check) noexcept {
-  bool ok = true;
-  const std::size_t gstride = align_up(t.patch * kWideConvLanes);
-  const std::size_t groups = t.out_c / kWideConvLanes;
-  for (std::size_t g = 0; g < groups; ++g)
-    ok = wide_conv_group_avx2(panel + g * gstride, bias, t, col, out,
-                              g * kWideConvLanes, ep, check, ok);
-  return wide_conv_rest(panel, wt, bias, t, col, out, ep, check, ok);
-}
+}  // namespace avx2_arm
 
-bool conv2d_im2col_wide_avx512(const float* panel, const float* wt,
-                               const float* bias, const ConvTables& t,
-                               const float* col, float* out, Epilogue ep,
-                               bool check) noexcept {
-  bool ok = true;
-  const std::size_t gstride = align_up(t.patch * kWideConvLanes);
-  const std::size_t groups = t.out_c / kWideConvLanes;
-  std::size_t g = 0;
-  for (; g + 2 <= groups; g += 2)
-    ok = wide_conv_group_pair_avx512(panel + g * gstride,
-                                     panel + (g + 1) * gstride, bias, t,
-                                     col, out, g * kWideConvLanes, ep,
-                                     check, ok);
-  for (; g < groups; ++g)
-    ok = wide_conv_group_avx2(panel + g * gstride, bias, t, col, out,
-                              g * kWideConvLanes, ep, check, ok);
-  return wide_conv_rest(panel, wt, bias, t, col, out, ep, check, ok);
-}
+// The avx512 arm: 16 lanes, a zero-masked load (a masked gather when
+// strided) plus mask_add on clipped columns.
+namespace avx512_arm {
 
-#else  // !SX_WIDE_X86
+struct Lanes {
+  static constexpr std::size_t kLanes = 16;
+  using V = __m512;
+  using M = __mmask16;
+  std::size_t stride;
 
-bool conv2d_im2col_wide_avx2(const float* panel, const float* wt,
-                             const float* bias, const ConvTables& t,
-                             const float* col, float* out, Epilogue ep,
-                             bool check) noexcept {
-  return conv2d_im2col_wide_scalar(panel, wt, bias, t, col, out, ep, check);
-}
+  static M mask(std::uint32_t b) noexcept { return static_cast<M>(b); }
+  __attribute__((target("avx512f"))) V load(const float* p, M m,
+                                            bool) const noexcept {
+    if (stride == 1) return _mm512_maskz_loadu_ps(m, p);
+    const __m512i idx = _mm512_mullo_epi32(
+        _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14,
+                          15),
+        _mm512_set1_epi32(static_cast<int>(stride)));
+    return _mm512_mask_i32gather_ps(_mm512_setzero_ps(), m, idx, p, 4);
+  }
+  __attribute__((target("avx512f"))) static V bcast(float v) noexcept {
+    return _mm512_set1_ps(v);
+  }
+  __attribute__((target("avx512f"))) static V madd(V acc, M m, bool, V w,
+                                                   V x) noexcept {
+    return _mm512_mask_add_ps(acc, m, acc, _mm512_mul_ps(w, x));
+  }
+  __attribute__((target("avx512f"))) bool store(V acc, float* o,
+                                                std::size_t lanes, bool relu,
+                                                bool check,
+                                                bool ok) const noexcept {
+    const auto valid = static_cast<M>((1u << lanes) - 1);
+    if (check) {
+      const M fin = _mm512_cmp_ps_mask(
+          _mm512_abs_ps(acc), _mm512_set1_ps(__builtin_inff()), _CMP_LT_OQ);
+      if ((fin & valid) != valid) ok = false;
+    }
+    if (relu) acc = _mm512_maskz_max_ps(valid, acc, _mm512_setzero_ps());
+    _mm512_mask_storeu_ps(o, valid, acc);
+    return ok;
+  }
+};
 
-bool conv2d_im2col_wide_avx512(const float* panel, const float* wt,
-                               const float* bias, const ConvTables& t,
-                               const float* col, float* out, Epilogue ep,
-                               bool check) noexcept {
-  return conv2d_im2col_wide_scalar(panel, wt, bias, t, col, out, ep, check);
-}
+#define SX_FARM_ATTR __attribute__((target("avx512f")))
+#include "tensor/kernels_wide_conv_arm.h"
+#undef SX_FARM_ATTR
+
+}  // namespace avx512_arm
+
+#else  // !SX_WIDE_X86: the SIMD entry points are the scalar arm itself.
+
+namespace avx2_arm = scalar_arm;
+namespace avx512_arm = scalar_arm;
 
 #endif  // SX_WIDE_X86
+
+bool conv2d_direct_scalar(const float* wt, const float* bias,
+                          const Conv2dGeom& g, const float* in, float* out,
+                          Epilogue ep, bool check) noexcept {
+  return scalar_arm::conv(wt, bias, g, in, out, ep, check);
+}
+
+bool conv2d_direct_avx2(const float* wt, const float* bias,
+                        const Conv2dGeom& g, const float* in, float* out,
+                        Epilogue ep, bool check) noexcept {
+  return avx2_arm::conv(wt, bias, g, in, out, ep, check);
+}
+
+bool conv2d_direct_avx512(const float* wt, const float* bias,
+                          const Conv2dGeom& g, const float* in, float* out,
+                          Epilogue ep, bool check) noexcept {
+  return avx512_arm::conv(wt, bias, g, in, out, ep, check);
+}
 
 DenseKernelFn wide_dense_kernel(WideIsa isa) noexcept {
   switch (isa) {
@@ -693,11 +585,11 @@ DenseKernelFn wide_dense_kernel(WideIsa isa) noexcept {
 
 ConvKernelFn wide_conv_kernel(WideIsa isa) noexcept {
   switch (isa) {
-    case WideIsa::kAvx2: return &conv2d_im2col_wide_avx2;
-    case WideIsa::kAvx512: return &conv2d_im2col_wide_avx512;
+    case WideIsa::kAvx2: return &conv2d_direct_avx2;
+    case WideIsa::kAvx512: return &conv2d_direct_avx512;
     case WideIsa::kScalar: break;
   }
-  return &conv2d_im2col_wide_scalar;
+  return &conv2d_direct_scalar;
 }
 
 }  // namespace sx::tensor::kernels

@@ -190,7 +190,8 @@ std::size_t conv_entries_independent(std::size_t h, std::size_t w,
 }
 
 /// One source-model layer as the checker sees it: kind, output element
-/// count, and (for conv) the independently re-counted scratch column.
+/// count, and (for an int8 conv) the independently re-counted scratch
+/// column.
 struct ChainLayer {
   dl::LayerKind kind{};
   std::size_t out_elems = 0;
@@ -202,15 +203,10 @@ std::vector<ChainLayer> float_chain(const dl::Model& model) {
   layers.reserve(model.layer_count());
   Shape shape = model.input_shape();
   for (std::size_t i = 0; i < model.layer_count(); ++i) {
+    // Float convs run the direct kernel off their input slot: no layer
+    // carries scratch.
     ChainLayer cl;
     cl.kind = model.layer(i).kind();
-    if (cl.kind == dl::LayerKind::kConv2d) {
-      const auto& c = static_cast<const dl::Conv2d&>(model.layer(i));
-      cl.scratch =
-          conv_entries_independent(shape.dim(1), shape.dim(2),
-                                   c.in_channels(), c.kernel(), c.stride(),
-                                   c.padding());
-    }
     shape = model.layer(i).output_shape(shape);
     cl.out_elems = shape.size();
     layers.push_back(cl);
@@ -534,7 +530,7 @@ IrCheck check_ir(const dl::QuantizedModel& quantized,
   constexpr std::uint64_t kInt32Limit = std::uint64_t{1} << 31;
   for (const dl::QuantKernelStep& s : plan.steps()) {
     using Kind = dl::QuantKernelStep::Kind;
-    if (s.kind == Kind::kReference) continue;
+    if (s.kind == Kind::kReference || s.kind == Kind::kMaxPool) continue;
     if (s.first_layer >= quantized.layer_count()) {
       c.bound_sound = false;
       continue;

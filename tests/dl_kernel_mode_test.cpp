@@ -268,6 +268,26 @@ TEST(WideEngine, PanelSnapshotIsStaleUntilRepack) {
   EXPECT_TRUE(BitEqual(run_engine(wide, in), after));  // resynced
 }
 
+TEST(WideEngine, ConvWeightFaultReachesPlanWithoutRepack) {
+  // The direct conv reads the model's live weights, so an SEU in a conv
+  // weight reaches the next planned run with no repack — bit for bit what
+  // the reference loops compute on the faulted model.
+  Model m = sx::testing::trained_cnn();
+  ASSERT_EQ(m.layer(0).kind(), LayerKind::kConv2d);
+  StaticEngine ref{m, {.kernels = KernelMode::kReference}};
+  KernelPlan plan{m};
+  StaticEngine wide{m, plan};
+
+  const auto in = sx::testing::road_data().samples[2].input.view();
+  const auto before = run_engine(ref, in);
+  ASSERT_TRUE(BitEqual(run_engine(wide, in), before));
+
+  m.layer(0).params()[4] += 0.5f;  // centre tap of channel 0
+  const auto after = run_engine(ref, in);
+  ASSERT_FALSE(BitEqual(after, before));
+  EXPECT_TRUE(BitEqual(run_engine(wide, in), after));  // no repack
+}
+
 TEST(WideBatch, WorkerCountsBitwiseIdenticalToReference) {
   const Model& m = sx::testing::trained_cnn();
   const auto& ds = sx::testing::road_data();

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -176,7 +177,8 @@ TEST(QuantKernelPlan, PlanShapeMatchesArchitecture) {
   EXPECT_EQ(plan.planned_dense(), 1u);
   EXPECT_EQ(plan.fused_relus(), 1u);   // conv+relu fuse
   EXPECT_EQ(plan.removed_layers(), 1u);  // flatten dce'd outright
-  EXPECT_EQ(plan.reference_steps(), 1u);  // maxpool
+  EXPECT_EQ(plan.planned_pools(), 1u);   // maxpool runs planned
+  EXPECT_EQ(plan.reference_steps(), 0u);
   EXPECT_GT(plan.panel_bytes(), 0u);
   EXPECT_GT(plan.table_entries(), 0u);
   EXPECT_GT(plan.scratch_bytes(), 0u);
@@ -185,7 +187,7 @@ TEST(QuantKernelPlan, PlanShapeMatchesArchitecture) {
   // zero-padded 8-lane half group; only the maxpool step has none.
   for (const QuantKernelStep& s : plan.steps())
     EXPECT_EQ(s.panel == nullptr,
-              s.kind == QuantKernelStep::Kind::kReference)
+              s.kind == QuantKernelStep::Kind::kMaxPool)
         << "layer " << s.first_layer;
 }
 
@@ -254,6 +256,37 @@ TEST(QKernels, QuantizeSatClampsExtremeMagnitudes) {
                   -127.5f, 1e30f, -1e30f})
     EXPECT_EQ(quantize_value(v, 1e-3f), qk::quantize_sat(v, 1e-3f, nullptr))
         << "v=" << v;
+}
+
+TEST(WideQuantize, SpanMatchesQuantizeValueBitwise) {
+  // The planned engine's vector input quantizer against the scalar rule,
+  // byte for byte: NaN and +inf clip to +127, -inf floors at -127, signed
+  // zeros and denormals round to 0, and the half-away ties at +-127.5 and
+  // +-128 times the scale sit right on the clip thresholds. Every length
+  // 0..40 covers whole vectors plus every tail.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const float den = std::numeric_limits<float>::denorm_min();
+  for (const float scale : {1.0f, 0.037f, 3e-3f, 1e-30f, 2.5e5f}) {
+    std::vector<float> pool = {
+        nan, -nan, inf, -inf, 0.0f, -0.0f, den, -den, 1e-39f, -1e-39f,
+        127.5f * scale, -127.5f * scale, 128.0f * scale, -128.0f * scale,
+        127.4f * scale, -127.4f * scale, 0.5f * scale, -0.5f * scale,
+        1.5f * scale, -2.5f * scale, 1e30f, -1e30f};
+    util::Xoshiro256 rng{static_cast<std::uint64_t>(scale * 1e6f) + 3};
+    for (int i = 0; i < 42; ++i)
+      pool.push_back(static_cast<float>(rng.uniform(-200, 200)) * scale);
+    for (std::size_t n = 0; n <= 40; ++n) {
+      for (std::size_t off = 0; off + n <= pool.size(); off += 7) {
+        std::vector<std::int8_t> got(n + 1, 99), want(n + 1, 99);
+        quantize_span(pool.data() + off, n, scale, got.data());
+        for (std::size_t i = 0; i < n; ++i)
+          want[i] = quantize_value(pool[off + i], scale);
+        EXPECT_EQ(got, want) << "scale " << scale << " n " << n
+                             << " offset " << off;
+      }
+    }
+  }
 }
 
 TEST(QuantKernelPlan, SharedPlanAcrossEngines) {

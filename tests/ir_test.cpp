@@ -95,8 +95,17 @@ TEST(IrProgram, LoweringMirrorsFloatModelGeometry) {
   EXPECT_EQ(p.ops.size(), m.layer_count());
   EXPECT_EQ(p.values[p.input_value].elems, m.input_shape().size());
   EXPECT_EQ(p.values[p.output_value].elems, m.output_shape().size());
-  // Conv ops carry their im2col column as scratch; others none.
+  // Float convs run the direct kernel off their input slot: no op carries
+  // scratch, conv included.
+  std::size_t convs = 0;
   for (const auto& op : p.ops) {
+    EXPECT_EQ(op.scratch_elems, 0u);
+    convs += op.kind == ir::OpKind::kConv2d;
+  }
+  EXPECT_GT(convs, 0u);
+  // The int8 lowering of the same model still gathers an im2col column.
+  const ir::Program q = dl::lower(digit_cnn_int8(m));
+  for (const auto& op : q.ops) {
     if (op.kind == ir::OpKind::kConv2d)
       EXPECT_GT(op.scratch_elems, 0u);
     else

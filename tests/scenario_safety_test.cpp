@@ -237,8 +237,14 @@ TEST(ScenarioIntegrity, StaleParkedPanelsAreDetectableWithoutRepack) {
   const auto& input = noisy_probes().samples[0].input;
   ASSERT_EQ(engine.run(input.view(), before), Status::kOk);
 
-  // Corrupt a dense weight in the live model only.
-  first_param_layer(deployed).params()[0] = 1e9f;
+  // Corrupt a dense weight in the live model only (conv weights are read
+  // live, so only the Dense panels can go stale).
+  dl::Dense* dense = nullptr;
+  for (std::size_t i = 0; i < deployed.layer_count() && dense == nullptr; ++i)
+    if (deployed.layer(i).kind() == dl::LayerKind::kDense)
+      dense = &static_cast<dl::Dense&>(deployed.layer(i));
+  ASSERT_NE(dense, nullptr);
+  for (float& w : dense->weights()) w = 1e9f;
   ASSERT_EQ(engine.run(input.view(), after), Status::kOk);
   bool identical = true;
   for (std::size_t j = 0; j < before.size(); ++j)

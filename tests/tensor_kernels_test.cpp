@@ -1,5 +1,6 @@
-// Differential tests for the deploy-time kernel plans (ragged-im2col
-// Conv2d lowering, fused epilogues, plan-driven engines and batches).
+// Differential tests for the deploy-time kernel plans (direct Conv2d,
+// the int8 plan's ragged im2col tables, fused epilogues, plan-driven
+// engines and batches).
 //
 // The load-bearing property is *bitwise* identity with the reference
 // loops in tensor/ops.cpp and dl/layers.cpp — not approximate closeness:
@@ -63,8 +64,7 @@ TEST(Conv2dIm2col, BitwiseEqualsReferenceAcrossGeometries) {
     for (std::size_t k : {1u, 2u, 3u}) {
       for (std::size_t stride : {1u, 2u}) {
         for (std::size_t pad : {0u, 1u, 2u}) {
-         // 4 = one half lane group; 6 = the half group + 2 tail channels
-         // that the kernel must read from the live weights.
+         // 4 and 6 channels: one tail block of that many chains.
          for (std::size_t out_c : {4u, 6u}) {
           const std::size_t in_h = 7, in_w = 5;  // odd, non-square
           if (in_h + 2 * pad < k) continue;
@@ -83,6 +83,7 @@ TEST(Conv2dIm2col, BitwiseEqualsReferenceAcrossGeometries) {
           Conv2dGeom g{.in_c = in_c, .in_h = in_h, .in_w = in_w,
                        .out_c = out_c, .k = k, .stride = stride, .pad = pad};
           ASSERT_EQ(g.opix(), out_shape.dim(1) * out_shape.dim(2));
+          // The int8 plan's ragged tables still bracket every pixel.
           const std::size_t entries = im2col_entries(g);
           std::vector<std::uint32_t> pix_off(g.opix() + 1), in_idx(entries),
               w_ofs(entries);
@@ -90,19 +91,10 @@ TEST(Conv2dIm2col, BitwiseEqualsReferenceAcrossGeometries) {
           EXPECT_EQ(pix_off.front(), 0u);
           EXPECT_EQ(pix_off.back(), entries);
 
-          std::vector<float> col(entries);
-          im2col_gather(in.data().data(), in_idx.data(), entries, col.data());
-          const ConvTables t{.out_c = out_c, .patch = g.patch(),
-                             .opix = g.opix(), .pix_off = pix_off.data(),
-                             .in_idx = in_idx.data(), .w_ofs = w_ofs.data()};
-          std::vector<float> panel(wide_conv_panel_floats(out_c, g.patch()));
-          ASSERT_FALSE(panel.empty());
-          pack_wide_conv_panel(layer.weights().data(), out_c, g.patch(),
-                               panel.data());
           std::vector<float> out(out_shape.size(), -7.0f);
-          EXPECT_TRUE(conv2d_im2col_wide_scalar(
-              panel.data(), layer.weights().data(), layer.bias().data(), t,
-              col.data(), out.data(), Epilogue::kNone, true));
+          EXPECT_TRUE(conv2d_direct_scalar(
+              layer.weights().data(), layer.bias().data(), g,
+              in.data().data(), out.data(), Epilogue::kNone, true));
           EXPECT_TRUE(BitEqual(out, ref))
               << "in_c=" << in_c << " k=" << k << " stride=" << stride
               << " pad=" << pad << " out_c=" << out_c;
@@ -186,7 +178,8 @@ TEST(KernelPlanEngine, FusedSigmoidTanhPipelineBitwiseIdentical) {
   EXPECT_EQ(plan.fused_activations(), 2u);  // tanh + sigmoid
   EXPECT_EQ(plan.removed_layers(), 1u);     // flatten dce'd outright
   EXPECT_EQ(plan.reference_steps(), 1u);    // softmax
-  EXPECT_GT(plan.scratch_floats(), 0u);
+  // The direct conv reads its input slot: no op carries scratch.
+  for (const ir::Op& op : plan.program().ops) EXPECT_EQ(op.scratch_elems, 0u);
 
   StaticEngine ref{m, {.kernels = KernelMode::kReference}};
   StaticEngine planned{m, plan};
@@ -240,9 +233,9 @@ TEST(KernelPlanEngine, ArenaDemandMatchesIndependentDerivation) {
           << "buffers are carved once at construction";
     }
   }
-  // Conv scratch is real: the CNN's planned demand strictly exceeds the
-  // reference ping-pong demand.
-  EXPECT_GT(verify::static_arena_demand(
+  // The direct conv needs no scratch: the CNN's liveness-colored demand
+  // stays below the reference ping-pong demand.
+  EXPECT_LT(verify::static_arena_demand(
                 sx::testing::trained_cnn(),
                 StaticEngineConfig{.kernels = KernelMode::kWide}),
             verify::static_arena_demand(
@@ -416,8 +409,8 @@ TEST(KernelPlanEvidence, SummaryAndReportLines) {
   EXPECT_NE(s.find("mode=wide"), std::string::npos) << s;
   EXPECT_NE(s.find("dense=2"), std::string::npos) << s;
   EXPECT_NE(s.find("conv=1"), std::string::npos) << s;
+  EXPECT_NE(s.find("pool=1"), std::string::npos) << s;
   EXPECT_GT(plan.panel_floats(), 0u);
-  EXPECT_GT(plan.table_entries(), 0u);
 
   const core::EvidenceItem item = core::make_kernel_plan_evidence(plan);
   EXPECT_EQ(item.title, "Deploy-time kernel plan");

@@ -9,12 +9,16 @@
 // items/s and an fnv1a hash of the full output block plus the fault
 // counters; the hashes must be identical everywhere — the parallel
 // executor is required to be a bit-exact, schedule-independent drop-in.
+// Host facts are printed first; every configuration is timed by
+// bench::time_interleaved (warm-up, then rounds with the configurations
+// interleaved; the median is reported).
 //
 // Usage: bench_e11_batch_throughput [--smoke] [--perf-gates]   (--smoke
 // shrinks the load for CI label `bench-smoke`; its scaling verdicts are
 // wall-clock ratios, gated only in full runs and under --perf-gates).
 #include <algorithm>
 #include <iomanip>
+#include <memory>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -44,6 +48,7 @@ int main(int argc, char** argv) {
       "Does the static worker pool scale throughput while staying bit-exact "
       "and schedule-independent?");
 
+  bench::print_host_facts();
   const dl::Model& model = bench::trained_cnn();
   const std::size_t items = smoke ? 64 : 256;
   const std::size_t reps = smoke ? 3 : 10;
@@ -57,57 +62,58 @@ int main(int argc, char** argv) {
     const auto src = ds.samples[i % ds.size()].input.data();
     std::copy(src.begin(), src.end(), frames.begin() + i * in_size);
   }
-  std::vector<float> outputs(items * out_size);
   std::vector<Status> statuses(items, Status::kOk);
 
   util::Table table({"config", "items/s", "speedup", "faults",
                      "output hash"});
 
-  // Serial baseline: one StaticEngine, one item at a time.
+  // Variant 0: the serial baseline, one StaticEngine, one item at a time;
+  // variant 1 + k: BatchRunner at kWorkers[k] workers. All of them are
+  // timed interleaved, each into its own output block.
+  const std::size_t kWorkers[] = {1, 2, 4, 8};
   dl::StaticEngine serial{model};
-  double serial_us = 1e300;
-  for (std::size_t r = 0; r < reps; ++r) {
-    const double us = bench::time_per_call_us(
-        [&] {
-          for (std::size_t i = 0; i < items; ++i) {
-            const tensor::ConstTensorView in{
-                std::span<const float>(frames).subspan(i * in_size, in_size),
-                model.input_shape()};
-            (void)serial.run(in, std::span<float>(outputs)
-                                     .subspan(i * out_size, out_size));
-          }
-        },
-        1);
-    serial_us = std::min(serial_us, us);
-  }
+  std::vector<std::unique_ptr<dl::BatchRunner>> runners;
+  for (const std::size_t workers : kWorkers)
+    runners.push_back(std::make_unique<dl::BatchRunner>(
+        model, dl::BatchRunnerConfig{.workers = workers}));
+  std::vector<std::vector<float>> outputs(
+      1 + runners.size(), std::vector<float>(items * out_size));
+  const std::vector<bench::Timing> tm = bench::time_interleaved(
+      outputs.size(), 1, reps, [&](std::size_t v) {
+        if (v > 0) {
+          (void)runners[v - 1]->run(frames, outputs[v], statuses);
+          return;
+        }
+        for (std::size_t i = 0; i < items; ++i) {
+          const tensor::ConstTensorView in{
+              std::span<const float>(frames).subspan(i * in_size, in_size),
+              model.input_shape()};
+          (void)serial.run(
+              in, std::span<float>(outputs[0]).subspan(i * out_size,
+                                                       out_size));
+        }
+      });
+  const double serial_us = tm[0].median_us;
   const std::uint64_t ref_hash =
-      util::fnv1a(std::span<const float>(outputs));
+      util::fnv1a(std::span<const float>(outputs[0]));
   const double serial_rate = static_cast<double>(items) / serial_us * 1e6;
   table.add_row({"serial StaticEngine", util::fmt(serial_rate, 0), "1.00x",
                  "0", hex64(ref_hash)});
 
   bool bit_exact = true;
   double speedup_at_4 = 0.0;
-  for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
-    dl::BatchRunner runner{
-        model, dl::BatchRunnerConfig{.workers = workers}};
-    std::fill(outputs.begin(), outputs.end(), 0.0f);
-    double best_us = 1e300;
-    for (std::size_t r = 0; r < reps; ++r) {
-      const double us = bench::time_per_call_us(
-          [&] { (void)runner.run(frames, outputs, statuses); }, 1);
-      best_us = std::min(best_us, us);
-    }
-    const std::uint64_t h = util::fnv1a(std::span<const float>(outputs));
+  for (std::size_t k = 0; k < runners.size(); ++k) {
+    const dl::BatchRunner& runner = *runners[k];
+    const double us = tm[k + 1].median_us;
+    const std::uint64_t h =
+        util::fnv1a(std::span<const float>(outputs[k + 1]));
     bit_exact = bit_exact && h == ref_hash &&
                 runner.numeric_fault_count() == 0;
-    const double rate = static_cast<double>(items) / best_us * 1e6;
-    if (workers == 4) speedup_at_4 = serial_us / best_us;
-    table.add_row({"batch x" + std::to_string(workers),
-                   util::fmt(rate, 0),
-                   util::fmt(serial_us / best_us, 2) + "x",
-                   std::to_string(runner.numeric_fault_count()),
-                   hex64(h)});
+    const double rate = static_cast<double>(items) / us * 1e6;
+    if (kWorkers[k] == 4) speedup_at_4 = serial_us / us;
+    table.add_row({"batch x" + std::to_string(kWorkers[k]),
+                   util::fmt(rate, 0), util::fmt(serial_us / us, 2) + "x",
+                   std::to_string(runner.numeric_fault_count()), hex64(h)});
   }
   table.print(std::cout);
   std::cout << "\n";

@@ -11,7 +11,8 @@
 // recorder) — and driven over an identical decision stream on both the
 // single-item and the batch path.
 // Overhead = (us/decision with telemetry) / (us/decision without) - 1,
-// taken over min-of-reps timings. Then the enabled pipeline's
+// taken over the medians of bench::time_interleaved (host facts are
+// printed first). Then the enabled pipeline's
 // sx_decision_cycles histogram is drained and handed to timing::analyze()
 // to produce an MbptaReport from live samples.
 //
@@ -39,32 +40,6 @@ sx::core::CertifiablePipeline make_pipeline(bool telemetry,
                                        sx::bench::road_data(), cfg};
 }
 
-/// us/decision for one pass of `decisions` infer() calls.
-double time_single_once(sx::core::CertifiablePipeline& p,
-                        std::size_t decisions) {
-  const auto& ds = sx::bench::road_data();
-  const double us = sx::bench::time_per_call_us(
-      [&] {
-        for (std::size_t i = 0; i < decisions; ++i)
-          (void)p.infer(ds.samples[i % ds.size()].input, i);
-      },
-      1);
-  return us / static_cast<double>(decisions);
-}
-
-/// us/decision for one infer_batch() call over `decisions` items.
-double time_batch_once(sx::core::CertifiablePipeline& p,
-                       std::size_t decisions) {
-  const auto& ds = sx::bench::road_data();
-  std::vector<sx::tensor::Tensor> inputs;
-  inputs.reserve(decisions);
-  for (std::size_t i = 0; i < decisions; ++i)
-    inputs.push_back(ds.samples[i % ds.size()].input);
-  const double us =
-      sx::bench::time_per_call_us([&] { (void)p.infer_batch(inputs); }, 1);
-  return us / static_cast<double>(decisions);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -77,23 +52,35 @@ int main(int argc, char** argv) {
       "Is always-on observability cheap enough for deployment, and do its "
       "drained samples feed the pWCET analysis?");
 
+  bench::print_host_facts();
   const std::size_t decisions = smoke ? 200 : 400;
   const std::size_t reps = smoke ? 6 : 12;
 
   auto p_off = make_pipeline(false, 4);
   auto p_on = make_pipeline(true, 4);
 
-  // Interleave off/on rounds so transient machine load hits both variants
-  // alike, and keep the best round of each: min-of-reps is the standard
-  // noise filter for overhead ratios.
-  double single_off = 1e300, single_on = 1e300;
-  double batch_off = 1e300, batch_on = 1e300;
-  for (std::size_t r = 0; r < reps; ++r) {
-    single_off = std::min(single_off, time_single_once(p_off, decisions));
-    single_on = std::min(single_on, time_single_once(p_on, decisions));
-    batch_off = std::min(batch_off, time_batch_once(p_off, decisions));
-    batch_on = std::min(batch_on, time_batch_once(p_on, decisions));
-  }
+  const auto& ds = bench::road_data();
+  std::vector<tensor::Tensor> inputs;
+  inputs.reserve(decisions);
+  for (std::size_t i = 0; i < decisions; ++i)
+    inputs.push_back(ds.samples[i % ds.size()].input);
+  // Variants: single-item off, single-item on, batch off, batch on; one
+  // call is `decisions` decisions. Interleaved rounds let transient
+  // machine load hit every variant alike.
+  const std::vector<bench::Timing> tm = bench::time_interleaved(
+      4, 1, reps, [&](std::size_t v) {
+        core::CertifiablePipeline& p = v % 2 == 0 ? p_off : p_on;
+        if (v < 2)
+          for (std::size_t i = 0; i < decisions; ++i)
+            (void)p.infer(inputs[i], i);
+        else
+          (void)p.infer_batch(inputs);
+      });
+  const auto per_decision = [&](std::size_t v) {
+    return tm[v].median_us / static_cast<double>(decisions);
+  };
+  const double single_off = per_decision(0), single_on = per_decision(1);
+  const double batch_off = per_decision(2), batch_on = per_decision(3);
   const double single_ovh = single_on / single_off - 1.0;
   const double batch_ovh = batch_on / batch_off - 1.0;
 

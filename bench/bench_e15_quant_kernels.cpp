@@ -1,14 +1,16 @@
 // E15 — int8 quantized kernel plans (`bench_e15_quant_kernels`)
 //
 // Question: how much does the deploy-time int8 kernel plan (wide-panel
-// int8 x int8 -> int32 matvec/GEMM, ragged-im2col Conv2d, fused
+// int8 x int8 -> int32 matvec, the direct Conv2d, fused
 // requantize(+ReLU) epilogues) buy over the
 // reference int8 loops of dl/quant.cpp — while staying bitwise identical
 // to them, saturation counters included? Same FUSA rule as E14: an
 // optimization may change nothing observable.
 //
-// Method: three rungs, min-of-reps with reference/planned rounds
-// interleaved so transient machine load hits both alike.
+// Method: host facts first, then three rungs, each timed by
+// bench::time_interleaved (warm-up, then rounds with the variants
+// interleaved so transient machine load hits all alike; medians with
+// their quartiles).
 //   1. raw int8 matvec 512x512: the reference per-row scalar loop vs the
 //      probed qmatvec_wide_* lane kernel;
 //   2. QuantEngine on the quantized perception CNN: reference vs the wide
@@ -86,30 +88,6 @@ sx::core::CertifiablePipeline make_sil2_int8_pipeline(
                                        sx::bench::road_data(), cfg};
 }
 
-double time_single_once(sx::core::CertifiablePipeline& p,
-                        std::size_t decisions) {
-  const auto& ds = sx::bench::road_data();
-  const double us = sx::bench::time_per_call_us(
-      [&] {
-        for (std::size_t i = 0; i < decisions; ++i)
-          (void)p.infer(ds.samples[i % ds.size()].input, i);
-      },
-      1);
-  return us / static_cast<double>(decisions);
-}
-
-double time_batch_once(sx::core::CertifiablePipeline& p,
-                       std::size_t decisions) {
-  const auto& ds = sx::bench::road_data();
-  std::vector<sx::tensor::Tensor> inputs;
-  inputs.reserve(decisions);
-  for (std::size_t i = 0; i < decisions; ++i)
-    inputs.push_back(ds.samples[i % ds.size()].input);
-  const double us =
-      sx::bench::time_per_call_us([&] { (void)p.infer_batch(inputs); }, 1);
-  return us / static_cast<double>(decisions);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -119,10 +97,11 @@ int main(int argc, char** argv) {
 
   bench::print_header(
       "E15: int8 quantized kernel plans",
-      "What do blocked int8 matvec/GEMM, im2col conv and fused "
+      "What do blocked int8 matvec, the direct conv and fused "
       "requantize(+ReLU) epilogues buy over the reference int8 loops — at "
       "bitwise-identical outputs and clip counters?");
 
+  bench::print_host_facts();
   bool all_ok = true;
   bench::JsonResult json{"E15", smoke};
 
@@ -163,23 +142,16 @@ int main(int argc, char** argv) {
 
     const std::size_t calls = smoke ? 20 : 50;
     const std::size_t reps = smoke ? 8 : 20;
-    double t_ref = 1e300, t_wide = 1e300;
-    for (std::size_t r = 0; r < reps; ++r) {
-      t_ref = std::min(t_ref,
-                       bench::time_per_call_us(
-                           [&] {
-                             qmatvec_reference(w.data(), n, n, x.data(), rq,
-                                               ref.data(), &sat_ref);
-                           },
-                           calls));
-      t_wide = std::min(t_wide,
-                        bench::time_per_call_us(
-                            [&] {
-                              wide_fn(wpanel.data(), n, n, x.data(), rq,
-                                      wide.data(), &sat_wide);
-                            },
-                            calls));
-    }
+    const std::vector<bench::Timing> tm = bench::time_interleaved(
+        2, calls, reps, [&](std::size_t v) {
+          if (v == 0)
+            qmatvec_reference(w.data(), n, n, x.data(), rq, ref.data(),
+                              &sat_ref);
+          else
+            wide_fn(wpanel.data(), n, n, x.data(), rq, wide.data(),
+                    &sat_wide);
+        });
+    const double t_ref = tm[0].median_us, t_wide = tm[1].median_us;
 
     util::Table table({"int8 matvec 512x512", "us/call", "speedup"});
     table.add_row({"reference loop", util::fmt(t_ref, 2), "1.00x"});
@@ -232,45 +204,39 @@ int main(int argc, char** argv) {
 
     const std::size_t infs = smoke ? 100 : 300;
     const std::size_t reps = smoke ? 8 : 16;
-    auto run_many = [&](dl::QuantEngine& e) {
-      return bench::time_per_call_us(
-                 [&] {
-                   for (std::size_t i = 0; i < infs; ++i)
-                     (void)e.run(ds.samples[i % ds.size()].input.view(), o);
-                 },
-                 1) /
-             static_cast<double>(infs);
-    };
     // The float engine the int8 backend replaces: same CNN, default
     // (wide) plan.
     dl::StaticEngine flt{bench::perception_cnn(),
                          {.kernels = dl::KernelMode::kWide}};
-    std::vector<float> fo(out_size);
-    auto run_many_float = [&] {
-      return bench::time_per_call_us(
-                 [&] {
-                   for (std::size_t i = 0; i < infs; ++i)
-                     (void)flt.run(ds.samples[i % ds.size()].input.view(),
-                                   fo);
-                 },
-                 1) /
-             static_cast<double>(infs);
+    dl::Engine* engines[] = {&ref, &wid, &flt};
+    std::size_t next[3] = {};  // each engine cycles through the samples
+    const std::vector<bench::Timing> tm = bench::time_interleaved(
+        3, infs, reps, [&](std::size_t v) {
+          (void)engines[v]->run(
+              ds.samples[next[v]++ % ds.size()].input.view(), o);
+        });
+    const double t_ref = tm[0].median_us, t_wid = tm[1].median_us,
+                 t_flt = tm[2].median_us;
+    auto spread = [](const bench::Timing& t) {
+      return util::fmt(t.median_us, 2) + " [" + util::fmt(t.q1_us, 2) +
+             ", " + util::fmt(t.q3_us, 2) + "]";
     };
-    double t_ref = 1e300, t_wid = 1e300, t_flt = 1e300;
-    for (std::size_t r = 0; r < reps; ++r) {
-      t_ref = std::min(t_ref, run_many(ref));
-      t_wid = std::min(t_wid, run_many(wid));
-      t_flt = std::min(t_flt, run_many_float());
-    }
-    util::Table table({"QuantEngine CNN", "us/inference", "speedup"});
-    table.add_row({"reference loops", util::fmt(t_ref, 2), "1.00x"});
+    util::Table table(
+        {"QuantEngine CNN", "us/inference median [q1, q3]", "speedup"});
+    table.add_row({"reference loops", spread(tm[0]), "1.00x"});
     table.add_row({std::string("wide plan (int8 ") +
                        qk::qarm_name(wid.plan()->isa_selection().int8) + ")",
-                   util::fmt(t_wid, 2), util::fmt(t_ref / t_wid, 2) + "x"});
+                   spread(tm[1]), util::fmt(t_ref / t_wid, 2) + "x"});
+    table.add_row({"float wide plan", spread(tm[2]), "-"});
     table.print(std::cout);
+    // The ratio of the medians, bracketed by the ratios the quartiles
+    // allow.
     std::cout << "int8 : float engine on the rung-3 CNN: "
-              << util::fmt(t_wid / t_flt, 2) << " (int8 " << util::fmt(t_wid, 2)
-              << " us vs float wide plan " << util::fmt(t_flt, 2)
+              << util::fmt(t_wid / t_flt, 2) << " ["
+              << util::fmt(tm[1].q1_us / tm[2].q3_us, 2) << ", "
+              << util::fmt(tm[1].q3_us / tm[2].q1_us, 2)
+              << "] (interleaved medians: int8 " << spread(tm[1])
+              << " us vs float " << spread(tm[2])
               << " us per inference)\n\n";
     json.add("engine_us_float", t_flt);
     json.add("engine_int8_to_float_ratio", t_wid / t_flt);
@@ -316,15 +282,26 @@ int main(int argc, char** argv) {
 
     const std::size_t decisions = smoke ? 150 : 400;
     const std::size_t reps = smoke ? 6 : 12;
-    double single_ref = 1e300, single_plan = 1e300;
-    double batch_ref = 1e300, batch_plan = 1e300;
-    for (std::size_t r = 0; r < reps; ++r) {
-      single_ref = std::min(single_ref, time_single_once(p_ref, decisions));
-      single_plan =
-          std::min(single_plan, time_single_once(p_plan, decisions));
-      batch_ref = std::min(batch_ref, time_batch_once(p_ref, decisions));
-      batch_plan = std::min(batch_plan, time_batch_once(p_plan, decisions));
-    }
+    std::vector<tensor::Tensor> inputs;
+    inputs.reserve(decisions);
+    for (std::size_t i = 0; i < decisions; ++i)
+      inputs.push_back(ds.samples[i % ds.size()].input);
+    // Variants: single-item reference, single-item default, batch
+    // reference, batch default; one call is `decisions` decisions.
+    const std::vector<bench::Timing> tm = bench::time_interleaved(
+        4, 1, reps, [&](std::size_t v) {
+          core::CertifiablePipeline& p = v % 2 == 0 ? p_ref : p_plan;
+          if (v < 2)
+            for (std::size_t i = 0; i < decisions; ++i)
+              (void)p.infer(inputs[i], i);
+          else
+            (void)p.infer_batch(inputs);
+        });
+    const auto per_decision = [&](std::size_t v) {
+      return tm[v].median_us / static_cast<double>(decisions);
+    };
+    const double single_ref = per_decision(0), single_plan = per_decision(1);
+    const double batch_ref = per_decision(2), batch_plan = per_decision(3);
 
     util::Table table({"SIL2 int8 pipeline", "reference (us/dec)",
                        "default (us/dec)", "speedup"});

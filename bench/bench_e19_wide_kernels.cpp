@@ -1,7 +1,8 @@
 // E19 — wide-SIMD kernel backends (`bench_e19_wide_kernels`)
 //
 // Question: how much do the SIMD lane arms of the wide kernel family
-// (8/16-lane float panels; vpmaddwd and vpdpbusd int8 dot products) buy
+// (8/16-lane float panels; vpmaddwd, vpdpbusd and vpdpwssd int8 dot
+// products) buy
 // over the family's portable scalar arm — while every arm still matches
 // the reference bit for bit (the float accumulation tree; the exact int32
 // sums)? The FUSA rule is unchanged from E14/E15: an optimization may
@@ -21,11 +22,13 @@
 //      int8 arm — scalar, avx2 and avx512bw (vpmaddwd), avx512vnni
 //      (vpdpbusd) — one row per arm (saturation counters compared as well
 //      as output bytes);
-//   4. int8 Conv2d GEMM on the 8-channel perception conv:
-//      qconv2d_im2col_wide_* (the half group), one row per int8 arm.
+//   4. int8 direct Conv2d on the perception CNN's 8-channel conv (a
+//      16-wide map) and a 32-channel conv on a 12-wide map:
+//      qconv2d_direct_*, one row per int8 arm, against the reference
+//      QuantizedModel::apply_layer loop as the 1.00x baseline.
 // Every rung first proves every arm bitwise identical to a reference
-// loop (tensor::matvec, Conv2d::forward, or the plain int8 tap loop over
-// the im2col tables).
+// loop (tensor::matvec, Conv2d::forward, the int8 Dense loop, or
+// QuantizedModel::apply_layer).
 //
 // Gate: geomean speedup over the scalar arm across the dense micro sizes
 // must reach >= 2x on at least one probed SIMD lane family (float avx2 or
@@ -46,6 +49,7 @@
 
 #include "bench_common.hpp"
 #include "dl/layers.hpp"
+#include "dl/quant.hpp"
 #include "platform/cpu_probe.hpp"
 #include "tensor/kernels.hpp"
 #include "tensor/ops.hpp"
@@ -136,26 +140,6 @@ std::size_t best_arm(const std::vector<double>& t) {
   for (std::size_t i = 1; i < t.size(); ++i)
     if (best == 0 || t[i] < t[best]) best = i;
   return best;
-}
-
-/// Plain int8 tap loop over the ragged im2col tables: one int32 chain per
-/// output in table order (== Conv2d::forward order), then the reference
-/// requantize epilogue.
-std::vector<std::int8_t> qconv_reference(const std::vector<std::int8_t>& wt,
-                                         const k::ConvTables& t,
-                                         const std::vector<std::int8_t>& col,
-                                         const qk::Requant& rq,
-                                         std::uint64_t* sat) {
-  std::vector<std::int8_t> out(t.out_c * t.opix);
-  for (std::size_t oc = 0; oc < t.out_c; ++oc)
-    for (std::size_t p = 0; p < t.opix; ++p) {
-      std::int32_t acc = 0;
-      for (std::uint32_t e = t.pix_off[p]; e < t.pix_off[p + 1]; ++e)
-        acc += static_cast<std::int32_t>(wt[oc * t.patch + t.w_ofs[e]]) *
-               static_cast<std::int32_t>(col[e]);
-      out[oc * t.opix + p] = qk::requantize(acc, oc, rq, sat);
-    }
-  return out;
 }
 
 /// One int8 matvec reference row loop (dl/quant.cpp's Dense loop).
@@ -398,66 +382,92 @@ int main(int argc, char** argv) {
     all_ok = all_ok && identical;
   }
 
-  // -------------------------------------------- 4. int8 Conv2d GEMM micro
+  // ---------------------------------------------- 4. int8 direct Conv2d
   {
-    // The rung-3 perception CNN's second conv (E14/E15): 8 output
-    // channels, so the wide kernel runs the 8-lane half group.
-    const k::Conv2dGeom g{.in_c = 8, .in_h = 16, .in_w = 16, .out_c = 8,
-                          .k = 3, .stride = 1, .pad = 1};
-    const std::size_t entries = k::im2col_entries(g);
-    std::vector<std::uint32_t> pix_off(g.opix() + 1), in_idx(entries),
-        w_ofs(entries);
-    k::build_im2col_tables(g, pix_off.data(), in_idx.data(), w_ofs.data());
-    const k::ConvTables t{.out_c = g.out_c, .patch = g.patch(),
-                          .opix = g.opix(), .pix_off = pix_off.data(),
-                          .in_idx = in_idx.data(), .w_ofs = w_ofs.data()};
-    util::Xoshiro256 rng{88};
-    std::vector<std::int8_t> wt(g.out_c * g.patch()), col(entries);
-    for (auto& v : wt)
-      v = static_cast<std::int8_t>(static_cast<int>(rng() % 255) - 127);
-    for (auto& v : col)
-      v = static_cast<std::int8_t>(static_cast<int>(rng() % 255) - 127);
-    std::vector<float> w_scale(g.out_c, 0.004f), bias(g.out_c, 0.05f);
-    const qk::Requant rq{.w_scales = w_scale.data(),
-                         .per_channel = true,
-                         .bias = bias.data(),
-                         .in_scale = 0.02f,
-                         .out_scale = 0.05f,
-                         .relu = true};
-
-    std::vector<std::int8_t> wide(g.out_c * g.opix());
-    std::vector<std::int8_t> panel(
-        qk::qwide_conv_panel_bytes(g.out_c, g.patch()));
-    qk::pack_qwide_conv_panel(wt.data(), g.out_c, g.patch(), panel.data());
-    std::uint64_t sat_ref = 0, sat_wide = 0;
-    const std::vector<std::int8_t> ref =
-        qconv_reference(wt, t, col, rq, &sat_ref);
-    auto call = [&](std::size_t i) {
-      qrows[i].qconv(panel.data(), t, col.data(), rq, wide.data(),
-                     &sat_wide);
+    struct Geom {
+      std::size_t out_c, in_c, hw;
     };
+    // The rung-3 perception CNN's second conv (E14/E15) on its 16-wide
+    // map, and a 12-wide map that leaves 4 of 16 avx512 lanes idle.
+    const std::vector<Geom> geoms = {{8, 8, 16}, {32, 16, 12}};
     bool identical = true;
-    for (std::size_t i = 0; i < qrows.size(); ++i) {
-      sat_wide = 0;
-      call(i);
-      identical = identical && wide == ref && sat_wide == sat_ref;
-    }
-
-    const std::vector<double> tm =
-        time_arms(qrows.size(), reps, calls, call);
-    record_q("qconv8c", tm);
-    json.add("qconv8c_speedup", tm[0] / tm[best_arm(tm)]);
     std::vector<std::string> h = qcols;
     h[0] = "int8 conv2d 3x3";
     util::Table table{h};
-    add_arm_rows(table, "8ch 8x16x16", tm, qrows);
+    for (const Geom& gm : geoms) {
+      const k::Conv2dGeom g{.in_c = gm.in_c, .in_h = gm.hw, .in_w = gm.hw,
+                            .out_c = gm.out_c, .k = 3, .stride = 1,
+                            .pad = 1};
+      const tensor::Shape in_shape =
+          tensor::Shape::chw(gm.in_c, gm.hw, gm.hw);
+      dl::ModelBuilder b{in_shape};
+      b.conv2d(gm.out_c, 3, 1, 1).relu();
+      dl::Dataset cal;
+      cal.num_classes = 1;
+      cal.input_shape = in_shape;
+      util::Xoshiro256 rng{88 + gm.out_c};
+      for (int i = 0; i < 4; ++i) {
+        dl::Sample smp;
+        smp.input = tensor::Tensor{in_shape};
+        smp.input.init_uniform(rng, -1.0f, 1.0f);
+        cal.samples.push_back(std::move(smp));
+      }
+      dl::QuantizedModel qm =
+          dl::QuantizedModel::quantize(b.build(gm.out_c), cal);
+      for (auto& v : qm.mutable_weights(0))
+        v = static_cast<std::int8_t>(static_cast<int>(rng() % 255) - 127);
+      std::vector<std::int8_t> in(in_shape.size());
+      for (auto& v : in)
+        v = static_cast<std::int8_t>(static_cast<int>(rng() % 255) - 127);
+      const dl::QuantizedModel::QLayerView v = qm.layer_view(0);
+      const qk::Requant rq{.w_scales = v.w_scales.data(),
+                           .per_channel = v.w_scales.size() > 1,
+                           .bias = v.bias.data(),
+                           .in_scale = qm.input_scale(),
+                           .out_scale = v.out_scale,
+                           .relu = false};
+
+      const std::size_t n = g.out_c * g.opix();
+      std::vector<std::int8_t> ref(n), wide(n);
+      std::uint64_t sat_ref = 0, sat_wide = 0;
+      (void)qm.apply_layer(0, in, ref, &sat_ref);
+      // Variant 0 is the reference loop, variant i + 1 the int8 arm i.
+      auto call = [&](std::size_t i) {
+        if (i == 0)
+          (void)qm.apply_layer(0, in, wide, &sat_wide);
+        else
+          qrows[i - 1].qconv(v.weights.data(), g, in.data(), rq,
+                             wide.data(), &sat_wide);
+      };
+      for (std::size_t i = 1; i <= qrows.size(); ++i) {
+        sat_wide = 0;
+        call(i);
+        identical = identical && wide == ref && sat_wide == sat_ref;
+      }
+
+      const std::vector<double> tm =
+          time_arms(qrows.size() + 1, reps, calls, call);
+      const std::string tag = "qconv" + std::to_string(gm.out_c) + "c";
+      json.add(tag + "_us_reference", tm[0]);
+      for (std::size_t i = 0; i < qrows.size(); ++i)
+        json.add(tag + "_us_wide_" + qrows[i].name, tm[i + 1]);
+      json.add(tag + "_speedup",
+               tm[0] / *std::min_element(tm.begin() + 1, tm.end()));
+      const std::string label =
+          std::to_string(gm.out_c) + "ch " + std::to_string(gm.in_c) + "x" +
+          std::to_string(gm.hw) + "x" + std::to_string(gm.hw);
+      table.add_row({label, "reference", util::fmt(tm[0], 2), "1.00x"});
+      for (std::size_t i = 0; i < qrows.size(); ++i)
+        table.add_row({"", qrows[i].name, util::fmt(tm[i + 1], 2),
+                       util::fmt(tm[0] / tm[i + 1], 2) + "x"});
+    }
     table.print(std::cout);
     std::cout << "\n";
     bench::print_verdict(identical,
-                         "int8 conv2d: every probed wide arm (8-lane half "
-                         "group) matches the reference tap loop byte for "
-                         "byte on the 8-channel conv, clip counters "
-                         "included");
+                         "int8 conv2d: every probed wide arm of the direct "
+                         "kernel matches QuantizedModel::apply_layer byte "
+                         "for byte on the 16- and 12-wide maps, clip "
+                         "counters included");
     all_ok = all_ok && identical;
   }
 

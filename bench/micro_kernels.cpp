@@ -92,7 +92,7 @@ void BM_MatvecFusedRelu(benchmark::State& state) {
 }
 BENCHMARK(BM_MatvecFusedRelu)->Arg(32)->Arg(128)->Arg(512);
 
-// Conv2d reference loop vs the planned gather + wide-GEMM lowering,
+// Conv2d reference loop vs the planned direct kernel,
 // square c-channel input, 3x3 kernel, pad 1 (the CNN fixture's geometry).
 void BM_Conv2dReference(benchmark::State& state) {
   const auto hw = static_cast<std::size_t>(state.range(0));

@@ -158,8 +158,8 @@ EvidenceItem make_quant_backend_evidence(const CertifiablePipeline& pipeline) {
   if (ch != nullptr) {
     if (const dl::PlanEvidence* plan = ch->plan(); plan != nullptr) {
       os << "kernel plan: " << plan->summary() << "\n"
-         << "  panels, im2col tables and scratch are planned at deploy "
-            "time; the int8 hot\n"
+         << "  Dense panels are packed at deploy time, convs read the "
+            "live weights; the int8 hot\n"
          << "  path is noexcept, allocation-free, and forms exact int32 "
             "sums under each\n"
          << "  step's no-overflow bound => planned and reference runs are "

@@ -68,8 +68,8 @@ template <class Eng, class M, class Cfg>
 void BatchRunner::start_pool(const M& model, const Cfg& engine_cfg) {
   // Plan every arena before any thread exists: all allocation happens here,
   // at configuration time. One plan is built once and shared read-only by
-  // every worker engine (index tables and weight panels are immutable on
-  // the hot path); each worker's scratch, arena and counters stay its own,
+  // every worker engine (its Dense weight panels are immutable on the hot
+  // path); each worker's arena and counters stay its own,
   // so workers never share a mutable buffer.
   tap_layer_ = feature_layer(model);
   tap_size_ = feature_width(model);

@@ -1,10 +1,6 @@
 #include "dl/lower.hpp"
 
-#include "tensor/kernels.hpp"
-
 namespace sx::dl {
-
-namespace k = tensor::kernels;
 
 ir::OpKind lower_kind(LayerKind kind) noexcept {
   switch (kind) {
@@ -24,60 +20,33 @@ ir::OpKind lower_kind(LayerKind kind) noexcept {
 
 namespace {
 
-/// Ragged im2col column of an int8 conv layer — the same scratch the int8
-/// plan gathers into at run time.
-std::size_t conv_scratch(const Shape& in, std::size_t out_c, std::size_t kk,
-                         std::size_t stride, std::size_t pad,
-                         std::size_t in_c) {
-  k::Conv2dGeom g;
-  g.in_c = in_c;
-  g.in_h = in.dim(1);
-  g.in_w = in.dim(2);
-  g.out_c = out_c;
-  g.k = kk;
-  g.stride = stride;
-  g.pad = pad;
-  return k::im2col_entries(g);
-}
-
-}  // namespace
-
-ir::Program lower(const Model& model) {
-  // Float convs run the direct kernel straight off their input slot, so no
-  // op carries scratch.
+/// One op per layer of a sequential model; `kind(i)` is layer i's kind.
+template <typename M, typename KindOf>
+ir::Program lower_chain(const M& model, std::size_t elem_bytes,
+                        bool input_in_arena, KindOf kind) {
   ir::Program p;
-  p.elem_bytes = 4;
+  p.elem_bytes = elem_bytes;
   p.layer_count = model.layer_count();
-  p.input_in_arena = false;
+  p.input_in_arena = input_in_arena;
   std::size_t cur = p.set_input(model.input_shape().size());
   for (std::size_t i = 0; i < model.layer_count(); ++i) {
-    const std::size_t op = p.add_op(lower_kind(model.layer(i).kind()), i, cur,
+    const std::size_t op = p.add_op(lower_kind(kind(i)), i, cur,
                                     model.activation_shape(i).size());
     cur = p.ops[op].output;
   }
   return p;
 }
 
+}  // namespace
+
+ir::Program lower(const Model& model) {
+  return lower_chain(model, 4, false,
+                     [&](std::size_t i) { return model.layer(i).kind(); });
+}
+
 ir::Program lower(const QuantizedModel& model) {
-  ir::Program p;
-  p.elem_bytes = 1;
-  p.layer_count = model.layer_count();
-  p.input_in_arena = true;
-  std::size_t cur = p.set_input(model.input_shape().size());
-  for (std::size_t i = 0; i < model.layer_count(); ++i) {
-    const QuantizedModel::QLayerView v = model.layer_view(i);
-    std::size_t scratch = 0;
-    if (v.kind == LayerKind::kConv2d) {
-      const Shape& in =
-          i == 0 ? model.input_shape() : model.activation_shape(i - 1);
-      scratch = conv_scratch(in, v.out_c, v.k, v.stride, v.pad, v.in_c);
-    }
-    const std::size_t op =
-        p.add_op(lower_kind(v.kind), i, cur,
-                 model.activation_shape(i).size(), scratch);
-    cur = p.ops[op].output;
-  }
-  return p;
+  return lower_chain(model, 1, true,
+                     [&](std::size_t i) { return model.layer_view(i).kind; });
 }
 
 }  // namespace sx::dl

@@ -2,7 +2,7 @@
 //
 // This is the one place the dl and ir layers meet: sx_ir stays a pure
 // graph library with no dl dependency, and everything that knows about
-// Layer/QLayerView shapes, conv geometry, or element widths lives here.
+// Layer/QLayerView shapes or element widths lives here.
 // The lowered Program is the input to ir::optimize (dce, fusion legality,
 // liveness arena coloring); KernelPlan/QuantKernelPlan then build their
 // executable steps from the surviving ops, and verify/range independently
@@ -21,14 +21,12 @@ namespace sx::dl {
 ir::OpKind lower_kind(LayerKind k) noexcept;
 
 /// Lowers a float model: elem_bytes = 4, input read from the caller's
-/// buffer (no in-arena input slot). No op carries scratch: float convs
-/// run the direct kernel.
+/// buffer (no in-arena input slot).
 ir::Program lower(const Model& model);
 
 /// Lowers a quantized model: elem_bytes = 1 and input_in_arena = true —
 /// the quant engine stages the quantized input inside its byte arena, so
-/// the input value needs an arena slot of its own. Conv ops carry their
-/// ragged im2col column as scratch_elems.
+/// the input value needs an arena slot of its own.
 ir::Program lower(const QuantizedModel& model);
 
 }  // namespace sx::dl

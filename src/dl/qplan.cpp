@@ -13,8 +13,8 @@ namespace qk = tensor::qkernels;
 namespace {
 
 /// Static geometry of quantized conv layer i (input shape = activation
-/// before it). Identical to the float plan's conv_geom — the geometry and
-/// index tables are element-type-agnostic.
+/// before it). Identical to the float plan's conv_geom: both element
+/// types run the same direct conv driver.
 k::Conv2dGeom qconv_geom(const QuantizedModel& m, std::size_t i,
                          const QuantizedModel::QLayerView& v) {
   const Shape& in = i == 0 ? m.input_shape() : m.activation_shape(i - 1);
@@ -38,22 +38,11 @@ QuantKernelPlan::QuantKernelPlan(const QuantizedModel& model)
                    ir::PassOptions{.fuse_sigmoid_tanh = false}),
       model_(&model) {
 
-  // Pass 1 over the surviving ops: size the deploy-time storage.
-  std::size_t table_u32 = 0;  // pix_off arrays + in_idx + w_ofs
+  // Pass 1 over the surviving ops: size the deploy-time Dense panels.
   for (const ir::Op& op : program_.ops) {
-    if (!op.live) continue;
-    if (op.kind == ir::OpKind::kConv2d) {
-      const QuantizedModel::QLayerView v = model.layer_view(op.layer);
-      const k::Conv2dGeom g = qconv_geom(model, op.layer, v);
-      const std::size_t entries = k::im2col_entries(g);
-      table_u32 += (g.opix() + 1) + 2 * entries;
-      table_entries_ += entries;
-      scratch_bytes_ = scratch_bytes_ > entries ? scratch_bytes_ : entries;
-      panel_bytes_ += qk::qwide_conv_panel_bytes(g.out_c, g.patch());
-    } else if (op.kind == ir::OpKind::kDense) {
-      const QuantizedModel::QLayerView v = model.layer_view(op.layer);
-      panel_bytes_ += qk::qwide_dense_panel_bytes(v.out_dim, v.in_dim);
-    }
+    if (!op.live || op.kind != ir::OpKind::kDense) continue;
+    const QuantizedModel::QLayerView v = model.layer_view(op.layer);
+    panel_bytes_ += qk::qwide_dense_panel_bytes(v.out_dim, v.in_dim);
   }
 
   // Configuration-time storage, allocated exactly once per deployment;
@@ -61,8 +50,6 @@ QuantKernelPlan::QuantKernelPlan(const QuantizedModel& model)
   const std::size_t live = program_.live_op_count();
   if (live != 0)
     steps_ = std::make_unique<QuantKernelStep[]>(live);  // sxlint: allow(hot-path-alloc) deploy-time plan storage
-  if (table_u32 != 0)
-    tables_ = std::make_unique<std::uint32_t[]>(table_u32);  // sxlint: allow(hot-path-alloc) deploy-time im2col tables
   if (panel_bytes_ != 0)
     panels_ = tensor::make_aligned_storage<std::int8_t>(panel_bytes_);
 
@@ -70,7 +57,7 @@ QuantKernelPlan::QuantKernelPlan(const QuantizedModel& model)
   // arena assignment and fused-ReLU requantize epilogue. The input scale
   // is keyed to the op's own model layer — dce'd flatten layers preserve
   // bytes AND scale, so this matches what the reference path feeds it.
-  std::size_t tu = 0, pb = 0;
+  std::size_t pb = 0;
   std::size_t prev_last = 0;
   for (const ir::Op& op : program_.ops) {
     if (!op.live) continue;
@@ -85,7 +72,6 @@ QuantKernelPlan::QuantKernelPlan(const QuantizedModel& model)
     const ir::ArenaAssignment& slot = layout_.per_op[op.id];
     s.in_offset = slot.in_offset;
     s.out_offset = slot.out_offset;
-    s.scratch_offset = slot.scratch_offset;
     const bool relu_fused = op.fused_layer != ir::kNone;
     if (relu_fused) ++fused_;
     const QuantizedModel::QLayerView v = model.layer_view(i);
@@ -119,20 +105,8 @@ QuantKernelPlan::QuantKernelPlan(const QuantizedModel& model)
       s.dense_fn = qk::wide_qdense_kernel(plan_arm(s.cols));
       ++planned_dense_;
     } else if (op.kind == ir::OpKind::kConv2d) {
-      const k::Conv2dGeom g = qconv_geom(model, i, v);
-      const std::size_t entries = k::im2col_entries(g);
-      std::uint32_t* pix_off = tables_.get() + tu;
-      std::uint32_t* in_idx = pix_off + (g.opix() + 1);
-      std::uint32_t* w_ofs = in_idx + entries;
-      k::build_im2col_tables(g, pix_off, in_idx, w_ofs);
-      tu += (g.opix() + 1) + 2 * entries;
       s.kind = QuantKernelStep::Kind::kConv2d;
-      s.conv = k::ConvTables{.out_c = g.out_c,
-                             .patch = g.patch(),
-                             .opix = g.opix(),
-                             .pix_off = pix_off,
-                             .in_idx = in_idx,
-                             .w_ofs = w_ofs};
+      s.geom = qconv_geom(model, i, v);
       s.weights = v.weights.data();
       s.rq = qk::Requant{.w_scales = v.w_scales.data(),
                          .per_channel = v.w_scales.size() > 1,
@@ -140,12 +114,7 @@ QuantKernelPlan::QuantKernelPlan(const QuantizedModel& model)
                          .in_scale = in_scale,
                          .out_scale = v.out_scale,
                          .relu = relu_fused};
-      s.scratch = entries;
-      std::int8_t* panel = panels_.get() + pb;
-      qk::pack_qwide_conv_panel(s.weights, g.out_c, g.patch(), panel);
-      s.panel = panel;
-      pb += qk::qwide_conv_panel_bytes(g.out_c, g.patch());
-      s.conv_fn = qk::wide_qconv_kernel(plan_arm(g.patch()));
+      s.conv_fn = qk::wide_qconv_kernel(plan_arm(s.geom.patch()));
       ++planned_conv_;
     } else if (op.kind == ir::OpKind::kMaxPool2d) {
       const Shape& in = i == 0 ? model.input_shape()
@@ -165,14 +134,10 @@ QuantKernelPlan::QuantKernelPlan(const QuantizedModel& model)
 
 void QuantKernelPlan::repack() noexcept {
   for (std::size_t i = 0; i < step_count_; ++i) {
-    QuantKernelStep& s = steps_[i];
-    if (s.panel == nullptr) continue;
+    const QuantKernelStep& s = steps_[i];
     if (s.kind == QuantKernelStep::Kind::kDense)
       qk::pack_qwide_dense_panel(s.weights, s.rows, s.cols,
                                  const_cast<std::int8_t*>(s.panel));
-    else if (s.kind == QuantKernelStep::Kind::kConv2d)
-      qk::pack_qwide_conv_panel(s.weights, s.conv.out_c, s.conv.patch,
-                                const_cast<std::int8_t*>(s.panel));
   }
 }
 
@@ -184,8 +149,7 @@ std::string QuantKernelPlan::summary() const {
      << " pool=" << planned_pools_ << " fused-relu=" << fused_
      << " removed=" << removed_ << " reference=" << reference_
      << "), arena=" << layout_.total_elems << "/" << layout_.naive_elems
-     << " bytes, im2col entries=" << table_entries_
-     << ", scratch=" << scratch_bytes_ << " bytes, panels=" << panel_bytes_
+     << " bytes, panels=" << panel_bytes_
      << " bytes, isa=" << k::wide_isa_name(isa_sel_.isa)
      << " int8=" << qk::qarm_name(isa_sel_.int8);
   if (bound_scalar_ != 0) os << " bound-scalar=" << bound_scalar_;
@@ -212,9 +176,9 @@ std::size_t max_activation_bytes(const QuantizedModel& m) {
   return mx;
 }
 
-/// Planned mode: the liveness-colored base block (the quantized input and
-/// all im2col scratch slots live inside it). Reference mode: the classic
-/// two-buffer ping-pong worst case.
+/// Planned mode: the liveness-colored base block (the quantized input
+/// lives inside it). Reference mode: the classic two-buffer ping-pong
+/// worst case.
 std::size_t planned_capacity(const QuantizedModel& m,
                              const QuantKernelPlan* plan,
                              const QuantEngineConfig& cfg) {
@@ -375,12 +339,9 @@ Status QuantEngine::run_planned(std::span<float> output,
         // a branch-free indirect call on the hot path.
         s.dense_fn(s.panel, s.rows, s.cols, in, s.rq, dst, sat);
         break;
-      case QuantKernelStep::Kind::kConv2d: {
-        std::int8_t* scratch = base + s.scratch_offset;
-        qk::im2col_gather_i8(in, s.conv.in_idx, s.scratch, scratch);
-        s.conv_fn(s.panel, s.conv, scratch, s.rq, dst, sat);
+      case QuantKernelStep::Kind::kConv2d:
+        s.conv_fn(s.weights, s.geom, in, s.rq, dst, sat);
         break;
-      }
       case QuantKernelStep::Kind::kMaxPool:
         k::maxpool2d(in, s.pool_c, s.pool_h, s.pool_w, s.window, dst);
         break;

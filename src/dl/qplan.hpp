@@ -12,10 +12,9 @@
 //   - Dense layers run the wide int8 matvec kernels from
 //     tensor/qkernels.hpp over cache-line-aligned row-blocked panels owned
 //     by the plan;
-//   - Conv2d layers are lowered to int8 gather + wide GEMM through the
-//     same ragged im2col index tables the float plan uses (the tables are
-//     element-type-agnostic); the gathered int8 column is a byte-arena
-//     slot assigned by the liveness pass;
+//   - Conv2d layers run the direct int8 kernel off their input slot —
+//     the driver the float plan's convs run, with int8 lanes — over the
+//     live weights: no gather, tables, panel or scratch;
 //   - a Dense/Conv2d whose output's single live consumer is the int8 ReLU
 //     absorbs it: the requantize epilogue applies `q > 0 ? q : 0` on the
 //     just-quantized value, exactly what the separate reference layer
@@ -36,14 +35,14 @@
 // 2^31 is planned on the scalar arm, which keeps the reference's serial
 // chain, and verify::check_ir re-derives the bound independently.
 //
-// Staleness contract: a plan snapshots every Dense and Conv2d weight
-// matrix into zero-padded 4-k quad panels (every channel, plus each
-// lane's 128 * sum(w) correction); nothing is read from the live weights
-// at run time. It also resolves, once, which arm of the wide int8 kernels
-// runs (platform::CpuProbe + SX_KERNEL_ISA — see dl/plan.hpp; the
-// selection affects timing only, never output). Callers that mutate the
-// quantized weights afterwards must call repack(), which re-packs the
-// panels and recomputes the corrections. KernelMode and the
+// Staleness contract: a plan snapshots every Dense weight matrix into
+// zero-padded 4-k quad panels (every row, plus each lane's 128 * sum(w)
+// correction); Conv2d weights are read live, so a conv weight fault
+// reaches the next run by itself. It also resolves, once, which arm of
+// the wide int8 kernels runs (platform::CpuProbe + SX_KERNEL_ISA — see
+// dl/plan.hpp; the selection affects timing only, never output). Callers
+// that mutate Dense weights afterwards must call repack(), which re-packs
+// the panels and recomputes the corrections. KernelMode and the
 // SX_KERNEL_REFERENCE escape hatch are shared with the float plan
 // (dl/plan.hpp).
 //
@@ -68,7 +67,7 @@ namespace sx::dl {
 /// One executable step of a quantized plan: one surviving IR op — a
 /// layer, or a Dense/Conv2d fused with its following int8 ReLU. Pointer
 /// members alias the QuantizedModel's live parameter storage (or the
-/// plan's own tables/panels) and stay valid for the model's lifetime.
+/// plan's own Dense panels) and stay valid for the model's lifetime.
 /// Offsets are byte indices into the engine's arena base block.
 struct QuantKernelStep {
   enum class Kind : std::uint8_t { kReference, kDense, kConv2d, kMaxPool };
@@ -83,14 +82,14 @@ struct QuantKernelStep {
   // Byte-arena addressing (liveness-pass assignment).
   std::size_t in_offset = ir::kNone;
   std::size_t out_offset = ir::kNone;
-  std::size_t scratch_offset = ir::kNone;
   std::size_t in_elems = 0;
   std::size_t out_elems = 0;
 
   // kDense / kConv2d
   std::size_t rows = 0, cols = 0;       ///< Dense dims
-  const std::int8_t* weights = nullptr; ///< live weights (repack source)
-  const std::int8_t* panel = nullptr;   ///< wide quad panel
+  const std::int8_t* weights = nullptr; ///< live weights (conv reads
+                                        ///< them, Dense repacks from them)
+  const std::int8_t* panel = nullptr;   ///< Dense wide quad panel
   tensor::qkernels::Requant rq{};       ///< fused requantize(+ReLU) params
 
   /// No-overflow evidence: k_len * 255 * 128 for this step's reduction
@@ -105,8 +104,7 @@ struct QuantKernelStep {
   tensor::qkernels::QConvKernelFn conv_fn = nullptr;
 
   // kConv2d
-  tensor::kernels::ConvTables conv{};  ///< tables owned by the plan
-  std::size_t scratch = 0;  ///< im2col column bytes this step gathers
+  tensor::kernels::Conv2dGeom geom{};  ///< static geometry
 
   // kMaxPool: input channels x height x width and the window
   std::size_t pool_c = 0, pool_h = 0, pool_w = 0, window = 0;
@@ -131,14 +129,8 @@ class QuantKernelPlan final : public PlanEvidence {
   /// Byte offset of the program output.
   std::size_t output_offset() const noexcept { return output_offset_; }
 
-  /// Per-inference scratch demand in bytes (max ragged im2col column over
-  /// all conv steps).
-  std::size_t scratch_bytes() const noexcept { return scratch_bytes_; }
-
-  /// Deploy-time footprint of the wide panels (bytes).
+  /// Deploy-time footprint of the Dense panels (bytes).
   std::size_t panel_bytes() const noexcept { return panel_bytes_; }
-  /// Total precomputed im2col gather entries across all conv steps.
-  std::size_t table_entries() const noexcept { return table_entries_; }
 
   std::size_t planned_dense() const noexcept { return planned_dense_; }
   std::size_t planned_conv() const noexcept { return planned_conv_; }
@@ -149,8 +141,8 @@ class QuantKernelPlan final : public PlanEvidence {
   /// reduction length fails the no-overflow bound.
   std::size_t bound_scalar_steps() const noexcept { return bound_scalar_; }
 
-  /// Re-snapshots the quantized weights into the panels and recomputes
-  /// the per-lane corrections.
+  /// Re-snapshots the quantized Dense weights into the panels and
+  /// recomputes the per-lane corrections.
   void repack() noexcept;
 
   std::string summary() const override;
@@ -159,11 +151,8 @@ class QuantKernelPlan final : public PlanEvidence {
   const QuantizedModel* model_;
   std::unique_ptr<QuantKernelStep[]> steps_;
   std::size_t step_count_ = 0;
-  std::unique_ptr<std::uint32_t[]> tables_;  ///< pix_off + in_idx + w_ofs
   tensor::AlignedStorage<std::int8_t> panels_;  ///< cache-line-aligned base
-  std::size_t scratch_bytes_ = 0;
   std::size_t panel_bytes_ = 0;
-  std::size_t table_entries_ = 0;
   std::size_t planned_dense_ = 0;
   std::size_t planned_conv_ = 0;
   std::size_t planned_pools_ = 0;
@@ -230,7 +219,7 @@ class QuantEngine final : public Engine {
   /// The plan driving this engine (nullptr in reference mode).
   const QuantKernelPlan* plan() const noexcept override { return plan_; }
 
-  /// Re-snapshots the engine-private plan's panels and per-lane
+  /// Re-snapshots the engine-private plan's Dense panels and per-lane
   /// corrections after a mutation of the quantized weights.
   void repack() noexcept override {
     if (owned_plan_ != nullptr) owned_plan_->repack();

@@ -170,8 +170,7 @@ ArenaLayout plan_arena(const Program& p) {
   };
 
   // Placement order is part of the contract (verify re-derives it):
-  // the in-arena input slot first, then per exec op its scratch, then
-  // its output value.
+  // the in-arena input slot first, then per exec op its output value.
   if (p.input_in_arena && p.input_value != kNone) {
     std::size_t b, e;
     live_range(p.values[p.input_value], b, e);
@@ -181,8 +180,6 @@ ArenaLayout plan_arena(const Program& p) {
   for (std::size_t i = 0; i < exec.size(); ++i) {
     const Op& op = p.ops[exec[i]];
     ArenaAssignment& slot = layout.per_op[op.id];
-    if (op.scratch_elems != 0)
-      slot.scratch_offset = place(op.scratch_elems, i, i);
     std::size_t b, e;
     live_range(p.values[op.output], b, e);
     layout.value_offset[op.output] = place(p.values[op.output].elems, b, e);
@@ -191,17 +188,13 @@ ArenaLayout plan_arena(const Program& p) {
   }
 
   // The ping-pong worst case this layout replaces: two copies of the
-  // largest value (input included) plus the largest scratch block.
+  // largest value (input included).
   std::size_t max_value = p.input_value != kNone
                               ? p.values[p.input_value].elems
                               : 0;
-  std::size_t max_scratch = 0;
-  for (const auto& op : p.ops) {
-    if (!op.live) continue;
-    max_value = std::max(max_value, p.values[op.output].elems);
-    max_scratch = std::max(max_scratch, op.scratch_elems);
-  }
-  layout.naive_elems = 2 * max_value + max_scratch;
+  for (const auto& op : p.ops)
+    if (op.live) max_value = std::max(max_value, p.values[op.output].elems);
+  layout.naive_elems = 2 * max_value;
   return layout;
 }
 
@@ -257,18 +250,6 @@ void apply_layout_fault(const Program& p, ArenaLayout& layout,
                         0, 0, 0});
     }
   } else if (fault == "overlap") {
-    for (const auto& op : p.ops) {
-      if (!op.live) continue;
-      ArenaAssignment& slot = layout.per_op[op.id];
-      if (op.scratch_elems != 0 && slot.out_offset != kNone) {
-        slot.scratch_offset = slot.out_offset;
-        passes.push_back({"fault:overlap",
-                          "SX_IR_PASS_FAULT aliased scratch onto output of "
-                          "op" + std::to_string(op.id),
-                          0, 0, 0});
-        return;
-      }
-    }
     for (const auto& op : p.ops) {
       if (!op.live) continue;
       ArenaAssignment& slot = layout.per_op[op.id];

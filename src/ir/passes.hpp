@@ -27,7 +27,7 @@
 //   drop-op      kill the last live op (unsound elimination)
 //   bogus-fuse   fuse a producer with a non-activation consumer
 //   shrink-arena under-report total_elems by one
-//   overlap      alias a scratch slot onto a live output slot
+//   overlap      alias an op's output slot onto its live input slot
 #include <cstddef>
 #include <string>
 #include <vector>
@@ -60,7 +60,6 @@ struct PassEvidence {
 struct ArenaAssignment {
   std::size_t in_offset = kNone;
   std::size_t out_offset = kNone;
-  std::size_t scratch_offset = kNone;
 };
 
 /// Result of the liveness pass: a colored arena layout.

@@ -40,14 +40,12 @@ std::size_t Program::set_input(std::size_t elems) {
 }
 
 std::size_t Program::add_op(OpKind kind, std::size_t layer,
-                            std::size_t in_value, std::size_t out_elems,
-                            std::size_t scratch_elems) {
+                            std::size_t in_value, std::size_t out_elems) {
   Op op;
   op.id = ops.size();
   op.kind = kind;
   op.layer = layer;
   op.input = in_value;
-  op.scratch_elems = scratch_elems;
   Value out;
   out.id = values.size();
   out.elems = out_elems;
@@ -115,7 +113,6 @@ std::string Program::to_text() const {
       out << "+" << to_string(op.fused_kind) << "@" << op.fused_layer;
     out << " v" << op.input << "(" << values[op.input].elems << ") -> v"
         << op.output << "(" << values[op.output].elems << ")";
-    if (op.scratch_elems != 0) out << " scratch=" << op.scratch_elems;
     out << "\n";
   }
   return out.str();

@@ -63,7 +63,6 @@ struct Op {
   std::size_t layer = 0;           ///< source model layer index
   std::size_t input = 0;           ///< value id read
   std::size_t output = 0;          ///< value id written
-  std::size_t scratch_elems = 0;   ///< private workspace (int8 conv im2col column)
   std::size_t fused_layer = kNone; ///< activation layer folded into this op
   OpKind fused_kind{};             ///< valid iff fused_layer != kNone
   bool live = true;
@@ -84,7 +83,7 @@ struct Program {
   /// Appends an op consuming `in_value` and defining a fresh output value
   /// of `out_elems`; returns the new op's id.
   std::size_t add_op(OpKind kind, std::size_t layer, std::size_t in_value,
-                     std::size_t out_elems, std::size_t scratch_elems = 0);
+                     std::size_t out_elems);
 
   std::size_t live_op_count() const noexcept;
 

@@ -106,8 +106,8 @@ class Arena {
 };
 
 /// Bump allocator over a single contiguous int8 buffer — the quantized
-/// engine's analog of Arena (activation ping-pong and im2col scratch of the
-/// int8 path are bytes, not floats). Same discipline: one allocation at
+/// engine's analog of Arena (the int8 path's activations are bytes, not
+/// floats). Same discipline: one allocation at
 /// configuration time, monotonic alloc, high-water mark as evidence.
 class ByteArena {
  public:

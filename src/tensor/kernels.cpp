@@ -4,60 +4,6 @@ namespace sx::tensor::kernels {
 
 namespace {
 
-/// Walks every pixel's valid taps in the reference order (ic ascending,
-/// then valid ky, then valid kx, exactly as Conv2d::forward), filling the
-/// tables when they are given; returns the entry count.
-std::size_t walk_taps(const Conv2dGeom& g, std::uint32_t* pix_off,
-                      std::uint32_t* in_idx, std::uint32_t* w_ofs) noexcept {
-  const std::size_t oh = g.out_h(), ow = g.out_w();
-  std::size_t e = 0, p = 0;
-  for (std::size_t oy = 0; oy < oh; ++oy) {
-    for (std::size_t ox = 0; ox < ow; ++ox) {
-      if (pix_off != nullptr) pix_off[p++] = static_cast<std::uint32_t>(e);
-      for (std::size_t ic = 0; ic < g.in_c; ++ic) {
-        for (std::size_t ky = 0; ky < g.k; ++ky) {
-          const std::ptrdiff_t iy =
-              static_cast<std::ptrdiff_t>(oy * g.stride) +
-              static_cast<std::ptrdiff_t>(ky) -
-              static_cast<std::ptrdiff_t>(g.pad);
-          if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(g.in_h)) continue;
-          for (std::size_t kx = 0; kx < g.k; ++kx) {
-            const std::ptrdiff_t ix =
-                static_cast<std::ptrdiff_t>(ox * g.stride) +
-                static_cast<std::ptrdiff_t>(kx) -
-                static_cast<std::ptrdiff_t>(g.pad);
-            if (ix < 0 || ix >= static_cast<std::ptrdiff_t>(g.in_w)) continue;
-            if (in_idx != nullptr) {
-              in_idx[e] = static_cast<std::uint32_t>(
-                  (ic * g.in_h + static_cast<std::size_t>(iy)) * g.in_w +
-                  static_cast<std::size_t>(ix));
-              w_ofs[e] =
-                  static_cast<std::uint32_t>((ic * g.k + ky) * g.k + kx);
-            }
-            ++e;
-          }
-        }
-      }
-    }
-  }
-  if (pix_off != nullptr) pix_off[p] = static_cast<std::uint32_t>(e);
-  return e;
-}
-
-}  // namespace
-
-std::size_t im2col_entries(const Conv2dGeom& g) noexcept {
-  return walk_taps(g, nullptr, nullptr, nullptr);
-}
-
-void build_im2col_tables(const Conv2dGeom& g, std::uint32_t* pix_off,
-                         std::uint32_t* in_idx,
-                         std::uint32_t* w_ofs) noexcept {
-  (void)walk_taps(g, pix_off, in_idx, w_ofs);
-}
-
-namespace {
-
 typedef float v4sf __attribute__((vector_size(16)));
 typedef std::int32_t v4si __attribute__((vector_size(16)));
 typedef std::int16_t v8hi __attribute__((vector_size(16)));

@@ -27,9 +27,9 @@
 //
 // All functions are allocation-free and operate on caller-provided
 // buffers; the Dense panel construction fills caller-owned storage sized
-// by wide_dense_panel_floats(). The ragged im2col tables below serve the
-// int8 plan's conv gather (tensor/qkernels.hpp). (This file is covered by
-// sxlint's hot-path-alloc rule.)
+// by wide_dense_panel_floats(). The conv geometry below is shared with the
+// int8 direct conv (tensor/qkernels.hpp), which runs the same driver.
+// (This file is covered by sxlint's hot-path-alloc rule.)
 #pragma once
 
 #include <cmath>
@@ -78,37 +78,6 @@ struct Conv2dGeom {
   std::size_t patch() const noexcept { return in_c * k * k; }
 };
 
-/// Total ragged im2col entries: sum over output pixels of the *valid* tap
-/// count (padding-clipped taps are omitted, matching the reference skip).
-/// This is both the int8 index-table length and the int8 plan's
-/// per-inference scratch demand in bytes.
-std::size_t im2col_entries(const Conv2dGeom& g) noexcept;
-
-/// Fills the deploy-time gather tables. For output pixel p the entries
-/// [pix_off[p], pix_off[p+1]) list, in the reference accumulation order
-/// (ic ascending, then valid ky, then valid kx):
-///   in_idx[e]  linear index into the CHW input,
-///   w_ofs[e]   weight offset inside one output-channel slab
-///              (ic * k * k + ky * k + kx).
-/// `pix_off` must hold opix()+1 entries; `in_idx`/`w_ofs` must hold
-/// im2col_entries() each. Interior pixels carry the full patch with
-/// w_ofs == 0..patch-1, which the conv kernels detect and run without
-/// indirection.
-void build_im2col_tables(const Conv2dGeom& g, std::uint32_t* pix_off,
-                         std::uint32_t* in_idx,
-                         std::uint32_t* w_ofs) noexcept;
-
-/// Pointer view of one planned int8 Conv2d lowering (tables owned by the
-/// int8 plan).
-struct ConvTables {
-  std::size_t out_c = 0;
-  std::size_t patch = 0;  ///< full tap count per pixel
-  std::size_t opix = 0;
-  const std::uint32_t* pix_off = nullptr;  ///< opix + 1 entries
-  const std::uint32_t* in_idx = nullptr;   ///< gather indices
-  const std::uint32_t* w_ofs = nullptr;    ///< weight offsets per entry
-};
-
 // ------------------------------------------------- wide (kWide) backends
 
 /// Microkernel lane family of the kWide backend, selected once at deploy
@@ -131,9 +100,10 @@ const char* wide_isa_name(WideIsa isa) noexcept;
 /// executed as 2 x 8 lanes on AVX2 and 4 x 4 lanes by the scalar arm.
 inline constexpr std::size_t kWideRowBlock = 16;
 
-/// Output channels per direct-conv block: they share every input load and
-/// run as independent accumulator chains. A last block of out_c % 8
-/// channels runs the same kernel at its own chain count.
+/// Output channels per direct-conv block, float and int8: they share
+/// every input load and run as independent accumulator chains. A last
+/// block of out_c % 8 channels runs the same kernel at its own chain
+/// count.
 inline constexpr std::size_t kWideConvLanes = 8;
 
 /// Floats needed for the wide row-blocked panel of a rows x cols Dense

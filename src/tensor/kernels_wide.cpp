@@ -374,25 +374,44 @@ bool matvec_wide_avx512(const float* panel, const float* bias,
 
 namespace {
 
-/// Tap columns whose lane masks a tile computes once (every deployed
-/// kernel is far smaller); wider kernels recompute the columns past it.
-constexpr std::size_t kMaskCache = 16;
+/// The float element of the direct conv driver (kernels_wide_conv_arm.h),
+/// shared by the three arms: the live natural-layout weights, the bias
+/// that seeds each chain, and the output with its epilogue and screen.
+struct FloatTaps {
+  using T = float;
+  using W = float;
+  static constexpr std::size_t kGroup = 1;
+  const float* in;
+  const float* wt;
+  const float* bias;
+  float* out;
+  std::size_t stride, kk, wslab, opix;
+  Epilogue ep;
+  bool check;
+  bool ok = true;
 
-/// Lane mask (bit j = lane j) of the tile starting at output column ox0
-/// with `lanes` live lanes for tap column kx: lane j reads input column
-/// ox0 * stride + kx - pad + j * stride and is live iff that column lies
-/// inside the row. Geometry only, so it is shared by every ic, ky and
-/// output channel of the tile.
-inline std::uint32_t tap_mask(const Conv2dGeom& g, std::size_t ox0,
-                              std::size_t lanes, std::size_t kx) noexcept {
-  const auto w = static_cast<std::ptrdiff_t>(g.in_w);
-  const auto s = static_cast<std::ptrdiff_t>(g.stride);
-  std::ptrdiff_t ix = static_cast<std::ptrdiff_t>(ox0 * g.stride + kx) -
-                      static_cast<std::ptrdiff_t>(g.pad);
-  std::uint32_t m = 0;
-  for (std::size_t j = 0; j < lanes; ++j, ix += s)
-    if (ix >= 0 && ix < w) m |= std::uint32_t{1} << j;
-  return m;
+  const float* weights(std::size_t oc0, std::size_t ic) const noexcept {
+    return wt + oc0 * wslab + ic * kk;
+  }
+  void begin_block(std::size_t, std::size_t) const noexcept {}
+  /// The scalar epilogue over the live lanes (every epilogue the SIMD
+  /// stores do not vectorize).
+  template <typename V>
+  void finish_lanes(const V& acc, float* o, std::size_t lanes) noexcept {
+    float a[sizeof(V) / sizeof(float)];
+    __builtin_memcpy(a, &acc, sizeof a);
+    for (std::size_t j = 0; j < lanes; ++j)
+      ok = finish(a[j], o + j, ep, check, ok);
+  }
+};
+
+FloatTaps float_taps(const float* wt, const float* bias, const Conv2dGeom& g,
+                     const float* in, float* out, Epilogue ep,
+                     bool check) noexcept {
+  const std::size_t kk = g.k * g.k;
+  return FloatTaps{.in = in, .wt = wt, .bias = bias, .out = out,
+                   .stride = g.stride, .kk = kk, .wslab = g.in_c * kk,
+                   .opix = g.opix(), .ep = ep, .check = check};
 }
 
 }  // namespace
@@ -403,16 +422,15 @@ namespace scalar_arm {
 
 typedef std::int32_t v4si __attribute__((vector_size(16)));
 
-struct Lanes {
+struct Lanes : FloatTaps {
   static constexpr std::size_t kLanes = 4;
   using V = v4sf;
   using M = v4si;
-  std::size_t stride;
 
   M mask(std::uint32_t b) const noexcept {
     return (M{1, 2, 4, 8} & static_cast<int>(b)) != 0;
   }
-  V load(const float* p, M m, bool full) const noexcept {
+  V load(const float* p, M m, bool full, bool) const noexcept {
     V x;
     if (full && stride == 1) {
       __builtin_memcpy(&x, p, sizeof x);
@@ -423,23 +441,22 @@ struct Lanes {
     return x;
   }
   static V bcast(float v) noexcept { return V{v, v, v, v}; }
+  V init(std::size_t oc) const noexcept { return bcast(bias[oc]); }
+  V weight(const float* wk, std::size_t c, std::size_t kx) const noexcept {
+    return bcast(wk[c * wslab + kx]);
+  }
   static V madd(V acc, M m, bool full, V w, V x) noexcept {
     return full ? acc + w * x : (m ? acc + w * x : acc);
   }
-  bool store(V acc, float* o, std::size_t lanes, bool relu, bool check,
-             bool ok) const noexcept {
-    float a[kLanes];
-    __builtin_memcpy(a, &acc, sizeof a);
-    for (std::size_t j = 0; j < lanes; ++j)
-      ok = finish(a[j], o + j, relu ? Epilogue::kRelu : Epilogue::kNone,
-                  check, ok);
-    return ok;
+  void store(V acc, std::size_t oc, std::size_t pix,
+             std::size_t lanes) noexcept {
+    finish_lanes(acc, out + oc * opix + pix, lanes);
   }
 };
 
-#define SX_FARM_ATTR
+#define SX_ARM_ATTR
 #include "tensor/kernels_wide_conv_arm.h"
-#undef SX_FARM_ATTR
+#undef SX_ARM_ATTR
 
 }  // namespace scalar_arm
 
@@ -449,18 +466,17 @@ struct Lanes {
 // blendv on clipped columns.
 namespace avx2_arm {
 
-struct Lanes {
+struct Lanes : FloatTaps {
   static constexpr std::size_t kLanes = 8;
   using V = __m256;
   using M = __m256i;
-  std::size_t stride;
 
-  __attribute__((target("avx2"))) M mask(std::uint32_t b) const noexcept {
+  __attribute__((target("avx2"))) static M mask(std::uint32_t b) noexcept {
     const __m256i bit = _mm256_setr_epi32(1, 2, 4, 8, 16, 32, 64, 128);
     const __m256i v = _mm256_set1_epi32(static_cast<int>(b));
     return _mm256_cmpeq_epi32(_mm256_and_si256(v, bit), bit);
   }
-  __attribute__((target("avx2"))) V load(const float* p, M m,
+  __attribute__((target("avx2"))) V load(const float* p, M m, bool,
                                          bool) const noexcept {
     if (stride == 1) return _mm256_maskload_ps(p, m);
     const __m256i idx =
@@ -469,18 +485,24 @@ struct Lanes {
     return _mm256_mask_i32gather_ps(_mm256_setzero_ps(), p, idx,
                                     _mm256_castsi256_ps(m), 4);
   }
-  __attribute__((target("avx2"))) static V bcast(float v) noexcept {
-    return _mm256_set1_ps(v);
+  __attribute__((target("avx2"))) V init(std::size_t oc) const noexcept {
+    return _mm256_set1_ps(bias[oc]);
+  }
+  __attribute__((target("avx2"))) V weight(const float* wk, std::size_t c,
+                                           std::size_t kx) const noexcept {
+    return _mm256_set1_ps(wk[c * wslab + kx]);
   }
   __attribute__((target("avx2"))) static V madd(V acc, M m, bool full, V w,
                                                 V x) noexcept {
     const V sum = _mm256_add_ps(acc, _mm256_mul_ps(w, x));
     return full ? sum : _mm256_blendv_ps(acc, sum, _mm256_castsi256_ps(m));
   }
-  __attribute__((target("avx2"))) bool store(V acc, float* o,
-                                             std::size_t lanes, bool relu,
-                                             bool check,
-                                             bool ok) const noexcept {
+  __attribute__((target("avx2"))) void store(V acc, std::size_t oc,
+                                             std::size_t pix,
+                                             std::size_t lanes) noexcept {
+    float* o = out + oc * opix + pix;
+    if (ep != Epilogue::kNone && ep != Epilogue::kRelu)
+      return finish_lanes(acc, o, lanes);
     const auto valid = static_cast<int>((1u << lanes) - 1);
     if (check) {
       const V mag = _mm256_andnot_ps(_mm256_set1_ps(-0.0f), acc);
@@ -488,15 +510,14 @@ struct Lanes {
                                   _CMP_LT_OQ);
       if ((_mm256_movemask_ps(fin) & valid) != valid) ok = false;
     }
-    if (relu) acc = _mm256_max_ps(acc, _mm256_setzero_ps());
+    if (ep == Epilogue::kRelu) acc = _mm256_max_ps(acc, _mm256_setzero_ps());
     _mm256_maskstore_ps(o, mask(static_cast<std::uint32_t>(valid)), acc);
-    return ok;
   }
 };
 
-#define SX_FARM_ATTR __attribute__((target("avx2")))
+#define SX_ARM_ATTR __attribute__((target("avx2")))
 #include "tensor/kernels_wide_conv_arm.h"
-#undef SX_FARM_ATTR
+#undef SX_ARM_ATTR
 
 }  // namespace avx2_arm
 
@@ -504,14 +525,13 @@ struct Lanes {
 // strided) plus mask_add on clipped columns.
 namespace avx512_arm {
 
-struct Lanes {
+struct Lanes : FloatTaps {
   static constexpr std::size_t kLanes = 16;
   using V = __m512;
   using M = __mmask16;
-  std::size_t stride;
 
   static M mask(std::uint32_t b) noexcept { return static_cast<M>(b); }
-  __attribute__((target("avx512f"))) V load(const float* p, M m,
+  __attribute__((target("avx512f"))) V load(const float* p, M m, bool,
                                             bool) const noexcept {
     if (stride == 1) return _mm512_maskz_loadu_ps(m, p);
     const __m512i idx = _mm512_mullo_epi32(
@@ -520,32 +540,38 @@ struct Lanes {
         _mm512_set1_epi32(static_cast<int>(stride)));
     return _mm512_mask_i32gather_ps(_mm512_setzero_ps(), m, idx, p, 4);
   }
-  __attribute__((target("avx512f"))) static V bcast(float v) noexcept {
-    return _mm512_set1_ps(v);
+  __attribute__((target("avx512f"))) V init(std::size_t oc) const noexcept {
+    return _mm512_set1_ps(bias[oc]);
+  }
+  __attribute__((target("avx512f"))) V weight(const float* wk, std::size_t c,
+                                              std::size_t kx) const noexcept {
+    return _mm512_set1_ps(wk[c * wslab + kx]);
   }
   __attribute__((target("avx512f"))) static V madd(V acc, M m, bool, V w,
                                                    V x) noexcept {
     return _mm512_mask_add_ps(acc, m, acc, _mm512_mul_ps(w, x));
   }
-  __attribute__((target("avx512f"))) bool store(V acc, float* o,
-                                                std::size_t lanes, bool relu,
-                                                bool check,
-                                                bool ok) const noexcept {
+  __attribute__((target("avx512f"))) void store(V acc, std::size_t oc,
+                                                std::size_t pix,
+                                                std::size_t lanes) noexcept {
+    float* o = out + oc * opix + pix;
+    if (ep != Epilogue::kNone && ep != Epilogue::kRelu)
+      return finish_lanes(acc, o, lanes);
     const auto valid = static_cast<M>((1u << lanes) - 1);
     if (check) {
       const M fin = _mm512_cmp_ps_mask(
           _mm512_abs_ps(acc), _mm512_set1_ps(__builtin_inff()), _CMP_LT_OQ);
       if ((fin & valid) != valid) ok = false;
     }
-    if (relu) acc = _mm512_maskz_max_ps(valid, acc, _mm512_setzero_ps());
+    if (ep == Epilogue::kRelu)
+      acc = _mm512_maskz_max_ps(valid, acc, _mm512_setzero_ps());
     _mm512_mask_storeu_ps(o, valid, acc);
-    return ok;
   }
 };
 
-#define SX_FARM_ATTR __attribute__((target("avx512f")))
+#define SX_ARM_ATTR __attribute__((target("avx512f")))
 #include "tensor/kernels_wide_conv_arm.h"
-#undef SX_FARM_ATTR
+#undef SX_ARM_ATTR
 
 }  // namespace avx512_arm
 
@@ -559,19 +585,25 @@ namespace avx512_arm = scalar_arm;
 bool conv2d_direct_scalar(const float* wt, const float* bias,
                           const Conv2dGeom& g, const float* in, float* out,
                           Epilogue ep, bool check) noexcept {
-  return scalar_arm::conv(wt, bias, g, in, out, ep, check);
+  scalar_arm::Lanes ln{float_taps(wt, bias, g, in, out, ep, check)};
+  scalar_arm::conv(ln, g);
+  return ln.ok;
 }
 
 bool conv2d_direct_avx2(const float* wt, const float* bias,
                         const Conv2dGeom& g, const float* in, float* out,
                         Epilogue ep, bool check) noexcept {
-  return avx2_arm::conv(wt, bias, g, in, out, ep, check);
+  avx2_arm::Lanes ln{float_taps(wt, bias, g, in, out, ep, check)};
+  avx2_arm::conv(ln, g);
+  return ln.ok;
 }
 
 bool conv2d_direct_avx512(const float* wt, const float* bias,
                           const Conv2dGeom& g, const float* in, float* out,
                           Epilogue ep, bool check) noexcept {
-  return avx512_arm::conv(wt, bias, g, in, out, ep, check);
+  avx512_arm::Lanes ln{float_taps(wt, bias, g, in, out, ep, check)};
+  avx512_arm::conv(ln, g);
+  return ln.ok;
 }
 
 DenseKernelFn wide_dense_kernel(WideIsa isa) noexcept {

@@ -1,26 +1,56 @@
-// The direct Conv2d driver shared by the three float lane arms (see
-// kernels_wide.cpp). Not a standalone header: the TU includes it once per
+// The direct Conv2d driver shared by every lane arm of both element types:
+// the float arms of kernels_wide.cpp and the int8 arms of
+// qkernels_wide.cpp. Not a standalone header: a TU includes it once per
 // arm, inside that arm's namespace, after defining
-//   - SX_FARM_ATTR: the arm's target attribute (empty for the scalar arm),
-//   - struct Lanes: the arm's lane policy — kLanes, the vector V and mask
-//     M types, mask / load / bcast / madd, and store (screen, ReLU or
-//     nothing, store the live lanes),
-// so every arm runs the same loops compiled for its own instruction set.
+//   - SX_ARM_ATTR: the arm's target attribute (empty for scalar arms),
+//   - struct Lanes: the arm's element policy —
+//       kLanes      output pixels per vector,
+//       kGroup      input channels one tap load covers (1, or 2 where the
+//                   int8 arms multiply int16 channel pairs),
+//       V, M, T, W  accumulator vector, lane mask, input and weight types,
+//       in          the CHW input,
+//       mask / load / init / weights / weight / madd / store, and
+//       begin_block (the int8 pair arms stage a block's weight pairs),
+// so the geometry below — tap masks, row clipping, lane tiling and the
+// channel blocks with their tails — exists once for every arm.
 // Hence no include guard.
+
+/// Tap columns whose lane masks a tile computes once (every deployed
+/// kernel is far smaller); wider kernels recompute the columns past it.
+constexpr std::size_t kMaskCache = 16;
+
+/// Lane mask (bit j = lane j) of the tile starting at output column ox0
+/// with `lanes` live lanes for tap column kx: lane j reads input column
+/// ox0 * stride + kx - pad + j * stride and is live iff that column lies
+/// inside the row. Geometry only, so it is shared by every ic, ky and
+/// output channel of the tile.
+inline std::uint32_t tap_mask(const Conv2dGeom& g, std::size_t ox0,
+                              std::size_t lanes, std::size_t kx) noexcept {
+  const auto w = static_cast<std::ptrdiff_t>(g.in_w);
+  const auto s = static_cast<std::ptrdiff_t>(g.stride);
+  std::ptrdiff_t ix = static_cast<std::ptrdiff_t>(ox0 * g.stride + kx) -
+                      static_cast<std::ptrdiff_t>(g.pad);
+  std::uint32_t m = 0;
+  for (std::size_t j = 0; j < lanes; ++j, ix += s)
+    if (ix >= 0 && ix < w) m |= std::uint32_t{1} << j;
+  return m;
+}
 
 /// One block of NB output channels: every output row, tiled into
 /// Lanes::kLanes output pixels, with the NB chains sharing each input
 /// load. NB is a compile-time constant and the chain loops are unrolled,
 /// so the accumulators live in registers.
 template <std::size_t NB>
-SX_FARM_ATTR bool conv_block(const Lanes& ln, const float* wt,
-                             const float* bias, const Conv2dGeom& g,
-                             const float* in, float* out, std::size_t oc0,
-                             Epilogue ep, bool check, bool ok) noexcept {
+SX_ARM_ATTR void conv_block(Lanes& state, const Conv2dGeom& g,
+                            std::size_t oc0) noexcept {
+  // A local copy the compiler can keep in registers; the store's running
+  // state (screen flag, clip counts) goes back at the end.
+  Lanes ln = state;
   constexpr std::size_t kL = Lanes::kLanes;
   constexpr std::uint32_t kFull = (std::uint32_t{1} << kL) - 1;
-  const std::size_t oh = g.out_h(), ow = g.out_w(), kk = g.k * g.k;
-  const std::size_t wslab = g.in_c * kk, plane = g.in_h * g.in_w;
+  const std::size_t oh = g.out_h(), ow = g.out_w();
+  const std::size_t plane = g.in_h * g.in_w;
+  ln.begin_block(oc0, NB);
   for (std::size_t ox0 = 0; ox0 < ow; ox0 += kL) {
     const std::size_t lanes = ow - ox0 < kL ? ow - ox0 : kL;
     std::uint32_t bits[kMaskCache];
@@ -32,19 +62,21 @@ SX_FARM_ATTR bool conv_block(const Lanes& ln, const float* wt,
     for (std::size_t oy = 0; oy < oh; ++oy) {
       typename Lanes::V acc[NB];
 #pragma GCC unroll 8
-      for (std::size_t c = 0; c < NB; ++c)
-        acc[c] = Lanes::bcast(bias[oc0 + c]);
-      for (std::size_t ic = 0; ic < g.in_c; ++ic) {
-        const float* ich = in + ic * plane;
-        const float* wic = wt + (oc0 * g.in_c + ic) * kk;
+      for (std::size_t c = 0; c < NB; ++c) acc[c] = ln.init(oc0 + c);
+      for (std::size_t ic = 0; ic < g.in_c; ic += Lanes::kGroup) {
+        const typename Lanes::T* ich = ln.in + ic * plane;
+        const typename Lanes::W* wic = ln.weights(oc0, ic);
+        // Group arms: whether channel ic + 1 exists (an odd tail is not).
+        const bool pair = Lanes::kGroup > 1 && ic + 1 < g.in_c;
         for (std::size_t ky = 0; ky < g.k; ++ky) {
           const std::ptrdiff_t iy =
               static_cast<std::ptrdiff_t>(oy * g.stride + ky) -
               static_cast<std::ptrdiff_t>(g.pad);
           // A clipped kernel row is clipped for every lane: skip it.
           if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(g.in_h)) continue;
-          const float* row = ich + static_cast<std::size_t>(iy) * g.in_w;
-          const float* wk = wic + ky * g.k;
+          const typename Lanes::T* row =
+              ich + static_cast<std::size_t>(iy) * g.in_w;
+          const typename Lanes::W* wk = wic + ky * g.k;
           for (std::size_t kx = 0; kx < g.k; ++kx) {
             const bool cached = kx < kMaskCache;
             const std::uint32_t b =
@@ -56,49 +88,34 @@ SX_FARM_ATTR bool conv_block(const Lanes& ln, const float* wt,
             const typename Lanes::V x = ln.load(
                 row + (static_cast<std::ptrdiff_t>(ox0 * g.stride + kx) -
                        static_cast<std::ptrdiff_t>(g.pad)),
-                m, full);
+                m, full, pair);
 #pragma GCC unroll 8
             for (std::size_t c = 0; c < NB; ++c)
-              acc[c] = Lanes::madd(acc[c], m, full,
-                                   Lanes::bcast(wk[c * wslab + kx]), x);
+              acc[c] = Lanes::madd(acc[c], m, full, ln.weight(wk, c, kx), x);
           }
         }
       }
 #pragma GCC unroll 8
-      for (std::size_t c = 0; c < NB; ++c) {
-        float* o = out + (oc0 + c) * oh * ow + oy * ow + ox0;
-        if (ep == Epilogue::kNone || ep == Epilogue::kRelu) {
-          ok = ln.store(acc[c], o, lanes, ep == Epilogue::kRelu, check, ok);
-          continue;
-        }
-        float a[kL];
-        __builtin_memcpy(a, &acc[c], sizeof a);
-        for (std::size_t j = 0; j < lanes; ++j)
-          ok = finish(a[j], o + j, ep, check, ok);
-      }
+      for (std::size_t c = 0; c < NB; ++c)
+        ln.store(acc[c], oc0 + c, oy * ow + ox0, lanes);
     }
   }
-  return ok;
+  state = ln;
 }
 
 /// Every kWideConvLanes-channel block, then the last out_c % 8 channels
 /// as one block at their own chain count.
-SX_FARM_ATTR bool conv(const float* wt, const float* bias,
-                       const Conv2dGeom& g, const float* in, float* out,
-                       Epilogue ep, bool check) noexcept {
-  const Lanes ln{g.stride};
-  bool ok = true;
+SX_ARM_ATTR void conv(Lanes& ln, const Conv2dGeom& g) noexcept {
   std::size_t oc0 = 0;
   for (; oc0 + kWideConvLanes <= g.out_c; oc0 += kWideConvLanes)
-    ok = conv_block<kWideConvLanes>(ln, wt, bias, g, in, out, oc0, ep, check,
-                                    ok);
+    conv_block<kWideConvLanes>(ln, g, oc0);
   switch (g.out_c - oc0) {
-#define SX_FARM_TAIL(n)                                                    \
-  case n:                                                                  \
-    return conv_block<n>(ln, wt, bias, g, in, out, oc0, ep, check, ok);
-    SX_FARM_TAIL(1) SX_FARM_TAIL(2) SX_FARM_TAIL(3) SX_FARM_TAIL(4)
-    SX_FARM_TAIL(5) SX_FARM_TAIL(6) SX_FARM_TAIL(7)
-#undef SX_FARM_TAIL
-    default: return ok;
+#define SX_CONV_TAIL(n) \
+  case n:               \
+    return conv_block<n>(ln, g, oc0);
+    SX_CONV_TAIL(1) SX_CONV_TAIL(2) SX_CONV_TAIL(3) SX_CONV_TAIL(4)
+    SX_CONV_TAIL(5) SX_CONV_TAIL(6) SX_CONV_TAIL(7)
+#undef SX_CONV_TAIL
+    default: return;
   }
 }

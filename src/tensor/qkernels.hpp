@@ -1,28 +1,30 @@
-// Deploy-time-planned int8 kernels: wide-panel int8 x int8 -> int32
-// matvec/GEMM and the ragged-im2col Conv2d lowering with fused
-// requantize(+ReLU) epilogues (pillar 3: the quantized deployment path).
+// Deploy-time-planned int8 kernels: the wide-panel int8 x int8 -> int32
+// Dense matvec and the direct Conv2d, both with fused requantize(+ReLU)
+// epilogues (pillar 3: the quantized deployment path).
 //
 // Determinism contract: exact int32 sums. Every product of two int8
 // values and every partial sum the kernels form is an integer that fits
 // in int32 as long as the reduction length k_len satisfies the plan's
 // bound k_len * 255 * 128 < 2^31 (qwide_bound_ok). Integer addition is
 // associative and exact in that range, so *any* grouping of the products
-// — four k per lane (vpdpbusd), two k per lane (vpmaddwd), or the serial
-// chain of the reference loop — yields the identical int32, which the
-// epilogue then finishes with a requantization value-identical to the
+// — four k per lane (vpdpbusd), two per lane (vpmaddwd, vpdpwssd), or the
+// serial chain of the reference loop — yields the identical int32, which
+// the epilogue then finishes with a requantization value-identical to the
 // reference expression. Planned and reference QuantizedModel runs are
 // therefore bitwise identical, clip counters included
 // (dl_quant_kernels_wide_test proves this differentially on every arm).
 // A step whose k_len fails the bound is planned on the scalar arm, which
 // keeps the reference loop's own serial chain.
 //
-//   - one panel layout: each lane group (32 Dense rows, 16 or 8 Conv2d
-//     channels) stores 4 consecutive k per output lane, zero-padded in k
-//     and in lanes, followed by the per-lane correction 128 * sum(w) that
-//     the u8-shifted vpdpbusd arm subtracts;
-//   - deploy-time im2col: the dtype-agnostic geometry and index tables of
-//     tensor/kernels.hpp (Conv2dGeom, build_im2col_tables, ConvTables) are
-//     reused verbatim — only the gather and the GEMM change element type;
+//   - Dense: one panel layout — each 32-row block stores 4 consecutive k
+//     per output lane, zero-padded in k and in lanes, followed by the
+//     per-lane correction 128 * sum(w) that the u8-shifted vpdpbusd arm
+//     subtracts;
+//   - Conv2d: the direct driver the float kernels use
+//     (kernels_wide_conv_arm.h) — a lane is one output pixel, a clipped
+//     kernel row is skipped and a clipped column is a lane that loads 0,
+//     which adds exactly 0. The weights are read live from the model, so
+//     a faulted weight reaches the next run without a repack;
 //   - fused requantize epilogue: float(acc) * w_scale * in_scale + bias,
 //     quantized at the layer's activation scale; an immediately following
 //     int8 ReLU (out = q > 0 ? q : 0) folds into the same store. Both
@@ -33,8 +35,8 @@
 //     cross-checked against.
 //
 // All functions are allocation-free and operate on caller-provided buffers;
-// panel sizes come from the *_bytes() planners so dl::QuantKernelPlan can
-// place everything in deploy-time storage and the engine's byte arena.
+// the Dense panel size comes from qwide_dense_panel_bytes() so
+// dl::QuantKernelPlan can place it in deploy-time storage.
 // (This file is covered by sxlint's hot-path-alloc rule.)
 #pragma once
 
@@ -105,51 +107,40 @@ inline std::int8_t requantize(std::int32_t acc, std::size_t ch,
 
 // ------------------------------------------------- Wide (kWide) backends
 //
-// Exact int8 dot products over one panel layout, in four arms:
-//   - kScalar: the canonical per-chain loop — each output accumulates its
-//     products in reference order (ascending columns / table-order taps);
-//   - kAvx2 / kAvx512Bw: vpmovsxbw + vpmaddwd, two k per int32 lane,
-//     256-bit / 512-bit (the 8-lane half group stays 256-bit);
-//   - kAvx512Vnni: vpdpbusd, four k per int32 lane, on activations
-//     shifted into u8 (x ^ 0x80 == x + 128) and corrected by the panel's
-//     per-lane 128 * sum(w); zmm for 32-row blocks and 16-channel groups,
-//     ymm (AVX512VL) for the 8-channel half group.
-// The saturating vpmaddubsw / vpdpbusds are never used. Each SIMD arm
-// finishes with a vectorised requantize epilogue value-identical to
-// quantize_sat: cvtdq2ps, the reference mul/mul/add/div order (this TU is
-// built with -ffp-contract=off), round-half-away by blend, a
-// !(r < 128) / r <= -128 clip that also sends NaN to +127, a truncating
-// convert, the optional ReLU, and a clip count summed from the masks. The
-// arm is selected once at deploy time (platform::select_wide_isa); on
-// non-x86 builds the SIMD entry points are the scalar arm.
+// Exact int8 dot products in four arms:
+//   - kScalar: the canonical per-chain loops — each output accumulates
+//     its products in reference order (ascending columns / taps);
+//   - kAvx2 / kAvx512Bw: vpmaddwd on int16-widened operands, two products
+//     per int32 lane, 256-bit / 512-bit;
+//   - kAvx512Vnni: Dense runs vpdpbusd, four k per int32 lane, on
+//     activations shifted into u8 (x ^ 0x80 == x + 128) and corrected by
+//     the panel's per-lane 128 * sum(w); Conv2d runs vpdpwssd.
+// The SIMD conv arms pair input channels (ic, ic + 1) at one tap: each
+// lane's int16 pair meets the tap's weight pair, staged from the live
+// weights once per 8-channel block. The saturating vpmaddubsw /
+// vpdpbusds are never used. Each SIMD arm finishes with a vectorised
+// requantize epilogue value-identical to quantize_sat: cvtdq2ps, the
+// reference mul/mul/add/div order (the TU is built with
+// -ffp-contract=off), round-half-away by blend, a !(r < 128) / r <= -128
+// clip that also sends NaN to +127, a truncating convert, the optional
+// ReLU, and a clip count over the live lanes. The arm is selected once at
+// deploy time (platform::select_wide_isa); on non-x86 builds the SIMD
+// entry points are the scalar arm.
 
 /// The int8 kernel arm of the wide family.
 enum class QArm : std::uint8_t {
-  kScalar,      ///< canonical per-chain loop, any machine
-  kAvx2,        ///< vpmovsxbw + vpmaddwd on 256-bit vectors
-  kAvx512Bw,    ///< vpmovsxbw + vpmaddwd on 512-bit vectors (AVX512BW+VL)
-  kAvx512Vnni,  ///< vpdpbusd on 512/256-bit vectors (AVX512_VNNI+VL)
+  kScalar,      ///< canonical per-chain loops, any machine
+  kAvx2,        ///< vpmaddwd on 256-bit vectors
+  kAvx512Bw,    ///< vpmaddwd on 512-bit vectors (AVX512BW+VL)
+  kAvx512Vnni,  ///< vpdpbusd (Dense) / vpdpwssd (Conv2d), AVX512_VNNI+VL
 };
 
 const char* qarm_name(QArm arm) noexcept;
 
-/// Output rows per Dense block (the last block is zero-padded to it),
-/// output channels per Conv2d lane group, and per the half group that
-/// takes the last 1..8 channels (zero-padded to 8 lanes). Every channel
-/// lives in the panel; nothing is read from the live weights.
+/// Output rows per Dense block (the last block is zero-padded to it).
 inline constexpr std::size_t kQWideRowBlock = 32;
-inline constexpr std::size_t kQWideConvLanes = 16;
-inline constexpr std::size_t kQWideHalfLanes = 8;
 /// Consecutive k stored per output lane (one vpdpbusd int32 lane).
 inline constexpr std::size_t kQWideQuad = 4;
-
-// --------------------------------------------------------------- Conv2d
-
-/// The int8 hot-path gather: col[e] = in[in_idx[e]] over the ragged
-/// deploy-time table built by kernels::build_im2col_tables (the index
-/// tables are element-type-agnostic; only the gather changes dtype).
-void im2col_gather_i8(const std::int8_t* in, const std::uint32_t* in_idx,
-                      std::size_t entries, std::int8_t* col) noexcept;
 
 /// Upper bound on |partial sum| over a reduction of k_len products of a
 /// u8-shifted activation (0..255) and an int8 weight (|w| <= 128). Every
@@ -164,8 +155,8 @@ constexpr bool qwide_bound_ok(std::size_t k_len) noexcept {
   return qwide_mac_bound(k_len) < (std::uint64_t{1} << 31);
 }
 
-/// Bytes of one lane group: 4-k quads for `lanes` lanes (64-byte aligned),
-/// then `lanes` int32 corrections (64-byte aligned).
+/// Bytes of one Dense block: 4-k quads for `lanes` lanes (64-byte
+/// aligned), then `lanes` int32 corrections (64-byte aligned).
 std::size_t qwide_group_bytes(std::size_t lanes, std::size_t k_len) noexcept;
 
 /// Bytes needed for the Dense panel: ceil(rows / 32) blocks of 32 lanes.
@@ -199,41 +190,29 @@ void qmatvec_wide_avx512vnni(const std::int8_t* panel, std::size_t rows,
                              const Requant& rq, std::int8_t* out,
                              std::uint64_t* sat) noexcept;
 
-/// Bytes needed for the Conv2d panel: out_c / 16 groups of 16 lanes, then
-/// one group for the remaining channels — 8 lanes when at most 8 remain,
-/// else 16.
-std::size_t qwide_conv_panel_bytes(std::size_t out_c,
-                                   std::size_t patch) noexcept;
-
-/// Packs the natural out_c x patch int8 layout into the Conv2d panel:
-/// channel oc0 + i of a group of `lanes`, tap k at
-/// gp[(k / 4) * 4 * lanes + i * 4 + k % 4]; padding is zero.
-void pack_qwide_conv_panel(const std::int8_t* wt, std::size_t out_c,
-                           std::size_t patch, std::int8_t* panel) noexcept;
-
-/// out[oc * opix + p] = requant over the pixel's taps, reading the
-/// ragged gathered column `col` (t.pix_off[t.opix] bytes, never read
-/// past) and the panel. Every arm is bitwise identical to the reference
-/// Conv2d loop.
-void qconv2d_im2col_wide_scalar(const std::int8_t* panel,
-                                const kernels::ConvTables& t,
-                                const std::int8_t* col, const Requant& rq,
-                                std::int8_t* out,
-                                std::uint64_t* sat) noexcept;
-void qconv2d_im2col_wide_avx2(const std::int8_t* panel,
-                              const kernels::ConvTables& t,
-                              const std::int8_t* col, const Requant& rq,
-                              std::int8_t* out, std::uint64_t* sat) noexcept;
-void qconv2d_im2col_wide_avx512bw(const std::int8_t* panel,
-                                  const kernels::ConvTables& t,
-                                  const std::int8_t* col, const Requant& rq,
-                                  std::int8_t* out,
-                                  std::uint64_t* sat) noexcept;
-void qconv2d_im2col_wide_avx512vnni(const std::int8_t* panel,
-                                    const kernels::ConvTables& t,
-                                    const std::int8_t* col,
-                                    const Requant& rq, std::int8_t* out,
-                                    std::uint64_t* sat) noexcept;
+/// Direct int8 Conv2d: out = requant(conv(in, wt)) in CHW layout over the
+/// live natural-layout weights (out_c x in_c x k x k), one output pixel
+/// per lane (4 scalar, 8 avx2, 16 avx512). No clipped lane reads memory,
+/// so `in` may end at an unmapped page. Every arm is bitwise identical to
+/// the reference Conv2d loop, clip counters included. A SIMD arm whose
+/// staged weight pairs do not fit its 16 KB stack stage
+/// (ceil(in_c / 2) * k * k > 512 taps of 8 channels) runs the scalar arm.
+void qconv2d_direct_scalar(const std::int8_t* wt,
+                           const kernels::Conv2dGeom& g,
+                           const std::int8_t* in, const Requant& rq,
+                           std::int8_t* out, std::uint64_t* sat) noexcept;
+void qconv2d_direct_avx2(const std::int8_t* wt, const kernels::Conv2dGeom& g,
+                         const std::int8_t* in, const Requant& rq,
+                         std::int8_t* out, std::uint64_t* sat) noexcept;
+void qconv2d_direct_avx512bw(const std::int8_t* wt,
+                             const kernels::Conv2dGeom& g,
+                             const std::int8_t* in, const Requant& rq,
+                             std::int8_t* out, std::uint64_t* sat) noexcept;
+void qconv2d_direct_avx512vnni(const std::int8_t* wt,
+                               const kernels::Conv2dGeom& g,
+                               const std::int8_t* in, const Requant& rq,
+                               std::int8_t* out,
+                               std::uint64_t* sat) noexcept;
 
 /// Per-step int8 kernel entry points resolved once at plan-construction
 /// time so the engine hot path stays branch-free.
@@ -242,9 +221,9 @@ using QDenseKernelFn = void (*)(const std::int8_t* panel,
                                 const std::int8_t* x, const Requant& rq,
                                 std::int8_t* out,
                                 std::uint64_t* sat) noexcept;
-using QConvKernelFn = void (*)(const std::int8_t* panel,
-                               const kernels::ConvTables& t,
-                               const std::int8_t* col, const Requant& rq,
+using QConvKernelFn = void (*)(const std::int8_t* wt,
+                               const kernels::Conv2dGeom& g,
+                               const std::int8_t* in, const Requant& rq,
                                std::int8_t* out,
                                std::uint64_t* sat) noexcept;
 

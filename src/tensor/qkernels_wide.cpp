@@ -1,22 +1,28 @@
 // kWide int8 microkernels: exact int8 x int8 -> int32 dot products with a
-// fused requantize epilogue, in four arms over one panel layout (4
-// consecutive k per output lane, zero-padded in k and in lanes):
-//   - scalar: the canonical per-chain loop;
-//   - avx2 / avx512bw: vpmovsxbw + vpmaddwd (two k per int32 lane);
-//   - avx512vnni: vpdpbusd (four k per int32 lane) on activations shifted
-//     into u8 by x ^ 0x80, minus the panel's per-lane 128 * sum(w).
+// fused requantize epilogue, in four arms:
+//   - scalar: the canonical per-chain loops;
+//   - avx2 / avx512bw: vpmaddwd on int16-widened operands (two products
+//     per int32 lane);
+//   - avx512vnni: Dense runs vpdpbusd (four k per int32 lane) on
+//     activations shifted into u8 by x ^ 0x80, minus the panel's per-lane
+//     128 * sum(w); Conv2d runs vpdpwssd on int16 pairs.
+// Dense reads a 4-k quad panel (zero-padded in k and in lanes). Conv2d is
+// the direct driver of kernels_wide_conv_arm.h over the live weights: a
+// lane is one output pixel, and the SIMD arms multiply the int16 pair of
+// input channels (ic, ic + 1) at one tap against that tap's staged weight
+// pair, so a clipped lane loads 0 and adds exactly 0.
 //
 // Determinism contract: exact int32 sums. An int8 x int8 product and
 // every partial sum below are integers of magnitude at most
 // k_len * 255 * 128, which the plan requires to stay under 2^31
 // (qwide_bound_ok; a step that fails it runs on the scalar arm). In that
 // range int32 addition is exact and associative, so any grouping of the
-// products — pairs, quads, four pixels side by side, the u8 shift and its
-// correction — equals the reference's serial chain bit for bit. The
-// saturating vpmaddubsw / vpdpbusds are never used. The epilogue is float
-// math and must keep the reference's separately rounded mul/mul/add/div,
-// so this TU is compiled with -ffp-contract=off; dl_quant_kernels_wide_test
-// proves identity to QuantizedModel::apply_layer on every probed arm.
+// products — pairs, quads, the u8 shift and its correction — equals the
+// reference's serial chain bit for bit. The saturating vpmaddubsw /
+// vpdpbusds are never used. The epilogue is float math and must keep the
+// reference's separately rounded mul/mul/add/div, so this TU is compiled
+// with -ffp-contract=off; dl_quant_kernels_wide_test proves identity to
+// QuantizedModel::apply_layer on every probed arm.
 #include "tensor/qkernels.hpp"
 
 #include <cstring>
@@ -55,11 +61,6 @@ constexpr std::size_t weight_bytes(std::size_t lanes,
 inline const std::int32_t* corrections(const std::int8_t* gp,
                                        std::size_t wbytes) noexcept {
   return reinterpret_cast<const std::int32_t*>(gp + wbytes);
-}
-
-/// Lane count of the conv group starting at channel oc0 < out_c.
-constexpr std::size_t group_lanes(std::size_t out_c, std::size_t oc0) noexcept {
-  return out_c - oc0 > kQWideHalfLanes ? kQWideConvLanes : kQWideHalfLanes;
 }
 
 /// Packs `real` rows of k_len int8 weights (row i at w + i * k_len) into
@@ -105,11 +106,6 @@ inline std::uint32_t load_partial_quad(const std::int8_t* p,
 
 }  // namespace
 
-void im2col_gather_i8(const std::int8_t* in, const std::uint32_t* in_idx,
-                      std::size_t entries, std::int8_t* col) noexcept {
-  for (std::size_t e = 0; e < entries; ++e) col[e] = in[in_idx[e]];
-}
-
 std::size_t qwide_group_bytes(std::size_t lanes, std::size_t k_len) noexcept {
   return weight_bytes(lanes, k_len) +
          align_up_bytes(lanes * sizeof(std::int32_t));
@@ -129,28 +125,6 @@ void pack_qwide_dense_panel(const std::int8_t* w, std::size_t rows,
         rows - r0 < kQWideRowBlock ? rows - r0 : kQWideRowBlock;
     pack_group(w + r0 * cols, real, kQWideRowBlock, cols,
                panel + r0 / kQWideRowBlock * gbytes);
-  }
-}
-
-std::size_t qwide_conv_panel_bytes(std::size_t out_c,
-                                   std::size_t patch) noexcept {
-  std::size_t bytes = 0;
-  for (std::size_t oc0 = 0; oc0 < out_c;) {
-    const std::size_t lanes = group_lanes(out_c, oc0);
-    bytes += qwide_group_bytes(lanes, patch);
-    oc0 += lanes;
-  }
-  return bytes;
-}
-
-void pack_qwide_conv_panel(const std::int8_t* wt, std::size_t out_c,
-                           std::size_t patch, std::int8_t* panel) noexcept {
-  for (std::size_t oc0 = 0; oc0 < out_c;) {
-    const std::size_t lanes = group_lanes(out_c, oc0);
-    const std::size_t real = out_c - oc0 < lanes ? out_c - oc0 : lanes;
-    pack_group(wt + oc0 * patch, real, lanes, patch, panel);
-    panel += qwide_group_bytes(lanes, patch);
-    oc0 += lanes;
   }
 }
 
@@ -223,33 +197,6 @@ inline void scalar_dot(const std::int8_t* gp, const std::int8_t* x,
   std::memcpy(out, acc, sizeof acc);
 }
 
-/// One conv group of L lanes: per pixel, one int32 chain per channel over
-/// the pixel's taps in table order (== the reference loop's order;
-/// clipped taps are absent). Padded lanes accumulate zeros and are never
-/// stored.
-template <std::size_t L>
-void qconv_group_scalar(const std::int8_t* gp, const kernels::ConvTables& t,
-                        const std::int8_t* col, const Requant& rq,
-                        std::int8_t* out, std::size_t oc0,
-                        std::uint64_t* sat) noexcept {
-  const std::size_t real = t.out_c - oc0 < L ? t.out_c - oc0 : L;
-  for (std::size_t p = 0; p < t.opix; ++p) {
-    const std::size_t base = t.pix_off[p];
-    const std::size_t taps = t.pix_off[p + 1] - base;
-    std::int32_t acc[L];
-    if (taps == t.patch) {
-      scalar_dot<L>(gp, col + base, taps, acc);
-    } else {
-      v4si a[L / 4] = {};
-      for (std::size_t j = 0; j < taps; ++j)
-        scalar_tap<L>(a, gp, t.w_ofs[base + j], col[base + j]);
-      std::memcpy(acc, a, sizeof a);
-    }
-    for (std::size_t i = 0; i < real; ++i)
-      out[(oc0 + i) * t.opix + p] = requantize(acc[i], oc0 + i, rq, sat);
-  }
-}
-
 }  // namespace
 
 void qmatvec_wide_scalar(const std::int8_t* panel, std::size_t rows,
@@ -270,20 +217,111 @@ void qmatvec_wide_scalar(const std::int8_t* panel, std::size_t rows,
   }
 }
 
-void qconv2d_im2col_wide_scalar(const std::int8_t* panel,
-                                const kernels::ConvTables& t,
-                                const std::int8_t* col, const Requant& rq,
-                                std::int8_t* out,
-                                std::uint64_t* sat) noexcept {
-  for (std::size_t oc0 = 0; oc0 < t.out_c;) {
-    const std::size_t lanes = group_lanes(t.out_c, oc0);
-    if (lanes == kQWideConvLanes)
-      qconv_group_scalar<kQWideConvLanes>(panel, t, col, rq, out, oc0, sat);
-    else
-      qconv_group_scalar<kQWideHalfLanes>(panel, t, col, rq, out, oc0, sat);
-    panel += qwide_group_bytes(lanes, t.patch);
-    oc0 += lanes;
+// ------------------------------------------------------------ Conv2d
+
+namespace {
+
+using kernels::Conv2dGeom;
+using kernels::kWideConvLanes;
+
+/// The weight pairs of one tap for the kWideConvLanes channels of a
+/// block, one int32 word per channel: w[ic] in the low and w[ic + 1] in
+/// the high int16.
+struct Pair8 {
+  std::int32_t w[kWideConvLanes];
+};
+
+/// Staged taps of one block on the stack: ceil(in_c / 2) * k * k must fit
+/// (in_c <= 113 at k = 3), or the SIMD entry points run the scalar arm.
+constexpr std::size_t kQStageTaps = 512;
+
+/// The int8 element of the direct conv driver (kernels_wide_conv_arm.h),
+/// shared by every arm: a chain starts at 0, the input and the live
+/// natural-layout weights are read where they lie, and the store
+/// requantizes and counts the clips of the live lanes.
+struct QTaps {
+  using T = std::int8_t;
+  const std::int8_t* in;
+  const std::int8_t* wt;
+  std::int8_t* out;
+  const Requant* rq;
+  std::size_t stride, in_c, kk, opix, plane;
+  Pair8* stage;  ///< the SIMD arms' staged weight pairs, or null
+  std::uint64_t clips = 0;
+
+  /// Channel oc's weight scale (per channel or per tensor).
+  float w_scale(std::size_t oc) const noexcept {
+    return rq->per_channel ? rq->w_scales[oc] : rq->w_scales[0];
   }
+};
+
+QTaps q_taps(const std::int8_t* wt, const Conv2dGeom& g,
+             const std::int8_t* in, const Requant& rq, std::int8_t* out,
+             Pair8* stage) noexcept {
+  return QTaps{.in = in, .wt = wt, .out = out, .rq = &rq,
+               .stride = g.stride, .in_c = g.in_c, .kk = g.k * g.k,
+               .opix = g.opix(), .plane = g.in_h * g.in_w, .stage = stage};
+}
+
+// The scalar arm: 4 pixel lanes of int32 chains, one input channel per
+// tap, the weights broadcast straight from the live layout. Each lane
+// adds its products in the reference order (a clipped tap adds 0), so
+// this is the serial chain a step past the no-overflow bound keeps.
+namespace scalar_arm {
+
+typedef std::int8_t v4qi __attribute__((vector_size(4)));
+
+struct Lanes : QTaps {
+  using W = std::int8_t;
+  using V = v4si;
+  using M = std::uint32_t;
+  static constexpr std::size_t kLanes = 4;
+  static constexpr std::size_t kGroup = 1;
+
+  static M mask(std::uint32_t b) noexcept { return b; }
+  V load(const std::int8_t* p, M m, bool full, bool) const noexcept {
+    if (full && stride == 1) {
+      v4qi b;
+      std::memcpy(&b, p, sizeof b);
+      return __builtin_convertvector(b, V);
+    }
+    V x = {};
+    for (std::size_t j = 0; j < kLanes; ++j)
+      if ((m >> j & 1u) != 0) x[j] = p[j * stride];
+    return x;
+  }
+  static V init(std::size_t) noexcept { return V{}; }
+  const std::int8_t* weights(std::size_t oc0, std::size_t ic) const noexcept {
+    return wt + (oc0 * in_c + ic) * kk;
+  }
+  V weight(const std::int8_t* wk, std::size_t c,
+           std::size_t kx) const noexcept {
+    const std::int32_t w = wk[c * in_c * kk + kx];
+    return V{w, w, w, w};
+  }
+  static V madd(V acc, M, bool, V w, V x) noexcept { return acc + w * x; }
+  static void begin_block(std::size_t, std::size_t) noexcept {}
+  void store(V acc, std::size_t oc, std::size_t pix,
+             std::size_t lanes) noexcept {
+    for (std::size_t j = 0; j < lanes; ++j)
+      out[oc * opix + pix + j] = requantize(acc[j], oc, *rq, &clips);
+  }
+};
+
+#define SX_ARM_ATTR
+#include "tensor/kernels_wide_conv_arm.h"
+#undef SX_ARM_ATTR
+
+}  // namespace scalar_arm
+
+}  // namespace
+
+void qconv2d_direct_scalar(const std::int8_t* wt, const Conv2dGeom& g,
+                           const std::int8_t* in, const Requant& rq,
+                           std::int8_t* out, std::uint64_t* sat) noexcept {
+  scalar_arm::Lanes ln{q_taps(wt, g, in, rq, out, nullptr)};
+  scalar_arm::conv(ln, g);
+  if (sat != nullptr) *sat += ln.clips;
 }
 
 #if SX_QWIDE_X86
@@ -377,33 +415,6 @@ SX_AVX2_INLINE void store_row(std::int8_t* out, __m256i v,
   std::memcpy(out, &b, real);
 }
 
-/// Conv store of one pixel: lane i goes to channel plane i.
-SX_AVX2_INLINE void store_pixel(__m256i v, std::size_t real,
-                                std::int8_t* out, std::size_t opix) noexcept {
-  const std::uint64_t b = pack8(v);
-  for (std::size_t i = 0; i < real; ++i)
-    out[i * opix] = static_cast<std::int8_t>(b >> (8 * i));
-}
-
-/// Conv store of four consecutive pixels: the 4 x 8 byte block is
-/// transposed so each channel plane takes one 4-byte store.
-SX_AVX2_INLINE void store_tile4(__m256i t0, __m256i t1, __m256i t2,
-                                __m256i t3, std::size_t real,
-                                std::int8_t* out, std::size_t opix) noexcept {
-  // Per 128-bit half: bytes [pixel][channel 0..3 | 4..7] ...
-  const __m256i b = _mm256_packs_epi16(_mm256_packs_epi32(t0, t1),
-                                       _mm256_packs_epi32(t2, t3));
-  // ... reordered to [channel][pixel].
-  const __m256i perm =
-      _mm256_setr_epi8(0, 4, 8, 12, 1, 5, 9, 13, 2, 6, 10, 14, 3, 7, 11, 15,
-                       0, 4, 8, 12, 1, 5, 9, 13, 2, 6, 10, 14, 3, 7, 11, 15);
-  alignas(32) std::int8_t buf[32];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(buf),
-                     _mm256_shuffle_epi8(b, perm));
-  for (std::size_t i = 0; i < real; ++i)
-    std::memcpy(out + i * opix, buf + 4 * i, 4);
-}
-
 // --------------------------------------------- exact dot-product policies
 //
 // Each policy accumulates L lanes: zero() an accumulator, load() one quad
@@ -411,18 +422,19 @@ SX_AVX2_INLINE void store_tile4(__m256i t0, __m256i t1, __m256i t2,
 // quad into the accumulator, finish() the exact int32 lane sums as 8-lane
 // units.
 
-#define SX_BW_INLINE                                                    \
-  __attribute__((target("avx2,avx512f,avx512bw,avx512vl"), always_inline)) \
-  inline
-#define SX_VNNI_INLINE                                               \
-  __attribute__((target("avx2,avx512f,avx512bw,avx512vl,avx512vnni"), \
-                 always_inline)) inline
+#define SX_BW_TARGET "avx2,avx512f,avx512bw,avx512vl"
+#define SX_VNNI_TARGET SX_BW_TARGET ",avx512vnni"
+#define SX_BW_INLINE \
+  __attribute__((target(SX_BW_TARGET), always_inline)) inline
+#define SX_VNNI_INLINE \
+  __attribute__((target(SX_VNNI_TARGET), always_inline)) inline
 
 // The maskz forms with all-ones masks are the same instructions as the
 // unmasked intrinsics, whose _mm512_undefined passthrough trips GCC's
 // -Wmaybe-uninitialized.
 constexpr __mmask8 kAll8 = 0xFF;
 constexpr __mmask16 kAll16 = 0xFFFF;
+constexpr __mmask32 kAll32 = 0xFFFFFFFFu;
 
 SX_BW_INLINE __m256i high256(__m512i v) noexcept {
   return _mm512_maskz_extracti64x4_epi64(kAll8, v, 1);
@@ -520,31 +532,6 @@ struct MaddZ {
   }
 };
 
-/// vpdpbusd on 256 bits (AVX512VL): 8 lanes, four k per int32 lane. The
-/// activation quad is shifted into u8 (x ^ 0x80 == x + 128), so each lane
-/// accumulates sum(x * w) + 128 * sum(w); finish() subtracts the panel's
-/// correction.
-struct VnniY8 {
-  using Acc = __m256i;
-  using W = __m256i;
-  SX_VNNI_INLINE static Acc zero() noexcept { return _mm256_setzero_si256(); }
-  SX_VNNI_INLINE static W load(const std::int8_t* w) noexcept {
-    return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w));
-  }
-  SX_VNNI_INLINE static __m256i prep(std::uint32_t q) noexcept {
-    return _mm256_xor_si256(_mm256_set1_epi32(static_cast<int>(q)),
-                            _mm256_set1_epi32(static_cast<int>(0x80808080u)));
-  }
-  SX_VNNI_INLINE static void mac(Acc& a, W w, __m256i x) noexcept {
-    a = _mm256_dpbusd_epi32(a, x, w);
-  }
-  SX_VNNI_INLINE static void finish(Acc a, const std::int32_t* corr,
-                                    __m256i* u) noexcept {
-    u[0] = _mm256_sub_epi32(
-        a, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(corr)));
-  }
-};
-
 /// vpdpbusd on 512 bits: one accumulator per 16 lanes.
 template <std::size_t L>
 struct VnniZ {
@@ -584,6 +571,205 @@ struct VnniZ {
   }
 };
 
+// ------------------------------------------------- conv int16 pair lanes
+//
+// The SIMD conv arms take the input channels two at a time: lane j holds
+// the int16 pair (x[ic][j], x[ic + 1][j]) and one vpmaddwd / vpdpwssd
+// adds x[ic][j] * w[ic] + x[ic + 1][j] * w[ic + 1] to it, against the
+// tap's weight pair broadcast to every lane. begin_block stages a block's
+// pairs from the live weights once per call; an odd last channel pairs
+// with a zero row and a zero weight.
+
+/// Stages channels oc0 .. oc0 + nb: pair p, tap t of channel c at
+/// stage[p * kk + t].w[c].
+inline void stage_pairs(const QTaps& q, std::size_t oc0,
+                        std::size_t nb) noexcept {
+  const std::size_t pairs = (q.in_c + 1) / 2;
+  const auto half = [](std::int8_t v) {
+    return static_cast<std::uint32_t>(
+        static_cast<std::uint16_t>(static_cast<std::int16_t>(v)));
+  };
+  for (std::size_t c = 0; c < nb; ++c)
+    for (std::size_t p = 0; p < pairs; ++p) {
+      const std::int8_t* lo = q.wt + ((oc0 + c) * q.in_c + 2 * p) * q.kk;
+      const bool hi = 2 * p + 1 < q.in_c;
+      Pair8* dst = q.stage + p * q.kk;
+      for (std::size_t t = 0; t < q.kk; ++t)
+        dst[t].w[c] = static_cast<std::int32_t>(
+            half(lo[t]) | (hi ? half(lo[q.kk + t]) << 16 : 0u));
+    }
+}
+
+/// True when one block's staged pairs fit kQStageTaps.
+constexpr bool pairs_fit(const Conv2dGeom& g) noexcept {
+  return (g.in_c + 1) / 2 * g.k * g.k <= kQStageTaps;
+}
+
+/// The staged-pair half of the SIMD arms' element policy.
+struct QPairTaps : QTaps {
+  using W = Pair8;
+  static constexpr std::size_t kGroup = 2;
+
+  const Pair8* weights(std::size_t, std::size_t ic) const noexcept {
+    return stage + ic / 2 * kk;
+  }
+  void begin_block(std::size_t oc0, std::size_t nb) const noexcept {
+    stage_pairs(*this, oc0, nb);
+  }
+};
+
+/// 8 pixel lanes on 256 bits (avx2): byte rows assembled in a GPR,
+/// vpmaddwd + vpaddd, the vector requantize of the Dense arms.
+struct PairsY : QPairTaps {
+  using V = __m256i;
+  using M = std::uint32_t;
+  static constexpr std::size_t kLanes = 8;
+  Epilogue8 ep;
+
+  static M mask(std::uint32_t b) noexcept { return b; }
+  /// The 8 live bytes of one row, clipped lanes 0.
+  std::uint64_t bytes(const std::int8_t* p, M m, bool full) const noexcept {
+    std::uint64_t v = 0;
+    if (full && stride == 1) {
+      std::memcpy(&v, p, sizeof v);
+      return v;
+    }
+    for (std::size_t j = 0; j < kLanes; ++j)
+      if ((m >> j & 1u) != 0)
+        v |= std::uint64_t{static_cast<std::uint8_t>(p[j * stride])}
+             << (8 * j);
+    return v;
+  }
+  SX_AVX2_INLINE V load(const std::int8_t* p, M m, bool full,
+                        bool pair) const noexcept {
+    const __m128i a =
+        _mm_cvtsi64_si128(static_cast<long long>(bytes(p, m, full)));
+    const __m128i b =
+        pair ? _mm_cvtsi64_si128(
+                   static_cast<long long>(bytes(p + plane, m, full)))
+             : _mm_setzero_si128();
+    return _mm256_cvtepi8_epi16(_mm_unpacklo_epi8(a, b));
+  }
+  SX_AVX2_INLINE static V init(std::size_t) noexcept {
+    return _mm256_setzero_si256();
+  }
+  SX_AVX2_INLINE static V weight(const Pair8* wk, std::size_t c,
+                                 std::size_t kx) noexcept {
+    return _mm256_set1_epi32(wk[kx].w[c]);
+  }
+  SX_AVX2_INLINE static V madd(V acc, M, bool, V w, V x) noexcept {
+    return _mm256_add_epi32(acc, _mm256_madd_epi16(x, w));
+  }
+  SX_AVX2_INLINE void store(V acc, std::size_t oc, std::size_t pix,
+                            std::size_t lanes) noexcept {
+    const Lanes8 ln{_mm256_set1_ps(w_scale(oc)), _mm256_set1_ps(rq->bias[oc]),
+                    _mm256_cmpgt_epi32(
+                        _mm256_set1_epi32(static_cast<int>(lanes)),
+                        _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7)),
+                    lanes};
+    store_row(out + oc * opix + pix, requant8(ep, ln, acc), lanes);
+  }
+};
+
+/// The 16-lane masks of one tap column: the lanes, and their even bytes
+/// for a stride-2 load of 32 bytes.
+struct Mask16 {
+  __mmask16 k;
+  __mmask32 k2;
+};
+
+/// 16 pixel lanes on 512 bits (avx512bw and up): zero-masked byte loads,
+/// the pairs interleaved and widened by vpmovsxbw, a 16-lane requantize.
+/// `Madd` supplies the pair product: vpmaddwd + vpaddd, or vpdpwssd.
+template <typename Madd>
+struct PairsZ : QPairTaps, Madd {
+  using V = __m512i;
+  using M = Mask16;
+  static constexpr std::size_t kLanes = 16;
+
+  static M mask(std::uint32_t b) noexcept {
+    std::uint32_t e = b & 0xFFFFu;  // bit j -> bit 2j
+    e = (e | e << 8) & 0x00FF00FFu;
+    e = (e | e << 4) & 0x0F0F0F0Fu;
+    e = (e | e << 2) & 0x33333333u;
+    e = (e | e << 1) & 0x55555555u;
+    return M{static_cast<__mmask16>(b), static_cast<__mmask32>(e)};
+  }
+  SX_BW_INLINE __m128i bytes(const std::int8_t* p, M m,
+                             bool full) const noexcept {
+    if (stride == 1)
+      return full ? _mm_loadu_si128(reinterpret_cast<const __m128i*>(p))
+                  : _mm_maskz_loadu_epi8(m.k, p);
+    if (stride == 2)
+      return _mm256_maskz_cvtepi16_epi8(kAll16,
+                                        _mm256_maskz_loadu_epi8(m.k2, p));
+    alignas(16) std::int8_t b[kLanes] = {};
+    for (std::size_t j = 0; j < kLanes; ++j)
+      if ((m.k >> j & 1u) != 0) b[j] = p[j * stride];
+    return _mm_load_si128(reinterpret_cast<const __m128i*>(b));
+  }
+  SX_BW_INLINE V load(const std::int8_t* p, M m, bool full,
+                      bool pair) const noexcept {
+    const __m128i a = bytes(p, m, full);
+    const __m128i b = pair ? bytes(p + plane, m, full) : _mm_setzero_si128();
+    return _mm512_maskz_cvtepi8_epi16(
+        kAll32, _mm256_set_m128i(_mm_unpackhi_epi8(a, b),
+                                 _mm_unpacklo_epi8(a, b)));
+  }
+  SX_BW_INLINE static V init(std::size_t) noexcept {
+    return _mm512_setzero_si512();
+  }
+  SX_BW_INLINE static V weight(const Pair8* wk, std::size_t c,
+                               std::size_t kx) noexcept {
+    return _mm512_set1_epi32(wk[kx].w[c]);
+  }
+  /// requantize() on 16 lanes, operation for operation (see requant8);
+  /// the clips of the live lanes are counted.
+  SX_BW_INLINE void store(V acc, std::size_t oc, std::size_t pix,
+                          std::size_t lanes) noexcept {
+    const __m512 f = _mm512_maskz_cvtepi32_ps(kAll16, acc);
+    const __m512 v = _mm512_add_ps(
+        _mm512_mul_ps(_mm512_mul_ps(f, _mm512_set1_ps(w_scale(oc))),
+                      _mm512_set1_ps(rq->in_scale)),
+        _mm512_set1_ps(rq->bias[oc]));
+    const __m512 q = _mm512_div_ps(v, _mm512_set1_ps(rq->out_scale));
+    const __m512 half = _mm512_set1_ps(0.5f);
+    const __m512 r = _mm512_mask_blend_ps(
+        _mm512_cmp_ps_mask(q, _mm512_setzero_ps(), _CMP_GE_OQ),
+        _mm512_sub_ps(q, half), _mm512_add_ps(q, half));
+    const __mmask16 hi =
+        _mm512_cmp_ps_mask(r, _mm512_set1_ps(128.0f), _CMP_NLT_UQ);
+    const __mmask16 lo =
+        _mm512_cmp_ps_mask(r, _mm512_set1_ps(-128.0f), _CMP_LE_OQ);
+    __m512i t = _mm512_maskz_cvttps_epi32(kAll16, r);
+    t = _mm512_mask_mov_epi32(t, hi, _mm512_set1_epi32(127));
+    t = _mm512_mask_mov_epi32(t, lo, _mm512_set1_epi32(-127));
+    if (rq->relu) t = _mm512_maskz_max_epi32(kAll16, t, _mm512_setzero_si512());
+    const auto valid = static_cast<__mmask16>((1u << lanes) - 1);
+    clips += static_cast<std::uint64_t>(
+        __builtin_popcount(static_cast<unsigned>((hi | lo) & valid)));
+    _mm_mask_storeu_epi8(out + oc * opix + pix, valid,
+                         _mm512_maskz_cvtepi32_epi8(kAll16, t));
+  }
+};
+
+struct MaddBw {
+  SX_BW_INLINE static __m512i madd(__m512i acc, Mask16, bool, __m512i w,
+                                   __m512i x) noexcept {
+    return _mm512_add_epi32(acc, _mm512_madd_epi16(x, w));
+  }
+};
+
+struct MaddVnni {
+  SX_VNNI_INLINE static __m512i madd(__m512i acc, Mask16, bool, __m512i w,
+                                     __m512i x) noexcept {
+    // GCC 12 copies a loop-carried vpdpwssd accumulator in and out of a
+    // scratch register around every use; the asm names it in place.
+    __asm__("vpdpwssd %2, %1, %0" : "+v"(acc) : "v"(x), "v"(w));
+    return acc;
+  }
+};
+
 // ------------------------------------------------------------ SIMD arms
 
 namespace avx2_arm {
@@ -592,26 +778,34 @@ struct Group : MaddY<L> {};
 #define SX_QARM_TARGET "avx2"
 #include "tensor/qkernels_wide_arm.h"
 #undef SX_QARM_TARGET
+using Lanes = PairsY;
+#define SX_ARM_ATTR __attribute__((target("avx2")))
+#include "tensor/kernels_wide_conv_arm.h"
+#undef SX_ARM_ATTR
 }  // namespace avx2_arm
 
 namespace avx512bw_arm {
 template <std::size_t L>
 struct Group : MaddZ<L> {};
-template <>
-struct Group<kQWideHalfLanes> : MaddY<kQWideHalfLanes> {};
-#define SX_QARM_TARGET "avx2,avx512f,avx512bw,avx512vl"
+#define SX_QARM_TARGET SX_BW_TARGET
 #include "tensor/qkernels_wide_arm.h"
 #undef SX_QARM_TARGET
+using Lanes = PairsZ<MaddBw>;
+#define SX_ARM_ATTR __attribute__((target(SX_BW_TARGET)))
+#include "tensor/kernels_wide_conv_arm.h"
+#undef SX_ARM_ATTR
 }  // namespace avx512bw_arm
 
 namespace avx512vnni_arm {
 template <std::size_t L>
 struct Group : VnniZ<L> {};
-template <>
-struct Group<kQWideHalfLanes> : VnniY8 {};
-#define SX_QARM_TARGET "avx2,avx512f,avx512bw,avx512vl,avx512vnni"
+#define SX_QARM_TARGET SX_VNNI_TARGET
 #include "tensor/qkernels_wide_arm.h"
 #undef SX_QARM_TARGET
+using Lanes = PairsZ<MaddVnni>;
+#define SX_ARM_ATTR __attribute__((target(SX_VNNI_TARGET)))
+#include "tensor/kernels_wide_conv_arm.h"
+#undef SX_ARM_ATTR
 }  // namespace avx512vnni_arm
 
 }  // namespace
@@ -637,27 +831,35 @@ void qmatvec_wide_avx512vnni(const std::int8_t* panel, std::size_t rows,
   avx512vnni_arm::dense(panel, rows, cols, x, rq, out, sat);
 }
 
-void qconv2d_im2col_wide_avx2(const std::int8_t* panel,
-                              const kernels::ConvTables& t,
-                              const std::int8_t* col, const Requant& rq,
-                              std::int8_t* out, std::uint64_t* sat) noexcept {
-  avx2_arm::conv(panel, t, col, rq, out, sat);
+__attribute__((target("avx2"))) void qconv2d_direct_avx2(
+    const std::int8_t* wt, const Conv2dGeom& g, const std::int8_t* in,
+    const Requant& rq, std::int8_t* out, std::uint64_t* sat) noexcept {
+  if (!pairs_fit(g)) return qconv2d_direct_scalar(wt, g, in, rq, out, sat);
+  Pair8 stage[kQStageTaps];
+  avx2_arm::Lanes ln{{q_taps(wt, g, in, rq, out, stage)}, make_epilogue(rq)};
+  avx2_arm::conv(ln, g);
+  flush(ln.ep, sat);
 }
 
-void qconv2d_im2col_wide_avx512bw(const std::int8_t* panel,
-                                  const kernels::ConvTables& t,
-                                  const std::int8_t* col, const Requant& rq,
-                                  std::int8_t* out,
-                                  std::uint64_t* sat) noexcept {
-  avx512bw_arm::conv(panel, t, col, rq, out, sat);
+void qconv2d_direct_avx512bw(const std::int8_t* wt, const Conv2dGeom& g,
+                             const std::int8_t* in, const Requant& rq,
+                             std::int8_t* out, std::uint64_t* sat) noexcept {
+  if (!pairs_fit(g)) return qconv2d_direct_scalar(wt, g, in, rq, out, sat);
+  Pair8 stage[kQStageTaps];
+  avx512bw_arm::Lanes ln{{q_taps(wt, g, in, rq, out, stage)}, {}};
+  avx512bw_arm::conv(ln, g);
+  if (sat != nullptr) *sat += ln.clips;
 }
 
-void qconv2d_im2col_wide_avx512vnni(const std::int8_t* panel,
-                                    const kernels::ConvTables& t,
-                                    const std::int8_t* col,
-                                    const Requant& rq, std::int8_t* out,
-                                    std::uint64_t* sat) noexcept {
-  avx512vnni_arm::conv(panel, t, col, rq, out, sat);
+void qconv2d_direct_avx512vnni(const std::int8_t* wt, const Conv2dGeom& g,
+                               const std::int8_t* in, const Requant& rq,
+                               std::int8_t* out,
+                               std::uint64_t* sat) noexcept {
+  if (!pairs_fit(g)) return qconv2d_direct_scalar(wt, g, in, rq, out, sat);
+  Pair8 stage[kQStageTaps];
+  avx512vnni_arm::Lanes ln{{q_taps(wt, g, in, rq, out, stage)}, {}};
+  avx512vnni_arm::conv(ln, g);
+  if (sat != nullptr) *sat += ln.clips;
 }
 
 #else  // !SX_QWIDE_X86: the SIMD entry points are the scalar arm itself.
@@ -683,27 +885,23 @@ void qmatvec_wide_avx512vnni(const std::int8_t* panel, std::size_t rows,
   qmatvec_wide_scalar(panel, rows, cols, x, rq, out, sat);
 }
 
-void qconv2d_im2col_wide_avx2(const std::int8_t* panel,
-                              const kernels::ConvTables& t,
-                              const std::int8_t* col, const Requant& rq,
-                              std::int8_t* out, std::uint64_t* sat) noexcept {
-  qconv2d_im2col_wide_scalar(panel, t, col, rq, out, sat);
+void qconv2d_direct_avx2(const std::int8_t* wt, const Conv2dGeom& g,
+                         const std::int8_t* in, const Requant& rq,
+                         std::int8_t* out, std::uint64_t* sat) noexcept {
+  qconv2d_direct_scalar(wt, g, in, rq, out, sat);
 }
 
-void qconv2d_im2col_wide_avx512bw(const std::int8_t* panel,
-                                  const kernels::ConvTables& t,
-                                  const std::int8_t* col, const Requant& rq,
-                                  std::int8_t* out,
-                                  std::uint64_t* sat) noexcept {
-  qconv2d_im2col_wide_scalar(panel, t, col, rq, out, sat);
+void qconv2d_direct_avx512bw(const std::int8_t* wt, const Conv2dGeom& g,
+                             const std::int8_t* in, const Requant& rq,
+                             std::int8_t* out, std::uint64_t* sat) noexcept {
+  qconv2d_direct_scalar(wt, g, in, rq, out, sat);
 }
 
-void qconv2d_im2col_wide_avx512vnni(const std::int8_t* panel,
-                                    const kernels::ConvTables& t,
-                                    const std::int8_t* col,
-                                    const Requant& rq, std::int8_t* out,
-                                    std::uint64_t* sat) noexcept {
-  qconv2d_im2col_wide_scalar(panel, t, col, rq, out, sat);
+void qconv2d_direct_avx512vnni(const std::int8_t* wt, const Conv2dGeom& g,
+                               const std::int8_t* in, const Requant& rq,
+                               std::int8_t* out,
+                               std::uint64_t* sat) noexcept {
+  qconv2d_direct_scalar(wt, g, in, rq, out, sat);
 }
 
 #endif  // SX_QWIDE_X86
@@ -720,12 +918,12 @@ QDenseKernelFn wide_qdense_kernel(QArm arm) noexcept {
 
 QConvKernelFn wide_qconv_kernel(QArm arm) noexcept {
   switch (arm) {
-    case QArm::kAvx2: return &qconv2d_im2col_wide_avx2;
-    case QArm::kAvx512Bw: return &qconv2d_im2col_wide_avx512bw;
-    case QArm::kAvx512Vnni: return &qconv2d_im2col_wide_avx512vnni;
+    case QArm::kAvx2: return &qconv2d_direct_avx2;
+    case QArm::kAvx512Bw: return &qconv2d_direct_avx512bw;
+    case QArm::kAvx512Vnni: return &qconv2d_direct_avx512vnni;
     case QArm::kScalar: break;
   }
-  return &qconv2d_im2col_wide_scalar;
+  return &qconv2d_direct_scalar;
 }
 
 }  // namespace sx::tensor::qkernels

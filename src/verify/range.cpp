@@ -159,43 +159,11 @@ namespace {
 
 constexpr std::size_t kNoIdx = ~std::size_t{0};
 
-/// Ragged im2col column of one conv layer re-derived from its geometry
-/// alone (one element per *valid* tap — padding-clipped taps are
-/// omitted), deliberately re-counting taps with its own walk instead of
-/// consulting tensor::kernels::im2col_entries or any plan bookkeeping.
-std::size_t conv_entries_independent(std::size_t h, std::size_t w,
-                                     std::size_t in_c, std::size_t k,
-                                     std::size_t s, std::size_t p) {
-  const std::size_t oh = (h + 2 * p - k) / s + 1;
-  const std::size_t ow = (w + 2 * p - k) / s + 1;
-  std::size_t entries = 0;
-  for (std::size_t oy = 0; oy < oh; ++oy) {
-    for (std::size_t ox = 0; ox < ow; ++ox) {
-      std::size_t taps = 0;
-      for (std::size_t ky = 0; ky < k; ++ky) {
-        const std::ptrdiff_t iy = static_cast<std::ptrdiff_t>(oy * s + ky) -
-                                  static_cast<std::ptrdiff_t>(p);
-        if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(h)) continue;
-        for (std::size_t kx = 0; kx < k; ++kx) {
-          const std::ptrdiff_t ix = static_cast<std::ptrdiff_t>(ox * s + kx) -
-                                    static_cast<std::ptrdiff_t>(p);
-          if (ix < 0 || ix >= static_cast<std::ptrdiff_t>(w)) continue;
-          ++taps;
-        }
-      }
-      entries += in_c * taps;
-    }
-  }
-  return entries;
-}
-
-/// One source-model layer as the checker sees it: kind, output element
-/// count, and (for an int8 conv) the independently re-counted scratch
-/// column.
+/// One source-model layer as the checker sees it: kind and output
+/// element count.
 struct ChainLayer {
   dl::LayerKind kind{};
   std::size_t out_elems = 0;
-  std::size_t scratch = 0;
 };
 
 std::vector<ChainLayer> float_chain(const dl::Model& model) {
@@ -203,13 +171,8 @@ std::vector<ChainLayer> float_chain(const dl::Model& model) {
   layers.reserve(model.layer_count());
   Shape shape = model.input_shape();
   for (std::size_t i = 0; i < model.layer_count(); ++i) {
-    // Float convs run the direct kernel off their input slot: no layer
-    // carries scratch.
-    ChainLayer cl;
-    cl.kind = model.layer(i).kind();
     shape = model.layer(i).output_shape(shape);
-    cl.out_elems = shape.size();
-    layers.push_back(cl);
+    layers.push_back({model.layer(i).kind(), shape.size()});
   }
   return layers;
 }
@@ -217,19 +180,8 @@ std::vector<ChainLayer> float_chain(const dl::Model& model) {
 std::vector<ChainLayer> quant_chain(const dl::QuantizedModel& q) {
   std::vector<ChainLayer> layers;
   layers.reserve(q.layer_count());
-  for (std::size_t i = 0; i < q.layer_count(); ++i) {
-    const dl::QuantizedModel::QLayerView v = q.layer_view(i);
-    ChainLayer cl;
-    cl.kind = v.kind;
-    if (v.kind == dl::LayerKind::kConv2d) {
-      const Shape& in =
-          i == 0 ? q.input_shape() : q.activation_shape(i - 1);
-      cl.scratch = conv_entries_independent(in.dim(1), in.dim(2), v.in_c,
-                                            v.k, v.stride, v.pad);
-    }
-    cl.out_elems = q.activation_shape(i).size();
-    layers.push_back(cl);
-  }
+  for (std::size_t i = 0; i < q.layer_count(); ++i)
+    layers.push_back({q.layer_view(i).kind, q.activation_shape(i).size()});
   return layers;
 }
 
@@ -239,7 +191,6 @@ struct DerivedOp {
   std::size_t layer = 0;
   std::size_t in_elems = 0;
   std::size_t out_elems = 0;
-  std::size_t scratch = 0;
   std::size_t fused_layer = kNoIdx;
   dl::LayerKind fused_kind{};
 };
@@ -288,7 +239,6 @@ DerivedPlan derive_plan(std::size_t input_elems, bool input_in_arena,
     op.layer = i;
     op.in_elems = cur_elems;
     op.out_elems = l.out_elems;
-    op.scratch = l.scratch;
     d.ops.push_back(op);
     cur_elems = l.out_elems;
     have_def = true;
@@ -319,7 +269,7 @@ DerivedPlan derive_plan(std::size_t input_elems, bool input_in_arena,
 
   // Liveness coloring: value lifetimes over execution positions, placed
   // by deterministic first-fit in the contractual order (in-arena input,
-  // then per op its scratch, then its output).
+  // then per op its output).
   struct Placed {
     std::size_t off, elems, b, e;
   };
@@ -343,10 +293,8 @@ DerivedPlan derive_plan(std::size_t input_elems, bool input_in_arena,
   };
   if (input_in_arena) place(input_elems, 0, 0);
   const std::size_t m = d.ops.size();
-  for (std::size_t j = 0; j < m; ++j) {
-    if (d.ops[j].scratch != 0) place(d.ops[j].scratch, j, j);
+  for (std::size_t j = 0; j < m; ++j)
     place(d.ops[j].out_elems, j, j + 1 < m ? j + 1 : j);
-  }
   return d;
 }
 
@@ -388,7 +336,7 @@ IrCheck check_against(const ir::Program& p, const ir::ArenaLayout& layout,
       p.values[p.output_value].elems == output_elems;
 
   // Elimination: the surviving ops must be exactly the re-derived set, in
-  // execution order, with matching shapes and scratch demands.
+  // execution order, with matching shapes.
   std::vector<const ir::Op*> live;
   for (const ir::Op& op : p.ops)
     if (op.live) live.push_back(&op);
@@ -399,8 +347,7 @@ IrCheck check_against(const ir::Program& p, const ir::ArenaLayout& layout,
       const DerivedOp& e = d.ops[i];
       if (op.layer != e.layer || op.kind != expected_opkind(e.kind) ||
           p.values[op.input].elems != e.in_elems ||
-          p.values[op.output].elems != e.out_elems ||
-          op.scratch_elems != e.scratch)
+          p.values[op.output].elems != e.out_elems)
         elim = false;
     }
   }
@@ -451,13 +398,6 @@ IrCheck check_against(const ir::Program& p, const ir::ArenaLayout& layout,
           i == 0 ? (d.input_in_arena ? layout.input_offset : ir::kNone)
                  : layout.per_op[live[i - 1]->id].out_offset;
       if (slot.in_offset != expected_in) lay = false;
-      if (d.ops[i].scratch != 0) {
-        if (slot.scratch_offset == ir::kNone) {
-          lay = false;
-          break;
-        }
-        blocks.push_back({slot.scratch_offset, d.ops[i].scratch, i, i});
-      }
       if (slot.out_offset == ir::kNone) {
         lay = false;
         break;

@@ -91,9 +91,9 @@ TEST(BatchRunner, ArenasArePlannedUpFront) {
   // never exceeds that plan, batch after batch.
   const Model& m = sx::testing::trained_cnn();
   BatchRunner runner{m, BatchRunnerConfig{.workers = 3}};
-  // Shape-derived demand: ping-pong activations plus, under a planned
-  // kernel mode, the largest ragged im2col column (verify/range re-derives
-  // both without consulting the engine or the plan).
+  // Shape-derived demand: the liveness-colored activations under a
+  // planned kernel mode, the ping-pong pair otherwise (verify/range
+  // re-derives both without consulting the engine or the plan).
   const std::size_t planned = verify::static_arena_demand(m);
   for (std::size_t w = 0; w < runner.workers(); ++w)
     EXPECT_EQ(runner.worker_stats(w).arena_capacity, planned);

@@ -118,8 +118,8 @@ TEST(WideIsaSelect, NoOverridePicksWidestProbedIsa) {
   EXPECT_EQ(
       select_wide_isa(CpuProbe{true, true, true, true, true}, nullptr).int8,
       QArm::kAvx512Vnni);
-  // VNNI needs VL for the 256-bit half group; AVX-VNNI alone selects
-  // nothing.
+  // The VNNI arm needs VL (its requantize runs 256-bit); AVX-VNNI alone
+  // selects nothing.
   EXPECT_EQ(
       select_wide_isa(CpuProbe{true, true, true, false, true}, nullptr).int8,
       QArm::kAvx2);

@@ -2,16 +2,19 @@
 // and the planned int8 engine running on top of them.
 //
 // Contract under test: exact int32 sums. The scalar arm keeps the
-// reference's serial chain; the vpmaddwd (avx2, avx512bw) and vpdpbusd
-// (avx512vnni) arms regroup the products, which is exact under the plan's
-// no-overflow bound. Every arm must therefore be bitwise identical to
-// QuantizedModel::apply_layer in outputs AND saturation counts — across
-// reduction lengths of every residue mod 4, Dense row tails off the
-// 32-row block, every conv width from 1 to 9 plus the 16/8-lane group
-// edges, -128 weights, per-tensor and per-channel scales, ReLU on and off
-// — and the kWide QuantEngine must match QuantizedModel::run bit for bit
-// under every SX_KERNEL_ISA spelling the probe honors, VNNI refused as
-// well as allowed. SIMD arms run only where the CPU probe confirms them.
+// reference's serial chain; the vpmaddwd (avx2, avx512bw), vpdpbusd and
+// vpdpwssd (avx512vnni) arms regroup the products, which is exact under
+// the plan's no-overflow bound. Every arm must therefore be bitwise
+// identical to QuantizedModel::apply_layer in outputs AND saturation
+// counts — across Dense reduction lengths of every residue mod 4, Dense
+// row tails off the 32-row block, conv channel counts 1..17 (every chain
+// tail), odd and even input channels, input widths 1..9/12/16/20 at
+// strides 1 and 2 and paddings 0..2, -128 weights, per-tensor and
+// per-channel scales, ReLU on and off — and the kWide QuantEngine must
+// match QuantizedModel::run bit for bit under every SX_KERNEL_ISA
+// spelling the probe honors, VNNI refused as well as allowed, including
+// after a conv weight fault that nothing repacks. SIMD arms run only
+// where the CPU probe confirms them.
 #include <gtest/gtest.h>
 #include <sys/mman.h>
 #include <unistd.h>
@@ -28,6 +31,8 @@
 #include "dl/qplan.hpp"
 #include "dl/quant.hpp"
 #include "platform/cpu_probe.hpp"
+#include "safety/channel.hpp"
+#include "safety/fault.hpp"
 #include "tensor/qkernels.hpp"
 #include "util/rng.hpp"
 #include "verify/range.hpp"
@@ -191,8 +196,7 @@ TEST(WideQMatvec, BitwiseEqualsReferenceWithSaturationParity) {
 }
 
 /// One conv configuration against apply_layer (+ the ReLU layer), on
-/// every probed arm, with the ragged gathered column ending exactly at a
-/// guard page.
+/// every probed arm, with the input ending exactly at a guard page.
 void expect_conv_matches_reference(const k::Conv2dGeom& g,
                                    WeightGranularity gran,
                                    util::Xoshiro256& rng,
@@ -203,7 +207,6 @@ void expect_conv_matches_reference(const k::Conv2dGeom& g,
   const Model m = b.build(100 * g.out_c + 10 * g.k + g.pad);
   const QuantizedModel qm = random_weight_qmodel(
       m, toy_dataset(in_shape, 4, g.out_c + g.in_c), gran, rng);
-  const auto wt = qm.layer_view(0).weights;
   const auto img = random_i8(in_shape.size(), rng);
   const std::size_t n = g.out_c * g.opix();
   std::vector<std::int8_t> pre(n, -7), post(n, -7);
@@ -212,31 +215,20 @@ void expect_conv_matches_reference(const k::Conv2dGeom& g,
   ASSERT_EQ(qm.apply_layer(1, pre, post, nullptr), Status::kOk);
   *clips += ref_sat;
 
-  const std::size_t entries = k::im2col_entries(g);
-  std::vector<std::uint32_t> pix_off(g.opix() + 1), in_idx(entries),
-      w_ofs(entries);
-  k::build_im2col_tables(g, pix_off.data(), in_idx.data(), w_ofs.data());
-  std::vector<std::int8_t> col(entries);
-  qk::im2col_gather_i8(img.data(), in_idx.data(), entries, col.data());
-  const GuardedBytes gcol{col};
-  const k::ConvTables t{.out_c = g.out_c, .patch = g.patch(),
-                        .opix = g.opix(), .pix_off = pix_off.data(),
-                        .in_idx = in_idx.data(), .w_ofs = w_ofs.data()};
-  std::vector<std::int8_t> panel(qk::qwide_conv_panel_bytes(g.out_c, g.patch()),
-                                 -1);
-  qk::pack_qwide_conv_panel(wt.data(), g.out_c, g.patch(), panel.data());
+  const GuardedBytes gimg{img};
   for (const bool relu : {false, true}) {
     const qk::Requant rq = requant_of(qm, relu);
     const std::vector<std::int8_t>& ref = relu ? post : pre;
     for (const QArm arm : probed_arms()) {
       std::vector<std::int8_t> out(n, -7);
       std::uint64_t sat = 0;
-      qk::wide_qconv_kernel(arm)(panel.data(), t, gcol.data(), rq,
-                                 out.data(), &sat);
+      qk::wide_qconv_kernel(arm)(qm.layer_view(0).weights.data(), g,
+                                 gimg.data(), rq, out.data(), &sat);
       EXPECT_EQ(0, std::memcmp(out.data(), ref.data(), n))
           << qk::qarm_name(arm) << " in_c=" << g.in_c << " k=" << g.k
           << " stride=" << g.stride << " pad=" << g.pad
-          << " out_c=" << g.out_c << " relu=" << relu;
+          << " out_c=" << g.out_c << " " << g.in_h << "x" << g.in_w
+          << " relu=" << relu;
       EXPECT_EQ(sat, ref_sat) << qk::qarm_name(arm) << " out_c=" << g.out_c;
     }
   }
@@ -245,23 +237,23 @@ void expect_conv_matches_reference(const k::Conv2dGeom& g,
 TEST(WideQConv, BitwiseEqualsReferenceAcrossGeometriesAndIsas) {
   util::Xoshiro256 rng{405};
   std::uint64_t clips = 0;
-  // patch = in_c * k * k covers every residue mod 4: 1, 4, 9 | 2, 8, 18 |
-  // 3, 12, 27. out_c covers 1..9 (the padded half group), the 16-lane
-  // group edges 15/16/17, 23/24 (group + half group) and 40.
-  for (std::size_t in_c : {1u, 2u, 3u}) {
+  // out_c 1..17: every chain tail of the 8-channel blocks, alone and after
+  // one or two full blocks. in_c 1, 3 and 8: the pair arms' odd tail
+  // channel and whole pairs. Strides 1 and 2, paddings 0..2, kernels 1..3.
+  for (std::size_t in_c : {1u, 3u, 8u}) {
     for (std::size_t kk : {1u, 2u, 3u}) {
-      for (std::size_t pad : {0u, 1u}) {
-        for (std::size_t out_c :
-             {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 15u, 16u, 17u, 23u, 24u,
-              40u}) {
-          const k::Conv2dGeom g{.in_c = in_c, .in_h = 6, .in_w = 5,
-                                .out_c = out_c, .k = kk, .stride = 1,
-                                .pad = pad};
-          expect_conv_matches_reference(
-              g,
-              out_c % 2 == 0 ? WeightGranularity::kPerChannel
-                             : WeightGranularity::kPerTensor,
-              rng, &clips);
+      for (std::size_t stride : {1u, 2u}) {
+        for (std::size_t pad : {0u, 1u, 2u}) {
+          for (std::size_t out_c = 1; out_c <= 17; ++out_c) {
+            const k::Conv2dGeom g{.in_c = in_c, .in_h = 6, .in_w = 5,
+                                  .out_c = out_c, .k = kk, .stride = stride,
+                                  .pad = pad};
+            expect_conv_matches_reference(
+                g,
+                out_c % 2 == 0 ? WeightGranularity::kPerChannel
+                               : WeightGranularity::kPerTensor,
+                rng, &clips);
+          }
         }
       }
     }
@@ -270,21 +262,26 @@ TEST(WideQConv, BitwiseEqualsReferenceAcrossGeometriesAndIsas) {
 }
 
 TEST(WideQConv, StridedAndLargePatchColumnsEndAtTheirBuffer) {
-  // Strided geometries and patches long enough for many quads (45, 63
-  // and 72 taps). With pad 0 the column's last pixel is a full interior
-  // pixel whose final quad would overrun the column (and fault on the
-  // guard page) on a careless fast path.
+  // Every output width a lane tile can leave: maps 1..9, 12, 16 and 20
+  // wide (one partial tile, one full 8- or 16-lane tile, a full tile plus
+  // a tail), strided and padded, against an input whose last byte sits
+  // before a guard page — a lane that read a clipped column past the end
+  // would fault.
   util::Xoshiro256 rng{406};
   std::uint64_t clips = 0;
-  for (std::size_t stride : {1u, 2u}) {
-    for (std::size_t in_c : {5u, 7u, 8u}) {
-      for (std::size_t out_c : {8u, 16u, 19u}) {
-        for (std::size_t pad : {0u, 1u}) {
-          const k::Conv2dGeom g{.in_c = in_c, .in_h = 9, .in_w = 8,
-                                .out_c = out_c, .k = 3, .stride = stride,
-                                .pad = pad};
-          expect_conv_matches_reference(g, WeightGranularity::kPerChannel,
-                                        rng, &clips);
+  for (std::size_t in_w :
+       {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 12u, 16u, 20u}) {
+    for (std::size_t stride : {1u, 2u}) {
+      for (std::size_t pad : {0u, 1u, 2u}) {
+        if (in_w + 2 * pad < 3) continue;
+        for (std::size_t in_c : {1u, 3u, 8u}) {
+          for (std::size_t out_c : {8u, 9u}) {
+            const k::Conv2dGeom g{.in_c = in_c, .in_h = 5, .in_w = in_w,
+                                  .out_c = out_c, .k = 3, .stride = stride,
+                                  .pad = pad};
+            expect_conv_matches_reference(g, WeightGranularity::kPerChannel,
+                                          rng, &clips);
+          }
         }
       }
     }
@@ -367,51 +364,6 @@ TEST(WideQKernels, ZeroOutScaleClipsNaNToPlus127AndCounts) {
   }
 }
 
-TEST(WideQConvHalfGroup, PanelHoldsHalfGroupWheneverEightChannelsRemain) {
-  const std::size_t patch = 27;  // 3 input channels, 3x3 kernel: 7 quads
-  const std::size_t full = qk::qwide_group_bytes(16, patch);
-  const std::size_t half = qk::qwide_group_bytes(8, patch);
-  // 28 k x 16 lanes = 448 -> 448 bytes + 64 of corrections.
-  EXPECT_EQ(full, 448u + 64u);
-  EXPECT_EQ(half, 256u + 64u);  // 28 x 8 = 224 -> 256, + 32 -> 64
-  EXPECT_EQ(qk::qwide_conv_panel_bytes(1, patch), half);
-  EXPECT_EQ(qk::qwide_conv_panel_bytes(8, patch), half);
-  EXPECT_EQ(qk::qwide_conv_panel_bytes(9, patch), full);
-  EXPECT_EQ(qk::qwide_conv_panel_bytes(16, patch), full);
-  EXPECT_EQ(qk::qwide_conv_panel_bytes(23, patch), full + half);
-  EXPECT_EQ(qk::qwide_conv_panel_bytes(24, patch), full + half);
-  EXPECT_EQ(qk::qwide_conv_panel_bytes(25, patch), 2 * full);
-  EXPECT_EQ(qk::qwide_conv_panel_bytes(40, patch), 2 * full + half);
-
-  // The half group follows the full group: channel 16 + i, tap k sits at
-  // full + (k / 4) * 32 + i * 4 + k % 4; padded lanes and k are zero and
-  // each real lane's correction is 128 * sum(w).
-  const std::size_t out_c = 21;
-  std::vector<std::int8_t> wt(out_c * patch);
-  for (std::size_t i = 0; i < wt.size(); ++i)
-    wt[i] = static_cast<std::int8_t>(i % 251 - 125);
-  std::vector<std::int8_t> panel(qk::qwide_conv_panel_bytes(out_c, patch),
-                                 -1);
-  qk::pack_qwide_conv_panel(wt.data(), out_c, patch, panel.data());
-  const std::int8_t* hp = panel.data() + full;
-  for (std::size_t kk = 0; kk < 28; ++kk)
-    for (std::size_t i = 0; i < 8; ++i) {
-      const std::int8_t want =
-          16 + i < out_c && kk < patch ? wt[(16 + i) * patch + kk] : 0;
-      ASSERT_EQ(hp[kk / 4 * 32 + i * 4 + kk % 4], want)
-          << "tap " << kk << " lane " << i;
-    }
-  std::int32_t corr[8];
-  std::memcpy(corr, hp + 256, sizeof corr);
-  for (std::size_t i = 0; i < 8; ++i) {
-    std::int32_t sum = 0;
-    if (16 + i < out_c)
-      for (std::size_t kk = 0; kk < patch; ++kk)
-        sum += wt[(16 + i) * patch + kk];
-    EXPECT_EQ(corr[i], 128 * sum) << "lane " << i;
-  }
-}
-
 TEST(WideQDispatch, SelectorsReturnIsaSpecificEntryPoints) {
   EXPECT_EQ(qk::wide_qdense_kernel(QArm::kScalar), &qk::qmatvec_wide_scalar);
   EXPECT_EQ(qk::wide_qdense_kernel(QArm::kAvx2), &qk::qmatvec_wide_avx2);
@@ -419,14 +371,12 @@ TEST(WideQDispatch, SelectorsReturnIsaSpecificEntryPoints) {
             &qk::qmatvec_wide_avx512bw);
   EXPECT_EQ(qk::wide_qdense_kernel(QArm::kAvx512Vnni),
             &qk::qmatvec_wide_avx512vnni);
-  EXPECT_EQ(qk::wide_qconv_kernel(QArm::kScalar),
-            &qk::qconv2d_im2col_wide_scalar);
-  EXPECT_EQ(qk::wide_qconv_kernel(QArm::kAvx2),
-            &qk::qconv2d_im2col_wide_avx2);
+  EXPECT_EQ(qk::wide_qconv_kernel(QArm::kScalar), &qk::qconv2d_direct_scalar);
+  EXPECT_EQ(qk::wide_qconv_kernel(QArm::kAvx2), &qk::qconv2d_direct_avx2);
   EXPECT_EQ(qk::wide_qconv_kernel(QArm::kAvx512Bw),
-            &qk::qconv2d_im2col_wide_avx512bw);
+            &qk::qconv2d_direct_avx512bw);
   EXPECT_EQ(qk::wide_qconv_kernel(QArm::kAvx512Vnni),
-            &qk::qconv2d_im2col_wide_avx512vnni);
+            &qk::qconv2d_direct_avx512vnni);
   EXPECT_STREQ(qk::qarm_name(QArm::kAvx512Vnni), "avx512vnni");
   EXPECT_STREQ(qk::qarm_name(QArm::kAvx512Bw), "avx512bw");
 }
@@ -491,11 +441,11 @@ TEST(WideQuantEngine, BitwiseIdenticalToReferenceUnderIsaOverrides) {
   ASSERT_EQ(unsetenv("SX_KERNEL_ISA"), 0);
 }
 
-/// Engine-level sweep over conv widths that hit every group schedule:
-/// the padded half group alone (1..8), one padded 16-lane group (9..15),
-/// full groups with and without a half group. The kWide engine must
-/// match the reference QuantizedModel::run bit for bit — logits and
-/// per-layer clip counters — under every spelling the probe honors.
+/// Engine-level sweep over conv widths that hit every channel schedule:
+/// a tail block alone (1..7), full 8-channel blocks with and without a
+/// tail. The kWide engine must match the reference QuantizedModel::run
+/// bit for bit — logits and per-layer clip counters — under every
+/// spelling the probe honors.
 TEST(WideQConvHalfGroup, EngineSweepBitwiseIdenticalToReference) {
   std::uint64_t conv_clips = 0;
   for (std::size_t out_c :
@@ -583,6 +533,103 @@ TEST(WideQuantPlan, RepackResyncsAfterWeightMutation) {
     for (std::size_t i = 0; i < n_out; ++i)
       EXPECT_TRUE(bits_equal(r[i], p[i]))
           << isa << " post-repack logit " << i;
+  }
+  ASSERT_EQ(unsetenv("SX_KERNEL_ISA"), 0);
+}
+
+/// The logits of `run` over `inputs` and the per-layer clips they add to
+/// `eng`'s counters.
+struct RunRecord {
+  std::vector<float> logits;
+  std::vector<std::uint64_t> clips;
+};
+
+template <typename RunFn>
+RunRecord run_all(RunFn&& run, const Engine& eng,
+            const std::vector<Tensor>& inputs, std::size_t n_out) {
+  const auto c0 = eng.saturation_counts();
+  const std::vector<std::uint64_t> before(c0.begin(), c0.end());
+  RunRecord r;
+  std::vector<float> o(n_out);
+  for (const Tensor& in : inputs) {
+    EXPECT_EQ(run(in.view(), std::span<float>(o)), Status::kOk);
+    r.logits.insert(r.logits.end(), o.begin(), o.end());
+  }
+  const auto c1 = eng.saturation_counts();
+  for (std::size_t i = 0; i < c1.size(); ++i)
+    r.clips.push_back(c1[i] - before[i]);
+  return r;
+}
+
+bool same_run(const RunRecord& a, const RunRecord& b) {
+  if (a.logits.size() != b.logits.size() || a.clips != b.clips) return false;
+  for (std::size_t i = 0; i < a.logits.size(); ++i)
+    if (!bits_equal(a.logits[i], b.logits[i])) return false;
+  return true;
+}
+
+TEST(WideQuantPlan, ConvWeightFaultReachesPlanWithoutRepack) {
+  // The direct int8 conv reads the model's live weights, so an SEU in a
+  // conv weight reaches the next planned run by itself — bit for bit what
+  // the reference engine computes on the faulted model, clip counters
+  // included — and undoing it restores the fault-free run.
+  ModelBuilder b{Shape::chw(3, 10, 10)};
+  b.conv2d(8, 3, 1, 1).relu().conv2d(9, 3, 2, 1).relu().flatten().dense(4);
+  const Model m = b.build(31);
+  const QuantizedModel base =
+      QuantizedModel::quantize(m, toy_dataset(Shape::chw(3, 10, 10), 8, 5));
+  const std::size_t n_out = base.output_shape().size();
+  std::vector<Tensor> inputs;
+  util::Xoshiro256 rng{12};
+  for (int i = 0; i < 4; ++i) {
+    inputs.emplace_back(Shape::chw(3, 10, 10));
+    inputs.back().init_uniform(rng, -3.0f, 3.0f);
+  }
+  const auto engine_run = [&](QuantEngine& e) {
+    return run_all([&](auto in, auto out) { return e.run(in, out); }, e,
+                   inputs, n_out);
+  };
+  const auto reference_run = [&](const QuantizedModel& qm) {
+    QuantEngine ref{qm, QuantEngineConfig{.kernels = KernelMode::kReference}};
+    return engine_run(ref);
+  };
+  const RunRecord clean = reference_run(base);
+
+  for (const auto& [isa, arm] : honored_isas()) {
+    ASSERT_EQ(setenv("SX_KERNEL_ISA", isa, 1), 0);
+    // An in-place flip with no repack at all: a high bit of a conv2 weight.
+    QuantizedModel qm = base;
+    QuantEngine eng{qm, QuantEngineConfig{.kernels = KernelMode::kWide}};
+    ASSERT_TRUE(same_run(engine_run(eng), clean)) << isa;
+    qm.mutable_weights(2)[40] ^= static_cast<std::int8_t>(0x40);
+    const RunRecord faulted = reference_run(qm);
+    ASSERT_FALSE(same_run(faulted, clean)) << "the flip must show";
+    EXPECT_TRUE(same_run(engine_run(eng), faulted)) << isa;
+
+    // Through the safety replica: the first seeded bit flip that lands in
+    // a conv layer and changes the run.
+    safety::Replica rep{base, KernelMode::kWide};
+    const auto replica_run = [&] {
+      return run_all([&](auto in, auto out) { return rep.run(in, out); },
+                     rep.engine(), inputs, n_out);
+    };
+    bool reached = false;
+    for (std::uint64_t seed = 1; seed <= 64 && !reached; ++seed) {
+      safety::FaultInjector inj{seed};
+      const safety::FaultRecord rec =
+          rep.inject_fault(inj, safety::FaultType::kBitFlip);
+      QuantizedModel twin = base;
+      (void)inj.inject_at(twin, safety::FaultType::kBitFlip, rec.layer,
+                          rec.param_index, rec.bit);
+      const RunRecord want = reference_run(twin);
+      EXPECT_TRUE(same_run(replica_run(), want))
+          << isa << " layer " << rec.layer << " param " << rec.param_index;
+      reached = base.layer_view(rec.layer).kind == LayerKind::kConv2d &&
+                !same_run(want, clean);
+      rep.undo_fault(rec);
+      EXPECT_TRUE(same_run(replica_run(), clean)) << isa << " undo";
+    }
+    EXPECT_TRUE(reached) << isa << ": no seeded fault changed a conv output";
   }
   ASSERT_EQ(unsetenv("SX_KERNEL_ISA"), 0);
 }

@@ -95,22 +95,9 @@ TEST(IrProgram, LoweringMirrorsFloatModelGeometry) {
   EXPECT_EQ(p.ops.size(), m.layer_count());
   EXPECT_EQ(p.values[p.input_value].elems, m.input_shape().size());
   EXPECT_EQ(p.values[p.output_value].elems, m.output_shape().size());
-  // Float convs run the direct kernel off their input slot: no op carries
-  // scratch, conv included.
   std::size_t convs = 0;
-  for (const auto& op : p.ops) {
-    EXPECT_EQ(op.scratch_elems, 0u);
-    convs += op.kind == ir::OpKind::kConv2d;
-  }
+  for (const auto& op : p.ops) convs += op.kind == ir::OpKind::kConv2d;
   EXPECT_GT(convs, 0u);
-  // The int8 lowering of the same model still gathers an im2col column.
-  const ir::Program q = dl::lower(digit_cnn_int8(m));
-  for (const auto& op : q.ops) {
-    if (op.kind == ir::OpKind::kConv2d)
-      EXPECT_GT(op.scratch_elems, 0u);
-    else
-      EXPECT_EQ(op.scratch_elems, 0u);
-  }
 }
 
 TEST(IrProgram, LoweringMirrorsQuantModelGeometry) {
@@ -200,10 +187,6 @@ TEST(IrPasses, LivenessColorsNonInterferingLifetimes) {
     const ir::ArenaAssignment& a = lay.per_op[op.id];
     ASSERT_NE(a.out_offset, ir::kNone);
     EXPECT_LE(a.out_offset + p.values[op.output].elems, lay.total_elems);
-    if (op.scratch_elems > 0) {
-      ASSERT_NE(a.scratch_offset, ir::kNone);
-      EXPECT_LE(a.scratch_offset + op.scratch_elems, lay.total_elems);
-    }
   }
   // Three passes ran in the fixed order, each with evidence.
   ASSERT_EQ(r.passes.size(), 3u);
@@ -359,11 +342,12 @@ class IrFaultRefusal : public ::testing::TestWithParam<FaultCase> {
   void TearDown() override { unsetenv("SX_IR_PASS_FAULT"); }
 };
 
-TEST_P(IrFaultRefusal, CorruptedFloatPassIsCaughtOnTheRightAxis) {
-  const FaultCase fc = GetParam();
-  const dl::Model m = digit_cnn();
+/// One fault table for both element types: plans `m` under the fault and
+/// expects the checker to sink exactly the axes the table names.
+template <typename Plan, typename M>
+void expect_caught_on_the_right_axis(const M& m, const FaultCase& fc) {
   ASSERT_EQ(setenv("SX_IR_PASS_FAULT", fc.fault, 1), 0);
-  const dl::KernelPlan plan{m};
+  const Plan plan{m};
   unsetenv("SX_IR_PASS_FAULT");
   // The corrupted plan advertises its injected fault in the evidence...
   bool saw_fault_evidence = false;
@@ -379,16 +363,15 @@ TEST_P(IrFaultRefusal, CorruptedFloatPassIsCaughtOnTheRightAxis) {
   EXPECT_EQ(c.layout_sound, fc.layout) << fc.fault;
 }
 
+TEST_P(IrFaultRefusal, CorruptedFloatPassIsCaughtOnTheRightAxis) {
+  expect_caught_on_the_right_axis<dl::KernelPlan>(digit_cnn(), GetParam());
+}
+
+// The int8 plan runs the same table: with no scratch slot left, overlap
+// aliases an output onto its live input there too.
 TEST_P(IrFaultRefusal, CorruptedQuantPassFailsTheCheck) {
-  const FaultCase fc = GetParam();
-  const dl::Model m = digit_cnn();
-  const dl::QuantizedModel qm = digit_cnn_int8(m);
-  ASSERT_EQ(setenv("SX_IR_PASS_FAULT", fc.fault, 1), 0);
-  const dl::QuantKernelPlan plan{qm};
-  unsetenv("SX_IR_PASS_FAULT");
-  const verify::IrCheck c = verify::check_ir(qm, plan);
-  EXPECT_TRUE(c.checked);
-  EXPECT_FALSE(c.passed()) << fc.fault;
+  expect_caught_on_the_right_axis<dl::QuantKernelPlan>(
+      digit_cnn_int8(digit_cnn()), GetParam());
 }
 
 TEST_P(IrFaultRefusal, VerifyModelFailsOverCorruptedPasses) {

@@ -24,7 +24,7 @@ void reshape_scratch(std::vector<signed char>& ping,
   pong.resize(n);
 }
 
-// hot-path-alloc: allocating an im2col column per conv invocation instead
+// hot-path-alloc: allocating a gathered column per conv invocation instead
 // of carving it from the planned byte arena.
 std::unique_ptr<signed char[]> gather_column(unsigned taps) {
   return std::make_unique<signed char[]>(taps);

@@ -20,7 +20,7 @@ std::vector<float> pack_panel_per_call(const float* w, unsigned n) {
   return panel;
 }
 
-// hot-path-alloc: per-run scratch for the ragged im2col tail.
+// hot-path-alloc: per-run scratch for a conv row tail.
 std::unique_ptr<float[]> tail_scratch(unsigned taps) {
   return std::make_unique<float[]>(taps);
 }

@@ -1,6 +1,5 @@
 // Differential tests for the deploy-time kernel plans (direct Conv2d,
-// the int8 plan's ragged im2col tables, fused epilogues, plan-driven
-// engines and batches).
+// fused epilogues, plan-driven engines and batches).
 //
 // The load-bearing property is *bitwise* identity with the reference
 // loops in tensor/ops.cpp and dl/layers.cpp — not approximate closeness:
@@ -58,7 +57,7 @@ using sx::Status;
 
 // ------------------------------------------------------------- Conv2d
 
-TEST(Conv2dIm2col, BitwiseEqualsReferenceAcrossGeometries) {
+TEST(Conv2dDirect, BitwiseEqualsReferenceAcrossGeometries) {
   util::Xoshiro256 rng{11};
   for (std::size_t in_c : {1u, 2u, 3u}) {
     for (std::size_t k : {1u, 2u, 3u}) {
@@ -83,13 +82,6 @@ TEST(Conv2dIm2col, BitwiseEqualsReferenceAcrossGeometries) {
           Conv2dGeom g{.in_c = in_c, .in_h = in_h, .in_w = in_w,
                        .out_c = out_c, .k = k, .stride = stride, .pad = pad};
           ASSERT_EQ(g.opix(), out_shape.dim(1) * out_shape.dim(2));
-          // The int8 plan's ragged tables still bracket every pixel.
-          const std::size_t entries = im2col_entries(g);
-          std::vector<std::uint32_t> pix_off(g.opix() + 1), in_idx(entries),
-              w_ofs(entries);
-          build_im2col_tables(g, pix_off.data(), in_idx.data(), w_ofs.data());
-          EXPECT_EQ(pix_off.front(), 0u);
-          EXPECT_EQ(pix_off.back(), entries);
 
           std::vector<float> out(out_shape.size(), -7.0f);
           EXPECT_TRUE(conv2d_direct_scalar(
@@ -103,34 +95,6 @@ TEST(Conv2dIm2col, BitwiseEqualsReferenceAcrossGeometries) {
       }
     }
   }
-}
-
-TEST(Conv2dIm2col, InteriorPixelsCarryFullIdentityPatch) {
-  // The contiguous-weight fast path triggers exactly when a pixel's valid
-  // taps are the whole patch in natural order; with pad=1,k=3 the interior
-  // of a 5x5 image must all be fast-path, the border ragged.
-  const Conv2dGeom g{.in_c = 2, .in_h = 5, .in_w = 5, .out_c = 1, .k = 3,
-                     .stride = 1, .pad = 1};
-  const std::size_t entries = im2col_entries(g);
-  std::vector<std::uint32_t> pix_off(g.opix() + 1), in_idx(entries),
-      w_ofs(entries);
-  build_im2col_tables(g, pix_off.data(), in_idx.data(), w_ofs.data());
-
-  std::size_t full = 0;
-  for (std::size_t p = 0; p < g.opix(); ++p) {
-    const std::size_t taps = pix_off[p + 1] - pix_off[p];
-    const std::size_t oy = p / 5, ox = p % 5;
-    const bool interior = oy >= 1 && oy <= 3 && ox >= 1 && ox <= 3;
-    EXPECT_EQ(taps == g.patch(), interior) << "pixel " << p;
-    if (taps == g.patch()) {
-      ++full;
-      for (std::size_t e = 0; e < taps; ++e)
-        EXPECT_EQ(w_ofs[pix_off[p] + e], e);
-    }
-  }
-  EXPECT_EQ(full, 9u);  // 3x3 interior
-  // Corner pixel 0 keeps only the 2x2 in-bounds window per channel.
-  EXPECT_EQ(pix_off[1] - pix_off[0], 2u * 2u * 2u);
 }
 
 // --------------------------------------------------- engine-level parity
@@ -178,8 +142,6 @@ TEST(KernelPlanEngine, FusedSigmoidTanhPipelineBitwiseIdentical) {
   EXPECT_EQ(plan.fused_activations(), 2u);  // tanh + sigmoid
   EXPECT_EQ(plan.removed_layers(), 1u);     // flatten dce'd outright
   EXPECT_EQ(plan.reference_steps(), 1u);    // softmax
-  // The direct conv reads its input slot: no op carries scratch.
-  for (const ir::Op& op : plan.program().ops) EXPECT_EQ(op.scratch_elems, 0u);
 
   StaticEngine ref{m, {.kernels = KernelMode::kReference}};
   StaticEngine planned{m, plan};

@@ -262,8 +262,9 @@ bool is_hot_path(const fs::path& p) {
 }
 
 /// Files that own or repair the deployed weight image: all of safety/
-/// (fault injection, integrity scrub, channels) plus the dl kernel files
-/// whose packed panels snapshot the weights.
+/// (fault injection, integrity scrub, channels) plus the dl plan and
+/// engine files, whose Dense panels snapshot the weights (float and int8
+/// convs read them live).
 bool is_weight_store_path(const fs::path& p) {
   bool in_dl = false;
   for (const auto& part : p) {

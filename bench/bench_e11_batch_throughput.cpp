@@ -5,7 +5,10 @@
 // over the serial StaticEngine loop?
 //
 // Method: a CNN frame burst is executed (a) serially by one StaticEngine,
-// (b) by BatchRunner at 1/2/4/8 workers. For every configuration we record
+// (b) by the engine-free BatchRunner at 1/2/4/8 workers, each worker
+// running its own StaticEngine (item i on engine i % workers, the way the
+// pipeline runs one safety channel per worker; the caller runs worker 0's
+// items). For every configuration we record
 // items/s and an fnv1a hash of the full output block plus the fault
 // counters; the hashes must be identical everywhere — the parallel
 // executor is required to be a bit-exact, schedule-independent drop-in.
@@ -35,6 +38,22 @@ std::string hex64(std::uint64_t v) {
   os << std::hex << std::setw(16) << std::setfill('0') << v;
   return os.str();
 }
+
+/// One pool configuration: the runner and one engine per worker.
+struct PoolConfig {
+  PoolConfig(const sx::dl::Model& model, std::size_t workers)
+      : runner({.workers = workers}) {
+    for (std::size_t w = 0; w < workers; ++w)
+      engines.push_back(std::make_unique<sx::dl::StaticEngine>(model));
+  }
+  std::uint64_t numeric_faults() const {
+    std::uint64_t n = 0;
+    for (const auto& e : engines) n += e->numeric_fault_count();
+    return n;
+  }
+  sx::dl::BatchRunner runner;
+  std::vector<std::unique_ptr<sx::dl::StaticEngine>> engines;
+};
 
 }  // namespace
 
@@ -72,26 +91,32 @@ int main(int argc, char** argv) {
   // timed interleaved, each into its own output block.
   const std::size_t kWorkers[] = {1, 2, 4, 8};
   dl::StaticEngine serial{model};
-  std::vector<std::unique_ptr<dl::BatchRunner>> runners;
+  std::vector<std::unique_ptr<PoolConfig>> runners;
   for (const std::size_t workers : kWorkers)
-    runners.push_back(std::make_unique<dl::BatchRunner>(
-        model, dl::BatchRunnerConfig{.workers = workers}));
+    runners.push_back(std::make_unique<PoolConfig>(model, workers));
   std::vector<std::vector<float>> outputs(
       1 + runners.size(), std::vector<float>(items * out_size));
+  const auto frame = [&](std::size_t i) {
+    return tensor::ConstTensorView{
+        std::span<const float>(frames).subspan(i * in_size, in_size),
+        model.input_shape()};
+  };
   const std::vector<bench::Timing> tm = bench::time_interleaved(
       outputs.size(), 1, reps, [&](std::size_t v) {
         if (v > 0) {
-          (void)runners[v - 1]->run(frames, outputs[v], statuses);
+          PoolConfig& pc = *runners[v - 1];
+          const auto job = [&](std::size_t i) noexcept {
+            statuses[i] = pc.engines[i % pc.engines.size()]->run(
+                frame(i), std::span<float>(outputs[v]).subspan(
+                              i * out_size, out_size));
+          };
+          pc.runner.run(items, job);
           return;
         }
-        for (std::size_t i = 0; i < items; ++i) {
-          const tensor::ConstTensorView in{
-              std::span<const float>(frames).subspan(i * in_size, in_size),
-              model.input_shape()};
+        for (std::size_t i = 0; i < items; ++i)
           (void)serial.run(
-              in, std::span<float>(outputs[0]).subspan(i * out_size,
-                                                       out_size));
-        }
+              frame(i), std::span<float>(outputs[0]).subspan(i * out_size,
+                                                             out_size));
       });
   const double serial_us = tm[0].median_us;
   const std::uint64_t ref_hash =
@@ -103,17 +128,16 @@ int main(int argc, char** argv) {
   bool bit_exact = true;
   double speedup_at_4 = 0.0;
   for (std::size_t k = 0; k < runners.size(); ++k) {
-    const dl::BatchRunner& runner = *runners[k];
+    const PoolConfig& pc = *runners[k];
     const double us = tm[k + 1].median_us;
     const std::uint64_t h =
         util::fnv1a(std::span<const float>(outputs[k + 1]));
-    bit_exact = bit_exact && h == ref_hash &&
-                runner.numeric_fault_count() == 0;
+    bit_exact = bit_exact && h == ref_hash && pc.numeric_faults() == 0;
     const double rate = static_cast<double>(items) / us * 1e6;
     if (kWorkers[k] == 4) speedup_at_4 = serial_us / us;
     table.add_row({"batch x" + std::to_string(kWorkers[k]),
                    util::fmt(rate, 0), util::fmt(serial_us / us, 2) + "x",
-                   std::to_string(runner.numeric_fault_count()), hex64(h)});
+                   std::to_string(pc.numeric_faults()), hex64(h)});
   }
   table.print(std::cout);
   std::cout << "\n";

@@ -64,6 +64,7 @@ int main() {
 
   core::PipelineConfig cfg;
   cfg.criticality = trace::Criticality::kSil1;
+  cfg.batch_workers = 4;  // camera bursts fan out over four channels
   core::CertifiablePipeline pipeline{model, data, cfg};
 
   std::size_t shown = 0;
@@ -91,27 +92,19 @@ int main() {
             << (ok(pipeline.audit().verify()) ? "yes" : "no") << "\n";
 
   // Camera bursts arrive as batches: fan a 32-frame burst over the
-  // deterministic batch executor and attach its per-worker counters to the
-  // certification evidence. The static partition makes the outputs
-  // bit-identical to running the frames one by one.
-  dl::BatchRunner runner{model, dl::BatchRunnerConfig{.workers = 4}};
-  std::vector<float> frames(32 * runner.input_size());
-  std::vector<float> logits(32 * runner.output_size());
-  std::vector<Status> statuses(32, Status::kOk);
-  for (std::size_t i = 0; i < 32; ++i) {
-    const auto src = data.samples[i].input.data();
-    std::copy(src.begin(), src.end(), frames.begin() + i * runner.input_size());
-  }
-  if (!ok(runner.run(frames, logits, statuses))) return 1;
+  // deterministic batch pool, whose workers each run a copy of the deployed
+  // monitored channel, and attach its per-worker counters to the
+  // certification evidence. The static partition makes the decisions
+  // bit-identical to deciding the frames one by one.
+  std::vector<tensor::Tensor> burst;
+  for (std::size_t i = 0; i < 32; ++i) burst.push_back(data.samples[i].input);
+  const std::vector<core::Decision> decisions =
+      pipeline.infer_batch(burst, /*logical_time=*/100);
   std::size_t agree = 0;
-  for (std::size_t i = 0; i < 32; ++i) {
-    std::size_t cls = 0;
-    for (std::size_t k = 1; k < runner.output_size(); ++k)
-      if (logits[i * runner.output_size() + k] >
-          logits[i * runner.output_size() + cls])
-        cls = k;
-    agree += cls == data.samples[i].label;
-  }
+  for (std::size_t i = 0; i < decisions.size(); ++i)
+    agree += ok(decisions[i].status) &&
+             decisions[i].predicted_class == data.samples[i].label;
+  const dl::BatchRunner& runner = *pipeline.batch_runner();
   std::cout << "\n32-frame burst over " << runner.workers() << " workers: "
             << agree << "/32 frames match labels\n"
             << core::make_batch_runner_evidence(runner).body;

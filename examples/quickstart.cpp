@@ -57,9 +57,12 @@ int main() {
   const auto batch = pipeline.infer_batch(burst, /*logical_time=*/10);
   std::cout << "\nbatch of " << batch.size() << " over "
             << pipeline.batch_runner()->workers() << " workers:";
-  for (const auto& d : batch) std::cout << " " << d.predicted_class;
-  std::cout << " (" << pipeline.batch_runner()->numeric_fault_count()
-            << " numeric faults)\n\n";
+  std::size_t faults = 0;
+  for (const auto& d : batch) {
+    std::cout << " " << d.predicted_class;
+    faults += d.status == Status::kNumericFault ? 1 : 0;
+  }
+  std::cout << " (" << faults << " numeric faults)\n\n";
 
   // 6. An out-of-domain input is rejected before it reaches the network.
   tensor::Tensor garbage{data.input_shape};

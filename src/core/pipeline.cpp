@@ -91,13 +91,13 @@ CertifiablePipeline::CertifiablePipeline(const dl::Model& model,
 
   model_ = std::make_unique<dl::Model>(model);
   const std::size_t n_out = model_->output_shape().size();
+  const std::size_t n_channels = std::max<std::size_t>(1, cfg_.batch_workers);
 
   // kInt8 backend: fold BatchNorm and quantize against the calibration
   // set, here at deploy time (quantization is calibration, not service —
   // a model the static gate later refuses still never serves traffic).
   // The folded twin's layer indices align with the quantized model's;
-  // static verification reads it below. The quantized model outlives the
-  // batch pool, which holds a reference into it.
+  // static verification reads it below.
   std::optional<dl::Model> folded;
   if (cfg_.backend == BackendKind::kInt8) {
     folded.emplace(dl::fold_batchnorm(*model_));
@@ -131,7 +131,6 @@ CertifiablePipeline::CertifiablePipeline(const dl::Model& model,
     watchdog_.bind_telemetry(obs_.get(), c_wd_overruns_);
     obs_->set(g_budget_, static_cast<double>(cfg_.timing_budget));
     if (quant_) {
-      c_quant_sats_ = obs_->counter("sx_quant_saturations_total");
       g_quant_bytes_ = obs_->gauge("sx_quant_weight_bytes");
       h_qinfer_ = obs_->histogram("sx_stage_quant_inference_cycles");
       obs_->set(g_quant_bytes_,
@@ -139,20 +138,11 @@ CertifiablePipeline::CertifiablePipeline(const dl::Model& model,
     }
   }
 
-  // Deterministic batch executor: pool and per-worker arenas are planned
-  // here, at deploy time — infer_batch() spawns nothing and allocates
-  // nothing on the inference path itself. Under the int8 backend the pool
-  // runs quantized per-worker engines sharing one QuantKernelPlan.
-  // With a supervisor, every worker taps its item's features in the same
-  // engine run.
-  if (cfg_.batch_workers > 0) {
-    dl::BatchRunnerConfig bcfg;
-    bcfg.workers = cfg_.batch_workers;
-    bcfg.registry = obs_.get();
-    bcfg.kernels = cfg_.kernel_mode;
-    batch_ = quant_ ? std::make_unique<dl::BatchRunner>(*quant_, bcfg)
-                    : std::make_unique<dl::BatchRunner>(*model_, bcfg);
-  }
+  // Deterministic batch pool, spawned here at deploy time: infer_batch()
+  // spawns nothing. It owns no engine; its workers run the channels below.
+  if (cfg_.batch_workers > 0)
+    batch_ = std::make_unique<dl::BatchRunner>(dl::BatchRunnerConfig{
+        .workers = cfg_.batch_workers, .registry = obs_.get()});
 
   // Fallback logits: explicit, or one-hot on the conservative class.
   fallback_ = cfg_.fallback_logits;
@@ -237,33 +227,38 @@ CertifiablePipeline::CertifiablePipeline(const dl::Model& model,
       log_scores[i] = std::log1p(std::max(0.0, scores[i]));
     drift_ = std::make_unique<supervise::CusumDetector>(
         supervise::CusumDetector::fit(log_scores, 0.5, 10.0));
-    // Per-decision scores solve on the features the channel or the pool
-    // tapped in the decision's own engine run.
-    scorer_ = std::make_unique<supervise::TapScorer>(*supervisor_);
-    feat_.assign(scorer_->feature_dim(), 0.0f);
-    if (obs_) {
-      scorer_->bind_telemetry(obs_.get(), c_sup_rej_);
-      obs_->set(g_sup_threshold_, supervisor_->threshold());
+    // Per-decision scores solve on the features the decision's own
+    // channel run tapped: one scorer per channel, since a safety bag
+    // scores on its pool worker.
+    for (std::size_t k = 0; k < n_channels; ++k) {
+      scorers_.push_back(std::make_unique<supervise::TapScorer>(*supervisor_));
+      if (obs_) scorers_.back()->bind_telemetry(obs_.get(), c_sup_rej_);
     }
+    feat_.assign(scorers_.front()->feature_dim(), 0.0f);
+    if (obs_) obs_->set(g_sup_threshold_, supervisor_->threshold());
   }
 
-  // Inference channel, optionally wrapped in a safety bag. Under kInt8
-  // campaign faults land in the replica's deployed int8 weight store.
-  if (!verify_refused_) {
+  // Inference channels, one per pool worker, each optionally wrapped in a
+  // safety bag. Under kInt8 campaign faults land in the replica's deployed
+  // int8 weight store.
+  for (std::size_t k = 0; k < n_channels && !verify_refused_; ++k) {
     std::unique_ptr<safety::InferenceChannel> inner = make_channel(
         spec_.pattern, *model_, quant_.get(), calibration, cfg_.kernel_mode);
-    if (scorer_ && inner->tap_size() != scorer_->feature_dim())
+    supervise::TapScorer* scorer =
+        scorers_.empty() ? nullptr : scorers_[k].get();
+    if (scorer != nullptr && inner->tap_size() != scorer->feature_dim())
       throw std::logic_error(
           "CertifiablePipeline: channel tap does not match the supervisor");
+    safety::SafetyBagChannel* bag = nullptr;
     if (spec_.has_safety_bag) {
-      auto bag = std::make_unique<safety::SafetyBagChannel>(
-          std::move(inner), scorer_.get(), fallback_);
-      bag_ = bag.get();
-      channel_ = std::move(bag);
-    } else {
-      channel_ = std::move(inner);
+      auto wrapped = std::make_unique<safety::SafetyBagChannel>(
+          std::move(inner), scorer, fallback_);
+      bag = wrapped.get();
+      inner = std::move(wrapped);
     }
-    if (obs_) channel_->bind_telemetry(*obs_);
+    if (obs_) inner->bind_telemetry(*obs_);
+    channels_.push_back(std::move(inner));
+    bags_.push_back(bag);
   }
 
   if (spec_.has_explanations)
@@ -295,7 +290,7 @@ CertifiablePipeline::CertifiablePipeline(const dl::Model& model,
   // transformations shaped the deployed program and what each one claims
   // to have saved.
   const dl::PlanEvidence* plan =
-      channel_ != nullptr ? channel_->plan() : nullptr;
+      channel() != nullptr ? channel()->plan() : nullptr;
   if (plan != nullptr) {
     audit_.append(0,
                   plan->elem() == dl::ElemType::kInt8 ? "quant-plan"
@@ -331,8 +326,8 @@ CertifiablePipeline::CertifiablePipeline(const dl::Model& model,
 
 std::uint64_t CertifiablePipeline::quant_saturation_total() const noexcept {
   std::uint64_t n = 0;
-  if (channel_) n += channel_->replicas().front().engine().saturation_total();
-  if (batch_) n += batch_->saturation_count();
+  for (const auto& ch : channels_)
+    n += ch->replicas().front().engine().saturation_total();
   return n;
 }
 
@@ -343,11 +338,10 @@ CertifiablePipeline::quant_saturation_cross_check() const {
         "quant_saturation_cross_check: deploy with backend=kInt8 and a "
         "spec demanding static verification");
   std::vector<std::uint64_t> measured(quant_->layer_count(), 0);
-  if (channel_) {
-    const auto cs = channel_->replicas().front().engine().saturation_counts();
+  for (const auto& ch : channels_) {
+    const auto cs = ch->replicas().front().engine().saturation_counts();
     for (std::size_t i = 0; i < cs.size(); ++i) measured[i] += cs[i];
   }
-  if (batch_) batch_->saturation_counts_into(measured);
   return verify::cross_check_saturation(verify_->quant, measured);
 }
 
@@ -457,14 +451,15 @@ void CertifiablePipeline::decide(Decision& d, const ItemContext& c,
   }
 
   // 3. The decision's one supervisor score: the safety bag's when it took
-  // one inside the channel, else a solve on the features the channel or
-  // the pool tapped in the decision's own engine run. A decision with
+  // one inside the channel, else a solve on the features the channel
+  // tapped in the decision's own engine run. A decision with
   // neither (the bag's primary failed, so nothing was tapped) takes no
   // score and no drift update, like an ODD rejection. Then the CUSUM drift
   // detector on the log-transformed score stream.
-  if (ok(st) && scorer_ && (r.score || !r.features.empty())) {
+  if (ok(st) && !scorers_.empty() && (r.score || !r.features.empty())) {
     const std::uint64_t t_sup = obs_ ? obs_->now() : 0;
-    d.supervisor_score = r.score ? *r.score : scorer_->score(r.features);
+    d.supervisor_score =
+        r.score ? *r.score : scorers_.front()->score(r.features);
     const bool was_alarmed = drift_->alarmed();
     drift_->update(std::log1p(std::max(0.0, d.supervisor_score)));
     if (obs_) obs_->set(g_drift_cusum_, drift_->statistic());
@@ -505,6 +500,26 @@ void CertifiablePipeline::decide(Decision& d, const ItemContext& c,
   obs_finish_decision(d, c.t_decision);
 }
 
+CertifiablePipeline::InferenceOutcome CertifiablePipeline::run_channel(
+    std::size_t k, tensor::ConstTensorView input, std::span<float> logits,
+    std::span<float> tap, obs::ClockFn clock) noexcept {
+  // A wrong-shaped input fail-stops instead of reaching a safety bag that
+  // would degrade it.
+  InferenceOutcome r;
+  r.t0 = clock != nullptr ? clock() : 0;
+  if (input.shape != model_->input_shape()) {
+    r.status = Status::kShapeMismatch;
+  } else {
+    r.status = channels_[k]->infer(input, logits, tap);
+    r.degraded = channels_[k]->last_degraded();
+    if (!r.degraded) r.features = tap;
+    if (bags_[k] != nullptr) r.score = bags_[k]->last_score();
+  }
+  r.t1 = clock != nullptr ? clock() : 0;
+  r.logits = logits;
+  return r;
+}
+
 Decision CertifiablePipeline::infer(const tensor::Tensor& input,
                                     std::uint64_t logical_time,
                                     std::uint64_t elapsed) {
@@ -521,26 +536,28 @@ Decision CertifiablePipeline::infer(const tensor::Tensor& input,
 
   // Channel inference (includes pattern redundancy and the safety bag).
   // With a supervisor the channel also taps the features (feat_ is empty
-  // without one). A wrong-shaped input fail-stops, as on the batch path,
-  // instead of reaching a safety bag that would degrade it.
-  InferenceOutcome r;
-  r.t0 = obs_ ? obs_->now() : 0;
-  if (c.input.shape != model_->input_shape()) {
-    r.status = Status::kShapeMismatch;
-  } else {
-    r.status = channel_->infer(c.input, out_buf_, feat_);
-    r.degraded = channel_->last_degraded();
-    if (!r.degraded) r.features = feat_;
-    if (bag_ != nullptr) r.score = bag_->last_score();
-  }
-  r.t1 = obs_ ? obs_->now() : 0;
-  r.logits = out_buf_;
-  decide(d, c, r);
+  // without one).
+  decide(d, c,
+         run_channel(0, c.input, out_buf_, feat_,
+                     obs_ ? obs_->config().clock : nullptr));
   return d;
+}
+
+std::span<const tensor::ConstTensorView> CertifiablePipeline::views_of(
+    const std::vector<tensor::Tensor>& inputs) {
+  views_.clear();
+  for (const tensor::Tensor& t : inputs) views_.push_back(t.view());
+  return views_;
 }
 
 std::vector<Decision> CertifiablePipeline::infer_batch(
     const std::vector<tensor::Tensor>& inputs, std::uint64_t logical_time) {
+  return infer_batch(views_of(inputs), logical_time);
+}
+
+std::vector<Decision> CertifiablePipeline::infer_batch(
+    std::span<const tensor::ConstTensorView> inputs,
+    std::uint64_t logical_time) {
   if (!batch_)
     throw std::logic_error(
         "CertifiablePipeline::infer_batch: deploy with cfg.batch_workers > "
@@ -549,99 +566,68 @@ std::vector<Decision> CertifiablePipeline::infer_batch(
   std::vector<Decision> decisions(n_items);
   if (n_items == 0) return decisions;
 
-  const std::size_t in_size = model_->input_shape().size();
   const std::size_t n_out = model_->output_shape().size();
-  // Per-item inference time is measured inside the workers whenever the
-  // watchdog or telemetry consumes it — both consume it serially, in
-  // batch-index order.
-  const bool want_elapsed = obs_ != nullptr || spec_.has_timing_budget;
+  const std::size_t w = feat_.size();
+  // Per-item channel time is measured by the worker that runs the item
+  // whenever the watchdog or telemetry consumes it — both consume it
+  // serially, in batch-index order.
+  const obs::ClockFn clock =
+      obs_ ? obs_->config().clock
+           : (spec_.has_timing_budget ? &obs::default_clock : nullptr);
   const bool dispatched = !verify_refused_;
   if (dispatched) {
     const auto grow = [](auto& v, std::size_t n) {
       if (v.size() < n) v.resize(n);
     };
-    grow(staged_, n_items * in_size);
     grow(batch_logits_, n_items * n_out);
-    grow(engine_status_, n_items);
     grow(odd_verdicts_, n_items);
-    grow(item_elapsed_, n_items);
-    grow(batch_taps_, n_items * feat_.size());
+    grow(outcomes_, n_items);
+    grow(batch_taps_, n_items * w);
 
-    // Stage the batch contiguously and take ODD verdicts up front, in
-    // batch-index order, so the guard histogram is schedule-free; the
-    // verdict spans are recorded in the decision loop under the
-    // decision's ordinal. A wrong-shaped input stages zeros, so the pool
-    // still runs every slot, and fail-stops below as it does in infer().
-    for (std::size_t i = 0; i < n_items; ++i) {
-      odd_verdicts_[i] = guard(inputs[i].view());
-      const auto slot = staged_.begin() + i * in_size;
-      if (inputs[i].shape() == model_->input_shape())
-        std::copy(inputs[i].data().begin(), inputs[i].data().end(), slot);
-      else
-        std::fill(slot, slot + in_size, 0.0f);
-    }
-
-    // Parallel dispatch over the static pool, chunked to the pre-planned
-    // batch capacity. Every item (even a guard-rejected one) goes through
-    // the engine so per-worker counters depend only on the batch size.
-    for (std::size_t base = 0; base < n_items; base += batch_->max_batch()) {
-      const std::size_t n = std::min(batch_->max_batch(), n_items - base);
-      const Status st = batch_->run(
-          std::span<const float>(staged_).subspan(base * in_size, n * in_size),
-          std::span<float>(batch_logits_).subspan(base * n_out, n * n_out),
-          std::span<Status>(engine_status_).subspan(base, n),
-          want_elapsed
-              ? std::span<std::uint64_t>(item_elapsed_).subspan(base, n)
-              : std::span<std::uint64_t>{},
-          std::span<float>(batch_taps_)
-              .subspan(base * feat_.size(), n * feat_.size()));
-      if (!ok(st))
-        throw std::logic_error("CertifiablePipeline::infer_batch: dispatch " +
-                               std::string(to_string(st)));
-    }
-
+    // ODD verdicts up front, in batch-index order, so the guard histogram
+    // is schedule-free; the verdict spans are recorded in the decision
+    // loop under the decision's ordinal.
     for (std::size_t i = 0; i < n_items; ++i)
-      if (inputs[i].shape() != model_->input_shape())
-        engine_status_[i] = Status::kShapeMismatch;
+      odd_verdicts_[i] = guard(inputs[i]);
 
-    // Quantized pool: push the clips this dispatch added, so the telemetry
-    // counter mirrors the pool's deterministic total.
-    if (obs_ && quant_) {
-      const std::uint64_t total = batch_->saturation_count();
-      if (total > reported_batch_sats_) {
-        obs_->add(c_quant_sats_, total - reported_batch_sats_);
-        reported_batch_sats_ = total;
+    // Item i runs on channel i % workers, the pool's static partition, so
+    // each channel is only ever touched by its own worker. A guard-rejected
+    // item never reaches a channel, as in infer().
+    const auto job = [&](std::size_t i) noexcept {
+      if (!ok(odd_verdicts_[i].status)) {
+        outcomes_[i] = InferenceOutcome{};
+        return;
       }
-    }
+      outcomes_[i] = run_channel(
+          i % channels_.size(), inputs[i],
+          std::span<float>(batch_logits_).subspan(i * n_out, n_out),
+          std::span<float>(batch_taps_).subspan(i * w, w), clock);
+    };
+    batch_->run(n_items, job);
   }
 
   // The shared decision sequence, serially in batch-index order — the
   // audit chain is identical for every worker count because nothing here
   // depends on the parallel schedule.
   for (std::size_t i = 0; i < n_items; ++i) {
+    const InferenceOutcome* run = dispatched ? &outcomes_[i] : nullptr;
     const ItemContext c{
-        .input = inputs[i].view(),
+        .input = inputs[i],
         .logical_time = logical_time,
         .t_decision = obs_ ? obs_->now() : 0,
         .odd = dispatched ? odd_verdicts_[i] : OddVerdict{},
-        .elapsed = dispatched && want_elapsed ? item_elapsed_[i] : 0,
+        .elapsed = run != nullptr && run->t1 >= run->t0 ? run->t1 - run->t0
+                                                        : 0,
         .component = "batch-engine",
         .batch_index = i};
     Decision& d = decisions[i];
     if (!admit(d, c)) continue;
-    const std::uint64_t t_inf = obs_ ? obs_->now() : 0;
-    const std::size_t w = feat_.size();
-    decide(d, c,
-           InferenceOutcome{
-               .status = engine_status_[i],
-               .t0 = t_inf,
-               .t1 = t_inf + c.elapsed,
-               .logits = std::span<const float>(batch_logits_)
-                             .subspan(i * n_out, n_out),
-               .degraded = !ok(engine_status_[i]),
-               .features = std::span<const float>(batch_taps_)
-                               .subspan(i * w, w),
-               .score = {}});
+    // The inference span is the worker's measured time, placed at the
+    // caller's clock so the flight trail stays in one time base.
+    InferenceOutcome r = *run;
+    r.t0 = obs_ ? obs_->now() : 0;
+    r.t1 = r.t0 + c.elapsed;
+    decide(d, c, r);
   }
   return decisions;
 }

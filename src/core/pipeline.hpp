@@ -35,10 +35,9 @@ namespace sx::core {
 ///
 /// kFloat32 serves the planned float StaticEngine stack. kInt8 folds
 /// BatchNorm, quantizes the model against the calibration set and serves
-/// traffic through one int8 safety::Replica (the single/monitored
-/// safety::EngineChannel, wrapped in the safety bag when the spec demands
-/// one); infer_batch() dispatches to quantized per-worker engines sharing
-/// one QuantKernelPlan. The int8 backend currently deploys up to the
+/// traffic, infer() and infer_batch() alike, through int8 safety::Replicas
+/// (the single/monitored safety::EngineChannel, wrapped in the safety bag
+/// when the spec demands one). The int8 backend currently deploys up to the
 /// "monitored" rung, so kInt8 is admissible up to SIL2; DMR and above
 /// reject it at deploy time (their int8 replicas need their own fault
 /// campaigns first). SIL4's diverse-TMR carries an int8 replica under
@@ -55,8 +54,8 @@ struct PipelineConfig {
   /// Weight-scale granularity of the kInt8 backend.
   dl::WeightGranularity quant_granularity = dl::WeightGranularity::kPerChannel;
   /// Hot-path kernel selection, the pipeline's one kernel knob: forwarded
-  /// to every replica of the channel (float or int8, every pattern), the
-  /// batch pool, the supervisor's calibration engine, the
+  /// to every replica of every channel (float or int8, every pattern), the
+  /// supervisor's calibration engine, the
   /// static-verification arena checks and the int8 IR re-check. Both
   /// modes are bitwise identical by construction — the scenario sweeper
   /// crosses this axis to *prove* it per deployment. kAuto resolves to
@@ -75,7 +74,8 @@ struct PipelineConfig {
   double supervisor_tpr = 0.95;
   std::uint64_t seed = 2024;
   /// Workers for the deterministic batch path (0 disables infer_batch()).
-  /// The pool and its per-worker arenas are planned here, at deploy time.
+  /// The pipeline deploys max(1, batch_workers) channels, one per worker;
+  /// channel 0 is the caller's and also serves infer().
   std::size_t batch_workers = 0;
   /// Telemetry: when enabled, an obs::Registry (counters + per-stage
   /// latency histograms) and an obs::FlightRecorder (stage-trail ring) are
@@ -111,20 +111,25 @@ class CertifiablePipeline {
   Decision infer(const tensor::Tensor& input, std::uint64_t logical_time = 0,
                  std::uint64_t elapsed = 0);
 
-  /// Runs one decision per input through the deterministic batch executor
+  /// Runs one decision per input through the deterministic batch pool
   /// (requires cfg.batch_workers > 0; throws std::logic_error otherwise).
   /// An input of the wrong shape fail-stops its own decision with
   /// kShapeMismatch, as in infer(); the rest of the batch decides. ODD
-  /// verdicts are taken serially up front; raw inference is then fanned
-  /// out over the static worker pool with a static partition, so
-  /// decisions, counters and the audit trail are identical for every
-  /// worker count. Every item then passes the same stage sequence as
-  /// infer(), serially in batch-index order: refusal, ODD reject, watchdog
-  /// (fed the item's measured inference time in telemetry clock units),
-  /// fail-stop, supervisor score (on the features the item's own pool run
-  /// tapped), drift tracking and audit entry. The pool runs plain
-  /// BatchRunner engines (float, or int8 under kInt8): pattern redundancy
-  /// and the safety bag apply only to the infer() channel.
+  /// verdicts are taken serially up front; item i then runs on channel
+  /// i % batch_workers — the deployed safety pattern, bag included — with
+  /// a static partition, so decisions, counters and the audit trail are
+  /// identical for every worker count. An ODD-rejected item never reaches
+  /// a channel, as in infer(). Every item then passes the same stage
+  /// sequence as infer(), serially in batch-index order: refusal, ODD
+  /// reject, watchdog (fed the item's measured channel time in telemetry
+  /// clock units), fail-stop, supervisor score (the bag's, or a solve on
+  /// the features the item's own channel run tapped), drift tracking and
+  /// audit entry. The inputs are read in place; they must stay valid for
+  /// the call.
+  std::vector<Decision> infer_batch(
+      std::span<const tensor::ConstTensorView> inputs,
+      std::uint64_t logical_time = 0);
+  /// infer_batch() over owned tensors.
   std::vector<Decision> infer_batch(
       const std::vector<tensor::Tensor>& inputs,
       std::uint64_t logical_time = 0);
@@ -167,7 +172,7 @@ class CertifiablePipeline {
     return drift_ && drift_->alarmed();
   }
 
-  /// Batch executor (null unless cfg.batch_workers > 0) — exposes the
+  /// Batch pool (null unless cfg.batch_workers > 0) — exposes the
   /// per-worker observability counters for certification evidence.
   const dl::BatchRunner* batch_runner() const noexcept {
     return batch_.get();
@@ -209,22 +214,26 @@ class CertifiablePipeline {
   const supervise::CusumDetector* drift_detector() const noexcept {
     return drift_.get();
   }
-  /// The deployed inference channel — safety bag included when the spec
-  /// demands one; null in refuse-only mode. Exposed so fault-injection
-  /// campaigns (safety::run_campaign, the scenario sweeper) exercise the
-  /// *deployed* channel instead of rebuilding a structural twin.
-  safety::InferenceChannel* channel() noexcept { return channel_.get(); }
-  const safety::InferenceChannel* channel() const noexcept {
-    return channel_.get();
+  /// The deployed inference channel that infer() runs, channel 0 — safety
+  /// bag included when the spec demands one; null in refuse-only mode. It
+  /// also runs partition 0 of every infer_batch(). Exposed so
+  /// fault-injection campaigns (safety::run_campaign, the scenario
+  /// sweeper) exercise the *deployed* channel instead of rebuilding a
+  /// structural twin.
+  safety::InferenceChannel* channel() noexcept {
+    return channels_.empty() ? nullptr : channels_.front().get();
   }
-  /// Requantization clips observed so far across the channel's replica 0
-  /// and the batch pool (0 for the float backend). Deterministic:
-  /// depends only on the served inputs.
+  const safety::InferenceChannel* channel() const noexcept {
+    return channels_.empty() ? nullptr : channels_.front().get();
+  }
+  /// Requantization clips observed so far, summed over every channel's
+  /// replica 0 (0 for the float backend). Deterministic: depends only on
+  /// the served inputs.
   std::uint64_t quant_saturation_total() const noexcept;
 
   /// Cross-checks the static saturation-margin verdicts (computed at
   /// deploy time into static_verification()->quant) against the measured
-  /// runtime clip counters of the int8 channel and pool. Throws
+  /// runtime clip counters, summed over the int8 channels. Throws
   /// std::logic_error unless the pipeline deployed with kInt8 and static
   /// verification.
   verify::SaturationCrossCheck quant_saturation_cross_check() const;
@@ -274,6 +283,15 @@ class CertifiablePipeline {
   };
 
   OddVerdict guard(tensor::ConstTensorView input) noexcept;
+  /// Channel `k` on one input, stamped with `clock` (0s without one): the
+  /// inference stage of infer() and of each infer_batch() item. Features
+  /// land in `tap`; logits and features in the outcome alias its spans.
+  InferenceOutcome run_channel(std::size_t k, tensor::ConstTensorView input,
+                               std::span<float> logits, std::span<float> tap,
+                               obs::ClockFn clock) noexcept;
+  /// Views of `inputs` in views_ (grow-only).
+  std::span<const tensor::ConstTensorView> views_of(
+      const std::vector<tensor::Tensor>& inputs);
   /// First half of the per-decision sequence: refusal, ODD reject and
   /// watchdog. Returns false when `d` is already decided (degraded).
   bool admit(Decision& d, const ItemContext& c);
@@ -288,20 +306,21 @@ class CertifiablePipeline {
   PipelineConfig cfg_;
   PipelineSpec spec_;
   std::unique_ptr<dl::Model> model_;  // deployed copy
-  // kInt8 backend: the quantized deployment. Declared before batch_,
-  // which holds a reference into it.
+  // kInt8 backend: the quantized deployment the channels copy.
   std::unique_ptr<dl::QuantizedModel> quant_;
   // Telemetry must outlive (and be registered before) every component that
-  // binds counters into it — the batch pool in particular.
+  // binds counters into it — the batch pool and the channels in particular.
   std::unique_ptr<obs::Registry> obs_;
   std::unique_ptr<obs::FlightRecorder> fdr_;
   std::unique_ptr<dl::BatchRunner> batch_;
   std::unique_ptr<supervise::MahalanobisSupervisor> supervisor_;
-  // The one scoring path; declared before channel_, whose safety bag
-  // points at it. It solves on the channel's or the pool's taps.
-  std::unique_ptr<supervise::TapScorer> scorer_;
-  std::unique_ptr<safety::InferenceChannel> channel_;
-  safety::SafetyBagChannel* bag_ = nullptr;  // view into channel_
+  // One scorer per channel, declared before channels_, whose safety bags
+  // point at them: a scorer's solve scratch is not shareable across pool
+  // workers. Scorer 0 also scores the taps of bag-less channels, serially.
+  std::vector<std::unique_ptr<supervise::TapScorer>> scorers_;
+  // One channel per pool worker; channel 0 serves infer() too.
+  std::vector<std::unique_ptr<safety::InferenceChannel>> channels_;
+  std::vector<safety::SafetyBagChannel*> bags_;  // views; null without a bag
   std::unique_ptr<supervise::CusumDetector> drift_;
   std::unique_ptr<trace::OddGuard> odd_;
   std::unique_ptr<explain::Explainer> explainer_;
@@ -315,14 +334,13 @@ class CertifiablePipeline {
   std::vector<float> feat_;  // infer()'s feature tap (empty: no supervisor)
   std::vector<float> probs_;  // softmax of the decided logits
   std::vector<float> fallback_;
-  // infer_batch() staging, grow-only: sized by the largest batch served,
-  // not by max_batch(), so deployment does not reserve the pool's limit.
-  std::vector<float> staged_;
+  // infer_batch() per-item results, grow-only: sized by the largest batch
+  // served. Item i's slots are written only by the worker that runs it.
   std::vector<float> batch_logits_;
   std::vector<float> batch_taps_;
-  std::vector<Status> engine_status_;
   std::vector<OddVerdict> odd_verdicts_;
-  std::vector<std::uint64_t> item_elapsed_;
+  std::vector<InferenceOutcome> outcomes_;
+  std::vector<tensor::ConstTensorView> views_;  // see views_of()
   std::uint64_t decisions_ = 0;
   std::uint64_t rejections_ = 0;
   std::uint64_t fallbacks_ = 0;
@@ -343,10 +361,8 @@ class CertifiablePipeline {
   obs::HistogramId h_sup_{};
   obs::HistogramId h_decision_{};
   // kInt8 backend telemetry.
-  obs::CounterId c_quant_sats_{};
   obs::GaugeId g_quant_bytes_{};
   obs::HistogramId h_qinfer_{};
-  std::uint64_t reported_batch_sats_ = 0;  // batch clips already pushed
 };
 
 }  // namespace sx::core

@@ -104,39 +104,21 @@ CertificationReport make_certification_report(
 EvidenceItem make_batch_runner_evidence(const dl::BatchRunner& runner) {
   std::ostringstream os;
   os << "workers: " << runner.workers()
-     << " (static pool, spawned at configuration time)\n"
+     << " (static pool spawned at configuration time; the caller runs "
+        "worker 0)\n"
      << "partition: static round-robin (item i -> worker i % "
-     << runner.workers() << ") => outputs, counters and fault order are\n"
-     << "  schedule-independent; per-item memory comes from per-worker "
-        "arenas planned up front\n"
+     << runner.workers() << ") => outputs and counters are\n"
+     << "  schedule-independent; each worker runs its own deployed channel\n"
      << "batches dispatched: " << runner.batch_count() << "\n"
-     << "items: " << runner.item_count() << " (" << runner.run_count()
-     << " ok, " << runner.numeric_fault_count() << " numeric faults)\n"
+     << "items: " << runner.item_count() << "\n"
      << "wall time: " << std::fixed << std::setprecision(1)
      << runner.total_wall_micros() << " us, worker busy time: "
      << runner.total_busy_micros() << " us\n";
   for (std::size_t w = 0; w < runner.workers(); ++w) {
     const dl::BatchWorkerStats s = runner.worker_stats(w);
     os << "  worker " << w << ": batches=" << s.batches
-       << " items=" << s.items << " ok=" << s.runs << " faults=" << s.faults
-       << " arena=" << s.arena_high_water_mark << "/" << s.arena_capacity
-       << " floats, busy=" << std::setprecision(1) << s.busy_micros
-       << " us\n";
-  }
-  const bool int8 = runner.elem() == dl::ElemType::kInt8;
-  const char* prefix = int8 ? "int8 kernel plan" : "kernel plan";
-  if (const dl::PlanEvidence* plan = runner.plan(); plan != nullptr) {
-    os << prefix << " (shared read-only across workers): " << plan->summary()
-       << "\n";
-    if (int8)
-      os << "requantization clips: " << runner.saturation_count()
-         << " (sum over static shard order => schedule-independent)\n";
-  } else {
-    os << prefix
-       << ": reference loops (SX_KERNEL_REFERENCE or explicit kReference)";
-    if (int8)
-      os << "; requantization clips: " << runner.saturation_count();
-    os << "\n";
+       << " items=" << s.items << " busy=" << std::setprecision(1)
+       << s.busy_micros << " us\n";
   }
   return EvidenceItem{"Deterministic batch execution", os.str()};
 }

@@ -42,9 +42,9 @@ CertificationReport make_certification_report(
     const trace::RequirementRegistry* requirements,
     const std::vector<EvidenceItem>& evidence);
 
-/// Evidence for the deterministic batch executor: aggregate and per-worker
-/// counters (batches, items, faults, arena plan, busy time) plus the static
-/// partition argument. Attach to make_certification_report's evidence list.
+/// Evidence for the deterministic batch pool: aggregate and per-worker
+/// counters (batches, items, busy time) plus the static partition
+/// argument. Attach to make_certification_report's evidence list.
 EvidenceItem make_batch_runner_evidence(const dl::BatchRunner& runner);
 
 /// Evidence for a deploy-time kernel plan: resolved mode, per-layer step

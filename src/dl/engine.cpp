@@ -32,9 +32,8 @@ StaticEngine::StaticEngine(const Model& model, StaticEngineConfig cfg)
     : Engine(ElemType::kFloat32),
       model_(&model),
       cfg_(cfg),
-      owned_plan_(make_owned_plan(model, cfg)),
-      plan_(owned_plan_.get()),
-      arena_(planned_capacity(model, owned_plan_.get(), cfg)) {
+      plan_(make_owned_plan(model, cfg)),
+      arena_(planned_capacity(model, plan_.get(), cfg)) {
   if (plan_ != nullptr) {
     base_ = arena_.alloc(plan_->arena_elems());
   } else {
@@ -42,16 +41,6 @@ StaticEngine::StaticEngine(const Model& model, StaticEngineConfig cfg)
     ping_ = arena_.alloc(buf);
     pong_ = arena_.alloc(buf);
   }
-}
-
-StaticEngine::StaticEngine(const Model& model, const KernelPlan& plan,
-                           StaticEngineConfig cfg)
-    : Engine(ElemType::kFloat32),
-      model_(&model),
-      cfg_(cfg),
-      plan_(&plan),
-      arena_(planned_capacity(model, &plan, cfg)) {
-  base_ = arena_.alloc(plan.arena_elems());
 }
 
 Status StaticEngine::run(tensor::ConstTensorView input,

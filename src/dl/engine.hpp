@@ -13,8 +13,9 @@
 //
 // StaticEngine and the int8 QuantEngine (dl/qplan.hpp) implement one
 // interface, Engine: run, the tapped run a supervisor reads its features
-// from, repack, counters, arena marks and the plan's evidence view. Safety channels and the batch pool hold engines through
-// it, so the element type is decided once, where the engine is built.
+// from, repack, counters, arena marks and the plan's evidence view. Safety
+// channels hold engines through it, so the element type is decided once,
+// where the engine is built. Every engine owns its plan.
 //
 // DynamicEngine is the deliberately non-compliant baseline standing in for a
 // general-purpose DL framework: per-inference heap allocation and no fault
@@ -59,8 +60,8 @@ std::size_t tap_width(const M& model, std::size_t layer) {
 /// The supervisor's feature layer of `model` (a Model or a QuantizedModel,
 /// in its own layer indexing): the index of the last Dense layer, whose
 /// input activation is the penultimate feature vector a runtime supervisor
-/// reads; layer_count() when there is no Dense layer. Replicas and the
-/// batch pool pin it so their engines can tap it.
+/// reads; layer_count() when there is no Dense layer. Replicas pin it so
+/// their engines can tap it.
 template <class M>
 std::size_t feature_layer(const M& model) {
   for (std::size_t i = model.layer_count(); i-- > 0;) {
@@ -104,10 +105,9 @@ class Engine {
                             std::span<float> tap) noexcept = 0;
   /// True if run_tapped can capture the activation feeding `tap_layer`.
   virtual bool can_tap(std::size_t tap_layer) const noexcept = 0;
-  /// Re-snapshots the weight panels of an engine-private plan from the
-  /// live weights, after an in-place write (fault injection, scrubbing).
-  /// No-op under reference loops, which read the weights live, and for a
-  /// shared plan, whose owner repacks it.
+  /// Re-snapshots the weight panels of the engine's plan from the live
+  /// weights, after an in-place write (fault injection, scrubbing). No-op
+  /// under reference loops, which read the weights live.
   virtual void repack() noexcept = 0;
 
   ElemType elem() const noexcept { return elem_; }
@@ -148,15 +148,6 @@ class StaticEngine final : public Engine {
   /// a private KernelPlan) for `model`. The model must outlive the engine.
   explicit StaticEngine(const Model& model, StaticEngineConfig cfg = {});
 
-  /// Shares a prebuilt KernelPlan (e.g. one plan across BatchRunner
-  /// workers; tables/panels are read-only on the hot path while arena
-  /// slots stay in this engine's private arena). `cfg.kernels` and
-  /// `cfg.pin_tap_layer` are ignored — the plan governs. Plan and model
-  /// must outlive the engine and the plan must have been built for this
-  /// model.
-  StaticEngine(const Model& model, const KernelPlan& plan,
-               StaticEngineConfig cfg = {});
-
   StaticEngine(const StaticEngine&) = delete;
   StaticEngine& operator=(const StaticEngine&) = delete;
 
@@ -195,12 +186,12 @@ class StaticEngine final : public Engine {
   }
 
   /// The kernel plan in effect (nullptr when running reference loops).
-  const KernelPlan* plan() const noexcept override { return plan_; }
+  const KernelPlan* plan() const noexcept override { return plan_.get(); }
   /// Under kWide (the usual kAuto resolution) Dense weights were copied
   /// into panels at plan time, so an in-place Dense mutation is invisible
   /// to the hot path until this runs (Conv2d weights are read live).
   void repack() noexcept override {
-    if (owned_plan_) owned_plan_->repack();
+    if (plan_) plan_->repack();
   }
   /// Resolved mode: kWide when a plan drives the engine, else kReference.
   KernelMode kernel_mode() const noexcept {
@@ -220,8 +211,7 @@ class StaticEngine final : public Engine {
 
   const Model* model_;
   StaticEngineConfig cfg_;
-  std::unique_ptr<KernelPlan> owned_plan_;  ///< null when shared or reference
-  const KernelPlan* plan_ = nullptr;
+  std::unique_ptr<KernelPlan> plan_;  ///< null under reference loops
   tensor::Arena arena_;
   // Buffers are carved out of the arena once, here at configuration time;
   // run() touches the arena only through these spans (zero hot-path

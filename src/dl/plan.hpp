@@ -52,9 +52,9 @@
 // arms compute one canonical accumulation tree, so the selection affects
 // timing only — outputs stay bitwise identical across machines.
 //
-// One plan is immutable after construction (repack() aside) and safe to
-// share read-only across BatchRunner workers; every activation slot lives
-// in each worker's own arena.
+// One plan is immutable after construction (repack() aside) and has one
+// owner, the engine it drives; every activation slot lives in that
+// engine's arena.
 #pragma once
 
 #include <memory>

@@ -192,23 +192,8 @@ QuantEngine::QuantEngine(const QuantizedModel& model, QuantEngineConfig cfg)
     : Engine(ElemType::kInt8),
       model_(&model),
       cfg_(cfg),
-      owned_plan_(make_owned_qplan(model, resolve_kernel_mode(cfg.kernels))),
-      plan_(owned_plan_.get()),
-      arena_(planned_capacity(model, owned_plan_.get(), cfg)) {
-  init();
-}
-
-QuantEngine::QuantEngine(const QuantizedModel& model,
-                         const QuantKernelPlan& plan, QuantEngineConfig cfg)
-    : Engine(ElemType::kInt8),
-      model_(&model),
-      cfg_(cfg),
-      plan_(&plan),
-      arena_(planned_capacity(model, &plan, cfg)) {
-  init();
-}
-
-void QuantEngine::init() {
+      plan_(make_owned_qplan(model, resolve_kernel_mode(cfg.kernels))),
+      arena_(planned_capacity(model, plan_.get(), cfg)) {
   // Configuration time: cache every static size and scale so the noexcept
   // hot path never touches a throwing accessor, then carve the byte arena.
   layer_count_ = model_->layer_count();

@@ -46,9 +46,9 @@
 // SX_KERNEL_REFERENCE escape hatch are shared with the float plan
 // (dl/plan.hpp).
 //
-// One plan is immutable after construction (repack() aside) and safe to
-// share read-only across BatchRunner workers; each worker's arena slots
-// and saturation counters live in its own engine.
+// One plan is immutable after construction (repack() aside) and has one
+// owner, the engine it drives, whose arena slots and saturation counters
+// are its own.
 #pragma once
 
 #include <memory>
@@ -177,14 +177,10 @@ struct QuantEngineConfig {
 /// identical to QuantizedModel::run for every kernel mode.
 class QuantEngine final : public Engine {
  public:
-  /// Builds an engine-private plan (or none when the resolved mode is
+  /// Builds the engine's own plan (or none when the resolved mode is
   /// kReference). The model must outlive the engine.
   explicit QuantEngine(const QuantizedModel& model,
                        QuantEngineConfig cfg = {});
-  /// Shares an externally owned plan (one plan, many workers). `plan` and
-  /// the model must outlive the engine.
-  QuantEngine(const QuantizedModel& model, const QuantKernelPlan& plan,
-              QuantEngineConfig cfg = {});
 
   QuantEngine(const QuantEngine&) = delete;
   QuantEngine& operator=(const QuantEngine&) = delete;
@@ -217,12 +213,14 @@ class QuantEngine final : public Engine {
   }
 
   /// The plan driving this engine (nullptr in reference mode).
-  const QuantKernelPlan* plan() const noexcept override { return plan_; }
+  const QuantKernelPlan* plan() const noexcept override {
+    return plan_.get();
+  }
 
-  /// Re-snapshots the engine-private plan's Dense panels and per-lane
-  /// corrections after a mutation of the quantized weights.
+  /// Re-snapshots the plan's Dense panels and per-lane corrections after a
+  /// mutation of the quantized weights.
   void repack() noexcept override {
-    if (owned_plan_ != nullptr) owned_plan_->repack();
+    if (plan_ != nullptr) plan_->repack();
   }
 
   std::size_t arena_capacity() const noexcept override {
@@ -236,7 +234,6 @@ class QuantEngine final : public Engine {
   /// Sentinel tap_layer meaning "no tap" on the shared run paths.
   static constexpr std::size_t kNoTap = ~std::size_t{0};
 
-  void init();
   Status run_impl(tensor::ConstTensorView input, std::span<float> output,
                   std::size_t tap_layer, std::span<float> tap) noexcept;
   Status run_planned(std::span<float> output, std::size_t tap_layer,
@@ -246,8 +243,7 @@ class QuantEngine final : public Engine {
 
   const QuantizedModel* model_;
   QuantEngineConfig cfg_;
-  std::unique_ptr<QuantKernelPlan> owned_plan_;
-  const QuantKernelPlan* plan_;
+  std::unique_ptr<QuantKernelPlan> plan_;  ///< null under reference loops
   tensor::ByteArena arena_;
   std::span<std::int8_t> base_;  ///< planned mode: layout base block
   std::span<std::int8_t> ping_;  ///< reference mode only

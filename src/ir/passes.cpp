@@ -169,20 +169,25 @@ ArenaLayout plan_arena(const Program& p) {
     return offset;
   };
 
-  // Placement order is part of the contract (verify re-derives it):
-  // the in-arena input slot first, then per exec op its output value.
+  // Placement order is part of the contract (verify re-derives it): per
+  // exec op its output value, then the in-arena input slot. The input
+  // lives at position 0 only, so placed last it fills a gap beside the
+  // first op's output instead of pushing every later block up.
+  for (const std::size_t id : exec) {
+    const Op& op = p.ops[id];
+    std::size_t b, e;
+    live_range(p.values[op.output], b, e);
+    layout.value_offset[op.output] = place(p.values[op.output].elems, b, e);
+  }
   if (p.input_in_arena && p.input_value != kNone) {
     std::size_t b, e;
     live_range(p.values[p.input_value], b, e);
     layout.input_offset = place(p.values[p.input_value].elems, b, e);
     layout.value_offset[p.input_value] = layout.input_offset;
   }
-  for (std::size_t i = 0; i < exec.size(); ++i) {
-    const Op& op = p.ops[exec[i]];
+  for (const std::size_t id : exec) {
+    const Op& op = p.ops[id];
     ArenaAssignment& slot = layout.per_op[op.id];
-    std::size_t b, e;
-    live_range(p.values[op.output], b, e);
-    layout.value_offset[op.output] = place(p.values[op.output].elems, b, e);
     slot.out_offset = layout.value_offset[op.output];
     slot.in_offset = layout.value_offset[op.input];  // kNone when external
   }

@@ -9,8 +9,9 @@
 //     API (add / set / observe / drain_samples) is noexcept and performs
 //     zero heap allocations;
 //   - counters are *sharded*: each counter owns one padded slot per worker
-//     shard, so the static worker pool of dl::BatchRunner can increment
-//     telemetry without locks, and the merged value is a sum taken in
+//     shard, so the workers of dl::BatchRunner and the channels they run
+//     can increment telemetry without locks (relaxed atomics, whether or
+//     not writers share a shard), and the merged value is a sum taken in
 //     static shard order 0..N-1 — bitwise identical for every
 //     `batch_workers` setting because the merged total depends only on the
 //     item partition, never on the thread interleaving (extending the

@@ -414,8 +414,9 @@ ScenarioCellEvidence ScenarioSweeper::run_cell(const Perturbation& pert,
                   static_cast<double>(cell.probes);
   cell.sup_mean_id = sup_sum / static_cast<double>(cell.probes);
 
-  // 2. Batch path (separate hash: batch decisions are like-for-like only
-  // against other batch runs — the batch executor has no safety bag).
+  // 2. Batch path over the same probes, on the same deployed channels
+  // (safety bag included). A separate hash: the single-item hash goes on
+  // to cover the OOD probes below.
   if (exec.batch_workers > 0) {
     std::vector<tensor::Tensor> inputs;
     inputs.reserve(probes.samples.size());

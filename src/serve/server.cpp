@@ -53,7 +53,7 @@ Server::Server(core::CertifiablePipeline& pipeline, ServerConfig cfg)
     throw std::invalid_argument("serve: batch_window must be >= 1");
   if (pipeline.batch_runner() == nullptr)
     throw std::invalid_argument(
-        "serve: pipeline deployed without a batch executor "
+        "serve: pipeline deployed without a batch pool "
         "(set PipelineConfig::batch_workers > 0)");
 
   // Normalize stream specs (deadline defaults to period, LO streams carry a
@@ -314,7 +314,7 @@ void Server::dispatch_window(std::uint64_t close,
     }
     acc_service = util::sat_add(acc_service, spec.service_lo);
     batch_requests_.push_back(i);
-    batch_inputs_.push_back(inputs[r.payload]);
+    batch_inputs_.push_back(inputs[r.payload].view());
     ++examined;
   }
   if (shed_here > 0) enter_overload(close);

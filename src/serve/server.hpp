@@ -16,7 +16,8 @@
 //     evidence;
 //   - batches form inside a bounded window in logical time — the window
 //     closes when it fills (batch_max) or times out (batch_window) — and
-//     dispatch into CertifiablePipeline::infer_batch, so the serving
+//     dispatch into CertifiablePipeline::infer_batch, whose pool runs the
+//     pipeline's deployed safety channel on every request, so the serving
 //     decision stream is bitwise identical to the offline batch run of the
 //     same inputs at any worker count;
 //   - overload is handled by a Simplex-style fallback: the *only* online
@@ -183,7 +184,8 @@ class Server {
   obs::Registry obs_;
   trace::AuditLog audit_;
   std::vector<ServedRecord> served_;
-  std::vector<tensor::Tensor> batch_inputs_;   ///< window staging
+  /// Window staging: views into run_trace()'s input pool, no copies.
+  std::vector<tensor::ConstTensorView> batch_inputs_;
   std::vector<std::size_t> batch_requests_;    ///< pending_ indices staged
   util::Sha256 digest_;  ///< running decision-stream hash
 

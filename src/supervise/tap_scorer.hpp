@@ -2,11 +2,12 @@
 //
 // A TapScorer is the deploy-time scoring object behind every runtime
 // Mahalanobis verdict. It runs no model: the channel's own engine run taps
-// the supervisor's feature layer (safety::InferenceChannel::infer's tap,
-// or the batch pool's), so each decision runs the model once per replica
-// and scoring is the solve alone. The safety bag scores through it inside
-// the channel and the pipeline reuses that score; without a bag the
-// pipeline scores the channel's or the pool's tap itself. It holds the
+// the supervisor's feature layer (safety::InferenceChannel::infer's tap),
+// so each decision runs the model once per replica and scoring is the
+// solve alone. The safety bag scores through it inside the channel and
+// the pipeline reuses that score; without a bag the pipeline scores the
+// channel's tap itself. A scorer's solve scratch is its own, so every
+// channel a batch worker runs gets its own scorer. It holds the
 // fitted supervisor (threshold included), the rejection counter binding
 // and a per-class solve scratch sized at deploy time, so score() is
 // bitwise MahalanobisSupervisor::score_from_features and free of heap

@@ -268,8 +268,8 @@ DerivedPlan derive_plan(std::size_t input_elems, bool input_in_arena,
   }
 
   // Liveness coloring: value lifetimes over execution positions, placed
-  // by deterministic first-fit in the contractual order (in-arena input,
-  // then per op its output).
+  // by deterministic first-fit in the contractual order (per op its
+  // output, then the in-arena input).
   struct Placed {
     std::size_t off, elems, b, e;
   };
@@ -291,10 +291,10 @@ DerivedPlan derive_plan(std::size_t input_elems, bool input_in_arena,
     d.total_elems = std::max(d.total_elems, off + elems);
     return off;
   };
-  if (input_in_arena) place(input_elems, 0, 0);
   const std::size_t m = d.ops.size();
   for (std::size_t j = 0; j < m; ++j)
     place(d.ops[j].out_elems, j, j + 1 < m ? j + 1 : j);
+  if (input_in_arena) place(input_elems, 0, 0);
   return d;
 }
 

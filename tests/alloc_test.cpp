@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "core/pipeline.hpp"
-#include "dl/batch.hpp"
+#include "engine_pool.hpp"
 #include "dl/quant.hpp"
 #include "safety/channel.hpp"
 #include "supervise/metrics.hpp"
@@ -164,27 +164,27 @@ TEST(Allocations, TappedInferOnEveryChannelAllocatesNothing) {
 
 TEST(Allocations, PoolRunWithTapsAllocatesNothing) {
   constexpr std::size_t kItems = 16;
-  dl::BatchRunner runner{model(), {.workers = 2}};
-  const std::size_t in = runner.input_size();
+  sx::testing::EnginePool pool{model(), 2};
+  const std::size_t in = pool.input_size();
   std::vector<float> inputs(kItems * in);
   for (std::size_t i = 0; i < kItems; ++i)
     std::copy(data().samples[i].input.data().begin(),
               data().samples[i].input.data().end(), inputs.begin() + i * in);
-  std::vector<float> outputs(kItems * runner.output_size());
-  std::vector<float> taps(kItems * runner.tap_size());
-  std::vector<std::uint64_t> elapsed(kItems);
+  std::vector<float> outputs(kItems * pool.output_size());
+  std::vector<float> taps(kItems * pool.tap_size());
   std::vector<Status> statuses(kItems);
-  ASSERT_GT(runner.tap_size(), 0u);
-  ASSERT_EQ(runner.run(inputs, outputs, statuses, elapsed, taps), Status::kOk);
+  ASSERT_GT(pool.tap_size(), 0u);
+  pool.run(inputs, outputs, statuses, taps);
 
   std::size_t failed = 0;
   const std::uint64_t before = allocations();
-  for (std::size_t r = 0; r < 8; ++r)
-    failed += ok(runner.run(inputs, outputs, statuses, elapsed, taps)) ? 0 : 1;
+  for (std::size_t r = 0; r < 8; ++r) {
+    pool.run(inputs, outputs, statuses, taps);
+    for (const Status st : statuses) failed += ok(st) ? 0 : 1;
+  }
   const std::uint64_t made = allocations() - before;
   EXPECT_EQ(made, 0u);
   EXPECT_EQ(failed, 0u);
-  EXPECT_TRUE(runner.fault_log().empty());
 }
 
 /// Heap allocations per infer() decision over in-distribution inputs,

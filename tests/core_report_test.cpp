@@ -79,7 +79,7 @@ TEST(Report, QuantBackendEvidenceRenders) {
   EXPECT_NE(ev.body.find("saturation cross-check"), std::string::npos);
 
   const auto batch_ev = make_batch_runner_evidence(*p.batch_runner());
-  EXPECT_NE(batch_ev.body.find("int8 kernel plan"), std::string::npos);
+  EXPECT_NE(batch_ev.body.find("workers: 2"), std::string::npos);
 
   const auto report = make_certification_report(p, nullptr, {ev, batch_ev});
   EXPECT_TRUE(report.complete);

@@ -467,7 +467,8 @@ TEST(PipelineInt8, BatchPathIsQuantizedAndDecides) {
   cfg.batch_workers = 4;
   CertifiablePipeline p{model(), data(), cfg};
   ASSERT_NE(p.batch_runner(), nullptr);
-  EXPECT_EQ(p.batch_runner()->elem(), dl::ElemType::kInt8);
+  // The pool runs the pipeline's int8 channels.
+  EXPECT_EQ(p.channel()->replica(0).elem(), dl::ElemType::kInt8);
 
   std::vector<tensor::Tensor> inputs;
   for (std::size_t i = 0; i < 9; ++i)

@@ -10,13 +10,23 @@
 #include <vector>
 
 #include "dl/batch.hpp"
+#include "engine_pool.hpp"
 #include "safety/fault.hpp"
 #include "test_helpers.hpp"
 
 namespace sx::dl {
 namespace {
 
+using sx::testing::EnginePool;
 using tensor::Tensor;
+
+/// Batch indices of the items whose status is not ok, ascending.
+std::vector<std::size_t> faulted(std::span<const Status> st) {
+  std::vector<std::size_t> idx;
+  for (std::size_t i = 0; i < st.size(); ++i)
+    if (!ok(st[i])) idx.push_back(i);
+  return idx;
+}
 
 constexpr std::size_t kBatch = 17;  // deliberately not a power of two
 
@@ -65,41 +75,37 @@ TEST(BatchFaultInjection, WeightBitFlipFaultsEveryItemExactlyOnce) {
   std::vector<float> out(kBatch * model.output_shape().size());
 
   for (const std::size_t workers : {1u, 2u, 4u}) {
-    BatchRunner runner{model, BatchRunnerConfig{.workers = workers}};
+    EnginePool pool{model, workers};
     std::vector<Status> st(kBatch, Status::kOk);
-    ASSERT_EQ(runner.run(flat, out, st), Status::kOk);
+    pool.run(flat, out, st);
 
-    // Every item faults, is counted exactly once, and the fault log lists
-    // each batch index exactly once, in ascending order.
+    // Every item faults and is counted exactly once, at its own batch
+    // index.
     for (std::size_t i = 0; i < kBatch; ++i)
       EXPECT_EQ(st[i], Status::kNumericFault) << "item " << i;
-    EXPECT_EQ(runner.numeric_fault_count(), kBatch);
-    EXPECT_EQ(runner.run_count(), 0u);
-    const auto log = runner.fault_log();
-    ASSERT_EQ(log.size(), kBatch);
-    for (std::size_t i = 0; i < kBatch; ++i) {
-      EXPECT_EQ(log[i].batch_index, i);
-      EXPECT_EQ(log[i].status, Status::kNumericFault);
-    }
+    EXPECT_EQ(pool.numeric_fault_count(), kBatch);
+    EXPECT_EQ(pool.run_count(), 0u);
+    EXPECT_EQ(faulted(st).size(), kBatch);
     // Per-worker fault counts follow the static partition alone.
     std::uint64_t total = 0;
     for (std::size_t w = 0; w < workers; ++w) {
-      const BatchWorkerStats s = runner.worker_stats(w);
       const std::uint64_t owned = (kBatch - w + workers - 1) / workers;
-      EXPECT_EQ(s.faults, owned) << "worker " << w;
-      total += s.faults;
+      EXPECT_EQ(pool.engine(w).numeric_fault_count(), owned)
+          << "worker " << w;
+      EXPECT_EQ(pool.runner().worker_stats(w).items, owned) << "worker " << w;
+      total += pool.engine(w).numeric_fault_count();
     }
     EXPECT_EQ(total, kBatch);
   }
 
   // Undo the SEU: the restored model runs clean again.
   safety::FaultInjector::restore(model, rec);
-  BatchRunner clean{model, BatchRunnerConfig{.workers = 2}};
+  EnginePool clean{model, 2};
   std::vector<Status> st(kBatch, Status::kNumericFault);
-  ASSERT_EQ(clean.run(flat, out, st), Status::kOk);
+  clean.run(flat, out, st);
   for (std::size_t i = 0; i < kBatch; ++i) EXPECT_EQ(st[i], Status::kOk);
   EXPECT_EQ(clean.numeric_fault_count(), 0u);
-  EXPECT_TRUE(clean.fault_log().empty());
+  EXPECT_TRUE(faulted(st).empty());
 }
 
 TEST(BatchFaultInjection, NaNInputsAttributedToExactIndices) {
@@ -113,9 +119,9 @@ TEST(BatchFaultInjection, NaNInputsAttributedToExactIndices) {
 
   std::vector<float> out(kBatch * model.output_shape().size());
   for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
-    BatchRunner runner{model, BatchRunnerConfig{.workers = workers}};
+    EnginePool pool{model, workers};
     std::vector<Status> st(kBatch, Status::kOk);
-    ASSERT_EQ(runner.run(flat, out, st), Status::kOk);
+    pool.run(flat, out, st);
 
     for (std::size_t i = 0; i < kBatch; ++i) {
       const bool bad =
@@ -123,12 +129,16 @@ TEST(BatchFaultInjection, NaNInputsAttributedToExactIndices) {
       EXPECT_EQ(st[i], bad ? Status::kNumericFault : Status::kOk)
           << "item " << i << " at " << workers << " workers";
     }
-    EXPECT_EQ(runner.numeric_fault_count(), poisoned.size());
-    EXPECT_EQ(runner.run_count(), kBatch - poisoned.size());
-    const auto log = runner.fault_log();
-    ASSERT_EQ(log.size(), poisoned.size());
-    for (std::size_t k = 0; k < poisoned.size(); ++k)
-      EXPECT_EQ(log[k].batch_index, poisoned[k]);
+    EXPECT_EQ(pool.numeric_fault_count(), poisoned.size());
+    EXPECT_EQ(pool.run_count(), kBatch - poisoned.size());
+    EXPECT_EQ(faulted(st), poisoned);
+    // Each poisoned item faulted on its own worker's engine.
+    for (std::size_t w = 0; w < workers; ++w) {
+      std::uint64_t owned = 0;
+      for (const std::size_t i : poisoned) owned += i % workers == w ? 1 : 0;
+      EXPECT_EQ(pool.engine(w).numeric_fault_count(), owned)
+          << "worker " << w << " of " << workers;
+    }
   }
 }
 
@@ -140,15 +150,14 @@ TEST(BatchFaultInjection, CountersAccumulateOnceAcrossRepeatedBatches) {
   auto flat = stage_inputs(kBatch);
   flat[0 * in_size] = std::numeric_limits<float>::infinity();
 
-  BatchRunner runner{model, BatchRunnerConfig{.workers = 4}};
+  EnginePool pool{model, 4};
   std::vector<float> out(kBatch * model.output_shape().size());
   std::vector<Status> st(kBatch);
   for (int rep = 1; rep <= 3; ++rep) {
-    ASSERT_EQ(runner.run(flat, out, st), Status::kOk);
-    EXPECT_EQ(runner.numeric_fault_count(),
-              static_cast<std::uint64_t>(rep));
-    ASSERT_EQ(runner.fault_log().size(), 1u);  // log covers the last batch
-    EXPECT_EQ(runner.fault_log()[0].batch_index, 0u);
+    pool.run(flat, out, st);
+    EXPECT_EQ(pool.numeric_fault_count(), static_cast<std::uint64_t>(rep));
+    // The statuses cover the last batch only.
+    EXPECT_EQ(faulted(st), std::vector<std::size_t>{0});
   }
 }
 

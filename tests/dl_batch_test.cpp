@@ -1,6 +1,9 @@
-// BatchRunner unit tests: bitwise agreement with StaticEngine, deterministic
-// per-worker counters, pre-planned arenas (the "no allocation / no thread
-// spawn inside run()" evidence), argument validation and pipeline wiring.
+// BatchRunner unit tests: bitwise agreement with StaticEngine when the
+// pool runs one engine per worker, deterministic per-worker counters,
+// engine arenas planned up front (the "no allocation / no thread spawn
+// inside run()" evidence), argument validation and pipeline wiring: the
+// pool runs the deployed safety channel, so infer_batch() matches infer()
+// at every criticality.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,11 +11,14 @@
 #include <cstdint>
 #include <ostream>
 #include <string>
+#include <thread>
 
 #include "core/pipeline.hpp"
 #include "core/report.hpp"
 #include "dl/batch.hpp"
+#include "engine_pool.hpp"
 #include "obs/snapshot.hpp"
+#include "safety/fault.hpp"
 #include "supervise/metrics.hpp"
 #include "test_helpers.hpp"
 #include "util/hash.hpp"
@@ -21,6 +27,7 @@
 namespace sx::dl {
 namespace {
 
+using sx::testing::EnginePool;
 using tensor::Tensor;
 
 /// Flattens samples [first, first+count) into one contiguous input buffer.
@@ -50,10 +57,10 @@ TEST(BatchRunner, MatchesStaticEngineBitExactly) {
               Status::kOk);
 
   for (const std::size_t workers : {1u, 2u, 4u, 7u}) {
-    BatchRunner runner{m, BatchRunnerConfig{.workers = workers}};
+    EnginePool pool{m, workers};
     std::vector<float> out(n * out_size, -1.0f);
     std::vector<Status> st(n, Status::kInvalidArgument);
-    ASSERT_EQ(runner.run(flat, out, st), Status::kOk);
+    pool.run(flat, out, st);
     for (std::size_t i = 0; i < n; ++i)
       EXPECT_EQ(st[i], Status::kOk) << "item " << i;
     EXPECT_EQ(out, ref) << workers << " workers";
@@ -68,106 +75,126 @@ TEST(BatchRunner, CountersAreScheduleIndependent) {
   std::vector<Status> st(n);
 
   // Per-worker item counts follow only from the static partition.
-  BatchRunner runner{m, BatchRunnerConfig{.workers = 4}};
-  for (int rep = 0; rep < 3; ++rep)
-    ASSERT_EQ(runner.run(flat, out, st), Status::kOk);
+  EnginePool pool{m, 4};
+  for (int rep = 0; rep < 3; ++rep) pool.run(flat, out, st);
+  const BatchRunner& runner = pool.runner();
   EXPECT_EQ(runner.batch_count(), 3u);
   EXPECT_EQ(runner.item_count(), 3u * n);
-  EXPECT_EQ(runner.run_count(), 3u * n);
-  EXPECT_EQ(runner.numeric_fault_count(), 0u);
+  EXPECT_EQ(pool.run_count(), 3u * n);
+  EXPECT_EQ(pool.numeric_fault_count(), 0u);
   const std::uint64_t expected_items[] = {18, 15, 15, 15};  // ceil splits
   for (std::size_t w = 0; w < 4; ++w) {
     const BatchWorkerStats s = runner.worker_stats(w);
     EXPECT_EQ(s.items, expected_items[w]) << "worker " << w;
-    EXPECT_EQ(s.runs, expected_items[w]) << "worker " << w;
+    // Worker w ran exactly its own items on its own engine.
+    EXPECT_EQ(pool.engine(w).run_count(), expected_items[w])
+        << "worker " << w;
     EXPECT_EQ(s.batches, 3u);
-    EXPECT_EQ(s.faults, 0u);
+    EXPECT_EQ(pool.engine(w).numeric_fault_count(), 0u);
   }
 }
 
 TEST(BatchRunner, ArenasArePlannedUpFront) {
   // The certification argument for "no allocation inside run()": every
-  // worker's arena is sized at configuration time and the high-water mark
-  // never exceeds that plan, batch after batch.
+  // worker engine's arena is sized at configuration time and the
+  // high-water mark never exceeds that plan, batch after batch.
   const Model& m = sx::testing::trained_cnn();
-  BatchRunner runner{m, BatchRunnerConfig{.workers = 3}};
+  EnginePool pool{m, 3};
   // Shape-derived demand: the liveness-colored activations under a
   // planned kernel mode, the ping-pong pair otherwise (verify/range
   // re-derives both without consulting the engine or the plan).
   const std::size_t planned = verify::static_arena_demand(m);
-  for (std::size_t w = 0; w < runner.workers(); ++w)
-    EXPECT_EQ(runner.worker_stats(w).arena_capacity, planned);
+  for (std::size_t w = 0; w < pool.workers(); ++w)
+    EXPECT_EQ(pool.engine(w).arena_capacity(), planned);
 
   const std::size_t n = 9;
   const auto flat = stage_inputs(0, n);
   std::vector<float> out(n * m.output_shape().size());
   std::vector<Status> st(n);
   for (int rep = 0; rep < 5; ++rep) {
-    ASSERT_EQ(runner.run(flat, out, st), Status::kOk);
-    for (std::size_t w = 0; w < runner.workers(); ++w) {
-      const BatchWorkerStats s = runner.worker_stats(w);
-      EXPECT_EQ(s.arena_high_water_mark, planned);
-      EXPECT_EQ(s.arena_capacity, planned);  // capacity never regrows
+    pool.run(flat, out, st);
+    for (std::size_t w = 0; w < pool.workers(); ++w) {
+      EXPECT_EQ(pool.engine(w).arena_high_water_mark(), planned);
+      EXPECT_EQ(pool.engine(w).arena_capacity(), planned);  // never regrows
     }
   }
 }
 
 TEST(BatchRunner, ValidatesArguments) {
-  const Model& m = sx::testing::trained_mlp();
-  EXPECT_THROW(BatchRunner(m, BatchRunnerConfig{.workers = 0}),
+  EXPECT_THROW(BatchRunner(BatchRunnerConfig{.workers = 0}),
                std::invalid_argument);
-  EXPECT_THROW((BatchRunner(m, BatchRunnerConfig{.workers = 1,
-                                                 .max_batch = 0})),
-               std::invalid_argument);
-
-  BatchRunner runner{m, BatchRunnerConfig{.workers = 2, .max_batch = 8}};
-  std::vector<float> in(3 * runner.input_size());
-  std::vector<float> out(3 * runner.output_size());
-  std::vector<Status> st(3);
-  EXPECT_EQ(runner.run(std::span<const float>(in).first(5), out, st),
-            Status::kShapeMismatch);
-  EXPECT_EQ(runner.run(in, std::span<float>(out).first(2), st),
-            Status::kShapeMismatch);
-  std::vector<Status> too_many(9);
-  std::vector<float> in9(9 * runner.input_size());
-  std::vector<float> out9(9 * runner.output_size());
-  EXPECT_EQ(runner.run(in9, out9, too_many), Status::kInvalidArgument);
-
-  // Empty batch is a no-op.
-  EXPECT_EQ(runner.run({}, {}, {}), Status::kOk);
+  // An empty batch is a no-op: the job never runs and nothing is counted.
+  BatchRunner runner{BatchRunnerConfig{.workers = 2}};
+  std::size_t calls = 0;
+  auto job = [&](std::size_t) noexcept { ++calls; };
+  runner.run(0, job);
+  EXPECT_EQ(calls, 0u);
   EXPECT_EQ(runner.batch_count(), 0u);
+  EXPECT_EQ(runner.item_count(), 0u);
+  EXPECT_THROW((void)runner.worker_stats(2), std::out_of_range);
 }
 
 TEST(BatchRunner, MoreWorkersThanItems) {
   const Model& m = sx::testing::trained_mlp();
-  BatchRunner runner{m, BatchRunnerConfig{.workers = 8}};
+  EnginePool pool{m, 8};
   const std::size_t n = 3;
   const auto flat = stage_inputs(0, n);
   std::vector<float> out(n * m.output_shape().size());
   std::vector<Status> st(n);
-  ASSERT_EQ(runner.run(flat, out, st), Status::kOk);
-  EXPECT_EQ(runner.run_count(), n);
+  pool.run(flat, out, st);
+  EXPECT_EQ(pool.run_count(), n);
   for (std::size_t w = n; w < 8; ++w) {
-    EXPECT_EQ(runner.worker_stats(w).items, 0u);
-    // Idle workers still participated in the dispatch barrier.
-    EXPECT_EQ(runner.worker_stats(w).batches, 1u);
+    EXPECT_EQ(pool.runner().worker_stats(w).items, 0u);
+    // Idle workers still took part in the dispatch barrier.
+    EXPECT_EQ(pool.runner().worker_stats(w).batches, 1u);
   }
+}
+
+TEST(BatchRunner, PartitionZeroRunsOnTheCallerAlone) {
+  // The caller runs partition 0: a one-item batch (or any batch on one
+  // worker) dispatches nothing, and W workers own W - 1 threads.
+  BatchRunner runner{BatchRunnerConfig{.workers = 4}};
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::thread::id> ran_on(9);
+  auto job = [&](std::size_t i) noexcept {
+    ran_on[i] = std::this_thread::get_id();
+  };
+  runner.run(1, job);
+  EXPECT_EQ(ran_on[0], caller);
+  EXPECT_EQ(runner.worker_stats(0).batches, 1u);
+  for (std::size_t w = 1; w < 4; ++w)
+    EXPECT_EQ(runner.worker_stats(w).batches, 0u) << "worker " << w;
+
+  runner.run(ran_on.size(), job);
+  for (std::size_t i = 0; i < ran_on.size(); ++i) {
+    // Worker 0's items run on the caller, the others on pool threads; an
+    // item's thread is its worker's, batch after batch.
+    EXPECT_EQ(ran_on[i] == caller, i % 4 == 0) << "item " << i;
+    EXPECT_EQ(ran_on[i], ran_on[i % 4]) << "item " << i;
+  }
+  EXPECT_EQ(runner.batch_count(), 2u);
+  EXPECT_EQ(runner.item_count(), 10u);
+
+  BatchRunner single{BatchRunnerConfig{.workers = 1}};
+  single.run(ran_on.size(), job);
+  for (std::size_t i = 0; i < ran_on.size(); ++i)
+    EXPECT_EQ(ran_on[i], caller) << "item " << i;
 }
 
 TEST(BatchRunner, EvidenceReportsCounters) {
   const Model& m = sx::testing::trained_mlp();
-  BatchRunner runner{m, BatchRunnerConfig{.workers = 2}};
+  EnginePool pool{m, 2};
   const std::size_t n = 6;
   const auto flat = stage_inputs(0, n);
   std::vector<float> out(n * m.output_shape().size());
   std::vector<Status> st(n);
-  ASSERT_EQ(runner.run(flat, out, st), Status::kOk);
-  const core::EvidenceItem item = core::make_batch_runner_evidence(runner);
+  pool.run(flat, out, st);
+  const core::EvidenceItem item =
+      core::make_batch_runner_evidence(pool.runner());
   EXPECT_EQ(item.title, "Deterministic batch execution");
-  EXPECT_NE(item.body.find("items: 6 (6 ok, 0 numeric faults)"),
-            std::string::npos)
+  EXPECT_NE(item.body.find("items: 6\n"), std::string::npos) << item.body;
+  EXPECT_NE(item.body.find("worker 1: batches=1 items=3"), std::string::npos)
       << item.body;
-  EXPECT_NE(item.body.find("worker 1:"), std::string::npos);
 }
 
 TEST(CertifiablePipeline, BatchPathIsDisabledByDefault) {
@@ -215,6 +242,7 @@ TEST(CertifiablePipeline, BatchDecisionsIdenticalAcrossWorkerCounts) {
 struct ParityCase {
   core::BackendKind backend;
   KernelMode kernels;
+  trace::Criticality criticality = trace::Criticality::kSil2;
 };
 
 const char* kernels_name(KernelMode m) {
@@ -223,20 +251,25 @@ const char* kernels_name(KernelMode m) {
 
 // Names the parameter in test listings instead of its raw bytes.
 void PrintTo(const ParityCase& pc, std::ostream* os) {
+  if (pc.criticality != trace::Criticality::kSil2)
+    *os << trace::to_string(pc.criticality) << '/';
   *os << core::to_string(pc.backend) << '/' << kernels_name(pc.kernels);
 }
 
 class PipelineBatchParity : public ::testing::TestWithParam<ParityCase> {};
 
-// infer() and infer_batch() run one decision sequence: for the same inputs
-// every Decision field — and the audit entries each decision leaves —
-// must agree bit for bit, ODD rejections included.
+// infer() and infer_batch() run one decision sequence on the same deployed
+// safety pattern: for the same inputs every Decision field — and the audit
+// entries each decision leaves — must agree bit for bit, ODD rejections
+// and (at SIL3/4) the safety bag's degradations included.
 TEST_P(PipelineBatchParity, EveryDecisionFieldMatchesInfer) {
   const auto& ds = sx::testing::road_data();
   core::PipelineConfig cfg;
-  cfg.criticality = trace::Criticality::kSil2;
+  cfg.criticality = GetParam().criticality;
   cfg.backend = GetParam().backend;
   cfg.kernel_mode = GetParam().kernels;
+  // SIL3/4 demand a timing budget: one the measured time always meets.
+  cfg.timing_budget = 1'000'000'000;
   cfg.batch_workers = 2;
   core::CertifiablePipeline batch{sx::testing::trained_mlp(), ds, cfg};
   cfg.batch_workers = 0;
@@ -254,6 +287,10 @@ TEST_P(PipelineBatchParity, EveryDecisionFieldMatchesInfer) {
     }
     burst.push_back(x);
   }
+  // At SIL3/4 add more in-ODD samples, so that the bag's supervisor
+  // rejects (and degrades) some of them.
+  if (cfg.criticality != trace::Criticality::kSil2)
+    for (std::size_t i = 20; i < 60; ++i) burst.push_back(ds.samples[i].input);
   // Sequence numbers are audit indices: the last deploy entry's comes
   // first, and each decision's step from its predecessor counts its entries.
   std::uint64_t prev_batch = batch.audit().size() - 1;
@@ -262,7 +299,7 @@ TEST_P(PipelineBatchParity, EveryDecisionFieldMatchesInfer) {
   const auto decisions = batch.infer_batch(burst, t);
   ASSERT_EQ(decisions.size(), burst.size());
 
-  std::size_t odd_rejects = 0, decided = 0;
+  std::size_t odd_rejects = 0, decided = 0, degraded = 0;
   for (std::size_t i = 0; i < burst.size(); ++i) {
     const core::Decision s = serial.infer(burst[i], t);
     const core::Decision& b = decisions[i];
@@ -287,8 +324,19 @@ TEST_P(PipelineBatchParity, EveryDecisionFieldMatchesInfer) {
     prev_serial = s.audit_sequence;
     odd_rejects += b.status == Status::kOddViolation ? 1 : 0;
     decided += b.status == Status::kOk ? 1 : 0;
+    degraded += b.status == Status::kOk && b.degraded ? 1 : 0;
   }
-  EXPECT_EQ(odd_rejects, scaled);
+  if (cfg.criticality == trace::Criticality::kSil2) {
+    EXPECT_EQ(odd_rejects, scaled);
+  } else {
+    EXPECT_GE(odd_rejects, scaled);  // the guard may refuse a sample
+  }
+  // The safety bag runs on the batch path: its supervisor verdict degrades
+  // some in-ODD decisions there exactly as it does in infer().
+  if (batch.spec().has_safety_bag) {
+    EXPECT_GT(degraded, 0u);
+  }
+  EXPECT_EQ(batch.fallbacks(), serial.fallbacks());
   EXPECT_EQ(decided + odd_rejects, burst.size());
   EXPECT_EQ(batch.audit().size(), serial.audit().size());
   EXPECT_EQ(batch.decisions(), serial.decisions());
@@ -307,6 +355,60 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(core::to_string(pc.backend)) + "_" +
              kernels_name(pc.kernels);
     });
+
+// SIL3 deploys DMR and SIL4 diverse TMR, both inside the safety bag; the
+// int8 backend stops at SIL2.
+INSTANTIATE_TEST_SUITE_P(
+    SafetyBag, PipelineBatchParity,
+    ::testing::Values(ParityCase{core::BackendKind::kFloat32,
+                                 KernelMode::kAuto, trace::Criticality::kSil3},
+                      ParityCase{core::BackendKind::kFloat32,
+                                 KernelMode::kReference,
+                                 trace::Criticality::kSil3},
+                      ParityCase{core::BackendKind::kFloat32,
+                                 KernelMode::kAuto, trace::Criticality::kSil4},
+                      ParityCase{core::BackendKind::kFloat32,
+                                 KernelMode::kReference,
+                                 trace::Criticality::kSil4}),
+    [](const ::testing::TestParamInfo<ParityCase>& param_info) {
+      const ParityCase& pc = param_info.param;
+      return std::string(trace::to_string(pc.criticality)) + "_" +
+             kernels_name(pc.kernels);
+    });
+
+// infer() and partition 0 of infer_batch() share channel 0: a fault
+// injected through channel() reaches the items that partition runs, and
+// the monitored pattern fail-stops them, while channel 1's items decide.
+TEST(CertifiablePipeline, ChannelFaultFailStopsPartitionZero) {
+  const auto& ds = sx::testing::road_data();
+  core::PipelineConfig cfg;
+  cfg.criticality = trace::Criticality::kSil2;
+  cfg.batch_workers = 2;
+  core::CertifiablePipeline p{sx::testing::trained_mlp(), ds, cfg};
+  const std::vector<Tensor> one{ds.samples[0].input};
+  const std::vector<Tensor> two{ds.samples[0].input, ds.samples[0].input};
+  ASSERT_EQ(p.infer_batch(one)[0].status, Status::kOk);
+
+  // A stuck-large output bias drives its logit far outside the monitor's
+  // envelope.
+  safety::Replica& r = p.channel()->replica(0);
+  const std::size_t last = r.model().layer_count() - 1;
+  const std::size_t bias = r.model().layer(last).params().size() - 1;
+  safety::FaultInjector injector{1};
+  const safety::FaultRecord rec = injector.inject_at(
+      r.model(), safety::FaultType::kStuckLarge, last, bias, 0);
+  r.refresh();
+
+  const core::Decision d = p.infer_batch(one)[0];
+  EXPECT_EQ(d.status, Status::kNumericFault);
+  EXPECT_TRUE(d.degraded);
+  const std::vector<core::Decision> pair = p.infer_batch(two);
+  EXPECT_EQ(pair[0].status, Status::kNumericFault);
+  EXPECT_EQ(pair[1].status, Status::kOk);
+
+  p.channel()->undo_fault(0, rec);
+  EXPECT_EQ(p.infer_batch(one)[0].status, Status::kOk);
+}
 
 class PipelineScoreParity
     : public ::testing::TestWithParam<trace::Criticality> {};

@@ -12,7 +12,7 @@
 #include <span>
 #include <vector>
 
-#include "dl/batch.hpp"
+#include "engine_pool.hpp"
 #include "dl/engine.hpp"
 #include "dl/model.hpp"
 #include "util/rng.hpp"
@@ -97,14 +97,14 @@ TEST(EngineDifferential, AllEnginesBitwiseIdentical) {
     }
 
     for (const std::size_t workers : {1u, 2u, 4u}) {
-      BatchRunner runner{model, BatchRunnerConfig{.workers = workers}};
+      sx::testing::EnginePool pool{model, workers};
       std::vector<float> batch_out(kInputsPerModel * out_size, -7.0f);
       std::vector<Status> statuses(kInputsPerModel, Status::kOk);
-      ASSERT_EQ(runner.run(flat, batch_out, statuses), Status::kOk);
+      pool.run(flat, batch_out, statuses);
       for (std::size_t i = 0; i < kInputsPerModel; ++i)
         ASSERT_EQ(statuses[i], Status::kOk) << "input " << i;
       ASSERT_EQ(batch_out, reference) << workers << " workers";
-      EXPECT_EQ(runner.numeric_fault_count(), 0u);
+      EXPECT_EQ(pool.numeric_fault_count(), 0u);
     }
   }
 }
@@ -121,11 +121,11 @@ TEST(EngineDifferential, RepeatedBatchesAreReproducible) {
 
   std::vector<float> first;
   for (int instance = 0; instance < 2; ++instance) {
-    BatchRunner runner{model, BatchRunnerConfig{.workers = 3}};
+    sx::testing::EnginePool pool{model, 3};
     for (int rep = 0; rep < 4; ++rep) {
       std::vector<float> out(10 * out_size);
       std::vector<Status> st(10);
-      ASSERT_EQ(runner.run(flat, out, st), Status::kOk);
+      pool.run(flat, out, st);
       if (first.empty())
         first = out;
       else

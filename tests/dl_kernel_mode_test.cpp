@@ -24,7 +24,7 @@
 #include <vector>
 
 #include "core/report.hpp"
-#include "dl/batch.hpp"
+#include "engine_pool.hpp"
 #include "dl/engine.hpp"
 #include "dl/plan.hpp"
 #include "platform/cpu_probe.hpp"
@@ -251,8 +251,7 @@ TEST(WideEngine, PanelSnapshotIsStaleUntilRepack) {
   // call repack() to resync the snapshot.
   Model m = sx::testing::trained_mlp();
   StaticEngine ref{m, {.kernels = KernelMode::kReference}};
-  KernelPlan plan{m};
-  StaticEngine wide{m, plan};
+  StaticEngine wide{m, {.kernels = KernelMode::kWide}};
 
   const auto in = sx::testing::road_data().samples[2].input.view();
   const auto before = run_engine(ref, in);
@@ -264,7 +263,7 @@ TEST(WideEngine, PanelSnapshotIsStaleUntilRepack) {
   ASSERT_FALSE(BitEqual(after, before));
 
   EXPECT_TRUE(BitEqual(run_engine(wide, in), before));  // stale snapshot
-  plan.repack();
+  wide.repack();
   EXPECT_TRUE(BitEqual(run_engine(wide, in), after));  // resynced
 }
 
@@ -275,8 +274,7 @@ TEST(WideEngine, ConvWeightFaultReachesPlanWithoutRepack) {
   Model m = sx::testing::trained_cnn();
   ASSERT_EQ(m.layer(0).kind(), LayerKind::kConv2d);
   StaticEngine ref{m, {.kernels = KernelMode::kReference}};
-  KernelPlan plan{m};
-  StaticEngine wide{m, plan};
+  StaticEngine wide{m, {.kernels = KernelMode::kWide}};
 
   const auto in = sx::testing::road_data().samples[2].input.view();
   const auto before = run_engine(ref, in);
@@ -308,12 +306,11 @@ TEST(WideBatch, WorkerCountsBitwiseIdenticalToReference) {
   }
 
   for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
-    BatchRunner runner{m, BatchRunnerConfig{.workers = workers,
-                                            .kernels = KernelMode::kWide}};
-    ASSERT_NE(runner.plan(), nullptr);
+    sx::testing::EnginePool pool{m, workers, {.kernels = KernelMode::kWide}};
+    ASSERT_NE(pool.engine(0).plan(), nullptr);
     std::vector<float> out(n * out_size, -1.0f);
     std::vector<Status> st(n, Status::kInvalidArgument);
-    ASSERT_EQ(runner.run(flat, out, st), Status::kOk);
+    pool.run(flat, out, st);
     for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(st[i], Status::kOk);
     EXPECT_TRUE(BitEqual(out, expected)) << "wide x " << workers
                                          << " workers";

@@ -15,7 +15,7 @@
 #include <string>
 #include <vector>
 
-#include "dl/batch.hpp"
+#include "engine_pool.hpp"
 #include "dl/qplan.hpp"
 #include "dl/quant.hpp"
 #include "test_helpers.hpp"
@@ -24,6 +24,7 @@
 namespace sx::dl {
 namespace {
 
+using sx::testing::EnginePool;
 using tensor::Shape;
 using tensor::Tensor;
 
@@ -201,7 +202,7 @@ TEST(QuantKernelPlan, RepackKeepsOutputsIdentical) {
   in.init_uniform(rng, -1.0f, 1.0f);
   std::vector<float> before(5), after(5);
   ASSERT_EQ(eng.run(in.view(), before), Status::kOk);
-  const_cast<QuantKernelPlan*>(eng.plan())->repack();
+  eng.repack();
   ASSERT_EQ(eng.run(in.view(), after), Status::kOk);
   for (std::size_t i = 0; i < before.size(); ++i)
     EXPECT_TRUE(bits_equal(before[i], after[i]));
@@ -283,19 +284,6 @@ TEST(WideQuantize, SpanMatchesQuantizeValueBitwise) {
       }
     }
   }
-}
-
-TEST(QuantKernelPlan, SharedPlanAcrossEngines) {
-  const Model& m = sx::testing::trained_cnn();
-  const auto& ds = sx::testing::road_data();
-  const QuantizedModel qm = QuantizedModel::quantize(m, ds);
-  const QuantKernelPlan plan{qm};
-  QuantEngine e1{qm, plan};
-  QuantEngine e2{qm, plan};
-  std::vector<float> a(qm.output_shape().size()), b(a.size());
-  ASSERT_EQ(e1.run(ds.samples[0].input.view(), a), Status::kOk);
-  ASSERT_EQ(e2.run(ds.samples[0].input.view(), b), Status::kOk);
-  for (std::size_t i = 0; i < a.size(); ++i) EXPECT_TRUE(bits_equal(a[i], b[i]));
 }
 
 TEST(QuantEngine, RejectsWrongShapes) {
@@ -401,23 +389,23 @@ TEST(QuantBatch, ScheduleIndependentAcrossWorkerCounts) {
 
   for (std::size_t workers : {1u, 2u, 4u, 8u}) {
     SCOPED_TRACE("workers=" + std::to_string(workers));
-    BatchRunner runner{qm, BatchRunnerConfig{.workers = workers}};
-    ASSERT_EQ(runner.elem(), dl::ElemType::kInt8);
+    EnginePool pool{qm, workers};
+    ASSERT_EQ(pool.engine(0).elem(), dl::ElemType::kInt8);
     std::vector<float> outputs(count * out_size, -1.0f);
     std::vector<Status> statuses(count, Status::kNotReady);
-    ASSERT_EQ(runner.run(inputs, outputs, statuses), Status::kOk);
+    pool.run(inputs, outputs, statuses);
     for (std::size_t i = 0; i < count; ++i)
       ASSERT_EQ(statuses[i], Status::kOk) << "item " << i;
     for (std::size_t i = 0; i < outputs.size(); ++i)
       ASSERT_TRUE(bits_equal(outputs[i], ref_out[i]))
           << "output " << i << " diverges at workers=" << workers;
-    EXPECT_EQ(runner.saturation_count(), ref.saturation_total());
-    std::vector<std::uint64_t> per_layer(qm.layer_count(), 0);
-    runner.saturation_counts_into(per_layer);
+    EXPECT_EQ(pool.saturation_count(), ref.saturation_total());
+    const std::vector<std::uint64_t> per_layer =
+        pool.saturation_counts(qm.layer_count());
     const auto rc = ref.saturation_counts();
     for (std::size_t i = 0; i < per_layer.size(); ++i)
       EXPECT_EQ(per_layer[i], rc[i]) << "layer " << i;
-    EXPECT_EQ(runner.numeric_fault_count(), 0u);
+    EXPECT_EQ(pool.numeric_fault_count(), 0u);
   }
 }
 
@@ -444,17 +432,16 @@ TEST(QuantBatch, TapsMatchEngineForEveryWorkerCount) {
     want.insert(want.end(), tap.begin(), tap.end());
   }
   for (std::size_t workers : {1u, 3u}) {
-    BatchRunner runner{qm, {.workers = workers}};
-    ASSERT_EQ(runner.tap_size(), tap_width(qm, layer));
+    EnginePool pool{qm, workers};
+    ASSERT_EQ(pool.tap_size(), tap_width(qm, layer));
     std::vector<float> outputs(count * out_size);
-    std::vector<float> taps(count * runner.tap_size(), -1.0f);
+    std::vector<float> taps(count * pool.tap_size(), -1.0f);
     std::vector<Status> statuses(count);
-    ASSERT_EQ(runner.run(inputs, outputs, statuses, {}, taps), Status::kOk);
+    pool.run(inputs, outputs, statuses, taps);
+    for (std::size_t i = 0; i < count; ++i)
+      ASSERT_EQ(statuses[i], Status::kOk) << "item " << i;
     for (std::size_t i = 0; i < taps.size(); ++i)
       ASSERT_TRUE(bits_equal(taps[i], want[i])) << "tap element " << i;
-    std::vector<float> wrong(3);
-    EXPECT_EQ(runner.run(inputs, outputs, statuses, {}, wrong),
-              Status::kShapeMismatch);
   }
 }
 
@@ -471,16 +458,17 @@ TEST(QuantBatch, ReferenceModeHasNoPlanButSameBits) {
       inputs[i * in_size + j] = ds.samples[i].input.data()[j];
   std::vector<Status> statuses(count);
 
-  BatchRunner planned{qm, BatchRunnerConfig{.workers = 2}};
-  BatchRunner reference{
-      qm, BatchRunnerConfig{.workers = 2, .kernels = KernelMode::kReference}};
-  ASSERT_NE(planned.plan(), nullptr);
-  EXPECT_EQ(planned.plan()->elem(), dl::ElemType::kInt8);
-  EXPECT_EQ(reference.plan(), nullptr);
+  EnginePool planned{qm, 2};
+  EnginePool reference{qm, 2, {.kernels = KernelMode::kReference}};
+  for (std::size_t w = 0; w < 2; ++w) {
+    ASSERT_NE(planned.engine(w).plan(), nullptr);
+    EXPECT_EQ(planned.engine(w).plan()->elem(), dl::ElemType::kInt8);
+    EXPECT_EQ(reference.engine(w).plan(), nullptr);
+  }
 
   std::vector<float> a(count * out_size), b(count * out_size);
-  ASSERT_EQ(planned.run(inputs, a, statuses), Status::kOk);
-  ASSERT_EQ(reference.run(inputs, b, statuses), Status::kOk);
+  planned.run(inputs, a, statuses);
+  reference.run(inputs, b, statuses);
   for (std::size_t i = 0; i < a.size(); ++i)
     EXPECT_TRUE(bits_equal(a[i], b[i]));
   EXPECT_EQ(planned.saturation_count(), reference.saturation_count());

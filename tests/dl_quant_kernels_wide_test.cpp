@@ -506,8 +506,7 @@ TEST(WideQuantPlan, RepackResyncsAfterWeightMutation) {
     ASSERT_EQ(setenv("SX_KERNEL_ISA", isa, 1), 0);
     QuantizedModel qm = base;
     QuantizedModel ref = qm;
-    QuantKernelPlan plan{qm};
-    QuantEngine eng{qm, plan};
+    QuantEngine eng{qm, QuantEngineConfig{.kernels = KernelMode::kWide}};
     std::vector<float> r(n_out), p(n_out);
     ASSERT_EQ(ref.run(in.view(), r), Status::kOk);
     ASSERT_EQ(eng.run(in.view(), p), Status::kOk);
@@ -528,7 +527,7 @@ TEST(WideQuantPlan, RepackResyncsAfterWeightMutation) {
     ASSERT_NE(sum_row0(), before);
     ref = qm;
     ASSERT_EQ(ref.run(in.view(), r), Status::kOk);
-    plan.repack();
+    eng.repack();
     ASSERT_EQ(eng.run(in.view(), p), Status::kOk);
     for (std::size_t i = 0; i < n_out; ++i)
       EXPECT_TRUE(bits_equal(r[i], p[i]))
@@ -665,8 +664,9 @@ TEST(WideQuantPlan, StepPastOverflowBoundRunsScalarAndVerifies) {
     EXPECT_TRUE(ok.bound_sound) << isa;
     EXPECT_TRUE(ok.passed()) << isa;
 
+    // The engine plans the same way under the same SX_KERNEL_ISA.
     QuantizedModel ref = qm;
-    QuantEngine eng{qm, plan};
+    QuantEngine eng{qm, QuantEngineConfig{.kernels = KernelMode::kWide}};
     std::vector<float> r(2), p(2);
     ASSERT_EQ(ref.run(in.view(), r), Status::kOk);
     ASSERT_EQ(eng.run(in.view(), p), Status::kOk);

@@ -224,6 +224,25 @@ TEST(IrArena, DigitCnnInt8DemandDropsAtLeastQuarter) {
       << "arena " << lay.total_elems << "/" << lay.naive_elems << " bytes";
 }
 
+// The perception CNN (conv8-relu-conv8-relu-maxpool-dense32-relu-dense4
+// over 1x16x16): its two 2048-byte conv outputs are alive together, so the
+// liveness arena can only match the ping-pong pair if the 256-byte
+// in-arena input slot fills the gap beside the first conv's output.
+TEST(IrArena, PerceptionCnnInt8FitsPingPongBaseline) {
+  const auto& ds = sx::testing::road_data();
+  dl::ModelBuilder b{ds.input_shape};
+  b.conv2d(8, 3, 1, 1).relu().conv2d(8, 3, 1, 1).relu().maxpool(2).flatten()
+      .dense(32).relu().dense(dl::kRoadSceneClasses);
+  const dl::QuantizedModel qm =
+      dl::QuantizedModel::quantize(b.build(/*seed=*/21), ds);
+  const dl::QuantKernelPlan plan{qm};
+  const ir::ArenaLayout& lay = plan.layout();
+  EXPECT_EQ(lay.naive_elems, 4096u);
+  EXPECT_LE(lay.total_elems, 4096u)
+      << "arena " << lay.total_elems << "/" << lay.naive_elems << " bytes";
+  EXPECT_TRUE(verify::check_ir(qm, plan).passed());
+}
+
 // --------------------------------------------------- bitwise differential
 
 TEST(IrDifferential, OptimizedFloatPlanMatchesReferenceBitwise) {

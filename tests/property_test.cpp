@@ -6,7 +6,7 @@
 #include <iomanip>
 #include <sstream>
 
-#include "dl/batch.hpp"
+#include "engine_pool.hpp"
 #include "dl/dataset.hpp"
 #include "dl/engine.hpp"
 #include "dl/model.hpp"
@@ -266,17 +266,17 @@ TEST_P(CrossModeIdentity, FloatBatchBitsMatchReferenceAcrossModesAndWorkers) {
     std::copy(src.begin(), src.end(), flat.begin() + i * in_size);
   }
 
-  dl::BatchRunner anchor{
-      m, {.workers = 1, .kernels = dl::KernelMode::kReference}};
+  sx::testing::EnginePool anchor{
+      m, 1, {.kernels = dl::KernelMode::kReference}};
   std::vector<float> ref(n * out_size);
   std::vector<Status> st(n);
-  ASSERT_EQ(anchor.run(flat, ref, st), Status::kOk);
+  anchor.run(flat, ref, st);
 
   for (const dl::KernelMode mode : dl::all_kernel_modes()) {
     for (const std::size_t workers : {1u, 4u}) {
-      dl::BatchRunner runner{m, {.workers = workers, .kernels = mode}};
+      sx::testing::EnginePool pool{m, workers, {.kernels = mode}};
       std::vector<float> out(n * out_size, -1.0f);
-      ASSERT_EQ(runner.run(flat, out, st), Status::kOk);
+      pool.run(flat, out, st);
       const bool identical =
           std::equal(out.begin(), out.end(), ref.begin(),
                      [](float x, float y) {
@@ -314,17 +314,17 @@ TEST_P(QuantCrossModeIdentity, Int8BatchBitsMatchReferenceAcrossModes) {
     std::copy(src.begin(), src.end(), flat.begin() + i * in_size);
   }
 
-  dl::BatchRunner anchor{
-      qm, {.workers = 1, .kernels = dl::KernelMode::kReference}};
+  sx::testing::EnginePool anchor{
+      qm, 1, {.kernels = dl::KernelMode::kReference}};
   std::vector<float> ref(n * out_size);
   std::vector<Status> st(n);
-  ASSERT_EQ(anchor.run(flat, ref, st), Status::kOk);
+  anchor.run(flat, ref, st);
 
   for (const dl::KernelMode mode : dl::all_kernel_modes()) {
     for (const std::size_t workers : {1u, 4u}) {
-      dl::BatchRunner runner{qm, {.workers = workers, .kernels = mode}};
+      sx::testing::EnginePool pool{qm, workers, {.kernels = mode}};
       std::vector<float> out(n * out_size, -1.0f);
-      ASSERT_EQ(runner.run(flat, out, st), Status::kOk);
+      pool.run(flat, out, st);
       const bool identical =
           std::equal(out.begin(), out.end(), ref.begin(),
                      [](float x, float y) {

@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "core/report.hpp"
-#include "dl/batch.hpp"
+#include "engine_pool.hpp"
 #include "dl/engine.hpp"
 #include "dl/layers.hpp"
 #include "dl/model.hpp"
@@ -144,7 +144,7 @@ TEST(KernelPlanEngine, FusedSigmoidTanhPipelineBitwiseIdentical) {
   EXPECT_EQ(plan.reference_steps(), 1u);    // softmax
 
   StaticEngine ref{m, {.kernels = KernelMode::kReference}};
-  StaticEngine planned{m, plan};
+  StaticEngine planned{m, {.kernels = KernelMode::kWide}};
   util::Xoshiro256 rng{5};
   Tensor in{m.input_shape()};
   for (int rep = 0; rep < 16; ++rep) {
@@ -301,13 +301,11 @@ TEST(KernelPlanBatch, WorkerCountsBitwiseIdenticalToReference) {
   }
 
   for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
-    dl::BatchRunner runner{m, dl::BatchRunnerConfig{
-                                  .workers = workers,
-                                  .kernels = KernelMode::kWide}};
-    ASSERT_NE(runner.plan(), nullptr);
+    sx::testing::EnginePool pool{m, workers, {.kernels = KernelMode::kWide}};
+    ASSERT_NE(pool.engine(0).plan(), nullptr);
     std::vector<float> out(n * out_size, -1.0f);
     std::vector<Status> st(n, Status::kInvalidArgument);
-    ASSERT_EQ(runner.run(flat, out, st), Status::kOk);
+    pool.run(flat, out, st);
     for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(st[i], Status::kOk);
     EXPECT_TRUE(BitEqual(out, expected)) << workers << " workers";
   }

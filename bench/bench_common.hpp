@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -157,6 +158,48 @@ inline void print_host_facts() {
             << platform::wide_isa_audit(platform::probe_cpu(),
                                         platform::select_wide_isa())
             << "\n\n";
+}
+
+/// Busy-loop scaling of this host, measured now: t threads each spin the
+/// same fixed integer loop, and scaling(t) is t times the one-thread wall
+/// time over the t-thread wall time (best of three rounds), for t = 1, 2
+/// and 4. No parallel-speedup gate can beat these ratios; on a loaded or
+/// throttled guest they fall well below t, and that is a host fact, not a
+/// regression. Takes well under 0.2 s.
+struct BusyLoopScaling {
+  double x2 = 0.0;  ///< scaling at 2 threads (ideal 2)
+  double x4 = 0.0;  ///< scaling at 4 threads (ideal 4)
+};
+
+inline BusyLoopScaling busy_loop_scaling() {
+  const auto spin = [] {
+    std::uint64_t x = 0x9e3779b97f4a7c15ULL;
+    for (std::uint32_t i = 0; i < (1u << 21); ++i) {
+      x ^= x << 13;
+      x ^= x >> 7;
+      x ^= x << 17;
+    }
+    volatile std::uint64_t sink = x;
+    (void)sink;
+  };
+  const auto wall_us = [&](unsigned threads) {
+    double best = 0.0;
+    for (int round = 0; round < 3; ++round) {
+      const auto t0 = std::chrono::steady_clock::now();
+      std::vector<std::thread> pool;
+      for (unsigned t = 1; t < threads; ++t) pool.emplace_back(spin);
+      spin();
+      for (std::thread& th : pool) th.join();
+      const double us = std::chrono::duration<double, std::micro>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count();
+      if (round == 0 || us < best) best = us;
+    }
+    return best;
+  };
+  const double one = wall_us(1);
+  return BusyLoopScaling{.x2 = 2.0 * one / wall_us(2),
+                         .x4 = 4.0 * one / wall_us(4)};
 }
 
 inline void print_header(const char* experiment, const char* question) {

@@ -143,7 +143,11 @@ int main(int argc, char** argv) {
   std::cout << "\n";
 
   const unsigned hw = std::thread::hardware_concurrency();
-  std::cout << "hardware threads: " << hw << "\n\n";
+  // The host's own ceiling for the scaling gate below, measured now.
+  const bench::BusyLoopScaling host = bench::busy_loop_scaling();
+  std::cout << "hardware threads: " << hw
+            << "\nhost busy-loop scaling: 2 threads " << util::fmt(host.x2, 2)
+            << "x, 4 threads " << util::fmt(host.x4, 2) << "x\n\n";
 
   bool all_ok = true;
   bench::print_verdict(bit_exact,

@@ -6,11 +6,13 @@
 // relative to one concrete inference?
 //
 // Method: verify_model() runs over the standard trained MLP/CNN and a
-// population of random architectures; for each we record the verdict, the
-// static output envelope, the arena re-check and the analysis wall time
-// next to one StaticEngine inference. Two seeded defects — a NaN weight
-// and an undersized arena plan — must flip the verdict to FAIL. Finally
-// the int8 saturation margins of the quantized MLP are printed.
+// population of random architectures, each with the engine check of the
+// StaticEngine that runs it; for each we record the verdict, the static
+// output envelope, the engine count, the arena re-check and the analysis
+// wall time next to one inference of that engine. Two seeded defects — a
+// NaN weight and an engine whose arena is one float short — must flip the
+// verdict to FAIL. Finally the int8 saturation margins of the quantized
+// MLP are printed.
 //
 // Usage: bench_e12_static_verify [--smoke]   (--smoke shrinks the random
 // population for CI label `bench-smoke`).
@@ -80,18 +82,28 @@ int main(int argc, char** argv) {
       "refuse seeded defects, and what does the analysis cost?");
 
   util::Table table({"model", "layers", "verdict", "output envelope",
-                     "arena req=plan", "analysis us", "1 inference us"});
+                     "engines", "arena req=plan", "analysis us",
+                     "1 inference us"});
 
   bool healthy_all_pass = true;
   bool defects_all_fail = true;
   double worst_ratio = 0.0;
 
+  // `short_by` shrinks the engine check's planned arena: the seeded
+  // undersized-arena defect.
   const auto row = [&](const std::string& name, const dl::Model& m,
-                       const verify::VerificationEvidence& ev,
-                       bool expect_pass) {
-    const double analysis_us = bench::time_per_call_us(
-        [&] { (void)verify::verify_model(m, unit_box()); }, smoke ? 3 : 20);
+                       bool expect_pass, std::size_t short_by = 0) {
     dl::StaticEngine engine{m};
+    verify::EngineCheck check = verify::check_engine(m, engine);
+    check.planned -= short_by;
+    const verify::VerificationEvidence ev =
+        verify::verify_model(m, unit_box(), {check});
+    const double analysis_us = bench::time_per_call_us(
+        [&] {
+          (void)verify::verify_model(m, unit_box(),
+                                     {verify::check_engine(m, engine)});
+        },
+        smoke ? 3 : 20);
     tensor::Tensor in{m.input_shape()};
     std::vector<float> out(m.output_shape().size());
     const double infer_us = bench::time_per_call_us(
@@ -107,34 +119,30 @@ int main(int argc, char** argv) {
          ev.verdict.passed() ? "PASS" : "FAIL",
          "[" + util::fmt(static_cast<double>(ev.output_lo), 2) + ", " +
              util::fmt(static_cast<double>(ev.output_hi), 2) + "]",
-         std::to_string(ev.arena.required_floats) + "=" +
-             std::to_string(ev.arena.planned_floats),
+         std::to_string(ev.engines.size()),
+         std::to_string(check.required) + "=" +
+             std::to_string(check.planned),
          util::fmt(analysis_us, 1), util::fmt(infer_us, 1)});
   };
 
   const dl::Model& mlp = bench::trained_mlp();
   const dl::Model& cnn = bench::trained_cnn();
-  row("road MLP", mlp, verify::verify_model(mlp, unit_box()), true);
-  row("road CNN", cnn, verify::verify_model(cnn, unit_box()), true);
+  row("road MLP", mlp, true);
+  row("road CNN", cnn, true);
 
   const std::size_t population = smoke ? 6 : 24;
   util::Xoshiro256 rng{0xE12u};
   for (std::size_t i = 0; i < population; ++i) {
     const dl::Model m = random_model(rng);
-    row("random #" + std::to_string(i), m,
-        verify::verify_model(m, unit_box()), true);
+    row("random #" + std::to_string(i), m, true);
   }
 
   // Seeded defects: the gate must refuse both.
   dl::Model poisoned = mlp;
   first_param_layer(poisoned).params()[0] =
       std::numeric_limits<float>::quiet_NaN();
-  row("MLP + NaN weight", poisoned,
-      verify::verify_model(poisoned, unit_box()), false);
-  row("MLP, arena -1 float", mlp,
-      verify::verify_model(mlp, unit_box(),
-                           verify::static_arena_demand(mlp) - 1),
-      false);
+  row("MLP + NaN weight", poisoned, false);
+  row("MLP, arena -1 float", mlp, false, /*short_by=*/1);
 
   table.print(std::cout);
 

@@ -55,7 +55,9 @@ int run_experiment() {
   cases.push_back({"dmr", std::make_unique<safety::DmrChannel>(model)});
   cases.push_back({"tmr", std::make_unique<safety::TmrChannel>(model)});
   cases.push_back(
-      {"diverse-tmr", std::make_unique<safety::DiverseTmrChannel>(model, ds)});
+      {"diverse-tmr",
+       std::make_unique<safety::DiverseTmrChannel>(
+           model, dl::QuantizedModel::quantize(model, ds))});
   cases.push_back(
       {"tmr+safety-bag",
        std::make_unique<safety::SafetyBagChannel>(

@@ -20,10 +20,9 @@ std::unique_ptr<KernelPlan> make_owned_plan(const Model& model,
 
 /// Planned mode: the liveness-colored base block. Reference mode: the
 /// classic two-buffer ping-pong worst case.
-std::size_t planned_capacity(const Model& model, const KernelPlan* plan,
-                             const StaticEngineConfig& cfg) {
-  if (plan != nullptr) return plan->arena_elems() + cfg.arena_slack;
-  return 2 * model.max_activation_size() + cfg.arena_slack;
+std::size_t planned_capacity(const Model& model, const KernelPlan* plan) {
+  if (plan != nullptr) return plan->arena_elems();
+  return 2 * model.max_activation_size();
 }
 
 }  // namespace
@@ -33,7 +32,7 @@ StaticEngine::StaticEngine(const Model& model, StaticEngineConfig cfg)
       model_(&model),
       cfg_(cfg),
       plan_(make_owned_plan(model, cfg)),
-      arena_(planned_capacity(model, plan_.get(), cfg)) {
+      arena_(planned_capacity(model, plan_.get())) {
   if (plan_ != nullptr) {
     base_ = arena_.alloc(plan_->arena_elems());
   } else {

@@ -34,8 +34,6 @@ namespace sx::dl {
 struct StaticEngineConfig {
   /// Check every intermediate activation for NaN/Inf and fail fast.
   bool check_numeric_faults = true;
-  /// Extra arena headroom (floats) on top of the planned demand.
-  std::size_t arena_slack = 0;
   /// Hot-path kernel selection (see dl/plan.hpp). kAuto resolves at
   /// construction time: the reference loops when SX_KERNEL_REFERENCE is
   /// set, else the wide kernels on the probed arm (SX_KERNEL_ISA

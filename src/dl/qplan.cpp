@@ -180,10 +180,9 @@ std::size_t max_activation_bytes(const QuantizedModel& m) {
 /// lives inside it). Reference mode: the classic two-buffer ping-pong
 /// worst case.
 std::size_t planned_capacity(const QuantizedModel& m,
-                             const QuantKernelPlan* plan,
-                             const QuantEngineConfig& cfg) {
-  if (plan != nullptr) return plan->arena_bytes() + cfg.arena_slack;
-  return 2 * max_activation_bytes(m) + cfg.arena_slack;
+                             const QuantKernelPlan* plan) {
+  if (plan != nullptr) return plan->arena_bytes();
+  return 2 * max_activation_bytes(m);
 }
 
 }  // namespace
@@ -193,7 +192,7 @@ QuantEngine::QuantEngine(const QuantizedModel& model, QuantEngineConfig cfg)
       model_(&model),
       cfg_(cfg),
       plan_(make_owned_qplan(model, resolve_kernel_mode(cfg.kernels))),
-      arena_(planned_capacity(model, plan_.get(), cfg)) {
+      arena_(planned_capacity(model, plan_.get())) {
   // Configuration time: cache every static size and scale so the noexcept
   // hot path never touches a throwing accessor, then carve the byte arena.
   layer_count_ = model_->layer_count();

@@ -162,8 +162,6 @@ class QuantKernelPlan final : public PlanEvidence {
 };
 
 struct QuantEngineConfig {
-  /// Extra byte-arena capacity beyond the planned demand.
-  std::size_t arena_slack = 0;
   /// Hot-path kernel selection; kAuto resolves like the float engine's
   /// (see resolve_kernel_mode in dl/plan.hpp).
   KernelMode kernels = KernelMode::kAuto;

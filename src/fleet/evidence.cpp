@@ -1,24 +1,18 @@
 #include "fleet/evidence.hpp"
 
-#include <charconv>
+#include "util/text_codec.hpp"
 
 namespace sx::fleet {
 namespace {
 
+using util::append_double;
+using util::append_u64;
+using util::take_line;
+using util::take_token;
+using util::take_u64;
+
 constexpr std::string_view kShardSchema = "sx-fleet-shard/1";
 constexpr std::string_view kBlockSchema = "sx-fleet-evidence/1";
-
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[24];
-  const auto res = std::to_chars(buf, buf + sizeof buf, v);
-  out.append(buf, res.ptr);
-}
-
-void append_double(std::string& out, double v) {
-  char buf[40];
-  const auto res = std::to_chars(buf, buf + sizeof buf, v);
-  out.append(buf, res.ptr);
-}
 
 constexpr char kHexDigits[] = "0123456789abcdef";
 
@@ -62,36 +56,6 @@ bool digest_from_hex(std::string_view tok, util::Sha256Digest& out) {
     const int lo = hex_value(tok[2 * i + 1]);
     if (hi < 0 || lo < 0) return false;
     out[i] = static_cast<std::uint8_t>((hi << 4) | lo);
-  }
-  return true;
-}
-
-bool take_token(std::string_view& line, std::string_view& tok) noexcept {
-  while (!line.empty() && line.front() == ' ') line.remove_prefix(1);
-  if (line.empty()) return false;
-  std::size_t end = 0;
-  while (end < line.size() && line[end] != ' ') ++end;
-  tok = line.substr(0, end);
-  line.remove_prefix(end);
-  return true;
-}
-
-bool take_u64(std::string_view& line, std::uint64_t& v) noexcept {
-  std::string_view tok;
-  if (!take_token(line, tok)) return false;
-  const auto res = std::from_chars(tok.data(), tok.data() + tok.size(), v);
-  return res.ec == std::errc{} && res.ptr == tok.data() + tok.size();
-}
-
-bool take_line(std::string_view& text, std::string_view& line) noexcept {
-  if (text.empty()) return false;
-  const std::size_t nl = text.find('\n');
-  if (nl == std::string_view::npos) {
-    line = text;
-    text = {};
-  } else {
-    line = text.substr(0, nl);
-    text.remove_prefix(nl + 1);
   }
   return true;
 }
@@ -189,8 +153,9 @@ bool parse_shard(std::string_view text, ShardEvidence& out) {
   std::uint64_t n_entries = 0;
   if (!take_token(line, tok) || tok != "audit" || !take_u64(line, n_entries))
     return false;
+  // The claimed count is outside input: entries grow as lines arrive, so
+  // an inflated count runs out of lines and is refused.
   std::vector<trace::AuditEntry> entries;
-  entries.reserve(n_entries);
   for (std::uint64_t i = 0; i < n_entries; ++i) {
     if (!take_line(text, line)) return false;
     if (!take_token(line, tok) || tok != "entry") return false;

@@ -7,21 +7,13 @@
 #include <utility>
 
 #include "util/stats.hpp"
+#include "util/text_codec.hpp"
 
 namespace sx::fleet {
 namespace {
 
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[24];
-  const auto res = std::to_chars(buf, buf + sizeof buf, v);
-  out.append(buf, res.ptr);
-}
-
-std::string format_double(double v) {
-  char buf[40];
-  const auto res = std::to_chars(buf, buf + sizeof buf, v);
-  return std::string(buf, res.ptr);
-}
+using util::append_u64;
+using util::format_double;
 
 /// Payload of one `trial` audit entry. Deliberately free of shard-local
 /// state: the canonical fleet root re-chains these bytes in global trial

@@ -1,63 +1,18 @@
 #include "obs/snapshot.hpp"
 
-#include <charconv>
+#include "util/text_codec.hpp"
 
 namespace sx::obs {
 namespace {
 
+using util::append_double;
+using util::append_u64;
+using util::take_double;
+using util::take_line;
+using util::take_token;
+using util::take_u64;
+
 constexpr std::string_view kSchemaLine = "sx-registry-snapshot/1";
-
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[24];
-  const auto res = std::to_chars(buf, buf + sizeof buf, v);
-  out.append(buf, res.ptr);
-}
-
-void append_double(std::string& out, double v) {
-  // Shortest round-trip form: deterministic bytes for equal values.
-  char buf[40];
-  const auto res = std::to_chars(buf, buf + sizeof buf, v);
-  out.append(buf, res.ptr);
-}
-
-/// Consumes the next whitespace-separated token of `line`.
-bool take_token(std::string_view& line, std::string_view& tok) noexcept {
-  while (!line.empty() && line.front() == ' ') line.remove_prefix(1);
-  if (line.empty()) return false;
-  std::size_t end = 0;
-  while (end < line.size() && line[end] != ' ') ++end;
-  tok = line.substr(0, end);
-  line.remove_prefix(end);
-  return true;
-}
-
-bool take_u64(std::string_view& line, std::uint64_t& v) noexcept {
-  std::string_view tok;
-  if (!take_token(line, tok)) return false;
-  const auto res = std::from_chars(tok.data(), tok.data() + tok.size(), v);
-  return res.ec == std::errc{} && res.ptr == tok.data() + tok.size();
-}
-
-bool take_double(std::string_view& line, double& v) noexcept {
-  std::string_view tok;
-  if (!take_token(line, tok)) return false;
-  const auto res = std::from_chars(tok.data(), tok.data() + tok.size(), v);
-  return res.ec == std::errc{} && res.ptr == tok.data() + tok.size();
-}
-
-/// Consumes the next line (without the trailing newline) of `text`.
-bool take_line(std::string_view& text, std::string_view& line) noexcept {
-  if (text.empty()) return false;
-  const std::size_t nl = text.find('\n');
-  if (nl == std::string_view::npos) {
-    line = text;
-    text = {};
-  } else {
-    line = text.substr(0, nl);
-    text.remove_prefix(nl + 1);
-  }
-  return true;
-}
 
 /// A line expected to be `<keyword> <u64>`.
 bool take_kv_u64(std::string_view& text, std::string_view keyword,

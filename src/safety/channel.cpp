@@ -85,6 +85,12 @@ dl::Model& Replica::model() {
   return *model_;
 }
 
+const dl::QuantizedModel& Replica::quantized_model() const {
+  if (!qmodel_)
+    throw std::logic_error("Replica::quantized_model: float replica");
+  return *qmodel_;
+}
+
 FaultRecord Replica::inject_fault(FaultInjector& injector, FaultType type) {
   const FaultRecord rec = model_ ? injector.inject(*model_, type)
                                  : injector.inject(*qmodel_, type);
@@ -254,13 +260,12 @@ std::size_t diverse_vote(std::size_t a0, std::size_t a1,
 }
 
 DiverseTmrChannel::DiverseTmrChannel(const dl::Model& model,
-                                     const dl::Dataset& calibration,
+                                     const dl::QuantizedModel& quantized,
                                      dl::KernelMode kernels)
     : replicas_(float_replicas(model, 2, kernels)) {
   // The planned int8 engine is bitwise identical to QuantizedModel::run,
   // so the vote is the reference one at a fraction of the cost.
-  replicas_.emplace_back(  // sxlint: allow(hot-path-alloc) deploy-time int8 replica
-      dl::QuantizedModel::quantize(model, calibration), kernels);
+  replicas_.emplace_back(quantized, kernels);  // sxlint: allow(hot-path-alloc) deploy-time int8 replica
   scratch_.resize(2 * model.output_shape().size());  // sxlint: allow(hot-path-alloc) deploy-time vote buffers
   tap1_.resize(tap_size());  // sxlint: allow(hot-path-alloc) deploy-time tap buffer
 }

@@ -88,6 +88,8 @@ class Replica {
 
   /// The owned float model (std::logic_error on an int8 replica).
   dl::Model& model();
+  /// The owned int8 model (std::logic_error on a float replica).
+  const dl::QuantizedModel& quantized_model() const;
 
   /// Re-snapshots the engine's panels from the live weights.
   void refresh() noexcept { engine_->repack(); }
@@ -298,13 +300,14 @@ class TmrChannel final : public InferenceChannel {
   EventCounter masked_;
 };
 
-/// Diverse redundancy: two float replicas and an int8-quantized replica
-/// (replica 2, quantized against `calibration`) vote on the *argmax*
-/// (diverse_vote). Output logits and the tap come from the first float
-/// replica agreeing with the majority. All three are injectable.
+/// Diverse redundancy: two float replicas of `model` and an int8 replica
+/// of `quantized` (replica 2, `model` quantized once by the deployment)
+/// vote on the *argmax* (diverse_vote). Output logits and the tap come
+/// from the first float replica agreeing with the majority. All three are
+/// injectable.
 class DiverseTmrChannel final : public InferenceChannel {
  public:
-  DiverseTmrChannel(const dl::Model& model, const dl::Dataset& calibration,
+  DiverseTmrChannel(const dl::Model& model, const dl::QuantizedModel& quantized,
                     dl::KernelMode kernels = dl::KernelMode::kAuto);
 
   std::string_view pattern_name() const noexcept override {

@@ -3,14 +3,14 @@
 #include <charconv>
 #include <cmath>
 
+#include "util/text_codec.hpp"
+
 namespace sx::scenario {
 
 std::string format_double(double v) {
   if (std::isnan(v)) return "\"nan\"";
   if (std::isinf(v)) return v > 0 ? "\"inf\"" : "\"-inf\"";
-  char buf[64];
-  const auto res = std::to_chars(buf, buf + sizeof(buf), v);
-  std::string s(buf, res.ptr);
+  std::string s = util::format_double(v);
   // Bare integers round-trip fine but read ambiguously ("was this a
   // count?"); keep the double-ness visible in the export.
   if (s.find('.') == std::string::npos && s.find('e') == std::string::npos &&
@@ -86,9 +86,7 @@ void JsonWriter::value(double v) {
 
 void JsonWriter::value(std::uint64_t v) {
   comma_for_value();
-  char buf[24];
-  const auto res = std::to_chars(buf, buf + sizeof(buf), v);
-  out_.append(buf, res.ptr);
+  util::append_u64(out_, v);
 }
 
 void JsonWriter::value(std::int64_t v) {

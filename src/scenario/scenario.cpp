@@ -364,7 +364,6 @@ ScenarioCellEvidence ScenarioSweeper::run_cell(const Perturbation& pert,
   pc.kernel_mode = exec.mode;
   pc.spec = spec_;
   pc.batch_workers = exec.batch_workers;
-  pc.seed = cfg_.seed;
 
   std::unique_ptr<core::CertifiablePipeline> pipe;
   try {
@@ -417,16 +416,14 @@ ScenarioCellEvidence ScenarioSweeper::run_cell(const Perturbation& pert,
   // 2. Batch path over the same probes, on the same deployed channels
   // (safety bag included). A separate hash: the single-item hash goes on
   // to cover the OOD probes below.
-  if (exec.batch_workers > 0) {
-    std::vector<tensor::Tensor> inputs;
-    inputs.reserve(probes.samples.size());
-    for (const auto& s : probes.samples) inputs.push_back(s.input);
-    CellHasher bhash;
-    const auto decisions =
-        pipe->infer_batch(inputs, /*logical_time=*/probes.samples.size());
-    for (const auto& d : decisions) bhash.decision(d);
-    cell.batch_hash = bhash.hex();
-  }
+  std::vector<tensor::Tensor> inputs;
+  inputs.reserve(probes.samples.size());
+  for (const auto& s : probes.samples) inputs.push_back(s.input);
+  CellHasher bhash;
+  for (const auto& d :
+       pipe->infer_batch(inputs, /*logical_time=*/probes.samples.size()))
+    bhash.decision(d);
+  cell.batch_hash = bhash.hex();
 
   // 3. OOD probes: supervisor score distribution and catch rate.
   if (ood && !ood_probes_.samples.empty()) {

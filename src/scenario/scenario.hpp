@@ -159,7 +159,7 @@ struct ScenarioCellEvidence {
   /// class, confidence, degraded, supervisor score) plus the campaign
   /// counts; "" for refused cells.
   std::string decision_hash;
-  /// SHA-256 over the batch-path decisions ("" when batch_workers == 0).
+  /// SHA-256 over the batch-path decisions ("" for refused cells).
   std::string batch_hash;
   std::string twin_id;  ///< reference twin cell ("" when this is the twin)
   bool identity_checked = false;

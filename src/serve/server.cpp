@@ -2,29 +2,20 @@
 
 #include <algorithm>
 #include <bit>
-#include <charconv>
 #include <limits>
 #include <stdexcept>
 
 #include "rt/task.hpp"
 #include "util/saturate.hpp"
+#include "util/text_codec.hpp"
 
 namespace sx::serve {
 namespace {
 
+using util::append_double;
+using util::append_u64;
+
 constexpr std::string_view kBlockSchema = "sx-serving-evidence/1";
-
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[24];
-  const auto res = std::to_chars(buf, buf + sizeof buf, v);
-  out.append(buf, res.ptr);
-}
-
-void append_double(std::string& out, double v) {
-  char buf[40];
-  const auto res = std::to_chars(buf, buf + sizeof buf, v);
-  out.append(buf, res.ptr);
-}
 
 void append_bound(std::string& out, const std::optional<std::uint64_t>& b) {
   if (b) {
@@ -51,10 +42,6 @@ Server::Server(core::CertifiablePipeline& pipeline, ServerConfig cfg)
     throw std::invalid_argument("serve: batch_max must be >= 1");
   if (cfg_.batch_window == 0)
     throw std::invalid_argument("serve: batch_window must be >= 1");
-  if (pipeline.batch_runner() == nullptr)
-    throw std::invalid_argument(
-        "serve: pipeline deployed without a batch pool "
-        "(set PipelineConfig::batch_workers > 0)");
 
   // Normalize stream specs (deadline defaults to period, LO streams carry a
   // single budget) and build the admission task sets.

@@ -107,8 +107,8 @@ class Server {
  public:
   /// Deploys the front-end over an already-deployed pipeline. Runs the
   /// offline admission analysis; throws std::invalid_argument when a HI
-  /// stream is not schedulable or the configuration is malformed. The
-  /// pipeline must have batch_workers > 0.
+  /// stream is not schedulable or the configuration is malformed. At
+  /// batch_workers 0 or 1 the pipeline runs each window on the caller.
   Server(core::CertifiablePipeline& pipeline, ServerConfig cfg);
 
   /// Multi-producer ingress: enqueues one request. False when the ring is

@@ -1,21 +1,17 @@
 #include "serve/traffic.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 
 #include "util/rng.hpp"
+#include "util/text_codec.hpp"
 
 namespace sx::serve {
 namespace {
 
-constexpr std::string_view kTraceSchema = "sx-serving-trace/1";
+using util::append_u64;
 
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[24];
-  const auto res = std::to_chars(buf, buf + sizeof buf, v);
-  out.append(buf, res.ptr);
-}
+constexpr std::string_view kTraceSchema = "sx-serving-trace/1";
 
 /// Stable merge of per-stream event lists into one sequenced trace. Ties
 /// at the same arrival instant break by stream index, so the result is a

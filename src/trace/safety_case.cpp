@@ -1,9 +1,10 @@
 #include "trace/safety_case.hpp"
 
-#include <charconv>
 #include <stdexcept>
 #include <utility>
 #include <vector>
+
+#include "util/text_codec.hpp"
 
 namespace sx::trace {
 namespace {
@@ -17,18 +18,11 @@ const char* prefix(NodeKind k) {
   return "?";
 }
 
-/// Shortest round-trip decimal form (std::to_chars): quantified claims
-/// render byte-identically for equal values.
-std::string format_value(double v) {
-  char buf[40];
-  const auto res = std::to_chars(buf, buf + sizeof buf, v);
-  return std::string(buf, res.ptr);
-}
-
 /// ` [= value unit]` suffix of a quantified node ("" otherwise).
 std::string quantified_suffix(const CaseNode& n) {
   if (!n.quantified) return {};
-  std::string out = " [= " + format_value(n.value);
+  // Shortest round-trip form: equal values render byte-identically.
+  std::string out = " [= " + util::format_double(n.value);
   if (!n.unit.empty()) {
     out += ' ';
     out += n.unit;

@@ -155,7 +155,8 @@ TEST(Allocations, TappedInferOnEveryChannelAllocatesNothing) {
   channels.push_back(std::make_unique<safety::DmrChannel>(model()));
   channels.push_back(std::make_unique<safety::TmrChannel>(model()));
   channels.push_back(
-      std::make_unique<safety::DiverseTmrChannel>(model(), data()));
+      std::make_unique<safety::DiverseTmrChannel>(
+          model(), dl::QuantizedModel::quantize(model(), data())));
   channels.push_back(std::make_unique<safety::SafetyBagChannel>(
       std::make_unique<safety::TmrChannel>(model()), &scorer, fallback));
   for (const auto& ch : channels)

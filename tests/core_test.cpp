@@ -494,9 +494,10 @@ TEST(PipelineInt8, StaticVerificationCrossChecksSaturation) {
 
   const auto* sv = p.static_verification();
   ASSERT_NE(sv, nullptr);
-  EXPECT_TRUE(sv->quant_checked);
+  ASSERT_EQ(sv->engines.size(), 1u);
+  EXPECT_EQ(sv->engines.front().elem, dl::ElemType::kInt8);
   EXPECT_FALSE(sv->quant.empty());
-  EXPECT_TRUE(sv->quant_arena.consistent)
+  EXPECT_TRUE(sv->engines.front().arena_consistent())
       << "independent byte-arena demand diverges from the engine plan";
   EXPECT_FALSE(p.verification_refused());
   EXPECT_NE(sv->to_text().find("int8 arena plan"), std::string::npos);

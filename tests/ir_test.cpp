@@ -336,9 +336,11 @@ TEST(IrVerify, PinnedPlanRederivesWithSamePin) {
 
 TEST(IrVerify, VerifyModelAttachesIrEvidence) {
   const dl::Model m = digit_cnn();
-  const verify::VerificationEvidence ev =
-      verify::verify_model(m, trace::OddSpec{});
-  EXPECT_TRUE(ev.ir.checked);
+  const dl::StaticEngine engine{m, {.kernels = dl::KernelMode::kWide}};
+  const verify::VerificationEvidence ev = verify::verify_model(
+      m, trace::OddSpec{}, {verify::check_engine(m, engine)});
+  ASSERT_EQ(ev.engines.size(), 1u);
+  EXPECT_TRUE(ev.engines[0].ir.checked);
   EXPECT_TRUE(ev.verdict.ir_sound);
   EXPECT_TRUE(ev.verdict.passed());
   EXPECT_NE(ev.verdict_line().find("ir=1"), std::string::npos);
@@ -397,10 +399,12 @@ TEST_P(IrFaultRefusal, VerifyModelFailsOverCorruptedPasses) {
   const FaultCase fc = GetParam();
   const dl::Model m = digit_cnn();
   ASSERT_EQ(setenv("SX_IR_PASS_FAULT", fc.fault, 1), 0);
-  const verify::VerificationEvidence ev =
-      verify::verify_model(m, trace::OddSpec{});
+  const dl::StaticEngine engine{m, {.kernels = dl::KernelMode::kWide}};
   unsetenv("SX_IR_PASS_FAULT");
-  EXPECT_TRUE(ev.ir.checked);
+  const verify::VerificationEvidence ev = verify::verify_model(
+      m, trace::OddSpec{}, {verify::check_engine(m, engine)});
+  ASSERT_EQ(ev.engines.size(), 1u);
+  EXPECT_TRUE(ev.engines[0].ir.checked);
   EXPECT_FALSE(ev.verdict.ir_sound) << fc.fault;
   EXPECT_FALSE(ev.verdict.passed()) << fc.fault;
   EXPECT_NE(ev.verdict_line().find("ir=0"), std::string::npos);
@@ -459,7 +463,8 @@ TEST(IrSilGate, Sil3PipelineDeploysWithSoundPassesAndAuditsThem) {
                               sx::testing::road_data(), cfg};
   ASSERT_NE(p.static_verification(), nullptr);
   EXPECT_TRUE(p.static_verification()->verdict.passed());
-  EXPECT_TRUE(p.static_verification()->ir.checked);
+  ASSERT_FALSE(p.static_verification()->engines.empty());
+  EXPECT_TRUE(p.static_verification()->engines.front().ir.checked);
   const auto d = p.infer(sx::testing::road_data().samples[0].input, 0);
   EXPECT_EQ(d.status, Status::kOk);
 }
@@ -474,8 +479,11 @@ TEST(IrSilGate, Int8StaticVerificationRederivesQuantPlan) {
   core::CertifiablePipeline p{sx::testing::trained_mlp(),
                               sx::testing::road_data(), cfg};
   ASSERT_NE(p.static_verification(), nullptr);
-  EXPECT_TRUE(p.static_verification()->quant_ir.checked);
-  EXPECT_TRUE(p.static_verification()->quant_ir.passed());
+  ASSERT_EQ(p.static_verification()->engines.size(), 1u);
+  const verify::EngineCheck& e = p.static_verification()->engines.front();
+  EXPECT_EQ(e.elem, dl::ElemType::kInt8);
+  EXPECT_TRUE(e.ir.checked);
+  EXPECT_TRUE(e.passed());
   EXPECT_TRUE(p.static_verification()->verdict.passed());
   EXPECT_NE(p.static_verification()->to_text().find("int8 ir passes:"),
             std::string::npos);

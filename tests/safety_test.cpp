@@ -22,6 +22,13 @@ using tensor::Tensor;
 
 const dl::Model& model() { return sx::testing::trained_mlp(); }
 const dl::Dataset& data() { return sx::testing::road_data(); }
+/// One quantized twin of the shared MLP, calibrated on the shared dataset:
+/// the int8 channels' and the diverse voter's model.
+const dl::QuantizedModel& quantized_model() {
+  static const dl::QuantizedModel qm =
+      dl::QuantizedModel::quantize(model(), data());
+  return qm;
+}
 
 // ----------------------------------------------------------------- monitor
 
@@ -194,7 +201,7 @@ TEST(TmrChannel, FailsWithTwoBadReplicas) {
 }
 
 TEST(DiverseTmrChannel, HealthyMajorityAgreesWithFloat) {
-  DiverseTmrChannel ch{model(), data()};
+  DiverseTmrChannel ch{model(), quantized_model()};
   EngineChannel golden{Replica{model()}};
   std::vector<float> out(ch.output_size()), ref(ch.output_size());
   std::size_t agree = 0;
@@ -215,7 +222,7 @@ TEST(DiverseTmrChannel, Int8ReplicaIsThePlannedReferenceModel) {
   // Replica 2 runs the planned int8 engine: its logits and per-layer clip
   // counters are bitwise those of QuantizedModel::run, so moving it off the
   // reference loops changes no vote.
-  DiverseTmrChannel ch{model(), data(), dl::KernelMode::kWide};
+  DiverseTmrChannel ch{model(), quantized_model(), dl::KernelMode::kWide};
   ASSERT_EQ(ch.replica_count(), 3u);
   Replica& q = ch.replica(2);
   ASSERT_EQ(q.elem(), dl::ElemType::kInt8);
@@ -243,7 +250,9 @@ TEST(DiverseTmrChannel, InjectedInt8FaultIsOutvoted) {
   // weight store flips its argmax on some probes, the two float replicas
   // outvote it, and the emitted logits stay the float majority's. The CNN:
   // the MLP's confident argmax survives every such single fault.
-  DiverseTmrChannel ch{sx::testing::trained_cnn(), data()};
+  DiverseTmrChannel ch{
+      sx::testing::trained_cnn(),
+      dl::QuantizedModel::quantize(sx::testing::trained_cnn(), data())};
   EngineChannel golden{Replica{sx::testing::trained_cnn()}};
   std::vector<float> out(ch.output_size()), ref(ch.output_size());
   FaultInjector injector{7};
@@ -415,7 +424,7 @@ TEST(TapSource, TmrFaultInOneReplicaLeavesTheScoreBitEqual) {
 }
 
 TEST(TapSource, DiverseTmrTapsTheFloatReplicaItEmits) {
-  DiverseTmrChannel ch{model(), data()};
+  DiverseTmrChannel ch{model(), quantized_model()};
   // Replica 0 faulted hard enough to lose the vote: logits and tap then
   // come from replica 1, bitwise the clean model's.
   corrupt_replica(ch, 0, 500.0f);
@@ -603,14 +612,6 @@ TEST(Campaign, AlwaysRefusingChannelYieldsEmptyOutcome) {
   EXPECT_DOUBLE_EQ(o.sdc_rate(), 1.0);
   EXPECT_DOUBLE_EQ(o.safe_rate(), 0.0);
   EXPECT_DOUBLE_EQ(o.availability(), 0.0);
-}
-
-// Fixture bits for the int8-channel campaigns: one quantized twin of the
-// shared MLP, calibrated on the shared dataset.
-const dl::QuantizedModel& quantized_model() {
-  static const dl::QuantizedModel qm =
-      dl::QuantizedModel::quantize(model(), data());
-  return qm;
 }
 
 TEST(Campaign, QuantChannelInjectionHitsDeployedWeights) {

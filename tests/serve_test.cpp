@@ -304,10 +304,11 @@ TEST(ServeAdmission, MalformedConfigurationsRefuse) {
   cfg.batch_max = 0;
   EXPECT_THROW(serve::Server(pipe, cfg), std::invalid_argument);
 
-  // A pipeline deployed without the batch executor cannot serve.
+  // Every pipeline carries its batch pool: at 0 workers the caller runs
+  // each window, so the front-end deploys.
   core::CertifiablePipeline serial{sx::testing::trained_mlp(),
                                    sx::testing::road_data(), pipe_cfg(0)};
-  EXPECT_THROW(serve::Server(serial, base_cfg()), std::invalid_argument);
+  EXPECT_NO_THROW(serve::Server(serial, base_cfg()));
 }
 
 // ---------------------------------------------------------------------------

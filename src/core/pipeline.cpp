@@ -133,16 +133,11 @@ CertifiablePipeline::CertifiablePipeline(const dl::Model& model,
   batch_ = std::make_unique<dl::BatchRunner>(dl::BatchRunnerConfig{
       .workers = n_channels, .registry = obs_.get()});
 
-  // Fallback logits: explicit, or one-hot on the conservative class.
-  fallback_ = cfg_.fallback_logits;
-  if (fallback_.empty()) {
-    if (cfg_.fallback_class >= n_out)
-      throw std::invalid_argument("CertifiablePipeline: fallback class range");
-    fallback_.assign(n_out, 0.0f);
-    fallback_[cfg_.fallback_class] = 10.0f;
-  } else if (fallback_.size() != n_out) {
-    throw std::invalid_argument("CertifiablePipeline: fallback logit size");
-  }
+  // Fallback logits: one-hot on the conservative class.
+  if (cfg_.fallback_class >= n_out)
+    throw std::invalid_argument("CertifiablePipeline: fallback class range");
+  fallback_.assign(n_out, 0.0f);
+  fallback_[cfg_.fallback_class] = 10.0f;
 
   if (spec_.has_timing_budget && cfg_.timing_budget == 0)
     throw std::invalid_argument(
@@ -175,7 +170,7 @@ CertifiablePipeline::CertifiablePipeline(const dl::Model& model,
       (int8 || spec_.pattern == PatternKind::kDiverseTmr)) {
     folded.emplace(dl::fold_batchnorm(*model_));
     quant_ = std::make_unique<dl::QuantizedModel>(dl::QuantizedModel::quantize(
-        *folded, calibration, dl::QuantConfig{cfg_.quant_granularity}));
+        *folded, calibration, dl::QuantConfig{}));
     if (obs_ && int8)
       obs_->set(g_quant_bytes_, static_cast<double>(quant_->weight_bytes()));
   }
@@ -423,10 +418,10 @@ bool CertifiablePipeline::admit(Decision& d, const ItemContext& c) {
     }
   }
 
-  // 2. Timing budget: infer() passes the caller's elapsed time, the batch
-  // path the measured per-item inference time; either way the check runs
-  // serially in decision order, so the overrun counter (incremented inside
-  // kick() via the watchdog's binding) and the audit trail are
+  // 2. Timing budget: both entry points pass the caller's logical elapsed
+  // time, never a measured one, and the check runs serially in decision
+  // order, so the verdict, the overrun counter (incremented inside kick()
+  // via the watchdog's binding) and the audit trail are clock- and
   // schedule-free.
   if (spec_.has_timing_budget) {
     watchdog_.arm(c.logical_time, cfg_.timing_budget);
@@ -564,13 +559,14 @@ std::span<const tensor::ConstTensorView> CertifiablePipeline::views_of(
 }
 
 std::vector<Decision> CertifiablePipeline::infer_batch(
-    const std::vector<tensor::Tensor>& inputs, std::uint64_t logical_time) {
-  return infer_batch(views_of(inputs), logical_time);
+    const std::vector<tensor::Tensor>& inputs, std::uint64_t logical_time,
+    std::uint64_t elapsed) {
+  return infer_batch(views_of(inputs), logical_time, elapsed);
 }
 
 std::vector<Decision> CertifiablePipeline::infer_batch(
     std::span<const tensor::ConstTensorView> inputs,
-    std::uint64_t logical_time) {
+    std::uint64_t logical_time, std::uint64_t elapsed) {
   const std::size_t n_items = inputs.size();
   std::vector<Decision> decisions(n_items);
   if (n_items == 0) return decisions;
@@ -578,11 +574,8 @@ std::vector<Decision> CertifiablePipeline::infer_batch(
   const std::size_t n_out = model_->output_shape().size();
   const std::size_t w = feat_.size();
   // Per-item channel time is measured by the worker that runs the item
-  // whenever the watchdog or telemetry consumes it — both consume it
-  // serially, in batch-index order.
-  const obs::ClockFn clock =
-      obs_ ? obs_->config().clock
-           : (spec_.has_timing_budget ? &obs::default_clock : nullptr);
+  // only for telemetry, which consumes it serially, in batch-index order.
+  const obs::ClockFn clock = obs_ ? obs_->config().clock : nullptr;
   const bool dispatched = !verify_refused_;
   if (dispatched) {
     const auto grow = [](auto& v, std::size_t n) {
@@ -625,8 +618,7 @@ std::vector<Decision> CertifiablePipeline::infer_batch(
         .logical_time = logical_time,
         .t_decision = obs_ ? obs_->now() : 0,
         .odd = dispatched ? odd_verdicts_[i] : OddVerdict{},
-        .elapsed = run != nullptr && run->t1 >= run->t0 ? run->t1 - run->t0
-                                                        : 0,
+        .elapsed = elapsed,
         .component = "batch-engine",
         .batch_index = i};
     Decision& d = decisions[i];
@@ -634,8 +626,9 @@ std::vector<Decision> CertifiablePipeline::infer_batch(
     // The inference span is the worker's measured time, placed at the
     // caller's clock so the flight trail stays in one time base.
     InferenceOutcome r = *run;
+    const std::uint64_t measured = r.t1 >= r.t0 ? r.t1 - r.t0 : 0;
     r.t0 = obs_ ? obs_->now() : 0;
-    r.t1 = r.t0 + c.elapsed;
+    r.t1 = r.t0 + measured;
     decide(d, c, r);
   }
   return decisions;

@@ -49,11 +49,10 @@ const char* to_string(BackendKind b) noexcept;
 
 struct PipelineConfig {
   Criticality criticality = Criticality::kQM;
-  /// Inference backend (see BackendKind).
+  /// Inference backend (see BackendKind). The deployment's one
+  /// quantization (the kInt8 replicas, diverse TMR's int8 voter) scales
+  /// weights per output channel.
   BackendKind backend = BackendKind::kFloat32;
-  /// Weight-scale granularity of the deployment's one quantization (the
-  /// kInt8 backend's replicas and diverse TMR's int8 voter).
-  dl::WeightGranularity quant_granularity = dl::WeightGranularity::kPerChannel;
   /// Hot-path kernel selection, the pipeline's one kernel knob: forwarded
   /// to every replica of every channel (float or int8, every pattern) and
   /// the supervisor's calibration engine; the static-verification gate
@@ -65,9 +64,8 @@ struct PipelineConfig {
   dl::KernelMode kernel_mode = dl::KernelMode::kAuto;
   /// When unset, the spec recommended for `criticality` is used.
   std::optional<PipelineSpec> spec;
-  /// Conservative logits substituted by the safety bag. Empty = one-hot on
-  /// `fallback_class`.
-  std::vector<float> fallback_logits;
+  /// Conservative class: the safety bag substitutes logits one-hot on it,
+  /// and every rejected decision reports it.
   std::size_t fallback_class = 0;
   /// Timing budget in logical time units (used when the spec demands one).
   std::uint64_t timing_budget = 0;
@@ -107,8 +105,9 @@ class CertifiablePipeline {
                       PipelineConfig cfg);
 
   /// Runs one decision. `logical_time` drives the watchdog/audit clock;
-  /// `elapsed` is the measured execution time of this inference in the same
-  /// units (0 when no timing budget is configured).
+  /// `elapsed` is the execution time of this inference in the same logical
+  /// units: the watchdog is armed at logical_time and kicked at
+  /// logical_time + elapsed (ignored when no timing budget is configured).
   Decision infer(const tensor::Tensor& input, std::uint64_t logical_time = 0,
                  std::uint64_t elapsed = 0);
 
@@ -121,18 +120,18 @@ class CertifiablePipeline {
   /// identical for every worker count. An ODD-rejected item never reaches
   /// a channel, as in infer(). Every item then passes the same stage
   /// sequence as infer(), serially in batch-index order: refusal, ODD
-  /// reject, watchdog (fed the item's measured channel time in telemetry
-  /// clock units), fail-stop, supervisor score (the bag's, or a solve on
-  /// the features the item's own channel run tapped), drift tracking and
-  /// audit entry. The inputs are read in place; they must stay valid for
-  /// the call.
+  /// reject, watchdog (armed at logical_time and kicked at logical_time +
+  /// elapsed for every item, as in infer(); no measured time feeds it),
+  /// fail-stop, supervisor score (the bag's, or a solve on the features
+  /// the item's own channel run tapped), drift tracking and audit entry.
+  /// The inputs are read in place; they must stay valid for the call.
   std::vector<Decision> infer_batch(
       std::span<const tensor::ConstTensorView> inputs,
-      std::uint64_t logical_time = 0);
+      std::uint64_t logical_time = 0, std::uint64_t elapsed = 0);
   /// infer_batch() over owned tensors.
   std::vector<Decision> infer_batch(
       const std::vector<tensor::Tensor>& inputs,
-      std::uint64_t logical_time = 0);
+      std::uint64_t logical_time = 0, std::uint64_t elapsed = 0);
 
   /// On-demand explanation for the latest decision's input.
   tensor::Tensor explain(const tensor::Tensor& input,

@@ -71,7 +71,7 @@ void BatchRunner::run_partition(std::size_t w, Job job,
   for (std::size_t i = w; i < count; i += stride) {
     job.fn(job.ctx, i);
     ++me.stats.items;
-    if (registry_ != nullptr) registry_->add(items_id_, 1, w);
+    if (registry_ != nullptr) registry_->add(items_id_);
   }
   me.stats.busy_micros +=
       micros_between(t0, std::chrono::steady_clock::now());

@@ -31,9 +31,9 @@ struct BatchRunnerConfig {
   /// threads.
   std::size_t workers = 1;
   /// Optional telemetry sink. When set, the runner registers
-  /// sx_batch_items_total at configuration time and each worker increments
-  /// its own shard (shard == worker index), so the merged total depends
-  /// only on the static partition. Must outlive the runner.
+  /// sx_batch_items_total at configuration time and every worker adds its
+  /// items to it (per-worker counts are in worker_stats()). Must outlive
+  /// the runner.
   obs::Registry* registry = nullptr;
 };
 

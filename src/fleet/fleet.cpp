@@ -124,7 +124,6 @@ ShardEvidence run_shard(safety::InferenceChannel& channel,
   rcfg.max_counters = 8;
   rcfg.max_gauges = 2;
   rcfg.max_histograms = 2;
-  rcfg.shards = 1;
   obs::Registry registry{rcfg};
   const obs::CounterId c_trials = registry.counter("sx_fleet_trials_total");
   const obs::CounterId c_probes = registry.counter("sx_fleet_probes_total");

@@ -14,8 +14,6 @@ std::uint64_t default_clock() noexcept {
 }
 
 Registry::Registry(RegistryConfig cfg) : cfg_(cfg) {
-  if (cfg_.shards == 0)
-    throw std::invalid_argument("obs::Registry: shards must be >= 1");
   if (cfg_.histogram_bins < 2 || cfg_.histogram_bins > 64)
     throw std::invalid_argument("obs::Registry: histogram_bins out of range");
   if (cfg_.histogram_first_bound == 0)
@@ -28,8 +26,8 @@ Registry::Registry(RegistryConfig cfg) : cfg_(cfg) {
 
   // Every slot the registry will ever touch is allocated here.
   counter_names_.reserve(cfg_.max_counters);
-  counter_slots_ = std::vector<std::atomic<std::uint64_t>>(
-      cfg_.max_counters * cfg_.shards * kSlotStride);
+  counter_slots_ =
+      std::vector<std::atomic<std::uint64_t>>(cfg_.max_counters * kSlotStride);
   gauge_names_.reserve(cfg_.max_gauges);
   gauge_values_.assign(cfg_.max_gauges, 0.0);
   hists_.reserve(cfg_.max_histograms);
@@ -72,12 +70,10 @@ HistogramId Registry::histogram(std::string_view name) {
   return HistogramId{static_cast<std::uint32_t>(hists_.size() - 1)};
 }
 
-void Registry::add(CounterId id, std::uint64_t delta,
-                   std::size_t shard) noexcept {
+void Registry::add(CounterId id, std::uint64_t delta) noexcept {
   if (!id.valid() || id.index >= counter_names_.size()) return;
-  if (shard >= cfg_.shards) shard %= cfg_.shards;
-  counter_slots_[slot_index(id.index, shard)].fetch_add(
-      delta, std::memory_order_relaxed);
+  counter_slots_[id.index * kSlotStride].fetch_add(delta,
+                                                   std::memory_order_relaxed);
 }
 
 void Registry::set(GaugeId id, double value) noexcept {
@@ -115,19 +111,7 @@ void Registry::observe(HistogramId id, std::uint64_t value) noexcept {
 
 std::uint64_t Registry::value(CounterId id) const noexcept {
   if (!id.valid() || id.index >= counter_names_.size()) return 0;
-  std::uint64_t total = 0;
-  for (std::size_t s = 0; s < cfg_.shards; ++s)
-    total += counter_slots_[slot_index(id.index, s)].load(
-        std::memory_order_relaxed);
-  return total;
-}
-
-std::uint64_t Registry::shard_value(CounterId id,
-                                    std::size_t shard) const noexcept {
-  if (!id.valid() || id.index >= counter_names_.size() ||
-      shard >= cfg_.shards)
-    return 0;
-  return counter_slots_[slot_index(id.index, shard)].load(
+  return counter_slots_[id.index * kSlotStride].load(
       std::memory_order_relaxed);
 }
 

@@ -8,14 +8,13 @@
 //   - every slot is allocated at construction (deploy time); the hot-path
 //     API (add / set / observe / drain_samples) is noexcept and performs
 //     zero heap allocations;
-//   - counters are *sharded*: each counter owns one padded slot per worker
-//     shard, so the workers of dl::BatchRunner and the channels they run
-//     can increment telemetry without locks (relaxed atomics, whether or
-//     not writers share a shard), and the merged value is a sum taken in
-//     static shard order 0..N-1 — bitwise identical for every
-//     `batch_workers` setting because the merged total depends only on the
-//     item partition, never on the thread interleaving (extending the
-//     deterministic-batch guarantee to telemetry);
+//   - each counter is one relaxed atomic padded to its own cache line, so
+//     the workers of dl::BatchRunner and the channels they run can
+//     increment telemetry without locks; an integer sum does not depend on
+//     the order of its terms, so a counter reads the same for every
+//     `batch_workers` setting and every thread interleaving (extending the
+//     deterministic-batch guarantee to telemetry). Per-worker counts live
+//     in dl::BatchRunner::worker_stats, not here;
 //   - histograms use fixed power-of-two bin edges chosen at construction
 //     (bin k's inclusive upper bound is first_bound * 2^k, last bin +Inf)
 //     and additionally retain the raw observations in a bounded ring so a
@@ -82,10 +81,6 @@ struct RegistryConfig {
   std::size_t max_counters = 64;
   std::size_t max_gauges = 32;
   std::size_t max_histograms = 16;
-  /// Independent writer slots per counter (one per batch worker). Writers
-  /// with shard >= shards fold onto shard % shards; the merged value is
-  /// unaffected.
-  std::size_t shards = 16;
   /// Bins per histogram, including the final +Inf bin. Bin k's inclusive
   /// upper bound is histogram_first_bound << k.
   std::size_t histogram_bins = 24;
@@ -122,10 +117,9 @@ class Registry {
   HistogramId histogram(std::string_view name);
 
   // --- hot path: noexcept, allocation-free -------------------------------
-  /// Adds `delta` to the counter's shard slot. Distinct shards may be
-  /// written concurrently (relaxed atomics); an invalid id is a no-op.
-  void add(CounterId id, std::uint64_t delta = 1,
-           std::size_t shard = 0) noexcept;
+  /// Adds `delta` to the counter. Any thread may add concurrently (relaxed
+  /// atomic); an invalid id is a no-op.
+  void add(CounterId id, std::uint64_t delta = 1) noexcept;
   /// Sets a gauge (serial sections only).
   void set(GaugeId id, double value) noexcept;
   /// Records one observation: bins + count/sum/min/max + raw-sample ring
@@ -135,11 +129,8 @@ class Registry {
   std::uint64_t now() const noexcept { return cfg_.clock(); }
 
   // --- read side ---------------------------------------------------------
-  /// Merged counter value: sum over shards in static order 0..N-1.
+  /// Counter value (0 for an invalid id).
   std::uint64_t value(CounterId id) const noexcept;
-  /// One shard's contribution (partition-dependent; never exposed in the
-  /// text exposition, which must be shard-layout independent).
-  std::uint64_t shard_value(CounterId id, std::size_t shard) const noexcept;
   double gauge_value(GaugeId id) const noexcept;
   HistogramSnapshot histogram_snapshot(HistogramId id) const noexcept;
   /// Inclusive upper bound of bin `bin`; UINT64_MAX encodes +Inf.
@@ -166,11 +157,10 @@ class Registry {
   std::uint64_t dropped_registrations() const noexcept {
     return dropped_registrations_;
   }
-  std::size_t shards() const noexcept { return cfg_.shards; }
   const RegistryConfig& config() const noexcept { return cfg_; }
 
  private:
-  /// 64-byte spacing between shard slots so concurrent workers do not
+  /// 64-byte spacing between counter slots so concurrent workers do not
   /// false-share a cache line.
   static constexpr std::size_t kSlotStride = 8;
 
@@ -184,12 +174,6 @@ class Registry {
     std::size_t ring_head = 0;  ///< next write position
     std::size_t ring_size = 0;  ///< retained samples
   };
-
-  std::size_t slot_index(std::uint32_t counter,
-                         std::size_t shard) const noexcept {
-    return (static_cast<std::size_t>(counter) * cfg_.shards + shard) *
-           kSlotStride;
-  }
 
   RegistryConfig cfg_;
   std::vector<std::string> counter_names_;
@@ -205,7 +189,7 @@ class Registry {
 /// Prometheus text exposition of the whole registry: counters and gauges in
 /// registration order, then histograms with cumulative `_bucket{le="..."}`
 /// series plus `_sum`/`_count`. Deterministic: byte-identical for equal
-/// registry contents, independent of shard layout.
+/// registry contents.
 std::string expose_text(const Registry& registry);
 
 /// RAII stage timer: reads the registry clock at construction and records

@@ -1,51 +1,19 @@
 #include "scenario/scenario.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <memory>
 #include <stdexcept>
 #include <unordered_map>
 
+#include "core/decision_hash.hpp"
 #include "scenario/json.hpp"
-#include "util/hash.hpp"
 #include "util/rng.hpp"
 
 namespace sx::scenario {
 namespace {
 
 float clamp01(float v) noexcept { return std::min(1.0f, std::max(0.0f, v)); }
-
-/// Streams the bit patterns of decision fields into one digest. Floats and
-/// doubles go in as their exact bit representation — the twin comparison
-/// is *bitwise*, not approximate.
-class CellHasher {
- public:
-  void u8(std::uint8_t v) noexcept { feed(&v, 1); }
-  void u64(std::uint64_t v) noexcept {
-    std::uint8_t b[8];
-    for (int i = 0; i < 8; ++i) b[i] = static_cast<std::uint8_t>(v >> (8 * i));
-    feed(b, 8);
-  }
-  void f32(float v) noexcept { u64(std::bit_cast<std::uint32_t>(v)); }
-  void f64(double v) noexcept { u64(std::bit_cast<std::uint64_t>(v)); }
-
-  void decision(const core::Decision& d) noexcept {
-    u8(static_cast<std::uint8_t>(d.status));
-    u64(d.predicted_class);
-    f32(d.confidence);
-    u8(d.degraded ? 1 : 0);
-    f64(d.supervisor_score);
-  }
-
-  std::string hex() { return util::to_hex(sha_.finish()); }
-
- private:
-  void feed(const std::uint8_t* p, std::size_t n) noexcept {
-    sha_.update(std::span<const std::uint8_t>(p, n));
-  }
-  util::Sha256 sha_;
-};
 
 /// Deterministic seed derivation: one value per (base, coordinates) tuple.
 std::uint64_t derive_seed(std::uint64_t base, std::uint64_t a, std::uint64_t b,
@@ -382,7 +350,7 @@ ScenarioCellEvidence ScenarioSweeper::run_cell(const Perturbation& pert,
     return cell;
   }
 
-  CellHasher hash;
+  core::DecisionHasher hash;
   cell.probes = probes.samples.size();
   if (cell.probes == 0) {
     cell.verdict = CellVerdict::kUnmeasured;
@@ -419,7 +387,7 @@ ScenarioCellEvidence ScenarioSweeper::run_cell(const Perturbation& pert,
   std::vector<tensor::Tensor> inputs;
   inputs.reserve(probes.samples.size());
   for (const auto& s : probes.samples) inputs.push_back(s.input);
-  CellHasher bhash;
+  core::DecisionHasher bhash;
   for (const auto& d :
        pipe->infer_batch(inputs, /*logical_time=*/probes.samples.size()))
     bhash.decision(d);

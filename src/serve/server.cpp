@@ -1,11 +1,8 @@
 #include "serve/server.hpp"
 
-#include <algorithm>
-#include <bit>
 #include <limits>
 #include <stdexcept>
 
-#include "rt/task.hpp"
 #include "util/saturate.hpp"
 #include "util/text_codec.hpp"
 
@@ -34,7 +31,6 @@ const char* to_string(ServeMode m) noexcept {
 Server::Server(core::CertifiablePipeline& pipeline, ServerConfig cfg)
     : pipeline_(&pipeline),
       cfg_(std::move(cfg)),
-      ring_(cfg_.queue_capacity == 0 ? 1 : cfg_.queue_capacity),
       obs_(cfg_.telemetry) {
   if (cfg_.streams.empty())
     throw std::invalid_argument("serve: no streams declared");
@@ -44,9 +40,8 @@ Server::Server(core::CertifiablePipeline& pipeline, ServerConfig cfg)
     throw std::invalid_argument("serve: batch_window must be >= 1");
 
   // Normalize stream specs (deadline defaults to period, LO streams carry a
-  // single budget) and build the admission task sets.
+  // single budget) and build the admission task set.
   rt::McTaskSet mc_set;
-  rt::TaskSet lo_set;
   for (StreamSpec& s : cfg_.streams) {
     if (s.period == 0 || s.service_lo == 0)
       throw std::invalid_argument("serve: stream '" + s.name +
@@ -60,15 +55,9 @@ Server::Server(core::CertifiablePipeline& pipeline, ServerConfig cfg)
                           .high_criticality = high,
                           .wcet_lo = s.service_lo,
                           .wcet_hi = s.service_hi});
-    lo_set.add(rt::Task{.name = s.name,
-                        .period = s.period,
-                        .wcet = s.service_lo,
-                        .deadline = s.deadline});
   }
   mc_set.assign_deadline_monotonic();
-  lo_set.assign_deadline_monotonic();
   admission_.mc = rt::amc_rtb(mc_set);
-  admission_.lo_rta = rt::response_time_analysis(lo_set);
   admission_.utilization_lo = mc_set.utilization(rt::Mode::kLo);
   admission_.utilization_hi = mc_set.utilization(rt::Mode::kHi);
   admission_.best_effort.assign(cfg_.streams.size(), false);
@@ -89,7 +78,6 @@ Server::Server(core::CertifiablePipeline& pipeline, ServerConfig cfg)
                                     "' fails AMC-rtb admission");
       }
     } else if (!lo_ok) {
-      st.best_effort = true;
       admission_.best_effort[i] = true;
     }
   }
@@ -118,6 +106,12 @@ Server::Server(core::CertifiablePipeline& pipeline, ServerConfig cfg)
   h_latency_hi_ = obs_.histogram("sx_serve_latency_hi");
   h_latency_lo_ = obs_.histogram("sx_serve_latency_lo");
   h_occupancy_ = obs_.histogram("sx_serve_window_occupancy");
+  for (const obs::CounterId c :
+       {c_requests_, c_served_, c_shed_, c_queue_rejected_, c_hi_miss_,
+        c_lo_miss_, c_mode_switches_})
+    if (!c.valid())
+      throw std::invalid_argument(
+          "serve: telemetry config cannot hold the serving counters");
   obs_.set(g_batch_max_, static_cast<double>(cfg_.batch_max));
   obs_.set(g_batch_window_, static_cast<double>(cfg_.batch_window));
   obs_.set(g_streams_, static_cast<double>(cfg_.streams.size()));
@@ -151,27 +145,23 @@ Server::Server(core::CertifiablePipeline& pipeline, ServerConfig cfg)
     line += " r_tr=";
     append_bound(line, admission_.mc.transition[i]);
     line += " best_effort=";
-    append_u64(line, streams_[i].best_effort ? 1 : 0);
+    append_u64(line, admission_.best_effort[i] ? 1 : 0);
     audit_.append(0, "serve", "admit", line);
   }
 }
 
-void Server::drain_ring() noexcept {
-  Request r;
-  while (ring_.try_pop(r)) {
-    if (pending_.size() >= cfg_.queue_capacity) {
-      ++queue_rejected_;
-      obs_.add(c_queue_rejected_);
-      continue;
-    }
-    pending_.push_back(r);
+void Server::arrive(const Request& r) noexcept {
+  obs_.add(c_requests_);
+  if (pending_.size() >= cfg_.queue_capacity) {
+    obs_.add(c_queue_rejected_);
+    return;
   }
+  pending_.push_back(r);  // within the deploy-time reservation
 }
 
 void Server::enter_overload(std::uint64_t now) {
   if (mode_ == ServeMode::kOverload) return;
   mode_ = ServeMode::kOverload;
-  ++mode_switches_;
   obs_.add(c_mode_switches_);
   audit_.append(now, "serve", "mode-switch", "to=overload");
 }
@@ -204,16 +194,7 @@ void Server::run_trace(const ArrivalTrace& trace,
       if (mode_ == ServeMode::kOverload && busy_until_ <= t)
         leave_overload(busy_until_ > now ? busy_until_ : now);
       now = t < now ? now : t;
-      while (idx < reqs.size() && reqs[idx].arrival <= now) {
-        ++requests_;
-        obs_.add(c_requests_);
-        if (!submit(reqs[idx])) {
-          ++queue_rejected_;
-          obs_.add(c_queue_rejected_);
-        }
-        ++idx;
-      }
-      drain_ring();
+      while (idx < reqs.size() && reqs[idx].arrival <= now) arrive(reqs[idx++]);
       continue;
     }
 
@@ -225,15 +206,8 @@ void Server::run_trace(const ArrivalTrace& trace,
     bool full = pending_.size() >= cfg_.batch_max;
     std::uint64_t fill_time = open;
     while (!full && idx < reqs.size() && reqs[idx].arrival <= timeout) {
-      ++requests_;
-      obs_.add(c_requests_);
       const std::uint64_t at = reqs[idx].arrival;
-      if (!submit(reqs[idx])) {
-        ++queue_rejected_;
-        obs_.add(c_queue_rejected_);
-      }
-      ++idx;
-      drain_ring();
+      arrive(reqs[idx++]);
       if (pending_.size() >= cfg_.batch_max) {
         full = true;
         fill_time = at > open ? at : open;
@@ -279,7 +253,6 @@ void Server::dispatch_window(std::uint64_t close,
     if (projected > min_accepted_deadline) break;  // would break a member
     if (projected > abs_deadline && !st.high) {
       // Shed: deadline-infeasible low-criticality request.
-      ++shed_total_;
       ++shed_here;
       obs_.add(c_shed_);
       obs_.add(st.shed);
@@ -294,7 +267,6 @@ void Server::dispatch_window(std::uint64_t close,
       continue;
     }
     if (projected > abs_deadline) {
-      ++hi_projected_miss_;
       obs_.add(c_hi_projected_);
     } else if (abs_deadline < min_accepted_deadline) {
       min_accepted_deadline = abs_deadline;
@@ -308,8 +280,10 @@ void Server::dispatch_window(std::uint64_t close,
 
   if (!batch_requests_.empty()) {
     const std::uint64_t completion = util::sat_add(base, acc_service);
+    // The pipeline's watchdog reads the window's logical service time,
+    // never a measured one.
     const std::vector<core::Decision> decisions =
-        pipeline_->infer_batch(batch_inputs_, close);
+        pipeline_->infer_batch(batch_inputs_, close, completion - start);
     obs_.observe(h_occupancy_, batch_requests_.size());
     for (std::size_t k = 0; k < batch_requests_.size(); ++k) {
       const Request& r = pending_[batch_requests_[k]];
@@ -319,17 +293,9 @@ void Server::dispatch_window(std::uint64_t close,
 
       st.watchdog.arm(r.arrival, spec.deadline);
       const Status wd = st.watchdog.kick(completion);
-      if (wd == Status::kDeadlineMiss) {
-        if (st.high) {
-          ++hi_miss_;
-          obs_.add(c_hi_miss_);
-        } else {
-          ++lo_miss_;
-          obs_.add(c_lo_miss_);
-        }
-      }
+      if (wd == Status::kDeadlineMiss)
+        obs_.add(st.high ? c_hi_miss_ : c_lo_miss_);
 
-      ++served_total_;
       obs_.add(c_served_);
       obs_.add(st.served);
       const std::uint64_t latency = completion - r.arrival;
@@ -338,27 +304,13 @@ void Server::dispatch_window(std::uint64_t close,
       if (d.status == Status::kOddViolation) obs_.add(c_odd_rejects_);
       if (d.degraded) obs_.add(c_degraded_);
 
-      // Decision-stream digest: one line per served request over every
-      // field of the Decision (float/double payloads bit-exact), the
-      // identity pinned across worker counts and against offline replay.
-      std::string line = "d ";
-      append_u64(line, r.stream);
-      line += ' ';
-      append_u64(line, r.seq);
-      line += ' ';
-      append_u64(line, static_cast<std::uint64_t>(d.status));
-      line += ' ';
-      append_u64(line, d.predicted_class);
-      line += ' ';
-      append_u64(line, std::bit_cast<std::uint32_t>(d.confidence));
-      line += ' ';
-      append_u64(line, d.degraded ? 1 : 0);
-      line += ' ';
-      append_u64(line, std::bit_cast<std::uint64_t>(d.supervisor_score));
-      line += ' ';
-      append_u64(line, d.audit_sequence);
-      line += '\n';
-      digest_.update(line);
+      // Decision-stream digest over every field of the Decision
+      // (float/double payloads bit-exact), the identity pinned across
+      // worker counts and against offline replay.
+      digest_.u64(r.stream);
+      digest_.u64(r.seq);
+      digest_.decision(d);
+      digest_.u64(d.audit_sequence);
 
       served_.push_back(ServedRecord{r, completion, d});
     }
@@ -369,10 +321,7 @@ void Server::dispatch_window(std::uint64_t close,
                  pending_.begin() + static_cast<std::ptrdiff_t>(examined));
 }
 
-std::string Server::decision_digest() const {
-  util::Sha256 copy = digest_;
-  return util::to_hex(copy.finish());
-}
+std::string Server::decision_digest() const { return digest_.hex(); }
 
 std::string render_serving_block(const Server& server) {
   const ServerConfig& cfg = server.config();

@@ -5,15 +5,16 @@
 // streaming deployment without giving up a single reproducibility or
 // safety property:
 //
-//   - everything is sized at deploy time: the ingress ring, the pending
-//     queue, the per-stream state and the telemetry registry are allocated
-//     in the constructor and never grow on the serving path;
+//   - everything is sized at deploy time: the pending queue, the
+//     per-stream state and the telemetry registry are allocated in the
+//     constructor and never grow on the serving path. The pending queue is
+//     the one ingress: an arrival that finds queue_capacity requests
+//     already waiting is refused and counted as a queue rejection;
 //   - request streams are declared up front (StreamSpec) and admitted
 //     *offline* against the mixed-criticality schedulability analysis
-//     (rt::amc_rtb + rt::response_time_analysis): a HI stream
-//     (criticality >= SIL3) that fails admission refuses to deploy; a LO
-//     stream that fails is deployed best-effort and flagged in the
-//     evidence;
+//     (rt::amc_rtb): a HI stream (criticality >= SIL3) that fails
+//     admission refuses to deploy; a LO stream that fails is deployed
+//     best-effort and flagged in the evidence;
 //   - batches form inside a bounded window in logical time — the window
 //     closes when it fills (batch_max) or times out (batch_window) — and
 //     dispatch into CertifiablePipeline::infer_batch, whose pool runs the
@@ -30,14 +31,16 @@
 //   - per-stream safety::Watchdog instances check every completion against
 //     the stream deadline, and per-request ODD/decision outcomes feed the
 //     serving telemetry (an obs::Registry snapshot that merges across
-//     trace slices through the fleet evidence plane).
+//     trace slices through the fleet evidence plane). Each serving event
+//     is counted once, in that registry; the accessors read it.
 //
 // The service model is logical: a dispatched window occupies the backend
 // for dispatch_overhead plus the sum of the accepted requests' declared
 // service_lo budgets, and all of its requests complete when the window
 // completes. This is what makes shedding, latency evidence and telemetry a
 // pure function of (config, trace) — measured wall-clock time never feeds
-// back into a serving decision.
+// back into a serving decision. The pipeline's own watchdog (SIL3/4
+// timing budget) is fed the window's logical service time too.
 #pragma once
 
 #include <cstdint>
@@ -45,15 +48,13 @@
 #include <string>
 #include <vector>
 
+#include "core/decision_hash.hpp"
 #include "core/pipeline.hpp"
 #include "obs/registry.hpp"
 #include "rt/mixed_criticality.hpp"
-#include "rt/rta.hpp"
 #include "safety/watchdog.hpp"
-#include "serve/ring.hpp"
 #include "serve/traffic.hpp"
 #include "trace/audit.hpp"
-#include "util/hash.hpp"
 
 namespace sx::serve {
 
@@ -76,16 +77,17 @@ struct ServerConfig {
   std::uint64_t batch_window = 16;
   /// Fixed per-dispatch cost added to the window's service demand.
   std::uint64_t dispatch_overhead = 1;
-  /// Ingress ring slots (rounded up to a power of two).
+  /// Pending-queue slots: an arrival finding this many requests waiting
+  /// is refused (a queue rejection).
   std::size_t queue_capacity = 256;
-  /// Serving telemetry registry geometry (counters/histograms/MBPTA rings).
+  /// Serving telemetry registry geometry (counters/histograms/MBPTA rings);
+  /// it must hold the serving counters, or the constructor throws.
   obs::RegistryConfig telemetry;
 };
 
 /// Offline admission verdict, fixed at deploy time.
 struct AdmissionReport {
   rt::McRtaResult mc;        ///< AMC-rtb bounds per stream
-  rt::RtaResult lo_rta;      ///< single-budget RTA cross-evidence (C = lo)
   bool hi_schedulable = false;  ///< every HI stream has lo/hi/transition bounds
   std::vector<bool> best_effort;  ///< LO streams refused offline admission
   double utilization_lo = 0.0;
@@ -107,17 +109,13 @@ class Server {
  public:
   /// Deploys the front-end over an already-deployed pipeline. Runs the
   /// offline admission analysis; throws std::invalid_argument when a HI
-  /// stream is not schedulable or the configuration is malformed. At
-  /// batch_workers 0 or 1 the pipeline runs each window on the caller.
+  /// stream is not schedulable, the configuration is malformed or the
+  /// telemetry config cannot hold the serving counters. At batch_workers
+  /// 0 or 1 the pipeline runs each window on the caller.
   Server(core::CertifiablePipeline& pipeline, ServerConfig cfg);
 
-  /// Multi-producer ingress: enqueues one request. False when the ring is
-  /// full (counted as a queue rejection when the serving loop observes it
-  /// cannot keep up; the caller owns retry policy).
-  bool submit(const Request& r) noexcept { return ring_.try_push(r); }
-
-  /// Replays a trace to completion in logical time: arrivals are submitted
-  /// through the ingress ring at their arrival instants, windows form,
+  /// Replays a trace to completion in logical time: arrivals join the
+  /// pending queue at their arrival instants, windows form,
   /// shed decisions are taken, and every accepted window dispatches
   /// through CertifiablePipeline::infer_batch. `inputs` is the pre-staged
   /// input pool indexed by Request::payload. Callable repeatedly; state
@@ -134,9 +132,9 @@ class Server {
   /// the same order, for every batch_workers setting.
   const std::vector<ServedRecord>& served() const noexcept { return served_; }
 
-  /// SHA-256 over the decision stream (stream, seq, status, class,
-  /// confidence bits, degraded, supervisor-score bits, audit sequence) —
-  /// the identity pinned across worker counts and against offline replay.
+  /// SHA-256 over the binary decision stream (per served request: stream,
+  /// seq, core::DecisionHasher::decision, audit sequence) — the identity
+  /// pinned across worker counts and against offline replay.
   std::string decision_digest() const;
 
   /// Serving telemetry: counters, deploy-constant gauges and logical-time
@@ -149,26 +147,35 @@ class Server {
   /// (actor "admission", action "shed") and every mode switch.
   const trace::AuditLog& audit() const noexcept { return audit_; }
 
-  std::uint64_t requests() const noexcept { return requests_; }
-  std::uint64_t served_count() const noexcept { return served_total_; }
-  std::uint64_t shed_count() const noexcept { return shed_total_; }
-  std::uint64_t hi_deadline_misses() const noexcept { return hi_miss_; }
-  std::uint64_t lo_deadline_misses() const noexcept { return lo_miss_; }
-  std::uint64_t mode_switches() const noexcept { return mode_switches_; }
-  std::uint64_t queue_rejections() const noexcept { return queue_rejected_; }
+  // Serving totals, read from the telemetry registry.
+  std::uint64_t requests() const noexcept { return obs_.value(c_requests_); }
+  std::uint64_t served_count() const noexcept {
+    return obs_.value(c_served_);
+  }
+  std::uint64_t shed_count() const noexcept { return obs_.value(c_shed_); }
+  std::uint64_t hi_deadline_misses() const noexcept {
+    return obs_.value(c_hi_miss_);
+  }
+  std::uint64_t lo_deadline_misses() const noexcept {
+    return obs_.value(c_lo_miss_);
+  }
+  std::uint64_t mode_switches() const noexcept {
+    return obs_.value(c_mode_switches_);
+  }
+  std::uint64_t queue_rejections() const noexcept {
+    return obs_.value(c_queue_rejected_);
+  }
 
  private:
   struct StreamState {
     safety::Watchdog watchdog;
     bool high = false;         ///< criticality >= SIL3
-    bool best_effort = false;  ///< LO stream refused offline admission
     obs::CounterId served{};
     obs::CounterId shed{};
   };
 
-  /// Drains the ingress ring into the pending queue (arrival order is
-  /// preserved: the replay loop pushes in trace order).
-  void drain_ring() noexcept;
+  /// Counts one arrival; it joins the pending queue unless that is full.
+  void arrive(const Request& r) noexcept;
   /// Forms and dispatches one window from the pending queue at `close`.
   void dispatch_window(std::uint64_t close,
                        std::span<const tensor::Tensor> inputs);
@@ -178,7 +185,6 @@ class Server {
   core::CertifiablePipeline* pipeline_;
   ServerConfig cfg_;
   AdmissionReport admission_;
-  BoundedRing<Request> ring_;
   std::vector<Request> pending_;  ///< arrival-ordered backlog (deploy-sized)
   std::vector<StreamState> streams_;
   obs::Registry obs_;
@@ -187,18 +193,10 @@ class Server {
   /// Window staging: views into run_trace()'s input pool, no copies.
   std::vector<tensor::ConstTensorView> batch_inputs_;
   std::vector<std::size_t> batch_requests_;    ///< pending_ indices staged
-  util::Sha256 digest_;  ///< running decision-stream hash
+  core::DecisionHasher digest_;  ///< running decision-stream hash
 
   ServeMode mode_ = ServeMode::kNormal;
   std::uint64_t busy_until_ = 0;  ///< backend occupied until this instant
-  std::uint64_t requests_ = 0;
-  std::uint64_t served_total_ = 0;
-  std::uint64_t shed_total_ = 0;
-  std::uint64_t hi_miss_ = 0;
-  std::uint64_t lo_miss_ = 0;
-  std::uint64_t hi_projected_miss_ = 0;
-  std::uint64_t mode_switches_ = 0;
-  std::uint64_t queue_rejected_ = 0;
 
   obs::CounterId c_requests_{};
   obs::CounterId c_served_{};

@@ -35,8 +35,11 @@ std::string quantified_suffix(const CaseNode& n) {
 
 std::size_t SafetyCase::set_root_goal(std::string id, std::string text) {
   if (has_root_) throw std::logic_error("SafetyCase: root already set");
-  nodes_.push_back(
-      CaseNode{NodeKind::kGoal, std::move(id), std::move(text), {}});
+  nodes_.push_back(CaseNode{.kind = NodeKind::kGoal,
+                            .id = std::move(id),
+                            .text = std::move(text),
+                            .children = {},
+                            .unit = {}});
   has_root_ = true;
   return 0;
 }
@@ -47,7 +50,11 @@ std::size_t SafetyCase::add_node(std::size_t parent, NodeKind kind,
     throw std::invalid_argument("SafetyCase: bad parent index");
   if (nodes_[parent].kind == NodeKind::kSolution)
     throw std::invalid_argument("SafetyCase: solutions are leaves");
-  nodes_.push_back(CaseNode{kind, std::move(id), std::move(text), {}});
+  nodes_.push_back(CaseNode{.kind = kind,
+                            .id = std::move(id),
+                            .text = std::move(text),
+                            .children = {},
+                            .unit = {}});
   nodes_[parent].children.push_back(nodes_.size() - 1);
   return nodes_.size() - 1;
 }

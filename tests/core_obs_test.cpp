@@ -130,17 +130,18 @@ TEST(PipelineTelemetry, DisabledTelemetryMeansNoRegistry) {
 
 // --------------------------------------------------------- batch watchdog
 
-TEST(PipelineTelemetry, BatchPathFeedsMeasuredTimeToWatchdog) {
+TEST(PipelineTelemetry, BatchPathFeedsLogicalElapsedToWatchdog) {
   PipelineConfig cfg;
   cfg.criticality = Criticality::kSil3;
-  cfg.timing_budget = 3;  // deterministic clock measures 7 per item
+  cfg.timing_budget = 3;  // every item's logical elapsed is 7
   cfg.batch_workers = 2;
   cfg.telemetry_config = tick_telemetry();
   CertifiablePipeline p{model(), data(), cfg};
   std::vector<tensor::Tensor> inputs;
   for (std::size_t i = 0; i < 6; ++i) inputs.push_back(data().samples[i].input);
   tick_ref() = 0;
-  const auto decisions = p.infer_batch(inputs);
+  const auto decisions =
+      p.infer_batch(inputs, /*logical_time=*/0, /*elapsed=*/7);
   for (const auto& d : decisions) {
     EXPECT_EQ(d.status, Status::kDeadlineMiss);
     EXPECT_TRUE(d.degraded);
@@ -148,17 +149,18 @@ TEST(PipelineTelemetry, BatchPathFeedsMeasuredTimeToWatchdog) {
   EXPECT_EQ(counter_value(p, "sx_watchdog_overruns_total"), 6u);
 }
 
-TEST(PipelineTelemetry, BatchPathWithinBudgetDecides) {
+TEST(PipelineTelemetry, BatchPathWithinLogicalBudgetDecides) {
   PipelineConfig cfg;
   cfg.criticality = Criticality::kSil3;
-  cfg.timing_budget = 100;  // measured 7 per item fits easily
+  cfg.timing_budget = 100;  // logical elapsed 7 per item fits easily
   cfg.batch_workers = 2;
   cfg.telemetry_config = tick_telemetry();
   CertifiablePipeline p{model(), data(), cfg};
   std::vector<tensor::Tensor> inputs;
   for (std::size_t i = 0; i < 6; ++i) inputs.push_back(data().samples[i].input);
   tick_ref() = 0;
-  const auto decisions = p.infer_batch(inputs);
+  const auto decisions =
+      p.infer_batch(inputs, /*logical_time=*/0, /*elapsed=*/7);
   for (const auto& d : decisions) EXPECT_EQ(d.status, Status::kOk);
   EXPECT_EQ(counter_value(p, "sx_watchdog_overruns_total"), 0u);
   EXPECT_EQ(counter_value(p, "sx_decisions_total"), 6u);
@@ -241,7 +243,8 @@ TEST(PipelineTelemetry, BatchCountersAreShardedByWorker) {
   EXPECT_EQ(reg->value(c), 8u);
   // Static round-robin: worker w owns items w, w+4 — two each.
   for (std::size_t w = 0; w < 4; ++w)
-    EXPECT_EQ(reg->shard_value(c, w), 2u) << "worker " << w;
+    EXPECT_EQ(p.batch_runner()->worker_stats(w).items, 2u)
+        << "worker " << w;
 }
 
 // ------------------------------------------------------------------ report

@@ -1,5 +1,6 @@
 // Unit tests for the obs subsystem: static metrics registry (capacity,
-// sharding, histograms, sample ring, exposition) and the flight-recorder
+// concurrent counters, histograms, sample ring, exposition) and the
+// flight-recorder
 // evidence ring.
 #include <gtest/gtest.h>
 
@@ -28,7 +29,6 @@ RegistryConfig small_config() {
   cfg.max_counters = 4;
   cfg.max_gauges = 2;
   cfg.max_histograms = 2;
-  cfg.shards = 4;
   cfg.histogram_bins = 6;
   cfg.histogram_first_bound = 8;
   cfg.sample_capacity = 8;
@@ -74,9 +74,6 @@ TEST(Registry, CapacityOverflowYieldsInvalidIdNotThrow) {
 
 TEST(Registry, MalformedConfigThrowsAtDeployTime) {
   RegistryConfig cfg = small_config();
-  cfg.shards = 0;
-  EXPECT_THROW(Registry{cfg}, std::invalid_argument);
-  cfg = small_config();
   cfg.histogram_bins = 0;
   EXPECT_THROW(Registry{cfg}, std::invalid_argument);
   cfg = small_config();
@@ -86,33 +83,14 @@ TEST(Registry, MalformedConfigThrowsAtDeployTime) {
 
 // ---------------------------------------------------------------- counters
 
-TEST(Registry, MergedValueSumsShardsInStaticOrder) {
-  Registry r{small_config()};
-  const CounterId c = r.counter("items_total");
-  r.add(c, 1, 0);
-  r.add(c, 2, 1);
-  r.add(c, 3, 2);
-  r.add(c, 4, 3);
-  EXPECT_EQ(r.value(c), 10u);
-  EXPECT_EQ(r.shard_value(c, 1), 2u);
-}
-
-TEST(Registry, OutOfRangeShardFoldsWithoutLosingCounts) {
-  Registry r{small_config()};  // 4 shards
-  const CounterId c = r.counter("c_total");
-  r.add(c, 5, 7);  // folds onto shard 7 % 4 == 3
-  EXPECT_EQ(r.value(c), 5u);
-  EXPECT_EQ(r.shard_value(c, 3), 5u);
-}
-
-TEST(Registry, ConcurrentShardedIncrementsMergeExactly) {
+TEST(Registry, ConcurrentIncrementsSumExactly) {
   Registry r{small_config()};
   const CounterId c = r.counter("c_total");
   constexpr std::uint64_t kPerWorker = 10000;
   std::vector<std::thread> workers;
   for (std::size_t w = 0; w < 4; ++w)
-    workers.emplace_back([&r, c, w] {
-      for (std::uint64_t i = 0; i < kPerWorker; ++i) r.add(c, 1, w);
+    workers.emplace_back([&r, c] {
+      for (std::uint64_t i = 0; i < kPerWorker; ++i) r.add(c);
     });
   for (auto& t : workers) t.join();
   EXPECT_EQ(r.value(c), 4 * kPerWorker);
@@ -184,8 +162,8 @@ TEST(Registry, ExposeTextIsPrometheusShapedAndDeterministic) {
   const CounterId c = r.counter("sx_items_total");
   const GaugeId g = r.gauge("sx_budget");
   const HistogramId h = r.histogram("sx_lat_cycles");
-  r.add(c, 3, 0);
-  r.add(c, 2, 2);
+  r.add(c, 3);
+  r.add(c, 2);
   r.set(g, 1.5);
   r.observe(h, 10);
   const std::string text = expose_text(r);
@@ -196,9 +174,6 @@ TEST(Registry, ExposeTextIsPrometheusShapedAndDeterministic) {
   EXPECT_NE(text.find("sx_lat_cycles_bucket{le=\"+Inf\"} 1"),
             std::string::npos);
   EXPECT_NE(text.find("sx_lat_cycles_count 1"), std::string::npos);
-  // Per-shard values must never leak into the exposition (they depend on
-  // the worker layout; the merged value does not).
-  EXPECT_EQ(text.find("shard"), std::string::npos);
   EXPECT_EQ(text, expose_text(r));  // byte-stable
 }
 

@@ -8,17 +8,14 @@
 // build dirs replace CTest labels with "static-analysis").
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <limits>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/report.hpp"
 #include "obs/snapshot.hpp"
-#include "serve/ring.hpp"
 #include "serve/server.hpp"
 #include "serve/traffic.hpp"
 #include "test_helpers.hpp"
@@ -166,65 +163,6 @@ TEST(ServeTraffic, SplitAtGapsPreservesRequestsAndCutsAtIdle) {
 }
 
 // ---------------------------------------------------------------------------
-// Ingress ring
-// ---------------------------------------------------------------------------
-
-TEST(ServeRing, FifoOrderAndCapacityBounds) {
-  serve::BoundedRing<std::uint64_t> ring(5);  // rounds up to 8
-  EXPECT_EQ(ring.capacity(), 8u);
-  std::uint64_t v = 0;
-  EXPECT_FALSE(ring.try_pop(v));
-  for (std::uint64_t i = 0; i < 8; ++i) EXPECT_TRUE(ring.try_push(i));
-  EXPECT_FALSE(ring.try_push(99));  // full: refuses, never overwrites
-  for (std::uint64_t i = 0; i < 8; ++i) {
-    ASSERT_TRUE(ring.try_pop(v));
-    EXPECT_EQ(v, i);
-  }
-  EXPECT_FALSE(ring.try_pop(v));
-}
-
-TEST(ServeRing, ConcurrentProducersDeliverExactlyOnce) {
-  constexpr std::size_t kProducers = 4;
-  constexpr std::uint64_t kPerProducer = 1024;
-  serve::BoundedRing<std::uint64_t> ring(256);
-
-  std::vector<std::thread> producers;
-  for (std::size_t p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&ring, p] {
-      for (std::uint64_t i = 0; i < kPerProducer; ++i) {
-        const std::uint64_t value = p * 1'000'000 + i;
-        while (!ring.try_push(value)) std::this_thread::yield();
-      }
-    });
-  }
-
-  std::vector<std::uint64_t> last_seen(kProducers, 0);
-  std::vector<std::uint64_t> counts(kProducers, 0);
-  std::uint64_t received = 0;
-  while (received < kProducers * kPerProducer) {
-    std::uint64_t v = 0;
-    if (!ring.try_pop(v)) {
-      std::this_thread::yield();
-      continue;
-    }
-    const std::size_t p = v / 1'000'000;
-    const std::uint64_t i = v % 1'000'000;
-    ASSERT_LT(p, kProducers);
-    if (counts[p] > 0) {
-      EXPECT_GT(i, last_seen[p]);  // per-producer FIFO
-    }
-    last_seen[p] = i;
-    ++counts[p];
-    ++received;
-  }
-  for (std::thread& t : producers) t.join();
-  for (std::size_t p = 0; p < kProducers; ++p)
-    EXPECT_EQ(counts[p], kPerProducer);
-  std::uint64_t v = 0;
-  EXPECT_FALSE(ring.try_pop(v));
-}
-
-// ---------------------------------------------------------------------------
 // Offline admission
 // ---------------------------------------------------------------------------
 
@@ -302,6 +240,12 @@ TEST(ServeAdmission, MalformedConfigurationsRefuse) {
 
   cfg = base_cfg();
   cfg.batch_max = 0;
+  EXPECT_THROW(serve::Server(pipe, cfg), std::invalid_argument);
+
+  // A registry too small for the serving totals would make the accessors
+  // read 0: refused at deploy time instead.
+  cfg = base_cfg();
+  cfg.telemetry.max_counters = 4;
   EXPECT_THROW(serve::Server(pipe, cfg), std::invalid_argument);
 
   // Every pipeline carries its batch pool: at 0 workers the caller runs
@@ -613,6 +557,47 @@ TEST(ServeIdentity, RepeatedRunsAreByteIdentical) {
     return serve::render_serving_block(server);
   };
   EXPECT_EQ(once(), once());
+}
+
+// ---------------------------------------------------------------------------
+// Served watchdog: the pipeline's timing budget reads logical time only
+// ---------------------------------------------------------------------------
+
+/// Telemetry clock advancing kStep per read, one counter per thread, so a
+/// worker's paired reads around one channel run measure a few kStep.
+template <std::uint64_t kStep>
+std::uint64_t step_clock() noexcept {
+  thread_local std::uint64_t t = 0;
+  return t += kStep;
+}
+
+TEST(ServeWatchdog, ServedDecisionsDoNotDependOnTheTelemetryClock) {
+  const auto trace = mixed_poisson_trace();
+  const auto pool = input_pool(16);
+  std::vector<std::string> digests;
+  std::vector<std::uint64_t> overruns;
+  for (const obs::ClockFn clock : {&step_clock<1>, &step_clock<1000>}) {
+    core::PipelineConfig pcfg = pipe_cfg(2);
+    pcfg.criticality = trace::Criticality::kSil3;
+    // Above an item's measured time under the 1-per-read clock, below it
+    // under the 1000-per-read one, and below the logical service time of
+    // a window holding a HI and a LO request (1 + 4 + 2).
+    pcfg.timing_budget = 6;
+    pcfg.enable_telemetry = true;
+    pcfg.telemetry_config.clock = clock;
+    core::CertifiablePipeline pipe{sx::testing::trained_mlp(),
+                                   sx::testing::road_data(), pcfg};
+    serve::Server server{pipe, base_cfg()};
+    server.run_trace(trace, pool);
+    EXPECT_GT(server.served_count(), 0u);
+    digests.push_back(server.decision_digest());
+    const obs::Registry& tel = *pipe.telemetry();
+    overruns.push_back(
+        tel.value(tel.find_counter("sx_watchdog_overruns_total")));
+  }
+  EXPECT_EQ(digests[0], digests[1]);
+  EXPECT_EQ(overruns[0], overruns[1]);
+  EXPECT_GT(overruns[0], 0u);  // the logical budget does bind
 }
 
 // ---------------------------------------------------------------------------

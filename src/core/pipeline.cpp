@@ -160,17 +160,19 @@ CertifiablePipeline::CertifiablePipeline(const dl::Model& model,
         !verify_->verdict.output_bounded || !verify_->verdict.nan_free;
   }
 
-  // The deployment's one quantization: fold BatchNorm and quantize against
-  // the calibration set, here at deploy time. Every kInt8 channel and every
-  // diverse-TMR int8 voter copies it. The folded twin's layer indices align
-  // with the quantized model's; the kInt8 saturation margins and supervisor
-  // fit read it below.
+  // The deployment's one quantization: fold BatchNorm and quantize with
+  // the activation ranges the folded twin's float engine observes over the
+  // calibration set, at the deployment's kernel mode, here at deploy time.
+  // Every kInt8 channel and every diverse-TMR int8 voter copies it. The
+  // folded twin's layer indices align with the quantized model's; the
+  // kInt8 saturation margins and supervisor fit read it below.
   std::optional<dl::Model> folded;
   if (!verify_refused_ &&
       (int8 || spec_.pattern == PatternKind::kDiverseTmr)) {
     folded.emplace(dl::fold_batchnorm(*model_));
     quant_ = std::make_unique<dl::QuantizedModel>(dl::QuantizedModel::quantize(
-        *folded, calibration, dl::QuantConfig{}));
+        *folded, dl::calibrate_ranges(*folded, calibration, cfg_.kernel_mode),
+        dl::QuantConfig{}));
     if (obs_ && int8)
       obs_->set(g_quant_bytes_, static_cast<double>(quant_->weight_bytes()));
   }

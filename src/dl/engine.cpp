@@ -25,6 +25,64 @@ std::size_t planned_capacity(const Model& model, const KernelPlan* plan) {
   return 2 * model.max_activation_size();
 }
 
+/// The reference loops as steps: layer i forwards verbatim from the
+/// buffer layer i - 1 wrote (the caller's input for layer 0) into the
+/// other half of a 2 x max_activation_size arena.
+std::unique_ptr<KernelStep[]> reference_steps(const Model& model) {
+  const std::size_t n = model.layer_count();
+  const std::size_t half = model.max_activation_size();
+  auto steps = std::make_unique<KernelStep[]>(n);  // sxlint: allow(hot-path-alloc) deploy-time reference steps
+  for (std::size_t i = 0; i < n; ++i) {
+    KernelStep& s = steps[i];
+    s.first_layer = s.last_layer = s.tap_first = i;
+    s.in_shape = i == 0 ? model.input_shape() : model.activation_shape(i - 1);
+    s.out_shape = model.activation_shape(i);
+    s.in_elems = s.in_shape.size();
+    s.out_elems = s.out_shape.size();
+    s.in_offset = i == 0 ? ir::kNone : steps[i - 1].out_offset;
+    s.out_offset = i % 2 == 0 ? 0 : half;
+    s.ref_layer = &model.layer(i);
+  }
+  return steps;
+}
+
+/// v[i] = apply_epilogue(v[i], ep) for i < n. ReLU, the activation int8
+/// models keep, runs on vectors with the same select.
+void apply_epilogue_in_place(float* v, std::size_t n,
+                             k::Epilogue ep) noexcept {
+  std::size_t i = 0;
+  if (ep == k::Epilogue::kRelu) {
+    typedef float v4sf __attribute__((vector_size(16)));
+    const v4sf zero = {};
+    for (; i + 4 <= n; i += 4) {
+      v4sf x;
+      __builtin_memcpy(&x, v + i, sizeof x);
+      x = x > zero ? x : zero;
+      __builtin_memcpy(v + i, &x, sizeof x);
+    }
+  }
+  for (; i < n; ++i) v[i] = k::apply_epilogue(v[i], ep);
+}
+
+/// run() and run_tapped(): the walk compiles to no observing code.
+struct NoObserver {
+  static constexpr bool kObserves = false;
+};
+
+/// run_observed(): max |v| per activation, forward_trace indexing.
+struct RangeObserver {
+  static constexpr bool kObserves = true;
+  std::span<float> amax;
+
+  void activation(std::size_t index, const float* v, std::size_t n) noexcept {
+    amax[index] = tensor::fold_abs_max(amax[index], {v, n});
+  }
+  // amax[index - 1] already holds this pass, so the copy is cumulative.
+  void identity(std::size_t index) noexcept {
+    amax[index] = amax[index - 1];
+  }
+};
+
 }  // namespace
 
 StaticEngine::StaticEngine(const Model& model, StaticEngineConfig cfg)
@@ -33,27 +91,31 @@ StaticEngine::StaticEngine(const Model& model, StaticEngineConfig cfg)
       cfg_(cfg),
       plan_(make_owned_plan(model, cfg)),
       arena_(planned_capacity(model, plan_.get())) {
+  base_ = arena_.alloc(arena_.capacity());
   if (plan_ != nullptr) {
-    base_ = arena_.alloc(plan_->arena_elems());
+    steps_ = plan_->steps();
+    output_offset_ = plan_->output_offset();
+    final_tap_first_ = plan_->final_tap_first();
   } else {
-    const std::size_t buf = model.max_activation_size();
-    ping_ = arena_.alloc(buf);
-    pong_ = arena_.alloc(buf);
+    ref_steps_ = reference_steps(model);
+    steps_ = {ref_steps_.get(), model.layer_count()};
+    if (!steps_.empty()) output_offset_ = steps_.back().out_offset;
+    final_tap_first_ = model.layer_count();
   }
 }
 
 Status StaticEngine::run(tensor::ConstTensorView input,
                          std::span<float> output) noexcept {
-  return run_impl(input, output, kNoTap, {});
+  NoObserver obs;
+  return walk(input, output, kNoTap, {}, obs);
 }
 
 bool StaticEngine::can_tap(std::size_t tap_layer) const noexcept {
   if (tap_layer >= model_->layer_count()) return false;
-  if (plan_ == nullptr) return true;  // reference materializes every layer
-  for (const KernelStep& s : plan_->steps())
+  for (const KernelStep& s : steps_)
     if (tap_layer >= s.tap_first && tap_layer <= s.first_layer) return true;
   // Trailing bit identities alias the final output buffer.
-  return tap_layer >= plan_->final_tap_first();
+  return tap_layer >= final_tap_first_;
 }
 
 Status StaticEngine::run_tapped(tensor::ConstTensorView input,
@@ -63,64 +125,38 @@ Status StaticEngine::run_tapped(tensor::ConstTensorView input,
   if (!can_tap(tap_layer)) return Status::kShapeMismatch;
   if (tap.size() != tap_width(*model_, tap_layer))
     return Status::kShapeMismatch;
-  return run_impl(input, output, tap_layer, tap);
+  NoObserver obs;
+  return walk(input, output, tap_layer, tap, obs);
 }
 
-Status StaticEngine::run_impl(tensor::ConstTensorView input,
-                              std::span<float> output, std::size_t tap_layer,
-                              std::span<float> tap) noexcept {
+Status StaticEngine::run_observed(tensor::ConstTensorView input,
+                                  std::span<float> output,
+                                  std::span<float> amax) noexcept {
+  if (amax.size() != model_->layer_count() + 1) return Status::kShapeMismatch;
+  RangeObserver obs{amax};
+  return walk(input, output, kNoTap, {}, obs);
+}
+
+template <class Obs>
+Status StaticEngine::walk(tensor::ConstTensorView input,
+                          std::span<float> output, std::size_t tap_layer,
+                          std::span<float> tap, Obs& obs) noexcept {
   if (input.shape != model_->input_shape() || !input.valid())
     return Status::kShapeMismatch;
   if (output.size() != model_->output_shape().size())
     return Status::kShapeMismatch;
-  if (plan_ == nullptr && (ping_.empty() || pong_.empty()))
-    return Status::kArenaExhausted;
 
   if (cfg_.check_numeric_faults && tensor::has_non_finite(input)) {
     ++faults_;
     return Status::kNumericFault;
   }
+  if constexpr (Obs::kObserves)
+    obs.activation(0, input.data.data(), input.data.size());
 
-  return plan_ != nullptr ? run_planned(input, output, tap_layer, tap)
-                          : run_reference(input, output, tap_layer, tap);
-}
-
-Status StaticEngine::run_reference(tensor::ConstTensorView input,
-                                   std::span<float> output,
-                                   std::size_t tap_layer,
-                                   std::span<float> tap) noexcept {
-  // Ping-pong between two arena buffers; each is big enough for any layer.
-  tensor::ConstTensorView cur = input;
-  bool use_ping = true;
-  for (std::size_t i = 0; i < model_->layer_count(); ++i) {
-    // `cur` at the top of iteration i is forward_trace()'s activations[i].
-    if (i == tap_layer)
-      for (std::size_t j = 0; j < tap.size(); ++j) tap[j] = cur.data[j];
-    const Shape& out_shape = model_->activation_shape(i);
-    std::span<float> dst = use_ping ? ping_ : pong_;
-    tensor::TensorView out{dst.first(out_shape.size()), out_shape};
-    const Status st = model_->layer(i).forward(cur, out);
-    if (!ok(st)) return st;
-    if (cfg_.check_numeric_faults && tensor::has_non_finite(out)) {
-      ++faults_;
-      return Status::kNumericFault;
-    }
-    cur = out;
-    use_ping = !use_ping;
-  }
-
-  for (std::size_t i = 0; i < output.size(); ++i) output[i] = cur.data[i];
-  ++runs_;
-  return Status::kOk;
-}
-
-Status StaticEngine::run_planned(tensor::ConstTensorView input,
-                                 std::span<float> output,
-                                 std::size_t tap_layer,
-                                 std::span<float> tap) noexcept {
-  // One step per surviving IR op, each reading/writing its liveness-pass
-  // arena offsets (dce'd bit identities have no step; the ranges
-  // [tap_first, first_layer] keep their taps serviceable).
+  // One step per surviving IR op (one per layer under the reference
+  // loops), each reading/writing its arena offsets (dce'd bit identities
+  // have no step; the ranges [tap_first, first_layer] keep their taps
+  // serviceable).
   //
   // Fault semantics match the reference engine exactly: a fused kernel
   // screens every pre-activation value with the has_non_finite predicate
@@ -130,7 +166,7 @@ Status StaticEngine::run_planned(tensor::ConstTensorView input,
   // Eliminated identity layers need no scan of their own — their bits were
   // already screened as the producing step's output (or the engine input).
   float* const base = base_.data();
-  for (const KernelStep& s : plan_->steps()) {
+  for (const KernelStep& s : steps_) {
     const float* in = s.in_offset == ir::kNone
                           ? input.data.data()
                           : base + s.in_offset;
@@ -138,19 +174,26 @@ Status StaticEngine::run_planned(tensor::ConstTensorView input,
     // for every t in [tap_first, first_layer].
     if (tap_layer >= s.tap_first && tap_layer <= s.first_layer)
       for (std::size_t j = 0; j < tap.size(); ++j) tap[j] = in[j];
+    if constexpr (Obs::kObserves)
+      for (std::size_t l = s.tap_first; l < s.first_layer; ++l)
+        obs.identity(l + 1);
     float* out = base + s.out_offset;
     const bool fused = s.epilogue != k::Epilogue::kNone;
     const bool pre_check = cfg_.check_numeric_faults && fused;
+    // An observer sees the pre-activation, so its kernel runs without the
+    // epilogue, which is applied below.
+    const k::Epilogue epilogue =
+        Obs::kObserves ? k::Epilogue::kNone : s.epilogue;
     bool pre_ok = true;
     switch (s.kind) {
       case KernelStep::Kind::kDense:
         // Entry point resolved once at plan construction (probed ISA) —
         // a branch-free indirect call on the hot path.
         pre_ok = s.dense_fn(s.panel, s.bias, s.rows, s.cols, in, out,
-                            s.epilogue, pre_check);
+                            epilogue, pre_check);
         break;
       case KernelStep::Kind::kConv2d:
-        pre_ok = s.conv_fn(s.weights, s.bias, s.conv, in, out, s.epilogue,
+        pre_ok = s.conv_fn(s.weights, s.bias, s.conv, in, out, epilogue,
                            pre_check);
         break;
       case KernelStep::Kind::kMaxPool:
@@ -167,6 +210,13 @@ Status StaticEngine::run_planned(tensor::ConstTensorView input,
         break;
       }
     }
+    if constexpr (Obs::kObserves) {
+      if (fused) {
+        obs.activation(s.first_layer + 1, out, s.out_elems);
+        apply_epilogue_in_place(out, s.out_elems, s.epilogue);
+      }
+      obs.activation(s.last_layer + 1, out, s.out_elems);
+    }
     if (cfg_.check_numeric_faults) {
       // Fused steps were screened on the pre-activation values and the
       // epilogues map finite inputs to finite outputs (relu/tanh are
@@ -182,12 +232,14 @@ Status StaticEngine::run_planned(tensor::ConstTensorView input,
     }
   }
 
-  const float* out_src = plan_->output_offset() == ir::kNone
-                             ? input.data.data()
-                             : base + plan_->output_offset();
+  const float* out_src =
+      output_offset_ == ir::kNone ? input.data.data() : base + output_offset_;
   // Trailing dce'd identities alias the final output bitwise.
-  if (tap_layer != kNoTap && tap_layer >= plan_->final_tap_first())
+  if (tap_layer != kNoTap && tap_layer >= final_tap_first_)
     for (std::size_t j = 0; j < tap.size(); ++j) tap[j] = out_src[j];
+  if constexpr (Obs::kObserves)
+    for (std::size_t l = final_tap_first_; l < model_->layer_count(); ++l)
+      obs.identity(l + 1);
   for (std::size_t i = 0; i < output.size(); ++i) output[i] = out_src[i];
   ++runs_;
   return Status::kOk;

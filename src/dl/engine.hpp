@@ -8,8 +8,10 @@
 // In planned modes the arena is a single base block sized by the IR
 // liveness pass (ArenaLayout::total_elems — non-interfering tensor
 // lifetimes share offsets), not the 2x-max-activation ping-pong worst
-// case; every KernelStep carries its offsets. Reference mode keeps the
-// original ping-pong loop as the bitwise-identical unoptimized twin.
+// case; every KernelStep carries its offsets. Reference mode, the
+// bitwise-identical unoptimized twin, walks one kReference step per layer
+// through the classic ping-pong pair. One step walk runs both modes, with
+// or without an observer (run_observed, the calibration pass).
 //
 // StaticEngine and the int8 QuantEngine (dl/qplan.hpp) implement one
 // interface, Engine: run, the tapped run a supervisor reads its features
@@ -157,6 +159,20 @@ class StaticEngine final : public Engine {
                     std::size_t tap_layer,
                     std::span<float> tap) noexcept override;
 
+  /// run() that also folds the largest |v| of every activation of the
+  /// pass into `amax`, indexed like Model::forward_trace: amax[0] is the
+  /// input, amax[i + 1] the output of layer i (kShapeMismatch unless
+  /// amax holds layer_count() + 1 entries). A fused step runs its kernel
+  /// without the epilogue, folds the pre-activation, then applies the
+  /// epilogue in place; a layer the plan eliminated takes its producer's
+  /// value. Every value folded is bitwise the reference walk's, and the
+  /// maximum does not depend on order, so amax is bitwise what
+  /// forward_trace would give on every arm. A run that faults has folded
+  /// every step up to the faulting one. Calibration
+  /// (dl::calibrate_ranges) runs this; the served path runs run().
+  Status run_observed(tensor::ConstTensorView input, std::span<float> output,
+                      std::span<float> amax) noexcept;
+
   /// Reference engines materialize every activation. A planned engine
   /// materializes step boundaries: taps inside a step's [tap_first,
   /// first_layer] range read its input (the layers between were dce'd bit
@@ -200,25 +216,34 @@ class StaticEngine final : public Engine {
   /// Sentinel tap_layer meaning "no tap" on the shared run paths.
   static constexpr std::size_t kNoTap = ~std::size_t{0};
 
-  Status run_impl(tensor::ConstTensorView input, std::span<float> output,
-                  std::size_t tap_layer, std::span<float> tap) noexcept;
-  Status run_reference(tensor::ConstTensorView input, std::span<float> output,
-                       std::size_t tap_layer, std::span<float> tap) noexcept;
-  Status run_planned(tensor::ConstTensorView input, std::span<float> output,
-                     std::size_t tap_layer, std::span<float> tap) noexcept;
+  /// The one step walk behind every run. `Obs` is chosen at the call
+  /// site: run() and run_tapped() pass an observer whose kObserves is
+  /// false, and the walk compiles to no observing code at all; an
+  /// observer with kObserves true gets activation(index, values, n) for
+  /// every activation the pass materializes (forward_trace indexing, a
+  /// fused step's pre-activation included) and identity(index) for one
+  /// the plan eliminated (bitwise activation index - 1).
+  template <class Obs>
+  Status walk(tensor::ConstTensorView input, std::span<float> output,
+              std::size_t tap_layer, std::span<float> tap, Obs& obs) noexcept;
 
   const Model* model_;
   StaticEngineConfig cfg_;
   std::unique_ptr<KernelPlan> plan_;  ///< null under reference loops
+  /// Reference mode: one kReference step per layer, ping-ponging between
+  /// the two halves of the arena (null in planned mode).
+  std::unique_ptr<KernelStep[]> ref_steps_;
+  std::span<const KernelStep> steps_;  ///< the plan's, or ref_steps_
+  std::size_t output_offset_ = ir::kNone;  ///< arena offset of the output
+  /// Taps at layers [final_tap_first_, layer_count) read the output.
+  std::size_t final_tap_first_ = 0;
   tensor::Arena arena_;
-  // Buffers are carved out of the arena once, here at configuration time;
-  // run() touches the arena only through these spans (zero hot-path
+  // The one block is carved out of the arena once, here at configuration
+  // time; run() touches the arena only through this span (zero hot-path
   // bookkeeping, high-water mark == demand by construction). Planned mode
-  // carves the single liveness-colored base block; reference mode keeps
-  // the classic ping-pong pair.
-  std::span<float> base_{};     ///< planned mode: ArenaLayout base block
-  std::span<float> ping_{};     ///< reference mode only
-  std::span<float> pong_{};     ///< reference mode only
+  // sizes it by the liveness-colored layout; reference mode holds the
+  // classic ping-pong pair.
+  std::span<float> base_{};
   std::uint64_t runs_ = 0;
   std::uint64_t faults_ = 0;
 };

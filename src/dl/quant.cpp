@@ -4,19 +4,11 @@
 #include <limits>
 #include <stdexcept>
 
+#include "dl/engine.hpp"
 #include "tensor/qkernels.hpp"
 
 namespace sx::dl {
 namespace {
-
-float absmax(std::span<const float> xs) noexcept {
-  float m = 0.0f;
-  for (float v : xs) {
-    const float a = std::fabs(v);
-    m = a > m ? a : m;
-  }
-  return m;
-}
 
 /// scale such that absmax maps to 127; floor to avoid zero scales.
 float scale_for(float amax) noexcept {
@@ -29,7 +21,49 @@ void quantize_block(std::span<const float> src, float scale,
     dst[i] = quantize_value(src[i], scale);
 }
 
+/// Throws for the first layer whose kind the int8 engine cannot run.
+void require_int8_layers(const Model& model) {
+  for (std::size_t i = 0; i < model.layer_count(); ++i) {
+    switch (model.layer(i).kind()) {
+      case LayerKind::kDense:
+      case LayerKind::kConv2d:
+      case LayerKind::kRelu:
+      case LayerKind::kFlatten:
+      case LayerKind::kMaxPool2d:
+      case LayerKind::kAvgPool2d:
+        break;
+      case LayerKind::kBatchNorm:
+        throw std::invalid_argument(
+            "quantize: fold BatchNorm first (fold_batchnorm)");
+      case LayerKind::kSoftmax:
+        throw std::invalid_argument(
+            "quantize: quantized models end at logits; drop Softmax");
+      case LayerKind::kSigmoid:
+      case LayerKind::kTanh:
+        throw std::invalid_argument(
+            "quantize: saturating activations are not int8-supported; use "
+            "ReLU in deployed models");
+    }
+  }
+}
+
 }  // namespace
+
+std::vector<float> calibrate_ranges(const Model& model,
+                                    const Dataset& calibration,
+                                    KernelMode kernels) {
+  if (calibration.samples.empty())
+    throw std::invalid_argument("calibrate_ranges: empty calibration set");
+  StaticEngine engine(model,
+                      {.check_numeric_faults = false, .kernels = kernels});
+  std::vector<float> amax(model.layer_count() + 1, 0.0f);
+  std::vector<float> logits(model.output_shape().size());
+  for (const Sample& s : calibration.samples)
+    if (!ok(engine.run_observed(s.input.view(), logits, amax)))
+      throw std::invalid_argument(
+          "calibrate_ranges: a sample does not fit the model input");
+  return amax;
+}
 
 const char* to_string(WeightGranularity g) noexcept {
   return g == WeightGranularity::kPerTensor ? "per-tensor" : "per-channel";
@@ -140,23 +174,23 @@ Model fold_batchnorm(const Model& model) {
 QuantizedModel QuantizedModel::quantize(const Model& model,
                                         const Dataset& calibration,
                                         QuantConfig cfg) {
-  if (calibration.samples.empty())
-    throw std::invalid_argument("quantize: empty calibration set");
+  require_int8_layers(model);
+  return QuantizedModel::quantize(
+      model, calibrate_ranges(model, calibration, KernelMode::kAuto), cfg);
+}
 
-  // --- Calibrate activation scales from the float model. -----------------
-  float input_amax = 0.0f;
-  std::vector<float> act_amax(model.layer_count(), 0.0f);
-  for (const auto& s : calibration.samples) {
-    input_amax = std::max(input_amax, absmax(s.input.data()));
-    const auto acts = model.forward_trace(s.input);
-    for (std::size_t i = 0; i < model.layer_count(); ++i)
-      act_amax[i] = std::max(act_amax[i], absmax(acts[i + 1].data()));
-  }
+QuantizedModel QuantizedModel::quantize(const Model& model,
+                                        std::span<const float> ranges,
+                                        QuantConfig cfg) {
+  require_int8_layers(model);
+  if (ranges.size() != model.layer_count() + 1)
+    throw std::invalid_argument(
+        "quantize: ranges must hold layer_count() + 1 entries");
 
   QuantizedModel qm;
   qm.cfg_ = cfg;
   qm.input_shape_ = model.input_shape();
-  qm.input_scale_ = scale_for(input_amax);
+  qm.input_scale_ = scale_for(ranges[0]);
 
   float prev_scale = qm.input_scale_;
   for (std::size_t i = 0; i < model.layer_count(); ++i) {
@@ -176,16 +210,16 @@ QuantizedModel QuantizedModel::quantize(const Model& model,
           q.w_scales.resize(q.out_dim);  // sxlint: allow(hot-path-alloc) quantize-time
           for (std::size_t r = 0; r < q.out_dim; ++r) {
             const auto row = w.subspan(r * q.in_dim, q.in_dim);
-            q.w_scales[r] = scale_for(absmax(row));
+            q.w_scales[r] = scale_for(tensor::fold_abs_max(0.0f, row));
             quantize_block(row, q.w_scales[r],
                            std::span<std::int8_t>(q.weights)
                                .subspan(r * q.in_dim, q.in_dim));
           }
         } else {
-          q.w_scales = {scale_for(absmax(w))};
+          q.w_scales = {scale_for(tensor::fold_abs_max(0.0f, w))};
           quantize_block(w, q.w_scales[0], q.weights);
         }
-        q.out_scale = scale_for(act_amax[i]);
+        q.out_scale = scale_for(ranges[i + 1]);
         break;
       }
       case LayerKind::kConv2d: {
@@ -204,16 +238,16 @@ QuantizedModel QuantizedModel::quantize(const Model& model,
           q.w_scales.resize(q.out_c);  // sxlint: allow(hot-path-alloc) quantize-time
           for (std::size_t oc = 0; oc < q.out_c; ++oc) {
             const auto blk = w.subspan(oc * per_oc, per_oc);
-            q.w_scales[oc] = scale_for(absmax(blk));
+            q.w_scales[oc] = scale_for(tensor::fold_abs_max(0.0f, blk));
             quantize_block(blk, q.w_scales[oc],
                            std::span<std::int8_t>(q.weights)
                                .subspan(oc * per_oc, per_oc));
           }
         } else {
-          q.w_scales = {scale_for(absmax(w))};
+          q.w_scales = {scale_for(tensor::fold_abs_max(0.0f, w))};
           quantize_block(w, q.w_scales[0], q.weights);
         }
-        q.out_scale = scale_for(act_amax[i]);
+        q.out_scale = scale_for(ranges[i + 1]);
         break;
       }
       case LayerKind::kRelu:
@@ -229,16 +263,10 @@ QuantizedModel QuantizedModel::quantize(const Model& model,
         q.out_scale = prev_scale;
         break;
       case LayerKind::kBatchNorm:
-        throw std::invalid_argument(
-            "quantize: fold BatchNorm first (fold_batchnorm)");
       case LayerKind::kSoftmax:
-        throw std::invalid_argument(
-            "quantize: quantized models end at logits; drop Softmax");
       case LayerKind::kSigmoid:
       case LayerKind::kTanh:
-        throw std::invalid_argument(
-            "quantize: saturating activations are not int8-supported; use "
-            "ReLU in deployed models");
+        break;  // refused by require_int8_layers above
     }
     // Bias representability audit (deployment evidence): an integer-only
     // requantizer would need bias at the accumulator scale w_scale *

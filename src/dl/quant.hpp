@@ -3,8 +3,11 @@
 // Symmetric int8 quantization with int32 accumulation:
 //   - weights: per-tensor or per-output-channel scales (experiment E2
 //     contrasts the two granularities);
-//   - activations: per-layer scales calibrated from a representative dataset
-//     (abs-max over the calibration run);
+//   - activations: per-layer scales from the abs-max of every activation
+//     over a representative dataset, taken by the planned float engine's
+//     observing pass (calibrate_ranges, StaticEngine::run_observed) at the
+//     deployment's kernel mode, so the ranges come from the code that
+//     serves and are bitwise the reference walk's on every arm;
 //   - inference: int8 ping-pong buffers, noexcept, allocation-free after
 //     construction — the same FUSA discipline as StaticEngine.
 //
@@ -18,6 +21,7 @@
 
 #include "dl/dataset.hpp"
 #include "dl/model.hpp"
+#include "dl/plan.hpp"
 
 namespace sx::dl {
 
@@ -29,6 +33,18 @@ struct QuantConfig {
   WeightGranularity granularity = WeightGranularity::kPerChannel;
 };
 
+/// The largest |v| of every activation of `model` over `calibration`,
+/// indexed like Model::forward_trace: [0] the input, [i + 1] the output of
+/// layer i. One StaticEngine at `kernels`, its numeric-fault screen off as
+/// forward_trace has none, runs every sample through its observing pass
+/// (StaticEngine::run_observed) and allocates nothing per sample; on every
+/// arm the result is bitwise what forward_trace gives. Throws
+/// std::invalid_argument on an empty set or a sample that does not fit
+/// the model's input.
+std::vector<float> calibrate_ranges(const Model& model,
+                                    const Dataset& calibration,
+                                    KernelMode kernels);
+
 /// Returns a copy of `model` with every BatchNorm folded into the directly
 /// preceding Conv2d or Dense layer. Throws if a BatchNorm has no foldable
 /// predecessor.
@@ -37,8 +53,18 @@ Model fold_batchnorm(const Model& model);
 /// A fully quantized sequential model.
 class QuantizedModel {
  public:
-  /// Quantizes `model` (which must contain only Dense/Conv2d/Relu/MaxPool/
-  /// AvgPool/Flatten layers) using `calibration` to set activation scales.
+  /// Quantizes `model` with activation scales from `ranges`, as
+  /// calibrate_ranges returns them (layer_count() + 1 entries). The model
+  /// must contain only Dense/Conv2d/Relu/MaxPool/AvgPool/Flatten layers;
+  /// any other kind, or a ranges size mismatch, throws
+  /// std::invalid_argument before anything is built.
+  static QuantizedModel quantize(const Model& model,
+                                 std::span<const float> ranges,
+                                 QuantConfig cfg = {});
+
+  /// quantize(model, calibrate_ranges(model, calibration, kAuto), cfg),
+  /// refusing an unsupported model before it runs any sample. For tests
+  /// and benches; a deployment calibrates at its own kernel mode.
   static QuantizedModel quantize(const Model& model,
                                  const Dataset& calibration,
                                  QuantConfig cfg = {});

@@ -30,7 +30,7 @@ DigitWorkload make_digit_workload(const DigitWorkloadConfig& cfg) {
       .dense(32)
       .relu()
       .dense(dl::kDigitClasses);
-  DigitWorkload w{b.build(cfg.model_seed)};
+  DigitWorkload w{.model = b.build(cfg.model_seed), .train = {}, .test = {}};
   dl::split(all, cfg.train_fraction, w.train, w.test);
   if (w.train.samples.empty() || w.test.samples.empty())
     throw std::invalid_argument("make_digit_workload: degenerate split");

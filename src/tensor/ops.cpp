@@ -1,6 +1,7 @@
 #include "tensor/ops.hpp"
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 namespace sx::tensor {
@@ -109,6 +110,28 @@ float sum(ConstTensorView a) noexcept {
 float max_value(ConstTensorView a) noexcept {
   float m = -std::numeric_limits<float>::infinity();
   for (float v : a.data) m = v > m ? v : m;
+  return m;
+}
+
+float fold_abs_max(float m, std::span<const float> a) noexcept {
+  typedef float v4sf __attribute__((vector_size(16)));
+  typedef std::int32_t v4si __attribute__((vector_size(16)));
+  const v4si abs_mask = {0x7fffffff, 0x7fffffff, 0x7fffffff, 0x7fffffff};
+  const std::size_t n = a.size();
+  const float* p = a.data();
+  v4sf acc = {m, m, m, m};
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    v4si x;
+    __builtin_memcpy(&x, p + i, sizeof x);
+    const v4sf v = reinterpret_cast<v4sf>(x & abs_mask);
+    acc = v > acc ? v : acc;
+  }
+  for (int l = 0; l < 4; ++l) m = acc[l] > m ? acc[l] : m;
+  for (; i < n; ++i) {
+    const float v = std::fabs(p[i]);
+    m = v > m ? v : m;
+  }
   return m;
 }
 

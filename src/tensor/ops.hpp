@@ -39,6 +39,11 @@ float sum(ConstTensorView a) noexcept;
 float max_value(ConstTensorView a) noexcept;
 std::size_t argmax(ConstTensorView a) noexcept;
 
+/// `m` folded with |v| for every v in `a`, as `|v| > m ? |v| : m`: NaN is
+/// skipped, so the result is the largest of m and every magnitude, whatever
+/// the order (the int8 quantizer's abs-max). Runs four lanes at a time.
+float fold_abs_max(float m, std::span<const float> a) noexcept;
+
 /// Numerically stable in-place softmax over a rank-1 view.
 Status softmax(ConstTensorView logits, TensorView out) noexcept;
 

@@ -38,6 +38,12 @@ void* counted_aligned_alloc(std::size_t size, std::align_val_t align) {
   return p;
 }
 
+// Every replacement operator delete releases through this one function.
+// Kept out of line, it is the deallocator GCC sees paired with the
+// replacement operator new at every inlined delete, where a bare free()
+// on operator new's pointer reads as a mismatched release.
+[[gnu::noinline]] void counted_release(void* p) noexcept { std::free(p); }
+
 std::uint64_t allocations() noexcept {
   return g_allocations.load(std::memory_order_relaxed);
 }
@@ -74,29 +80,35 @@ void* operator new[](std::size_t size, std::align_val_t align,
                      const std::nothrow_t&) noexcept {
   return counted_aligned_alloc(size, align);
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
+void operator delete(void* p) noexcept { counted_release(p); }
+void operator delete[](void* p) noexcept { counted_release(p); }
+void operator delete(void* p, std::size_t) noexcept { counted_release(p); }
+void operator delete[](void* p, std::size_t) noexcept { counted_release(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  counted_release(p);
 }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  counted_release(p);
+}
+void operator delete(void* p, std::align_val_t) noexcept {
+  counted_release(p);
+}
+void operator delete[](void* p, std::align_val_t) noexcept {
+  counted_release(p);
+}
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  counted_release(p);
 }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  counted_release(p);
 }
 void operator delete(void* p, std::align_val_t,
                      const std::nothrow_t&) noexcept {
-  std::free(p);
+  counted_release(p);
 }
 void operator delete[](void* p, std::align_val_t,
                        const std::nothrow_t&) noexcept {
-  std::free(p);
+  counted_release(p);
 }
 
 namespace sx {
@@ -238,6 +250,33 @@ TEST(Allocations, Sil3DecisionAllocatesNoMoreThanSil2) {
 
 TEST(Allocations, Sil3TmrBagDecisionAllocatesNoMoreThanSil2Monitored) {
   expect_sil3_allocates_no_more_than_sil2(core::PatternKind::kTmr);
+}
+
+/// Heap allocations of one calibrate_ranges call over the first `n`
+/// samples of the road set (the subset is copied before counting).
+std::uint64_t calibration_allocations(const dl::Model& m, std::size_t n,
+                                      dl::KernelMode mode) {
+  dl::Dataset subset;
+  subset.input_shape = data().input_shape;
+  subset.num_classes = data().num_classes;
+  subset.samples.assign(data().samples.begin(), data().samples.begin() + n);
+  const std::uint64_t before = allocations();
+  (void)dl::calibrate_ranges(m, subset, mode);
+  return allocations() - before;
+}
+
+// Calibration's cost is its engine and its result: the observing pass
+// over the samples touches no heap, so twice the samples cost no more.
+TEST(Allocations, CalibrationAllocatesNothingPerSample) {
+  for (const dl::Model* m :
+       {&sx::testing::trained_mlp(), &sx::testing::trained_cnn()}) {
+    for (const dl::KernelMode mode : dl::all_kernel_modes()) {
+      const std::uint64_t n = calibration_allocations(*m, 50, mode);
+      EXPECT_GT(n, 0u);  // the engine and the ranges are counted
+      EXPECT_EQ(calibration_allocations(*m, 100, mode), n)
+          << dl::kernel_mode_name(mode);
+    }
+  }
 }
 
 }  // namespace

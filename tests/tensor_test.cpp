@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "tensor/arena.hpp"
 #include "tensor/ops.hpp"
@@ -216,6 +218,27 @@ TEST(Ops, NonFiniteDetection) {
   EXPECT_TRUE(has_non_finite(a.view()));
   a.at(std::size_t{1}) = std::numeric_limits<float>::infinity();
   EXPECT_TRUE(has_non_finite(a.view()));
+}
+
+// The lanes and the tail fold alike: NaN at any position is skipped, -0
+// folds as +0, Inf wins, and the start value counts as one more element.
+TEST(Ops, FoldAbsMaxSkipsNanAtEveryPosition) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (std::size_t n = 1; n <= 9; ++n) {
+    for (std::size_t at = 0; at < n; ++at) {
+      std::vector<float> v(n, -0.0f);
+      if (n > 1) v[(at + 1) % n] = -3.0f;
+      v[at] = nan;
+      const float want = n == 1 ? 0.0f : 3.0f;
+      EXPECT_EQ(fold_abs_max(0.0f, v), want) << n << " " << at;
+      EXPECT_FALSE(std::signbit(fold_abs_max(0.0f, v)));
+      EXPECT_EQ(fold_abs_max(5.0f, v), 5.0f);
+    }
+  }
+  const float inf = std::numeric_limits<float>::infinity();
+  const std::vector<float> w = {1.0f, -inf, 2.0f, 3.0f, nan, -4.0f};
+  EXPECT_EQ(fold_abs_max(0.0f, w), inf);
+  EXPECT_EQ(fold_abs_max(0.0f, {}), 0.0f);
 }
 
 TEST(Ops, CopyChecksShape) {
